@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json fmt vet ehjalint staticcheck govulncheck fuzz clean
+.PHONY: all build test race lint lint-json fmt vet ehjalint staticcheck govulncheck fuzz bench bench-aa clean
 
 all: build test
 
@@ -53,6 +53,17 @@ govulncheck:
 fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
+
+# The repository's one benchmark (bench/README.md): every workload end to
+# end over real worker processes, then traced; results in bench/out/.
+bench:
+	$(GO) run ./bench -seed 1
+
+# A/A check: two end-to-end sets back to back, compared against the bounds
+# BENCHMARK.json fixes — run it before trusting a before/after pair on a
+# new host.
+bench-aa:
+	$(GO) run ./bench -aa
 
 clean:
 	$(GO) clean ./...

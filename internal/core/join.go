@@ -15,7 +15,6 @@ import (
 // what keeps the overflow/split/replicate/purge semantics identical
 // across core counts.
 type nodeTable interface {
-	Insert(tuple.Tuple)
 	Probe(key uint64, fn func(build tuple.Tuple)) int
 	Count() int64
 	Bytes() int64
@@ -40,8 +39,10 @@ type joinActor struct {
 	rng    hashfn.Range  // authoritative owned range
 	route  *hashfn.Table // latest routing-table copy (for stray forwarding)
 	table  nodeTable
-	// sharded is non-nil when Config.Cores > 1: the same object as table,
-	// with the parallel batch entry points the chunk hot path uses.
+	// Exactly one of serial and sharded is non-nil (sharded when
+	// Config.Cores > 1): the same object as table, with the batch entry
+	// points the chunk hot path calls once per chunk.
+	serial  *hashtable.Table
 	sharded *hashtable.Sharded
 	owned   []tuple.Tuple  // insertOrForward's in-range scratch
 	spill   *spill.Manager // out-of-core only
@@ -109,7 +110,8 @@ func newJoin(cfg Config, id rt.NodeID) *joinActor {
 			hashtable.SharedPool(cfg.Cores))
 		j.table = j.sharded
 	} else {
-		j.table = hashtable.New(cfg.Space, cfg.Build.Layout)
+		j.serial = hashtable.New(cfg.Space, cfg.Build.Layout)
+		j.table = j.serial
 	}
 	if cfg.Algorithm == OutOfCore {
 		j.spill = spill.NewWithPolicy(cfg.Space, cfg.Build.Layout, cfg.Probe.Layout,
@@ -541,9 +543,7 @@ func (j *joinActor) insertBatch(env rt.Env, ts []tuple.Tuple) {
 	}
 	if j.sharded == nil {
 		env.ChargeCPU(j.cfg.Cost.BuildNs * int64(len(ts)))
-		for _, t := range ts {
-			j.table.Insert(t)
-		}
+		j.serial.InsertAll(ts)
 		return
 	}
 	j.chargeBatch(env, j.cfg.Cost.BuildNs, j.sharded.InsertAll(ts))
@@ -676,7 +676,9 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 
 // evictToRung moves whole spill partitions — largest first, the
 // highest-relief-per-seek order — from the live table to the rung until at
-// least target bytes are freed. Returns the bytes freed.
+// least target bytes are freed. Returns the bytes freed. The victims follow
+// from the per-partition counts alone, so they are chosen first and leave
+// the table in one pass.
 func (j *joinActor) evictToRung(env rt.Env, target int64) int64 {
 	if target <= 0 {
 		return 0
@@ -687,22 +689,30 @@ func (j *joinActor) evictToRung(env rt.Env, target int64) int64 {
 	})
 	size := int64(j.cfg.Build.Layout.LogicalSize())
 	var freed int64
+	var victims []int
+	evicted := make([][]tuple.Tuple, len(counts)) // non-nil marks a victim
 	for freed < target {
 		best, bestN := -1, int64(0)
 		for p, n := range counts {
-			if n > bestN && !j.spillRung.Spilled(p) {
+			if n > bestN && evicted[p] == nil && !j.spillRung.Spilled(p) {
 				best, bestN = p, n
 			}
 		}
 		if best < 0 {
 			break // every populated partition is already on disk
 		}
-		moved := j.table.ExtractMatching(func(t tuple.Tuple) bool {
-			return j.spillRung.PartOf(t.Key) == best
-		})
-		j.spillRung.EvictBuild(env, best, moved)
-		counts[best] = 0
-		freed += int64(len(moved)) * size
+		victims = append(victims, best)
+		evicted[best] = make([]tuple.Tuple, 0, bestN)
+		freed += bestN * size
+	}
+	for _, t := range j.table.ExtractMatching(func(t tuple.Tuple) bool {
+		return evicted[j.spillRung.PartOf(t.Key)] != nil
+	}) {
+		p := j.spillRung.PartOf(t.Key)
+		evicted[p] = append(evicted[p], t)
+	}
+	for _, p := range victims {
+		j.spillRung.EvictBuild(env, p, evicted[p])
 	}
 	return freed
 }
@@ -854,28 +864,23 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		return
 	}
 	if j.sharded != nil {
-		m, x, st := j.sharded.ProbeAll(c.Tuples, func(b, s tuple.Tuple) uint64 {
-			return spill.MixPair(b.Index, s.Index)
-		})
+		m, x, st := j.sharded.ProbeAll(c.Tuples, mixMatch)
 		j.matches += uint64(m)
 		j.checksum ^= x
 		j.chargeBatch(env, j.cfg.Cost.ProbeNs, st)
 	} else {
-		env.ChargeCPU(j.cfg.Cost.ProbeNs * int64(len(c.Tuples)))
-		for _, s := range c.Tuples {
-			n := j.table.Probe(s.Key, func(r tuple.Tuple) {
-				j.checksum ^= spill.MixPair(r.Index, s.Index)
-			})
-			if n > 0 {
-				j.matches += uint64(n)
-				env.ChargeCPU(j.cfg.Cost.MatchNs * int64(n))
-			}
-		}
+		m, x := j.serial.ProbeAll(c.Tuples, mixMatch)
+		j.matches += uint64(m)
+		j.checksum ^= x
+		env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(c.Tuples)) + j.cfg.Cost.MatchNs*m)
 	}
 	if j.cfg.MaterializeOutput {
 		j.checkProbeOverflow(env, c)
 	}
 }
+
+// mixMatch fingerprints one (build, probe) match for the result checksum.
+func mixMatch(b, s tuple.Tuple) uint64 { return spill.MixPair(b.Index, s.Index) }
 
 // checkProbeOverflow accounts materialised output and reports overflow
 // during the probe phase (§4 footnote 1).

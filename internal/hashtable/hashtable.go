@@ -3,9 +3,16 @@
 // Two levels of hashing are involved, matching the paper's architecture:
 // the *routing* position (hashfn.Space) decides which join node owns a
 // tuple and is the granularity of splitting and reshuffling, while the
-// local table chains tuples by their full join attribute so probe cost is
+// local table groups tuples by their full join attribute so probe cost is
 // proportional to the number of genuine key matches, not to routing-level
 // clustering.
+//
+// The local table is flat and open-addressed over *distinct keys*
+// (DESIGN.md "Join-node table layout"): a slot holds one tuple, a
+// parallel meta word says whether the slot is empty, holds its key's only
+// tuple, or also owns a contiguous run with the key's other tuples.
+// Inserting a tuple of a new key allocates nothing; probing a key scans
+// one slot and, for a duplicated key, one slice.
 //
 // The table accounts *logical* bytes (tuple physical fields plus the
 // declared payload size), because memory overflow — the event that drives
@@ -13,26 +20,58 @@
 package hashtable
 
 import (
+	"math/bits"
+
 	"ehjoin/internal/hashfn"
 	"ehjoin/internal/tuple"
 )
 
 const (
-	// bucketLoad is the average chain length that triggers a rehash.
-	bucketLoad = 4
-	// minBuckets is the initial internal bucket count.
-	minBuckets = 1024
-	fibMul     = 0x9E3779B97F4A7C15
+	// segBits selects one of 64 independently growing segments from the
+	// top bits of the mixed key, so a growth step copies 1/64 of the
+	// table and the capacity slack of the segments averages out.
+	segBits = 6
+	numSegs = 1 << segBits
+	fibMul  = 0x9E3779B97F4A7C15
 )
+
+// segStartCaps are the segments' first capacities: four points evenly
+// log-spaced across one ×1.5 growth step, so the growth ladders interleave
+// instead of every segment of a uniformly filled table growing at once.
+var segStartCaps = [4]int{64, 71, 78, 87}
+
+// Meta words: metaEmpty, metaOne, or metaRun+r for a slot whose key also
+// owns the duplicate run Table.dups[r].
+const (
+	metaEmpty int32 = 0
+	metaOne   int32 = 1
+	metaRun   int32 = 2
+)
+
+// segment is one linear-probed array of distinct keys at load ≤ ¾. Its
+// capacity is arbitrary (not a power of two): a hash is reduced to a slot
+// by multiply-high.
+type segment struct {
+	slots []tuple.Tuple
+	meta  []int32
+	used  int // occupied slots
+	// salt, derived from the capacity, re-orders the segment's slots at
+	// every growth step: tuples extracted in slot order arrive at their
+	// next table in an order unrelated to that table's own slot order.
+	salt uint64
+}
 
 // Table is a join node's local hash table.
 type Table struct {
-	space   hashfn.Space
-	layout  tuple.Layout
-	buckets [][]tuple.Tuple
-	shift   uint
-	count   int64
-	bytes   int64
+	space  hashfn.Space
+	layout tuple.Layout
+	segs   [numSegs]segment
+	// dups holds, per duplicated key, the key's tuples beyond the one in
+	// its slot; freeDups lists the entries extraction has emptied.
+	dups     [][]tuple.Tuple
+	freeDups []int32
+	count    int64
+	bytes    int64
 	// posCount tracks tuples per routing position, needed by the hybrid
 	// algorithm's reshuffling step and by the load-balance metrics. A
 	// shard table (posStride > 1) owns only the positions ≡ posPhase
@@ -42,6 +81,9 @@ type Table struct {
 	posCount  []int64
 	posStride int
 	posPhase  int
+	// steps counts the occupied slots inserts and growth stepped over;
+	// the tests that pin the hash-independence rules bound it.
+	steps int64
 }
 
 // New returns an empty table for tuples of the given layout.
@@ -58,16 +100,13 @@ func NewShard(space hashfn.Space, layout tuple.Layout, phase, stride int) *Table
 		stride = 1
 	}
 	owned := (space.Positions() - phase + stride - 1) / stride
-	t := &Table{
+	return &Table{
 		space:     space,
 		layout:    layout,
-		buckets:   make([][]tuple.Tuple, minBuckets),
 		posCount:  make([]int64, owned),
 		posStride: stride,
 		posPhase:  phase,
 	}
-	t.shift = 64 - log2(minBuckets)
-	return t
 }
 
 func (t *Table) posIndex(pos int) int {
@@ -77,63 +116,177 @@ func (t *Table) posIndex(pos int) int {
 	return pos / t.posStride
 }
 
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
+// mixKey is the table's own hash. It must share no structure with the
+// routing hashes (hashfn.Space.PositionOf, spill's partition function):
+// the keys of one routing range or one spill partition agree on the top
+// bits of key or key*fibMul, and a table hashing the same way would put
+// all of them in one probe cluster.
+func mixKey(key uint64) uint64 {
+	key ^= key >> 33
+	key *= 0xFF51AFD7ED558CCD
+	key ^= key >> 33
+	key *= 0xC4CEB9FE1A85EC53
+	key ^= key >> 33
+	return key
 }
 
-func (t *Table) bucketOf(key uint64) int {
-	return int((key * fibMul) >> t.shift)
+// home maps a mixed key to its preferred slot.
+func (sg *segment) home(h uint64) int {
+	hi, _ := bits.Mul64((h^sg.salt)*fibMul, uint64(len(sg.meta)))
+	return int(hi)
+}
+
+// find returns the segment of key and the slot holding it, or -1.
+func (t *Table) find(key uint64) (*segment, int) {
+	h := mixKey(key)
+	sg := &t.segs[h>>(64-segBits)]
+	if sg.used == 0 {
+		return sg, -1
+	}
+	for i := sg.home(h); ; {
+		if sg.meta[i] == metaEmpty {
+			return sg, -1
+		}
+		if sg.slots[i].Key == key {
+			return sg, i
+		}
+		if i++; i == len(sg.meta) {
+			i = 0
+		}
+	}
 }
 
 // Insert adds one tuple.
 func (t *Table) Insert(tp tuple.Tuple) {
-	if t.count >= bucketLoad*int64(len(t.buckets)) {
-		t.grow()
+	h := mixKey(tp.Key)
+	s := h >> (64 - segBits)
+	sg := &t.segs[s]
+	if sg.used >= len(sg.meta)-len(sg.meta)/4 {
+		t.grow(int(s))
 	}
-	b := t.bucketOf(tp.Key)
-	t.buckets[b] = append(t.buckets[b], tp)
+	for i := sg.home(h); ; {
+		m := sg.meta[i]
+		if m == metaEmpty {
+			sg.slots[i] = tp
+			sg.meta[i] = metaOne
+			sg.used++
+			break
+		}
+		if sg.slots[i].Key == tp.Key {
+			if m == metaOne {
+				sg.meta[i] = metaRun + t.newRun(tp)
+			} else {
+				t.dups[m-metaRun] = append(t.dups[m-metaRun], tp)
+			}
+			break
+		}
+		t.steps++
+		if i++; i == len(sg.meta) {
+			i = 0
+		}
+	}
 	t.count++
 	t.bytes += int64(t.layout.LogicalSize())
 	t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]++
 }
 
-// InsertChunk adds every tuple of a chunk.
-func (t *Table) InsertChunk(c *tuple.Chunk) {
-	for _, tp := range c.Tuples {
+// newRun starts a duplicate run holding tp and returns its index.
+func (t *Table) newRun(tp tuple.Tuple) int32 {
+	if n := len(t.freeDups); n > 0 {
+		r := t.freeDups[n-1]
+		t.freeDups = t.freeDups[:n-1]
+		t.dups[r] = append(t.dups[r], tp)
+		return r
+	}
+	t.dups = append(t.dups, []tuple.Tuple{tp})
+	return int32(len(t.dups) - 1)
+}
+
+// freeRun releases an emptied duplicate run; its index is reused by the
+// next key that needs one.
+func (t *Table) freeRun(r int32) {
+	t.dups[r] = nil
+	t.freeDups = append(t.freeDups, r)
+}
+
+// InsertAll adds every tuple of a batch.
+func (t *Table) InsertAll(ts []tuple.Tuple) {
+	for _, tp := range ts {
 		t.Insert(tp)
 	}
 }
 
-func (t *Table) grow() {
-	old := t.buckets
-	t.buckets = make([][]tuple.Tuple, 2*len(old))
-	t.shift--
-	for _, chain := range old {
-		for _, tp := range chain {
-			b := t.bucketOf(tp.Key)
-			t.buckets[b] = append(t.buckets[b], tp)
+// InsertChunk adds every tuple of a chunk.
+func (t *Table) InsertChunk(c *tuple.Chunk) { t.InsertAll(c.Tuples) }
+
+// grow moves segment s to 1.5× its capacity.
+func (t *Table) grow(s int) {
+	sg := &t.segs[s]
+	oldSlots, oldMeta := sg.slots, sg.meta
+	n := len(oldMeta) + len(oldMeta)/2
+	if n == 0 {
+		n = segStartCaps[s%len(segStartCaps)]
+	}
+	sg.slots = make([]tuple.Tuple, n)
+	sg.meta = make([]int32, n)
+	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
+	for j, m := range oldMeta {
+		if m == metaEmpty {
+			continue
 		}
+		i := sg.home(mixKey(oldSlots[j].Key))
+		for sg.meta[i] != metaEmpty {
+			t.steps++
+			if i++; i == n {
+				i = 0
+			}
+		}
+		sg.slots[i] = oldSlots[j]
+		sg.meta[i] = m
 	}
 }
 
 // Probe invokes fn for every stored tuple whose join attribute equals key
 // and returns the number of matches.
 func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
-	matches := 0
-	for _, tp := range t.buckets[t.bucketOf(key)] {
-		if tp.Key == key {
-			matches++
-			if fn != nil {
-				fn(tp)
+	sg, i := t.find(key)
+	if i < 0 {
+		return 0
+	}
+	var run []tuple.Tuple
+	if m := sg.meta[i]; m >= metaRun {
+		run = t.dups[m-metaRun]
+	}
+	if fn != nil {
+		fn(sg.slots[i])
+		for _, tp := range run {
+			fn(tp)
+		}
+	}
+	return 1 + len(run)
+}
+
+// ProbeAll probes a batch of tuples and returns the total match count and
+// the XOR of mix over every matched (build, probe) pair.
+func (t *Table) ProbeAll(ts []tuple.Tuple, mix func(build, probe tuple.Tuple) uint64) (int64, uint64) {
+	var matches int64
+	var xor uint64
+	for _, probe := range ts {
+		sg, i := t.find(probe.Key)
+		if i < 0 {
+			continue
+		}
+		matches++
+		xor ^= mix(sg.slots[i], probe)
+		if m := sg.meta[i]; m >= metaRun {
+			run := t.dups[m-metaRun]
+			matches += int64(len(run))
+			for _, build := range run {
+				xor ^= mix(build, probe)
 			}
 		}
 	}
-	return matches
+	return matches, xor
 }
 
 // Count returns the number of stored tuples.
@@ -153,12 +306,15 @@ func (t *Table) CountsInRange(r hashfn.Range) []int64 {
 		copy(out, t.posCount[r.Lo:r.Hi])
 		return out
 	}
-	// First owned position ≥ r.Lo, then every posStride-th.
-	pos := r.Lo + ((t.posPhase-r.Lo)%t.posStride+t.posStride)%t.posStride
-	for ; pos < r.Hi; pos += t.posStride {
-		out[pos-r.Lo] = t.posCount[pos/t.posStride]
+	for pos := t.firstOwned(r.Lo); pos < r.Hi; pos += t.posStride {
+		out[pos-r.Lo] = t.posCount[t.posIndex(pos)]
 	}
 	return out
+}
+
+// firstOwned returns the first owned routing position ≥ lo.
+func (t *Table) firstOwned(lo int) int {
+	return lo + ((t.posPhase-lo)%t.posStride+t.posStride)%t.posStride
 }
 
 // ExtractRange removes and returns every stored tuple whose routing
@@ -166,7 +322,14 @@ func (t *Table) CountsInRange(r hashfn.Range) []int64 {
 // a bucket to a new node and when reshuffling redistributes replicated
 // ranges.
 func (t *Table) ExtractRange(r hashfn.Range) []tuple.Tuple {
-	return t.ExtractMatching(func(tp tuple.Tuple) bool {
+	var n int64
+	for pos := t.firstOwned(r.Lo); pos < r.Hi; pos += t.posStride {
+		n += t.posCount[t.posIndex(pos)]
+	}
+	if n == 0 {
+		return nil
+	}
+	return t.extract(make([]tuple.Tuple, 0, n), func(tp tuple.Tuple) bool {
 		return r.Contains(t.space.PositionOf(tp.Key))
 	})
 }
@@ -174,20 +337,62 @@ func (t *Table) ExtractRange(r hashfn.Range) []tuple.Tuple {
 // ExtractMatching removes and returns every stored tuple satisfying pred.
 // It is used by the out-of-core machinery to evict a spill partition.
 func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
-	var moved []tuple.Tuple
-	for b, chain := range t.buckets {
-		kept := chain[:0]
-		for _, tp := range chain {
-			if pred(tp) {
-				moved = append(moved, tp)
-				t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]--
-			} else {
-				kept = append(kept, tp)
+	return t.extract(nil, pred)
+}
+
+// extract removes every stored tuple satisfying pred, in place, and
+// returns them appended to moved (empty, with the capacity the caller
+// could predict). A slot whose tuple leaves takes over a member of
+// its key's run if one stays; otherwise it is deleted by backward shift,
+// which may pull a not yet examined slot into position i — so i is
+// examined again.
+func (t *Table) extract(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+	for s := range t.segs {
+		sg := &t.segs[s]
+		for i := 0; i < len(sg.meta); {
+			m := sg.meta[i]
+			if m == metaEmpty {
+				i++
+				continue
 			}
+			var run []tuple.Tuple
+			if m >= metaRun {
+				run = t.dups[m-metaRun]
+				kept := run[:0]
+				for _, tp := range run {
+					if pred(tp) {
+						moved = append(moved, tp)
+					} else {
+						kept = append(kept, tp)
+					}
+				}
+				run = kept
+			}
+			if pred(sg.slots[i]) {
+				moved = append(moved, sg.slots[i])
+				if len(run) == 0 {
+					if m >= metaRun {
+						t.freeRun(m - metaRun)
+					}
+					sg.remove(i)
+					continue
+				}
+				sg.slots[i] = run[len(run)-1]
+				run = run[:len(run)-1]
+			}
+			if m >= metaRun {
+				if len(run) == 0 {
+					t.freeRun(m - metaRun)
+					sg.meta[i] = metaOne
+				} else {
+					t.dups[m-metaRun] = run
+				}
+			}
+			i++
 		}
-		if len(kept) != len(chain) {
-			t.buckets[b] = kept
-		}
+	}
+	for _, tp := range moved {
+		t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]--
 	}
 	n := int64(len(moved))
 	t.count -= n
@@ -195,19 +400,55 @@ func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
 	return moved
 }
 
+// remove deletes slot i by backward shift: every later member of the
+// probe cluster that may legally sit closer to its home moves up, so no
+// tombstone is left and lookups keep stopping at the first empty slot.
+func (sg *segment) remove(i int) {
+	for j := i; ; {
+		if j++; j == len(sg.meta) {
+			j = 0
+		}
+		if sg.meta[j] == metaEmpty {
+			break
+		}
+		// The tuple at j must stay if its home lies cyclically in (i, j].
+		k := sg.home(mixKey(sg.slots[j].Key))
+		if i <= j {
+			if i < k && k <= j {
+				continue
+			}
+		} else if i < k || k <= j {
+			continue
+		}
+		sg.slots[i], sg.meta[i] = sg.slots[j], sg.meta[j]
+		i = j
+	}
+	sg.meta[i] = metaEmpty
+	sg.used--
+}
+
 // ForEach invokes fn for every stored tuple, in no particular order.
 func (t *Table) ForEach(fn func(tuple.Tuple)) {
-	for _, chain := range t.buckets {
-		for _, tp := range chain {
-			fn(tp)
+	for s := range t.segs {
+		sg := &t.segs[s]
+		for i, m := range sg.meta {
+			if m == metaEmpty {
+				continue
+			}
+			fn(sg.slots[i])
+			if m >= metaRun {
+				for _, tp := range t.dups[m-metaRun] {
+					fn(tp)
+				}
+			}
 		}
 	}
 }
 
-// Reset empties the table, retaining allocated capacity where convenient.
+// Reset empties the table.
 func (t *Table) Reset() {
-	t.buckets = make([][]tuple.Tuple, minBuckets)
-	t.shift = 64 - log2(minBuckets)
+	t.segs = [numSegs]segment{}
+	t.dups, t.freeDups = nil, nil
 	t.count = 0
 	t.bytes = 0
 	for i := range t.posCount {

@@ -30,7 +30,7 @@ func HeavyPositions(counts []int64, lo int, min int64) []int32 {
 
 // KeyCountsAt returns, sorted by key, the per-key tuple counts over the
 // stored tuples whose routing position is in positions. The walk touches
-// every bucket once; callers keep positions small via HeavyPositions.
+// every slot once; callers keep positions small via HeavyPositions.
 func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 	if len(positions) == 0 || t.count == 0 {
 		return nil, nil
@@ -40,10 +40,19 @@ func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 		want[int(p)] = struct{}{}
 	}
 	acc := make(map[uint64]int64)
-	for _, chain := range t.buckets {
-		for _, tp := range chain {
-			if _, ok := want[t.space.PositionOf(tp.Key)]; ok {
-				acc[tp.Key]++
+	for s := range t.segs {
+		sg := &t.segs[s]
+		for i, m := range sg.meta {
+			if m == metaEmpty {
+				continue
+			}
+			key := sg.slots[i].Key
+			if _, ok := want[t.space.PositionOf(key)]; !ok {
+				continue
+			}
+			acc[key] = 1
+			if m >= metaRun {
+				acc[key] += int64(len(t.dups[m-metaRun]))
 			}
 		}
 	}
@@ -83,8 +92,9 @@ func sortedKeyCounts(acc map[uint64]int64) ([]uint64, []int64) {
 }
 
 // TuplesWithKey returns (without removing) every stored tuple whose join
-// attribute equals key, in bucket-chain order. The heavy path uses it to
-// replicate a heavy key's build tuples to the other owners of its range.
+// attribute equals key: the slot's tuple, then the key's duplicate run.
+// The heavy path uses it to replicate a heavy key's build
+// tuples to the other owners of its range.
 func (t *Table) TuplesWithKey(key uint64) []tuple.Tuple {
 	var out []tuple.Tuple
 	t.Probe(key, func(b tuple.Tuple) { out = append(out, b) })
@@ -94,7 +104,5 @@ func (t *Table) TuplesWithKey(key uint64) []tuple.Tuple {
 // TuplesWithKey returns every stored tuple matching key from the owning
 // shard.
 func (s *Sharded) TuplesWithKey(key uint64) []tuple.Tuple {
-	var out []tuple.Tuple
-	s.Probe(key, func(b tuple.Tuple) { out = append(out, b) })
-	return out
+	return s.shardFor(key).TuplesWithKey(key)
 }

@@ -1,0 +1,308 @@
+package hashtable
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"ehjoin/internal/hashfn"
+	"ehjoin/internal/tuple"
+)
+
+// The model-based differential: random interleavings of every Table
+// operation against a map[uint64][]tuple.Tuple, on key mixes from all
+// unique to a few dozen heavily duplicated keys. Tables stay small, so
+// segments sit at their first few capacities and probe clusters that wrap
+// a segment's end are common (asserted).
+
+type tableModel map[uint64][]tuple.Tuple
+
+func (m tableModel) all() []tuple.Tuple {
+	var out []tuple.Tuple
+	for _, ts := range m {
+		out = append(out, ts...)
+	}
+	return out
+}
+
+// extract removes and returns the model tuples satisfying pred.
+func (m tableModel) extract(pred func(tuple.Tuple) bool) []tuple.Tuple {
+	var out []tuple.Tuple
+	for k, ts := range m {
+		kept := ts[:0]
+		for _, tp := range ts {
+			if pred(tp) {
+				out = append(out, tp)
+			} else {
+				kept = append(kept, tp)
+			}
+		}
+		if len(kept) == 0 {
+			delete(m, k)
+		} else {
+			m[k] = kept
+		}
+	}
+	return out
+}
+
+// wrappedSlots counts occupied slots sitting before their home slot: the
+// members of probe clusters that wrapped the end of a segment.
+func (t *Table) wrappedSlots() int {
+	n := 0
+	for s := range t.segs {
+		sg := &t.segs[s]
+		for i, m := range sg.meta {
+			if m != metaEmpty && sg.home(mixKey(sg.slots[i].Key)) > i {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func TestTableMatchesMapModel(t *testing.T) {
+	for _, mix := range []struct {
+		name  string
+		pool  int  // distinct keys to draw from; 0 = every key fresh
+		wraps bool // enough distinct keys per segment for clusters to wrap
+	}{{"unique", 0, true}, {"mixed", 1500, true}, {"duplicate-heavy", 40, false}} {
+		t.Run(mix.name, func(t *testing.T) {
+			wrapped := 0
+			for seed := int64(1); seed <= 12; seed++ {
+				wrapped += runTableModel(t, seed, mix.pool)
+			}
+			if mix.wraps && wrapped == 0 {
+				t.Error("no probe cluster ever wrapped a segment end; the test lost its coverage")
+			}
+		})
+	}
+}
+
+func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	space := hashfn.Space{Bits: uint(4 + rng.Intn(6)), Mode: hashfn.Scaled}
+	if rng.Intn(2) == 0 {
+		space.Mode = hashfn.Multiplicative
+	}
+	layout := tuple.LayoutForTupleSize(16 + rng.Intn(100))
+	tbl := New(space, layout)
+	model := tableModel{}
+	pool := make([]uint64, poolSize)
+	for i := range pool {
+		pool[i] = rng.Uint64()
+	}
+	var next uint64
+	draw := func() tuple.Tuple {
+		next++
+		if poolSize == 0 {
+			return tuple.Tuple{Index: next, Key: rng.Uint64()}
+		}
+		return tuple.Tuple{Index: next, Key: pool[rng.Intn(poolSize)]}
+	}
+	// someKey returns a key that was inserted at some point most of the
+	// time, a certain miss otherwise.
+	var seen []uint64
+	someKey := func() uint64 {
+		if len(seen) > 0 && rng.Intn(4) > 0 {
+			return seen[rng.Intn(len(seen))]
+		}
+		return rng.Uint64()
+	}
+	randRange := func() hashfn.Range {
+		lo := rng.Intn(space.Positions())
+		return hashfn.Range{Lo: lo, Hi: lo + 1 + rng.Intn(space.Positions()-lo)}
+	}
+
+	for step := 0; step < 60; step++ {
+		switch op := rng.Intn(12); {
+		case op < 4: // insert, one by one or as a batch
+			ts := make([]tuple.Tuple, 1+rng.Intn(1200))
+			for i := range ts {
+				ts[i] = draw()
+				model[ts[i].Key] = append(model[ts[i].Key], ts[i])
+				seen = append(seen, ts[i].Key)
+			}
+			if rng.Intn(2) == 0 {
+				tbl.InsertAll(ts)
+			} else {
+				for _, tp := range ts {
+					tbl.Insert(tp)
+				}
+			}
+		case op < 6: // probe
+			for i := 0; i < 50; i++ {
+				k := someKey()
+				var got []tuple.Tuple
+				n := tbl.Probe(k, func(b tuple.Tuple) { got = append(got, b) })
+				if n != len(model[k]) || tbl.Probe(k, nil) != n {
+					t.Fatalf("seed %d step %d: Probe(%#x) = %d, model %d", seed, step, k, n, len(model[k]))
+				}
+				sameMultiset(t, "Probe callbacks", got, model[k])
+				sameMultiset(t, "TuplesWithKey", tbl.TuplesWithKey(k), model[k])
+			}
+		case op == 6: // batch probe
+			ts := make([]tuple.Tuple, 300)
+			var wantMatches int64
+			var wantXor uint64
+			for i := range ts {
+				ts[i] = tuple.Tuple{Index: uint64(i), Key: someKey()}
+				for _, b := range model[ts[i].Key] {
+					wantMatches++
+					wantXor ^= mixPair(b, ts[i])
+				}
+			}
+			if m, x := tbl.ProbeAll(ts, mixPair); m != wantMatches || x != wantXor {
+				t.Fatalf("seed %d step %d: ProbeAll = %d/%#x, model %d/%#x", seed, step, m, x, wantMatches, wantXor)
+			}
+		case op < 9: // extract by a predicate that splits duplicate runs
+			mod, rem := uint64(2+rng.Intn(3)), uint64(rng.Intn(2))
+			keyBit := uint64(1) << uint(rng.Intn(64))
+			pred := func(tp tuple.Tuple) bool {
+				return tp.Index%mod == rem || tp.Key&keyBit != 0 && tp.Index%7 < 5
+			}
+			sameMultiset(t, "ExtractMatching", tbl.ExtractMatching(pred), model.extract(pred))
+		case op == 9: // extract a routing range
+			r := randRange()
+			got := tbl.ExtractRange(r)
+			sameMultiset(t, "ExtractRange", got, model.extract(func(tp tuple.Tuple) bool {
+				return r.Contains(space.PositionOf(tp.Key))
+			}))
+			if rng.Intn(2) == 0 { // a reshuffle bounces tuples back in returned order
+				tbl.InsertAll(got)
+				for _, tp := range got {
+					model[tp.Key] = append(model[tp.Key], tp)
+				}
+			}
+		case op == 10: // per-key counts at a few positions
+			positions := make([]int32, 1+rng.Intn(8))
+			want := map[uint64]int64{}
+			for i := range positions {
+				positions[i] = int32(rng.Intn(space.Positions()))
+			}
+			for k, ts := range model {
+				for _, p := range positions {
+					if space.PositionOf(k) == int(p) {
+						want[k] = int64(len(ts))
+					}
+				}
+			}
+			keys, counts := tbl.KeyCountsAt(positions)
+			if len(keys) != len(want) || !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
+				t.Fatalf("seed %d step %d: KeyCountsAt returned %d keys (sorted %v), model %d",
+					seed, step, len(keys), keys, len(want))
+			}
+			for i, k := range keys {
+				if counts[i] != want[k] {
+					t.Fatalf("seed %d step %d: KeyCountsAt[%#x] = %d, model %d", seed, step, k, counts[i], want[k])
+				}
+			}
+		default: // full walk
+			var got []tuple.Tuple
+			tbl.ForEach(func(tp tuple.Tuple) { got = append(got, tp) })
+			sameMultiset(t, "ForEach", got, model.all())
+		}
+
+		all := model.all()
+		if tbl.Count() != int64(len(all)) || tbl.Bytes() != int64(len(all)*layout.LogicalSize()) {
+			t.Fatalf("seed %d step %d: count/bytes %d/%d, model holds %d tuples",
+				seed, step, tbl.Count(), tbl.Bytes(), len(all))
+		}
+		hist := make([]int64, space.Positions())
+		for _, tp := range all {
+			hist[space.PositionOf(tp.Key)]++
+		}
+		for p, c := range tbl.CountsInRange(hashfn.Range{Lo: 0, Hi: space.Positions()}) {
+			if c != hist[p] {
+				t.Fatalf("seed %d step %d: position %d counts %d, model %d", seed, step, p, c, hist[p])
+			}
+		}
+		wrapped += tbl.wrappedSlots()
+	}
+	return wrapped
+}
+
+// TestExtractFromWrappedCluster builds one probe cluster across the end of
+// a segment — every key's home is one of the segment's last two slots — and
+// deletes from it at the end, at the start and in the middle: backward
+// shift must carry the wrapped members back over the boundary, and every
+// surviving key must stay reachable from its home slot.
+func TestExtractFromWrappedCluster(t *testing.T) {
+	tbl := New(testSpace, tuple.DefaultLayout())
+	tbl.Insert(tuple.Tuple{Key: 0}) // allocates the segment of key 0
+	h := mixKey(0)
+	sg := &tbl.segs[h>>(64-segBits)]
+	n := len(sg.meta)
+	tbl.ExtractMatching(func(tuple.Tuple) bool { return true })
+
+	rng := rand.New(rand.NewSource(7))
+	var keys []uint64
+	for len(keys) < 9 {
+		k := rng.Uint64()
+		if hk := mixKey(k); hk>>(64-segBits) == h>>(64-segBits) && sg.home(hk) >= n-2 {
+			keys = append(keys, k)
+			tbl.Insert(tuple.Tuple{Index: uint64(len(keys)), Key: k})
+			tbl.Insert(tuple.Tuple{Index: uint64(100 + len(keys)), Key: k}) // every key duplicated
+		}
+	}
+	if len(sg.meta) != n || tbl.wrappedSlots() < 7 {
+		t.Fatalf("setup: segment grew to %d or cluster did not wrap (%d wrapped)", len(sg.meta), tbl.wrappedSlots())
+	}
+	gone := map[uint64]bool{}
+	for _, victim := range []int{0, 8, 4, 1} {
+		k := keys[victim]
+		gone[k] = true
+		if moved := tbl.ExtractMatching(func(tp tuple.Tuple) bool { return tp.Key == k }); len(moved) != 2 {
+			t.Fatalf("extracting key %d moved %d tuples, want 2", victim, len(moved))
+		}
+		for _, k := range keys {
+			want := 2
+			if gone[k] {
+				want = 0
+			}
+			if got := tbl.Probe(k, nil); got != want {
+				t.Fatalf("after extracting %d keys: Probe(%#x) = %d, want %d", len(gone), k, got, want)
+			}
+		}
+	}
+	// Taking only the slot's own tuple promotes the run member in place.
+	if moved := tbl.ExtractMatching(func(tp tuple.Tuple) bool { return tp.Index < 100 }); len(moved) != 5 {
+		t.Fatalf("extracting the inline tuples moved %d, want 5", len(moved))
+	}
+	for _, k := range keys {
+		if !gone[k] && tbl.Probe(k, nil) != 1 {
+			t.Fatalf("key %#x lost its promoted run member", k)
+		}
+	}
+	if len(tbl.freeDups) != len(tbl.dups) {
+		t.Errorf("%d of %d duplicate runs were released", len(tbl.freeDups), len(tbl.dups))
+	}
+}
+
+// TestRoutingHashesSpreadOverSegments: keys that agree on the top bits of
+// key*fibMul (one spill partition, one Multiplicative routing range) or of
+// the key itself (one Scaled range) must still use all 64 segments evenly —
+// a table whose segment choice shared those bits would grow as one or two
+// big segments and lose the bounded growth transient.
+func TestRoutingHashesSpreadOverSegments(t *testing.T) {
+	for name, ok := range map[string]func(uint64) bool{
+		"top bits of key*fibMul": func(k uint64) bool { return (k*fibMul)>>59 == 5 },
+		"top bits of key":        func(k uint64) bool { return k>>58 == 3 },
+	} {
+		tbl := New(testSpace, tuple.DefaultLayout())
+		rng := rand.New(rand.NewSource(3))
+		const n = 64_000
+		for i := 0; i < n; {
+			if k := rng.Uint64(); ok(k) {
+				tbl.Insert(tuple.Tuple{Index: uint64(i), Key: k})
+				i++
+			}
+		}
+		for s := range tbl.segs {
+			if used := tbl.segs[s].used; used < n/numSegs/2 || used > 2*n/numSegs {
+				t.Errorf("%s: segment %d holds %d keys, mean %d", name, s, used, n/numSegs)
+			}
+		}
+	}
+}

@@ -14,7 +14,7 @@ const maxShards = 256
 
 // Sharded partitions a join node's table across P shards by routing
 // position (shard = position mod P), each shard a private Table with its
-// own buckets, byte accounting, and posCount array. Build inserts and
+// own slots, byte accounting, and posCount array. Build inserts and
 // probe lookups run as per-shard morsels on a worker pool with no
 // locking on the hot path: a chunk is counting-sorted into per-shard
 // morsels, the morsels execute in parallel, and the caller resumes after
@@ -218,10 +218,7 @@ func (s *Sharded) InsertAll(ts []tuple.Tuple) ParallelStats {
 		morsel := s.gathered[s.offs[sh]:s.offs[sh+1]]
 		fns = append(fns, func() {
 			t0 := s.clock()
-			tbl := s.shards[sh]
-			for _, t := range morsel {
-				tbl.Insert(t)
-			}
+			s.shards[sh].InsertAll(morsel)
 			s.perShardNs[sh] = s.clock().Sub(t0).Nanoseconds()
 		})
 	}
@@ -252,17 +249,7 @@ func (s *Sharded) ProbeAll(ts []tuple.Tuple, mix func(build, probe tuple.Tuple) 
 		morsel := s.gathered[s.offs[sh]:s.offs[sh+1]]
 		fns = append(fns, func() {
 			t0 := s.clock()
-			tbl := s.shards[sh]
-			var m int64
-			var x uint64
-			for i := range morsel {
-				probe := morsel[i]
-				m += int64(tbl.Probe(probe.Key, func(build tuple.Tuple) {
-					x ^= mix(build, probe)
-				}))
-			}
-			s.shardMatches[sh] = m
-			s.shardXor[sh] = x
+			s.shardMatches[sh], s.shardXor[sh] = s.shards[sh].ProbeAll(morsel, mix)
 			s.perShardNs[sh] = s.clock().Sub(t0).Nanoseconds()
 		})
 	}

@@ -6,7 +6,7 @@
 //   - internal/sim: a deterministic discrete-event simulation with a
 //     calibrated cluster cost model (virtual time) — the engine used for
 //     reproducing the paper's measurements;
-//   - internal/rt: a goroutine-per-actor engine (wall-clock time) — used
+//   - internal/live: a goroutine-per-actor engine (wall-clock time) — used
 //     for correctness cross-checks and live demos;
 //   - internal/tcpnet: a binary-framed TCP transport running actors
 //     across real OS processes.

@@ -12,8 +12,10 @@ import (
 
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
+	"ehjoin/internal/hashfn"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
+	"ehjoin/internal/tuple"
 )
 
 // heavyDistConfig is distConfig under skew: Zipf build, fully correlated
@@ -108,6 +110,25 @@ func TestP2PHeavy(t *testing.T) {
 	}
 }
 
+// upperHalfBuildBytes returns the wire size of the build tuples the initial
+// two-node routing table sends to join node 1, the node worker 1 hosts from
+// the start under the i%2 assignment.
+func upperHalfBuildBytes(t *testing.T, cfg core.Config) int64 {
+	t.Helper()
+	gen, err := datagen.New(cfg.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := hashfn.DefaultSpace() // distConfig leaves Config.Space at its default
+	var n int64
+	for i := int64(0); i < cfg.Build.Tuples; i++ {
+		if space.PositionOf(gen.KeyAt(i)) >= space.Positions()/2 {
+			n++
+		}
+	}
+	return n * tuple.PhysicalSize
+}
+
 // TestHeavyWorkerDeathRecovers crosses the heavy path with a worker-process
 // death mid-build on the real transport: the doomed worker dies before
 // detection, recovery re-streams its build state, and detection then runs
@@ -133,7 +154,10 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startFaultyWorkers(t, 2, 1, 100<<10, true)
+	// Kill a quarter of the way through the doomed worker's initial build
+	// traffic: a fixed offset near the end of it lets detection slip past
+	// the build barrier, where a death degrades instead of recovering.
+	conns, wg := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % 2
