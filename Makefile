@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json fmt vet ehjalint staticcheck govulncheck fuzz bench bench-aa clean
+.PHONY: all build test race lint lint-json fmt vet ehjalint staticcheck govulncheck fuzz bench bench-aa bench-pair clean
 
 all: build test
 
@@ -64,6 +64,17 @@ bench:
 # new host.
 bench-aa:
 	$(GO) run ./bench -aa
+
+# Before/after comparison of one workload against a git ref: N alternating
+# pairs of the driver's 20 s runs, every pair printed, then wins, medians
+# and quartiles per end-to-end metric (scripts/bench-pair.sh). What a perf
+# claim is measured with:  make bench-pair BASE=HEAD~1 W=uniform_fit N=10 SEED=1
+BASE ?= HEAD
+W ?= uniform_fit
+N ?= 10
+SEED ?= 1
+bench-pair:
+	./scripts/bench-pair.sh $(BASE) $(W) $(N) $(SEED)
 
 clean:
 	$(GO) clean ./...

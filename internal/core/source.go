@@ -34,10 +34,14 @@ type sourceActor struct {
 	next  int64
 
 	builders map[rt.NodeID]*tuple.Builder
-	credits  map[rt.NodeID]int
-	queue    map[rt.NodeID][]queuedChunk
-	stalled  bool // generation paused on backpressure
-	doneSent bool
+	// entryDests memoises destsOf per routing-table entry, so the per-tuple
+	// path indexes a slice instead of hashing a node id. It is dropped
+	// whenever the table, the phase or the builder set changes.
+	entryDests [][]destBuilder
+	credits    map[rt.NodeID]int
+	queue      map[rt.NodeID][]queuedChunk
+	stalled    bool // generation paused on backpressure
+	doneSent   bool
 
 	// Heavy-key routing state (DESIGN.md §11): the detected heavy set, the
 	// per-key round-robin counters spreading each heavy key's probe tuples
@@ -50,6 +54,13 @@ type sourceActor struct {
 	// stats
 	chunksSent       int64
 	probeExtraCopies int64 // probe tuples duplicated beyond their first copy
+}
+
+// destBuilder is one destination of a routing-table entry's tuples and the
+// chunk builder collecting them.
+type destBuilder struct {
+	dest rt.NodeID
+	b    *tuple.Builder
 }
 
 // queuedChunk is an undelivered chunk with the routing-table version its
@@ -112,6 +123,7 @@ func (s *sourceActor) beginPhase(env rt.Env, rel tuple.Relation, table *hashfn.T
 	s.doneSent = false
 	s.stalled = false
 	s.builders = make(map[rt.NodeID]*tuple.Builder)
+	s.entryDests = nil
 	var n int64
 	if rel == tuple.RelR {
 		n = s.cfg.Build.Tuples
@@ -130,24 +142,24 @@ func (s *sourceActor) step(env rt.Env) {
 		return
 	}
 	budget := int64(s.cfg.BurstChunks * s.cfg.ChunkTuples)
+	gen, probing := s.build, false
+	if s.phase != tuple.RelR {
+		gen, probing = s.probe, true
+	}
 	for i := int64(0); i < budget && s.next < s.slice.Hi; i++ {
 		env.ChargeCPU(s.cfg.Cost.GenNs)
-		var t tuple.Tuple
-		var layout tuple.Layout
-		if s.phase == tuple.RelR {
-			t = s.build.At(s.next)
-			layout = s.cfg.Build.Layout
-		} else {
-			t = s.probe.At(s.next)
-			layout = s.cfg.Probe.Layout
-		}
+		t := gen.At(s.next)
 		s.next++
-		p := s.cfg.Space.PositionOf(t.Key)
-		if s.phase == tuple.RelR {
-			s.route(env, rt.NodeID(s.table.BuildOwnerOf(p)), t, layout)
-		} else {
-			s.routeProbe(env, t, p, layout)
+		if probing && s.routeHeavy(env, t) {
+			continue
 		}
+		dests := s.destsOf(s.table.EntryIndexOf(s.cfg.Space.PositionOf(t.Key)))
+		for _, d := range dests {
+			if c := d.b.Add(t); c != nil {
+				s.enqueue(env, d.dest, c)
+			}
+		}
+		s.probeExtraCopies += int64(len(dests) - 1) // a build tuple has one destination
 	}
 	if s.next >= s.slice.Hi {
 		s.finished = true
@@ -178,44 +190,70 @@ func (s *sourceActor) backpressured() bool {
 	return false
 }
 
-// routeProbe routes one probe tuple. A heavy key's tuple goes to exactly
-// one member of the key's serving group, round-robin — every member holds
-// the key's complete build set after the replication round, so one copy
-// finds exactly the matches a broadcast would have. Everything else
-// broadcasts to the range's probe owners as usual.
-func (s *sourceActor) routeProbe(env rt.Env, t tuple.Tuple, p int, layout tuple.Layout) {
-	if s.heavySet != nil && s.heavySet[t.Key] {
-		group, ok := s.heavyGroups[t.Key]
-		if !ok {
-			group = heavyGroup(s.table, s.cfg.Space, t.Key)
-			if s.heavyGroups == nil {
-				s.heavyGroups = make(map[uint64][]int32)
-			}
-			s.heavyGroups[t.Key] = group
-		}
-		if len(group) > 0 {
-			i := s.heavyRR[t.Key]
-			s.heavyRR[t.Key] = i + 1
-			s.route(env, rt.NodeID(group[i%len(group)]), t, layout)
-			return
-		}
+// routeHeavy routes a probe tuple of a heavy key and reports whether it
+// did. The tuple goes to exactly one member of the key's serving group,
+// round-robin — every member holds the key's complete build set after the
+// replication round, so one copy finds exactly the matches a broadcast
+// would have. Everything else broadcasts to its range's probe owners.
+func (s *sourceActor) routeHeavy(env rt.Env, t tuple.Tuple) bool {
+	if s.heavySet == nil || !s.heavySet[t.Key] {
+		return false
 	}
-	owners := s.table.ProbeOwnersOf(p)
-	for _, o := range owners {
-		s.route(env, rt.NodeID(o), t, layout)
+	group, ok := s.heavyGroups[t.Key]
+	if !ok {
+		group = heavyGroup(s.table, s.cfg.Space, t.Key)
+		if s.heavyGroups == nil {
+			s.heavyGroups = make(map[uint64][]int32)
+		}
+		s.heavyGroups[t.Key] = group
 	}
-	s.probeExtraCopies += int64(len(owners) - 1)
+	if len(group) == 0 {
+		return false
+	}
+	i := s.heavyRR[t.Key]
+	s.heavyRR[t.Key] = i + 1
+	dest := rt.NodeID(group[i%len(group)])
+	if c := s.builderFor(dest).Add(t); c != nil {
+		s.enqueue(env, dest, c)
+	}
+	return true
 }
 
-func (s *sourceActor) route(env rt.Env, dest rt.NodeID, t tuple.Tuple, layout tuple.Layout) {
+// destsOf returns where the tuples of routing-table entry idx go in the
+// current phase — to the entry's build owner, or to every probe owner —
+// with their chunk builders.
+func (s *sourceActor) destsOf(idx int) []destBuilder {
+	if s.entryDests == nil {
+		s.entryDests = make([][]destBuilder, len(s.table.Entries))
+	}
+	if ds := s.entryDests[idx]; ds != nil {
+		return ds
+	}
+	owners := s.table.Entries[idx].Owners
+	if s.phase == tuple.RelR {
+		owners = owners[len(owners)-1:]
+	}
+	ds := make([]destBuilder, len(owners))
+	for i, o := range owners {
+		ds[i] = destBuilder{rt.NodeID(o), s.builderFor(rt.NodeID(o))}
+	}
+	s.entryDests[idx] = ds
+	return ds
+}
+
+// builderFor returns dest's chunk builder for the streaming relation,
+// creating it on first use.
+func (s *sourceActor) builderFor(dest rt.NodeID) *tuple.Builder {
 	b := s.builders[dest]
 	if b == nil {
+		layout := s.cfg.Build.Layout
+		if s.phase != tuple.RelR {
+			layout = s.cfg.Probe.Layout
+		}
 		b = tuple.NewBuilder(s.phase, layout, s.cfg.ChunkTuples)
 		s.builders[dest] = b
 	}
-	if c := b.Add(t); c != nil {
-		s.enqueue(env, dest, c)
-	}
+	return b
 }
 
 func (s *sourceActor) enqueue(env rt.Env, dest rt.NodeID, c *tuple.Chunk) {
@@ -274,6 +312,7 @@ func (s *sourceActor) adoptTable(env rt.Env, t *hashfn.Table) {
 	}
 	s.table = t
 	s.heavyGroups = nil // groups derive from the table; recompute lazily
+	s.entryDests = nil  // so do the entries' destinations, and builders change below
 	for _, d := range t.Dead {
 		dest := rt.NodeID(d)
 		delete(s.queue, dest)

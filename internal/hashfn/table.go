@@ -1,9 +1,6 @@
 package hashfn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Entry assigns one contiguous position range to one or more join nodes.
 //
@@ -156,15 +153,33 @@ func (t *Table) RemoveOwner(node int32) bool {
 	return changed
 }
 
-// EntryIndexOf returns the index of the entry containing position p.
+// linearEntries is the table size up to which EntryIndexOf scans instead
+// of bisecting: the data sources call it once per tuple, and a run has a
+// handful of entries (one per join node).
+const linearEntries = 16
+
+// EntryIndexOf returns the index of the entry containing position p: the
+// first entry with Range.Hi > p, since entries tile the space.
 func (t *Table) EntryIndexOf(p int) int {
-	// Find the first entry with Range.Hi > p; entries tile the space, so
-	// that entry contains p.
-	i := sort.Search(len(t.Entries), func(i int) bool { return t.Entries[i].Range.Hi > p })
-	if i == len(t.Entries) {
-		panic(fmt.Sprintf("hashfn: position %d beyond table covering %v", p, t.Entries[len(t.Entries)-1].Range))
+	es := t.Entries
+	lo, hi := 0, len(es)
+	if hi <= linearEntries {
+		for lo < hi && es[lo].Range.Hi <= p {
+			lo++
+		}
+	} else {
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); es[mid].Range.Hi > p {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
 	}
-	return i
+	if lo == len(es) {
+		panic(fmt.Sprintf("hashfn: position %d beyond table covering %v", p, es[len(es)-1].Range))
+	}
+	return lo
 }
 
 // BuildOwnerOf returns the node that should receive a build tuple hashed to

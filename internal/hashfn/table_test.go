@@ -213,3 +213,21 @@ func TestEntryIndexOwnedBy(t *testing.T) {
 		t.Errorf("index owned by 99 = %d, want -1", got)
 	}
 }
+
+// EntryIndexOf scans short tables and bisects long ones; both must agree
+// with the definition at every position, boundaries included.
+func TestEntryIndexOfEveryPosition(t *testing.T) {
+	space := Space{Bits: 8, Mode: Scaled}
+	for _, n := range []int{1, 2, 7, linearEntries, linearEntries + 1, 40, space.Positions()} {
+		owners := make([]int32, n)
+		for i := range owners {
+			owners[i] = int32(i)
+		}
+		tbl := mustTable(t, space, owners)
+		for p := 0; p < space.Positions(); p++ {
+			if i := tbl.EntryIndexOf(p); !tbl.Entries[i].Range.Contains(p) {
+				t.Fatalf("%d entries: position %d resolved to entry %d %v", n, p, i, tbl.Entries[i].Range)
+			}
+		}
+	}
+}

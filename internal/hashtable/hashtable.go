@@ -14,6 +14,16 @@
 // Inserting a tuple of a new key allocates nothing; probing a key scans
 // one slot and, for a duplicated key, one slice.
 //
+// The index does not exist during the build phase (DESIGN.md "Staged
+// build, one-shot seal"). A table starts *staged*: inserts append to small
+// per-segment blocks, and everything the expanding algorithms decide from
+// — Count, Bytes, the per-position counts — and everything they move —
+// ExtractRange, ExtractMatching, ForEach, KeyCountsAt — works on the
+// blocks. The first lookup seals the table: each segment's slot arrays
+// are allocated once, sized from the tuples actually staged there, and
+// filled in arrival order. From then on inserts probe and segments grow;
+// only Reset returns a table to the staged state.
+//
 // The table accounts *logical* bytes (tuple physical fields plus the
 // declared payload size), because memory overflow — the event that drives
 // all three expanding algorithms — is a property of the full tuple size.
@@ -33,6 +43,13 @@ const (
 	segBits = 6
 	numSegs = 1 << segBits
 	fibMul  = 0x9E3779B97F4A7C15
+
+	// stageBlock is the capacity in tuples of a staging block. A segment's
+	// first block starts at stageFirst and doubles up to it, so a small
+	// table (a spill partition, a node holding a few heavy keys) stays at
+	// a few KB; beyond it a staged tuple costs 1/stageBlock allocations.
+	stageBlock = 1024
+	stageFirst = 16
 )
 
 // segStartCaps are the segments' first capacities: four points evenly
@@ -52,9 +69,13 @@ const (
 // capacity is arbitrary (not a power of two): a hash is reduced to a slot
 // by multiply-high.
 type segment struct {
-	slots []tuple.Tuple
-	meta  []int32
-	used  int // occupied slots
+	// blocks holds the tuples staged before the first lookup, in arrival
+	// order: every block but the last is full. Nil once the table is
+	// sealed.
+	blocks [][]tuple.Tuple
+	slots  []tuple.Tuple
+	meta   []int32
+	used   int // occupied slots
 	// salt, derived from the capacity, re-orders the segment's slots at
 	// every growth step: tuples extracted in slot order arrive at their
 	// next table in an order unrelated to that table's own slot order.
@@ -66,6 +87,10 @@ type Table struct {
 	space  hashfn.Space
 	layout tuple.Layout
 	segs   [numSegs]segment
+	// sealed says the segments are indexed. It is set by the first lookup
+	// (find) and cleared only by Reset; while it is false slots and meta
+	// are nil and the tuples live in the segments' staging blocks.
+	sealed bool
 	// dups holds, per duplicated key, the key's tuples beyond the one in
 	// its slot; freeDups lists the entries extraction has emptied.
 	dups     [][]tuple.Tuple
@@ -136,8 +161,12 @@ func (sg *segment) home(h uint64) int {
 	return int(hi)
 }
 
-// find returns the segment of key and the slot holding it, or -1.
+// find returns the segment of key and the slot holding it, or -1. Every
+// lookup goes through it, so it is where a staged table is sealed.
 func (t *Table) find(key uint64) (*segment, int) {
+	if !t.sealed {
+		t.seal()
+	}
 	h := mixKey(key)
 	sg := &t.segs[h>>(64-segBits)]
 	if sg.used == 0 {
@@ -156,21 +185,98 @@ func (t *Table) find(key uint64) (*segment, int) {
 	}
 }
 
-// Insert adds one tuple.
+// Insert adds one tuple: to its segment's staging blocks until the first
+// lookup, into the index afterwards.
 func (t *Table) Insert(tp tuple.Tuple) {
 	h := mixKey(tp.Key)
 	s := h >> (64 - segBits)
 	sg := &t.segs[s]
-	if sg.used >= len(sg.meta)-len(sg.meta)/4 {
-		t.grow(int(s))
+	if !t.sealed {
+		sg.stage(tp)
+	} else {
+		if sg.used >= len(sg.meta)-len(sg.meta)/4 {
+			t.grow(int(s))
+		}
+		t.index(sg, h, tp)
 	}
+	t.count++
+	t.bytes += int64(t.layout.LogicalSize())
+	t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]++
+}
+
+// stage appends tp to the segment's last staging block, starting a block
+// when that one is full.
+func (sg *segment) stage(tp tuple.Tuple) {
+	n := len(sg.blocks)
+	if n == 0 || len(sg.blocks[n-1]) == cap(sg.blocks[n-1]) {
+		sg.addBlock()
+		n = len(sg.blocks)
+	}
+	sg.blocks[n-1] = append(sg.blocks[n-1], tp)
+}
+
+// addBlock makes room for one more staged tuple: a segment's only block
+// doubles until it reaches stageBlock, then blocks are added.
+func (sg *segment) addBlock() {
+	switch n := len(sg.blocks); {
+	case n == 0:
+		sg.blocks = append(sg.blocks, make([]tuple.Tuple, 0, stageFirst))
+	case n == 1 && cap(sg.blocks[0]) < stageBlock:
+		sg.blocks[0] = append(make([]tuple.Tuple, 0, 2*cap(sg.blocks[0])), sg.blocks[0]...)
+	default:
+		sg.blocks = append(sg.blocks, make([]tuple.Tuple, 0, stageBlock))
+	}
+}
+
+// seal indexes the staged tuples, one segment at a time so the arrays
+// being filled stay cache-resident and a segment's blocks are garbage
+// before the next segment's arrays are allocated. A segment gets slots for
+// the tuples it staged at load ¾; the +4 keeps the empty slot find stops
+// at (capacity 3 for one tuple could fill). A segment whose tuples share
+// few keys is then re-placed at the size its keys need — duplicates live
+// in runs, not slots.
+func (t *Table) seal() {
+	t.sealed = true
+	for s := range t.segs {
+		sg := &t.segs[s]
+		blocks := sg.blocks
+		sg.blocks = nil
+		n := 0
+		for _, b := range blocks {
+			n += len(b)
+		}
+		if n == 0 {
+			continue
+		}
+		sg.alloc(n + n/3 + 4)
+		for _, b := range blocks {
+			for _, tp := range b {
+				t.index(sg, mixKey(tp.Key), tp)
+			}
+		}
+		if sg.used < len(sg.meta)/2 {
+			t.rehash(sg, sg.used+sg.used/3+4)
+		}
+	}
+}
+
+// alloc gives the segment empty arrays of capacity n; used is the caller's.
+func (sg *segment) alloc(n int) {
+	sg.slots = make([]tuple.Tuple, n)
+	sg.meta = make([]int32, n)
+	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
+}
+
+// index places tp, whose mixed key is h, in a segment that has a free
+// slot to spare.
+func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 	for i := sg.home(h); ; {
 		m := sg.meta[i]
 		if m == metaEmpty {
 			sg.slots[i] = tp
 			sg.meta[i] = metaOne
 			sg.used++
-			break
+			return
 		}
 		if sg.slots[i].Key == tp.Key {
 			if m == metaOne {
@@ -178,16 +284,13 @@ func (t *Table) Insert(tp tuple.Tuple) {
 			} else {
 				t.dups[m-metaRun] = append(t.dups[m-metaRun], tp)
 			}
-			break
+			return
 		}
 		t.steps++
 		if i++; i == len(sg.meta) {
 			i = 0
 		}
 	}
-	t.count++
-	t.bytes += int64(t.layout.LogicalSize())
-	t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]++
 }
 
 // newRun starts a duplicate run holding tp and returns its index.
@@ -219,17 +322,20 @@ func (t *Table) InsertAll(ts []tuple.Tuple) {
 // InsertChunk adds every tuple of a chunk.
 func (t *Table) InsertChunk(c *tuple.Chunk) { t.InsertAll(c.Tuples) }
 
-// grow moves segment s to 1.5× its capacity.
+// grow moves segment s of a sealed table to 1.5× its capacity.
 func (t *Table) grow(s int) {
 	sg := &t.segs[s]
-	oldSlots, oldMeta := sg.slots, sg.meta
-	n := len(oldMeta) + len(oldMeta)/2
+	n := len(sg.meta) + len(sg.meta)/2
 	if n == 0 {
 		n = segStartCaps[s%len(segStartCaps)]
 	}
-	sg.slots = make([]tuple.Tuple, n)
-	sg.meta = make([]int32, n)
-	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
+	t.rehash(sg, n)
+}
+
+// rehash moves the segment's occupied slots to fresh arrays of capacity n.
+func (t *Table) rehash(sg *segment, n int) {
+	oldSlots, oldMeta := sg.slots, sg.meta
+	sg.alloc(n)
 	for j, m := range oldMeta {
 		if m == metaEmpty {
 			continue
@@ -342,53 +448,14 @@ func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
 
 // extract removes every stored tuple satisfying pred, in place, and
 // returns them appended to moved (empty, with the capacity the caller
-// could predict). A slot whose tuple leaves takes over a member of
-// its key's run if one stays; otherwise it is deleted by backward shift,
-// which may pull a not yet examined slot into position i — so i is
-// examined again.
+// could predict).
 func (t *Table) extract(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
 	for s := range t.segs {
 		sg := &t.segs[s]
-		for i := 0; i < len(sg.meta); {
-			m := sg.meta[i]
-			if m == metaEmpty {
-				i++
-				continue
-			}
-			var run []tuple.Tuple
-			if m >= metaRun {
-				run = t.dups[m-metaRun]
-				kept := run[:0]
-				for _, tp := range run {
-					if pred(tp) {
-						moved = append(moved, tp)
-					} else {
-						kept = append(kept, tp)
-					}
-				}
-				run = kept
-			}
-			if pred(sg.slots[i]) {
-				moved = append(moved, sg.slots[i])
-				if len(run) == 0 {
-					if m >= metaRun {
-						t.freeRun(m - metaRun)
-					}
-					sg.remove(i)
-					continue
-				}
-				sg.slots[i] = run[len(run)-1]
-				run = run[:len(run)-1]
-			}
-			if m >= metaRun {
-				if len(run) == 0 {
-					t.freeRun(m - metaRun)
-					sg.meta[i] = metaOne
-				} else {
-					t.dups[m-metaRun] = run
-				}
-			}
-			i++
+		if t.sealed {
+			moved = t.extractIndexed(sg, moved, pred)
+		} else {
+			moved = sg.extractStaged(moved, pred)
 		}
 	}
 	for _, tp := range moved {
@@ -397,6 +464,84 @@ func (t *Table) extract(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tupl
 	n := int64(len(moved))
 	t.count -= n
 	t.bytes -= n * int64(t.layout.LogicalSize())
+	return moved
+}
+
+// extractStaged is extract on a staged segment: one sequential pass that
+// compacts the tuples that stay towards the first block, keeping arrival
+// order and the every-block-but-the-last-is-full rule, and releases the
+// blocks that emptied.
+func (sg *segment) extractStaged(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+	wb, wi := 0, 0 // the next tuple that stays goes to blocks[wb][wi]
+	for _, b := range sg.blocks {
+		for _, tp := range b {
+			if pred(tp) {
+				moved = append(moved, tp)
+				continue
+			}
+			sg.blocks[wb][wi] = tp
+			if wi++; wi == cap(sg.blocks[wb]) {
+				wb, wi = wb+1, 0
+			}
+		}
+	}
+	if wi > 0 {
+		sg.blocks[wb] = sg.blocks[wb][:wi]
+		wb++
+	}
+	for i := wb; i < len(sg.blocks); i++ {
+		sg.blocks[i] = nil
+	}
+	sg.blocks = sg.blocks[:wb]
+	return moved
+}
+
+// extractIndexed is extract on a sealed segment. A slot whose tuple leaves
+// takes over a member of its key's run if one stays; otherwise it is
+// deleted by backward shift, which may pull a not yet examined slot into
+// position i — so i is examined again.
+func (t *Table) extractIndexed(sg *segment, moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+	for i := 0; i < len(sg.meta); {
+		m := sg.meta[i]
+		if m == metaEmpty {
+			i++
+			continue
+		}
+		var run []tuple.Tuple
+		if m >= metaRun {
+			run = t.dups[m-metaRun]
+			kept := run[:0]
+			for _, tp := range run {
+				if pred(tp) {
+					moved = append(moved, tp)
+				} else {
+					kept = append(kept, tp)
+				}
+			}
+			run = kept
+		}
+		if pred(sg.slots[i]) {
+			moved = append(moved, sg.slots[i])
+			if len(run) == 0 {
+				if m >= metaRun {
+					t.freeRun(m - metaRun)
+				}
+				sg.remove(i)
+				continue
+			}
+			sg.slots[i] = run[len(run)-1]
+			run = run[:len(run)-1]
+		}
+		if m >= metaRun {
+			if len(run) == 0 {
+				t.freeRun(m - metaRun)
+				sg.meta[i] = metaOne
+			} else {
+				t.dups[m-metaRun] = run
+			}
+		}
+		i++
+	}
 	return moved
 }
 
@@ -431,6 +576,11 @@ func (sg *segment) remove(i int) {
 func (t *Table) ForEach(fn func(tuple.Tuple)) {
 	for s := range t.segs {
 		sg := &t.segs[s]
+		for _, b := range sg.blocks {
+			for _, tp := range b {
+				fn(tp)
+			}
+		}
 		for i, m := range sg.meta {
 			if m == metaEmpty {
 				continue
@@ -445,9 +595,10 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 	}
 }
 
-// Reset empties the table.
+// Reset empties the table and returns it to the staged state.
 func (t *Table) Reset() {
 	t.segs = [numSegs]segment{}
+	t.sealed = false
 	t.dups, t.freeDups = nil, nil
 	t.count = 0
 	t.bytes = 0

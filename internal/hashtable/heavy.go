@@ -30,7 +30,8 @@ func HeavyPositions(counts []int64, lo int, min int64) []int32 {
 
 // KeyCountsAt returns, sorted by key, the per-key tuple counts over the
 // stored tuples whose routing position is in positions. The walk touches
-// every slot once; callers keep positions small via HeavyPositions.
+// every slot (every tuple, on a staged table) once; callers keep positions
+// small via HeavyPositions.
 func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 	if len(positions) == 0 || t.count == 0 {
 		return nil, nil
@@ -40,23 +41,36 @@ func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 		want[int(p)] = struct{}{}
 	}
 	acc := make(map[uint64]int64)
+	t.forEachKey(func(key uint64, n int64) {
+		if _, ok := want[t.space.PositionOf(key)]; ok {
+			acc[key] += n
+		}
+	})
+	return sortedKeyCounts(acc)
+}
+
+// forEachKey invokes fn with a key and a number of its stored tuples,
+// possibly several times per key; the numbers of one key sum to its tuple
+// count. A sealed table reports each key once, a staged one tuple by tuple.
+func (t *Table) forEachKey(fn func(key uint64, n int64)) {
 	for s := range t.segs {
 		sg := &t.segs[s]
+		for _, b := range sg.blocks {
+			for _, tp := range b {
+				fn(tp.Key, 1)
+			}
+		}
 		for i, m := range sg.meta {
 			if m == metaEmpty {
 				continue
 			}
-			key := sg.slots[i].Key
-			if _, ok := want[t.space.PositionOf(key)]; !ok {
-				continue
-			}
-			acc[key] = 1
+			n := int64(1)
 			if m >= metaRun {
-				acc[key] += int64(len(t.dups[m-metaRun]))
+				n += int64(len(t.dups[m-metaRun]))
 			}
+			fn(sg.slots[i].Key, n)
 		}
 	}
-	return sortedKeyCounts(acc)
 }
 
 // KeyCountsAt sums the per-key counts over all shards; keys are position-

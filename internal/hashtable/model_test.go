@@ -14,6 +14,13 @@ import (
 // unique to a few dozen heavily duplicated keys. Tables stay small, so
 // segments sit at their first few capacities and probe clusters that wrap
 // a segment's end are common (asserted).
+//
+// The first lookup — the seal — lands at a random step of each
+// interleaving: before any insert, somewhere in the middle, or never, and
+// Reset returns the table to the staged state mid-run. Every non-lookup
+// operation must have run against a staged table, against a sealed table
+// still holding tuples that were staged, and against a table sealed while
+// empty (asserted).
 
 type tableModel map[uint64][]tuple.Tuple
 
@@ -61,6 +68,23 @@ func (t *Table) wrappedSlots() int {
 	return n
 }
 
+// The states a model run observes an operation in.
+const (
+	inStaged      = "staged"       // no lookup since New or Reset
+	acrossSeal    = "across-seal"  // sealed, and tuples staged before the seal are still stored
+	sealedAtBirth = "sealed-empty" // sealed while empty: every tuple took the growing path
+)
+
+// modelCoverage counts the non-lookup operations by table state.
+type modelCoverage map[string]map[string]int
+
+func (c modelCoverage) note(op, state string) {
+	if c[op] == nil {
+		c[op] = map[string]int{}
+	}
+	c[op][state]++
+}
+
 func TestTableMatchesMapModel(t *testing.T) {
 	for _, mix := range []struct {
 		name  string
@@ -69,17 +93,25 @@ func TestTableMatchesMapModel(t *testing.T) {
 	}{{"unique", 0, true}, {"mixed", 1500, true}, {"duplicate-heavy", 40, false}} {
 		t.Run(mix.name, func(t *testing.T) {
 			wrapped := 0
-			for seed := int64(1); seed <= 12; seed++ {
-				wrapped += runTableModel(t, seed, mix.pool)
+			cov := modelCoverage{}
+			for seed := int64(1); seed <= 24; seed++ {
+				wrapped += runTableModel(t, seed, mix.pool, cov)
 			}
 			if mix.wraps && wrapped == 0 {
 				t.Error("no probe cluster ever wrapped a segment end; the test lost its coverage")
+			}
+			for _, op := range []string{"Insert", "ExtractMatching", "ExtractRange", "KeyCountsAt", "ForEach", "CountsInRange", "Reset"} {
+				for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
+					if cov[op][state] == 0 {
+						t.Errorf("%s never ran in state %s; the test lost its coverage", op, state)
+					}
+				}
 			}
 		})
 	}
 }
 
-func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
+func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (wrapped int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	space := hashfn.Space{Bits: uint(4 + rng.Intn(6)), Mode: hashfn.Scaled}
@@ -115,9 +147,35 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 		return hashfn.Range{Lo: lo, Hi: lo + 1 + rng.Intn(space.Positions()-lo)}
 	}
 
-	for step := 0; step < 60; step++ {
-		switch op := rng.Intn(12); {
+	// Lookups are held back until step firstLookup (a third of the runs
+	// look up before the first insert, a sixth never do); Reset re-arms
+	// the hold-back for a random number of steps.
+	const steps = 60
+	firstLookup := 0
+	switch seed % 6 {
+	case 1, 2, 3:
+		firstLookup = 1 + rng.Intn(steps-1)
+	case 4:
+		firstLookup = steps
+	}
+	state := inStaged
+	lookedUp := func() {
+		if state == inStaged {
+			state = sealedAtBirth
+			if tbl.Count() > 0 {
+				state = acrossSeal
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		op := rng.Intn(25) / 2 // 0..11 as before, 12 (Reset) at half weight
+		if step < firstLookup && op >= 4 && op <= 6 {
+			op = 11
+		}
+		switch {
 		case op < 4: // insert, one by one or as a batch
+			cov.note("Insert", state)
 			ts := make([]tuple.Tuple, 1+rng.Intn(1200))
 			for i := range ts {
 				ts[i] = draw()
@@ -132,6 +190,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 				}
 			}
 		case op < 6: // probe
+			lookedUp()
 			for i := 0; i < 50; i++ {
 				k := someKey()
 				var got []tuple.Tuple
@@ -143,6 +202,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 				sameMultiset(t, "TuplesWithKey", tbl.TuplesWithKey(k), model[k])
 			}
 		case op == 6: // batch probe
+			lookedUp()
 			ts := make([]tuple.Tuple, 300)
 			var wantMatches int64
 			var wantXor uint64
@@ -157,6 +217,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 				t.Fatalf("seed %d step %d: ProbeAll = %d/%#x, model %d/%#x", seed, step, m, x, wantMatches, wantXor)
 			}
 		case op < 9: // extract by a predicate that splits duplicate runs
+			cov.note("ExtractMatching", state)
 			mod, rem := uint64(2+rng.Intn(3)), uint64(rng.Intn(2))
 			keyBit := uint64(1) << uint(rng.Intn(64))
 			pred := func(tp tuple.Tuple) bool {
@@ -164,6 +225,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 			}
 			sameMultiset(t, "ExtractMatching", tbl.ExtractMatching(pred), model.extract(pred))
 		case op == 9: // extract a routing range
+			cov.note("ExtractRange", state)
 			r := randRange()
 			got := tbl.ExtractRange(r)
 			sameMultiset(t, "ExtractRange", got, model.extract(func(tp tuple.Tuple) bool {
@@ -176,6 +238,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 				}
 			}
 		case op == 10: // per-key counts at a few positions
+			cov.note("KeyCountsAt", state)
 			positions := make([]int32, 1+rng.Intn(8))
 			want := map[uint64]int64{}
 			for i := range positions {
@@ -198,12 +261,28 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 					t.Fatalf("seed %d step %d: KeyCountsAt[%#x] = %d, model %d", seed, step, k, counts[i], want[k])
 				}
 			}
-		default: // full walk
+		case op == 11: // full walk
+			cov.note("ForEach", state)
 			var got []tuple.Tuple
 			tbl.ForEach(func(tp tuple.Tuple) { got = append(got, tp) })
 			sameMultiset(t, "ForEach", got, model.all())
+		default: // reset: staged again, lookups held back for a while
+			cov.note("Reset", state)
+			tbl.Reset()
+			model = tableModel{}
+			state = inStaged
+			if firstLookup < steps {
+				firstLookup = step + rng.Intn(8)
+			}
+		}
+		if tbl.sealed != (state != inStaged) {
+			t.Fatalf("seed %d step %d: table sealed = %v in state %s", seed, step, tbl.sealed, state)
+		}
+		if state == acrossSeal && tbl.Count() == 0 {
+			state = sealedAtBirth // nothing staged is left
 		}
 
+		cov.note("CountsInRange", state)
 		all := model.all()
 		if tbl.Count() != int64(len(all)) || tbl.Bytes() != int64(len(all)*layout.LogicalSize()) {
 			t.Fatalf("seed %d step %d: count/bytes %d/%d, model holds %d tuples",
@@ -230,6 +309,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int) (wrapped int) {
 // surviving key must stay reachable from its home slot.
 func TestExtractFromWrappedCluster(t *testing.T) {
 	tbl := New(testSpace, tuple.DefaultLayout())
+	tbl.Probe(0, nil)               // seals: the inserts below take the growing path
 	tbl.Insert(tuple.Tuple{Key: 0}) // allocates the segment of key 0
 	h := mixKey(0)
 	sg := &tbl.segs[h>>(64-segBits)]
@@ -299,6 +379,7 @@ func TestRoutingHashesSpreadOverSegments(t *testing.T) {
 				i++
 			}
 		}
+		tbl.Probe(0, nil) // seals: used is counted by the index
 		for s := range tbl.segs {
 			if used := tbl.segs[s].used; used < n/numSegs/2 || used > 2*n/numSegs {
 				t.Errorf("%s: segment %d holds %d keys, mean %d", name, s, used, n/numSegs)

@@ -471,7 +471,13 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	// sends rebuild the retransmit buffers; relays and control broadcasts
 	// re-encode from their records. prefixOpen tracks whether we are still
 	// inside the injected-message prefix of the current phase (see
-	// RootInjects).
+	// RootInjects). A phase's injections are routed into an empty queue
+	// before its Drain starts, and deliveries are logged at dequeue, in
+	// queue order — so the prefix ends at the first delivery whose sender
+	// is a node, and at nothing else: marks, worker relays, epoch bumps and
+	// deaths are logged at receive time, between two dequeues, and land
+	// among the injections' records whenever a worker speaks early. An
+	// injection the count misses is delivered twice by the resumed run.
 	st := &replayState{
 		cover: make([]seqCover, nW),
 		dead:  make([]bool, nW),
@@ -491,10 +497,12 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			continue
 		case wire.CkptDelivery, wire.CkptRelay:
 			from := rt.NodeID(rec.From)
-			if from == rt.NoNode && prefixOpen {
+			if from != rt.NoNode {
+				if rec.Kind == wire.CkptDelivery {
+					prefixOpen = false
+				}
+			} else if prefixOpen {
 				c.rootInjects++
-			} else {
-				prefixOpen = false
 			}
 			src, remote := c.assignment[from]
 			if remote {
@@ -527,7 +535,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			env.self = to
 			a.Receive(env, from, rec.Msg)
 		case wire.CkptMark:
-			prefixOpen = false
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint mark for nonexistent worker %d", w)
@@ -540,7 +547,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			c.rootInjects = 0
 			prefixOpen = true
 		case wire.CkptEpoch:
-			prefixOpen = false
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint epoch for nonexistent worker %d", w)
@@ -575,7 +581,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 				}
 			}
 		case wire.CkptDeath:
-			prefixOpen = false
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint death for nonexistent worker %d", w)

@@ -228,6 +228,14 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 		{"p2p-mid-build", plain, true, 0, 12},
 		{"p2p-mid-probe", plain, true, 1, 12},
 		{"p2p-spill-heavy-probe", spillHeavy, true, 2, 8},
+		// Whole-log record counts (phase -1) at which the randomized sweep
+		// below used to fail about one run in eleven: a worker's report
+		// landed between the two startBuild deliveries, the replay counted
+		// three of the four kickoff injections, and the resumed run had a
+		// source stream its build slice again.
+		{"star-log-63", plain, false, -1, 63},
+		{"star-log-147", plain, false, -1, 147},
+		{"p2p-log-107", plain, true, -1, 107},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	rt "ehjoin/internal/runtime"
+	wire "ehjoin/internal/wire"
 )
 
 func TestCoordRecoveryRedialJitter(t *testing.T) {
@@ -271,5 +272,52 @@ func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	stats := c.TransportStats()
 	if stats.Resumes != 0 || stats.FullReassigns != 1 {
 		t.Errorf("resumes %d, full reassigns %d; want 0 and 1", stats.Resumes, stats.FullReassigns)
+	}
+}
+
+// TestCoordRecoveryRootInjectsSurviveInterleavedMarks replays a hand-built
+// log in which a worker's report and a worker relay were received between
+// the dequeues of a phase's injections — what a fast worker does to a
+// kickoff. Every injection must still count: the resumed run skips exactly
+// RootInjects() entries of the phase's list, and an injection the count
+// misses is delivered a second time (a source streams its build slice
+// twice). Only a delivery from a node ends the prefix; an injection logged
+// after one is a failure handler's, not the phase's.
+func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const worker, localA, localB = 1, 2, 3
+	inject := func(kind wire.CkptKind, to int32, w int32) *wire.CkptRecord {
+		return &wire.CkptRecord{Kind: kind, From: int32(rt.NoNode), To: to, Worker: w, Msg: &testMsg{}}
+	}
+	snap := &Snapshot{Records: []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
+			AssignIDs: []int32{worker}, AssignWorkers: []int32{0}},
+		inject(wire.CkptRelay, worker, 0),     // injection to a worker node: logged at route
+		inject(wire.CkptDelivery, localA, -1), // first local injection dequeued
+		{Kind: wire.CkptMark, Worker: 0, Seq: 1, Processed: 1},
+		{Kind: wire.CkptRelay, From: worker, To: worker, Worker: 0, Seq: 2, Msg: &testMsg{}},
+		inject(wire.CkptDelivery, localB, -1), // second local injection dequeued
+		{Kind: wire.CkptDelivery, From: worker, To: localA, Worker: 0, Seq: 3, Msg: &testMsg{}},
+		inject(wire.CkptDelivery, localA, -1), // a failure handler's injection
+	}}
+	var delivered int64
+	actors := map[rt.NodeID]rt.Actor{
+		localA: &countActor{n: &delivered},
+		localB: &countActor{n: &delivered},
+	}
+	c, err := RestoreCoordinator(snap, actors, WithResume(l, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.RootInjects(); got != 3 {
+		t.Errorf("RootInjects = %d, want 3: the mark and the worker relay sit inside the prefix, "+
+			"the worker's delivery ends it", got)
+	}
+	if delivered != 4 {
+		t.Errorf("replay delivered %d messages to local actors, want 4", delivered)
 	}
 }
