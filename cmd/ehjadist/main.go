@@ -31,7 +31,19 @@ import (
 	"ehjoin/internal/metrics"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
+	"ehjoin/internal/tuple"
 	"ehjoin/internal/wire"
+)
+
+const (
+	chunkTuples = 1000
+	// sendWindowBytes bounds the physical chunk bytes one data source may
+	// have in flight toward one join node while that node has the memory
+	// headroom for it (core.Config.MaxCreditWindow, DESIGN.md §15). The
+	// default fixed window is 4 chunks — 64 KB, a credit round trip per few
+	// hundred microseconds of work — and starves the pipeline between three
+	// processes; EXPERIMENTS.md "Receiver-advertised window" has the sweep.
+	sendWindowBytes = 512 << 10
 )
 
 func main() {
@@ -116,18 +128,19 @@ func main() {
 		fatal(fmt.Errorf("correlated is probe-only; pick the build distribution (-dist zipf implies a correlated probe)"))
 	}
 	cfg := core.Config{
-		Algorithm:      alg,
-		InitialNodes:   *initial,
-		MaxNodes:       *maxNodes,
-		Sources:        2,
-		MemoryBudget:   *budget,
-		ChunkTuples:    1000,
-		Cores:          *cores,
-		SpillEnabled:   *spillRung,
-		HeavyThreshold: *heavyThresh,
-		Build:          build,
-		Probe:          probe,
-		MatchFraction:  1.0,
+		Algorithm:       alg,
+		InitialNodes:    *initial,
+		MaxNodes:        *maxNodes,
+		Sources:         2,
+		MemoryBudget:    *budget,
+		ChunkTuples:     chunkTuples,
+		MaxCreditWindow: sendWindowBytes / (chunkTuples * tuple.PhysicalSize),
+		Cores:           *cores,
+		SpillEnabled:    *spillRung,
+		HeavyThreshold:  *heavyThresh,
+		Build:           build,
+		Probe:           probe,
+		MatchFraction:   1.0,
 	}
 
 	if _, err := tcpnet.ParseChaos(*chaos); err != nil {
@@ -348,6 +361,8 @@ func main() {
 		fmt.Printf("ehjadist: spilled %d partition(s) to disk (%d KB), degradation rung %d\n",
 			report.SpilledPartitions, report.SpillBytes>>10, report.DegradationRung)
 	}
+	fmt.Printf("ehjadist: flow control: send window reached %d chunk(s), sources parked on an exhausted window %d time(s)\n",
+		report.WidestWindow, report.CreditStalls)
 	if report.NodesLost > 0 {
 		fmt.Printf("ehjadist: lost %d node(s), recovered %d in %.3fs, re-streamed %d chunks (%d tuples)\n",
 			report.NodesLost, report.NodesRecovered, report.RecoverySec,

@@ -220,6 +220,9 @@ func assembleReport(cfg Config, eng rt.Engine, sched *schedActor,
 		r.OutputBytes += j.OutputBytes
 		r.PurgedTuples += j.Purged
 		r.DroppedStaleTuples += j.DroppedStale
+		if j.WidestWindow > r.WidestWindow {
+			r.WidestWindow = j.WidestWindow
+		}
 		if len(j.ShardLoads) > 0 {
 			r.NodeShardLoads = append(r.NodeShardLoads, j.ShardLoads)
 			r.PoolBusySec += float64(j.PoolBusyNs) / 1e9
@@ -233,6 +236,7 @@ func assembleReport(cfg Config, eng rt.Engine, sched *schedActor,
 	}
 	for _, s := range sched.sourceStats {
 		probeExtraTuples += s.ProbeExtraCopies
+		r.CreditStalls += s.CreditStalls
 	}
 
 	// Conservation invariants: every generated build tuple is stored on

@@ -97,6 +97,13 @@ type Config struct {
 	// CreditWindow is the per-(source,destination) flow-control window in
 	// chunks. Defaults to 4.
 	CreditWindow int
+	// MaxCreditWindow lets join nodes advertise a deeper window than
+	// CreditWindow while they have memory to absorb it (DESIGN.md §15): each
+	// node moves the window it grants a source between CreditWindow and this
+	// cap, following its remaining budget during the build and sitting at
+	// the cap during the probe. Defaults to CreditWindow — a fixed window,
+	// which is what the simulator's modelled network is calibrated for.
+	MaxCreditWindow int
 	// BurstChunks is how many chunks' worth of tuples a source generates
 	// per scheduling step. Defaults to 2.
 	BurstChunks int
@@ -181,6 +188,12 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.CreditWindow == 0 {
 		c.CreditWindow = 4
+	}
+	if c.MaxCreditWindow == 0 {
+		c.MaxCreditWindow = c.CreditWindow
+	}
+	if c.MaxCreditWindow < c.CreditWindow {
+		return c, fmt.Errorf("core: MaxCreditWindow %d below CreditWindow %d", c.MaxCreditWindow, c.CreditWindow)
 	}
 	if c.BurstChunks == 0 {
 		c.BurstChunks = 2

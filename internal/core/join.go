@@ -57,6 +57,12 @@ type joinActor struct {
 	retired     bool  // replication/hybrid: stopped growing
 	forwardTo   rt.NodeID
 
+	// windows is the send window this node currently advertises to each
+	// data source (DESIGN.md §15); a source without an entry is at
+	// Config.CreditWindow. widestWindow is the largest value ever advertised.
+	windows      map[rt.NodeID]int
+	widestWindow int
+
 	// preInit buffers chunks that arrive before this node's joinInit (the
 	// scheduler's broadcast can reach a data source, or a split order its
 	// victim, before the init message reaches the recruited node).
@@ -154,7 +160,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *dataChunk:
 		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 		if msg.Origin != rt.NoNode {
-			env.Send(msg.Origin, &chunkAck{Rel: msg.Chunk.Rel})
+			env.Send(msg.Origin, &chunkAck{Rel: msg.Chunk.Rel, Adjust: j.advertise(msg.Origin, msg.Chunk.Rel)})
 		}
 		if !j.active {
 			j.preInit = append(j.preInit, preInitChunk{chunk: msg.Chunk, version: msg.Version})
@@ -223,6 +229,59 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *statsReq:
 		env.Send(from, j.snapshot())
 	}
+}
+
+// advertise moves the window this node grants source src one chunk toward
+// what its memory can back right now, and returns the step for the ack that
+// is about to return the consumed chunk's credit.
+func (j *joinActor) advertise(src rt.NodeID, rel tuple.Relation) int8 {
+	w, ok := j.windows[src]
+	if !ok {
+		w = j.cfg.CreditWindow
+	}
+	adj := windowKeep
+	switch target := j.windowTarget(rel); {
+	case w < target:
+		adj = windowWiden
+	case w > target:
+		adj = windowNarrow
+	}
+	w += int(adj)
+	if j.windows == nil {
+		j.windows = make(map[rt.NodeID]int, j.cfg.Sources)
+	}
+	j.windows[src] = w
+	if w > j.widestWindow {
+		j.widestWindow = w
+	}
+	return adj
+}
+
+// windowTarget is the per-source window this node can afford while chunks
+// of relation rel are streaming. Probing stores nothing, so the probe phase
+// runs at the cap. During the build all sources together may have at most a
+// quarter of the node's remaining budget in flight — deep while the table is
+// far from full, back at CreditWindow before it overflows, so overflow
+// reports, expansions and spill orders keep the timing a fixed window gives
+// them. Nodes that only buffer or forward what arrives (not yet initialised,
+// retired), the out-of-core baseline, and probes that materialise their
+// output stay at CreditWindow.
+func (j *joinActor) windowTarget(rel tuple.Relation) int {
+	base, limit := j.cfg.CreditWindow, j.cfg.MaxCreditWindow
+	switch {
+	case !j.active || j.spill != nil:
+		return base
+	case rel != tuple.RelR:
+		if j.cfg.MaterializeOutput {
+			return base
+		}
+		return limit
+	case j.retired:
+		return base
+	}
+	chunkBytes := int64(j.cfg.ChunkTuples * j.cfg.Build.Layout.LogicalSize())
+	afford := (j.budget - j.table.Bytes()) / (4 * int64(j.cfg.Sources) * chunkBytes)
+	return int(max(int64(base), min(int64(limit), afford)))
 }
 
 // onCloneTable copies this node's hash table to the probe-phase recruit
@@ -368,6 +427,7 @@ func (j *joinActor) snapshot() *joinStats {
 		DroppedStale:     j.droppedStale,
 		HeavyCopies:      j.heavyCopies,
 		HeavyProbeTuples: j.heavyProbes,
+		WidestWindow:     int64(j.widestWindow),
 	}
 	if j.spill != nil {
 		s.SpillWrittenBytes = j.spill.SpillWrittenBytes

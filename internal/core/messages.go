@@ -42,10 +42,31 @@ type dataChunk struct {
 
 func (m *dataChunk) WireSize() int { return 16 + m.Chunk.LogicalBytes() }
 
-// chunkAck returns a flow-control credit to a data source.
-type chunkAck struct {
-	Rel tuple.Relation
+// Release implements runtime.Releaser: a serialising transport is done with
+// the source's original send, so the chunk may return to the source's free
+// list. A forward carries a chunk some join node received — that node, not
+// the writer, decides what still points into it — so it is never released.
+func (m *dataChunk) Release() {
+	if !m.Forwarded {
+		m.Chunk.Release()
+	}
 }
+
+// chunkAck returns one consumed chunk's flow-control credit to its data
+// source, together with the receiver's one-chunk adjustment of the window it
+// advertises to that source (DESIGN.md §15): the source's credits grow by
+// 1+Adjust. The zero value is the fixed-window ack — one credit back, window
+// unchanged.
+type chunkAck struct {
+	Rel    tuple.Relation
+	Adjust int8 // windowNarrow, windowKeep or windowWiden
+}
+
+const (
+	windowNarrow int8 = -1 // the consumed chunk's credit is retired
+	windowKeep   int8 = 0
+	windowWiden  int8 = +1 // one extra credit rides along
+)
 
 func (*chunkAck) WireSize() int { return ctrlBytes }
 
@@ -377,6 +398,7 @@ type joinStats struct {
 	DroppedStale      int64 // stale tuples discarded at re-stream barriers
 	HeavyCopies       int64 // heavy-key build tuples received as group copies
 	HeavyProbeTuples  int64 // probe tuples routed via the heavy partitioned path
+	WidestWindow      int64 // largest send window advertised to any source
 
 	// Sharded-core execution statistics (Config.Cores > 1 only).
 	ShardLoads []int64 // per-shard stored build tuples (occupancy)
@@ -392,6 +414,7 @@ func (m *joinStats) WireSize() int { return 128 + 8*len(m.ShardLoads) }
 type sourceStats struct {
 	ChunksSent       int64
 	ProbeExtraCopies int64
+	CreditStalls     int64 // generation steps that parked on an exhausted window
 }
 
 func (*sourceStats) WireSize() int { return 64 }

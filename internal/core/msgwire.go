@@ -55,16 +55,21 @@ func init() {
 			}, nil
 		})
 
-	// chunkAck: [1B relation]
+	// chunkAck: [1B relation][1B window adjustment, two's complement]
 	wire.Register(wireChunkAck, &chunkAck{},
 		func(buf []byte, m rt.Message) []byte {
-			return append(buf, byte(m.(*chunkAck).Rel))
+			a := m.(*chunkAck)
+			return append(buf, byte(a.Rel), byte(a.Adjust))
 		},
 		func(data []byte) (rt.Message, error) {
-			if len(data) != 1 {
-				return nil, fmt.Errorf("core: chunkAck payload has %d bytes, want 1", len(data))
+			if len(data) != 2 {
+				return nil, fmt.Errorf("core: chunkAck payload has %d bytes, want 2", len(data))
 			}
-			return &chunkAck{Rel: tuple.Relation(data[0])}, nil
+			adj := int8(data[1])
+			if adj < windowNarrow || adj > windowWiden {
+				return nil, fmt.Errorf("core: chunkAck window adjustment %d outside [-1,1]", adj)
+			}
+			return &chunkAck{Rel: tuple.Relation(data[0]), Adjust: adj}, nil
 		})
 
 	// moveTuples: [chunk][8B version]

@@ -154,6 +154,13 @@ type Report struct {
 	CheckpointReplays int64
 	ReattachedWorkers int64
 
+	// Flow control (DESIGN.md §15). CreditStalls counts the generation steps
+	// on which a data source parked because a destination's send window was
+	// exhausted; WidestWindow is the largest window, in chunks, any join node
+	// advertised to a source (Config.CreditWindow on a fixed-window run).
+	CreditStalls int64
+	WidestWindow int64
+
 	// Intra-node parallelism (Config.Cores > 1; zero-valued otherwise).
 	Cores int
 	// NodeShardLoads holds each participating sharded node's per-shard

@@ -34,6 +34,10 @@ type sourceActor struct {
 	next  int64
 
 	builders map[rt.NodeID]*tuple.Builder
+	// free restocks the builders with the chunks a serialising transport
+	// released after encoding them; one window's worth is the most that can
+	// come back before the next cut.
+	free *tuple.FreeList
 	// entryDests memoises destsOf per routing-table entry, so the per-tuple
 	// path indexes a slice instead of hashing a node id. It is dropped
 	// whenever the table, the phase or the builder set changes.
@@ -54,6 +58,7 @@ type sourceActor struct {
 	// stats
 	chunksSent       int64
 	probeExtraCopies int64 // probe tuples duplicated beyond their first copy
+	creditStalls     int64 // steps that parked generation on an exhausted window
 }
 
 // destBuilder is one destination of a routing-table entry's tuples and the
@@ -80,6 +85,7 @@ func newSource(cfg Config, index int, build, probe relationGen) *sourceActor {
 		build:    build,
 		probe:    probe,
 		builders: make(map[rt.NodeID]*tuple.Builder),
+		free:     tuple.NewFreeList(cfg.MaxCreditWindow),
 		credits:  make(map[rt.NodeID]int),
 		queue:    make(map[rt.NodeID][]queuedChunk),
 	}
@@ -95,7 +101,7 @@ func (s *sourceActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *genStep:
 		s.step(env)
 	case *chunkAck:
-		s.credit(env, from)
+		s.credit(env, from, 1+int(msg.Adjust))
 	case *routeUpdate:
 		s.adoptTable(env, msg.Table)
 	case *replayRange:
@@ -111,6 +117,7 @@ func (s *sourceActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 		env.Send(from, &sourceStats{
 			ChunksSent:       s.chunksSent,
 			ProbeExtraCopies: s.probeExtraCopies,
+			CreditStalls:     s.creditStalls,
 		})
 	}
 }
@@ -173,6 +180,7 @@ func (s *sourceActor) step(env rt.Env) {
 	}
 	if s.backpressured() {
 		s.stalled = true
+		s.creditStalls++
 		return
 	}
 	env.Send(s.id, &genStep{})
@@ -250,7 +258,7 @@ func (s *sourceActor) builderFor(dest rt.NodeID) *tuple.Builder {
 		if s.phase != tuple.RelR {
 			layout = s.cfg.Probe.Layout
 		}
-		b = tuple.NewBuilder(s.phase, layout, s.cfg.ChunkTuples)
+		b = s.free.NewBuilder(s.phase, layout, s.cfg.ChunkTuples)
 		s.builders[dest] = b
 	}
 	return b
@@ -280,6 +288,7 @@ func (s *sourceActor) trySend(env rt.Env, dest rt.NodeID) {
 	}
 	for cr > 0 && len(s.queue[dest]) > 0 {
 		q := s.queue[dest][0]
+		s.queue[dest][0] = queuedChunk{} // the queue's array must not keep a sent chunk alive
 		s.queue[dest] = s.queue[dest][1:]
 		cr--
 		env.ChargeCPU(s.cfg.Cost.ChunkOverheadNs)
@@ -355,7 +364,7 @@ func (s *sourceActor) onReplay(env rt.Env, msg *replayRange) {
 		dest := rt.NodeID(s.table.BuildOwnerOf(p))
 		b := builders[dest]
 		if b == nil {
-			b = tuple.NewBuilder(tuple.RelR, s.cfg.Build.Layout, s.cfg.ChunkTuples)
+			b = s.free.NewBuilder(tuple.RelR, s.cfg.Build.Layout, s.cfg.ChunkTuples)
 			builders[dest] = b
 		}
 		if c := b.Add(t); c != nil {
@@ -372,11 +381,13 @@ func (s *sourceActor) onReplay(env rt.Env, msg *replayRange) {
 	env.Send(s.cfg.schedulerID(), &replayDone{Chunks: chunks, Tuples: tuples})
 }
 
-func (s *sourceActor) credit(env rt.Env, dest rt.NodeID) {
+// credit banks what one chunkAck from dest grants: the consumed chunk's
+// credit, plus or minus the node's adjustment of its window.
+func (s *sourceActor) credit(env rt.Env, dest rt.NodeID, grant int) {
 	if _, ok := s.credits[dest]; !ok {
 		s.credits[dest] = s.cfg.CreditWindow
 	}
-	s.credits[dest]++
+	s.credits[dest] += grant
 	s.trySend(env, dest)
 	if s.stalled && !s.backpressured() && !s.finished {
 		s.stalled = false

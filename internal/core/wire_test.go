@@ -52,6 +52,7 @@ func TestMessageGobRoundTrip(t *testing.T) {
 		&genStep{},
 		&dataChunk{Chunk: chunk, Origin: 3, Forwarded: true},
 		&chunkAck{Rel: tuple.RelS},
+		&chunkAck{Rel: tuple.RelR, Adjust: windowNarrow},
 		&sourcePhaseDone{Rel: tuple.RelR, Chunks: 7},
 		&memFull{Bytes: 99},
 		&memFullNack{},
@@ -110,6 +111,49 @@ func TestMessageGobRoundTrip(t *testing.T) {
 	dc := back.M.(*dataChunk)
 	if len(dc.Chunk.Tuples) != 2 || dc.Chunk.Tuples[1].Key != 4 || dc.Origin != 3 {
 		t.Errorf("chunk payload corrupted: %+v", dc)
+	}
+}
+
+// TestChunkAckBinaryRoundTrip pins the flow-control ack's codec (wire id 2):
+// the zero value is the fixed-window ack and stays "keep" across the wire,
+// both adjustments survive, and anything that is not exactly a relation byte
+// plus an adjustment in [-1, 1] — including the one-byte form older builds
+// sent — is rejected rather than read as a grant.
+func TestChunkAckBinaryRoundTrip(t *testing.T) {
+	for _, m := range []*chunkAck{
+		{},
+		{Rel: tuple.RelS},
+		{Rel: tuple.RelR, Adjust: windowWiden},
+		{Rel: tuple.RelS, Adjust: windowNarrow},
+	} {
+		frame, err := wire.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatalf("%+v: encode: %v", m, err)
+		}
+		if len(frame) != 3 || frame[0] != wireChunkAck {
+			t.Fatalf("%+v encoded as % x, want codec id %d and two payload bytes", m, frame, wireChunkAck)
+		}
+		back, err := wire.DecodeMessage(frame)
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Errorf("round trip changed %+v into %+v", m, back)
+		}
+		if back.WireSize() != ctrlBytes {
+			t.Errorf("%+v: wire size %d, want the constant %d every simulated charge assumes", m, back.WireSize(), ctrlBytes)
+		}
+	}
+	if zero, err := wire.DecodeMessage([]byte{wireChunkAck, 0, 0}); err != nil || zero.(*chunkAck).Adjust != windowKeep {
+		t.Errorf("all-zero payload decoded to %+v, %v; want a keep ack", zero, err)
+	}
+	for _, bad := range [][]byte{
+		{wireChunkAck}, {wireChunkAck, 1}, {wireChunkAck, 1, 0, 0},
+		{wireChunkAck, 0, 2}, {wireChunkAck, 0, 0xfe}, {wireChunkAck, 1, 0x7f},
+	} {
+		if _, err := wire.DecodeMessage(bad); err == nil {
+			t.Errorf("malformed frame % x decoded", bad)
+		}
 	}
 }
 

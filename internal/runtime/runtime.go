@@ -26,6 +26,16 @@ type Message interface {
 	WireSize() int
 }
 
+// Releaser is an optional Message hook for transports that serialise: once
+// a message's bytes are encoded, the transport calls Release so buffers the
+// sender drew from a free list can go back to it. Engines that hand the
+// message value itself to the receiving actor (internal/sim, internal/live,
+// a transport's in-process deliveries) never call it — the receiver owns
+// everything the message points to.
+type Releaser interface {
+	Release()
+}
+
 // Env is an actor's handle to its execution environment. All methods are
 // meant to be called only from within Receive.
 type Env interface {

@@ -40,6 +40,18 @@ const (
 	// without this bound the sender's retransmit buffer balloons until the
 	// session overflows and loses resumability.
 	ackDebtThreshold = 256
+
+	// slabMinBytes and slabPoolBytes govern the session's free list of
+	// retransmit slabs. A reliable frame at least slabMinBytes long — a
+	// chunk — is encoded straight into a recycled slab and the slab returns
+	// to the list when the peer acks it; shorter frames (chunk acks,
+	// reports, control) get an exact-size copy as before, so a run of them
+	// can never pin chunk-sized slabs and bufBytes stays an honest measure
+	// of what the retransmit buffer holds. The list parks at most
+	// slabPoolBytes of capacity: memory beyond the buffer's own bound is
+	// bounded too.
+	slabMinBytes  = 2 << 10
+	slabPoolBytes = 1 << 20
 )
 
 // reliableKind reports whether frames of this kind carry a session
@@ -53,7 +65,8 @@ func reliableKind(k frameKind) bool {
 }
 
 // sentFrame is one retransmit-buffer entry: a reliable frame's complete
-// wire encoding (length prefix included), replayable verbatim.
+// wire encoding (length prefix included), replayable verbatim. data is
+// never written again until the frame leaves the buffer.
 type sentFrame struct {
 	seq  uint64
 	data []byte
@@ -105,7 +118,16 @@ type session struct {
 	// Stats (cumulative across resumes and epochs).
 	duplicates int64 // received frames dropped by sequence dedup
 
-	scratch []byte // encode buffer for unsequenced frames
+	scratch []byte // encode buffer for unsequenced frames, and for reliable ones while free is empty
+
+	// free holds the slabs of acked frames for encode to fill again. Only
+	// peerAck stocks it: a frame the peer acknowledged was written to the
+	// connection, and every replay of it, before the ack could exist, so
+	// nothing reads the slab any more. Frames that leave the buffer any
+	// other way (overflow eviction, reset) may still be in a writer's hands
+	// and are left to the garbage collector.
+	free      [][]byte
+	freeBytes int // summed capacity of free
 }
 
 func newSession(id uint64, maxFrames, maxBytes int) *session {
@@ -118,12 +140,13 @@ func newSession(id uint64, maxFrames, maxBytes int) *session {
 	return &session{id: id, nextSeq: 1, maxFrames: maxFrames, maxBytes: maxBytes}
 }
 
-// encode appends f's complete wire encoding and returns the bytes to put
-// on the wire. A reliable frame is assigned the next sequence number and a
-// stable copy is stored in the retransmit buffer (the returned slice IS
-// that copy); an unsequenced frame reuses the session scratch buffer,
-// valid only until the next encode call. Every frame carries the current
-// cumulative ack.
+// encode produces f's complete wire encoding and returns the bytes to put
+// on the wire. A reliable frame is assigned the next sequence number and
+// the returned slice IS its retransmit-buffer entry: a recycled slab the
+// frame was encoded into directly, or — for a short frame, or while the
+// free list is empty — an exact-size copy. An unsequenced frame reuses the
+// session scratch buffer, valid only until the next encode call. Every
+// frame carries the current cumulative ack.
 func (s *session) encode(f *frame) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,17 +158,35 @@ func (s *session) encode(f *frame) ([]byte, error) {
 	if s.gated {
 		ack = s.gate.floor
 	}
-	b, err := appendFrame(s.scratch[:0], f, seq, ack)
-	s.scratch = b[:0]
+	var slab []byte
+	if n := len(s.free); seq != 0 && n > 0 {
+		slab, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+		s.freeBytes -= cap(slab)
+	}
+	dst := slab
+	if dst == nil {
+		dst = s.scratch[:0]
+	}
+	b, err := appendFrame(dst, f, seq, ack)
 	if err != nil {
+		s.recycle(slab)
 		return nil, err
+	}
+	if slab == nil {
+		s.scratch = b[:0]
 	}
 	s.lastAckSent = ack
 	if seq == 0 {
 		return b, nil
 	}
 	s.nextSeq++
-	data := append([]byte(nil), b...)
+	data := b
+	if slab == nil || len(b) < slabMinBytes {
+		// Encoded in scratch, or too short to keep a slab: store a copy.
+		data = append([]byte(nil), b...)
+		s.recycle(slab)
+	}
 	s.buf = append(s.buf, sentFrame{seq: seq, data: data})
 	s.bufBytes += len(data)
 	for (len(s.buf) > s.maxFrames || s.bufBytes > s.maxBytes) && len(s.buf) > 0 {
@@ -153,13 +194,24 @@ func (s *session) encode(f *frame) ([]byte, error) {
 		// next disconnect must fall back to a full reassignment.
 		s.overflowed = true
 		s.bufBytes -= len(s.buf[0].data)
+		s.buf[0] = sentFrame{}
 		s.buf = s.buf[1:]
 	}
 	return data, nil
 }
 
+// recycle parks a slab nothing references any more for a later encode, or
+// drops it when it is too small to hold a chunk or the list is full.
+func (s *session) recycle(slab []byte) {
+	if cap(slab) < slabMinBytes || s.freeBytes+cap(slab) > slabPoolBytes {
+		return
+	}
+	s.free = append(s.free, slab[:0])
+	s.freeBytes += cap(slab)
+}
+
 // peerAck processes a cumulative ack from the peer, trimming the
-// retransmit buffer.
+// retransmit buffer and restocking the slab free list from it.
 func (s *session) peerAck(ack uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,10 +222,13 @@ func (s *session) peerAck(ack uint64) {
 	i := 0
 	for i < len(s.buf) && s.buf[i].seq <= ack {
 		s.bufBytes -= len(s.buf[i].data)
+		s.recycle(s.buf[i].data)
 		i++
 	}
 	if i > 0 {
-		s.buf = append(s.buf[:0], s.buf[i:]...)
+		n := copy(s.buf, s.buf[i:])
+		clear(s.buf[n:]) // acked frames must not stay reachable from the vacated tail
+		s.buf = s.buf[:n]
 	}
 }
 

@@ -629,6 +629,12 @@ func writeLoop(conn net.Conn, w *wireWriter, out <-chan *frame, done chan<- stru
 	}
 	for f := range out {
 		_ = w.WriteFrame(f)
+		// Encoded (or failed for good): the frame's bytes live in the
+		// session's retransmit buffer now, so a message that lent the
+		// transport a pooled buffer gets it back.
+		if r, ok := f.Msg.(rt.Releaser); ok {
+			r.Release()
+		}
 		putFrame(f)
 		if w.Err() == nil && len(out) == 0 {
 			_ = w.Flush()
@@ -1372,6 +1378,7 @@ func (c *Coordinator) Drain() error {
 				continue
 			}
 			d := c.queue[0]
+			c.queue[0] = localDelivery{} // the queue's array must not keep a delivered chunk alive
 			c.queue = c.queue[1:]
 			if c.ckpt != nil {
 				// Write-ahead, in processing order: the record lands

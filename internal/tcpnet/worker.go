@@ -453,6 +453,7 @@ func (w *worker) drainLocal() error {
 	env := &workerEnv{w: w}
 	for len(w.queue) > 0 {
 		d := w.queue[0]
+		w.queue[0] = localDelivery{} // the queue's array must not keep a delivered chunk alive
 		w.queue = w.queue[1:]
 		a, ok := w.actors[d.to]
 		if !ok {

@@ -66,10 +66,21 @@ while [ "$i" -le "$N" ]; do
 	i=$((i + 1))
 done
 
+# bound_of METRIC: the fraction by which BENCHMARK.json lets the metric
+# worsen (every end-to-end metric is lower-is-better).
+bound_of() {
+	awk -v m="$1" '
+		/"name":/ { gsub(/[",]/, ""); name = $2 }
+		/"bound":/ && name == m { gsub(/,/, ""); print $2; exit }' BENCHMARK.json
+}
+
 echo
+status=0
 for m in $METRICS; do
+	bound=$(bound_of "$m")
+	[ -n "$bound" ] || { echo "bench-pair: no bound for $m in BENCHMARK.json" >&2; exit 1; }
 	# Sorted by value, so each side's lines arrive in rank order.
-	sort -k4,4g "$tmp/values" | awk -v m="$m" '
+	sort -k4,4g "$tmp/values" | awk -v m="$m" -v bound="$bound" '
 		function quantile(x, n, q,    pos, lo) {
 			pos = 1 + (n - 1) * q; lo = int(pos)
 			if (lo >= n) return x[n]
@@ -79,9 +90,13 @@ for m in $METRICS; do
 		END {
 			for (p in bp) { if (hp[p] < bp[p]) wins++; else if (hp[p] > bp[p]) losses++ }
 			bm = quantile(b, nb, 0.5); hm = quantile(h, nh, 0.5)
-			printf "%-12s head wins %d of %d (loses %d)  median %.3f -> %.3f (%+.1f%%)  base quartiles %.3f..%.3f (distance %.3f)  head quartiles %.3f..%.3f\n",
+			worse = hm > bm * (1 + bound)
+			printf "%-12s head wins %d of %d (loses %d)  median %.3f -> %.3f (%+.1f%%)  base quartiles %.3f..%.3f (distance %.3f)  head quartiles %.3f..%.3f%s\n",
 				m, wins, nb, losses, bm, hm, 100 * (hm - bm) / bm,
 				quantile(b, nb, 0.25), quantile(b, nb, 0.75), quantile(b, nb, 0.75) - quantile(b, nb, 0.25),
-				quantile(h, nh, 0.25), quantile(h, nh, 0.75)
-		}'
+				quantile(h, nh, 0.25), quantile(h, nh, 0.75),
+				worse ? sprintf("  REGRESSION: worse by more than the bound %g", bound) : ""
+			exit worse
+		}' || status=1
 done
+exit $status
