@@ -924,12 +924,12 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		return
 	}
 	if j.sharded != nil {
-		m, x, st := j.sharded.ProbeAll(c.Tuples, mixMatch)
+		m, x, st := j.sharded.ProbeAll(c.Tuples)
 		j.matches += uint64(m)
 		j.checksum ^= x
 		j.chargeBatch(env, j.cfg.Cost.ProbeNs, st)
 	} else {
-		m, x := j.serial.ProbeAll(c.Tuples, mixMatch)
+		m, x := j.serial.ProbeAll(c.Tuples)
 		j.matches += uint64(m)
 		j.checksum ^= x
 		env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(c.Tuples)) + j.cfg.Cost.MatchNs*m)
@@ -938,9 +938,6 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		j.checkProbeOverflow(env, c)
 	}
 }
-
-// mixMatch fingerprints one (build, probe) match for the result checksum.
-func mixMatch(b, s tuple.Tuple) uint64 { return spill.MixPair(b.Index, s.Index) }
 
 // checkProbeOverflow accounts materialised output and reports overflow
 // during the probe phase (§4 footnote 1).
@@ -970,7 +967,7 @@ func (j *joinActor) probeAndForward(env rt.Env, c *tuple.Chunk) {
 	for _, s := range c.Tuples {
 		n := j.table.Probe(s.Key, func(b tuple.Tuple) {
 			next := tuple.Tuple{
-				Index: spill.MixPair(b.Index, s.Index),
+				Index: tuple.MixPair(b.Index, s.Index),
 				Key:   datagen.ChainKeyAt(j.fw.NextSeed, int64(b.Index)),
 			}
 			j.forwarded++

@@ -373,22 +373,23 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 }
 
 // ProbeAll probes a batch of tuples and returns the total match count and
-// the XOR of mix over every matched (build, probe) pair.
-func (t *Table) ProbeAll(ts []tuple.Tuple, mix func(build, probe tuple.Tuple) uint64) (int64, uint64) {
-	var matches int64
-	var xor uint64
+// the XOR of tuple.MixPair over every matched (build, probe) pair — the
+// join's result fingerprint. The fold is written into the loop, a direct
+// call the compiler inlines: under skew a join's cost is its output, and a
+// function value here is an indirect call per match.
+func (t *Table) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64) {
 	for _, probe := range ts {
 		sg, i := t.find(probe.Key)
 		if i < 0 {
 			continue
 		}
 		matches++
-		xor ^= mix(sg.slots[i], probe)
+		xor ^= tuple.MixPair(sg.slots[i].Index, probe.Index)
 		if m := sg.meta[i]; m >= metaRun {
 			run := t.dups[m-metaRun]
 			matches += int64(len(run))
-			for _, build := range run {
-				xor ^= mix(build, probe)
+			for _, b := range run {
+				xor ^= tuple.MixPair(b.Index, probe.Index)
 			}
 		}
 	}

@@ -210,10 +210,10 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 				ts[i] = tuple.Tuple{Index: uint64(i), Key: someKey()}
 				for _, b := range model[ts[i].Key] {
 					wantMatches++
-					wantXor ^= mixPair(b, ts[i])
+					wantXor ^= tuple.MixPair(b.Index, ts[i].Index)
 				}
 			}
-			if m, x := tbl.ProbeAll(ts, mixPair); m != wantMatches || x != wantXor {
+			if m, x := tbl.ProbeAll(ts); m != wantMatches || x != wantXor {
 				t.Fatalf("seed %d step %d: ProbeAll = %d/%#x, model %d/%#x", seed, step, m, x, wantMatches, wantXor)
 			}
 		case op < 9: // extract by a predicate that splits duplicate runs

@@ -228,10 +228,10 @@ func (s *Sharded) InsertAll(ts []tuple.Tuple) ParallelStats {
 }
 
 // ProbeAll probes a batch of tuples, one parallel morsel per shard, and
-// returns the total match count and the XOR of mix over every matched
-// (build, probe) pair. Both combine commutatively, so the result is
-// identical to probing serially in any order.
-func (s *Sharded) ProbeAll(ts []tuple.Tuple, mix func(build, probe tuple.Tuple) uint64) (int64, uint64, ParallelStats) {
+// returns the total match count and the XOR of tuple.MixPair over every
+// matched (build, probe) pair (Table.ProbeAll). Both combine commutatively,
+// so the result is identical to probing serially in any order.
+func (s *Sharded) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64, st ParallelStats) {
 	if len(ts) == 0 {
 		return 0, 0, ParallelStats{Tuples: make([]int64, len(s.shards)), Matches: make([]int64, len(s.shards))}
 	}
@@ -249,14 +249,12 @@ func (s *Sharded) ProbeAll(ts []tuple.Tuple, mix func(build, probe tuple.Tuple) 
 		morsel := s.gathered[s.offs[sh]:s.offs[sh+1]]
 		fns = append(fns, func() {
 			t0 := s.clock()
-			s.shardMatches[sh], s.shardXor[sh] = s.shards[sh].ProbeAll(morsel, mix)
+			s.shardMatches[sh], s.shardXor[sh] = s.shards[sh].ProbeAll(morsel)
 			s.perShardNs[sh] = s.clock().Sub(t0).Nanoseconds()
 		})
 	}
 	s.dispatch(fns)
 	s.fns = fns[:0]
-	var matches int64
-	var xor uint64
 	for i := range s.shardMatches {
 		matches += s.shardMatches[i]
 		xor ^= s.shardXor[i]

@@ -60,7 +60,6 @@ func BenchmarkShardedTable(b *testing.B) {
 	space := hashfn.DefaultSpace()
 	layout := tuple.DefaultLayout()
 	build, probe := benchData()
-	mix := func(bt, pt tuple.Tuple) uint64 { return bt.Index ^ pt.Index }
 
 	// shards = 0 is the serial Table baseline (the engine's cores=1 path);
 	// shards = 1 runs the sharded morsel path inline with no pool,
@@ -78,7 +77,7 @@ func BenchmarkShardedTable(b *testing.B) {
 			}
 			if shards == 0 {
 				// Serial baseline: the plain Table the join actor uses at
-				// cores=1, with its per-tuple loops.
+				// cores=1, through the same batch entry points.
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -86,20 +85,12 @@ func BenchmarkShardedTable(b *testing.B) {
 					b.StartTimer()
 					tab := New(space, layout)
 					for _, ts := range build {
-						for _, tp := range ts {
-							tab.Insert(tp)
-						}
+						tab.InsertAll(ts)
 					}
-					// Accumulate count and checksum exactly like the join
-					// actor's serial probe loop.
-					var matches int64
 					var xor uint64
 					for _, ts := range probe {
-						for _, tp := range ts {
-							matches += int64(tab.Probe(tp.Key, func(bt tuple.Tuple) {
-								xor ^= mix(bt, tp)
-							}))
-						}
+						_, x := tab.ProbeAll(ts)
+						xor ^= x
 					}
 					sinkXor = xor
 				}
@@ -120,7 +111,7 @@ func BenchmarkShardedTable(b *testing.B) {
 					tab.InsertAll(ts)
 				}
 				for _, ts := range probe {
-					tab.ProbeAll(ts, mix)
+					tab.ProbeAll(ts)
 				}
 				bn, cn, _, _, _ := tab.ExecStats()
 				busyNs += bn
@@ -136,4 +127,29 @@ func BenchmarkShardedTable(b *testing.B) {
 			b.ReportMetric(float64(benchTuples*2*b.N)/b.Elapsed().Seconds(), "tuples/sec")
 		})
 	}
+}
+
+// BenchmarkProbeAllRuns measures the match kernel where a join's cost is
+// its output: 20 000 build tuples over 50 keys (runs of 400), probed in
+// 1000-tuple chunks, so every probe tuple folds 400 matches. ns/match is
+// the number DESIGN.md "Batch entry points" quotes.
+func BenchmarkProbeAllRuns(b *testing.B) {
+	const tuples, keys, chunk = 20_000, 50, 1_000
+	tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
+	probe := make([]tuple.Tuple, chunk)
+	for i := 0; i < tuples; i++ {
+		tab.Insert(tuple.Tuple{Index: uint64(i), Key: uint64(i%keys) * fibMul})
+	}
+	for i := range probe {
+		probe[i] = tuple.Tuple{Index: uint64(tuples + i), Key: uint64(i%keys) * fibMul}
+	}
+	tab.ProbeAll(probe[:1]) // seal off the clock
+	var matches int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, x := tab.ProbeAll(probe)
+		matches += m
+		sinkXor ^= x
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 }

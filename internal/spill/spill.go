@@ -371,8 +371,8 @@ func (m *Manager) PurgeRange(rng hashfn.Range) int64 {
 func (m *Manager) Probe(env rt.Env, t tuple.Tuple) {
 	p := m.partOf(t.Key)
 	if m.resident[p] {
-		env.ChargeCPU(m.cm.ProbeNs)
-		m.probeInto(env, m.table, t)
+		one := [1]tuple.Tuple{t}
+		m.probeAll(env, m.table, one[:])
 		return
 	}
 	env.ChargeCPU(m.cm.MoveNs)
@@ -382,14 +382,13 @@ func (m *Manager) Probe(env rt.Env, t tuple.Tuple) {
 	m.chargeWrite(env, size)
 }
 
-func (m *Manager) probeInto(env rt.Env, tbl *hashtable.Table, s tuple.Tuple) {
-	n := tbl.Probe(s.Key, func(r tuple.Tuple) {
-		m.checksum ^= mixPair(r.Index, s.Index)
-	})
-	if n > 0 {
-		m.matches += uint64(n)
-		env.ChargeCPU(m.cm.MatchNs * int64(n))
-	}
+// probeAll joins a batch of probe tuples against tbl through the table's
+// own match kernel and charges the batch's CPU in one call.
+func (m *Manager) probeAll(env rt.Env, tbl *hashtable.Table, ts []tuple.Tuple) {
+	n, xor := tbl.ProbeAll(ts)
+	m.matches += uint64(n)
+	m.checksum ^= xor
+	env.ChargeCPU(m.cm.ProbeNs*int64(len(ts)) + m.cm.MatchNs*n)
 }
 
 // Finish joins every spilled partition pair (the OOC algorithm's final
@@ -434,10 +433,7 @@ func (m *Manager) Finish(env rt.Env) {
 				env.ChargeCPU(m.cm.DiskSeekNs)
 				env.ChargeDisk(m.sBytes[p], true)
 				m.SpillReadBytes += m.sBytes[p]
-				for _, s := range m.spilledS[p] {
-					env.ChargeCPU(m.cm.ProbeNs)
-					m.probeInto(env, tbl, s)
-				}
+				m.probeAll(env, tbl, m.spilledS[p])
 			}
 		}
 	}
@@ -462,16 +458,6 @@ func (m *Manager) Matches() uint64 { return m.matches }
 // Checksum returns the order-independent XOR checksum over all matches.
 func (m *Manager) Checksum() uint64 { return m.checksum }
 
-// mixPair hashes a (build index, probe index) match into a 64-bit word;
-// XOR-accumulating these yields an order-independent result fingerprint.
-func mixPair(r, s uint64) uint64 {
-	x := r*0x9E3779B97F4A7C15 ^ s*0xC2B2AE3D27D4EB4F
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 29
-	return x
-}
-
-// MixPair exposes the match fingerprint combiner so the in-core join path
-// and reference joins produce comparable checksums.
-func MixPair(r, s uint64) uint64 { return mixPair(r, s) }
+// MixPair forwards to tuple.MixPair, the definition of the match
+// fingerprint; the benchmark's oracle and the reference joins name it here.
+func MixPair(r, s uint64) uint64 { return tuple.MixPair(r, s) }

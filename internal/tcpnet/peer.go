@@ -110,7 +110,11 @@ type p2pState struct {
 	base   uint64   // session base shared with the coordinator link
 	epochs []uint32 // coordinator-owned per-worker peer epochs
 
-	links   []*peerLink
+	links []*peerLink
+	// early parks hellos that arrived before this worker's first
+	// assignment — a higher-indexed peer applied its own and dialed first —
+	// at most one per source; applyP2PAssign installs them.
+	early   []peerEvent
 	inbox   chan peerEvent
 	pending []peerEvent // events deferred while a full peer outbox was draining
 	done    chan struct{}
@@ -446,6 +450,11 @@ func (w *worker) applyP2PAssign(f *frame) error {
 			w.spawnPeerDialer(lk)
 		}
 	}
+	early := p.early
+	p.early = nil
+	for _, ev := range early {
+		w.installPeerConn(ev)
+	}
 	return nil
 }
 
@@ -664,6 +673,13 @@ func (w *worker) peerAcceptHandshake(conn net.Conn) {
 func (w *worker) installPeerConn(ev peerEvent) {
 	p := w.p2p
 	f := ev.f
+	if p.self < 0 && f.Kind == framePeerHello {
+		// The peer's assignment landed before ours. Dropping the connection
+		// would cost its dialer a full peerDialBackoff; hold the hello until
+		// the assignment says whether its session and epoch are right.
+		w.parkEarlyHello(ev)
+		return
+	}
 	if p.self < 0 || ev.src < 0 || ev.src >= len(p.links) || ev.src == p.self || p.links[ev.src] == nil {
 		putFrame(f)
 		_ = ev.conn.Close()
@@ -721,6 +737,22 @@ func (w *worker) installPeerConn(ev peerEvent) {
 	okf.Kind, okf.LastSeq = framePeerHelloOK, lk.sess.seen()
 	putFrame(f)
 	w.installLink(lk, ev.conn, ev.r, okf, retrans)
+}
+
+// parkEarlyHello holds an accepted hello for applyP2PAssign. A source's
+// newer hello replaces its older one: the dialer gave up on that
+// connection (handshake timeout) and dialed again.
+func (w *worker) parkEarlyHello(ev peerEvent) {
+	p := w.p2p
+	for i, old := range p.early {
+		if old.src == ev.src {
+			putFrame(old.f)
+			_ = old.conn.Close()
+			p.early[i] = ev
+			return
+		}
+	}
+	p.early = append(p.early, ev)
 }
 
 // installLink attaches the writer goroutine and read loop to a freshly
@@ -895,6 +927,11 @@ func (w *worker) teardownP2P() {
 	p := w.p2p
 	close(p.done)
 	_ = p.l.Close()
+	for _, ev := range p.early {
+		putFrame(ev.f)
+		_ = ev.conn.Close()
+	}
+	p.early = nil
 	for _, lk := range p.links {
 		if lk == nil {
 			continue

@@ -1,7 +1,7 @@
 package tcpnet
 
-// Regression pins for four transport bugs fixed alongside the p2p data
-// plane:
+// Regression pins for transport bugs, the first four fixed alongside the
+// p2p data plane:
 //
 //  1. the drain timeout measured absolute elapsed time instead of
 //     inactivity, so a healthy run that simply took longer than the
@@ -13,7 +13,9 @@ package tcpnet
 //  4. a one-directional link under sustained load never acked — piggyback
 //     acks need outbound traffic and idle acks need a blocking point, so
 //     a p2p stage handoff ballooned the sender's retransmit buffer until
-//     the session overflowed and lost resumability.
+//     the session overflowed and lost resumability;
+//  5. a peer hello that beat the acceptor's own assignment was dropped and
+//     cost the dialer a fixed 100 ms retry delay.
 
 import (
 	"bytes"
@@ -375,5 +377,77 @@ func TestDirtyPooledFrameRoundTrip(t *testing.T) {
 			t.Errorf("after recycling kind %d, a ping decoded with stale fields: %+v", kind, *ping)
 		}
 		putFrame(ping)
+	}
+}
+
+// TestEarlyPeerHelloWaitsForAssignment pins the peer-link start-up race:
+// worker 1 applies its assignment and dials worker 0 before worker 0 has
+// applied its own. Worker 0 used to drop that hello (it did not know its
+// index yet), the dialer read EOF and slept the fixed peerDialBackoff, and
+// the first use of the link — heavy-hitter detection — started 100 ms
+// late. The hello must wait for the assignment instead: one dial, and a
+// live link within 25 ms of the assignment landing.
+func TestEarlyPeerHelloWaitsForAssignment(t *testing.T) {
+	const base = uint64(0xABCD) << 16
+	newWorker := func() *worker {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &worker{p2p: &p2pState{
+			self:  -1,
+			l:     l,
+			inbox: make(chan peerEvent, 16),
+			done:  make(chan struct{}),
+		}}
+		t.Cleanup(w.teardownP2P)
+		return w
+	}
+	acceptor, dialer := newWorker(), newWorker()
+	go acceptor.peerAcceptLoop(acceptor.p2p.l)
+	var dials int64
+	dialer.p2p.wrap = func(c net.Conn) net.Conn { atomic.AddInt64(&dials, 1); return c }
+	assign := func(w *worker, self int32) {
+		f := getFrame()
+		f.Kind, f.Worker, f.Session = frameAssign, self, base
+		f.Peers = []string{acceptor.p2p.l.Addr().String(), dialer.p2p.l.Addr().String()}
+		f.Epochs = []uint32{1, 1}
+		if err := w.applyP2PAssign(f); err != nil {
+			t.Fatal(err)
+		}
+		putFrame(f)
+	}
+	coordGen := 0
+	pump := func(w *worker, ev peerEvent) {
+		if _, err := w.handlePeerEvent(ev, &coordGen); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	assign(dialer, 1) // spawns the dialer toward worker 0
+	select {
+	case ev := <-acceptor.p2p.inbox: // the hello, ahead of worker 0's assignment
+		pump(acceptor, ev)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no hello reached the acceptor")
+	}
+	assign(acceptor, 0) // late: the hello has already been handled
+
+	deadline := time.After(25 * time.Millisecond)
+	for dialer.p2p.links[0].state != linkLive {
+		select {
+		case ev := <-acceptor.p2p.inbox:
+			pump(acceptor, ev)
+		case ev := <-dialer.p2p.inbox:
+			pump(dialer, ev)
+		case <-deadline:
+			t.Fatalf("peer link not live 25 ms after the acceptor's assignment (%d dial(s))", atomic.LoadInt64(&dials))
+		}
+	}
+	if lk := acceptor.p2p.links[1]; lk.state != linkLive {
+		t.Errorf("acceptor's end of the link is in state %d, want live", lk.state)
+	}
+	if n := atomic.LoadInt64(&dials); n != 1 {
+		t.Errorf("dialer connected %d times, want 1: the early hello was dropped", n)
 	}
 }

@@ -72,3 +72,16 @@ func LayoutForTupleSize(size int) Layout {
 	}
 	return Layout{PayloadBytes: size - PhysicalSize}
 }
+
+// MixPair hashes a (build index, probe index) match into a 64-bit word;
+// XOR-accumulating these yields an order-independent result fingerprint.
+// It is the one definition of the join's checksum: the table's probe
+// kernel, the spill paths, the pipeline stages and the reference joins all
+// fold through it.
+func MixPair(buildIndex, probeIndex uint64) uint64 {
+	x := buildIndex*0x9E3779B97F4A7C15 ^ probeIndex*0xC2B2AE3D27D4EB4F
+	x ^= x >> 33
+	x *= 0xFF51AFD7ED558CCD
+	x ^= x >> 29
+	return x
+}

@@ -5,9 +5,11 @@
 # Exports BASE into a temporary directory, then runs
 #   go run ./bench --workload W --seed SEED --seconds 20 --trace 0
 # on it and on the working tree N times each, alternating which side goes
-# first, and prints every pair's four end-to-end metrics followed by, per
-# metric, the pairs the working tree won, both medians and both quartile
-# pairs. The rule a claim is held to (bench/README.md): the working tree
+# first, and prints every pair's four end-to-end metrics and the rounds each
+# side completed in its fixed run (the result's "attempted": a faster change
+# gets through more of them), followed by, per metric, the pairs the working
+# tree won, both medians and both quartile pairs, and the median rounds per
+# run. The rule a claim is held to (bench/README.md): the working tree
 # wins at least nine tenths of the pairs and the medians differ by more
 # than the distance between the base's own quartiles.
 #
@@ -47,6 +49,8 @@ run() {
 		[ -n "$v" ] || { echo "bench-pair: no $m in: $line" >&2; exit 1; }
 		echo "$2 $3 $m $v" >>"$tmp/values"
 	done
+	rounds=$(printf '%s\n' "$line" | sed -n 's/.*"attempted":\([0-9]*\).*/\1/p')
+	echo "$2 $3 rounds ${rounds:?bench-pair: no attempted count in: $line}" >>"$tmp/values"
 }
 
 i=1
@@ -62,7 +66,7 @@ while [ "$i" -le "$N" ]; do
 		END { printf "pair %2d:", p
 			n = split("rel_wall rel_cpu peak_rss_mb setup_s", ms, " ")
 			for (k = 1; k <= n; k++) printf "  %s %.3f -> %.3f", ms[k], v["base " ms[k]], v["head " ms[k]]
-			printf "\n" }' "$tmp/values"
+			printf "  rounds %d -> %d\n", v["base rounds"], v["head rounds"] }' "$tmp/values"
 	i=$((i + 1))
 done
 
@@ -74,18 +78,20 @@ bound_of() {
 		/"bound":/ && name == m { gsub(/,/, ""); print $2; exit }' BENCHMARK.json
 }
 
+# Linear-interpolation quantile of x[1..n], sorted ascending.
+QUANTILE='function quantile(x, n, q,    pos, lo) {
+	pos = 1 + (n - 1) * q; lo = int(pos)
+	if (lo >= n) return x[n]
+	return x[lo] + (pos - lo) * (x[lo + 1] - x[lo])
+}'
+
 echo
 status=0
 for m in $METRICS; do
 	bound=$(bound_of "$m")
 	[ -n "$bound" ] || { echo "bench-pair: no bound for $m in BENCHMARK.json" >&2; exit 1; }
 	# Sorted by value, so each side's lines arrive in rank order.
-	sort -k4,4g "$tmp/values" | awk -v m="$m" -v bound="$bound" '
-		function quantile(x, n, q,    pos, lo) {
-			pos = 1 + (n - 1) * q; lo = int(pos)
-			if (lo >= n) return x[n]
-			return x[lo] + (pos - lo) * (x[lo + 1] - x[lo])
-		}
+	sort -k4,4g "$tmp/values" | awk -v m="$m" -v bound="$bound" "$QUANTILE"'
 		$3 == m { if ($1 == "base") { b[++nb] = $4; bp[$2] = $4 } else { h[++nh] = $4; hp[$2] = $4 } }
 		END {
 			for (p in bp) { if (hp[p] < bp[p]) wins++; else if (hp[p] > bp[p]) losses++ }
@@ -99,4 +105,7 @@ for m in $METRICS; do
 			exit worse
 		}' || status=1
 done
+sort -k4,4g "$tmp/values" | awk -v secs="$SECONDS_PER_RUN" "$QUANTILE"'
+	$3 == "rounds" { if ($1 == "base") b[++nb] = $4; else h[++nh] = $4 }
+	END { printf "%-12s median %g -> %g per %ss run\n", "rounds", quantile(b, nb, 0.5), quantile(h, nh, 0.5), secs }'
 exit $status
