@@ -52,6 +52,7 @@ govulncheck:
 # Short fuzz sessions over the wire codecs, seeded from testdata/fuzz.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
 
 # The repository's one benchmark (bench/README.md): every workload end to

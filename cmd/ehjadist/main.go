@@ -21,7 +21,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -65,7 +64,6 @@ func main() {
 		kill         = flag.String("kill", "", "kill spawned worker W at T seconds wall time, format W@T (fault-injection demo; needs -spawn)")
 		recover_     = flag.Bool("recover", false, "survive worker deaths: re-stream lost state via the scheduler instead of aborting")
 		wireMode     = flag.String("wire", "binary", "message encoding on the wire: binary|gob")
-		cores        = flag.Int("cores", 1, "intra-node morsel parallelism per join node (0 = each worker's GOMAXPROCS)")
 		spillRung    = flag.Bool("spill", false, "evict partitions to worker-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
 		chaos        = flag.String("chaos", "", "deterministic network fault injection on worker connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3;drop@20000;stallr@8000:50")
 		resume       = flag.Bool("resume", true, "recover broken worker connections by ack-based session resume (retransmit only unacked frames) before falling back to re-streaming")
@@ -109,11 +107,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *cores == 0 {
-		// 0 = auto: each worker process substitutes its own GOMAXPROCS
-		// (joind -cores 0, or the spawned-worker path below).
-		*cores = runtime.GOMAXPROCS(0)
-	}
 	dist, err := datagen.ParseDist(*distName)
 	if err != nil {
 		fatal(err)
@@ -135,7 +128,6 @@ func main() {
 		MemoryBudget:    *budget,
 		ChunkTuples:     chunkTuples,
 		MaxCreditWindow: sendWindowBytes / (chunkTuples * tuple.PhysicalSize),
-		Cores:           *cores,
 		SpillEnabled:    *spillRung,
 		HeavyThreshold:  *heavyThresh,
 		Build:           build,
@@ -348,10 +340,6 @@ func main() {
 	}
 	fmt.Printf("ehjadist: %s topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
 		topology, stats.RelayedMessages, stats.RelayedBytes>>10)
-	if report.Cores > 1 {
-		fmt.Printf("ehjadist: %d cores/node, %d morsels, pool utilization %.0f%%\n",
-			report.Cores, report.PoolMorsels, 100*report.PoolUtilization)
-	}
 	if report.HeavyKeys > 0 {
 		fmt.Printf("ehjadist: %d heavy key(s): %d build tuples replicated, %d probes partitioned, probe max/mean %.2f\n",
 			report.HeavyKeys, report.HeavyCopies, report.HeavyProbeTuples,

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -94,7 +93,6 @@ func main() {
 		timeline    = flag.Bool("timeline", false, "render a per-node virtual-time utilisation timeline")
 		materialize = flag.Bool("materialize", false, "retain join output in memory; probe-phase expansion applies (paper footnote 1)")
 		faults      = flag.String("faults", "", "crash join nodes at virtual times: NODE@ATSEC[:DETECTSEC],... (e.g. 0@1.5,3@2:0.05)")
-		cores       = flag.Int("cores", 1, "intra-node morsel parallelism per join node (0 = GOMAXPROCS)")
 		spillRung   = flag.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
 		heavy       = flag.Bool("heavy", false, "detect heavy-hitter keys after the build and replicate them across their serving group, partitioning their probes instead of broadcasting (DESIGN.md §11)")
 		heavyThresh = flag.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 with -heavy: 1/(2·initial nodes))")
@@ -143,13 +141,8 @@ func main() {
 		policy = spill.HybridHash
 	}
 
-	if *cores == 0 {
-		*cores = runtime.GOMAXPROCS(0)
-	}
-
 	layout := tuple.LayoutForTupleSize(*tupleSize)
 	cfg := core.Config{
-		Cores:             *cores,
 		Algorithm:         alg,
 		InitialNodes:      *initial,
 		MaxNodes:          *maxNodes,
@@ -221,12 +214,6 @@ func main() {
 			"%d resume(s), %d/%d frames retransmitted\n",
 			r.RecoveryRung, r.Resumes, r.RetransmittedFrames, r.SessionFrames)
 	}
-	if r.Cores > 1 {
-		fmt.Printf("cores: %d per node; pool %d morsels, busy %.2fs over %.2fs span "+
-			"(utilization %.0f%%), critical path %.2fs\n",
-			r.Cores, r.PoolMorsels, r.PoolBusySec, r.PoolSpanSec,
-			100*r.PoolUtilization, r.PoolCritSec)
-	}
 	if *verbose && len(r.Events) > 0 {
 		fmt.Println("expansion log:")
 		for _, ev := range r.Events {
@@ -245,9 +232,6 @@ func main() {
 				probes = fmt.Sprintf("  probes %9d", r.NodeProbeLoads[i])
 			}
 			fmt.Printf("  node %2d: %9d tuples%s%s\n", i, l, probes, util)
-			if i < len(r.NodeShardLoads) && r.Cores > 1 {
-				fmt.Printf("           shards %v\n", r.NodeShardLoads[i])
-			}
 		}
 	}
 	if rec != nil {

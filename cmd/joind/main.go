@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
@@ -23,7 +22,6 @@ import (
 func main() {
 	connect := flag.String("connect", "127.0.0.1:7420", "coordinator address")
 	wireMode := flag.String("wire", "binary", "message encoding on the wire: binary|gob")
-	cores := flag.Int("cores", 0, "override intra-node morsel parallelism on this worker (0 = inherit coordinator config, -1 = this host's GOMAXPROCS)")
 	chaos := flag.String("chaos", "", "deterministic network fault injection on this connection: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3")
 	resume := flag.Bool("resume", true, "redial the coordinator and resume the session when the connection breaks")
 	park := flag.Bool("park", false, "ride out a coordinator crash: keep redialing through the full jittered schedule and re-attach when a restarted coordinator rebinds, instead of treating EOF as shutdown")
@@ -65,13 +63,6 @@ func main() {
 		cfg, err := core.DecodeConfig(blob)
 		if err != nil {
 			return nil, err
-		}
-		// A heterogeneous cluster may want a different parallelism per
-		// host than the coordinator's blanket setting.
-		if *cores == -1 {
-			cfg.Cores = runtime.GOMAXPROCS(0)
-		} else if *cores > 0 {
-			cfg.Cores = *cores
 		}
 		// A host without usable local disk opts out: its nodes answer
 		// spillOrder with an empty ack and the scheduler stops asking.

@@ -166,9 +166,6 @@ func assembleReport(cfg Config, eng rt.Engine, sched *schedActor,
 
 		DegradedProbeRecoveries: sched.degradedProbeRecoveries,
 	}
-	if cfg.Cores > 1 {
-		r.Cores = cfg.Cores
-	}
 
 	wantJoin := cfg.MaxNodes - len(sched.deadNodes)
 	if len(sched.joinStats) != wantJoin || len(sched.sourceStats) != cfg.Sources {
@@ -223,16 +220,6 @@ func assembleReport(cfg Config, eng rt.Engine, sched *schedActor,
 		if j.WidestWindow > r.WidestWindow {
 			r.WidestWindow = j.WidestWindow
 		}
-		if len(j.ShardLoads) > 0 {
-			r.NodeShardLoads = append(r.NodeShardLoads, j.ShardLoads)
-			r.PoolBusySec += float64(j.PoolBusyNs) / 1e9
-			r.PoolCritSec += float64(j.PoolCritNs) / 1e9
-			r.PoolSpanSec += float64(j.PoolSpanNs) / 1e9
-			r.PoolMorsels += j.Morsels
-		}
-	}
-	if r.PoolSpanSec > 0 && r.Cores > 1 {
-		r.PoolUtilization = r.PoolBusySec / (r.PoolSpanSec * float64(r.Cores))
 	}
 	for _, s := range sched.sourceStats {
 		probeExtraTuples += s.ProbeExtraCopies

@@ -113,14 +113,13 @@ type Config struct {
 	// fills: spill.Grace (the paper's basic algorithm, default) or
 	// spill.HybridHash (a stronger baseline, for ablation).
 	OOCPolicy spill.Policy
-	// Cores is the intra-node morsel-parallelism degree: each join node
-	// shards its hash table into Cores partition-local tables (shard =
-	// routing position mod Cores) and runs build inserts and probe
-	// lookups as per-shard morsels on a process-wide goroutine pool.
-	// 0 or 1 selects the serial core. The sharded core is
-	// result-identical to the serial one (see the differential oracle
-	// tests); the out-of-core baseline ignores it (its state lives in
-	// the spill manager, not the table).
+	// Cores selected the intra-node parallelism degree, which was removed:
+	// a join node is one process owning one table (§4.1.3). 0 and 1 are
+	// accepted and mean nothing; any other value is rejected.
+	//
+	// Deprecated: the field survives only because the frozen
+	// bench/workloads.go sets Cores: 1; it goes with the benchmark refresh
+	// (ROADMAP item 4).
 	Cores int
 	// SpillEnabled arms the degradation ladder's fourth rung for the
 	// expanding algorithms: when the scheduler cannot (or, per the cost
@@ -207,11 +206,8 @@ func (c Config) normalized() (Config, error) {
 	if c.Probe.Layout.PayloadBytes == 0 {
 		c.Probe.Layout = tuple.DefaultLayout()
 	}
-	if c.Cores == 0 {
-		c.Cores = 1
-	}
-	if c.Cores < 0 || c.Cores > 256 {
-		return c, fmt.Errorf("core: Cores %d outside [1,256]", c.Cores)
+	if c.Cores != 0 && c.Cores != 1 {
+		return c, fmt.Errorf("core: Cores %d: intra-node parallelism was removed, a join node runs one table on one core (leave Cores unset)", c.Cores)
 	}
 	if c.InitialNodes <= 0 {
 		return c, fmt.Errorf("core: InitialNodes must be positive, got %d", c.InitialNodes)

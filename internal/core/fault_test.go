@@ -59,50 +59,9 @@ func TestRecoveryMatchesFaultFree(t *testing.T) {
 				t.Errorf("re-streamed %d chunks / %d tuples, want > 0",
 					got.RestreamedChunks, got.RestreamedTuples)
 			}
-		})
-	}
-}
-
-// TestShardedRecoveryMatchesFaultFree: losing a node mid-build with
-// intra-node parallelism enabled must recover exactly like the serial
-// path — the footprint purge drops every shard of the dead node's
-// replicated ranges at surviving peers, and the re-streamed chunks
-// rebuild through the morsel pool.
-func TestShardedRecoveryMatchesFaultFree(t *testing.T) {
-	for _, alg := range []Algorithm{Split, Replication, Hybrid} {
-		t.Run(alg.String(), func(t *testing.T) {
-			serialCfg := testConfig(alg)
-			serial, err := Run(serialCfg)
-			if err != nil {
-				t.Fatalf("serial fault-free run: %v", err)
-			}
-			cfg := serialCfg
-			cfg.Cores = 4
-			plan := faultAt(t, cfg, 0, 0.4)
-			got, err := RunWithFaults(cfg, plan)
-			if err != nil {
-				t.Fatalf("faulted sharded run: %v", err)
-			}
-			if got.Degraded {
-				t.Fatalf("build-phase death with cores=4 should recover exactly, got degraded (report: %v)", got)
-			}
-			if got.Matches != serial.Matches || got.Checksum != serial.Checksum {
-				t.Errorf("recovered sharded result %d/%#x, want serial fault-free %d/%#x",
-					got.Matches, got.Checksum, serial.Matches, serial.Checksum)
-			}
-			if got.NodesLost != 1 || got.NodesRecovered != 1 {
-				t.Errorf("lost/recovered = %d/%d, want 1/1", got.NodesLost, got.NodesRecovered)
-			}
-			if got.RestreamedChunks <= 0 || got.RestreamedTuples <= 0 {
-				t.Errorf("re-streamed %d chunks / %d tuples, want > 0",
-					got.RestreamedChunks, got.RestreamedTuples)
-			}
 			if alg != Split && got.PurgedTuples <= 0 {
-				t.Errorf("footprint purge removed %d tuples; replicated ranges should purge whole shards",
+				t.Errorf("footprint purge removed %d tuples; surviving peers hold copies of the dead node's replicated ranges",
 					got.PurgedTuples)
-			}
-			if got.PoolMorsels == 0 {
-				t.Errorf("morsel pool idle during recovery run — sharded path not exercised")
 			}
 		})
 	}

@@ -28,14 +28,22 @@ var heavyScenarios = []struct {
 	{"correlated", datagen.Correlated, 1.5},
 }
 
-// heavyConfig builds a skewed oracle workload: the build relation is Zipf
-// (so heavy keys exist to detect) and the probe relation follows the
-// scenario. The cluster is the differential oracle's (2→10 nodes, 3
-// sources, 400 KB budget), so expansion protocols engage under the skew.
+// heavyConfig builds a skewed workload: the build relation is Zipf (so
+// heavy keys exist to detect) and the probe relation follows the scenario.
+// The cluster is small (2→10 nodes, 3 sources, 400 KB budget), so expansion
+// protocols engage under the skew.
 func heavyConfig(alg Algorithm, probe datagen.Dist, zipfS float64, seed uint64) Config {
-	cfg := oracleConfig(alg, datagen.Uniform, seed)
-	cfg.Build = datagen.Spec{Dist: datagen.Zipf, ZipfS: zipfS, Tuples: 30_000, Seed: seed}
-	cfg.Probe = datagen.Spec{Dist: probe, Tuples: 30_000, Seed: seed + 1}
+	cfg := Config{
+		Algorithm:     alg,
+		InitialNodes:  2,
+		MaxNodes:      10,
+		Sources:       3,
+		MemoryBudget:  400 << 10,
+		ChunkTuples:   1000,
+		Build:         datagen.Spec{Dist: datagen.Zipf, ZipfS: zipfS, Tuples: 30_000, Seed: seed},
+		Probe:         datagen.Spec{Dist: probe, Tuples: 30_000, Seed: seed + 1},
+		MatchFraction: 0.5,
+	}
 	if probe == datagen.Zipf {
 		cfg.Probe.ZipfS = zipfS
 	}
@@ -104,43 +112,6 @@ func int64sSum(xs []int64) int64 {
 		s += x
 	}
 	return s
-}
-
-// TestHeavyRoutingShardedOracle extends the serial-vs-sharded differential
-// oracle over the heavy path: with heavy routing on, a cores=4 run must be
-// message-for-message equivalent to the serial run — through detection,
-// replication, and partitioned probes.
-func TestHeavyRoutingShardedOracle(t *testing.T) {
-	for _, alg := range []Algorithm{Split, Replication, Hybrid} {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := heavyConfig(alg, datagen.Zipf, 1.5, 11)
-			cfg.HeavyThreshold = 0.02
-			wantMatches, wantChecksum := referenceJoin(t, cfg)
-			serial, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			if serial.Matches != wantMatches || serial.Checksum != wantChecksum {
-				t.Fatalf("serial run wrong before comparing: %d/%#x, want %d/%#x",
-					serial.Matches, serial.Checksum, wantMatches, wantChecksum)
-			}
-			if serial.HeavyKeys == 0 {
-				t.Fatal("scenario detected no heavy keys")
-			}
-			cfg.Cores = 4
-			par, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("cores=4: %v", err)
-			}
-			assertRunsEquivalent(t, 4, serial, par)
-			if par.HeavyKeys != serial.HeavyKeys || par.HeavyCopies != serial.HeavyCopies ||
-				par.HeavyProbeTuples != serial.HeavyProbeTuples {
-				t.Errorf("heavy activity diverges: %d/%d/%d, want %d/%d/%d",
-					par.HeavyKeys, par.HeavyCopies, par.HeavyProbeTuples,
-					serial.HeavyKeys, serial.HeavyCopies, serial.HeavyProbeTuples)
-			}
-		})
-	}
 }
 
 // TestHeavyRoutingSpillComposition runs heavy routing on an undersized

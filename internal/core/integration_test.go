@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ehjoin/internal/datagen"
@@ -308,6 +309,20 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Config.Cores is a vestige: 0 and 1 are accepted, anything else is
+	// refused with the reason.
+	for _, cores := range []int{0, 1, 2, -1} {
+		cfg := testConfig(Split)
+		cfg.Cores = cores
+		_, err := Run(cfg)
+		if cores == 0 || cores == 1 {
+			if err != nil {
+				t.Errorf("Cores %d rejected: %v", cores, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), "intra-node parallelism was removed") {
+			t.Errorf("Cores %d: error %v does not say intra-node parallelism was removed", cores, err)
 		}
 	}
 }

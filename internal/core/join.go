@@ -9,23 +9,6 @@ import (
 	"ehjoin/internal/tuple"
 )
 
-// nodeTable is the join node's local store: the serial hashtable.Table
-// or the sharded parallel wrapper. Every aggregate the protocol reads
-// (Count, Bytes, CountsInRange) is representation-independent, which is
-// what keeps the overflow/split/replicate/purge semantics identical
-// across core counts.
-type nodeTable interface {
-	Probe(key uint64, fn func(build tuple.Tuple)) int
-	Count() int64
-	Bytes() int64
-	CountsInRange(hashfn.Range) []int64
-	KeyCountsAt([]int32) ([]uint64, []int64)
-	TuplesWithKey(uint64) []tuple.Tuple
-	ExtractRange(hashfn.Range) []tuple.Tuple
-	ExtractMatching(func(tuple.Tuple) bool) []tuple.Tuple
-	ForEach(func(tuple.Tuple))
-}
-
 // joinActor is one join process (§4.1.3). It builds and maintains its
 // portion of the hash table, reports bucket overflow to the scheduler,
 // participates in splits / replication hand-offs / reshuffling according to
@@ -38,14 +21,9 @@ type joinActor struct {
 	active bool
 	rng    hashfn.Range  // authoritative owned range
 	route  *hashfn.Table // latest routing-table copy (for stray forwarding)
-	table  nodeTable
-	// Exactly one of serial and sharded is non-nil (sharded when
-	// Config.Cores > 1): the same object as table, with the batch entry
-	// points the chunk hot path calls once per chunk.
-	serial  *hashtable.Table
-	sharded *hashtable.Sharded
-	owned   []tuple.Tuple  // insertOrForward's in-range scratch
-	spill   *spill.Manager // out-of-core only
+	table  *hashtable.Table
+	owned  []tuple.Tuple  // insertOrForward's in-range scratch
+	spill  *spill.Manager // out-of-core only
 	// spillRung holds the partitions this node evicted to local disk after
 	// a spillOrder — the expanding algorithms' last degradation rung. Nil
 	// until the first order arrives; mutually exclusive with spill (OOC).
@@ -108,16 +86,9 @@ type joinActor struct {
 }
 
 func newJoin(cfg Config, id rt.NodeID) *joinActor {
-	j := &joinActor{cfg: cfg, id: id, budget: cfg.budgetOf(id), forwardTo: rt.NoNode}
-	if cfg.Cores > 1 && cfg.Algorithm != OutOfCore {
-		// The out-of-core baseline keeps the serial table: its build state
-		// lives in the spill manager, which the table never sees.
-		j.sharded = hashtable.NewSharded(cfg.Space, cfg.Build.Layout, cfg.Cores,
-			hashtable.SharedPool(cfg.Cores))
-		j.table = j.sharded
-	} else {
-		j.serial = hashtable.New(cfg.Space, cfg.Build.Layout)
-		j.table = j.serial
+	j := &joinActor{
+		cfg: cfg, id: id, budget: cfg.budgetOf(id), forwardTo: rt.NoNode,
+		table: hashtable.New(cfg.Space, cfg.Build.Layout),
 	}
 	if cfg.Algorithm == OutOfCore {
 		j.spill = spill.NewWithPolicy(cfg.Space, cfg.Build.Layout, cfg.Probe.Layout,
@@ -441,13 +412,6 @@ func (j *joinActor) snapshot() *joinStats {
 		s.SpilledPartitions = j.spillRung.SpilledPartitions()
 		s.SpillBytes = j.spillRung.SpillWrittenBytes
 	}
-	// Spare nodes that never activated have nothing to report; keeping
-	// their stats message shard-free makes the parallel run's wire cost
-	// exactly serial + one histogram per participating node.
-	if j.sharded != nil && j.active {
-		s.ShardLoads = j.sharded.ShardLoads()
-		s.PoolBusyNs, s.PoolCritNs, s.PoolSpanNs, s.Morsels, _ = j.sharded.ExecStats()
-	}
 	return s
 }
 
@@ -594,47 +558,14 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 	j.checkOverflow(env, c.LogicalBytes())
 }
 
-// insertBatch inserts a batch of build tuples — as parallel per-shard
-// morsels on a sharded core, serially otherwise — and charges the
+// insertBatch inserts a batch of build tuples and charges the
 // corresponding CPU cost.
 func (j *joinActor) insertBatch(env rt.Env, ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	if j.sharded == nil {
-		env.ChargeCPU(j.cfg.Cost.BuildNs * int64(len(ts)))
-		j.serial.InsertAll(ts)
-		return
-	}
-	j.chargeBatch(env, j.cfg.Cost.BuildNs, j.sharded.InsertAll(ts))
-}
-
-// chargeBatch accounts a parallel batch's CPU. Under SerialParallelCharge
-// it charges exactly the serial sum, pinning the simulated schedule to
-// the serial run's (the differential oracle's lever); otherwise it
-// charges the critical path across shards plus per-morsel dispatch
-// overhead — the simulator's model of intra-node speedup.
-func (j *joinActor) chargeBatch(env rt.Env, perTupleNs int64, st hashtable.ParallelStats) {
-	cost := &j.cfg.Cost
-	if cost.SerialParallelCharge {
-		env.ChargeCPU(perTupleNs*st.Total() + cost.MatchNs*st.TotalMatches())
-		return
-	}
-	var crit, active int64
-	for i, n := range st.Tuples {
-		if n == 0 {
-			continue
-		}
-		active++
-		w := perTupleNs * n
-		if st.Matches != nil {
-			w += cost.MatchNs * st.Matches[i]
-		}
-		if w > crit {
-			crit = w
-		}
-	}
-	env.ChargeCPU(crit + cost.MorselNs*active)
+	env.ChargeCPU(j.cfg.Cost.BuildNs * int64(len(ts)))
+	j.table.InsertAll(ts)
 }
 
 // insertOrForward inserts the tuples belonging to this node's range and
@@ -923,17 +854,10 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		j.probeAndForward(env, c)
 		return
 	}
-	if j.sharded != nil {
-		m, x, st := j.sharded.ProbeAll(c.Tuples)
-		j.matches += uint64(m)
-		j.checksum ^= x
-		j.chargeBatch(env, j.cfg.Cost.ProbeNs, st)
-	} else {
-		m, x := j.serial.ProbeAll(c.Tuples)
-		j.matches += uint64(m)
-		j.checksum ^= x
-		env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(c.Tuples)) + j.cfg.Cost.MatchNs*m)
-	}
+	m, x := j.table.ProbeAll(c.Tuples)
+	j.matches += uint64(m)
+	j.checksum ^= x
+	env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(c.Tuples)) + j.cfg.Cost.MatchNs*m)
 	if j.cfg.MaterializeOutput {
 		j.checkProbeOverflow(env, c)
 	}

@@ -399,16 +399,9 @@ type joinStats struct {
 	HeavyCopies       int64 // heavy-key build tuples received as group copies
 	HeavyProbeTuples  int64 // probe tuples routed via the heavy partitioned path
 	WidestWindow      int64 // largest send window advertised to any source
-
-	// Sharded-core execution statistics (Config.Cores > 1 only).
-	ShardLoads []int64 // per-shard stored build tuples (occupancy)
-	PoolBusyNs int64   // Σ morsel execution time on the worker pool
-	PoolCritNs int64   // Σ per-batch critical path across shards
-	PoolSpanNs int64   // Σ parallel-section wall time (incl. barrier)
-	Morsels    int64   // morsels dispatched to the pool
 }
 
-func (m *joinStats) WireSize() int { return 128 + 8*len(m.ShardLoads) }
+func (*joinStats) WireSize() int { return 128 }
 
 // sourceStats is a data source's statistics snapshot.
 type sourceStats struct {

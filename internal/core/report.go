@@ -10,8 +10,6 @@ import (
 
 // ExpansionEvent is one entry of the scheduler's expansion-protocol log,
 // in arrival order: each overflow report and the action it triggered.
-// The differential oracle asserts that a sharded run (Cores > 1, under
-// SerialParallelCharge) produces exactly the serial run's sequence.
 type ExpansionEvent struct {
 	Kind  string       // "memfull", "split", "replicate", "probe-expand", "reshuffle", "recover", "spill"
 	Node  rt.NodeID    // reporting / victim node
@@ -160,23 +158,6 @@ type Report struct {
 	// advertised to a source (Config.CreditWindow on a fixed-window run).
 	CreditStalls int64
 	WidestWindow int64
-
-	// Intra-node parallelism (Config.Cores > 1; zero-valued otherwise).
-	Cores int
-	// NodeShardLoads holds each participating sharded node's per-shard
-	// stored tuples (shard occupancy), parallel to NodeLoads.
-	NodeShardLoads [][]int64
-	// PoolBusySec is the cumulative wall time join-node morsels spent
-	// executing on worker pools; PoolCritSec sums each batch's slowest
-	// morsel (the time a fully parallel host needs); PoolSpanSec is the
-	// cumulative wall time of the parallel sections themselves.
-	PoolBusySec float64
-	PoolCritSec float64
-	PoolSpanSec float64
-	PoolMorsels int64
-	// PoolUtilization is PoolBusySec / (PoolSpanSec × Cores): 1.0 means
-	// every pool worker was busy for the whole of every parallel section.
-	PoolUtilization float64
 
 	// Events is the scheduler's expansion-protocol log, in arrival order.
 	Events []ExpansionEvent

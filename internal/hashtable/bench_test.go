@@ -1,0 +1,95 @@
+package hashtable
+
+import (
+	"runtime"
+	"testing"
+
+	"ehjoin/internal/hashfn"
+	"ehjoin/internal/tuple"
+)
+
+const (
+	benchTuples = 200_000
+	benchChunk  = 1_000
+)
+
+// sinkXor keeps the benchmarks' checksum accumulation observable.
+var sinkXor uint64
+
+func benchData() ([][]tuple.Tuple, [][]tuple.Tuple) {
+	build := make([][]tuple.Tuple, 0, benchTuples/benchChunk)
+	probe := make([][]tuple.Tuple, 0, benchTuples/benchChunk)
+	var next uint64
+	rnd := uint64(0x9E3779B97F4A7C15)
+	for len(build) < cap(build) {
+		b := make([]tuple.Tuple, benchChunk)
+		p := make([]tuple.Tuple, benchChunk)
+		for i := range b {
+			next++
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			// Fibonacci-mix the small key id across the full 64-bit key
+			// space (the Scaled position hash reads the high bits), while
+			// keeping ~2 duplicates per key for probe matches.
+			key := (rnd % (benchTuples / 2)) * 0x9E3779B97F4A7C15
+			b[i] = tuple.Tuple{Index: next, Key: key}
+			p[i] = tuple.Tuple{Index: next + benchTuples, Key: key}
+		}
+		build = append(build, b)
+		probe = append(probe, p)
+	}
+	return build, probe
+}
+
+// BenchmarkTable streams benchChunk-tuple batches through InsertAll and
+// then ProbeAll, the batch shape the join actor uses: one op is a whole
+// 200 000-tuple build (staging, then the seal at the first probe) and probe.
+func BenchmarkTable(b *testing.B) {
+	space := hashfn.DefaultSpace()
+	layout := tuple.DefaultLayout()
+	build, probe := benchData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The previous iteration's table is garbage; collect it off the clock.
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		tab := New(space, layout)
+		for _, ts := range build {
+			tab.InsertAll(ts)
+		}
+		var xor uint64
+		for _, ts := range probe {
+			_, x := tab.ProbeAll(ts)
+			xor ^= x
+		}
+		sinkXor = xor
+	}
+	b.ReportMetric(float64(benchTuples*2*b.N)/b.Elapsed().Seconds(), "tuples/sec")
+}
+
+// BenchmarkProbeAllRuns measures the match kernel where a join's cost is
+// its output: 20 000 build tuples over 50 keys (runs of 400), probed in
+// 1000-tuple chunks, so every probe tuple folds 400 matches. ns/match is
+// the number DESIGN.md "Batch entry points" quotes.
+func BenchmarkProbeAllRuns(b *testing.B) {
+	const tuples, keys, chunk = 20_000, 50, 1_000
+	tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
+	probe := make([]tuple.Tuple, chunk)
+	for i := 0; i < tuples; i++ {
+		tab.Insert(tuple.Tuple{Index: uint64(i), Key: uint64(i%keys) * fibMul})
+	}
+	for i := range probe {
+		probe[i] = tuple.Tuple{Index: uint64(tuples + i), Key: uint64(i%keys) * fibMul}
+	}
+	tab.ProbeAll(probe[:1]) // seal off the clock
+	var matches int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, x := tab.ProbeAll(probe)
+		matches += m
+		sinkXor ^= x
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+}

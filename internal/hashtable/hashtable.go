@@ -98,14 +98,8 @@ type Table struct {
 	count    int64
 	bytes    int64
 	// posCount tracks tuples per routing position, needed by the hybrid
-	// algorithm's reshuffling step and by the load-balance metrics. A
-	// shard table (posStride > 1) owns only the positions ≡ posPhase
-	// (mod posStride) and stores them compacted at index pos/posStride —
-	// a full-width array per shard would multiply the insert path's cache
-	// footprint by the shard count.
-	posCount  []int64
-	posStride int
-	posPhase  int
+	// algorithm's reshuffling step and by the load-balance metrics.
+	posCount []int64
 	// steps counts the occupied slots inserts and growth stepped over;
 	// the tests that pin the hash-independence rules bound it.
 	steps int64
@@ -113,32 +107,11 @@ type Table struct {
 
 // New returns an empty table for tuples of the given layout.
 func New(space hashfn.Space, layout tuple.Layout) *Table {
-	return NewShard(space, layout, 0, 1)
-}
-
-// NewShard returns an empty table owning the routing positions ≡ phase
-// (mod stride). Inserting a tuple whose position is outside that residue
-// class corrupts the per-position counts; callers route by position
-// first (see Sharded).
-func NewShard(space hashfn.Space, layout tuple.Layout, phase, stride int) *Table {
-	if stride < 1 {
-		stride = 1
-	}
-	owned := (space.Positions() - phase + stride - 1) / stride
 	return &Table{
-		space:     space,
-		layout:    layout,
-		posCount:  make([]int64, owned),
-		posStride: stride,
-		posPhase:  phase,
+		space:    space,
+		layout:   layout,
+		posCount: make([]int64, space.Positions()),
 	}
-}
-
-func (t *Table) posIndex(pos int) int {
-	if t.posStride == 1 {
-		return pos
-	}
-	return pos / t.posStride
 }
 
 // mixKey is the table's own hash. It must share no structure with the
@@ -201,7 +174,7 @@ func (t *Table) Insert(tp tuple.Tuple) {
 	}
 	t.count++
 	t.bytes += int64(t.layout.LogicalSize())
-	t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]++
+	t.posCount[t.space.PositionOf(tp.Key)]++
 }
 
 // stage appends tp to the segment's last staging block, starting a block
@@ -409,19 +382,8 @@ func (t *Table) Layout() tuple.Layout { return t.layout }
 // positions in r, as exchanged during the hybrid algorithm's reshuffle.
 func (t *Table) CountsInRange(r hashfn.Range) []int64 {
 	out := make([]int64, r.Width())
-	if t.posStride == 1 {
-		copy(out, t.posCount[r.Lo:r.Hi])
-		return out
-	}
-	for pos := t.firstOwned(r.Lo); pos < r.Hi; pos += t.posStride {
-		out[pos-r.Lo] = t.posCount[t.posIndex(pos)]
-	}
+	copy(out, t.posCount[r.Lo:r.Hi])
 	return out
-}
-
-// firstOwned returns the first owned routing position ≥ lo.
-func (t *Table) firstOwned(lo int) int {
-	return lo + ((t.posPhase-lo)%t.posStride+t.posStride)%t.posStride
 }
 
 // ExtractRange removes and returns every stored tuple whose routing
@@ -430,8 +392,8 @@ func (t *Table) firstOwned(lo int) int {
 // ranges.
 func (t *Table) ExtractRange(r hashfn.Range) []tuple.Tuple {
 	var n int64
-	for pos := t.firstOwned(r.Lo); pos < r.Hi; pos += t.posStride {
-		n += t.posCount[t.posIndex(pos)]
+	for _, c := range t.posCount[r.Lo:r.Hi] {
+		n += c
 	}
 	if n == 0 {
 		return nil
@@ -460,7 +422,7 @@ func (t *Table) extract(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tupl
 		}
 	}
 	for _, tp := range moved {
-		t.posCount[t.posIndex(t.space.PositionOf(tp.Key))]--
+		t.posCount[t.space.PositionOf(tp.Key)]--
 	}
 	n := int64(len(moved))
 	t.count -= n

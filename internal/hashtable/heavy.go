@@ -73,23 +73,6 @@ func (t *Table) forEachKey(fn func(key uint64, n int64)) {
 	}
 }
 
-// KeyCountsAt sums the per-key counts over all shards; keys are position-
-// disjoint across shards, so the merge is a disjoint union and the result
-// equals a serial table's.
-func (s *Sharded) KeyCountsAt(positions []int32) ([]uint64, []int64) {
-	acc := make(map[uint64]int64)
-	for _, sh := range s.shards {
-		keys, counts := sh.KeyCountsAt(positions)
-		for i, k := range keys {
-			acc[k] += counts[i]
-		}
-	}
-	if len(acc) == 0 {
-		return nil, nil
-	}
-	return sortedKeyCounts(acc)
-}
-
 // sortedKeyCounts flattens a key→count map into parallel slices sorted by
 // key, the package's deterministic-order idiom for map-shaped results.
 func sortedKeyCounts(acc map[uint64]int64) ([]uint64, []int64) {
@@ -113,10 +96,4 @@ func (t *Table) TuplesWithKey(key uint64) []tuple.Tuple {
 	var out []tuple.Tuple
 	t.Probe(key, func(b tuple.Tuple) { out = append(out, b) })
 	return out
-}
-
-// TuplesWithKey returns every stored tuple matching key from the owning
-// shard.
-func (s *Sharded) TuplesWithKey(key uint64) []tuple.Tuple {
-	return s.shardFor(key).TuplesWithKey(key)
 }

@@ -22,11 +22,11 @@ func TestHeavyPositions(t *testing.T) {
 	}
 }
 
-// TestKeyCountsAtSerialShardedEquivalence inserts an identical skewed
-// workload into a serial Table and Sharded tables at several shard
-// counts, and asserts KeyCountsAt returns byte-identical (keys, counts)
-// for the candidate positions the global histogram flags.
-func TestKeyCountsAtSerialShardedEquivalence(t *testing.T) {
+// TestKeyCountsAtFindsHeavyKey inserts a skewed workload and asserts that
+// KeyCountsAt, at the candidate positions the table's own histogram flags,
+// reports the heavy key with its mass, and pins the empty-input contracts.
+// (The map-model differential in model_test.go checks the counts key by key.)
+func TestKeyCountsAtFindsHeavyKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pool := make([]uint64, 40)
 	for i := range pool {
@@ -41,19 +41,17 @@ func TestKeyCountsAtSerialShardedEquivalence(t *testing.T) {
 		ts = append(ts, tuple.Tuple{Index: uint64(i), Key: k})
 	}
 
-	serial := New(testSpace, tuple.DefaultLayout())
-	for _, tp := range ts {
-		serial.Insert(tp)
-	}
+	tbl := New(testSpace, tuple.DefaultLayout())
+	tbl.InsertAll(ts)
 	full := hashfn.Range{Lo: 0, Hi: testSpace.Positions()}
-	hist := serial.CountsInRange(full)
+	hist := tbl.CountsInRange(full)
 	positions := HeavyPositions(hist, full.Lo, int64(len(ts))/10)
 	if len(positions) == 0 {
 		t.Fatal("workload produced no candidate positions; heavy hitter missing")
 	}
-	wantKeys, wantCounts := serial.KeyCountsAt(positions)
+	wantKeys, wantCounts := tbl.KeyCountsAt(positions)
 	if len(wantKeys) == 0 {
-		t.Fatal("serial KeyCountsAt returned nothing at candidate positions")
+		t.Fatal("KeyCountsAt returned nothing at candidate positions")
 	}
 	foundHeavy := false
 	for i, k := range wantKeys {
@@ -65,17 +63,8 @@ func TestKeyCountsAtSerialShardedEquivalence(t *testing.T) {
 		t.Fatalf("heavy key %#x not among key counts %v / %v", pool[0], wantKeys, wantCounts)
 	}
 
-	for _, shards := range []int{1, 2, 4, 7} {
-		sh := NewSharded(testSpace, tuple.DefaultLayout(), shards, nil)
-		sh.InsertAll(ts)
-		gotKeys, gotCounts := sh.KeyCountsAt(positions)
-		if !reflect.DeepEqual(gotKeys, wantKeys) || !reflect.DeepEqual(gotCounts, wantCounts) {
-			t.Errorf("shards=%d: KeyCountsAt diverges from serial table", shards)
-		}
-	}
-
 	// Empty-input contracts.
-	if k, c := serial.KeyCountsAt(nil); k != nil || c != nil {
+	if k, c := tbl.KeyCountsAt(nil); k != nil || c != nil {
 		t.Error("KeyCountsAt(nil) should return nil, nil")
 	}
 	if k, c := New(testSpace, tuple.DefaultLayout()).KeyCountsAt(positions); k != nil || c != nil {
@@ -86,27 +75,20 @@ func TestKeyCountsAtSerialShardedEquivalence(t *testing.T) {
 // TestTuplesWithKeyNonDestructive checks the replication snapshot helper
 // returns every tuple of the key and leaves the table untouched.
 func TestTuplesWithKeyNonDestructive(t *testing.T) {
-	serial := New(testSpace, tuple.DefaultLayout())
-	sharded := NewSharded(testSpace, tuple.DefaultLayout(), 4, nil)
+	tbl := New(testSpace, tuple.DefaultLayout())
 	for i := uint64(0); i < 100; i++ {
-		tp := tuple.Tuple{Index: i, Key: 77 + i%2} // half on key 77
-		serial.Insert(tp)
-		sharded.Insert(tp)
+		tbl.Insert(tuple.Tuple{Index: i, Key: 77 + i%2}) // half on key 77
 	}
-	for name, got := range map[string][]tuple.Tuple{
-		"serial":  serial.TuplesWithKey(77),
-		"sharded": sharded.TuplesWithKey(77),
-	} {
-		if len(got) != 50 {
-			t.Errorf("%s: TuplesWithKey(77) = %d tuples, want 50", name, len(got))
-		}
-		for _, tp := range got {
-			if tp.Key != 77 {
-				t.Errorf("%s: returned foreign tuple %+v", name, tp)
-			}
+	got := tbl.TuplesWithKey(77)
+	if len(got) != 50 {
+		t.Errorf("TuplesWithKey(77) = %d tuples, want 50", len(got))
+	}
+	for _, tp := range got {
+		if tp.Key != 77 {
+			t.Errorf("returned foreign tuple %+v", tp)
 		}
 	}
-	if serial.Count() != 100 || sharded.Count() != 100 {
+	if tbl.Count() != 100 {
 		t.Error("TuplesWithKey must not remove tuples")
 	}
 }

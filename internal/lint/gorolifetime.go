@@ -11,9 +11,10 @@ import (
 // dialers, and handshakes that must all die with their owner's Close (the
 // PR 7 redial leak was exactly a spawn that outlived the coordinator), and
 // the runtime/core layers must not grow unbounded spawns as they head
-// toward joinsvc. Helper pools elsewhere (hashtable, live) are owned by
-// their constructors and out of scope.
-var goroScopePkgs = map[string]bool{"tcpnet": true, "runtime": true, "core": true}
+// toward joinsvc. The join-node table spawns nothing today (DESIGN.md §6);
+// parallelism that re-enters it has to pass the same proof. The live
+// engine's per-node goroutines are owned by its constructor and out of scope.
+var goroScopePkgs = map[string]bool{"tcpnet": true, "runtime": true, "core": true, "hashtable": true}
 
 // NewGoroLifetime returns the goroutine-lifecycle analyzer. Every `go`
 // statement in the scope packages must spawn a body the analyzer can prove
@@ -39,7 +40,7 @@ var goroScopePkgs = map[string]bool{"tcpnet": true, "runtime": true, "core": tru
 func NewGoroLifetime() *Analyzer {
 	a := &Analyzer{
 		Name: "gorolifetime",
-		Doc: "verifies every go statement in tcpnet, runtime, and core spawns a body that\n" +
+		Doc: "verifies every go statement in tcpnet, runtime, core, and hashtable spawns a body that\n" +
 			"provably exits at shutdown: joined by a WaitGroup, bounded by closable-channel\n" +
 			"receives, or looping only until an error or a done signal",
 	}

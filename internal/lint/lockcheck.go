@@ -6,14 +6,15 @@ import (
 	"go/types"
 )
 
-// lockDisciplinePkgs are the packages whose mutexes guard transport and
-// shard state hot enough that a leaked lock or a blocking call under one
-// stalls the whole engine.
+// lockDisciplinePkgs are the packages where a leaked lock or a blocking
+// call under one stalls the whole engine: the transport, whose session
+// mutexes are hot, and the join-node table, which holds no mutex today and
+// whose first one gets the same discipline.
 var lockDisciplinePkgs = map[string]bool{"tcpnet": true, "hashtable": true}
 
 // blockingUnderLock is the set of operations that may park the goroutine
-// indefinitely; none of them is tolerable while a tcpnet session mutex or
-// a hashtable shard mutex is held. Method entries use types.Func.FullName
+// indefinitely; none of them is tolerable while a mutex of the packages
+// above is held. Method entries use types.Func.FullName
 // notation: "(net.Conn).Read", "(*bufio.Writer).Flush".
 var blockingUnderLock = map[string]bool{
 	"io.ReadFull":              true,

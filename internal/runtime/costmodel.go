@@ -34,10 +34,6 @@ type CostModel struct {
 	MoveNs int64
 	// ChunkOverheadNs is the fixed CPU cost of handling one chunk message.
 	ChunkOverheadNs int64
-	// MorselNs is the fixed CPU cost of dispatching one shard morsel to
-	// the intra-node worker pool; charged per active shard per chunk when
-	// a node runs a sharded core (Config.Cores > 1).
-	MorselNs int64
 
 	// DiskWriteBps and DiskReadBps are sequential local-disk bandwidths in
 	// bytes per second; DiskSeekNs is charged once per spill-partition
@@ -45,16 +41,6 @@ type CostModel struct {
 	DiskWriteBps float64
 	DiskReadBps  float64
 	DiskSeekNs   int64
-
-	// SerialParallelCharge makes a sharded node (Config.Cores > 1) charge
-	// its parallel batches exactly as a serial node would — the sum of
-	// the per-tuple costs instead of the critical path across shards plus
-	// morsel overhead. The real goroutine pool still executes the work in
-	// parallel; only the simulated clock is pinned to the serial
-	// schedule, making a cores=P simulation message-for-message identical
-	// to cores=1. The differential oracle tests rely on this; experiments
-	// leave it unset so the simulator models intra-node speedup.
-	SerialParallelCharge bool
 
 	// BlockingMigration models split migrations as blocking sends: the
 	// splitting node's CPU is occupied for the transfer's full wire time
@@ -80,7 +66,6 @@ func OSUMed() CostModel {
 		MatchNs:         250,
 		MoveNs:          250,
 		ChunkOverheadNs: 50_000,
-		MorselNs:        2_000,
 
 		DiskWriteBps: 25e6,
 		DiskReadBps:  35e6,
