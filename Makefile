@@ -70,7 +70,8 @@ bench-aa:
 # pairs of the driver's 20 s runs, every pair printed, then wins, medians
 # and quartiles per end-to-end metric (scripts/bench-pair.sh). What a perf
 # claim is measured with:  make bench-pair BASE=HEAD~1 W=uniform_fit N=10 SEED=1
-# (W=zipf_heavy for a per-match cost claim, where cost is output)
+# (W=zipf_heavy for a per-match cost claim, where cost is output;
+# W=spill_wal for the spill rung: eviction, spilled streams, finish phase)
 BASE ?= HEAD
 W ?= uniform_fit
 N ?= 10

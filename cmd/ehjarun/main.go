@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -69,55 +71,66 @@ func parseFaults(s string) (core.FaultPlan, error) {
 	return plan, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, executes the run and
+// writes the report to stdout. It returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ehjarun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		algName     = flag.String("alg", "hybrid", "join algorithm: split|replication|hybrid|ooc")
-		initial     = flag.Int("initial", 4, "initial number of join nodes")
-		maxNodes    = flag.Int("max", 24, "total join nodes in the environment")
-		sources     = flag.Int("sources", 8, "number of data-source nodes")
-		rTuples     = flag.Int64("r", 1_000_000, "build relation cardinality")
-		sTuples     = flag.Int64("s", 1_000_000, "probe relation cardinality")
-		tupleSize   = flag.Int("tuple", 100, "logical tuple size in bytes")
-		distName    = flag.String("dist", "uniform", "join-attribute distribution: uniform|gaussian|zipf")
-		probeDist   = flag.String("probe-dist", "", "probe-side distribution override: uniform|gaussian|zipf|correlated (default: same as -dist; correlated mirrors the build stream)")
-		sigma       = flag.Float64("sigma", 0.001, "gaussian standard deviation")
-		mean        = flag.Float64("mean", 0.5, "gaussian mean")
-		zipfS       = flag.Float64("zipf-s", 1.5, "zipf exponent s (rank r has mass proportional to r^-s)")
-		budget      = flag.Int64("budget", 64<<20, "per-node hash memory budget in bytes")
-		match       = flag.Float64("match", 1.0, "fraction of probe tuples matching the build relation")
-		seed        = flag.Uint64("seed", 1, "generation seed")
-		verbose     = flag.Bool("v", false, "print per-node loads and utilisation")
-		blocking    = flag.Bool("blocking", false, "model split migrations as blocking sends (ablation A1)")
-		oocHybrid   = flag.Bool("ooc-hybrid", false, "use the hybrid-hash out-of-core policy instead of Grace (ablation A2)")
-		hashMode    = flag.String("hash", "scaled", "position hashing: scaled (order-preserving) or multiplicative (mixing)")
-		timeline    = flag.Bool("timeline", false, "render a per-node virtual-time utilisation timeline")
-		materialize = flag.Bool("materialize", false, "retain join output in memory; probe-phase expansion applies (paper footnote 1)")
-		faults      = flag.String("faults", "", "crash join nodes at virtual times: NODE@ATSEC[:DETECTSEC],... (e.g. 0@1.5,3@2:0.05)")
-		spillRung   = flag.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
-		heavy       = flag.Bool("heavy", false, "detect heavy-hitter keys after the build and replicate them across their serving group, partitioning their probes instead of broadcasting (DESIGN.md §11)")
-		heavyThresh = flag.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 with -heavy: 1/(2·initial nodes))")
+		algName     = fs.String("alg", "hybrid", "join algorithm: split|replication|hybrid|ooc")
+		initial     = fs.Int("initial", 4, "initial number of join nodes")
+		maxNodes    = fs.Int("max", 24, "total join nodes in the environment")
+		sources     = fs.Int("sources", 8, "number of data-source nodes")
+		rTuples     = fs.Int64("r", 1_000_000, "build relation cardinality")
+		sTuples     = fs.Int64("s", 1_000_000, "probe relation cardinality")
+		tupleSize   = fs.Int("tuple", 100, "logical tuple size in bytes")
+		distName    = fs.String("dist", "uniform", "join-attribute distribution: uniform|gaussian|zipf")
+		probeDist   = fs.String("probe-dist", "", "probe-side distribution override: uniform|gaussian|zipf|correlated (default: same as -dist; correlated mirrors the build stream)")
+		sigma       = fs.Float64("sigma", 0.001, "gaussian standard deviation")
+		mean        = fs.Float64("mean", 0.5, "gaussian mean")
+		zipfS       = fs.Float64("zipf-s", 1.5, "zipf exponent s (rank r has mass proportional to r^-s)")
+		budget      = fs.Int64("budget", 64<<20, "per-node hash memory budget in bytes")
+		match       = fs.Float64("match", 1.0, "fraction of probe tuples matching the build relation")
+		seed        = fs.Uint64("seed", 1, "generation seed")
+		verbose     = fs.Bool("v", false, "print per-node loads and utilisation")
+		blocking    = fs.Bool("blocking", false, "model split migrations as blocking sends (ablation A1)")
+		oocHybrid   = fs.Bool("ooc-hybrid", false, "use the hybrid-hash out-of-core policy instead of Grace (ablation A2)")
+		hashMode    = fs.String("hash", "scaled", "position hashing: scaled (order-preserving) or multiplicative (mixing)")
+		timeline    = fs.Bool("timeline", false, "render a per-node virtual-time utilisation timeline")
+		materialize = fs.Bool("materialize", false, "retain join output in memory; probe-phase expansion applies (paper footnote 1)")
+		faults      = fs.String("faults", "", "crash join nodes at virtual times: NODE@ATSEC[:DETECTSEC],... (e.g. 0@1.5,3@2:0.05)")
+		spillRung   = fs.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
+		heavy       = fs.Bool("heavy", false, "detect heavy-hitter keys after the build and replicate them across their serving group, partitioning their probes instead of broadcasting (DESIGN.md §11)")
+		heavyThresh = fs.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 with -heavy: 1/(2·initial nodes))")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	alg, err := parseAlg(*algName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehjarun:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ehjarun:", err)
+		return 2
 	}
 	dist, err := datagen.ParseDist(*distName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehjarun:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ehjarun:", err)
+		return 2
 	}
 	if dist == datagen.Correlated {
-		fmt.Fprintln(os.Stderr, "ehjarun: correlated is probe-only; use -probe-dist correlated")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ehjarun: correlated is probe-only; use -probe-dist correlated")
+		return 2
 	}
 	pDist := dist
 	if *probeDist != "" {
 		if pDist, err = datagen.ParseDist(*probeDist); err != nil {
-			fmt.Fprintln(os.Stderr, "ehjarun:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "ehjarun:", err)
+			return 2
 		}
 	}
 	threshold := *heavyThresh
@@ -131,8 +144,8 @@ func main() {
 	case "multiplicative", "mult":
 		space.Mode = hashfn.Multiplicative
 	default:
-		fmt.Fprintf(os.Stderr, "ehjarun: unknown hash mode %q\n", *hashMode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ehjarun: unknown hash mode %q\n", *hashMode)
+		return 2
 	}
 	cost := rt.OSUMed()
 	cost.BlockingMigration = *blocking
@@ -175,49 +188,49 @@ func main() {
 	if *faults != "" {
 		plan, err := parseFaults(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ehjarun:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "ehjarun:", err)
+			return 2
 		}
 		if err := core.ApplyFaultPlan(cfg, eng, plan); err != nil {
-			fmt.Fprintln(os.Stderr, "ehjarun:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "ehjarun:", err)
+			return 2
 		}
 	}
 	r, err := core.Execute(cfg, eng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehjarun:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ehjarun:", err)
+		return 1
 	}
-	fmt.Println(r)
-	fmt.Printf("wire: %.1f MB in %d messages; spill: %d MB written, %d MB read, %d BNL pass(es); wall clock %.1fs\n",
+	fmt.Fprintln(stdout, r)
+	fmt.Fprintf(stdout, "wire: %.1f MB in %d messages; spill: %d MB written, %d MB read, %d BNL pass(es); wall clock %.1fs\n",
 		float64(r.WireBytes)/(1<<20), r.Messages,
 		r.SpillWrittenBytes>>20, r.SpillReadBytes>>20, r.BNLPasses, time.Since(wall).Seconds())
-	fmt.Printf("comm: %d tuples split-moved, %d reshuffled, %d stray re-routed; %d chunks forwarded; "+
+	fmt.Fprintf(stdout, "comm: %d tuples split-moved, %d reshuffled, %d stray re-routed; %d chunks forwarded; "+
 		"%d probe tuples processed\n",
 		r.SplitMovedTuples, r.ReshuffleTuples, r.StrayBuildTuples, r.ForwardedChunks,
 		r.ProbeTuplesProcessed)
 	if r.NodesLost > 0 {
-		fmt.Printf("recovery: %d node(s) lost, %d recovered exactly in %.3fs; "+
+		fmt.Fprintf(stdout, "recovery: %d node(s) lost, %d recovered exactly in %.3fs; "+
 			"re-streamed %d chunks (%d tuples), purged %d surviving copies, dropped %d stale in-flight\n",
 			r.NodesLost, r.NodesRecovered, r.RecoverySec,
 			r.RestreamedChunks, r.RestreamedTuples, r.PurgedTuples, r.DroppedStaleTuples)
 		if r.Degraded {
-			fmt.Println("recovery: DEGRADED — some losses were unrecoverable; result may be incomplete")
+			fmt.Fprintln(stdout, "recovery: DEGRADED — some losses were unrecoverable; result may be incomplete")
 		}
 	}
 	if r.SpilledPartitions > 0 {
-		fmt.Printf("spill rung: %d partition(s) evicted to disk (%d KB); degradation rung %d\n",
+		fmt.Fprintf(stdout, "spill rung: %d partition(s) evicted to disk (%d KB); degradation rung %d\n",
 			r.SpilledPartitions, r.SpillBytes>>10, r.DegradationRung)
 	}
 	if r.RecoveryRung > 0 {
-		fmt.Printf("recovery: rung %d engaged (1 = session resume, 2 = purge + re-stream, 3 = degraded); "+
+		fmt.Fprintf(stdout, "recovery: rung %d engaged (1 = session resume, 2 = purge + re-stream, 3 = degraded); "+
 			"%d resume(s), %d/%d frames retransmitted\n",
 			r.RecoveryRung, r.Resumes, r.RetransmittedFrames, r.SessionFrames)
 	}
 	if *verbose && len(r.Events) > 0 {
-		fmt.Println("expansion log:")
+		fmt.Fprintln(stdout, "expansion log:")
 		for _, ev := range r.Events {
-			fmt.Printf("  %-12s node %2d peer %2d range [%d,%d) bytes %d\n",
+			fmt.Fprintf(stdout, "  %-12s node %2d peer %2d range [%d,%d) bytes %d\n",
 				ev.Kind, ev.Node, ev.Peer, ev.Range.Lo, ev.Range.Hi, ev.Bytes)
 		}
 	}
@@ -231,18 +244,19 @@ func main() {
 			if i < len(r.NodeProbeLoads) {
 				probes = fmt.Sprintf("  probes %9d", r.NodeProbeLoads[i])
 			}
-			fmt.Printf("  node %2d: %9d tuples%s%s\n", i, l, probes, util)
+			fmt.Fprintf(stdout, "  node %2d: %9d tuples%s%s\n", i, l, probes, util)
 		}
 	}
 	if rec != nil {
-		fmt.Println()
-		fmt.Print(rec.Timeline(100))
-		fmt.Println("\nbusiest message kinds:")
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, rec.Timeline(100))
+		fmt.Fprintln(stdout, "\nbusiest message kinds:")
 		for i, kb := range rec.BusyByKind() {
 			if i == 6 {
 				break
 			}
-			fmt.Printf("  %-28s %8.2fs\n", kb.Kind, kb.Seconds)
+			fmt.Fprintf(stdout, "  %-28s %8.2fs\n", kb.Kind, kb.Seconds)
 		}
 	}
+	return 0
 }

@@ -438,8 +438,8 @@ func TestJoinActorSpillOrderEvictsAndAcks(t *testing.T) {
 		t.Errorf("spillAck{Partitions: %d, Bytes: %d}, want >=1 partition and >=200 bytes freed",
 			ack.Partitions, ack.Bytes)
 	}
-	if b := j.table.Bytes(); b > j.budget {
-		t.Errorf("table still %d bytes over a %d budget after spilling", b, j.budget)
+	if b := j.liveBytes(); b > j.budget {
+		t.Errorf("node still holds %d live bytes against a %d budget after spilling", b, j.budget)
 	}
 	if n := j.storedBuildTuples(); n != 12 {
 		t.Errorf("stored %d tuples after eviction, want all 12", n)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"ehjoin/internal/datagen"
+	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/spill"
 	"ehjoin/internal/tuple"
 )
@@ -56,6 +59,10 @@ func referenceJoin(t *testing.T, cfg Config) (uint64, uint64) {
 	}
 	return matches, checksum
 }
+
+// totalNs is a simulator report's total virtual time in whole nanoseconds,
+// the unit the pinned runs compare in.
+func totalNs(r *Report) int64 { return int64(math.Round(r.TotalSec * 1e9)) }
 
 func runAndVerify(t *testing.T, cfg Config) *Report {
 	t.Helper()
@@ -175,6 +182,17 @@ func TestSpillRungCompletesExhaustedScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The simulator is deterministic: which partitions each node evicts and
+	// what the rung writes and reads back are pinned, so a change to victim
+	// selection or to when an eviction is charged shows here.
+	pinned := map[Algorithm]struct {
+		parts, written, read int64
+		totalNs              int64
+	}{
+		Split:       {58, 6699100, 6699100, 1034399312},
+		Replication: {48, 7095600, 7095600, 1089160182},
+		Hybrid:      {66, 7941800, 7941800, 1255331269},
+	}
 	for _, alg := range []Algorithm{Split, Replication, Hybrid} {
 		cfg := testConfig(alg)
 		cfg.MaxNodes = 3
@@ -183,6 +201,12 @@ func TestSpillRungCompletesExhaustedScenarios(t *testing.T) {
 			r := runAndVerify(t, cfg)
 			if r.ExhaustedResources {
 				t.Error("spill rung armed but run still reports exhaustion")
+			}
+			want := pinned[alg]
+			if r.SpilledPartitions != want.parts || r.SpillBytes != want.written ||
+				r.SpillReadBytes != want.read || totalNs(r) != want.totalNs {
+				t.Errorf("spill activity moved: %d partitions, %d B written, %d B read, %d ns; pinned %+v",
+					r.SpilledPartitions, r.SpillBytes, r.SpillReadBytes, totalNs(r), want)
 			}
 			if r.Matches != ooc.Matches || r.Checksum != ooc.Checksum {
 				t.Errorf("spill output differs from OOC baseline: matches %d/%d checksum %#x/%#x",
@@ -202,6 +226,42 @@ func TestSpillRungCompletesExhaustedScenarios(t *testing.T) {
 				t.Errorf("final nodes = %d, want 3", r.FinalNodes)
 			}
 		})
+	}
+}
+
+// TestSpilledNodesAreSplit pins a run in which nodes that have evicted
+// partitions are later split, so a split's extraction has to take tuples out
+// of the live table and out of the rung. The scheduler prefers the rung to a
+// recruit only when the cost model prices the disk below the network, which
+// no command-line flag reaches: the interconnect here is 1 MB/s, where a
+// large enough overshoot spills although recruits remain.
+func TestSpilledNodesAreSplit(t *testing.T) {
+	cfg, err := testConfig(Split).normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpillEnabled = true
+	cfg.Cost.NetBandwidthBps = 1e6
+	r := runAndVerify(t, cfg)
+	spilled := make(map[rt.NodeID]bool)
+	var splitAfterSpill int
+	for _, e := range r.Events {
+		switch {
+		case e.Kind == "spill":
+			spilled[e.Node] = true
+		case e.Kind == "split" && spilled[e.Node]:
+			splitAfterSpill++
+		}
+	}
+	if splitAfterSpill != 8 {
+		t.Errorf("%d splits of a node that had spilled, want 8", splitAfterSpill)
+	}
+	got := fmt.Sprintf("%d ns, %d splits, %d partitions, %d B written, %d B read, %d moved, %d stray, %d messages, %d B on the wire",
+		totalNs(r), r.Splits, r.SpilledPartitions, r.SpillBytes, r.SpillReadBytes,
+		r.SplitMovedTuples, r.StrayBuildTuples, r.Messages, r.WireBytes)
+	const want = "5627620437 ns, 10 splits, 62 partitions, 4010900 B written, 4010900 B read, 48962 moved, 13486 stray, 625 messages, 16317852 B on the wire"
+	if got != want {
+		t.Errorf("report moved:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/hashfn"
 	"ehjoin/internal/hashtable"
@@ -28,6 +30,17 @@ type joinActor struct {
 	// a spillOrder — the expanding algorithms' last degradation rung. Nil
 	// until the first order arrives; mutually exclusive with spill (OOC).
 	spillRung *spill.Manager
+	// An eviction is a decision, not a table pass (DESIGN.md §9). From the
+	// first order on, partLive[p] counts the live table's tuples of spill
+	// partition p. Choosing p as a victim marks it spilled in the rung,
+	// charges its extraction and disk write, and moves its count to
+	// pendingN[p]; the tuples themselves stay staged in the table until
+	// flushEvictions hands them over, which every reader of the table's
+	// contents calls first. pending is the sum of pendingN.
+	partLive []int64
+	pendingN []int64
+	pending  int64
+	kept     []tuple.Tuple // insertOwned's and divertSpilledProbes' scratch
 
 	// Overflow-reporting state.
 	lastReport  int64 // table bytes when memFull was last sent
@@ -160,6 +173,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *memFullNack:
 		j.noMoreNodes = true
 	case *countReq:
+		j.flushEvictions()
 		counts := j.table.CountsInRange(msg.Range)
 		env.ChargeCPU(int64(len(counts)) * 2)
 		env.Send(from, &countResp{Range: msg.Range, Counts: counts})
@@ -183,6 +197,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 			j.spill.Finish(env)
 		}
 		if j.spillRung != nil {
+			j.flushEvictions()
 			j.spillRung.Finish(env)
 		}
 	case *setForward:
@@ -198,6 +213,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 		j.cloneTotal = msg.TotalTuples
 		j.maybeReleaseHeldProbes(env)
 	case *statsReq:
+		j.flushEvictions()
 		env.Send(from, j.snapshot())
 	}
 }
@@ -251,7 +267,7 @@ func (j *joinActor) windowTarget(rel tuple.Relation) int {
 		return base
 	}
 	chunkBytes := int64(j.cfg.ChunkTuples * j.cfg.Build.Layout.LogicalSize())
-	afford := (j.budget - j.table.Bytes()) / (4 * int64(j.cfg.Sources) * chunkBytes)
+	afford := (j.budget - j.liveBytes()) / (4 * int64(j.cfg.Sources) * chunkBytes)
 	return int(max(int64(base), min(int64(limit), afford)))
 }
 
@@ -260,6 +276,7 @@ func (j *joinActor) windowTarget(rel tuple.Relation) int {
 // in-flight strays and retains its accumulated output.
 func (j *joinActor) onCloneTable(env rt.Env, msg *cloneTable) {
 	j.probeRetired = true
+	j.flushEvictions()
 	copied := make([]tuple.Tuple, 0, j.table.Count())
 	j.table.ForEach(func(t tuple.Tuple) { copied = append(copied, t) })
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(copied)))
@@ -294,6 +311,7 @@ func (j *joinActor) maybeReleaseHeldProbes(env rt.Env) {
 // evicted (keys there are exempt from heavy routing — their probes must
 // keep flowing into the rung's probe files).
 func (j *joinActor) onKeyCountReq(env rt.Env, from rt.NodeID, msg *keyCountReq) {
+	j.flushEvictions()
 	keys, counts := j.table.KeyCountsAt(msg.Positions)
 	env.ChargeCPU(j.table.Count() / 4) // one bucket walk
 	resp := &keyCountResp{Keys: keys, Counts: counts}
@@ -316,6 +334,7 @@ func (j *joinActor) onKeyCountReq(env rt.Env, from rt.NodeID, msg *keyCountReq) 
 // be re-replicated — each original is cloned exactly once, by its holder.
 func (j *joinActor) onHeavyAssign(env rt.Env, msg *heavyAssign) {
 	env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
+	j.flushEvictions()
 	j.heavySet = make(map[uint64]bool, len(msg.Keys))
 	if j.heavyCopyCount == nil {
 		j.heavyCopyCount = make(map[uint64]int64)
@@ -428,7 +447,7 @@ type preInitChunk struct {
 // active owner; otherwise it retires and forwards stragglers there.
 func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 	env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
-	dropped := j.table.ExtractRange(msg.Range)
+	dropped := j.extractLive(msg.Range)
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(dropped)))
 	j.purged += int64(len(dropped))
 	// Heavy-key copies inside the purged range are gone too; keep the
@@ -561,6 +580,16 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 // insertBatch inserts a batch of build tuples and charges the
 // corresponding CPU cost.
 func (j *joinActor) insertBatch(env rt.Env, ts []tuple.Tuple) {
+	if j.spillRung != nil {
+		for _, t := range ts {
+			j.partLive[j.spillRung.PartOf(t.Key)]++
+		}
+	}
+	j.store(env, ts)
+}
+
+// store is insertBatch for tuples partLive already counts.
+func (j *joinActor) store(env rt.Env, ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
@@ -622,7 +651,7 @@ func (j *joinActor) checkOverflow(env rt.Env, grewBy int) {
 	if j.noMoreNodes || j.retired {
 		return
 	}
-	b := j.table.Bytes()
+	b := j.liveBytes()
 	if b <= j.budget {
 		return
 	}
@@ -650,13 +679,16 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 	if j.spillRung == nil {
 		j.spillRung = spill.NewRung(j.cfg.Space, j.cfg.Build.Layout, j.cfg.Probe.Layout,
 			j.budget, j.cfg.SpillPartitions, j.cfg.Cost)
+		j.partLive = make([]int64, j.spillRung.Parts())
+		j.pendingN = make([]int64, j.spillRung.Parts())
+		j.table.ForEach(func(t tuple.Tuple) { j.partLive[j.spillRung.PartOf(t.Key)]++ })
 	}
-	target := j.table.Bytes() - j.budget
+	target := j.liveBytes() - j.budget
 	if msg.TargetBytes > target {
 		target = msg.TargetBytes
 	}
 	freed := j.evictToRung(env, target)
-	if j.table.Bytes() <= j.budget {
+	if j.liveBytes() <= j.budget {
 		j.lastReport = 0 // relieved; future overflows report afresh
 	}
 	env.Send(j.cfg.schedulerID(), &spillAck{
@@ -665,47 +697,99 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 	})
 }
 
-// evictToRung moves whole spill partitions — largest first, the
-// highest-relief-per-seek order — from the live table to the rung until at
-// least target bytes are freed. Returns the bytes freed. The victims follow
-// from the per-partition counts alone, so they are chosen first and leave
-// the table in one pass.
+// liveBytes is the table's accounted size without the tuples of evicted
+// partitions still staged in it: what the node holds in memory as far as
+// the budget, the overflow reports and the advertised windows go.
+func (j *joinActor) liveBytes() int64 {
+	return j.table.Bytes() - j.pending*int64(j.cfg.Build.Layout.LogicalSize())
+}
+
+// evictToRung evicts whole spill partitions — largest first, the
+// highest-relief-per-seek order — until at least target bytes are freed,
+// and returns the bytes freed. The victims follow from the per-partition
+// counts alone: each is marked and charged here, at the decision, and its
+// tuples leave the table in flushEvictions.
 func (j *joinActor) evictToRung(env rt.Env, target int64) int64 {
-	if target <= 0 {
-		return 0
-	}
-	counts := make([]int64, j.spillRung.Parts())
-	j.table.ForEach(func(t tuple.Tuple) {
-		counts[j.spillRung.PartOf(t.Key)]++
-	})
 	size := int64(j.cfg.Build.Layout.LogicalSize())
 	var freed int64
-	var victims []int
-	evicted := make([][]tuple.Tuple, len(counts)) // non-nil marks a victim
 	for freed < target {
 		best, bestN := -1, int64(0)
-		for p, n := range counts {
-			if n > bestN && evicted[p] == nil && !j.spillRung.Spilled(p) {
+		for p, n := range j.partLive {
+			if n > bestN && !j.spillRung.Spilled(p) {
 				best, bestN = p, n
 			}
 		}
 		if best < 0 {
 			break // every populated partition is already on disk
 		}
-		victims = append(victims, best)
-		evicted[best] = make([]tuple.Tuple, 0, bestN)
+		j.spillRung.MarkEvicted(env, best, bestN)
+		j.partLive[best] = 0
+		j.pendingN[best] = bestN
+		j.pending += bestN
 		freed += bestN * size
 	}
-	for _, t := range j.table.ExtractMatching(func(t tuple.Tuple) bool {
-		return evicted[j.spillRung.PartOf(t.Key)] != nil
-	}) {
-		p := j.spillRung.PartOf(t.Key)
-		evicted[p] = append(evicted[p], t)
-	}
-	for _, p := range victims {
-		j.spillRung.EvictBuild(env, p, evicted[p])
-	}
 	return freed
+}
+
+// flushEvictions moves the tuples of every partition evicted since the last
+// flush from the live table to the rung, in one pass sized by the counts the
+// decisions were made from. Anything that reads the table's contents —
+// the first probe chunk, a split, reshuffle or purge extraction, the
+// detection and reshuffle counts, a table clone, the stats snapshot, the
+// rung's finish phase — calls it first; inserts and further decisions do not
+// need to.
+func (j *joinActor) flushEvictions() {
+	if j.pending == 0 {
+		return
+	}
+	moved := j.table.ExtractCounted(j.pending, func(t tuple.Tuple) bool {
+		return j.pendingN[j.spillRung.PartOf(t.Key)] > 0
+	})
+	byPart := make([][]tuple.Tuple, len(j.pendingN))
+	for p, n := range j.pendingN {
+		if n > 0 {
+			byPart[p] = make([]tuple.Tuple, 0, n)
+		}
+	}
+	for _, t := range moved {
+		p := j.spillRung.PartOf(t.Key)
+		byPart[p] = append(byPart[p], t)
+	}
+	for p, n := range j.pendingN {
+		if int64(len(byPart[p])) != n {
+			panic(fmt.Sprintf("core: node %d flushed %d tuples of evicted partition %d, its eviction counted %d",
+				j.id, len(byPart[p]), p, n))
+		}
+		if n > 0 {
+			j.spillRung.AdoptBuild(p, byPart[p])
+			j.pendingN[p] = 0
+		}
+	}
+	j.pending = 0
+}
+
+// extractLive removes the live table's tuples of rng.
+func (j *joinActor) extractLive(rng hashfn.Range) []tuple.Tuple {
+	j.flushEvictions()
+	moved := j.table.ExtractRange(rng)
+	if j.spillRung != nil {
+		for _, t := range moved {
+			j.partLive[j.spillRung.PartOf(t.Key)]--
+		}
+	}
+	return moved
+}
+
+// extractOwned removes every build tuple of rng this node holds, in the live
+// table or — read back from disk — in the rung: a split or reshuffle
+// migrating the range must take both, because probes for it route to the
+// new owner from now on.
+func (j *joinActor) extractOwned(env rt.Env, rng hashfn.Range) []tuple.Tuple {
+	moved := j.extractLive(rng)
+	if j.spillRung != nil {
+		moved = append(moved, j.spillRung.ExtractRange(env, rng)...)
+	}
+	return moved
 }
 
 // insertOwned stores owned build tuples: with the spill rung engaged,
@@ -716,36 +800,36 @@ func (j *joinActor) insertOwned(env rt.Env, ts []tuple.Tuple) {
 		j.insertBatch(env, ts)
 		return
 	}
-	kept := make([]tuple.Tuple, 0, len(ts))
+	kept := j.kept[:0]
 	for _, t := range ts {
-		if j.spillRung.Spilled(j.spillRung.PartOf(t.Key)) {
+		if p := j.spillRung.PartOf(t.Key); j.spillRung.Spilled(p) {
 			j.spillRung.SpillBuild(env, t)
 		} else {
 			kept = append(kept, t)
+			j.partLive[p]++
 		}
 	}
-	j.insertBatch(env, kept)
+	j.store(env, kept)
+	j.kept = kept[:0]
 }
 
 // divertSpilledProbes streams probe tuples of evicted partitions to the
-// spill rung and returns the chunk of tuples that still probe the live
-// table (nil when nothing remains).
-func (j *joinActor) divertSpilledProbes(env rt.Env, c *tuple.Chunk) *tuple.Chunk {
-	kept := make([]tuple.Tuple, 0, len(c.Tuples))
-	for _, t := range c.Tuples {
+// spill rung and returns the tuples that still probe the live table, in
+// the actor's scratch unless that is all of them.
+func (j *joinActor) divertSpilledProbes(env rt.Env, ts []tuple.Tuple) []tuple.Tuple {
+	kept := j.kept[:0]
+	for _, t := range ts {
 		if j.spillRung.Spilled(j.spillRung.PartOf(t.Key)) {
 			j.spillRung.SpillProbe(env, t)
 		} else {
 			kept = append(kept, t)
 		}
 	}
-	if len(kept) == len(c.Tuples) {
-		return c
+	j.kept = kept[:0]
+	if len(kept) == len(ts) {
+		return ts
 	}
-	if len(kept) == 0 {
-		return nil
-	}
-	return &tuple.Chunk{Rel: c.Rel, Layout: c.Layout, Tuples: kept}
+	return kept
 }
 
 // onSplit executes a split order: keep the lower half, migrate the upper
@@ -753,12 +837,7 @@ func (j *joinActor) divertSpilledProbes(env rt.Env, c *tuple.Chunk) *tuple.Chunk
 func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 	j.rng = msg.Lower
 	j.updateRoute(msg.Table)
-	moved := j.table.ExtractRange(msg.Upper)
-	if j.spillRung != nil {
-		// Spilled tuples in the migrating range must travel too — probes
-		// for that range route to the new node from now on.
-		moved = append(moved, j.spillRung.ExtractRange(env, msg.Upper)...)
-	}
+	moved := j.extractOwned(env, msg.Upper)
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(moved)))
 	j.movedOut += int64(len(moved))
 	j.shipTuples(env, msg.NewNode, moved, j.cfg.Build.Layout)
@@ -774,7 +853,7 @@ func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 	j.splitOpNs += j.cfg.Cost.MoveNs*int64(len(moved)) +
 		j.cfg.Cost.NetTransferNs(int(movedBytes)) +
 		j.cfg.Cost.BuildNs*int64(len(moved)) // re-insertion at the new node
-	if j.table.Bytes() <= j.budget {
+	if j.liveBytes() <= j.budget {
 		j.lastReport = 0 // relieved; future overflows report afresh
 	}
 	env.Send(j.cfg.schedulerID(), &splitDone{MovedTuples: int64(len(moved))})
@@ -810,10 +889,7 @@ func (j *joinActor) onReshuffle(env rt.Env, msg *reshuffleAssign) {
 		if owner == j.id {
 			continue
 		}
-		moved := j.table.ExtractRange(e.Range)
-		if j.spillRung != nil {
-			moved = append(moved, j.spillRung.ExtractRange(env, e.Range)...)
-		}
+		moved := j.extractOwned(env, e.Range)
 		if len(moved) == 0 {
 			continue
 		}
@@ -845,36 +921,38 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		}
 		return
 	}
+	ts := c.Tuples
 	if j.spillRung != nil {
-		if c = j.divertSpilledProbes(env, c); c == nil {
+		j.flushEvictions()
+		if ts = j.divertSpilledProbes(env, ts); len(ts) == 0 {
 			return
 		}
 	}
 	if j.fw != nil {
-		j.probeAndForward(env, c)
+		j.probeAndForward(env, ts)
 		return
 	}
-	m, x := j.table.ProbeAll(c.Tuples)
+	m, x := j.table.ProbeAll(ts)
 	j.matches += uint64(m)
 	j.checksum ^= x
-	env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(c.Tuples)) + j.cfg.Cost.MatchNs*m)
+	env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(ts)) + j.cfg.Cost.MatchNs*m)
 	if j.cfg.MaterializeOutput {
-		j.checkProbeOverflow(env, c)
+		j.checkProbeOverflow(env, len(ts)*c.Layout.LogicalSize())
 	}
 }
 
 // checkProbeOverflow accounts materialised output and reports overflow
 // during the probe phase (§4 footnote 1).
-func (j *joinActor) checkProbeOverflow(env rt.Env, c *tuple.Chunk) {
+func (j *joinActor) checkProbeOverflow(env rt.Env, grewBy int) {
 	j.outputBytes = int64(j.matches) * int64(j.cfg.outputLayout().LogicalSize())
 	if j.probeRetired || j.noMoreNodes {
 		return
 	}
-	total := j.table.Bytes() + j.outputBytes
+	total := j.liveBytes() + j.outputBytes
 	if total <= j.budget {
 		return
 	}
-	if j.lastReport != 0 && total < j.lastReport+int64(c.LogicalBytes()) {
+	if j.lastReport != 0 && total < j.lastReport+int64(grewBy) {
 		return
 	}
 	j.lastReport = total
@@ -885,10 +963,10 @@ func (j *joinActor) checkProbeOverflow(env rt.Env, c *tuple.Chunk) {
 // becomes an intermediate tuple, keyed by the matched build tuple's
 // next-level join attribute and carrying the running path fingerprint,
 // streamed to the next stage's nodes.
-func (j *joinActor) probeAndForward(env rt.Env, c *tuple.Chunk) {
-	env.ChargeCPU(j.cfg.Cost.ProbeNs * int64(len(c.Tuples)))
+func (j *joinActor) probeAndForward(env rt.Env, ts []tuple.Tuple) {
+	env.ChargeCPU(j.cfg.Cost.ProbeNs * int64(len(ts)))
 	var out map[rt.NodeID]*tuple.Builder
-	for _, s := range c.Tuples {
+	for _, s := range ts {
 		n := j.table.Probe(s.Key, func(b tuple.Tuple) {
 			next := tuple.Tuple{
 				Index: tuple.MixPair(b.Index, s.Index),

@@ -409,6 +409,14 @@ func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
 	return t.extract(nil, pred)
 }
 
+// ExtractCounted is ExtractMatching for a caller that knows how many stored
+// tuples satisfy pred: the result is allocated once, at that size. A join
+// node's spill rung counts its partitions as tuples arrive and extracts all
+// the partitions it has decided to evict in one such pass.
+func (t *Table) ExtractCounted(n int64, pred func(tuple.Tuple) bool) []tuple.Tuple {
+	return t.extract(make([]tuple.Tuple, 0, n), pred)
+}
+
 // extract removes every stored tuple satisfying pred, in place, and
 // returns them appended to moved (empty, with the capacity the caller
 // could predict).

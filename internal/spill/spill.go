@@ -72,8 +72,8 @@ type Manager struct {
 	resident  []bool
 	residentB []int64 // logical bytes of each resident partition
 
-	spilledR [][]tuple.Tuple
-	spilledS [][]tuple.Tuple
+	spilledR []stream
+	spilledS []stream
 	rBytes   []int64
 	sBytes   []int64
 
@@ -87,6 +87,87 @@ type Manager struct {
 
 	matches  uint64
 	checksum uint64
+}
+
+// stream is one spilled partition's tuples of one relation, in the order
+// they reached the disk. It grows the way a hashtable segment's staging area
+// does: its only block doubles from streamFirst to streamBlock, after which
+// blocks are added, so a tuple already spilled is never copied again and a
+// partition holding a handful of tuples stays at a few hundred bytes. A
+// block need not be full — adoptFront and remove leave short ones behind;
+// add only ever looks at the last.
+type stream struct {
+	blocks [][]tuple.Tuple
+	n      int // tuples in all blocks
+}
+
+const (
+	streamBlock = 1024
+	streamFirst = 16
+)
+
+// add appends one tuple.
+func (s *stream) add(t tuple.Tuple) {
+	k := len(s.blocks)
+	if k == 0 || len(s.blocks[k-1]) == cap(s.blocks[k-1]) {
+		switch {
+		case k == 0:
+			s.blocks = append(s.blocks, make([]tuple.Tuple, 0, streamFirst))
+		case k == 1 && cap(s.blocks[0]) < streamBlock:
+			s.blocks[0] = append(make([]tuple.Tuple, 0, 2*cap(s.blocks[0])), s.blocks[0]...)
+		default:
+			s.blocks = append(s.blocks, make([]tuple.Tuple, 0, streamBlock))
+		}
+		k = len(s.blocks)
+	}
+	s.blocks[k-1] = append(s.blocks[k-1], t)
+	s.n++
+}
+
+// adoptFront makes ts, whose ownership passes to the stream, its first
+// tuples.
+func (s *stream) adoptFront(ts []tuple.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
+	s.blocks = append([][]tuple.Tuple{ts}, s.blocks...)
+	s.n += len(ts)
+}
+
+// each calls fn with the consecutive pieces of the stream that hold its
+// tuples lo through hi-1.
+func (s *stream) each(lo, hi int, fn func([]tuple.Tuple)) {
+	for _, b := range s.blocks {
+		if hi <= 0 {
+			return
+		}
+		if lo < len(b) {
+			fn(b[max(lo, 0):min(hi, len(b))])
+		}
+		lo, hi = lo-len(b), hi-len(b)
+	}
+}
+
+// remove deletes the tuples take returns true for, keeping the order of the
+// rest, and releases the blocks that emptied.
+func (s *stream) remove(take func(tuple.Tuple) bool) {
+	blocks := s.blocks[:0]
+	for _, b := range s.blocks {
+		kept := b[:0]
+		for _, t := range b {
+			if !take(t) {
+				kept = append(kept, t)
+			}
+		}
+		s.n -= len(b) - len(kept)
+		if len(kept) > 0 {
+			blocks = append(blocks, kept)
+		}
+	}
+	for i := len(blocks); i < len(s.blocks); i++ {
+		s.blocks[i] = nil
+	}
+	s.blocks = blocks
 }
 
 // New returns a Manager with the given spill fan-out (rounded up to a power
@@ -125,8 +206,8 @@ func NewWithPolicy(space hashfn.Space, layoutR, layoutS tuple.Layout, budget int
 		table:     hashtable.New(space, layoutR),
 		resident:  make([]bool, p),
 		residentB: make([]int64, p),
-		spilledR:  make([][]tuple.Tuple, p),
-		spilledS:  make([][]tuple.Tuple, p),
+		spilledR:  make([]stream, p),
+		spilledS:  make([]stream, p),
 		rBytes:    make([]int64, p),
 		sBytes:    make([]int64, p),
 	}
@@ -214,7 +295,7 @@ func (m *Manager) InsertBuild(env rt.Env, t tuple.Tuple) {
 		return
 	}
 	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledR[p] = append(m.spilledR[p], t)
+	m.spilledR[p].add(t)
 	m.rBytes[p] += size
 	m.chargeWrite(env, size)
 }
@@ -226,16 +307,12 @@ func (m *Manager) evictAll(env rt.Env) {
 		if !res {
 			continue
 		}
+		var moved []tuple.Tuple
 		if m.residentB[p] > 0 {
-			moved := m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == p })
-			env.ChargeCPU(m.cm.MoveNs * int64(len(moved)))
-			m.spilledR[p] = append(m.spilledR[p], moved...)
-			m.rBytes[p] += m.residentB[p]
-			m.chargeWrite(env, m.residentB[p])
+			moved = m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == p })
 			m.residentB[p] = 0
-			m.Evictions++
 		}
-		m.resident[p] = false
+		m.EvictBuild(env, p, moved)
 	}
 }
 
@@ -256,32 +333,41 @@ func (m *Manager) evictLargest(env rt.Env) bool {
 		m.resident[best] = false
 		return false
 	}
-	moved := m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == best })
-	env.ChargeCPU(m.cm.MoveNs * int64(len(moved)))
-	m.spilledR[best] = append(m.spilledR[best], moved...)
-	m.rBytes[best] += bestBytes
-	m.chargeWrite(env, bestBytes)
-	m.resident[best] = false
+	m.EvictBuild(env, best, m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == best }))
 	m.residentB[best] = 0
-	m.Evictions++
 	return true
 }
 
-// EvictBuild (rung mode) marks partition p evicted and takes ownership of
-// its build tuples, which the caller extracted from the node's live table.
-// Subsequent tuples of the partition must stream through SpillBuild /
-// SpillProbe.
+// EvictBuild marks partition p evicted and takes ownership of its build
+// tuples, which the caller extracted from the table holding them.
 func (m *Manager) EvictBuild(env rt.Env, p int, moved []tuple.Tuple) {
+	m.MarkEvicted(env, p, int64(len(moved)))
+	m.AdoptBuild(p, moved)
+}
+
+// MarkEvicted is the decision half of an eviction: partition p is on disk
+// from here on — in rung mode its later tuples must stream through
+// SpillBuild / SpillProbe — and the n build tuples still in memory are
+// charged now, extraction and disk write alike. The caller owes them to
+// AdoptBuild before anything reads the partition's stream.
+func (m *Manager) MarkEvicted(env rt.Env, p int, n int64) {
 	m.resident[p] = false
-	if len(moved) == 0 {
+	if n == 0 {
 		return
 	}
-	env.ChargeCPU(m.cm.MoveNs * int64(len(moved)))
-	m.spilledR[p] = append(m.spilledR[p], moved...)
-	bytes := int64(len(moved)) * int64(m.layoutR.LogicalSize())
+	env.ChargeCPU(m.cm.MoveNs * n)
+	bytes := n * int64(m.layoutR.LogicalSize())
 	m.rBytes[p] += bytes
 	m.chargeWrite(env, bytes)
 	m.Evictions++
+}
+
+// AdoptBuild takes ownership of the build tuples MarkEvicted charged for.
+// They were in memory when the partition was marked, so they go ahead of
+// whatever streamed to it since: the stream reads as if they had been
+// written at the decision.
+func (m *Manager) AdoptBuild(p int, moved []tuple.Tuple) {
+	m.spilledR[p].adoptFront(moved)
 }
 
 // SpillBuild (rung mode) streams one build tuple of an evicted partition to
@@ -289,7 +375,7 @@ func (m *Manager) EvictBuild(env rt.Env, p int, moved []tuple.Tuple) {
 func (m *Manager) SpillBuild(env rt.Env, t tuple.Tuple) {
 	p := m.partOf(t.Key)
 	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledR[p] = append(m.spilledR[p], t)
+	m.spilledR[p].add(t)
 	size := int64(m.layoutR.LogicalSize())
 	m.rBytes[p] += size
 	m.chargeWrite(env, size)
@@ -300,7 +386,7 @@ func (m *Manager) SpillBuild(env rt.Env, t tuple.Tuple) {
 func (m *Manager) SpillProbe(env rt.Env, t tuple.Tuple) {
 	p := m.partOf(t.Key)
 	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledS[p] = append(m.spilledS[p], t)
+	m.spilledS[p].add(t)
 	size := int64(m.layoutS.LogicalSize())
 	m.sBytes[p] += size
 	m.chargeWrite(env, size)
@@ -314,16 +400,15 @@ func (m *Manager) ExtractRange(env rt.Env, rng hashfn.Range) []tuple.Tuple {
 	var moved []tuple.Tuple
 	size := int64(m.layoutR.LogicalSize())
 	for p := range m.spilledR {
-		kept := m.spilledR[p][:0]
-		for _, t := range m.spilledR[p] {
-			if rng.Contains(m.space.PositionOf(t.Key)) {
-				moved = append(moved, t)
-				m.rBytes[p] -= size
-			} else {
-				kept = append(kept, t)
+		before := len(moved)
+		m.spilledR[p].remove(func(t tuple.Tuple) bool {
+			if !rng.Contains(m.space.PositionOf(t.Key)) {
+				return false
 			}
-		}
-		m.spilledR[p] = kept
+			moved = append(moved, t)
+			return true
+		})
+		m.rBytes[p] -= int64(len(moved)-before) * size
 	}
 	if len(moved) > 0 {
 		bytes := int64(len(moved)) * size
@@ -342,26 +427,14 @@ func (m *Manager) PurgeRange(rng hashfn.Range) int64 {
 	var dropped int64
 	rSize := int64(m.layoutR.LogicalSize())
 	sSize := int64(m.layoutS.LogicalSize())
+	inRange := func(t tuple.Tuple) bool { return rng.Contains(m.space.PositionOf(t.Key)) }
 	for p := range m.spilledR {
-		kept := m.spilledR[p][:0]
-		for _, t := range m.spilledR[p] {
-			if rng.Contains(m.space.PositionOf(t.Key)) {
-				dropped++
-				m.rBytes[p] -= rSize
-			} else {
-				kept = append(kept, t)
-			}
-		}
-		m.spilledR[p] = kept
-		keptS := m.spilledS[p][:0]
-		for _, t := range m.spilledS[p] {
-			if rng.Contains(m.space.PositionOf(t.Key)) {
-				m.sBytes[p] -= sSize
-			} else {
-				keptS = append(keptS, t)
-			}
-		}
-		m.spilledS[p] = keptS
+		r, s := m.spilledR[p].n, m.spilledS[p].n
+		m.spilledR[p].remove(inRange)
+		m.spilledS[p].remove(inRange)
+		dropped += int64(r - m.spilledR[p].n)
+		m.rBytes[p] -= int64(r-m.spilledR[p].n) * rSize
+		m.sBytes[p] -= int64(s-m.spilledS[p].n) * sSize
 	}
 	return dropped
 }
@@ -376,7 +449,7 @@ func (m *Manager) Probe(env rt.Env, t tuple.Tuple) {
 		return
 	}
 	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledS[p] = append(m.spilledS[p], t)
+	m.spilledS[p].add(t)
 	size := int64(m.layoutS.LogicalSize())
 	m.sBytes[p] += size
 	m.chargeWrite(env, size)
@@ -394,46 +467,39 @@ func (m *Manager) probeAll(env rt.Env, tbl *hashtable.Table, ts []tuple.Tuple) {
 // Finish joins every spilled partition pair (the OOC algorithm's final
 // local phase). Build partitions larger than the memory budget are joined
 // in block-nested-loop passes, re-reading the spilled probe partition once
-// per pass.
+// per pass. Every block is joined through one transient table, emptied
+// between blocks.
 func (m *Manager) Finish(env rt.Env) {
 	m.flushWrites(env)
-	for p := 0; p < m.parts; p++ {
-		rpart := m.spilledR[p]
-		if len(rpart) == 0 {
-			// A probe-only partition cannot produce matches: skip it
-			// entirely rather than paying a seek, building a transient
-			// empty table, and re-reading the whole spilled probe stream.
-			continue
-		}
-		rSize := int64(m.layoutR.LogicalSize())
-		blockTuples := int(m.budget / rSize)
-		if blockTuples < 1 {
-			blockTuples = 1
-		}
-		for lo := 0; lo < len(rpart); lo += blockTuples {
-			hi := lo + blockTuples
-			if hi > len(rpart) {
-				hi = len(rpart)
-			}
+	rSize := int64(m.layoutR.LogicalSize())
+	blockTuples := max(int(m.budget/rSize), 1)
+	var tbl *hashtable.Table
+	for p := range m.spilledR {
+		rpart, spart := &m.spilledR[p], &m.spilledS[p]
+		// A probe-only partition cannot produce matches: it costs no seek,
+		// no table, and no re-read of its spilled probe stream.
+		for lo := 0; lo < rpart.n; lo += blockTuples {
+			hi := min(lo+blockTuples, rpart.n)
 			if lo > 0 {
 				m.BNLPasses++
 			}
-			block := rpart[lo:hi]
-			// Read the build block, build a transient table.
+			// Read the build block, build the transient table.
 			env.ChargeCPU(m.cm.DiskSeekNs)
-			env.ChargeDisk(int64(len(block))*rSize, true)
-			m.SpillReadBytes += int64(len(block)) * rSize
-			tbl := hashtable.New(m.space, m.layoutR)
-			for _, t := range block {
-				env.ChargeCPU(m.cm.BuildNs)
-				tbl.Insert(t)
+			env.ChargeDisk(int64(hi-lo)*rSize, true)
+			m.SpillReadBytes += int64(hi-lo) * rSize
+			if tbl == nil {
+				tbl = hashtable.New(m.space, m.layoutR)
+			} else {
+				tbl.Reset()
 			}
+			env.ChargeCPU(m.cm.BuildNs * int64(hi-lo))
+			rpart.each(lo, hi, tbl.InsertAll)
 			// Stream the spilled probe partition against it.
-			if len(m.spilledS[p]) > 0 {
+			if spart.n > 0 {
 				env.ChargeCPU(m.cm.DiskSeekNs)
 				env.ChargeDisk(m.sBytes[p], true)
 				m.SpillReadBytes += m.sBytes[p]
-				m.probeAll(env, tbl, m.spilledS[p])
+				spart.each(0, spart.n, func(ts []tuple.Tuple) { m.probeAll(env, tbl, ts) })
 			}
 		}
 	}
@@ -443,8 +509,8 @@ func (m *Manager) Finish(env rt.Env) {
 // spilled (used by the conservation invariant).
 func (m *Manager) StoredBuildTuples() int64 {
 	n := m.table.Count()
-	for _, part := range m.spilledR {
-		n += int64(len(part))
+	for p := range m.spilledR {
+		n += int64(m.spilledR[p].n)
 	}
 	return n
 }

@@ -383,3 +383,69 @@ func TestWriteBatching(t *testing.T) {
 		t.Errorf("charged %d write bytes, accounted %d", env.writes, m.SpillWrittenBytes)
 	}
 }
+
+// TestStreamMatchesSliceModel drives a stream and a plain slice through the
+// same random appends, front adoptions, removals and window reads.
+func TestStreamMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s stream
+	var model []tuple.Tuple
+	next := uint64(0)
+	fresh := func(n int) []tuple.Tuple {
+		out := make([]tuple.Tuple, n, n+rng.Intn(3)) // spare capacity, as a caller's slice may have
+		for i := range out {
+			out[i] = tuple.Tuple{Index: next, Key: rng.Uint64()}
+			next++
+		}
+		return out
+	}
+	for step := 0; step < 2000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 14:
+			for _, tp := range fresh(1 + rng.Intn(300)) {
+				s.add(tp)
+				model = append(model, tp)
+			}
+		case op < 16:
+			ts := fresh(rng.Intn(1500))
+			model = append(append([]tuple.Tuple{}, ts...), model...)
+			s.adoptFront(ts)
+		default:
+			mask := uint64(1)<<uint(1+rng.Intn(3)) - 1
+			take := func(tp tuple.Tuple) bool { return tp.Key&mask == 0 }
+			kept := model[:0]
+			for _, tp := range model {
+				if !take(tp) {
+					kept = append(kept, tp)
+				}
+			}
+			model = kept
+			s.remove(take)
+		}
+		if s.n != len(model) {
+			t.Fatalf("step %d: stream counts %d tuples, model holds %d", step, s.n, len(model))
+		}
+		lo := rng.Intn(len(model) + 1)
+		hi := lo + rng.Intn(len(model)-lo+1)
+		var got []tuple.Tuple
+		s.each(lo, hi, func(ts []tuple.Tuple) {
+			if len(ts) == 0 {
+				t.Fatalf("step %d: each(%d, %d) delivered an empty piece", step, lo, hi)
+			}
+			got = append(got, ts...)
+		})
+		if len(got) != hi-lo {
+			t.Fatalf("step %d: each(%d, %d) delivered %d tuples", step, lo, hi, len(got))
+		}
+		for i, tp := range got {
+			if tp != model[lo+i] {
+				t.Fatalf("step %d: each(%d, %d) tuple %d is %v, model has %v", step, lo, hi, i, tp, model[lo+i])
+			}
+		}
+		for _, b := range s.blocks {
+			if len(b) == 0 {
+				t.Fatalf("step %d: stream keeps an empty block", step)
+			}
+		}
+	}
+}
