@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -74,6 +75,7 @@ func main() {
 		coordKill    = flag.String("coord-kill", "", "kill the coordinator after record N of phase P, format P@N (P=-1 counts whole-log records); fault-injection demo, needs -wal")
 		coordRestart = flag.Bool("coord-restart", false, "on coordinator death, restart in-process: replay the -wal log, rebind the listener, and resume the run where it died")
 		park         = flag.Bool("park", false, "workers ride out a coordinator crash parked in their redial loop instead of treating EOF as shutdown (implied for spawned workers by -coord-restart)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the coordinator to FILE and of each spawned worker i to FILE.w<i>")
 	)
 	flag.Parse()
 
@@ -86,6 +88,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ehjadist: unknown wire mode %q (want binary or gob)\n", *wireMode)
 		os.Exit(2)
 	}
+	startCPUProfile(*cpuProfile)
+	defer stopCPUProfile()
 
 	if *worker {
 		runWorker(*connect, *chaos, *resume, *p2p, *park)
@@ -104,6 +108,7 @@ func main() {
 		alg = core.OutOfCore
 	default:
 		fmt.Fprintf(os.Stderr, "ehjadist: unknown algorithm %q\n", *algName)
+		stopCPUProfile()
 		os.Exit(2)
 	}
 
@@ -202,6 +207,9 @@ func main() {
 				"-park=" + strconv.FormatBool(*park)}
 			if *chaos != "" {
 				args = append(args, "-chaos", *chaos)
+			}
+			if *cpuProfile != "" {
+				args = append(args, "-cpuprofile", *cpuProfile+".w"+strconv.Itoa(i))
 			}
 			cmd := exec.Command(self, args...)
 			cmd.Stderr = os.Stderr
@@ -449,7 +457,29 @@ func runWorker(connect, chaos string, resume, p2p, park bool) {
 	}
 }
 
+// stopCPUProfile ends the -cpuprofile profile, if one is running; fatal
+// calls it too, because os.Exit skips deferred calls.
+var stopCPUProfile = func() {}
+
+func startCPUProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	stopCPUProfile = func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ehjadist:", err)
+	stopCPUProfile()
 	os.Exit(1)
 }

@@ -10,19 +10,23 @@ import (
 	"testing"
 )
 
-// spillGoldens are ehjarun -spill command lines whose complete reports —
-// virtual times, expansion log, per-node CPU and disk seconds — are pinned
-// in testdata/<name>.golden. The simulator is deterministic, so any change
-// to what the spill rung charges, when it charges it, or which partitions it
-// evicts moves some byte of these files. To capture them again after an
-// intended change of behaviour:
+// golden is an ehjarun command line whose complete report — virtual times,
+// expansion log, per-node CPU and disk seconds — is pinned in
+// testdata/<name>.golden. The simulator is deterministic, so any change to
+// what a node charges, when it charges it, or what it decides moves some
+// byte of these files. To capture them again after an intended change of
+// behaviour:
 //
 //	go build -o /tmp/ehjarun ./cmd/ehjarun
 //	/tmp/ehjarun <args> > cmd/ehjarun/testdata/<name>.golden
-var spillGoldens = []struct {
+type golden struct {
 	name string
 	args string
-}{
+}
+
+// spillGoldens pin the spill rung: which partitions it evicts, what it
+// charges, how the expanding algorithms reach it.
+var spillGoldens = []golden{
 	// The three expanding algorithms on an exhausted 3-node cluster; the
 	// hybrid run reshuffles tuples out of a spilled node's rung.
 	{"hybrid_uniform", "-alg hybrid -r 200000 -s 200000 -initial 2 -max 3 -budget 1048576 -spill -v"},
@@ -39,10 +43,37 @@ var spillGoldens = []struct {
 	{"split_faults", "-alg split -r 200000 -s 200000 -initial 3 -max 4 -budget 1048576 -spill -faults 1@0.7 -v"},
 }
 
+// reportGoldens pin runs that never spill: routing, expansion, reshuffle,
+// failure recovery and heavy-key routing.
+var reportGoldens = []golden{
+	// The benchmark's sim_hybrid workload at two seeds: 4 -> 16 nodes, 12
+	// replications, four 4-member reshuffle groups.
+	{"sim_hybrid_seed1", "-alg hybrid -initial 4 -max 24 -r 1500000 -s 1500000 -budget 10000000 -seed 1 -v"},
+	{"sim_hybrid_seed7", "-alg hybrid -initial 4 -max 24 -r 1500000 -s 1500000 -budget 10000000 -seed 7 -v"},
+	{"replication_expand", "-alg replication -r 200000 -s 200000 -initial 2 -max 12 -budget 1048576 -v"},
+	// Splits with stray re-routing through each node's routing table.
+	{"split_expand", "-alg split -r 200000 -s 200000 -initial 2 -max 12 -budget 1048576 -v"},
+	// Zipf 1.5 build, correlated probes: heavy keys replicated across their
+	// serving group, their probes routed round-robin.
+	{"split_zipf_heavy", "-alg split -initial 4 -max 4 -sources 4 -r 40000 -s 40000 -dist zipf -probe-dist correlated -budget 67108864 -heavy -v"},
+	// A crash during the hybrid build: the range is rebuilt at a new sole
+	// owner and re-streamed, then reshuffled.
+	{"hybrid_expand_faults", "-alg hybrid -r 200000 -s 200000 -initial 2 -max 12 -budget 1048576 -faults 0@0.5 -v"},
+	// Two crashes and no spare node: the orphaned entries merge into their
+	// live neighbours.
+	{"split_faults_merge", "-alg split -initial 4 -max 4 -sources 4 -r 200000 -s 200000 -budget 4194304 -faults 1@0.2,2@0.3 -v"},
+}
+
 var wallClock = regexp.MustCompile(`wall clock [0-9.]+s`)
 
-func TestSpillReportsMatchGolden(t *testing.T) {
-	for _, g := range spillGoldens {
+func TestSpillReportsMatchGolden(t *testing.T) { checkGoldens(t, spillGoldens) }
+
+func TestReportsMatchGolden(t *testing.T) { checkGoldens(t, reportGoldens) }
+
+// checkGoldens runs every command line in-process and compares its report
+// with the pinned one byte for byte, wall clock aside.
+func checkGoldens(t *testing.T, goldens []golden) {
+	for _, g := range goldens {
 		t.Run(g.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -104,12 +105,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spillRung   = fs.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
 		heavy       = fs.Bool("heavy", false, "detect heavy-hitter keys after the build and replicate them across their serving group, partitioning their probes instead of broadcasting (DESIGN.md §11)")
 		heavyThresh = fs.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 with -heavy: 1/(2·initial nodes))")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, "ehjarun:", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(stderr, "ehjarun:", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	alg, err := parseAlg(*algName)

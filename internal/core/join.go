@@ -120,6 +120,7 @@ func (j *joinActor) activate(rng hashfn.Range, route *hashfn.Table) {
 
 func (j *joinActor) updateRoute(t *hashfn.Table) {
 	if t != nil && (j.route == nil || t.Version > j.route.Version) {
+		t.TakeIndex(j.route)
 		j.route = t
 	}
 }
@@ -447,7 +448,7 @@ type preInitChunk struct {
 // active owner; otherwise it retires and forwards stragglers there.
 func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 	env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
-	dropped := j.extractLive(msg.Range)
+	dropped := j.extractLive(msg.Range)[0]
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(dropped)))
 	j.purged += int64(len(dropped))
 	// Heavy-key copies inside the purged range are gone too; keep the
@@ -768,13 +769,16 @@ func (j *joinActor) flushEvictions() {
 	j.pending = 0
 }
 
-// extractLive removes the live table's tuples of rng.
-func (j *joinActor) extractLive(rng hashfn.Range) []tuple.Tuple {
+// extractLive removes the live table's tuples of the disjoint ranges rs, in
+// one pass, and returns them per range.
+func (j *joinActor) extractLive(rs ...hashfn.Range) [][]tuple.Tuple {
 	j.flushEvictions()
-	moved := j.table.ExtractRange(rng)
+	moved := j.table.ExtractRanges(rs)
 	if j.spillRung != nil {
-		for _, t := range moved {
-			j.partLive[j.spillRung.PartOf(t.Key)]--
+		for _, ts := range moved {
+			for _, t := range ts {
+				j.partLive[j.spillRung.PartOf(t.Key)]--
+			}
 		}
 	}
 	return moved
@@ -785,11 +789,16 @@ func (j *joinActor) extractLive(rng hashfn.Range) []tuple.Tuple {
 // migrating the range must take both, because probes for it route to the
 // new owner from now on.
 func (j *joinActor) extractOwned(env rt.Env, rng hashfn.Range) []tuple.Tuple {
-	moved := j.extractLive(rng)
-	if j.spillRung != nil {
-		moved = append(moved, j.spillRung.ExtractRange(env, rng)...)
+	return j.withSpilled(env, rng, j.extractLive(rng)[0])
+}
+
+// withSpilled appends the rung's tuples of rng, read back from disk, to the
+// live ones.
+func (j *joinActor) withSpilled(env rt.Env, rng hashfn.Range, live []tuple.Tuple) []tuple.Tuple {
+	if j.spillRung == nil {
+		return live
 	}
-	return moved
+	return append(live, j.spillRung.ExtractRange(env, rng)...)
 }
 
 // insertOwned stores owned build tuples: with the spill rung engaged,
@@ -878,18 +887,26 @@ func (j *joinActor) shipTuples(env rt.Env, dest rt.NodeID, ts []tuple.Tuple, lay
 }
 
 // onReshuffle redistributes this node's share of a replicated range so the
-// group's ranges become disjoint again (§4.2.3).
+// group's ranges become disjoint again (§4.2.3). Every departing range
+// leaves the live table in one pass; the rung's spilled tuples are read
+// back per range.
 func (j *joinActor) onReshuffle(env rt.Env, msg *reshuffleAssign) {
 	j.rng = msg.Keep
 	j.retired = false
 	j.forwardTo = rt.NoNode
 	j.updateRoute(msg.Table)
+	var away []hashfn.Entry
+	var rs []hashfn.Range
 	for _, e := range msg.GroupEntries {
-		owner := rt.NodeID(e.Owners[0])
-		if owner == j.id {
-			continue
+		if rt.NodeID(e.Owners[0]) != j.id {
+			away = append(away, e)
+			rs = append(rs, e.Range)
 		}
-		moved := j.extractOwned(env, e.Range)
+	}
+	live := j.extractLive(rs...)
+	for i, e := range away {
+		owner := rt.NodeID(e.Owners[0])
+		moved := j.withSpilled(env, e.Range, live[i])
 		if len(moved) == 0 {
 			continue
 		}

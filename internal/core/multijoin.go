@@ -193,19 +193,20 @@ func ExecuteMulti(mc MultiConfig, eng rt.Engine) (*MultiReport, error) {
 	}
 
 	// Wire the stages together: stage s's nodes forward matches using
-	// stage s+1's final routing table.
+	// stage s+1's final routing table, each node through its own copy (a
+	// lookup builds the copy's index, and on the live engine the nodes run
+	// concurrently).
 	for s := 0; s+1 < len(cfgs); s++ {
 		interLayout := tuple.Layout{
 			PayloadBytes: mc.Relations[s+1].Spec.Layout.PayloadBytes +
 				mc.Relations[0].Spec.Layout.PayloadBytes,
 		}
-		fw := &setForward{
-			NextTable: scheds[s+1].table.Clone(),
-			NextSeed:  mc.Relations[s+1].Spec.Seed,
-			Layout:    interLayout,
-		}
 		for i := 0; i < cfgs[s].MaxNodes; i++ {
-			eng.Inject(cfgs[s].joinID(i), fw)
+			eng.Inject(cfgs[s].joinID(i), &setForward{
+				NextTable: scheds[s+1].table.Clone(),
+				NextSeed:  mc.Relations[s+1].Spec.Seed,
+				Layout:    interLayout,
+			})
 		}
 	}
 	if err := eng.Drain(); err != nil {

@@ -355,8 +355,7 @@ func (sc *schedActor) probeExpand(env rt.Env, fullNode rt.NodeID) {
 	sc.probeFullSet[fullNode] = true
 	sc.working = append(sc.working, w)
 	sc.probeExpansions++
-	sc.table.Entries[idx].Owners[slot] = int32(w)
-	sc.table.Version++
+	sc.table.ReplaceOwner(idx, slot, int32(w))
 	rng := sc.table.Entries[idx].Range
 	sc.footprints[w] = rng
 	sc.events = append(sc.events, ExpansionEvent{Kind: "probe-expand", Node: fullNode, Peer: w, Range: rng})
@@ -785,8 +784,7 @@ func (sc *schedActor) recoverEntry(env rt.Env, idx int) bool {
 	}
 
 	sc.events = append(sc.events, ExpansionEvent{Kind: "recover", Node: newOwner, Peer: rt.NoNode, Range: rng})
-	sc.table.Entries[idx] = hashfn.Entry{Range: rng, Owners: []int32{int32(newOwner)}}
-	sc.table.Version++
+	sc.table.SetSoleOwner(idx, int32(newOwner))
 	// Every copy of the range routed under an older table — in flight,
 	// buffered at a retired node, or mid-migration — must be discarded, or
 	// it would duplicate the re-streamed authoritative copies.
@@ -841,21 +839,23 @@ func (sc *schedActor) mergeOrphanEntry(env rt.Env, idx int) bool {
 	if into < 0 {
 		return false
 	}
-	if into < idx {
-		sc.table.Entries[into].Range.Hi = rng.Hi
-	} else {
-		sc.table.Entries[into].Range.Lo = rng.Lo
+	if err := sc.table.MergeEntry(idx, into); err != nil {
+		panic("core: " + err.Error()) // into is a neighbour by construction
+	}
+	if into > idx {
+		into--
 	}
 	// The absorbed span joins each live owner's footprint so a later death
 	// of the absorbing node rebuilds it too.
-	for _, o := range sc.table.Entries[into].Owners {
+	merged := sc.table.Entries[into]
+	for _, o := range merged.Owners {
 		n := rt.NodeID(o)
 		if sc.deadNodes[n] {
 			continue
 		}
 		f, ok := sc.footprints[n]
 		if !ok {
-			f = sc.table.Entries[into].Range
+			f = merged.Range
 		}
 		if rng.Lo < f.Lo {
 			f.Lo = rng.Lo
@@ -865,8 +865,6 @@ func (sc *schedActor) mergeOrphanEntry(env rt.Env, idx int) bool {
 		}
 		sc.footprints[n] = f
 	}
-	sc.table.Entries = append(sc.table.Entries[:idx], sc.table.Entries[idx+1:]...)
-	sc.table.Version++
 	sc.table.AddBarrier(hashfn.Barrier{Range: rng, MinVersion: sc.table.Version})
 	for i := 0; i < sc.cfg.Sources; i++ {
 		env.ChargeCPU(sc.cfg.Cost.ChunkOverheadNs / 4)

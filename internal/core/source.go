@@ -319,6 +319,7 @@ func (s *sourceActor) adoptTable(env rt.Env, t *hashfn.Table) {
 		}
 		s.builders = make(map[rt.NodeID]*tuple.Builder)
 	}
+	t.TakeIndex(s.table)
 	s.table = t
 	s.heavyGroups = nil // groups derive from the table; recompute lazily
 	s.entryDests = nil  // so do the entries' destinations, and builders change below

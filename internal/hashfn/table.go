@@ -35,6 +35,12 @@ type Barrier struct {
 // Table is a value type from the perspective of the protocol: the scheduler
 // mutates its master copy and broadcasts clones; receivers replace their
 // copy when the version increases.
+//
+// Each copy has one reader: a lookup may (re)build the copy's position
+// index, so two goroutines must never share one *Table, not even to read
+// it. Hand every receiver its own Clone. Entries is written only by the
+// methods of this package, each of which bumps Version — the index is
+// rebuilt exactly when Version moves.
 type Table struct {
 	// Version increases with every mutation so that stale broadcast copies
 	// can be recognised and discarded.
@@ -46,7 +52,22 @@ type Table struct {
 	// Barriers records every range rebuilt after a failure, with the table
 	// version from which re-streamed tuples are authoritative.
 	Barriers []Barrier
+
+	// index is the coarse position index behind EntryIndexOf: slot s holds
+	// the first entry whose Range.Hi exceeds s<<shift. It describes the
+	// table at Version indexVer-1 (0: never built) and is private to this
+	// copy — Clone, gob and the wire codecs never carry it.
+	index    []int32
+	indexVer uint64
+	shift    uint
 }
+
+// indexBits is the log2 of the routing index's slot count. 4096 int32 slots
+// are 16 KB per copy; a slot covers 16 positions of the default space, and
+// an entry boundary inside a slot costs a lookup one forward step. A full
+// per-position index is no faster and, with every source, join node and
+// scheduler holding copies, costs megabytes.
+const indexBits = 12
 
 // NewTable partitions the space evenly across the given owners, one entry
 // per owner, mirroring the initial bucket assignment of all four
@@ -153,33 +174,61 @@ func (t *Table) RemoveOwner(node int32) bool {
 	return changed
 }
 
-// linearEntries is the table size up to which EntryIndexOf scans instead
-// of bisecting: the data sources call it once per tuple, and a run has a
-// handful of entries (one per join node).
-const linearEntries = 16
-
 // EntryIndexOf returns the index of the entry containing position p: the
-// first entry with Range.Hi > p, since entries tile the space.
+// first entry with Range.Hi > p, since entries tile the space. The data
+// sources call it once per tuple: one index load, then a forward step only
+// when an entry boundary falls inside p's slot.
 func (t *Table) EntryIndexOf(p int) int {
-	es := t.Entries
-	lo, hi := 0, len(es)
-	if hi <= linearEntries {
-		for lo < hi && es[lo].Range.Hi <= p {
-			lo++
-		}
-	} else {
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); es[mid].Range.Hi > p {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
+	if t.indexVer != t.Version+1 {
+		t.buildIndex()
 	}
-	if lo == len(es) {
-		panic(fmt.Sprintf("hashfn: position %d beyond table covering %v", p, es[len(es)-1].Range))
+	s := p >> t.shift
+	if uint(s) >= uint(len(t.index)) {
+		t.beyond(p)
 	}
-	return lo
+	i := int(t.index[s])
+	for t.Entries[i].Range.Hi <= p {
+		i++
+	}
+	return i
+}
+
+// buildIndex fills the position index for the current Version. The slots
+// cover [0, Hi) of the last entry — the space, since entries tile it — at
+// the finest granularity 1<<indexBits slots allow.
+func (t *Table) buildIndex() {
+	hi := t.Entries[len(t.Entries)-1].Range.Hi
+	t.shift = 0
+	for (hi-1)>>t.shift >= 1<<indexBits {
+		t.shift++
+	}
+	n := (hi-1)>>t.shift + 1
+	if cap(t.index) < n {
+		t.index = make([]int32, n)
+	}
+	t.index = t.index[:n]
+	e := 0
+	for s := range t.index {
+		for t.Entries[e].Range.Hi <= s<<t.shift {
+			e++
+		}
+		t.index[s] = int32(e)
+	}
+	t.indexVer = t.Version + 1
+}
+
+// TakeIndex hands old's index storage to t, the copy replacing it at its
+// one reader: a reader that adopts every broadcast version then rebuilds
+// one index in place instead of allocating one per version. old stays
+// usable; a lookup on it allocates afresh.
+func (t *Table) TakeIndex(old *Table) {
+	if old != nil && old != t && t.index == nil {
+		t.index, old.index, old.indexVer = old.index, nil, 0
+	}
+}
+
+func (t *Table) beyond(p int) {
+	panic(fmt.Sprintf("hashfn: position %d beyond table covering %v", p, t.Entries[len(t.Entries)-1].Range))
 }
 
 // BuildOwnerOf returns the node that should receive a build tuple hashed to
@@ -229,6 +278,38 @@ func (t *Table) SplitEntry(idx int, newOwner int32) (lower, upper Range, err err
 func (t *Table) AddReplica(idx int, newOwner int32) {
 	t.Entries[idx].Owners = append(t.Entries[idx].Owners, newOwner)
 	t.Version++
+}
+
+// ReplaceOwner makes owner the slot-th owner of entry idx, in place of the
+// node there: a probe-phase recruit taking over a full node's place.
+func (t *Table) ReplaceOwner(idx, slot int, owner int32) {
+	t.Entries[idx].Owners[slot] = owner
+	t.Version++
+}
+
+// SetSoleOwner makes owner the only owner of entry idx, whose range is
+// about to be rebuilt there after a failure.
+func (t *Table) SetSoleOwner(idx int, owner int32) {
+	t.Entries[idx] = Entry{Range: t.Entries[idx].Range, Owners: []int32{owner}}
+	t.Version++
+}
+
+// MergeEntry folds entry idx into its neighbour into (idx-1 or idx+1),
+// whose range widens to cover both; entry idx is deleted, so a right
+// neighbour's index drops by one.
+func (t *Table) MergeEntry(idx, into int) error {
+	if into != idx-1 && into != idx+1 || into < 0 || into >= len(t.Entries) {
+		return fmt.Errorf("hashfn: entry %d cannot merge into entry %d of %d", idx, into, len(t.Entries))
+	}
+	rng := t.Entries[idx].Range
+	if into < idx {
+		t.Entries[into].Range.Hi = rng.Hi
+	} else {
+		t.Entries[into].Range.Lo = rng.Lo
+	}
+	t.Entries = append(t.Entries[:idx], t.Entries[idx+1:]...)
+	t.Version++
+	return nil
 }
 
 // ReplaceEntries substitutes the entry at idx with the given replacement

@@ -1,6 +1,7 @@
 package hashfn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -214,20 +215,310 @@ func TestEntryIndexOwnedBy(t *testing.T) {
 	}
 }
 
-// EntryIndexOf scans short tables and bisects long ones; both must agree
-// with the definition at every position, boundaries included.
+// EntryIndexOf must agree with the definition at every position,
+// boundaries included, from one entry to one entry per position, in spaces
+// smaller than the index (a slot per position) and larger (16 positions a
+// slot).
 func TestEntryIndexOfEveryPosition(t *testing.T) {
+	for _, bits := range []uint{8, 16} {
+		space := Space{Bits: bits, Mode: Scaled}
+		for _, n := range []int{1, 2, 7, 16, 17, 40, 256} {
+			owners := make([]int32, n)
+			for i := range owners {
+				owners[i] = int32(i)
+			}
+			tbl := mustTable(t, space, owners)
+			for p := 0; p < space.Positions(); p++ {
+				if i := tbl.EntryIndexOf(p); !tbl.Entries[i].Range.Contains(p) {
+					t.Fatalf("bits %d, %d entries: position %d resolved to entry %d %v", bits, n, p, i, tbl.Entries[i].Range)
+				}
+			}
+		}
+	}
+}
+
+// scanEntryIndex is the definition EntryIndexOf is checked against.
+func scanEntryIndex(tbl *Table, p int) int {
+	for i, e := range tbl.Entries {
+		if e.Range.Contains(p) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAgainstScan compares EntryIndexOf with a scan at every entry
+// boundary ± 1 and at a few random positions.
+func checkAgainstScan(t *testing.T, tbl *Table, space Space, rng *rand.Rand, what string) {
+	t.Helper()
+	ps := []int{rng.Intn(space.Positions()), rng.Intn(space.Positions())}
+	for _, e := range tbl.Entries {
+		for _, b := range []int{e.Range.Lo, e.Range.Hi} {
+			ps = append(ps, b-1, b, b+1)
+		}
+	}
+	for _, p := range ps {
+		if p < 0 || p >= space.Positions() {
+			continue
+		}
+		if got, want := tbl.EntryIndexOf(p), scanEntryIndex(tbl, p); got != want {
+			t.Fatalf("bits %d, after %s: EntryIndexOf(%d) = %d, scan says %d (%d entries)",
+				space.Bits, what, p, got, want, len(tbl.Entries))
+		}
+	}
+}
+
+// TestEntryIndexOfAfterEveryMutator drives randomized tables through every
+// mutator and checks the lazily rebuilt index against a scan after each
+// one, and after Clone — for every space from 2 to 65 536 positions, so
+// both a slot per position and several positions per slot are covered.
+func TestEntryIndexOfAfterEveryMutator(t *testing.T) {
+	for bits := uint(1); bits <= 16; bits++ {
+		space := Space{Bits: bits, Mode: Scaled}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		for trial := 0; trial < 8; trial++ {
+			n := 1 + rng.Intn(min(8, space.Positions()))
+			owners := make([]int32, n)
+			for i := range owners {
+				owners[i] = int32(i)
+			}
+			tbl := mustTable(t, space, owners)
+			next := int32(n)
+			checkAgainstScan(t, tbl, space, rng, "NewTable")
+			for op := 0; op < 30; op++ {
+				idx := rng.Intn(len(tbl.Entries))
+				e := tbl.Entries[idx]
+				var what string
+				switch rng.Intn(8) {
+				case 0:
+					what = "SplitEntry"
+					if e.Range.Width() >= 2 {
+						if _, _, err := tbl.SplitEntry(idx, next); err != nil {
+							t.Fatal(err)
+						}
+						next++
+					}
+				case 1:
+					what = "AddReplica"
+					tbl.AddReplica(idx, next)
+					next++
+				case 2:
+					what = "ReplaceEntries"
+					if e.Range.Width() >= 2 {
+						cut := e.Range.Lo + 1 + rng.Intn(e.Range.Width()-1)
+						repl := []Entry{
+							{Range: Range{e.Range.Lo, cut}, Owners: []int32{next}},
+							{Range: Range{cut, e.Range.Hi}, Owners: []int32{next + 1}},
+						}
+						if err := tbl.ReplaceEntries(idx, repl); err != nil {
+							t.Fatal(err)
+						}
+						next += 2
+					}
+				case 3:
+					what = "RemoveOwner"
+					tbl.RemoveOwner(e.Owners[0])
+				case 4:
+					what = "MarkDead"
+					tbl.MarkDead(e.Owners[0])
+				case 5:
+					what = "ReplaceOwner"
+					tbl.ReplaceOwner(idx, rng.Intn(len(e.Owners)), next)
+					next++
+				case 6:
+					what = "SetSoleOwner"
+					tbl.SetSoleOwner(idx, next)
+					next++
+				case 7:
+					what = "MergeEntry"
+					if len(tbl.Entries) > 1 {
+						into := idx - 1
+						if idx == 0 {
+							into = 1
+						}
+						if err := tbl.MergeEntry(idx, into); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := tbl.Validate(space); err != nil {
+					t.Fatalf("after %s: %v", what, err)
+				}
+				checkAgainstScan(t, tbl, space, rng, what)
+				if rng.Intn(4) == 0 {
+					c := tbl.Clone()
+					checkAgainstScan(t, c, space, rng, what+" + Clone")
+					if tbl.Entries[0].Range.Width() >= 2 {
+						// Mutating the original must not move the clone.
+						if _, _, err := tbl.SplitEntry(0, next); err != nil {
+							t.Fatal(err)
+						}
+						next++
+						checkAgainstScan(t, c, space, rng, "a split of the original, on the clone")
+						checkAgainstScan(t, tbl, space, rng, "SplitEntry after Clone")
+					}
+				}
+			}
+		}
+	}
+}
+
+// The index is coarse — 4096 slots, 16 positions each in the default space
+// — and private to its copy.
+func TestCloneDropsIndex(t *testing.T) {
+	tbl := mustTable(t, DefaultSpace(), []int32{0, 1, 2})
+	tbl.EntryIndexOf(100)
+	if len(tbl.index) != 4096 || tbl.shift != 4 {
+		t.Fatalf("index of %d slots at shift %d, want 4096 at 4", len(tbl.index), tbl.shift)
+	}
+	if c := tbl.Clone(); c.index != nil || c.indexVer != 0 {
+		t.Errorf("clone carries the index (%d slots, version %d)", len(c.index), c.indexVer)
+	}
+}
+
+// A newer copy takes over the older one's index storage and rebuilds it for
+// its own entries; the older copy still answers, from an index of its own.
+func TestTakeIndex(t *testing.T) {
+	space := DefaultSpace()
+	old := mustTable(t, space, []int32{0, 1})
+	old.EntryIndexOf(0)
+	buf := &old.index[0]
+	next := old.Clone()
+	if _, _, err := next.SplitEntry(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	next.TakeIndex(old)
+	rng := rand.New(rand.NewSource(1))
+	checkAgainstScan(t, next, space, rng, "TakeIndex")
+	if &next.index[0] != buf {
+		t.Error("the newer copy allocated an index of its own")
+	}
+	checkAgainstScan(t, old, space, rng, "TakeIndex, on the older copy")
+	// A copy that already has an index keeps it.
+	mine := &next.index[0]
+	next.TakeIndex(old)
+	if &next.index[0] != mine {
+		t.Error("TakeIndex replaced an index the copy already had")
+	}
+}
+
+func TestEntryIndexOfBeyondSpacePanics(t *testing.T) {
+	tbl := mustTable(t, Space{Bits: 8, Mode: Scaled}, []int32{0, 1})
+	for _, p := range []int{-1, 256, 1 << 20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EntryIndexOf(%d) on a 256-position table did not panic", p)
+				}
+			}()
+			tbl.EntryIndexOf(p)
+		}()
+	}
+}
+
+func TestReplaceOwner(t *testing.T) {
 	space := Space{Bits: 8, Mode: Scaled}
-	for _, n := range []int{1, 2, 7, linearEntries, linearEntries + 1, 40, space.Positions()} {
+	tbl := mustTable(t, space, []int32{0, 1})
+	tbl.AddReplica(1, 5)
+	v := tbl.Version
+	tbl.ReplaceOwner(1, 0, 9)
+	if got := tbl.Entries[1].Owners; len(got) != 2 || got[0] != 9 || got[1] != 5 {
+		t.Errorf("owners %v, want [9 5]", got)
+	}
+	if tbl.Version != v+1 {
+		t.Errorf("version %d, want %d", tbl.Version, v+1)
+	}
+}
+
+func TestSetSoleOwner(t *testing.T) {
+	space := Space{Bits: 8, Mode: Scaled}
+	tbl := mustTable(t, space, []int32{0, 1})
+	tbl.AddReplica(1, 5)
+	c := tbl.Clone()
+	v := tbl.Version
+	tbl.SetSoleOwner(1, 7)
+	if got := tbl.Entries[1]; got.Range != (Range{128, 256}) || len(got.Owners) != 1 || got.Owners[0] != 7 {
+		t.Errorf("entry %v %v, want [128,256) [7]", got.Range, got.Owners)
+	}
+	if tbl.Version != v+1 {
+		t.Errorf("version %d, want %d", tbl.Version, v+1)
+	}
+	if got := tbl.BuildOwnerOf(200); got != 7 {
+		t.Errorf("build owner of 200 = %d, want 7", got)
+	}
+	if got := c.Entries[1].Owners; len(got) != 2 {
+		t.Errorf("clone's owners changed to %v", got)
+	}
+}
+
+func TestMergeEntry(t *testing.T) {
+	space := Space{Bits: 8, Mode: Scaled}
+	for _, tc := range []struct {
+		idx, into int
+		want      []Range
+		owner200  int32
+	}{
+		{1, 0, []Range{{0, 128}, {128, 192}, {192, 256}}, 3}, // leftward
+		{1, 2, []Range{{0, 64}, {64, 192}, {192, 256}}, 3},   // rightward
+		{3, 2, []Range{{0, 64}, {64, 128}, {128, 256}}, 2},   // last entry
+		{0, 1, []Range{{0, 128}, {128, 192}, {192, 256}}, 3}, // first entry
+		{2, 1, []Range{{0, 64}, {64, 192}, {192, 256}}, 3},   // middle, leftward
+	} {
+		tbl := mustTable(t, space, []int32{0, 1, 2, 3})
+		tbl.EntryIndexOf(0) // an index built before the merge must not survive it
+		v := tbl.Version
+		if err := tbl.MergeEntry(tc.idx, tc.into); err != nil {
+			t.Fatalf("merge %d into %d: %v", tc.idx, tc.into, err)
+		}
+		if err := tbl.Validate(space); err != nil {
+			t.Fatalf("merge %d into %d: %v", tc.idx, tc.into, err)
+		}
+		if tbl.Version != v+1 {
+			t.Errorf("merge %d into %d: version %d, want %d", tc.idx, tc.into, tbl.Version, v+1)
+		}
+		for i, r := range tc.want {
+			if tbl.Entries[i].Range != r {
+				t.Errorf("merge %d into %d: entry %d = %v, want %v", tc.idx, tc.into, i, tbl.Entries[i].Range, r)
+			}
+		}
+		if got := tbl.BuildOwnerOf(200); got != tc.owner200 {
+			t.Errorf("merge %d into %d: owner of 200 = %d, want %d", tc.idx, tc.into, got, tc.owner200)
+		}
+	}
+	tbl := mustTable(t, space, []int32{0, 1, 2, 3})
+	for _, bad := range [][2]int{{1, 3}, {0, -1}, {3, 4}, {1, 1}} {
+		if err := tbl.MergeEntry(bad[0], bad[1]); err == nil {
+			t.Errorf("merge %d into %d accepted", bad[0], bad[1])
+		}
+	}
+}
+
+// BenchmarkEntryIndexOf is the sources' per-tuple routing lookup over the
+// default space at the table sizes a run passes through.
+func BenchmarkEntryIndexOf(b *testing.B) {
+	space := DefaultSpace()
+	for _, n := range []int{2, 16, 64} {
 		owners := make([]int32, n)
 		for i := range owners {
 			owners[i] = int32(i)
 		}
-		tbl := mustTable(t, space, owners)
-		for p := 0; p < space.Positions(); p++ {
-			if i := tbl.EntryIndexOf(p); !tbl.Entries[i].Range.Contains(p) {
-				t.Fatalf("%d entries: position %d resolved to entry %d %v", n, p, i, tbl.Entries[i].Range)
-			}
+		tbl, err := NewTable(space, owners)
+		if err != nil {
+			b.Fatal(err)
 		}
+		ps := make([]int, 4096)
+		rng := rand.New(rand.NewSource(1))
+		for i := range ps {
+			ps[i] = rng.Intn(space.Positions())
+		}
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += tbl.EntryIndexOf(ps[i&(len(ps)-1)])
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
 	}
 }

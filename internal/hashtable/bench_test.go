@@ -93,3 +93,60 @@ func BenchmarkProbeAllRuns(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 }
+
+// BenchmarkExtractRanges is one member's side of a hybrid reshuffle: a
+// staged 400 000-tuple table holding a replicated quarter of the space,
+// re-cut among a 4-member group; the member keeps one piece and hands the
+// other three over. "one-pass" is ExtractRanges, "per-range" the three
+// ExtractRange passes it replaced.
+func BenchmarkExtractRanges(b *testing.B) {
+	const tuples = 400_000
+	space := hashfn.DefaultSpace()
+	quarter := space.Positions() / 4
+	var pieces []hashfn.Range
+	for k := 1; k < 4; k++ {
+		pieces = append(pieces, hashfn.Range{Lo: k * quarter / 4, Hi: (k + 1) * quarter / 4})
+	}
+	fill := func() *Table {
+		tab := New(space, tuple.DefaultLayout())
+		rnd := uint64(0x9E3779B97F4A7C15)
+		for i := 0; i < tuples; i++ {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			tab.Insert(tuple.Tuple{Index: uint64(i), Key: rnd >> 2}) // positions in the first quarter
+		}
+		return tab
+	}
+	for _, bc := range []struct {
+		name    string
+		extract func(*Table) int
+	}{
+		{"one-pass", func(tab *Table) int {
+			n := 0
+			for _, ts := range tab.ExtractRanges(pieces) {
+				n += len(ts)
+			}
+			return n
+		}},
+		{"per-range", func(tab *Table) int {
+			n := 0
+			for _, r := range pieces {
+				n += len(tab.ExtractRange(r))
+			}
+			return n
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			moved := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tab := fill()
+				runtime.GC()
+				b.StartTimer()
+				moved += bc.extract(tab)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/moved")
+		})
+	}
+}

@@ -30,6 +30,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/bits"
 
 	"ehjoin/internal/hashfn"
@@ -387,26 +388,71 @@ func (t *Table) CountsInRange(r hashfn.Range) []int64 {
 }
 
 // ExtractRange removes and returns every stored tuple whose routing
-// position falls in r. It is used when a split migrates the upper half of
-// a bucket to a new node and when reshuffling redistributes replicated
-// ranges.
+// position falls in r: ExtractRanges for one range. It is used when a
+// split migrates the upper half of a bucket to a new node and when a
+// failure-recovery purge drops a range.
 func (t *Table) ExtractRange(r hashfn.Range) []tuple.Tuple {
-	var n int64
-	for _, c := range t.posCount[r.Lo:r.Hi] {
-		n += c
-	}
-	if n == 0 {
-		return nil
-	}
-	return t.extract(make([]tuple.Tuple, 0, n), func(tp tuple.Tuple) bool {
-		return r.Contains(t.space.PositionOf(tp.Key))
-	})
+	return t.ExtractRanges([]hashfn.Range{r})[0]
 }
+
+// ExtractRanges removes the stored tuples of disjoint routing ranges in one
+// pass and returns them per range, in the order of rs; an empty range's
+// result is nil. The hybrid algorithm's reshuffle sends a member's tuples
+// to every other member of its group this way. Each result is allocated
+// once, at the size the per-position counts give, and a range's counts are
+// cleared, not decremented per tuple: an extraction that disagrees with
+// them panics.
+func (t *Table) ExtractRanges(rs []hashfn.Range) [][]tuple.Tuple {
+	if len(rs) > maxSlotRanges {
+		return append(t.ExtractRanges(rs[:maxSlotRanges]), t.ExtractRanges(rs[maxSlotRanges:])...)
+	}
+	out := make([][]tuple.Tuple, len(rs))
+	want := make([]int64, len(rs))
+	lo, hi := len(t.posCount), 0
+	for i, r := range rs {
+		for _, c := range t.posCount[r.Lo:r.Hi] {
+			want[i] += c
+		}
+		if want[i] > 0 {
+			out[i] = make([]tuple.Tuple, 0, want[i])
+			lo, hi = min(lo, r.Lo), max(hi, r.Hi)
+		}
+	}
+	if lo >= hi {
+		return out // nothing stored in any of them
+	}
+	s := &sorter{space: t.space, lo: lo, slot: make([]uint8, hi-lo)}
+	for i, r := range rs {
+		if want[i] == 0 {
+			continue // no tuple to claim, and no position to share
+		}
+		for p := r.Lo; p < r.Hi; p++ {
+			if k := s.slot[p-lo]; k != 0 {
+				panic(fmt.Sprintf("hashtable: extracted ranges %v and %v overlap", rs[k-1], r))
+			}
+			s.slot[p-lo] = uint8(i + 1)
+		}
+	}
+	t.extract(out, s)
+	for i, r := range rs {
+		if int64(len(out[i])) != want[i] {
+			panic(fmt.Sprintf("hashtable: extracted %d tuples of range %v, its position counts say %d",
+				len(out[i]), r, want[i]))
+		}
+		clear(t.posCount[r.Lo:r.Hi])
+		t.drop(want[i])
+	}
+	return out
+}
+
+// maxSlotRanges is how many ranges one ExtractRanges pass sorts by: a slot
+// is a byte, 0 for "stays". A reshuffle group has one range per member.
+const maxSlotRanges = 255
 
 // ExtractMatching removes and returns every stored tuple satisfying pred.
 // It is used by the out-of-core machinery to evict a spill partition.
 func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
-	return t.extract(nil, pred)
+	return t.extractPred(nil, pred)
 }
 
 // ExtractCounted is ExtractMatching for a caller that knows how many stored
@@ -414,40 +460,74 @@ func (t *Table) ExtractMatching(pred func(tuple.Tuple) bool) []tuple.Tuple {
 // node's spill rung counts its partitions as tuples arrive and extracts all
 // the partitions it has decided to evict in one such pass.
 func (t *Table) ExtractCounted(n int64, pred func(tuple.Tuple) bool) []tuple.Tuple {
-	return t.extract(make([]tuple.Tuple, 0, n), pred)
+	return t.extractPred(make([]tuple.Tuple, 0, n), pred)
 }
 
-// extract removes every stored tuple satisfying pred, in place, and
-// returns them appended to moved (empty, with the capacity the caller
-// could predict).
-func (t *Table) extract(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
-	for s := range t.segs {
-		sg := &t.segs[s]
-		if t.sealed {
-			moved = t.extractIndexed(sg, moved, pred)
-		} else {
-			moved = sg.extractStaged(moved, pred)
-		}
-	}
-	for _, tp := range moved {
+// extractPred removes every stored tuple satisfying pred and returns them
+// appended to moved (empty, with the capacity the caller could predict).
+func (t *Table) extractPred(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+	out := [][]tuple.Tuple{moved}
+	t.extract(out, &sorter{pred: pred})
+	t.drop(int64(len(out[0])))
+	for _, tp := range out[0] {
 		t.posCount[t.space.PositionOf(tp.Key)]--
 	}
-	n := int64(len(moved))
+	return out[0]
+}
+
+// sorter tells extract where a stored tuple goes: the index of its result
+// in out, or -1 if it stays. Either pred decides (result 0 takes what it
+// accepts) or the tuple's routing position does, through slot.
+type sorter struct {
+	pred  func(tuple.Tuple) bool
+	space hashfn.Space
+	lo    int     // the routing position slot[0] stands for
+	slot  []uint8 // per position from lo: 1 + a result index, or 0
+}
+
+func (s *sorter) of(tp tuple.Tuple) int {
+	if s.pred != nil {
+		if s.pred(tp) {
+			return 0
+		}
+		return -1
+	}
+	if p := uint(s.space.PositionOf(tp.Key) - s.lo); p < uint(len(s.slot)) {
+		return int(s.slot[p]) - 1
+	}
+	return -1
+}
+
+// extract removes, in place and in one pass over the table, every stored
+// tuple s sends somewhere and appends each to its result in out. The caller
+// settles the position counts and calls drop.
+func (t *Table) extract(out [][]tuple.Tuple, s *sorter) {
+	for i := range t.segs {
+		sg := &t.segs[i]
+		if t.sealed {
+			t.extractIndexed(sg, out, s)
+		} else {
+			sg.extractStaged(out, s)
+		}
+	}
+}
+
+// drop accounts n extracted tuples.
+func (t *Table) drop(n int64) {
 	t.count -= n
 	t.bytes -= n * int64(t.layout.LogicalSize())
-	return moved
 }
 
 // extractStaged is extract on a staged segment: one sequential pass that
 // compacts the tuples that stay towards the first block, keeping arrival
 // order and the every-block-but-the-last-is-full rule, and releases the
 // blocks that emptied.
-func (sg *segment) extractStaged(moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+func (sg *segment) extractStaged(out [][]tuple.Tuple, s *sorter) {
 	wb, wi := 0, 0 // the next tuple that stays goes to blocks[wb][wi]
 	for _, b := range sg.blocks {
 		for _, tp := range b {
-			if pred(tp) {
-				moved = append(moved, tp)
+			if d := s.of(tp); d >= 0 {
+				out[d] = append(out[d], tp)
 				continue
 			}
 			sg.blocks[wb][wi] = tp
@@ -464,14 +544,13 @@ func (sg *segment) extractStaged(moved []tuple.Tuple, pred func(tuple.Tuple) boo
 		sg.blocks[i] = nil
 	}
 	sg.blocks = sg.blocks[:wb]
-	return moved
 }
 
 // extractIndexed is extract on a sealed segment. A slot whose tuple leaves
 // takes over a member of its key's run if one stays; otherwise it is
 // deleted by backward shift, which may pull a not yet examined slot into
 // position i — so i is examined again.
-func (t *Table) extractIndexed(sg *segment, moved []tuple.Tuple, pred func(tuple.Tuple) bool) []tuple.Tuple {
+func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 	for i := 0; i < len(sg.meta); {
 		m := sg.meta[i]
 		if m == metaEmpty {
@@ -483,16 +562,16 @@ func (t *Table) extractIndexed(sg *segment, moved []tuple.Tuple, pred func(tuple
 			run = t.dups[m-metaRun]
 			kept := run[:0]
 			for _, tp := range run {
-				if pred(tp) {
-					moved = append(moved, tp)
+				if d := s.of(tp); d >= 0 {
+					out[d] = append(out[d], tp)
 				} else {
 					kept = append(kept, tp)
 				}
 			}
 			run = kept
 		}
-		if pred(sg.slots[i]) {
-			moved = append(moved, sg.slots[i])
+		if d := s.of(sg.slots[i]); d >= 0 {
+			out[d] = append(out[d], sg.slots[i])
 			if len(run) == 0 {
 				if m >= metaRun {
 					t.freeRun(m - metaRun)
@@ -513,7 +592,6 @@ func (t *Table) extractIndexed(sg *segment, moved []tuple.Tuple, pred func(tuple
 		}
 		i++
 	}
-	return moved
 }
 
 // remove deletes slot i by backward shift: every later member of the

@@ -1,8 +1,10 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ehjoin/internal/hashfn"
@@ -100,7 +102,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 			if mix.wraps && wrapped == 0 {
 				t.Error("no probe cluster ever wrapped a segment end; the test lost its coverage")
 			}
-			for _, op := range []string{"Insert", "ExtractMatching", "ExtractRange", "KeyCountsAt", "ForEach", "CountsInRange", "Reset"} {
+			for _, op := range []string{"Insert", "ExtractMatching", "ExtractRange", "ExtractRanges", "KeyCountsAt", "ForEach", "CountsInRange", "Reset"} {
 				for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
 					if cov[op][state] == 0 {
 						t.Errorf("%s never ran in state %s; the test lost its coverage", op, state)
@@ -224,6 +226,15 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 				return tp.Index%mod == rem || tp.Key&keyBit != 0 && tp.Index%7 < 5
 			}
 			sameMultiset(t, "ExtractMatching", tbl.ExtractMatching(pred), model.extract(pred))
+		case op == 9 && rng.Intn(2) == 0: // extract disjoint routing ranges
+			cov.note("ExtractRanges", state)
+			rs := randRanges(rng, space, rangeKinds[rng.Intn(len(rangeKinds))])
+			got := tbl.ExtractRanges(rs)
+			for i, r := range rs {
+				sameMultiset(t, "ExtractRanges", got[i], model.extract(func(tp tuple.Tuple) bool {
+					return r.Contains(space.PositionOf(tp.Key))
+				}))
+			}
 		case op == 9: // extract a routing range
 			cov.note("ExtractRange", state)
 			r := randRange()
@@ -385,5 +396,185 @@ func TestRoutingHashesSpreadOverSegments(t *testing.T) {
 				t.Errorf("%s: segment %d holds %d keys, mean %d", name, s, used, n/numSegs)
 			}
 		}
+	}
+}
+
+// rangeKinds are the shapes of range set ExtractRanges is checked on.
+var rangeKinds = []string{"adjacent", "non-adjacent", "empty", "whole-space"}
+
+// randRanges draws disjoint routing ranges of one kind, in random order:
+// adjacent pieces of a random span, pieces with gaps between them, a
+// zero-width range beside a random one, or pieces tiling the whole space.
+func randRanges(rng *rand.Rand, space hashfn.Space, kind string) []hashfn.Range {
+	n := space.Positions()
+	// cuts returns lo, up to k distinct positions inside (lo, hi), and hi,
+	// sorted.
+	cuts := func(lo, hi, k int) []int {
+		set := map[int]bool{}
+		for i := 0; i < k && hi-lo > 1; i++ {
+			set[lo+1+rng.Intn(hi-lo-1)] = true
+		}
+		ps := []int{lo, hi}
+		for p := range set {
+			ps = append(ps, p)
+		}
+		sort.Ints(ps)
+		return ps
+	}
+	var rs []hashfn.Range
+	switch kind {
+	case "adjacent", "whole-space":
+		lo, hi := 0, n
+		if kind == "adjacent" {
+			lo = rng.Intn(n)
+			hi = lo + 1 + rng.Intn(n-lo)
+		}
+		ps := cuts(lo, hi, rng.Intn(4))
+		for i := 0; i+1 < len(ps); i++ {
+			rs = append(rs, hashfn.Range{Lo: ps[i], Hi: ps[i+1]})
+		}
+	case "non-adjacent":
+		ps := cuts(0, n, 3+rng.Intn(6))
+		for i := 0; i+1 < len(ps); i += 2 {
+			rs = append(rs, hashfn.Range{Lo: ps[i], Hi: ps[i+1]})
+		}
+	case "empty":
+		p := rng.Intn(n)
+		lo := rng.Intn(n)
+		rs = append(rs, hashfn.Range{Lo: p, Hi: p}, hashfn.Range{}, hashfn.Range{Lo: lo, Hi: lo + 1 + rng.Intn(n-lo)})
+	}
+	rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+	return rs
+}
+
+// TestExtractRangesMatchesModel checks ExtractRanges against the map model
+// for every kind of range set, on staged, sealed and across-the-seal
+// tables whose keys repeat (so sealed extraction splits duplicate runs),
+// and pins that the per-position counts are exact afterwards. The keys
+// avoid the top quarter of the space, so some ranges hold nothing: their
+// result must be nil.
+func TestExtractRangesMatchesModel(t *testing.T) {
+	space := hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+	layout := tuple.DefaultLayout()
+	for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
+		for _, kind := range append(rangeKinds, "untouched") {
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				tbl := New(space, layout)
+				model := tableModel{}
+				pool := make([]uint64, 600)
+				for i := range pool {
+					pool[i] = rng.Uint64() >> 2 // positions [0, 192)
+				}
+				const n = 3000
+				if state == sealedAtBirth {
+					tbl.Probe(0, nil)
+				}
+				for i := 0; i < n; i++ {
+					if i == n/2 && state == acrossSeal {
+						tbl.Probe(0, nil)
+					}
+					tp := tuple.Tuple{Index: uint64(i), Key: pool[rng.Intn(len(pool))]}
+					tbl.Insert(tp)
+					model[tp.Key] = append(model[tp.Key], tp)
+				}
+				rs := []hashfn.Range{{Lo: 200, Hi: 256}, {Lo: 192, Hi: 193}}
+				if kind != "untouched" {
+					rs = randRanges(rng, space, kind)
+				}
+				got := tbl.ExtractRanges(rs)
+				if len(got) != len(rs) {
+					t.Fatalf("%s %s: %d results for %d ranges", state, kind, len(got), len(rs))
+				}
+				for i, r := range rs {
+					want := model.extract(func(tp tuple.Tuple) bool { return r.Contains(space.PositionOf(tp.Key)) })
+					sameMultiset(t, "ExtractRanges", got[i], want)
+					if len(want) == 0 && got[i] != nil {
+						t.Errorf("%s %s: empty range %v returned a non-nil result", state, kind, r)
+					}
+				}
+				all := model.all()
+				if tbl.Count() != int64(len(all)) || tbl.Bytes() != int64(len(all)*layout.LogicalSize()) {
+					t.Fatalf("%s %s seed %d: count/bytes %d/%d, model holds %d tuples",
+						state, kind, seed, tbl.Count(), tbl.Bytes(), len(all))
+				}
+				hist := make([]int64, space.Positions())
+				for _, tp := range all {
+					hist[space.PositionOf(tp.Key)]++
+				}
+				for p, c := range tbl.CountsInRange(hashfn.Range{Lo: 0, Hi: space.Positions()}) {
+					if c != hist[p] {
+						t.Fatalf("%s %s seed %d: position %d counts %d, model %d", state, kind, seed, p, c, hist[p])
+					}
+				}
+				var left []tuple.Tuple
+				tbl.ForEach(func(tp tuple.Tuple) { left = append(left, tp) })
+				sameMultiset(t, "ForEach after ExtractRanges", left, all)
+				for k, ts := range model {
+					if got := tbl.Probe(k, nil); got != len(ts) {
+						t.Fatalf("%s %s seed %d: Probe(%#x) = %d after extraction, model %d", state, kind, seed, k, got, len(ts))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestExtractRangesPanics(t *testing.T) {
+	space := hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+	fill := func() *Table {
+		tbl := New(space, tuple.DefaultLayout())
+		for p := 0; p < space.Positions(); p++ {
+			tbl.Insert(tuple.Tuple{Index: uint64(p), Key: uint64(p) << 56})
+		}
+		return tbl
+	}
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: panic %v, want one naming %q", what, r, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("overlapping ranges", "overlap", func() {
+		fill().ExtractRanges([]hashfn.Range{{Lo: 0, Hi: 10}, {Lo: 9, Hi: 20}})
+	})
+	tbl := fill()
+	tbl.posCount[5]++ // a count the table's contents no longer back
+	mustPanic("count mismatch", "extracted 10 tuples of range [0,10), its position counts say 11", func() {
+		tbl.ExtractRanges([]hashfn.Range{{Lo: 0, Hi: 10}})
+	})
+}
+
+// More ranges than one pass can sort by (a slot is a byte) take more
+// passes and still come back per range, in order.
+func TestExtractRangesBeyondOnePass(t *testing.T) {
+	space := hashfn.Space{Bits: 10, Mode: hashfn.Scaled}
+	tbl := New(space, tuple.DefaultLayout())
+	model := tableModel{}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		tp := tuple.Tuple{Index: uint64(i), Key: rng.Uint64()}
+		tbl.Insert(tp)
+		model[tp.Key] = append(model[tp.Key], tp)
+	}
+	var rs []hashfn.Range
+	for p := 0; p < 3*maxSlotRanges; p += 2 {
+		rs = append(rs, hashfn.Range{Lo: p, Hi: p + 1})
+	}
+	rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+	got := tbl.ExtractRanges(rs)
+	if len(got) != len(rs) {
+		t.Fatalf("%d results for %d ranges", len(got), len(rs))
+	}
+	for i, r := range rs {
+		sameMultiset(t, "ExtractRanges", got[i], model.extract(func(tp tuple.Tuple) bool {
+			return r.Contains(space.PositionOf(tp.Key))
+		}))
+	}
+	if n := int64(len(model.all())); tbl.Count() != n {
+		t.Errorf("count %d after extraction, model holds %d", tbl.Count(), n)
 	}
 }

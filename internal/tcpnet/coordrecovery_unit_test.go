@@ -83,7 +83,7 @@ func chaosHello(t *testing.T, dial func() (net.Conn, error), payload []byte) net
 // still serves: a correct extended hello resumes the session on rung 1,
 // no reassignment, no death.
 func TestCoordRecoveryHandshakeChaos(t *testing.T) {
-	l, server, client, dial := resumePair(t, nil)
+	l, server, client, dial := resumePair(t)
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
@@ -191,7 +191,7 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 // assignment under a bumped epoch, with the failure handler told to purge
 // and re-stream.
 func TestCoordRecoveryDigestMismatch(t *testing.T) {
-	l, server, client, dial := resumePair(t, nil)
+	l, server, client, dial := resumePair(t)
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},

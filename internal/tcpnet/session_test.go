@@ -87,19 +87,15 @@ func TestSessionAcceptSeq(t *testing.T) {
 
 // resumePair returns a listening coordinator endpoint: the accepted server
 // conn for NewCoordinator, the listener to hand to WithResume, and a dial
-// function (optionally chaos-wrapped) for the worker side.
-func resumePair(t *testing.T, plan *ChaosPlan) (net.Listener, net.Conn, net.Conn, func() (net.Conn, error)) {
+// function for the worker side.
+func resumePair(t *testing.T) (net.Listener, net.Conn, net.Conn, func() (net.Conn, error)) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dial := func() (net.Conn, error) {
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return nil, err
-		}
-		return plan.Wrap(c), nil
+		return net.Dial("tcp", l.Addr().String())
 	}
 	type dialRes struct {
 		c   net.Conn
@@ -130,14 +126,22 @@ func resumePair(t *testing.T, plan *ChaosPlan) (net.Listener, net.Conn, net.Conn
 // exactly once and in order, and the retransmit count must be strictly
 // smaller than the total reliable-frame count — the acceptance criterion
 // that resume is incremental, not a full re-send.
+//
+// The tear cuts the coordinator's end of the connection. Before offset
+// 6000 that stream carries only the assignment and message frames — all
+// 300 messages are written before the worker's echoes could owe a bare
+// ack — so the tear always lands in a reliable frame the worker has not
+// seen, and at least that frame must be retransmitted. (Torn on the worker's
+// end, the cut could fall in a bare ack after everything was delivered,
+// leaving nothing to retransmit.)
 func TestResumeAfterTear(t *testing.T) {
 	plan, err := ParseChaos("tear@6000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, server, client, dial := resumePair(t, plan)
+	l, server, client, dial := resumePair(t)
 
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{plan.Wrap(server)},
 		WithResume(l, 5*time.Second),
 		WithDrainTimeout(30*time.Second))
 	if err != nil {
@@ -197,7 +201,7 @@ func TestResumeAfterTear(t *testing.T) {
 // resume), and the failure handler must see the death so the join layer
 // runs its purge + re-stream recovery.
 func TestResumeWindowOverflowFallsBack(t *testing.T) {
-	l, server, client, dial := resumePair(t, nil)
+	l, server, client, dial := resumePair(t)
 
 	// Buffered beyond any plausible death count: the handler runs on the
 	// drain loop, so it must never block (the scripted worker's final
@@ -292,7 +296,7 @@ func TestResumeWindowOverflowFallsBack(t *testing.T) {
 // TestResumeWindowExpiry is rung 3: with no redial inside the resume
 // window, the worker is declared dead and the failure handler runs.
 func TestResumeWindowExpiry(t *testing.T) {
-	l, server, client, _ := resumePair(t, nil)
+	l, server, client, _ := resumePair(t)
 
 	causeCh := make(chan error, 1)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},

@@ -25,7 +25,7 @@ import (
 // and with it the join layer's purge) must not have run: a restore replays
 // the death from the log instead of double-applying it.
 func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
-	l, server, client, _ := resumePair(t, nil)
+	l, server, client, _ := resumePair(t)
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
@@ -81,7 +81,7 @@ func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 // never escaped: no assignment frame on the wire, no full-reassign counted,
 // no failure-handler purge.
 func TestCrashAtEpochRecordKeepsLogAhead(t *testing.T) {
-	l, server, client, dial := resumePair(t, nil)
+	l, server, client, dial := resumePair(t)
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
