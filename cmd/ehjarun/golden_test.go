@@ -64,7 +64,24 @@ var reportGoldens = []golden{
 	{"split_faults_merge", "-alg split -initial 4 -max 4 -sources 4 -r 200000 -s 200000 -budget 4194304 -faults 1@0.2,2@0.3 -v"},
 }
 
+// oocGoldens pin the out-of-core baseline: when each policy evicts, which
+// partitions, and what the finish phase reads back.
+var oocGoldens = []golden{
+	// Grace sends a node fully out of core at its first overflow; hybrid
+	// hash evicts the largest partitions until the rest fits.
+	{"ooc_grace_uniform", "-alg ooc -r 200000 -s 200000 -initial 2 -max 2 -budget 1048576 -v"},
+	{"ooc_hybrid_uniform", "-alg ooc -r 200000 -s 200000 -initial 2 -max 2 -budget 1048576 -ooc-hybrid -v"},
+	// Zipf keys: spilled partitions larger than the budget finish in three
+	// block-nested-loop passes.
+	{"ooc_grace_zipf_bnl", "-alg ooc -r 100000 -s 100000 -initial 2 -max 2 -budget 524288 -dist zipf -zipf-s 1.1 -v"},
+	{"ooc_hybrid_zipf_bnl", "-alg ooc -r 100000 -s 100000 -initial 2 -max 2 -budget 524288 -dist zipf -zipf-s 1.1 -ooc-hybrid -v"},
+	// A crash on the baseline degrades: the survivors finish what they hold.
+	{"ooc_grace_faults", "-alg ooc -r 200000 -s 200000 -initial 3 -max 4 -budget 1048576 -faults 1@0.5 -v"},
+}
+
 var wallClock = regexp.MustCompile(`wall clock [0-9.]+s`)
+
+func TestOOCReportsMatchGolden(t *testing.T) { checkGoldens(t, oocGoldens) }
 
 func TestSpillReportsMatchGolden(t *testing.T) { checkGoldens(t, spillGoldens) }
 

@@ -205,6 +205,42 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestOOCCurvesPinned holds the out-of-core baseline's curves — Figure 2's
+// "Out of Core" column and both policies of ablation A2 — to the exact
+// virtual times they had when the baseline ran its own spill manager. The
+// simulator is deterministic, so any change to when or what an out-of-core
+// node evicts, writes or reads back moves one of these bits.
+func TestOOCCurvesPinned(t *testing.T) {
+	s := smallSession()
+	fig2, err := s.Run("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := s.RunAblation("ooc-policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ grace, hybrid float64 }{
+		{1.86231398, 1.825203438},
+		{1.257025946, 1.212245629},
+		{0.97736773, 0.798272627},
+		{0.803935527, 0.494014678},
+		{0.15589917, 0.15589917},
+	}
+	if len(fig2.Cells) != len(want) || len(a2.Cells) != len(want) {
+		t.Fatalf("fig2 has %d rows and A2 %d, want %d", len(fig2.Cells), len(a2.Cells), len(want))
+	}
+	for i, w := range want {
+		if got := fig2.Cells[i][3]; got != w.grace {
+			t.Errorf("fig2 %s initial nodes: Out of Core %v s, pinned %v", fig2.XValues[i], got, w.grace)
+		}
+		if got := a2.Cells[i]; got[0] != w.grace || got[1] != w.hybrid {
+			t.Errorf("A2 %s initial nodes: Grace %v s, hybrid hash %v s, pinned %v and %v",
+				a2.XValues[i], got[0], got[1], w.grace, w.hybrid)
+		}
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tab := &Table{
 		Figure: "Figure X", Title: "Test", XLabel: "x,axis", Unit: "seconds",
