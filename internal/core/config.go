@@ -107,11 +107,17 @@ type Config struct {
 	// BurstChunks is how many chunks' worth of tuples a source generates
 	// per scheduling step. Defaults to 2.
 	BurstChunks int
-	// SpillPartitions is the out-of-core fan-out per node. Defaults to 32.
+	// SpillPartitions is the spill rung's fan-out per node: how many
+	// partitions an out-of-core node, or an expanding algorithm's node on
+	// the spill rung, divides its build tuples into for eviction. Defaults
+	// to 32.
 	SpillPartitions int
-	// OOCPolicy selects how the out-of-core baseline degrades when memory
-	// fills: spill.Grace (the paper's basic algorithm, default) or
-	// spill.HybridHash (a stronger baseline, for ablation).
+	// OOCPolicy selects which partitions an out-of-core node evicts when its
+	// table overflows: spill.Grace (the paper's basic algorithm, default)
+	// evicts every partition at the first overflow; spill.HybridHash (a
+	// stronger baseline, for ablation A2) evicts the largest until the rest
+	// fits. The expanding algorithms' spill rung always evicts largest
+	// first.
 	OOCPolicy spill.Policy
 	// Cores selected the intra-node parallelism degree, which was removed:
 	// a join node is one process owning one table (§4.1.3). 0 and 1 are
@@ -126,7 +132,8 @@ type Config struct {
 	// model, should not) recruit for an overflow, the full node evicts
 	// hash partitions to local disk and keeps building instead of running
 	// over budget, and the run completes without ExhaustedResources. The
-	// out-of-core baseline ignores it (it is already fully spilling). Not
+	// out-of-core baseline ignores it (it runs on the same rung from the
+	// start, evicting on its own overflow instead of on an order). Not
 	// supported together with MaterializeOutput: materialised output and
 	// probe-phase table clones cannot carry spilled state.
 	SpillEnabled bool
@@ -244,7 +251,7 @@ func (c Config) normalized() (Config, error) {
 		return c, fmt.Errorf("core: MaterializeOutput requires an expanding algorithm")
 	}
 	if c.Algorithm == OutOfCore {
-		c.SpillEnabled = false // the baseline is already fully spilling
+		c.SpillEnabled = false // the baseline's rung is armed from the start
 		c.HeavyThreshold = 0   // no routing to bend: state lives in spill files
 	}
 	if c.HeavyThreshold < 0 || c.HeavyThreshold >= 1 {

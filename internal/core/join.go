@@ -24,11 +24,11 @@ type joinActor struct {
 	rng    hashfn.Range  // authoritative owned range
 	route  *hashfn.Table // latest routing-table copy (for stray forwarding)
 	table  *hashtable.Table
-	owned  []tuple.Tuple  // insertOrForward's in-range scratch
-	spill  *spill.Manager // out-of-core only
-	// spillRung holds the partitions this node evicted to local disk after
-	// a spillOrder — the expanding algorithms' last degradation rung. Nil
-	// until the first order arrives; mutually exclusive with spill (OOC).
+	owned  []tuple.Tuple // insertOrForward's in-range scratch
+	// spillRung holds the partitions this node evicted to local disk. On the
+	// expanding algorithms it is the degradation ladder's last rung, nil
+	// until the first spillOrder arrives; the out-of-core baseline is the
+	// rung with no recruits, armed from the start (DESIGN.md §9).
 	spillRung *spill.Manager
 	// An eviction is a decision, not a table pass (DESIGN.md §9). From the
 	// first order on, partLive[p] counts the live table's tuples of spill
@@ -104,8 +104,7 @@ func newJoin(cfg Config, id rt.NodeID) *joinActor {
 		table: hashtable.New(cfg.Space, cfg.Build.Layout),
 	}
 	if cfg.Algorithm == OutOfCore {
-		j.spill = spill.NewWithPolicy(cfg.Space, cfg.Build.Layout, cfg.Probe.Layout,
-			j.budget, cfg.SpillPartitions, cfg.Cost, cfg.OOCPolicy)
+		j.armRung()
 	}
 	return j
 }
@@ -194,9 +193,6 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *reshuffleAssign:
 		j.onReshuffle(env, msg)
 	case *finishOOC:
-		if j.spill != nil {
-			j.spill.Finish(env)
-		}
 		if j.spillRung != nil {
 			j.flushEvictions()
 			j.spillRung.Finish(env)
@@ -257,7 +253,7 @@ func (j *joinActor) advertise(src rt.NodeID, rel tuple.Relation) int8 {
 func (j *joinActor) windowTarget(rel tuple.Relation) int {
 	base, limit := j.cfg.CreditWindow, j.cfg.MaxCreditWindow
 	switch {
-	case !j.active || j.spill != nil:
+	case !j.active || j.cfg.Algorithm == OutOfCore:
 		return base
 	case rel != tuple.RelR:
 		if j.cfg.MaterializeOutput {
@@ -420,17 +416,15 @@ func (j *joinActor) snapshot() *joinStats {
 		HeavyProbeTuples: j.heavyProbes,
 		WidestWindow:     int64(j.widestWindow),
 	}
-	if j.spill != nil {
-		s.SpillWrittenBytes = j.spill.SpillWrittenBytes
-		s.SpillReadBytes = j.spill.SpillReadBytes
-		s.BNLPasses = j.spill.BNLPasses
-	}
-	if j.spillRung != nil { // mutually exclusive with j.spill
+	if j.spillRung != nil {
 		s.SpillWrittenBytes = j.spillRung.SpillWrittenBytes
 		s.SpillReadBytes = j.spillRung.SpillReadBytes
 		s.BNLPasses = j.spillRung.BNLPasses
-		s.SpilledPartitions = j.spillRung.SpilledPartitions()
-		s.SpillBytes = j.spillRung.SpillWrittenBytes
+		// On the baseline spilling is the algorithm, not a degradation rung.
+		if j.cfg.Algorithm != OutOfCore {
+			s.SpilledPartitions = j.spillRung.SpilledPartitions()
+			s.SpillBytes = j.spillRung.SpillWrittenBytes
+		}
 	}
 	return s
 }
@@ -547,10 +541,8 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 	if c = j.filterStale(c, v); c == nil {
 		return
 	}
-	if j.spill != nil { // out-of-core baseline
-		for _, t := range c.Tuples {
-			j.spill.InsertBuild(env, t)
-		}
+	if j.cfg.Algorithm == OutOfCore {
+		j.insertOOC(env, c.Tuples)
 		return
 	}
 	if j.retired {
@@ -678,17 +670,13 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 		return
 	}
 	if j.spillRung == nil {
-		j.spillRung = spill.NewRung(j.cfg.Space, j.cfg.Build.Layout, j.cfg.Probe.Layout,
-			j.budget, j.cfg.SpillPartitions, j.cfg.Cost)
-		j.partLive = make([]int64, j.spillRung.Parts())
-		j.pendingN = make([]int64, j.spillRung.Parts())
-		j.table.ForEach(func(t tuple.Tuple) { j.partLive[j.spillRung.PartOf(t.Key)]++ })
+		j.armRung()
 	}
 	target := j.liveBytes() - j.budget
 	if msg.TargetBytes > target {
 		target = msg.TargetBytes
 	}
-	freed := j.evictToRung(env, target)
+	freed := j.evictToRung(env, target, spill.HybridHash)
 	if j.liveBytes() <= j.budget {
 		j.lastReport = 0 // relieved; future overflows report afresh
 	}
@@ -698,6 +686,44 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 	})
 }
 
+// armRung engages the spill rung, counting the partitions of what the table
+// already holds.
+func (j *joinActor) armRung() {
+	j.spillRung = spill.NewRung(j.cfg.Space, j.cfg.Build.Layout, j.cfg.Probe.Layout,
+		j.budget, j.cfg.SpillPartitions, j.cfg.Cost)
+	j.partLive = make([]int64, j.spillRung.Parts())
+	j.pendingN = make([]int64, j.spillRung.Parts())
+	j.table.ForEach(func(t tuple.Tuple) { j.partLive[j.spillRung.PartOf(t.Key)]++ })
+}
+
+// insertOOC is the out-of-core baseline's build path. The node checks its
+// budget after every tuple it keeps in memory, as a hybrid hash join does:
+// a chunk is stored up to the tuple that overflows, the victims are chosen
+// by the configured policy, and only then does the rest follow, so every
+// eviction sees exactly the tuples that preceded it. No memFull goes to the
+// scheduler: the baseline never recruits.
+func (j *joinActor) insertOOC(env rt.Env, ts []tuple.Tuple) {
+	size := int64(j.cfg.Build.Layout.LogicalSize())
+	for len(ts) > 0 {
+		room := (j.budget - j.liveBytes()) / size // resident tuples that still fit
+		cut := len(ts)
+		// Look for the overflowing tuple only while the rest could reach it.
+		for i := 0; i < len(ts) && room < int64(len(ts)-i); i++ {
+			if !j.spillRung.Spilled(j.spillRung.PartOf(ts[i].Key)) {
+				if room--; room < 0 {
+					cut = i + 1
+					break
+				}
+			}
+		}
+		j.insertOwned(env, ts[:cut])
+		ts = ts[cut:]
+		if over := j.liveBytes() - j.budget; over > 0 {
+			j.evictToRung(env, over, j.cfg.OOCPolicy)
+		}
+	}
+}
+
 // liveBytes is the table's accounted size without the tuples of evicted
 // partitions still staged in it: what the node holds in memory as far as
 // the budget, the overflow reports and the advertised windows go.
@@ -705,14 +731,23 @@ func (j *joinActor) liveBytes() int64 {
 	return j.table.Bytes() - j.pending*int64(j.cfg.Build.Layout.LogicalSize())
 }
 
-// evictToRung evicts whole spill partitions — largest first, the
-// highest-relief-per-seek order — until at least target bytes are freed,
-// and returns the bytes freed. The victims follow from the per-partition
-// counts alone: each is marked and charged here, at the decision, and its
-// tuples leave the table in flushEvictions.
-func (j *joinActor) evictToRung(env rt.Env, target int64) int64 {
-	size := int64(j.cfg.Build.Layout.LogicalSize())
+// evictToRung evicts whole spill partitions and returns the bytes freed.
+// HybridHash takes them largest first — the highest-relief-per-seek order —
+// until at least target bytes are freed. Grace takes every partition still
+// in memory, empty ones included, so the node is fully out of core from
+// then on. The victims follow from the per-partition counts alone: each is
+// marked and charged here, at the decision, and its tuples leave the table
+// in flushEvictions.
+func (j *joinActor) evictToRung(env rt.Env, target int64, policy spill.Policy) int64 {
 	var freed int64
+	if policy == spill.Grace {
+		for p := range j.partLive {
+			if !j.spillRung.Spilled(p) {
+				freed += j.evict(env, p)
+			}
+		}
+		return freed
+	}
 	for freed < target {
 		best, bestN := -1, int64(0)
 		for p, n := range j.partLive {
@@ -723,13 +758,20 @@ func (j *joinActor) evictToRung(env rt.Env, target int64) int64 {
 		if best < 0 {
 			break // every populated partition is already on disk
 		}
-		j.spillRung.MarkEvicted(env, best, bestN)
-		j.partLive[best] = 0
-		j.pendingN[best] = bestN
-		j.pending += bestN
-		freed += bestN * size
+		freed += j.evict(env, best)
 	}
 	return freed
+}
+
+// evict marks partition p spilled, moves its live count to pending and
+// returns the bytes that frees.
+func (j *joinActor) evict(env rt.Env, p int) int64 {
+	n := j.partLive[p]
+	j.spillRung.MarkEvicted(env, p, n)
+	j.partLive[p] = 0
+	j.pendingN[p] = n
+	j.pending += n
+	return n * int64(j.cfg.Build.Layout.LogicalSize())
 }
 
 // flushEvictions moves the tuples of every partition evicted since the last
@@ -932,12 +974,6 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 			}
 		}
 	}
-	if j.spill != nil {
-		for _, t := range c.Tuples {
-			j.spill.Probe(env, t)
-		}
-		return
-	}
 	ts := c.Tuples
 	if j.spillRung != nil {
 		j.flushEvictions()
@@ -1029,9 +1065,6 @@ func (j *joinActor) sendStageChunk(env rt.Env, dest rt.NodeID, c *tuple.Chunk) {
 // storedBuildTuples counts the build tuples this node holds (conservation
 // invariant and load-balance metrics).
 func (j *joinActor) storedBuildTuples() int64 {
-	if j.spill != nil {
-		return j.spill.StoredBuildTuples()
-	}
 	n := j.table.Count()
 	if j.spillRung != nil {
 		n += j.spillRung.StoredBuildTuples()
@@ -1042,9 +1075,6 @@ func (j *joinActor) storedBuildTuples() int64 {
 // totalMatches merges in-core and out-of-core match counts.
 func (j *joinActor) totalMatches() uint64 {
 	m := j.matches
-	if j.spill != nil {
-		m += j.spill.Matches()
-	}
 	if j.spillRung != nil {
 		m += j.spillRung.Matches()
 	}
@@ -1053,9 +1083,6 @@ func (j *joinActor) totalMatches() uint64 {
 
 func (j *joinActor) totalChecksum() uint64 {
 	x := j.checksum
-	if j.spill != nil {
-		x ^= j.spill.Checksum()
-	}
 	if j.spillRung != nil {
 		x ^= j.spillRung.Checksum()
 	}

@@ -5,17 +5,28 @@ import (
 
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/live"
+	"ehjoin/internal/spill"
 )
 
-// TestLiveEngineMatchesSimulator runs every algorithm on the goroutine
-// engine (real concurrency, nondeterministic interleaving) and checks the
-// join result is bit-identical to the simulator's and to the reference
-// join. Timing-dependent statistics (node loads, forwarded chunks) may
+// TestLiveEngineMatchesSimulator runs every algorithm, and the out-of-core
+// baseline under both policies, on the goroutine engine (real concurrency,
+// nondeterministic interleaving) and checks the join result is
+// bit-identical to the simulator's and to the reference join.
+// Timing-dependent statistics (node loads, forwarded chunks) may
 // legitimately differ; the result must not.
 func TestLiveEngineMatchesSimulator(t *testing.T) {
+	var cfgs []Config
 	for _, alg := range Algorithms() {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testConfig(alg)
+		cfgs = append(cfgs, testConfig(alg))
+	}
+	hybridHash := testConfig(OutOfCore)
+	hybridHash.OOCPolicy = spill.HybridHash
+	for _, cfg := range append(cfgs, hybridHash) {
+		name := cfg.Algorithm.String()
+		if cfg.OOCPolicy == spill.HybridHash {
+			name += "-hybrid-hash"
+		}
+		t.Run(name, func(t *testing.T) {
 			wantMatches, wantChecksum := referenceJoin(t, cfg)
 
 			simRep, err := Run(cfg)
@@ -35,6 +46,9 @@ func TestLiveEngineMatchesSimulator(t *testing.T) {
 			if liveRep.Matches != simRep.Matches || liveRep.Checksum != simRep.Checksum {
 				t.Errorf("live and sim disagree: %d/%#x vs %d/%#x",
 					liveRep.Matches, liveRep.Checksum, simRep.Matches, simRep.Checksum)
+			}
+			if cfg.Algorithm == OutOfCore && liveRep.SpillWrittenBytes == 0 {
+				t.Error("the out-of-core run never spilled: the case is vacuous")
 			}
 		})
 	}

@@ -1,17 +1,21 @@
-// Package spill implements the out-of-core join machinery used by the
-// paper's non-expanding baseline ("Out of Core" in Figures 2-13).
+// Package spill holds the partitions a join node has evicted to local disk.
 //
-// Each OOC join node runs a hybrid hash join locally: build tuples go into
-// the in-memory table while it fits the memory budget; when the budget is
-// exceeded, whole spill partitions (sub-hashed by join attribute) are
-// evicted to local disk and subsequent tuples of evicted partitions stream
-// straight to disk. Probe tuples for evicted partitions are also spilled.
-// A final phase joins each spilled partition pair, falling back to
-// block-nested-loop passes when a build partition alone exceeds the budget
-// (pathological skew).
+// A join node keeps its build tuples in its own hash table. When the table
+// outgrows the node's memory budget the node evicts whole spill partitions
+// (sub-hashed by join attribute) to a Manager: it marks each victim here at
+// the decision and hands the victim's tuples over before anything reads
+// them. From then on tuples of evicted partitions, of both relations, stream
+// straight to the Manager. A final phase joins each spilled partition pair,
+// falling back to block-nested-loop passes when a build partition alone
+// exceeds the budget (pathological skew).
+//
+// The out-of-core baseline ("Out of Core" in Figures 2-13) and the expanding
+// algorithms' last degradation rung are the same machinery; they differ
+// only in who decides to evict: the baseline on its own overflow, with a
+// Policy, the expanding algorithms on the scheduler's spill order.
 //
 // Spilled tuples are retained physically in memory (16 bytes each) but all
-// their logical bytes are charged to the simulated disk, so OOC timing
+// their logical bytes are charged to the simulated disk, so spill timing
 // reflects disk traffic exactly as on the paper's testbed.
 package spill
 
@@ -28,20 +32,21 @@ const fibMul = 0x9E3779B97F4A7C15
 // charged once per accumulated batch, modelling sequential buffered I/O.
 const writeBatchBytes = 1 << 20
 
-// Policy selects how a node degrades to out-of-core operation.
+// Policy selects which partitions an out-of-core node evicts when its table
+// overflows the budget.
 type Policy uint8
 
 const (
 	// Grace is the paper's baseline (§2, "basic out-of-core join
-	// algorithm"): the first budget overflow sends the node fully out of
-	// core — the in-memory table is flushed and every subsequent tuple of
-	// both relations streams to disk partitions, joined pairwise in the
-	// final phase.
+	// algorithm"): the first budget overflow evicts every partition, so the
+	// node is fully out of core — every subsequent tuple of both relations
+	// streams to disk partitions, joined pairwise in the final phase.
 	Grace Policy = iota
 	// HybridHash keeps as many partitions resident as the budget allows,
-	// evicting the largest partition on overflow; only evicted partitions
-	// pay disk traffic. A stronger baseline than the paper's, provided
-	// for ablation.
+	// evicting the largest partitions on overflow until the rest fits; only
+	// evicted partitions pay disk traffic. A stronger baseline than the
+	// paper's, provided for ablation; it is also how the expanding
+	// algorithms' spill rung chooses its victims.
 	HybridHash
 )
 
@@ -57,20 +62,17 @@ func (p Policy) String() string {
 	}
 }
 
-// Manager holds one join node's out-of-core state.
+// Manager holds one join node's evicted partitions.
 type Manager struct {
 	space   hashfn.Space
 	layoutR tuple.Layout
 	layoutS tuple.Layout
 	budget  int64
 	cm      rt.CostModel
-	policy  Policy
 
 	parts     int
 	partShift uint
-	table     *hashtable.Table
-	resident  []bool
-	residentB []int64 // logical bytes of each resident partition
+	spilled   []bool
 
 	spilledR []stream
 	spilledS []stream
@@ -170,59 +172,41 @@ func (s *stream) remove(take func(tuple.Tuple) bool) {
 	s.blocks = blocks
 }
 
-// New returns a Manager with the given spill fan-out (rounded up to a power
-// of two) using the Grace policy; see NewWithPolicy.
-func New(space hashfn.Space, layoutR, layoutS tuple.Layout, budget int64, parts int, cm rt.CostModel) *Manager {
-	return NewWithPolicy(space, layoutR, layoutS, budget, parts, cm, Grace)
-}
-
-// NewRung returns a Manager operating as a join node's spill rung — the
-// last rung of the expanding algorithms' degradation ladder. Unlike the
-// out-of-core baseline the node's own hash table keeps holding the
-// resident partitions; the Manager owns only the evicted ones, fed through
-// EvictBuild / SpillBuild / SpillProbe, and joins them in Finish. The
-// budget bounds the block size of Finish's block-nested-loop passes.
+// NewRung returns the Manager of one join node's spill rung, with the given
+// fan-out rounded up to a power of two. The node's own hash table keeps
+// holding the resident partitions; the Manager owns only the evicted ones,
+// fed through MarkEvicted / AdoptBuild / SpillBuild / SpillProbe, and joins
+// them in Finish. The budget bounds the block size of Finish's
+// block-nested-loop passes.
 func NewRung(space hashfn.Space, layoutR, layoutS tuple.Layout, budget int64, parts int, cm rt.CostModel) *Manager {
-	return NewWithPolicy(space, layoutR, layoutS, budget, parts, cm, HybridHash)
-}
-
-// NewWithPolicy returns a Manager with an explicit degradation policy.
-func NewWithPolicy(space hashfn.Space, layoutR, layoutS tuple.Layout, budget int64, parts int, cm rt.CostModel, policy Policy) *Manager {
 	p := 1
 	shift := uint(64)
 	for p < parts {
 		p <<= 1
 		shift--
 	}
-	m := &Manager{
+	return &Manager{
 		space:     space,
 		layoutR:   layoutR,
 		layoutS:   layoutS,
 		budget:    budget,
 		cm:        cm,
-		policy:    policy,
 		parts:     p,
 		partShift: shift,
-		table:     hashtable.New(space, layoutR),
-		resident:  make([]bool, p),
-		residentB: make([]int64, p),
+		spilled:   make([]bool, p),
 		spilledR:  make([]stream, p),
 		spilledS:  make([]stream, p),
 		rBytes:    make([]int64, p),
 		sBytes:    make([]int64, p),
 	}
-	for i := range m.resident {
-		m.resident[i] = true
-	}
-	return m
 }
 
 func (m *Manager) partOf(key uint64) int {
 	return int((key * fibMul) >> m.partShift)
 }
 
-// PartOf returns the spill partition a key sub-hashes into, so a rung-mode
-// caller can route tuples of evicted partitions here.
+// PartOf returns the spill partition a key sub-hashes into, so the caller
+// can route tuples of evicted partitions here.
 func (m *Manager) PartOf(key uint64) int { return m.partOf(key) }
 
 // PartitionOf computes the partition a key sub-hashes into for a
@@ -244,13 +228,13 @@ func PartitionOf(key uint64, parts int) int {
 func (m *Manager) Parts() int { return m.parts }
 
 // Spilled reports whether partition p has been evicted to disk.
-func (m *Manager) Spilled(p int) bool { return !m.resident[p] }
+func (m *Manager) Spilled(p int) bool { return m.spilled[p] }
 
 // SpilledPartitions counts the partitions currently evicted to disk.
 func (m *Manager) SpilledPartitions() int64 {
 	var n int64
-	for _, res := range m.resident {
-		if !res {
+	for _, s := range m.spilled {
+		if s {
 			n++
 		}
 	}
@@ -273,85 +257,21 @@ func (m *Manager) flushWrites(env rt.Env) {
 	}
 }
 
-// InsertBuild handles one build tuple.
-func (m *Manager) InsertBuild(env rt.Env, t tuple.Tuple) {
-	p := m.partOf(t.Key)
-	size := int64(m.layoutR.LogicalSize())
-	if m.resident[p] {
-		env.ChargeCPU(m.cm.BuildNs)
-		m.table.Insert(t)
-		m.residentB[p] += size
-		if m.table.Bytes() > m.budget {
-			if m.policy == Grace {
-				m.evictAll(env)
-			} else {
-				for m.table.Bytes() > m.budget {
-					if !m.evictLargest(env) {
-						break // nothing evictable; run over budget
-					}
-				}
-			}
-		}
-		return
-	}
-	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledR[p].add(t)
-	m.rBytes[p] += size
-	m.chargeWrite(env, size)
-}
-
-// evictAll implements the Grace degradation: flush every resident
-// partition to disk at once; the node is fully out of core from here on.
-func (m *Manager) evictAll(env rt.Env) {
-	for p, res := range m.resident {
-		if !res {
-			continue
-		}
-		var moved []tuple.Tuple
-		if m.residentB[p] > 0 {
-			moved = m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == p })
-			m.residentB[p] = 0
-		}
-		m.EvictBuild(env, p, moved)
-	}
-}
-
-// evictLargest moves the largest resident partition to disk. It returns
-// false when no partition remains resident.
-func (m *Manager) evictLargest(env rt.Env) bool {
-	best, bestBytes := -1, int64(-1)
-	for p, res := range m.resident {
-		if res && m.residentB[p] > bestBytes {
-			best, bestBytes = p, m.residentB[p]
-		}
-	}
-	if best < 0 || bestBytes <= 0 {
-		// All partitions empty or already evicted.
-		if best < 0 {
-			return false
-		}
-		m.resident[best] = false
-		return false
-	}
-	m.EvictBuild(env, best, m.table.ExtractMatching(func(t tuple.Tuple) bool { return m.partOf(t.Key) == best }))
-	m.residentB[best] = 0
-	return true
-}
-
 // EvictBuild marks partition p evicted and takes ownership of its build
-// tuples, which the caller extracted from the table holding them.
+// tuples, which the caller extracted from the table holding them: the
+// decision and the hand-over at once.
 func (m *Manager) EvictBuild(env rt.Env, p int, moved []tuple.Tuple) {
 	m.MarkEvicted(env, p, int64(len(moved)))
 	m.AdoptBuild(p, moved)
 }
 
 // MarkEvicted is the decision half of an eviction: partition p is on disk
-// from here on — in rung mode its later tuples must stream through
-// SpillBuild / SpillProbe — and the n build tuples still in memory are
+// from here on — its later tuples must stream through SpillBuild /
+// SpillProbe — and the n build tuples still in memory are
 // charged now, extraction and disk write alike. The caller owes them to
 // AdoptBuild before anything reads the partition's stream.
 func (m *Manager) MarkEvicted(env rt.Env, p int, n int64) {
-	m.resident[p] = false
+	m.spilled[p] = true
 	if n == 0 {
 		return
 	}
@@ -370,7 +290,7 @@ func (m *Manager) AdoptBuild(p int, moved []tuple.Tuple) {
 	m.spilledR[p].adoptFront(moved)
 }
 
-// SpillBuild (rung mode) streams one build tuple of an evicted partition to
+// SpillBuild streams one build tuple of an evicted partition to
 // disk; the node's live table never sees it.
 func (m *Manager) SpillBuild(env rt.Env, t tuple.Tuple) {
 	p := m.partOf(t.Key)
@@ -381,7 +301,7 @@ func (m *Manager) SpillBuild(env rt.Env, t tuple.Tuple) {
 	m.chargeWrite(env, size)
 }
 
-// SpillProbe (rung mode) streams one probe tuple of an evicted partition to
+// SpillProbe streams one probe tuple of an evicted partition to
 // disk for the final phase.
 func (m *Manager) SpillProbe(env rt.Env, t tuple.Tuple) {
 	p := m.partOf(t.Key)
@@ -439,22 +359,6 @@ func (m *Manager) PurgeRange(rng hashfn.Range) int64 {
 	return dropped
 }
 
-// Probe handles one probe tuple: resident partitions probe immediately,
-// evicted ones spill the tuple for the final phase.
-func (m *Manager) Probe(env rt.Env, t tuple.Tuple) {
-	p := m.partOf(t.Key)
-	if m.resident[p] {
-		one := [1]tuple.Tuple{t}
-		m.probeAll(env, m.table, one[:])
-		return
-	}
-	env.ChargeCPU(m.cm.MoveNs)
-	m.spilledS[p].add(t)
-	size := int64(m.layoutS.LogicalSize())
-	m.sBytes[p] += size
-	m.chargeWrite(env, size)
-}
-
 // probeAll joins a batch of probe tuples against tbl through the table's
 // own match kernel and charges the batch's CPU in one call.
 func (m *Manager) probeAll(env rt.Env, tbl *hashtable.Table, ts []tuple.Tuple) {
@@ -464,8 +368,8 @@ func (m *Manager) probeAll(env rt.Env, tbl *hashtable.Table, ts []tuple.Tuple) {
 	env.ChargeCPU(m.cm.ProbeNs*int64(len(ts)) + m.cm.MatchNs*n)
 }
 
-// Finish joins every spilled partition pair (the OOC algorithm's final
-// local phase). Build partitions larger than the memory budget are joined
+// Finish joins every spilled partition pair (the out-of-core final local
+// phase). Build partitions larger than the memory budget are joined
 // in block-nested-loop passes, re-reading the spilled probe partition once
 // per pass. Every block is joined through one transient table, emptied
 // between blocks.
@@ -505,18 +409,15 @@ func (m *Manager) Finish(env rt.Env) {
 	}
 }
 
-// StoredBuildTuples counts every build tuple this node holds, resident or
-// spilled (used by the conservation invariant).
+// StoredBuildTuples counts the build tuples the Manager holds on disk (used
+// by the conservation invariant, next to the node's table).
 func (m *Manager) StoredBuildTuples() int64 {
-	n := m.table.Count()
+	var n int64
 	for p := range m.spilledR {
 		n += int64(m.spilledR[p].n)
 	}
 	return n
 }
-
-// ResidentBytes returns the in-memory table's accounted size.
-func (m *Manager) ResidentBytes() int64 { return m.table.Bytes() }
 
 // Matches returns the number of join matches produced so far.
 func (m *Manager) Matches() uint64 { return m.matches }

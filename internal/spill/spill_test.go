@@ -57,18 +57,53 @@ func genTuples(n int, seed int64, keyPool int) []tuple.Tuple {
 	return out
 }
 
-func runOOC(t *testing.T, budget int64, parts int, rs, ss []tuple.Tuple) (*Manager, *fakeEnv) {
+// runOOC joins rs with ss the way a join node with the spill rung does: it
+// keeps build tuples in memory per partition, and whenever they outgrow the
+// budget it evicts the largest partitions through MarkEvicted / AdoptBuild
+// until the rest fits. Tuples of evicted partitions stream through
+// SpillBuild / SpillProbe, the resident ones join in memory, and Finish
+// joins the spilled pairs. It returns the node's whole result and the bytes
+// left resident.
+func runOOC(t *testing.T, budget int64, parts int, rs, ss []tuple.Tuple) (m *Manager, env *fakeEnv, matches, checksum uint64, resident int64) {
 	t.Helper()
-	env := &fakeEnv{}
-	m := New(space, layout(), layout(), budget, parts, rt.OSUMed())
+	env = &fakeEnv{}
+	m = NewRung(space, layout(), layout(), budget, parts, rt.OSUMed())
+	size := int64(layout().LogicalSize())
+	live := make([][]tuple.Tuple, m.Parts())
 	for _, r := range rs {
-		m.InsertBuild(env, r)
+		p := m.PartOf(r.Key)
+		if m.Spilled(p) {
+			m.SpillBuild(env, r)
+			continue
+		}
+		live[p] = append(live[p], r)
+		for resident += size; resident > budget; {
+			best := 0
+			for q := range live {
+				if len(live[q]) > len(live[best]) {
+					best = q
+				}
+			}
+			m.MarkEvicted(env, best, int64(len(live[best])))
+			m.AdoptBuild(best, live[best])
+			resident -= int64(len(live[best])) * size
+			live[best] = nil
+		}
+	}
+	var liveR, liveS []tuple.Tuple
+	for _, l := range live {
+		liveR = append(liveR, l...)
 	}
 	for _, s := range ss {
-		m.Probe(env, s)
+		if m.Spilled(m.PartOf(s.Key)) {
+			m.SpillProbe(env, s)
+		} else {
+			liveS = append(liveS, s)
+		}
 	}
 	m.Finish(env)
-	return m, env
+	matches, checksum = refJoin(liveR, liveS)
+	return m, env, matches + m.Matches(), checksum ^ m.Checksum(), resident
 }
 
 // spill.MixPair is the name bench/oracle.go and the reference joins fold
@@ -90,12 +125,15 @@ func TestMixPairForwardsToTuple(t *testing.T) {
 func TestInMemoryPathMatchesReference(t *testing.T) {
 	rs := genTuples(2000, 1, 500)
 	ss := genTuples(3000, 2, 500)
-	m, env := runOOC(t, 64<<20, 8, rs, ss)
+	m, env, gotM, gotCk, _ := runOOC(t, 64<<20, 8, rs, ss)
 	wantM, wantCk := refJoin(rs, ss)
-	if m.Matches() != wantM || m.Checksum() != wantCk {
-		t.Errorf("matches/checksum = %d/%#x, want %d/%#x", m.Matches(), m.Checksum(), wantM, wantCk)
+	if gotM != wantM || gotCk != wantCk {
+		t.Errorf("matches/checksum = %d/%#x, want %d/%#x", gotM, gotCk, wantM, wantCk)
 	}
-	if m.SpillWrittenBytes != 0 || env.writes != 0 {
+	if m.Matches() != 0 || m.SpilledPartitions() != 0 {
+		t.Errorf("rung joined %d matches over %d spilled partitions with ample memory", m.Matches(), m.SpilledPartitions())
+	}
+	if m.SpillWrittenBytes != 0 || env.writes != 0 || env.reads != 0 {
 		t.Errorf("spilled with ample memory: %d bytes", m.SpillWrittenBytes)
 	}
 	if m.Evictions != 0 {
@@ -107,10 +145,10 @@ func TestSpillPathMatchesReference(t *testing.T) {
 	rs := genTuples(5000, 3, 700)
 	ss := genTuples(5000, 4, 700)
 	// Budget fits only ~1000 tuples resident.
-	m, env := runOOC(t, 100*1000, 8, rs, ss)
+	m, env, gotM, gotCk, resident := runOOC(t, 100*1000, 8, rs, ss)
 	wantM, wantCk := refJoin(rs, ss)
-	if m.Matches() != wantM || m.Checksum() != wantCk {
-		t.Errorf("matches/checksum = %d/%#x, want %d/%#x", m.Matches(), m.Checksum(), wantM, wantCk)
+	if gotM != wantM || gotCk != wantCk {
+		t.Errorf("matches/checksum = %d/%#x, want %d/%#x", gotM, gotCk, wantM, wantCk)
 	}
 	if m.Evictions == 0 || m.SpillWrittenBytes == 0 {
 		t.Error("expected evictions and spill writes under memory pressure")
@@ -118,8 +156,8 @@ func TestSpillPathMatchesReference(t *testing.T) {
 	if m.SpillReadBytes == 0 || env.reads == 0 {
 		t.Error("finish phase read nothing back")
 	}
-	if m.ResidentBytes() > 100*1000 {
-		t.Errorf("resident bytes %d exceed budget after spilling", m.ResidentBytes())
+	if resident > 100*1000 {
+		t.Errorf("resident bytes %d exceed budget after spilling", resident)
 	}
 }
 
@@ -132,10 +170,10 @@ func TestBNLFallbackForOversizedPartition(t *testing.T) {
 		rs[i] = tuple.Tuple{Index: uint64(i), Key: 0xDEADBEEF}
 	}
 	ss := []tuple.Tuple{{Index: 9, Key: 0xDEADBEEF}, {Index: 10, Key: 42}}
-	m, _ := runOOC(t, 50*100, 4, rs, ss) // budget: 50 tuples
+	m, _, gotM, gotCk, _ := runOOC(t, 50*100, 4, rs, ss) // budget: 50 tuples
 	wantM, wantCk := refJoin(rs, ss)
-	if m.Matches() != wantM || m.Checksum() != wantCk {
-		t.Errorf("matches = %d, want %d", m.Matches(), wantM)
+	if gotM != wantM || gotCk != wantCk {
+		t.Errorf("matches = %d, want %d", gotM, wantM)
 	}
 	if m.BNLPasses == 0 {
 		t.Error("expected BNL passes for oversized partition")
@@ -144,13 +182,12 @@ func TestBNLFallbackForOversizedPartition(t *testing.T) {
 
 func TestStoredBuildTuplesConservation(t *testing.T) {
 	rs := genTuples(3000, 5, 400)
-	env := &fakeEnv{}
-	m := New(space, layout(), layout(), 50*1000, 8, rt.OSUMed())
-	for _, r := range rs {
-		m.InsertBuild(env, r)
+	m, _, _, _, resident := runOOC(t, 50*1000, 8, rs, nil)
+	if m.SpilledPartitions() == 0 {
+		t.Fatal("scenario is vacuous: nothing spilled")
 	}
-	if got := m.StoredBuildTuples(); got != 3000 {
-		t.Errorf("stored %d of 3000 build tuples", got)
+	if got := resident/int64(layout().LogicalSize()) + m.StoredBuildTuples(); got != 3000 {
+		t.Errorf("stored %d of 3000 build tuples (%d on disk)", got, m.StoredBuildTuples())
 	}
 }
 
@@ -159,15 +196,18 @@ func TestProbeOnlySpilledPartition(t *testing.T) {
 	// still be handled (spilled + finished) without errors.
 	rs := genTuples(2000, 6, 10) // heavy duplicates force eviction
 	ss := []tuple.Tuple{{Index: 1, Key: 0x1234567890}}
-	m, _ := runOOC(t, 30*1000, 4, rs, ss)
+	m, _, gotM, _, _ := runOOC(t, 30*1000, 4, rs, ss)
 	wantM, _ := refJoin(rs, ss)
-	if m.Matches() != wantM {
-		t.Errorf("matches = %d, want %d", m.Matches(), wantM)
+	if gotM != wantM {
+		t.Errorf("matches = %d, want %d", gotM, wantM)
+	}
+	if !m.Spilled(m.PartOf(ss[0].Key)) {
+		t.Error("scenario is vacuous: the probe tuple's partition stayed resident")
 	}
 }
 
 func TestPartsRoundedToPowerOfTwo(t *testing.T) {
-	m := New(space, layout(), layout(), 1<<20, 5, rt.OSUMed())
+	m := NewRung(space, layout(), layout(), 1<<20, 5, rt.OSUMed())
 	if m.parts != 8 {
 		t.Errorf("parts = %d, want 8", m.parts)
 	}
@@ -188,46 +228,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestGraceSpillsEverythingHybridHashDoesNot contrasts the two policies:
-// after the first overflow Grace goes fully out of core, while hybrid-hash
-// keeps as much resident as fits.
-func TestGraceSpillsEverythingHybridHashDoesNot(t *testing.T) {
-	rs := genTuples(5000, 8, 900)
-	ss := genTuples(5000, 9, 900)
-	budget := int64(200 * 1000) // ~2000 tuples
-
-	run := func(p Policy) *Manager {
-		env := &fakeEnv{}
-		m := NewWithPolicy(space, layout(), layout(), budget, 8, rt.OSUMed(), p)
-		for _, r := range rs {
-			m.InsertBuild(env, r)
-		}
-		for _, s := range ss {
-			m.Probe(env, s)
-		}
-		m.Finish(env)
-		return m
-	}
-	grace := run(Grace)
-	hybrid := run(HybridHash)
-	wantM, wantCk := refJoin(rs, ss)
-	for name, m := range map[string]*Manager{"grace": grace, "hybrid-hash": hybrid} {
-		if m.Matches() != wantM || m.Checksum() != wantCk {
-			t.Errorf("%s: result %d/%#x, want %d/%#x", name, m.Matches(), m.Checksum(), wantM, wantCk)
-		}
-	}
-	if grace.ResidentBytes() != 0 {
-		t.Errorf("grace kept %d bytes resident after overflow", grace.ResidentBytes())
-	}
-	if hybrid.ResidentBytes() == 0 {
-		t.Error("hybrid-hash evicted everything")
-	}
-	if grace.SpillWrittenBytes <= hybrid.SpillWrittenBytes {
-		t.Errorf("grace wrote %d <= hybrid-hash %d; expected more disk traffic",
-			grace.SpillWrittenBytes, hybrid.SpillWrittenBytes)
-	}
-}
-
 func TestFinishSkipsEmptyBuildPartitions(t *testing.T) {
 	// Regression: Finish used to run the first BNL iteration even for a
 	// partition with no spilled build tuples, charging a disk seek,
@@ -235,7 +235,7 @@ func TestFinishSkipsEmptyBuildPartitions(t *testing.T) {
 	// probe partition — all for zero possible matches. The only reads
 	// Finish may charge here are the build partition's own blocks.
 	env := &fakeEnv{}
-	m := New(space, layout(), layout(), 100, 4, rt.OSUMed()) // nothing fits resident
+	m := NewRung(space, layout(), layout(), 100, 4, rt.OSUMed())
 	rKey := uint64(1)
 	sKey := uint64(0)
 	for k := uint64(2); sKey == 0; k++ {
@@ -243,12 +243,15 @@ func TestFinishSkipsEmptyBuildPartitions(t *testing.T) {
 			sKey = k
 		}
 	}
+	for p := 0; p < m.Parts(); p++ {
+		m.MarkEvicted(env, p, 0) // nothing fits resident
+	}
 	const nR, nS = 2, 50
 	for i := 0; i < nR; i++ {
-		m.InsertBuild(env, tuple.Tuple{Index: uint64(i), Key: rKey})
+		m.SpillBuild(env, tuple.Tuple{Index: uint64(i), Key: rKey})
 	}
 	for i := 0; i < nS; i++ {
-		m.Probe(env, tuple.Tuple{Index: uint64(i), Key: sKey})
+		m.SpillProbe(env, tuple.Tuple{Index: uint64(i), Key: sKey})
 	}
 	finishEnv := &fakeEnv{}
 	m.Finish(finishEnv)
@@ -371,12 +374,18 @@ func TestWriteBatching(t *testing.T) {
 	// Small spills accumulate; disk time is charged in batches, flushed at
 	// Finish.
 	env := &fakeEnv{}
-	m := New(space, layout(), layout(), 100, 4, rt.OSUMed()) // nothing fits
+	m := NewRung(space, layout(), layout(), 100, 4, rt.OSUMed())
+	for p := 0; p < m.Parts(); p++ {
+		m.MarkEvicted(env, p, 0) // nothing fits
+	}
 	for i := 0; i < 10; i++ {
-		m.InsertBuild(env, tuple.Tuple{Index: uint64(i), Key: uint64(i) * 7919})
+		m.SpillBuild(env, tuple.Tuple{Index: uint64(i), Key: uint64(i) * 7919})
 	}
 	if m.SpillWrittenBytes == 0 {
 		t.Fatal("nothing accounted as spilled")
+	}
+	if env.writes != 0 {
+		t.Errorf("charged %d write bytes before a batch filled", env.writes)
 	}
 	m.Finish(env)
 	if env.writes != m.SpillWrittenBytes {

@@ -8,6 +8,7 @@ import (
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/spill"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -65,13 +66,23 @@ func distConfig(alg core.Algorithm) core.Config {
 	}
 }
 
-// TestDistributedJoinMatchesSimulator runs every algorithm with all join
-// nodes hosted on two TCP worker processes (in-process goroutines over real
-// sockets) and compares the join result with the simulator's.
+// TestDistributedJoinMatchesSimulator runs every algorithm, and the
+// out-of-core baseline under both policies, with all join nodes hosted on
+// two TCP worker processes (in-process goroutines over real sockets) and
+// compares the join result with the simulator's.
 func TestDistributedJoinMatchesSimulator(t *testing.T) {
+	var cfgs []core.Config
 	for _, alg := range core.Algorithms() {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := distConfig(alg)
+		cfgs = append(cfgs, distConfig(alg))
+	}
+	hybridHash := distConfig(core.OutOfCore)
+	hybridHash.OOCPolicy = spill.HybridHash
+	for _, cfg := range append(cfgs, hybridHash) {
+		name := cfg.Algorithm.String()
+		if cfg.OOCPolicy == spill.HybridHash {
+			name += "-hybrid-hash"
+		}
+		t.Run(name, func(t *testing.T) {
 			want, err := core.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -106,6 +117,9 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 			}
 			if got.FinalNodes != want.FinalNodes {
 				t.Logf("final nodes differ (timing-dependent): %d vs %d", got.FinalNodes, want.FinalNodes)
+			}
+			if cfg.Algorithm == core.OutOfCore && got.SpillWrittenBytes == 0 {
+				t.Error("the out-of-core run never spilled: the case is vacuous")
 			}
 		})
 	}
