@@ -70,7 +70,6 @@ func main() {
 		resume       = flag.Bool("resume", true, "recover broken worker connections by ack-based session resume (retransmit only unacked frames) before falling back to re-streaming")
 		resumeWindow = flag.Duration("resume-window", tcpnet.DefaultResumeWindow,
 			"how long a disconnected worker may take to redial before the next recovery rung")
-		p2p          = flag.Bool("p2p", true, "ship worker↔worker chunks over direct peer links (the data plane) instead of relaying through the coordinator; with -spawn=false every joind must also run -p2p")
 		wal          = flag.String("wal", "", "write-ahead checkpoint log for the coordinator control plane (DESIGN.md §12); enables crash recovery via -coord-restart")
 		coordKill    = flag.String("coord-kill", "", "kill the coordinator after record N of phase P, format P@N (P=-1 counts whole-log records); fault-injection demo, needs -wal")
 		coordRestart = flag.Bool("coord-restart", false, "on coordinator death, restart in-process: replay the -wal log, rebind the listener, and resume the run where it died")
@@ -92,8 +91,14 @@ func main() {
 	defer stopCPUProfile()
 
 	if *worker {
-		runWorker(*connect, *chaos, *resume, *p2p, *park)
+		runWorker(*connect, *chaos, *resume, *park)
 		return
+	}
+
+	if *workers < 1 || *workers > tcpnet.MaxWorkers {
+		fmt.Fprintf(os.Stderr, "ehjadist: -workers %d: want 1 to %d\n", *workers, tcpnet.MaxWorkers)
+		stopCPUProfile()
+		os.Exit(2)
 	}
 
 	var alg core.Algorithm
@@ -203,8 +208,7 @@ func main() {
 		}
 		for i := 0; i < *workers; i++ {
 			args := []string{"-worker", "-connect", l.Addr().String(), "-wire", *wireMode,
-				"-resume=" + strconv.FormatBool(*resume), "-p2p=" + strconv.FormatBool(*p2p),
-				"-park=" + strconv.FormatBool(*park)}
+				"-resume=" + strconv.FormatBool(*resume), "-park=" + strconv.FormatBool(*park)}
 			if *chaos != "" {
 				args = append(args, "-chaos", *chaos)
 			}
@@ -254,9 +258,6 @@ func main() {
 	// inside that coordinator's Drain loop, so the closure is safe).
 	baseOpts := func(l net.Listener, target **tcpnet.Coordinator) []tcpnet.Option {
 		var opts []tcpnet.Option
-		if *p2p {
-			opts = append(opts, tcpnet.WithP2P())
-		}
 		if *resume {
 			// The coordinator takes over the listener: disconnected workers
 			// redial it and resume their session in place.
@@ -342,12 +343,8 @@ func main() {
 		float64(*rTuples+*sTuples)/elapsed, *wireMode)
 	fmt.Printf("ehjadist: nodes %d -> %d, splits %d, replications %d\n",
 		report.InitialNodes, report.FinalNodes, report.Splits, report.Replications)
-	topology := "star"
-	if *p2p {
-		topology = "p2p"
-	}
-	fmt.Printf("ehjadist: %s topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
-		topology, stats.RelayedMessages, stats.RelayedBytes>>10)
+	fmt.Printf("ehjadist: p2p topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
+		stats.RelayedMessages, stats.RelayedBytes>>10)
 	if report.HeavyKeys > 0 {
 		fmt.Printf("ehjadist: %d heavy key(s): %d build tuples replicated, %d probes partitioned, probe max/mean %.2f\n",
 			report.HeavyKeys, report.HeavyCopies, report.HeavyProbeTuples,
@@ -410,7 +407,7 @@ func parseCrashPoint(s string) (phase int, records int64, err error) {
 	return phase, records, nil
 }
 
-func runWorker(connect, chaos string, resume, p2p, park bool) {
+func runWorker(connect, chaos string, resume, park bool) {
 	plan, err := tcpnet.ParseChaos(chaos)
 	if err != nil {
 		fatal(err)
@@ -444,13 +441,10 @@ func runWorker(connect, chaos string, resume, p2p, park bool) {
 			opts = append(opts, tcpnet.WithWorkerPark())
 		}
 	}
-	if p2p {
-		opts = append(opts, tcpnet.WithWorkerP2P(":0"))
-		if chaos != "" {
-			// Peer links share the process's one chaos plan, so a scheduled
-			// fault fires once per worker whichever link it lands on.
-			opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
-		}
+	if chaos != "" {
+		// Peer links share the process's one chaos plan, so a scheduled
+		// fault fires once per worker whichever link it lands on.
+		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 	}
 	if err := tcpnet.RunWorker(conn, factory, opts...); err != nil {
 		fatal(err)

@@ -26,8 +26,7 @@ func main() {
 	resume := flag.Bool("resume", true, "redial the coordinator and resume the session when the connection breaks")
 	park := flag.Bool("park", false, "ride out a coordinator crash: keep redialing through the full jittered schedule and re-attach when a restarted coordinator rebinds, instead of treating EOF as shutdown")
 	noSpill := flag.Bool("no-spill", false, "decline spill orders on this worker even when the coordinator enables the spill rung (e.g. no usable local disk)")
-	p2p := flag.Bool("p2p", true, "exchange worker↔worker chunks over direct peer links; must match the coordinator's -p2p setting")
-	peerListen := flag.String("peer-listen", ":0", "data-plane listener address other workers dial (p2p mode); the advertised host falls back to this worker's coordinator-facing address when unspecified")
+	peerListen := flag.String("peer-listen", ":0", "data-plane listener address other workers dial; the advertised host falls back to this worker's coordinator-facing address when unspecified")
 	flag.Parse()
 
 	switch *wireMode {
@@ -71,20 +70,17 @@ func main() {
 		}
 		return core.NewJoinActor(cfg, id)
 	}
-	var opts []tcpnet.WorkerOption
+	opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P(*peerListen)}
 	if *resume {
 		opts = append(opts, tcpnet.WithWorkerResume(dial, 0, 0))
 		if *park {
 			opts = append(opts, tcpnet.WithWorkerPark())
 		}
 	}
-	if *p2p {
-		opts = append(opts, tcpnet.WithWorkerP2P(*peerListen))
-		if *chaos != "" {
-			// Peer links share this process's one chaos plan, so a scheduled
-			// fault fires once per worker whichever link it lands on.
-			opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
-		}
+	if *chaos != "" {
+		// Peer links share this process's one chaos plan, so a scheduled
+		// fault fires once per worker whichever link it lands on.
+		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 	}
 	if err := tcpnet.RunWorker(conn, factory, opts...); err != nil {
 		fmt.Fprintln(os.Stderr, "joind:", err)

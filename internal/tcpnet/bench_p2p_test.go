@@ -13,29 +13,22 @@ import (
 	"ehjoin/internal/tuple"
 )
 
-// The p2p benchmarks run a three-way join pipeline across four workers:
-// source distribution and stage-to-stage chunk handoff are worker↔worker
-// flows, the traffic the peer-to-peer data plane takes off the coordinator.
-// Two groups measure two different claims:
+// The pipeline benchmarks run a five-way join pipeline across four
+// workers: stage-to-stage chunk handoff is worker↔worker traffic, which
+// the peer-to-peer data plane ships over direct links. Two groups:
 //
-//   - BenchmarkP2PPipelineThroughput: bare loopback. Shows the data plane
-//     costs nothing in plumbing overhead (relayed bytes drop to zero at
-//     parity throughput). Loopback has no NIC, so topology cannot show a
-//     bandwidth win here — in-process the hub relay is a memcpy.
+//   - BenchmarkP2PPipelineThroughput: bare loopback, the plumbing cost of
+//     the transport.
 //
 //   - BenchmarkP2PPipelineNIC: every node's network interface is emulated
 //     with a shared token bucket (nicRate bytes/sec across all of that
 //     node's connections, both directions — the paper's environment, where
-//     per-node NIC bandwidth is the binding constraint). In star topology
-//     every worker↔worker byte crosses the coordinator's single NIC twice;
-//     in p2p it crosses only the two workers' own NICs. This is the
-//     coordinator-bandwidth cap the data plane exists to remove.
+//     per-node NIC bandwidth is the binding constraint). Worker↔worker
+//     bytes cross only the two workers' own NICs, never the coordinator's.
 func benchPipelineConfig() (core.MultiConfig, int64) {
-	// Five stages: every stage boundary is a worker↔worker handoff the star
-	// hub must relay (in and out of its one NIC) and p2p ships directly.
-	// Source distribution is hub traffic in both modes — sources are
-	// coordinator-resident — so pipeline depth is what separates the
-	// topologies.
+	// Five stages: every stage boundary is a worker↔worker handoff. Source
+	// distribution crosses the coordinator's NIC — sources are
+	// coordinator-resident.
 	lay := tuple.DefaultLayout() // the paper's 100-byte tuples
 	mc := core.MultiConfig{
 		Algorithm:    core.Hybrid,
@@ -60,8 +53,7 @@ func benchPipelineConfig() (core.MultiConfig, int64) {
 }
 
 // nicRate models a ~128 Mbit/s per-node network interface, the class of
-// LAN the paper's clusters ran on. Raising it proportionally shrinks the
-// star/p2p gap toward the loopback parity result.
+// LAN the paper's clusters ran on.
 const nicRate = 16 << 20 // bytes/sec
 
 // nic is one emulated network interface: a token bucket shared by every
@@ -111,9 +103,8 @@ func (c *nicConn) Write(p []byte) (int, error) {
 // coordinator's transport stats. With shaped=true, the coordinator's NIC is
 // shared across its four links, and each worker's NIC is shared between its
 // coordinator link and the peer links it dials. (Accepted peer conns are
-// charged to the dialing end only — an accounting bias against p2p, which
-// keeps the comparison conservative.)
-func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.NodeID, p2p, shaped bool) rt.TransportStats {
+// charged to the dialing end only.)
+func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.NodeID, shaped bool) rt.TransportStats {
 	b.Helper()
 	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(blob)
@@ -140,20 +131,14 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 			b.Fatal(err)
 		}
 		conns[j] = cconn
-		var opts []tcpnet.WorkerOption
+		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
 		if shaped {
 			wnic := &nic{}
 			conns[j] = &nicConn{Conn: cconn, nic: hub}
 			wconn = &nicConn{Conn: wconn, nic: wnic}
-			if p2p {
-				opts = append(opts,
-					tcpnet.WithWorkerP2P("127.0.0.1:0"),
-					tcpnet.WithWorkerPeerChaos(func(c net.Conn) net.Conn {
-						return &nicConn{Conn: c, nic: wnic}
-					}))
-			}
-		} else if p2p {
-			opts = append(opts, tcpnet.WithWorkerP2P("127.0.0.1:0"))
+			opts = append(opts, tcpnet.WithWorkerPeerChaos(func(c net.Conn) net.Conn {
+				return &nicConn{Conn: c, nic: wnic}
+			}))
 		}
 		wg.Add(1)
 		go func(c net.Conn) {
@@ -168,11 +153,7 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 	for j, id := range ids {
 		assignment[id] = j % workers
 	}
-	var copts []tcpnet.Option
-	if p2p {
-		copts = append(copts, tcpnet.WithP2P())
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, copts...)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +170,7 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 	return ts
 }
 
-func benchPipelineModes(b *testing.B, shaped bool) {
+func benchPipeline(b *testing.B, shaped bool) {
 	mc, tuples := benchPipelineConfig()
 	blob, err := core.EncodeMultiConfig(mc)
 	if err != nil {
@@ -199,24 +180,14 @@ func benchPipelineModes(b *testing.B, shaped bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		p2p  bool
-	}{{"star", false}, {"p2p", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var relayedMsgs, relayedBytes int64
-			for i := 0; i < b.N; i++ {
-				ts := runBenchPipeline(b, mc, blob, ids, mode.p2p, shaped)
-				relayedMsgs += ts.RelayedMessages
-				relayedBytes += ts.RelayedBytes
-			}
-			b.ReportMetric(float64(tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-			b.ReportMetric(float64(relayedMsgs)/float64(b.N), "relayed-msgs/op")
-			b.ReportMetric(float64(relayedBytes)/1024/float64(b.N), "relayed-KB/op")
-		})
+	for i := 0; i < b.N; i++ {
+		if ts := runBenchPipeline(b, mc, blob, ids, shaped); ts.RelayedMessages != 0 {
+			b.Fatalf("pipeline relayed %d msgs through the coordinator, want 0", ts.RelayedMessages)
+		}
 	}
+	b.ReportMetric(float64(tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
 }
 
-func BenchmarkP2PPipelineThroughput(b *testing.B) { benchPipelineModes(b, false) }
+func BenchmarkP2PPipelineThroughput(b *testing.B) { benchPipeline(b, false) }
 
-func BenchmarkP2PPipelineNIC(b *testing.B) { benchPipelineModes(b, true) }
+func BenchmarkP2PPipelineNIC(b *testing.B) { benchPipeline(b, true) }

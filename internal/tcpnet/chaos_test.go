@@ -43,8 +43,11 @@ func baselineRun(t *testing.T) (uint64, uint64) {
 
 // runChaosJoin runs the Split join across two TCP workers with worker 0's
 // connection (initial and every redial) wrapped in the given chaos plan,
-// and the session layer's resume ladder enabled on both ends.
-func runChaosJoin(t *testing.T, spec string) *core.Report {
+// and the session layer's resume ladder enabled on both ends. With
+// coordSide the plan wraps the coordinator's end of worker 0's first
+// connection instead, so write-offset faults land in the
+// coordinator→worker stream.
+func runChaosJoin(t *testing.T, spec string, coordSide bool) *core.Report {
 	t.Helper()
 	plan, err := tcpnet.ParseChaos(spec)
 	if err != nil {
@@ -70,8 +73,8 @@ func runChaosJoin(t *testing.T, spec string) *core.Report {
 	conns := make([]net.Conn, 2)
 	for i := 0; i < 2; i++ {
 		p := plan
-		if i != 0 {
-			p = nil // only worker 0 suffers
+		if i != 0 || coordSide {
+			p = nil // only worker 0's end suffers, if any
 		}
 		dial := func() (net.Conn, error) {
 			c, err := net.Dial("tcp", l.Addr().String())
@@ -89,11 +92,15 @@ func runChaosJoin(t *testing.T, spec string) *core.Report {
 			t.Fatal(err)
 		}
 		conns[i] = cconn
+		if i == 0 && coordSide {
+			conns[i] = plan.Wrap(cconn)
+		}
 		wg.Add(1)
 		go func(i int, c net.Conn) {
 			defer wg.Done()
 			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerResume(dial, 20, 20*time.Millisecond)); err != nil {
+				tcpnet.WithWorkerResume(dial, 20, 20*time.Millisecond),
+				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
 				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i, wconn)
@@ -103,18 +110,24 @@ func runChaosJoin(t *testing.T, spec string) *core.Report {
 	for i, id := range ids {
 		assignment[id] = i % 2
 	}
+	// A flipped length prefix leaves the reader waiting on a body that
+	// never arrives; the heartbeat is what breaks that connection, so keep
+	// its timeout short (stalls in the plans stay well under it).
 	coord, err := tcpnet.NewCoordinator(blob, assignment, conns,
 		tcpnet.WithResume(l, 5*time.Second),
+		tcpnet.WithHeartbeat(100*time.Millisecond, 3*time.Second),
 		tcpnet.WithDrainTimeout(60*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	report, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("chaos run %q: %v", plan, err)
 	}
+	assertNoRelay(t, ts)
 	return report
 }
 
@@ -134,9 +147,13 @@ func assertBitIdentical(t *testing.T, r *core.Report, spec string) {
 func TestChaosFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name, spec string
+		coordSide  bool
 		check      func(t *testing.T, r *core.Report)
 	}{
-		{"corruption", "corrupt@2500", func(t *testing.T, r *core.Report) {
+		// A worker's own writes are small control frames, where a flipped
+		// byte can hit a length prefix instead of a checksummed body; the
+		// coordinator's stream is mostly chunk bodies.
+		{"corruption", "corrupt@20000", true, func(t *testing.T, r *core.Report) {
 			if r.ChecksumFailures < 1 {
 				t.Error("no checksum failure recorded: the corruption never fired or went undetected")
 			}
@@ -144,22 +161,22 @@ func TestChaosFaultMatrix(t *testing.T) {
 				t.Error("corrupted frame did not trigger a session resume")
 			}
 		}},
-		{"torn-write", "tear@2500", func(t *testing.T, r *core.Report) {
+		{"torn-write", "tear@2500", false, func(t *testing.T, r *core.Report) {
 			if r.Resumes < 1 {
 				t.Error("torn write did not trigger a session resume")
 			}
 		}},
-		{"mid-frame-drop", "drop@30001", func(t *testing.T, r *core.Report) {
+		{"mid-frame-drop", "drop@30001", false, func(t *testing.T, r *core.Report) {
 			if r.Resumes < 1 {
 				t.Error("mid-frame connection drop did not trigger a session resume")
 			}
 		}},
-		{"stalls", "stallr@9000:40;stallw@1500:25", func(t *testing.T, r *core.Report) {
+		{"stalls", "stallr@9000:40;stallw@1500:25", false, func(t *testing.T, r *core.Report) {
 			if r.Resumes != 0 {
 				t.Errorf("stalls caused %d resume(s); delays must not look like failures", r.Resumes)
 			}
 		}},
-		{"duplication", "dup@2;dup@4", func(t *testing.T, r *core.Report) {
+		{"duplication", "dup@2;dup@4", false, func(t *testing.T, r *core.Report) {
 			if r.DuplicateFrames < 2 {
 				t.Errorf("dedup shed %d duplicate frames, want the 2 injected ones", r.DuplicateFrames)
 			}
@@ -167,7 +184,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := runChaosJoin(t, tc.spec)
+			r := runChaosJoin(t, tc.spec, tc.coordSide)
 			assertBitIdentical(t, r, tc.spec)
 			if r.NodesLost != 0 || r.RestreamedChunks != 0 {
 				t.Errorf("chaos %q escalated past the session layer: lost %d node(s), re-streamed %d chunks",
@@ -184,7 +201,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 func TestChaosSeededRuns(t *testing.T) {
 	for _, seed := range []string{"3", "5", "9"} {
 		t.Run("seed-"+seed, func(t *testing.T) {
-			r := runChaosJoin(t, seed)
+			r := runChaosJoin(t, seed, false)
 			assertBitIdentical(t, r, "seed "+seed)
 			if r.NodesLost != 0 || r.RestreamedChunks != 0 {
 				t.Errorf("seed %s escalated past the session layer: lost %d node(s), re-streamed %d chunks",
@@ -199,7 +216,7 @@ func TestChaosSeededRuns(t *testing.T) {
 // frames is strictly smaller than the total reliable-frame count — the
 // resume replayed only the unacked suffix, not the whole stream.
 func TestChaosResumeIsIncremental(t *testing.T) {
-	r := runChaosJoin(t, "tear@3001")
+	r := runChaosJoin(t, "tear@3001", false)
 	assertBitIdentical(t, r, "tear@3001")
 	if r.Resumes < 1 {
 		t.Fatal("the tear did not trigger a session resume")

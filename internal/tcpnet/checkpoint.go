@@ -58,8 +58,7 @@ type ckptWriter struct {
 
 // WithCheckpoint enables write-ahead checkpointing of the coordinator's
 // control plane onto w (typically an append-mode file). Requires
-// WithResume — recovery is worker-initiated re-attachment — and is
-// incompatible with WithReconnect.
+// WithResume: recovery is worker-initiated re-attachment.
 func WithCheckpoint(w io.Writer) Option {
 	return func(c *Coordinator) { c.ckpt = &ckptWriter{w: w} }
 }
@@ -153,7 +152,7 @@ func (c *Coordinator) headerRecord() *wire.CkptRecord {
 		Kind:        wire.CkptHeader,
 		Version:     wire.CkptVersion,
 		SessionBase: c.sessionBase,
-		P2P:         c.p2p,
+		P2P:         true,
 		CfgBlob:     c.cfgBlob,
 		PeerAddrs:   c.peerAddrs,
 	}
@@ -365,6 +364,12 @@ func (st *replayState) resendCtl(c *Coordinator, w int, f *frame) {
 	}
 }
 
+// ErrStarCheckpoint is RestoreCoordinator's error for a log whose header
+// says its coordinator relayed worker-to-worker traffic itself (the star
+// topology, header P2P byte 0): replaying it would regenerate relays no
+// worker expects, so such a log cannot be restored.
+var ErrStarCheckpoint = errors.New("tcpnet: checkpoint was written by a star-topology coordinator; only peer-to-peer logs can be restored")
+
 // RestoreCoordinator rebuilds a coordinator from a parsed checkpoint log.
 // actors are the freshly constructed coordinator-local actors (typically
 // core.PrepareResume output; ids assigned to workers are ignored), built
@@ -390,6 +395,9 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if h.Version != wire.CkptVersion {
 		return nil, fmt.Errorf("tcpnet: checkpoint version %d, this coordinator speaks %d", h.Version, wire.CkptVersion)
 	}
+	if !h.P2P {
+		return nil, ErrStarCheckpoint
+	}
 	c := &Coordinator{
 		assignment:   make(map[rt.NodeID]int),
 		local:        make(map[rt.NodeID]rt.Actor),
@@ -399,7 +407,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 		start:        time.Now(),
 		cfgBlob:      h.CfgBlob,
 		sessionBase:  h.SessionBase,
-		p2p:          h.P2P,
 		peerAddrs:    h.PeerAddrs,
 		drainTimeout: DrainTimeout,
 		hbInterval:   DefaultHeartbeatInterval,
@@ -412,11 +419,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if c.resumeL == nil {
 		return nil, errors.New("tcpnet: RestoreCoordinator requires WithResume — recovery is worker-initiated re-attachment")
 	}
-	if c.reconnect != nil {
-		return nil, errors.New("tcpnet: checkpoint recovery is incompatible with WithReconnect")
-	}
 	c.inbox = make(chan taggedFrame, c.inboxCap)
-	c.done = make(chan struct{})
 	nW := 0
 	for i, id := range h.AssignIDs {
 		w := int(h.AssignWorkers[i])
@@ -425,7 +428,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			nW = w + 1
 		}
 	}
-	if c.p2p && len(h.PeerAddrs) > nW {
+	if len(h.PeerAddrs) > nW {
 		nW = len(h.PeerAddrs)
 	}
 	if nW == 0 {
@@ -441,9 +444,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	for _, ids := range c.perWorker {
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	}
-	if c.p2p {
-		c.peerEpochs = make([]uint32, nW)
-	}
+	c.peerEpochs = make([]uint32, nW)
 	for id, a := range actors {
 		if _, remote := c.assignment[id]; remote {
 			continue
@@ -560,24 +561,22 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			st.cover[w] = seqCover{}
 			wc.delivered, wc.processed, wc.received, wc.emitted = 0, 0, 0, 0
 			wc.peerEmitted, wc.peerProcessed = nil, nil
-			if c.p2p {
-				c.peerEpochs[w] = rec.PeerEpoch
-				// The reassignment broadcast framePeerEpoch to every
-				// other non-dead worker, then caught the reassigned
-				// worker up on already-dead peers (sendPeerLiveness).
-				for j := range c.workers {
-					if j != w && !st.dead[j] {
-						f := getFrame()
-						f.Kind, f.From, f.Epoch = framePeerEpoch, int32(w), rec.PeerEpoch
-						st.resendCtl(c, j, f)
-					}
+			c.peerEpochs[w] = rec.PeerEpoch
+			// The reassignment broadcast framePeerEpoch to every other
+			// non-dead worker, then caught the reassigned worker up on
+			// already-dead peers (sendPeerLiveness).
+			for j := range c.workers {
+				if j != w && !st.dead[j] {
+					f := getFrame()
+					f.Kind, f.From, f.Epoch = framePeerEpoch, int32(w), rec.PeerEpoch
+					st.resendCtl(c, j, f)
 				}
-				for k := range c.workers {
-					if k != w && st.dead[k] {
-						f := getFrame()
-						f.Kind, f.From = framePeerDown, int32(k)
-						st.resendCtl(c, w, f)
-					}
+			}
+			for k := range c.workers {
+				if k != w && st.dead[k] {
+					f := getFrame()
+					f.Kind, f.From = framePeerDown, int32(k)
+					st.resendCtl(c, w, f)
 				}
 			}
 		case wire.CkptDeath:
@@ -587,13 +586,11 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			}
 			st.dead[w] = true
 			c.workers[w].state = stateDead
-			if c.p2p {
-				for j := range c.workers {
-					if j != w && !st.dead[j] {
-						f := getFrame()
-						f.Kind, f.From = framePeerDown, int32(w)
-						st.resendCtl(c, j, f)
-					}
+			for j := range c.workers {
+				if j != w && !st.dead[j] {
+					f := getFrame()
+					f.Kind, f.From = framePeerDown, int32(w)
+					st.resendCtl(c, j, f)
 				}
 			}
 		default:

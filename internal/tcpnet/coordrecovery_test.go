@@ -5,8 +5,8 @@ package tcpnet_test
 // distributed join, a fresh coordinator is restored from the write-ahead
 // checkpoint, the parked workers re-attach through the extended resume
 // handshake, and the resumed run must produce the exact fault-free result
-// — Matches and Checksum bit-identical to the simulator's — across star
-// and p2p data planes, with and without the spill and heavy-hitter paths.
+// — Matches and Checksum bit-identical to the simulator's — with and
+// without the spill and heavy-hitter paths.
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ import (
 // restored coordinator, and finish the run with core.ResumeExecute.
 // Returns the final report, whether the crash actually fired, and the
 // final record count of the log.
-func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
+func coordCrashRun(t *testing.T, cfg core.Config, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
 	t.Helper()
 	const nWorkers = 3
 	blob, err := core.EncodeConfig(cfg)
@@ -72,9 +72,7 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 				// redialing when the restored coordinator rebinds.
 				tcpnet.WithWorkerResume(dial, 200, 5*time.Millisecond),
 				tcpnet.WithWorkerPark(),
-			}
-			if p2p {
-				wopts = append(wopts, tcpnet.WithWorkerP2P("127.0.0.1:0"))
+				tcpnet.WithWorkerP2P("127.0.0.1:0"),
 			}
 			if err := tcpnet.RunWorker(c, joinFactory, wopts...); err != nil {
 				// Not fatal by itself: a worker that gives up is rung-3
@@ -105,9 +103,6 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 	}
 	if crashRecs > 0 {
 		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
-	}
-	if p2p {
-		opts = append(opts, tcpnet.WithP2P())
 	}
 	coord, err = tcpnet.NewCoordinator(blob, assignment, conns, opts...)
 	if err != nil {
@@ -152,9 +147,6 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 			tcpnet.WithDrainTimeout(30 * time.Second),
 			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
 		}
-		if p2p {
-			ropts = append(ropts, tcpnet.WithP2P())
-		}
 		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(), ropts...)
 		if err != nil {
 			t.Fatalf("restore from checkpoint: %v", err)
@@ -165,8 +157,10 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 		}
 		coord = coord2
 	}
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
+	assertNoRelay(t, ts)
 	snap, err := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +192,8 @@ func checkRecovered(t *testing.T, got, want *core.Report) {
 
 // TestCoordRecoveryScriptedPoints kills the coordinator at a hand-picked
 // record of each interesting phase — mid-build, mid-probe, heavy-hitter
-// detection, the out-of-core finish, and stats collection — across star
-// and p2p modes, with and without spill and heavy routing.
+// detection, the out-of-core finish, and stats collection — with and
+// without spill and heavy routing.
 func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	plain := distConfig(core.Split)
 	spill := distConfig(core.Split)
@@ -216,26 +210,21 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   core.Config
-		p2p   bool
 		phase int
 		recs  int64
 	}{
-		{"star-mid-build", plain, false, 0, 12},
-		{"star-mid-probe", plain, false, 1, 12},
-		{"star-mid-stats", plain, false, 2, 3},
-		{"star-spill-finish", spill, false, 2, 2},
-		{"star-heavy-detect", heavy, false, 1, 2},
-		{"p2p-mid-build", plain, true, 0, 12},
-		{"p2p-mid-probe", plain, true, 1, 12},
-		{"p2p-spill-heavy-probe", spillHeavy, true, 2, 8},
-		// Whole-log record counts (phase -1) at which the randomized sweep
-		// below used to fail about one run in eleven: a worker's report
-		// landed between the two startBuild deliveries, the replay counted
-		// three of the four kickoff injections, and the resumed run had a
-		// source stream its build slice again.
-		{"star-log-63", plain, false, -1, 63},
-		{"star-log-147", plain, false, -1, 147},
-		{"p2p-log-107", plain, true, -1, 107},
+		{"p2p-mid-build", plain, 0, 12},
+		{"p2p-mid-probe", plain, 1, 12},
+		{"p2p-mid-stats", plain, 2, 3},
+		{"p2p-spill-finish", spill, 2, 2},
+		{"p2p-heavy-detect", heavy, 1, 2},
+		{"p2p-spill-heavy-probe", spillHeavy, 2, 8},
+		// A whole-log record count (phase -1) at which the randomized
+		// sweep below used to fail about one run in eleven: a worker's
+		// report landed between the two startBuild deliveries, the replay
+		// counted three of the four kickoff injections, and the resumed
+		// run had a source stream its build slice again.
+		{"p2p-log-107", plain, -1, 107},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,7 +232,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.p2p, tc.phase, tc.recs)
+			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.phase, tc.recs)
 			if !crashed {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
@@ -261,59 +250,51 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 // those runs still serve as differential checks, and the firing rate is
 // asserted in bulk.
 func TestCoordRecoveryRandomizedPoints(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		p2p    bool
-		trials int
-	}{
-		{"star", false, 12},
-		{"p2p", true, 8},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := distConfig(core.Split)
-			want, err := core.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, crashed, total := coordCrashRun(t, cfg, mode.p2p, 0, 0)
-			if crashed {
-				t.Fatal("control run crashed with no crash point armed")
-			}
-			if base.Matches != want.Matches || base.Checksum != want.Checksum {
-				t.Fatalf("control run diverged before any crash: %d/%#x, want %d/%#x",
-					base.Matches, base.Checksum, want.Matches, want.Checksum)
-			}
-			if total < 10 {
-				t.Fatalf("control log holds only %d records", total)
-			}
-			rng := rand.New(rand.NewSource(0xC0FFEE + int64(len(mode.name))))
-			fired := 0
-			for trial := 0; trial < mode.trials; trial++ {
-				recs := 3 + rng.Int63n(total-3)
-				got, crashed, _ := coordCrashRun(t, cfg, mode.p2p, -1, recs)
-				if !crashed {
-					t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
-					if got.Matches != want.Matches || got.Checksum != want.Checksum {
-						t.Errorf("trial %d (no crash): result %d/%#x, want %d/%#x",
-							trial, got.Matches, got.Checksum, want.Matches, want.Checksum)
-					}
-					continue
-				}
-				fired++
+	t.Run("p2p", func(t *testing.T) {
+		const trials = 12
+		cfg := distConfig(core.Split)
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, crashed, total := coordCrashRun(t, cfg, 0, 0)
+		if crashed {
+			t.Fatal("control run crashed with no crash point armed")
+		}
+		if base.Matches != want.Matches || base.Checksum != want.Checksum {
+			t.Fatalf("control run diverged before any crash: %d/%#x, want %d/%#x",
+				base.Matches, base.Checksum, want.Matches, want.Checksum)
+		}
+		if total < 10 {
+			t.Fatalf("control log holds only %d records", total)
+		}
+		rng := rand.New(rand.NewSource(0xC0FFEE + 3))
+		fired := 0
+		for trial := 0; trial < trials; trial++ {
+			recs := 3 + rng.Int63n(total-3)
+			got, crashed, _ := coordCrashRun(t, cfg, -1, recs)
+			if !crashed {
+				t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
 				if got.Matches != want.Matches || got.Checksum != want.Checksum {
-					t.Errorf("trial %d (crash at record %d): result %d/%#x, want %d/%#x "+
-						"(reattached=%d resumes=%d rung=%d nodesLost=%d restreamed=%d probeDegraded=%d degraded=%v)",
-						trial, recs, got.Matches, got.Checksum, want.Matches, want.Checksum,
-						got.ReattachedWorkers, got.Resumes, got.RecoveryRung, got.NodesLost,
-						got.RestreamedChunks, got.DegradedProbeRecoveries, got.Degraded)
+					t.Errorf("trial %d (no crash): result %d/%#x, want %d/%#x",
+						trial, got.Matches, got.Checksum, want.Matches, want.Checksum)
 				}
-				if got.CoordRestarts != 1 {
-					t.Errorf("trial %d: CoordRestarts = %d, want 1", trial, got.CoordRestarts)
-				}
+				continue
 			}
-			if fired < mode.trials*2/3 {
-				t.Errorf("only %d of %d sampled crash points fired", fired, mode.trials)
+			fired++
+			if got.Matches != want.Matches || got.Checksum != want.Checksum {
+				t.Errorf("trial %d (crash at record %d): result %d/%#x, want %d/%#x "+
+					"(reattached=%d resumes=%d rung=%d nodesLost=%d restreamed=%d probeDegraded=%d degraded=%v)",
+					trial, recs, got.Matches, got.Checksum, want.Matches, want.Checksum,
+					got.ReattachedWorkers, got.Resumes, got.RecoveryRung, got.NodesLost,
+					got.RestreamedChunks, got.DegradedProbeRecoveries, got.Degraded)
 			}
-		})
-	}
+			if got.CoordRestarts != 1 {
+				t.Errorf("trial %d: CoordRestarts = %d, want 1", trial, got.CoordRestarts)
+			}
+		}
+		if fired < trials*2/3 {
+			t.Errorf("only %d of %d sampled crash points fired", fired, trials)
+		}
+	})
 }

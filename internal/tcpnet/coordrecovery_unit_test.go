@@ -1,12 +1,13 @@
 package tcpnet
 
-// Unit-level crash-recovery tests: redial jitter bounds and spread, and
-// chaos against the resume listener's re-attach handshake — stalled,
-// corrupt, and torn hellos must be shed without wedging the coordinator,
-// a digest mismatch must land on rung 2, and a correct extended hello
-// must still resume on rung 1 afterwards.
+// Unit-level crash-recovery tests: redial jitter bounds and spread, chaos
+// against the resume listener's re-attach handshake — stalled, corrupt,
+// and torn hellos must be shed without wedging the coordinator, a digest
+// mismatch must land on rung 2, and a correct extended hello must still
+// resume on rung 1 afterwards — and the replay's header checks.
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"strings"
@@ -84,6 +85,7 @@ func chaosHello(t *testing.T, dial func() (net.Conn, error), payload []byte) net
 // no reassignment, no death.
 func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	l, server, client, dial := resumePair(t)
+	advertisePeer(t, client)
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
@@ -192,6 +194,7 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 // and re-stream.
 func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	l, server, client, dial := resumePair(t)
+	advertisePeer(t, client)
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
@@ -293,8 +296,8 @@ func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
 		return &wire.CkptRecord{Kind: kind, From: int32(rt.NoNode), To: to, Worker: w, Msg: &testMsg{}}
 	}
 	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
-			AssignIDs: []int32{worker}, AssignWorkers: []int32{0}},
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000, P2P: true,
+			AssignIDs: []int32{worker}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
 		inject(wire.CkptRelay, worker, 0),     // injection to a worker node: logged at route
 		inject(wire.CkptDelivery, localA, -1), // first local injection dequeued
 		{Kind: wire.CkptMark, Worker: 0, Seq: 1, Processed: 1},
@@ -319,5 +322,31 @@ func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
 	}
 	if delivered != 4 {
 		t.Errorf("replay delivered %d messages to local actors, want 4", delivered)
+	}
+}
+
+// TestRestoreRejectsStarCheckpoint pins the header check: a log whose
+// header P2P byte is 0 came from a coordinator that relayed
+// worker-to-worker chunks itself. Replaying it would regenerate relays no
+// worker of this build expects, so RestoreCoordinator refuses it with a
+// typed error before replaying a single record.
+func TestRestoreRejectsStarCheckpoint(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var delivered int64
+	snap := &Snapshot{Records: []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
+			AssignIDs: []int32{1}, AssignWorkers: []int32{0}},
+		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
+	}}
+	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, WithResume(l, time.Second))
+	if !errors.Is(err, ErrStarCheckpoint) {
+		t.Fatalf("RestoreCoordinator on a star header = %v, want ErrStarCheckpoint", err)
+	}
+	if delivered != 0 {
+		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
 	}
 }

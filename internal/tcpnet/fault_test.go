@@ -68,10 +68,11 @@ func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict
 		go func(i int, c net.Conn) {
 			defer wg.Done()
 			if i == killWorker {
-				_ = tcpnet.RunWorker(&killConn{Conn: c, remaining: killBytes}, joinFactory)
+				_ = tcpnet.RunWorker(&killConn{Conn: c, remaining: killBytes}, joinFactory,
+					tcpnet.WithWorkerP2P("127.0.0.1:0"))
 				return // dies by design
 			}
-			if err := tcpnet.RunWorker(c, joinFactory); err != nil && strict {
+			if err := tcpnet.RunWorker(c, joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil && strict {
 				t.Errorf("surviving worker %d: %v", i, err)
 			}
 		}(i, wconn)
@@ -115,10 +116,29 @@ func TestDisconnectMidBuildFails(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDetectsHungWorker: a worker that stops reading without
-// closing its connection is caught by the ping/pong heartbeat, not the
-// drain timeout.
-func TestHeartbeatDetectsHungWorker(t *testing.T) {
+// hungConn is the worker end of a hung process: the worker bootstraps
+// (writes go through) but never reads another byte until Close.
+type hungConn struct {
+	net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (h *hungConn) Read(p []byte) (int, error) {
+	<-h.closed
+	return 0, net.ErrClosed
+}
+
+func (h *hungConn) Close() error {
+	h.once.Do(func() { close(h.closed) })
+	return h.Conn.Close()
+}
+
+// startHungWorker runs a worker loop over a connection it never reads
+// from and returns the coordinator-side conn. The worker is released at
+// test cleanup.
+func startHungWorker(t *testing.T) net.Conn {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +148,25 @@ func TestHeartbeatDetectsHungWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wconn.Close() // held open but never read: a hung process
 	cconn, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
+	hung := &hungConn{Conn: wconn, closed: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = tcpnet.RunWorker(hung, joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0"))
+	}()
+	t.Cleanup(func() { hung.Close(); <-done })
+	return cconn
+}
 
+// TestHeartbeatDetectsHungWorker: a worker that stops reading without
+// closing its connection is caught by the ping/pong heartbeat, not the
+// drain timeout.
+func TestHeartbeatDetectsHungWorker(t *testing.T) {
+	cconn := startHungWorker(t)
 	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
 		tcpnet.WithHeartbeat(20*time.Millisecond, 150*time.Millisecond),
 		tcpnet.WithDrainTimeout(10*time.Second))
@@ -154,21 +187,7 @@ func TestHeartbeatDetectsHungWorker(t *testing.T) {
 // TestDrainTimeoutOption: with heartbeats disabled, the configurable drain
 // timeout still bounds a stuck drain and reports per-worker counters.
 func TestDrainTimeoutOption(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	wconn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wconn.Close()
-	cconn, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cconn := startHungWorker(t)
 	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
 		tcpnet.WithHeartbeat(0, 0),
 		tcpnet.WithDrainTimeout(150*time.Millisecond))
@@ -192,9 +211,11 @@ func TestDrainTimeoutOption(t *testing.T) {
 }
 
 // TestWorkerDeathRecoversOverTCP is the end-to-end tentpole check on the
-// real transport: a worker process dies mid-build, the failure handler
-// feeds the deaths to the scheduler, and the recovery protocol re-streams
-// the lost state — the run completes with the exact fault-free result.
+// real transport: one of three worker processes dies mid-build, the
+// coordinator tombstones it on the surviving workers' peer links
+// (framePeerDown), the failure handler feeds the deaths to the scheduler,
+// and the recovery protocol re-streams the lost state — the run completes
+// with the exact fault-free result over the remaining peer links.
 func TestWorkerDeathRecoversOverTCP(t *testing.T) {
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
@@ -214,10 +235,11 @@ func TestWorkerDeathRecoversOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conns, wg := startFaultyWorkers(t, 2, 1, 100<<10, true)
+	const workers = 3
+	conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
-		assignment[id] = i % 2
+		assignment[id] = i % workers
 	}
 	var coord *tcpnet.Coordinator
 	handler := func(worker int, nodes []rt.NodeID, cause error) {
@@ -233,11 +255,13 @@ func TestWorkerDeathRecoversOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("run with worker death did not recover: %v", err)
 	}
+	assertNoRelay(t, ts)
 	if got.NodesLost == 0 {
 		t.Fatal("the doomed worker's nodes were never declared dead")
 	}

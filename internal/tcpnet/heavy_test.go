@@ -3,8 +3,8 @@ package tcpnet_test
 // Heavy-hitter routing over the real transport: the detection handshake
 // (detectHeavy/keyCountReq/keyCountResp) rides the coordinator links while
 // heavyAssign and the heavyClone replication chunks cross the binary wire
-// codec — and, under the p2p data plane, the direct worker↔worker links.
-// The join result must stay bit-identical to the simulator's either way.
+// codec and the direct worker↔worker links. The join result must stay
+// bit-identical to the simulator's.
 
 import (
 	"testing"
@@ -29,7 +29,8 @@ func heavyDistConfig(alg core.Algorithm) core.Config {
 }
 
 // TestDistributedHeavy runs the heavy path with all join nodes hosted on
-// two TCP workers over the star topology.
+// three TCP workers: heavyClone replication chunks are worker↔worker chunk
+// traffic, so they must ride the peer links — zero relayed messages.
 func TestDistributedHeavy(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -41,29 +42,7 @@ func TestDistributedHeavy(t *testing.T) {
 			if want.HeavyKeys == 0 {
 				t.Fatal("scenario detected no heavy keys in the simulator")
 			}
-			blob, err := core.EncodeConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := core.JoinNodeIDs(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns, wg := startWorkers(t, 2)
-			assignment := make(map[rt.NodeID]int)
-			for i, id := range ids {
-				assignment[id] = i % 2
-			}
-			coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Execute(cfg, coord)
-			coord.Close()
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runDistJoin(t, cfg, 3)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
 				t.Errorf("distributed heavy result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -75,37 +54,6 @@ func TestDistributedHeavy(t *testing.T) {
 			if got.HeavyProbeTuples == 0 {
 				t.Error("no probe tuples took the partitioned path over TCP")
 			}
-		})
-	}
-}
-
-// TestP2PHeavy repeats the heavy run over the peer-to-peer data plane:
-// heavyClone replication chunks are worker↔worker chunk traffic, so they
-// must ride the direct links — zero relayed messages through the hub.
-func TestP2PHeavy(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := heavyDistConfig(alg)
-			want, err := core.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.HeavyKeys == 0 {
-				t.Fatal("scenario detected no heavy keys in the simulator")
-			}
-			got := runP2PJoin(t, cfg, 3)
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p heavy result %d/%#x, want %d/%#x",
-					got.Matches, got.Checksum, want.Matches, want.Checksum)
-			}
-			if got.HeavyKeys != want.HeavyKeys {
-				t.Errorf("p2p run detected %d heavy keys, sim %d",
-					got.HeavyKeys, want.HeavyKeys)
-			}
-			if got.HeavyProbeTuples == 0 {
-				t.Error("no probe tuples took the partitioned path over p2p links")
-			}
-			assertNoRelay(t, got)
 		})
 	}
 }
@@ -180,11 +128,13 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("heavy run with worker death did not recover: %v", err)
 	}
+	assertNoRelay(t, ts)
 	if got.NodesLost == 0 {
 		t.Fatal("the doomed worker's nodes were never declared dead")
 	}

@@ -16,7 +16,7 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// runPeerChaosJoin runs the Split join across two p2p workers with every
+// runPeerChaosJoin runs the Split join across two workers with every
 // peer connection worker 1 dials (worker 1 is the dialer of the 0↔1 pair)
 // wrapped in the chaos plan. Coordinator links stay clean: the faults land
 // exclusively on the data plane.
@@ -61,7 +61,7 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		go func(i int, c net.Conn, opts []tcpnet.WorkerOption) {
 			defer wg.Done()
 			if err := tcpnet.RunWorker(c, joinFactory, opts...); err != nil {
-				t.Errorf("p2p worker %d: %v", i, err)
+				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i, wconn, opts)
 	}
@@ -71,17 +71,18 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		assignment[id] = i % 2
 	}
 	coord, err := tcpnet.NewCoordinator(blob, assignment, conns,
-		tcpnet.WithP2P(),
 		tcpnet.WithDrainTimeout(60*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	report, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("peer chaos run %q: %v", plan, err)
 	}
+	assertNoRelay(t, ts)
 	return report
 }
 

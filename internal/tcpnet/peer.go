@@ -1,14 +1,15 @@
 package tcpnet
 
-// Worker side of the peer-to-peer data plane (see WithP2P / WithWorkerP2P).
+// Worker side of the peer-to-peer data plane (see RunWorker and
+// WithWorkerP2P).
 //
 // Control traffic — assignments, spill negotiation, reports, heartbeats,
-// peer-epoch bumps — keeps flowing through the coordinator. Chunk-bearing
-// messages between workers travel over direct worker↔worker connections
-// instead of relaying through the star hub. Every peer link runs the same
-// session layer as the coordinator links (wire.go, session.go), so it
-// inherits CRC32C integrity, seq/ack dedup, bounded retransmit buffers,
-// and ack-based resume for free.
+// peer-epoch bumps — flows over each worker's coordinator link.
+// Chunk-bearing messages between workers travel over direct worker↔worker
+// connections, as between the join processes of a switched cluster. Every
+// peer link runs the same session layer as the coordinator links (wire.go,
+// session.go), so it inherits CRC32C integrity, seq/ack dedup, bounded
+// retransmit buffers, and ack-based resume for free.
 //
 // Topology and ownership:
 //
@@ -27,13 +28,13 @@ package tcpnet
 //     link failure to a worker failure keeps exactly-once delivery without
 //     a second recovery protocol.
 //
-// Unlike the star worker's synchronous read loop, a p2p worker multiplexes
-// many connections: per-connection read goroutines post decoded frames
-// into a merged inbox and the main loop applies them — a miniature of the
-// coordinator's own drain loop, with the same backpressure discipline
-// (bounded per-link outboxes drained by writer goroutines; while an outbox
-// is full the main loop keeps servicing its inbox into a pending queue, so
-// two workers flooding each other cannot write-deadlock).
+// A worker multiplexes many connections: per-connection read goroutines
+// post decoded frames into a merged inbox and the main loop (RunWorker)
+// applies them — a miniature of the coordinator's own drain loop, with
+// the same backpressure discipline (bounded per-link outboxes drained by
+// writer goroutines; while an outbox is full the main loop keeps servicing
+// its inbox into a pending queue, so two workers flooding each other
+// cannot write-deadlock).
 
 import (
 	"errors"
@@ -51,7 +52,7 @@ import (
 // in milliseconds.
 const peerDialBackoff = 100 * time.Millisecond
 
-// peerInboxFrames sizes a p2p worker's event inbox. The coordinator's
+// peerInboxFrames sizes a worker's event inbox. The coordinator's
 // inbox (defaultInboxFrames) absorbs fan-in from every worker in the
 // cluster; a worker's fans in from its peer links plus the coordinator
 // link, so a fraction of that depth gives the same headroom without
@@ -87,7 +88,7 @@ type peerLink struct {
 	everLive bool // a reconnect of a once-live link counts as a resume
 }
 
-// peerEvent is one entry in the p2p worker's merged inbox: a decoded frame
+// peerEvent is one entry in the worker's merged inbox: a decoded frame
 // or error from an installed connection (gen-checked against the link), or
 // a handshake outcome (a dialed link's helloOK, or an accepted connection's
 // hello, distinguished by f.Kind).
@@ -98,9 +99,12 @@ type peerEvent struct {
 	err  error
 	conn net.Conn
 	r    *wireReader // holds bytes the handshake already buffered
+	// more: the read loop already holds bytes of the next frame, so the
+	// batch this frame belongs to is still arriving.
+	more bool
 }
 
-// p2pState is the worker's data-plane state, nil in star mode.
+// p2pState is the worker's data-plane state.
 type p2pState struct {
 	self   int // this worker's index; -1 until the first assignment
 	n      int
@@ -135,94 +139,6 @@ type p2pState struct {
 	// observes peer links and folds this in verbatim from reports.
 	resumes    int64
 	repResumes int64
-}
-
-// runWorkerP2P serves one worker with the peer-to-peer data plane enabled:
-// advertise the data-plane listener, then multiplex the coordinator link
-// and every peer link through one event loop until shutdown.
-func runWorkerP2P(conn net.Conn, factory ActorFactory, o workerOpts) error {
-	l, err := net.Listen("tcp", o.peerListen)
-	if err != nil {
-		return fmt.Errorf("tcpnet: p2p worker listen %q: %w", o.peerListen, err)
-	}
-	sess := newSession(0, o.maxFrames, o.maxBytes)
-	w := &worker{
-		conn:    conn,
-		sess:    sess,
-		opts:    o,
-		factory: factory,
-		enc:     newSessionWriter(conn, sess),
-		actors:  make(map[rt.NodeID]rt.Actor),
-		start:   time.Now(),
-		rng:     newRedialRNG(),
-		p2p: &p2pState{
-			self:  -1,
-			l:     l,
-			inbox: make(chan peerEvent, peerInboxFrames),
-			done:  make(chan struct{}),
-			wrap:  o.peerWrap,
-		},
-	}
-	defer w.teardownP2P()
-	// Bootstrap: the advertised listener address must be the coordinator's
-	// first frame from us, before it sends any assignment — every
-	// assignment carries the complete address book.
-	if err := w.enc.WriteFrame(&frame{Kind: framePeerAddr, Addr: advertiseAddr(l.Addr(), conn.LocalAddr())}); err != nil {
-		return err
-	}
-	if err := w.enc.Flush(); err != nil {
-		return err
-	}
-	go w.peerAcceptLoop(l)
-	coordGen := 0
-	go w.peerReadLoop(-1, coordGen, newWireReader(conn))
-
-	sessTick := time.NewTicker(sessionTickInterval)
-	defer sessTick.Stop()
-	for {
-		var ev peerEvent
-		switch {
-		case len(w.p2p.pending) > 0:
-			ev = w.p2p.pending[0]
-			w.p2p.pending = w.p2p.pending[1:]
-		default:
-			select {
-			case ev = <-w.p2p.inbox:
-			default:
-				// Blocking point: the batch is done. Report settled
-				// counters, make sure quiet receive directions still carry
-				// acks, flush, and surface any buffered-writer failure.
-				w.report()
-				if w.sess.needAck() {
-					_ = w.enc.WriteFrame(&frame{Kind: frameAck})
-				}
-				w.peerIdleAcks()
-				_ = w.enc.Flush()
-				if w.fatal != nil {
-					return w.fatal
-				}
-				if werr := w.enc.Err(); werr != nil {
-					done, err := w.coordReconnect(&coordGen, werr)
-					if done || err != nil {
-						return err
-					}
-				}
-				select {
-				case ev = <-w.p2p.inbox:
-				case <-sessTick.C:
-					w.peerIdleAcks()
-					continue
-				}
-			}
-		}
-		shutdown, err := w.handlePeerEvent(ev, &coordGen)
-		if err != nil || shutdown {
-			return err
-		}
-		if w.fatal != nil {
-			return w.fatal
-		}
-	}
 }
 
 // advertiseAddr turns the listener's bind address into one peers can dial:
@@ -311,8 +227,7 @@ func (w *worker) handlePeerEvent(ev peerEvent, coordGen *int) (shutdown bool, er
 	}
 }
 
-// handleCoordEvent applies one coordinator-link event, mirroring the star
-// worker's synchronous loop.
+// handleCoordEvent applies one coordinator-link event.
 func (w *worker) handleCoordEvent(ev peerEvent, coordGen *int) (shutdown bool, err error) {
 	if ev.gen != *coordGen {
 		if ev.f != nil {
@@ -386,8 +301,8 @@ func (w *worker) handleCoordEvent(ev peerEvent, coordGen *int) (shutdown bool, e
 	}
 }
 
-// coordReconnect runs the synchronous coordinator-link recovery (shared
-// with the star worker) and restarts the read goroutine on success. Peer
+// coordReconnect runs the synchronous coordinator-link recovery (see
+// worker.reconnect) and restarts the read goroutine on success. Peer
 // links are untouched by a rung-1 resume; a rung-2 reassignment rebuilds
 // them inside applyAssign.
 func (w *worker) coordReconnect(coordGen *int, cause error) (shutdown bool, err error) {
@@ -408,13 +323,10 @@ func (w *worker) coordReconnect(coordGen *int, cause error) (shutdown bool, err 
 // peer link under the assignment's epochs.
 func (w *worker) applyP2PAssign(f *frame) error {
 	p := w.p2p
-	if f.Worker < 0 {
-		return errors.New("tcpnet: p2p worker received a star assignment: run the coordinator with WithP2P")
-	}
 	p.self = int(f.Worker)
 	p.n = len(f.Peers)
-	if p.self >= p.n || p.n != len(f.Epochs) {
-		return fmt.Errorf("tcpnet: malformed p2p assignment: worker %d of %d peers, %d epochs",
+	if p.self < 0 || p.self >= p.n || p.n != len(f.Epochs) {
+		return fmt.Errorf("tcpnet: malformed assignment: worker %d of %d peers, %d epochs",
 			p.self, p.n, len(f.Epochs))
 	}
 	p.addrs = append([]string(nil), f.Peers...)
@@ -783,7 +695,7 @@ func (w *worker) installLink(lk *peerLink, conn net.Conn, r *wireReader, first *
 func (w *worker) peerReadLoop(src, gen int, r *wireReader) {
 	for {
 		f, err := r.ReadFrame()
-		ev := peerEvent{src: src, gen: gen, f: f, err: err}
+		ev := peerEvent{src: src, gen: gen, f: f, err: err, more: err == nil && r.Buffered() > 0}
 		select {
 		case w.p2p.inbox <- ev:
 		case <-w.p2p.done:

@@ -141,6 +141,9 @@ func TestResumeAfterTear(t *testing.T) {
 	}
 	l, server, client, dial := resumePair(t)
 
+	const sink = rt.NodeID(50)
+	done := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}},
+		WithWorkerResume(dial, 10, 10*time.Millisecond))
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{plan.Wrap(server)},
 		WithResume(l, 5*time.Second),
 		WithDrainTimeout(30*time.Second))
@@ -150,14 +153,7 @@ func TestResumeAfterTear(t *testing.T) {
 	defer c.Close()
 
 	col := &seqActor{}
-	const sink = rt.NodeID(50)
 	c.Register(sink, col)
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(client, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-			return &echoActor{to: sink}, nil
-		}, WithWorkerResume(dial, 10, 10*time.Millisecond))
-	}()
 
 	const n = 300
 	pad := make([]byte, 64)
@@ -202,6 +198,7 @@ func TestResumeAfterTear(t *testing.T) {
 // runs its purge + re-stream recovery.
 func TestResumeWindowOverflowFallsBack(t *testing.T) {
 	l, server, client, dial := resumePair(t)
+	advertisePeer(t, client)
 
 	// Buffered beyond any plausible death count: the handler runs on the
 	// drain loop, so it must never block (the scripted worker's final
@@ -297,6 +294,7 @@ func TestResumeWindowOverflowFallsBack(t *testing.T) {
 // window, the worker is declared dead and the failure handler runs.
 func TestResumeWindowExpiry(t *testing.T) {
 	l, server, client, _ := resumePair(t)
+	advertisePeer(t, client)
 
 	causeCh := make(chan error, 1)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},

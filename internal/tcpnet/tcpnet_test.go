@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -15,6 +16,11 @@ import (
 // startWorkers launches n worker loops over real localhost TCP connections
 // and returns the coordinator-side conns.
 func startWorkers(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
+	return startWorkersWith(t, n, joinFactory)
+}
+
+// startWorkersWith is startWorkers with a caller-chosen actor factory.
+func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) ([]net.Conn, *sync.WaitGroup) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -24,13 +30,6 @@ func startWorkers(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
 
 	var wg sync.WaitGroup
 	conns := make([]net.Conn, n)
-	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-		cfg, err := core.DecodeConfig(blob)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewJoinActor(cfg, id)
-	}
 	for i := 0; i < n; i++ {
 		wconn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
@@ -42,14 +41,57 @@ func startWorkers(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
 		}
 		conns[i] = cconn
 		wg.Add(1)
-		go func(c net.Conn) {
+		go func(i int, c net.Conn) {
 			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory); err != nil {
-				t.Errorf("worker: %v", err)
+			if err := tcpnet.RunWorker(c, factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
+				t.Errorf("worker %d: %v", i, err)
 			}
-		}(wconn)
+		}(i, wconn)
 	}
 	return conns, &wg
+}
+
+// assertNoRelay pins the data plane's reason to exist: no worker→worker
+// message may pass through the coordinator.
+func assertNoRelay(t *testing.T, ts rt.TransportStats) {
+	t.Helper()
+	if ts.RelayedMessages != 0 || ts.RelayedBytes != 0 {
+		t.Errorf("run relayed %d msgs (%d bytes) through the coordinator, want 0",
+			ts.RelayedMessages, ts.RelayedBytes)
+	}
+}
+
+// runDistJoin executes cfg across `workers` worker loops with join node i
+// on worker i%workers, asserts nothing relayed through the coordinator,
+// and returns the report; the result comparison is the caller's.
+func runDistJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
+	t.Helper()
+	blob, err := core.EncodeConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := core.JoinNodeIDs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, wg := startWorkers(t, workers)
+	assignment := make(map[rt.NodeID]int)
+	for i, id := range ids {
+		assignment[id] = i % workers
+	}
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
+	coord.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoRelay(t, ts)
+	return got
 }
 
 func distConfig(alg core.Algorithm) core.Config {
@@ -67,9 +109,9 @@ func distConfig(alg core.Algorithm) core.Config {
 }
 
 // TestDistributedJoinMatchesSimulator runs every algorithm, and the
-// out-of-core baseline under both policies, with all join nodes hosted on
-// two TCP worker processes (in-process goroutines over real sockets) and
-// compares the join result with the simulator's.
+// out-of-core baseline under both policies, with all join nodes spread
+// over three TCP worker processes (in-process goroutines over real
+// sockets) and compares the join result with the simulator's.
 func TestDistributedJoinMatchesSimulator(t *testing.T) {
 	var cfgs []core.Config
 	for _, alg := range core.Algorithms() {
@@ -87,30 +129,7 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			blob, err := core.EncodeConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := core.JoinNodeIDs(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns, wg := startWorkers(t, 2)
-			assignment := make(map[rt.NodeID]int)
-			for i, id := range ids {
-				assignment[id] = i % 2
-			}
-			coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Execute(cfg, coord)
-			coord.Close()
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runDistJoin(t, cfg, 3)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
 				t.Errorf("distributed result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -125,40 +144,17 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestDistributedSkewed exercises replication chains and reshuffling across
-// process boundaries.
+// TestDistributedSkewed exercises replication chains and reshuffling — the
+// heaviest worker↔worker flows — across process boundaries.
 func TestDistributedSkewed(t *testing.T) {
 	cfg := distConfig(core.Hybrid)
 	cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
 	cfg.Probe = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 911}
-
 	want, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, wg := startWorkers(t, 3)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % 3
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runDistJoin(t, cfg, 3)
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
 		t.Errorf("distributed result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -167,7 +163,8 @@ func TestDistributedSkewed(t *testing.T) {
 
 // TestDistributedSpill runs the undersized spill scenario with the join
 // nodes hosted on TCP workers: the spillOrder/spillAck handshake crosses the
-// binary wire codec and the result must still match the simulator exactly.
+// coordinator links and the binary wire codec, chunk migration the peer
+// links, and the result must still match the simulator exactly.
 func TestDistributedSpill(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -181,29 +178,7 @@ func TestDistributedSpill(t *testing.T) {
 			if want.SpilledPartitions == 0 {
 				t.Fatal("scenario did not engage the spill rung")
 			}
-			blob, err := core.EncodeConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := core.JoinNodeIDs(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns, wg := startWorkers(t, 2)
-			assignment := make(map[rt.NodeID]int)
-			for i, id := range ids {
-				assignment[id] = i % 2
-			}
-			coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Execute(cfg, coord)
-			coord.Close()
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runDistJoin(t, cfg, 2)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
 				t.Errorf("distributed spill result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -216,8 +191,10 @@ func TestDistributedSpill(t *testing.T) {
 	}
 }
 
-// TestPartialAssignment keeps some join nodes in the coordinator process
-// and some on a worker.
+// TestPartialAssignment mixes worker-hosted and coordinator-local join
+// nodes: worker↔worker traffic must take the peer links while
+// worker↔local traffic uses the coordinator link (direct delivery, not a
+// relay).
 func TestPartialAssignment(t *testing.T) {
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
@@ -232,11 +209,11 @@ func TestPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkers(t, 1)
+	conns, wg := startWorkers(t, 2)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
-		if i%2 == 0 { // every other join node stays local
-			assignment[id] = 0
+		if i%3 != 2 { // every third join node stays coordinator-local
+			assignment[id] = i % 2
 		}
 	}
 	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
@@ -244,6 +221,7 @@ func TestPartialAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.Execute(cfg, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
@@ -253,17 +231,30 @@ func TestPartialAssignment(t *testing.T) {
 		t.Errorf("partial-assignment result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
+	assertNoRelay(t, ts)
 }
 
 func TestBadAssignmentRejected(t *testing.T) {
-	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{5: 2}, nil); err == nil {
+	conns := make([]net.Conn, 1) // never touched: the assignment is checked first
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{5: 2}, conns); err == nil {
 		t.Error("out-of-range worker index accepted")
 	}
 }
 
-// TestDistributedMultiWayPipeline hosts every stage's join nodes of a
-// three-way join pipeline on TCP workers and checks the result against the
-// simulator.
+// TestWorkerCountRejected pins the bounds NewCoordinator enforces before it
+// touches a connection: at least one worker, at most MaxWorkers.
+func TestWorkerCountRejected(t *testing.T) {
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, nil); !errors.Is(err, tcpnet.ErrNoWorkers) {
+		t.Errorf("zero workers: got %v, want ErrNoWorkers", err)
+	}
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, make([]net.Conn, tcpnet.MaxWorkers+1)); err == nil {
+		t.Errorf("%d workers accepted, want at most %d", tcpnet.MaxWorkers+1, tcpnet.MaxWorkers)
+	}
+}
+
+// TestDistributedMultiWayPipeline hosts a three-way join pipeline on
+// three TCP workers and checks the result against the simulator: the
+// stage-to-stage chunk handoff is pure worker↔worker traffic.
 func TestDistributedMultiWayPipeline(t *testing.T) {
 	mc := core.MultiConfig{
 		Algorithm:    core.Hybrid,
@@ -282,7 +273,6 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	blob, err := core.EncodeMultiConfig(mc)
 	if err != nil {
 		t.Fatal(err)
@@ -291,40 +281,14 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	factory := func(b []byte, id rt.NodeID) (rt.Actor, error) {
+	const workers = 3
+	conns, wg := startWorkersWith(t, workers, func(b []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(b)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewMultiJoinActor(m, id)
-	}
-	const workers = 2
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}(wconn)
-	}
+	})
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % workers
@@ -334,6 +298,7 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.ExecuteMulti(mc, coord)
+	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
@@ -343,4 +308,7 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 		t.Errorf("distributed pipeline %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
+	// MultiReport carries no transport stats; the coordinator's own are
+	// the ones to check.
+	assertNoRelay(t, ts)
 }

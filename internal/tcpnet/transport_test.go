@@ -1,9 +1,10 @@
 package tcpnet
 
 // Transport-level tests: they exercise the frame codec, the writer
-// goroutine + bounded outbox, report coalescing, asynchronous redial, and
-// the FIFO/flush discipline the quiescence predicate depends on — all
-// below the join protocol, with synthetic actors.
+// goroutine + bounded outbox, report coalescing, a resume that leaves
+// healthy workers running, and the FIFO/flush discipline the quiescence
+// predicate depends on — all below the join protocol, with synthetic
+// actors.
 
 import (
 	"bytes"
@@ -80,15 +81,31 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 }
 
 // runTestWorker serves a worker over conn with the given actors, reporting
-// RunWorker's result on the returned channel.
-func runTestWorker(conn net.Conn, actors map[rt.NodeID]rt.Actor) <-chan error {
+// RunWorker's result on the returned channel. Start it before
+// NewCoordinator, which waits for the worker's bootstrap frame.
+func runTestWorker(conn net.Conn, actors map[rt.NodeID]rt.Actor, opts ...WorkerOption) <-chan error {
 	done := make(chan error, 1)
+	opts = append([]WorkerOption{WithWorkerP2P("127.0.0.1:0")}, opts...)
 	go func() {
 		done <- RunWorker(conn, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
 			return actors[id], nil
-		})
+		}, opts...)
 	}()
 	return done
+}
+
+// advertisePeer writes the bootstrap frame a worker opens its coordinator
+// link with, so a scripted worker end gets past NewCoordinator's
+// address-book read.
+func advertisePeer(t *testing.T, conn net.Conn) {
+	t.Helper()
+	w := newWireWriter(conn)
+	if err := w.WriteFrame(&frame{Kind: framePeerAddr, Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -272,6 +289,9 @@ func TestAssignmentIDsSorted(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		server, client := net.Pipe()
 		go func() {
+			w := newWireWriter(client)
+			_ = w.WriteFrame(&frame{Kind: framePeerAddr, Addr: "127.0.0.1:1"})
+			_ = w.Flush()
 			r := newWireReader(client)
 			for {
 				f, err := r.ReadFrame()
@@ -297,10 +317,12 @@ func TestAssignmentIDsSorted(t *testing.T) {
 	}
 }
 
-// dummyConn is a loopback connection whose far side just discards input.
+// dummyConn is a loopback connection whose far side advertises a peer
+// address and then just discards input.
 func dummyConn(t *testing.T) net.Conn {
 	t.Helper()
 	server, client := tcpPair(t)
+	advertisePeer(t, client)
 	go func() {
 		buf := make([]byte, 4096)
 		for {
@@ -340,11 +362,19 @@ func TestDeadWorkerHeartbeatNotReset(t *testing.T) {
 }
 
 // recordingConn captures everything written through it (the worker→
-// coordinator stream) so tests can count frames by kind.
+// coordinator stream) so tests can count frames by kind. Reads wait for
+// gate to close, so a backlog can build up before the worker sees any of
+// it.
 type recordingConn struct {
 	net.Conn
-	mu  sync.Mutex
-	buf bytes.Buffer
+	gate chan struct{}
+	mu   sync.Mutex
+	buf  bytes.Buffer
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	<-c.gate
+	return c.Conn.Read(p)
 }
 
 func (c *recordingConn) Write(p []byte) (int, error) {
@@ -381,11 +411,13 @@ func (c *recordingConn) countFrames(t *testing.T, kind frameKind) int {
 // TestReportCoalescing pins the fix for the report storm: a worker handed a
 // pipelined batch of n messages must not send one report per message, only
 // one per blocking point. The messages are injected (and sitting in socket
-// buffers) before the worker starts, so their delivery is maximally
-// pipelined and the worker sees a non-empty read buffer throughout.
+// buffers) before the worker reads anything, so their delivery is
+// maximally pipelined and the worker sees a full inbox throughout.
 func TestReportCoalescing(t *testing.T) {
 	server, client := tcpPair(t)
-	rec := &recordingConn{Conn: client}
+	rec := &recordingConn{Conn: client, gate: make(chan struct{})}
+	var got int64
+	workerDone := runTestWorker(rec, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
 
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
 	if err != nil {
@@ -398,11 +430,9 @@ func TestReportCoalescing(t *testing.T) {
 		c.Inject(1, &testMsg{Seq: i})
 	}
 	// Give the writer goroutine time to push the batch into the socket
-	// buffers, then start the worker against the backlog.
+	// buffers, then let the worker read the backlog.
 	time.Sleep(50 * time.Millisecond)
-
-	var got int64
-	workerDone := runTestWorker(rec, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+	close(rec.gate)
 
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
@@ -432,6 +462,8 @@ func TestReportCoalescing(t *testing.T) {
 // while an outbox is full) must complete the run instead.
 func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	server, client := tcpPair(t)
+	const sink = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
 		WithInboxFrames(2),
@@ -442,9 +474,7 @@ func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	defer c.Close()
 
 	var got int64
-	const sink = rt.NodeID(50)
 	c.Register(sink, &countActor{n: &got})
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	// 64 × 256 KiB echoes ≈ 16 MiB each way: far beyond what socket
 	// buffers absorb, so both directions hit real TCP backpressure.
@@ -465,72 +495,104 @@ func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	}
 }
 
-// TestRedialDoesNotStallHealthyWorkers pins the asynchronous reconnect:
-// while one worker's redial is pending (the dial below blocks until
-// released), message relay through the other worker must keep flowing. On
-// the old transport the backoff sleep ran inside the drain loop, freezing
-// relay for everyone until reconnection resolved.
+// TestRedialDoesNotStallHealthyWorkers pins that recovery happens off the
+// drain loop: while one worker sits in its resume window (disconnected,
+// its redial blocked until released), echo traffic through the other
+// worker must keep flowing. The redial is released only once every echo
+// through the healthy worker has round-tripped — proof the drain loop
+// served it meanwhile — and the doomed worker then resumes on rung 1, so
+// Drain finishes with no death.
 func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
-	doomedServer, doomedClient := tcpPair(t)
-	healthyServer, healthyClient := tcpPair(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func() (net.Conn, net.Conn) {
+		client, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { server.Close(); client.Close() })
+		return server, client
+	}
+	doomedServer, doomedClient := pair()
+	healthyServer, healthyClient := pair()
 
 	release := make(chan struct{})
-	var handlerWorker int64 = -1
+	redial := func() (net.Conn, error) {
+		<-release
+		return net.Dial("tcp", l.Addr().String())
+	}
+	var got int64
+	const sink = rt.NodeID(50)
+	const n = 50
+	doomedDone := runTestWorker(doomedClient, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}},
+		WithWorkerResume(redial, 1, time.Millisecond))
+	healthyDone := runTestWorker(healthyClient, map[rt.NodeID]rt.Actor{2: &echoActor{to: sink}})
+
+	deaths := make(chan error, 2)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1},
 		[]net.Conn{doomedServer, healthyServer},
+		WithResume(l, 30*time.Second),
 		WithDrainTimeout(30*time.Second),
-		WithReconnect(func(worker int) (net.Conn, error) {
-			<-release
-			return nil, errDialRefused
-		}, 1, 0),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
-			atomic.StoreInt64(&handlerWorker, int64(worker))
+			deaths <- cause
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	var got int64
-	const sink = rt.NodeID(50)
-	const n = 50
 	c.Register(sink, &countActor{n: &got})
-	runTestWorker(doomedClient, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
-	healthyDone := runTestWorker(healthyClient, map[rt.NodeID]rt.Actor{2: &echoActor{to: sink}})
 
-	// Kill the doomed worker's connection, then release the blocked dial
-	// only once every echo through the healthy worker has round-tripped —
-	// proof the relay ran while the redial was pending.
+	// One round trip through the doomed worker first: it holds its
+	// assignment, so losing the connection leaves state worth resuming.
+	c.Inject(1, &testMsg{Seq: -1})
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill the doomed worker's connection; its redial blocks until every
+	// echo through the healthy worker is back. The message for the doomed
+	// worker keeps Drain from passing the barrier before the resume.
 	doomedClient.Close()
 	go func() {
-		for atomic.LoadInt64(&got) < n {
+		for atomic.LoadInt64(&got) < 1+n {
 			time.Sleep(time.Millisecond)
 		}
 		close(release)
 	}()
 
+	c.Inject(1, &testMsg{Seq: -2})
 	for i := 0; i < n; i++ {
 		c.Inject(2, &testMsg{Seq: i})
 	}
 	if err := c.Drain(); err != nil {
-		t.Fatalf("Drain with failure handler installed: %v", err)
+		t.Fatalf("Drain across the resume window: %v", err)
 	}
-	if got != n {
-		t.Fatalf("sink received %d of %d echoes through the healthy worker", got, n)
+	if got != 2+n {
+		t.Fatalf("sink received %d of %d echoes", got, 2+n)
 	}
-	if w := atomic.LoadInt64(&handlerWorker); w != 0 {
-		t.Fatalf("failure handler saw worker %d, want 0", w)
+	if stats := c.TransportStats(); stats.Resumes != 1 || stats.FullReassigns != 0 {
+		t.Errorf("resumes %d, full reassigns %d; want 1 and 0", stats.Resumes, stats.FullReassigns)
 	}
-	if c.workers[0].state != stateDead {
-		t.Fatalf("doomed worker state %v, want dead", c.workers[0].state)
+	select {
+	case cause := <-deaths:
+		t.Errorf("failure handler ran (%v): the doomed worker should have resumed", cause)
+	default:
+	}
+	if c.workers[0].state != stateLive {
+		t.Fatalf("doomed worker state %v after its resume, want live", c.workers[0].state)
 	}
 	c.Close()
-	if err := <-healthyDone; err != nil {
-		t.Fatalf("healthy worker exit: %v", err)
+	for name, done := range map[string]<-chan error{"doomed": doomedDone, "healthy": healthyDone} {
+		if err := <-done; err != nil {
+			t.Errorf("%s worker exit: %v", name, err)
+		}
 	}
 }
-
-var errDialRefused = net.UnknownNetworkError("test: dial refused")
 
 // TestQuiescenceFIFOOrdering pins the property the quiescence predicate
 // depends on: buffering and coalescing must preserve per-connection FIFO
@@ -541,6 +603,8 @@ var errDialRefused = net.UnknownNetworkError("test: dial refused")
 // early flush being lost, breaks the count or the order.
 func TestQuiescenceFIFOOrdering(t *testing.T) {
 	server, client := tcpPair(t)
+	const sink = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
@@ -548,9 +612,7 @@ func TestQuiescenceFIFOOrdering(t *testing.T) {
 	defer c.Close()
 
 	col := &seqActor{}
-	const sink = rt.NodeID(50)
 	c.Register(sink, col)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	const rounds, perRound = 3, 500
 	next := 0

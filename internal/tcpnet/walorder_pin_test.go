@@ -26,6 +26,7 @@ import (
 // the death from the log instead of double-applying it.
 func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 	l, server, client, _ := resumePair(t)
+	advertisePeer(t, client)
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
@@ -82,6 +83,7 @@ func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 // no failure-handler purge.
 func TestCrashAtEpochRecordKeepsLogAhead(t *testing.T) {
 	l, server, client, dial := resumePair(t)
+	advertisePeer(t, client)
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)

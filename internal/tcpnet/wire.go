@@ -86,8 +86,8 @@ func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 		for _, id := range f.IDs {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
 		}
-		// p2p extension: worker index, address book, peer epochs, and the
-		// full node→worker map. All zero-length in star mode.
+		// Data-plane half: worker index, address book, peer epochs, and
+		// the full node→worker map.
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Worker))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Peers)))
 		for _, p := range f.Peers {

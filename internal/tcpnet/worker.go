@@ -65,17 +65,16 @@ func WithWorkerRetransmitWindow(frames, bytes int) WorkerOption {
 	return func(o *workerOpts) { o.maxFrames, o.maxBytes = frames, bytes }
 }
 
-// WithWorkerP2P enables the peer-to-peer data plane (see peer.go): the
-// worker opens a data-plane listener on listen (":0" when empty),
-// advertises it to the coordinator as its first frame, and exchanges
-// chunk-bearing messages with other workers over direct connections. The
-// coordinator must be running with WithP2P.
+// WithWorkerP2P sets the address of the worker's data-plane listener, the
+// one other workers dial for their direct peer links (see peer.go). The
+// default, and the value an empty listen selects, is ":0": any port on
+// every interface, advertised under the host this worker reaches the
+// coordinator from.
 func WithWorkerP2P(listen string) WorkerOption {
 	return func(o *workerOpts) {
-		if listen == "" {
-			listen = ":0"
+		if listen != "" {
+			o.peerListen = listen
 		}
-		o.peerListen = listen
 	}
 }
 
@@ -98,28 +97,34 @@ func WithWorkerPeerChaos(wrap func(net.Conn) net.Conn) WorkerOption {
 	return func(o *workerOpts) { o.peerWrap = wrap }
 }
 
-// RunWorker serves one worker process over an established connection: it
-// receives the assignment, constructs its actors, and processes messages
-// until the coordinator shuts it down or the connection closes. It returns
-// nil on clean shutdown.
+// RunWorker serves one worker process over an established connection to
+// the coordinator: it opens its data-plane listener, advertises it as its
+// first frame, receives the assignment, constructs its actors, and
+// processes messages until the coordinator shuts it down or the connection
+// closes. It returns nil on clean shutdown.
 //
-// Writes are buffered; the worker flushes exactly when it is about to
-// block on its next read. Counter reports are coalesced the same way: one
-// report per batch of delivered messages (and only when the counters
-// actually moved), not one per message. Because the report is written
-// after the batch's emitted messages on the same FIFO connection, the
-// coordinator's quiescence predicate stays sound.
+// One event loop multiplexes the coordinator link and every peer link:
+// per-connection read goroutines post decoded frames into a merged inbox
+// and the loop applies them. Writes are buffered; the worker flushes
+// exactly when the inbox runs dry and it is about to block. Counter
+// reports are coalesced: one report per batch of delivered messages — a
+// batch ends when the inbox is dry and the last event's reader held no
+// further bytes — and only when the counters actually moved, not one per
+// message. Because the report is written after the batch's emitted
+// messages on the same FIFO connections, the coordinator's quiescence
+// predicate stays sound.
 //
 // Transport failures are handled at the same blocking points. With
 // WithWorkerResume the worker redials and resumes; without it, a bare EOF
 // is a clean shutdown and anything else is returned as an error.
 func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error {
-	o := workerOpts{attempts: DefaultWorkerRedialAttempts, backoff: DefaultWorkerRedialBackoff}
+	o := workerOpts{attempts: DefaultWorkerRedialAttempts, backoff: DefaultWorkerRedialBackoff, peerListen: ":0"}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.peerListen != "" {
-		return runWorkerP2P(conn, factory, o)
+	l, err := net.Listen("tcp", o.peerListen)
+	if err != nil {
+		return fmt.Errorf("tcpnet: worker peer listen %q: %w", o.peerListen, err)
 	}
 	sess := newSession(0, o.maxFrames, o.maxBytes)
 	w := &worker{
@@ -131,98 +136,77 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 		actors:  make(map[rt.NodeID]rt.Actor),
 		start:   time.Now(),
 		rng:     newRedialRNG(),
+		p2p: &p2pState{
+			self:  -1,
+			l:     l,
+			inbox: make(chan peerEvent, peerInboxFrames),
+			done:  make(chan struct{}),
+			wrap:  o.peerWrap,
+		},
 	}
-	r := newWireReader(conn)
+	defer w.teardownP2P()
+	// Bootstrap: the advertised listener address must be the coordinator's
+	// first frame from us, before it sends any assignment — every
+	// assignment carries the complete address book.
+	if err := w.enc.WriteFrame(&frame{Kind: framePeerAddr, Addr: advertiseAddr(l.Addr(), conn.LocalAddr())}); err != nil {
+		return err
+	}
+	if err := w.enc.Flush(); err != nil {
+		return err
+	}
+	go w.peerAcceptLoop(l)
+	coordGen := 0
+	go w.peerReadLoop(-1, coordGen, newWireReader(conn))
+
+	sessTick := time.NewTicker(sessionTickInterval)
+	defer sessTick.Stop()
+	batchOpen := false // the last event's reader already buffered more input
 	for {
-		f, err := r.ReadFrame()
-		if err != nil {
-			if r, err = w.reconnect(err); err != nil || r == nil {
-				return err
-			}
-			continue
-		}
-		w.sess.peerAck(f.Ack)
-		process := true
-		if f.Seq > 0 {
-			var serr error
-			if process, serr = w.sess.acceptSeq(f.Seq); serr != nil {
-				// A sequence gap means loss the protocol failed to mask;
-				// drop the connection and let resume re-establish order.
-				putFrame(f)
-				if r, err = w.reconnect(serr); err != nil || r == nil {
-					return err
-				}
-				continue
-			}
-		}
-		if !process {
-			putFrame(f) // duplicate from a retransmission overlap
-		} else {
-			switch f.Kind {
-			case frameAssign:
-				err := w.applyAssign(f)
-				putFrame(f)
-				if err != nil {
-					return err
-				}
-			case frameMsg:
-				// processed counts coordinator-delivered frames only; local
-				// cascades between this worker's actors drain synchronously
-				// inside drainLocal before any report goes out, so
-				// "delivered == processed" still implies no hidden work.
-				w.processed++
-				w.queue = append(w.queue, localDelivery{
-					from: rt.NodeID(f.From), to: rt.NodeID(f.To), msg: f.Msg,
-				})
-				putFrame(f)
-				if err := w.drainLocal(); err != nil {
-					return err
-				}
-				// A pure ingest batch (build phase) emits nothing to carry
-				// piggyback acks and may not hit a blocking point for the
-				// whole stream; cap the coordinator's retransmit debt.
-				if w.sess.ackDebt() >= ackDebtThreshold {
-					_ = w.enc.WriteFrame(&frame{Kind: frameAck})
-					_ = w.enc.Flush()
-				}
-			case framePing:
-				// Liveness probe; pongs stay outside the processed/emitted
-				// counters so they cannot perturb the quiescence predicate.
-				putFrame(f)
-				_ = w.enc.WriteFrame(&frame{Kind: framePong})
-			case frameAck:
-				// The peerAck above is the whole point.
-				putFrame(f)
-			case frameShutdown:
-				putFrame(f)
-				return nil
+		var ev peerEvent
+		switch {
+		case len(w.p2p.pending) > 0:
+			ev = w.p2p.pending[0]
+			w.p2p.pending = w.p2p.pending[1:]
+		default:
+			select {
+			case ev = <-w.p2p.inbox:
 			default:
-				kind := f.Kind
-				putFrame(f)
-				return fmt.Errorf("tcpnet: worker got unexpected frame kind %d", kind)
-			}
-		}
-		// About to loop back into a read. If more input is already
-		// buffered we keep processing — the batch is still in progress.
-		// Otherwise this is a blocking point: report the counters (if
-		// they moved), make sure the coordinator's retransmit buffer gets
-		// an ack even when we emitted nothing to carry one, push
-		// everything onto the wire, and only then act on any transport
-		// failure the buffered writer has been sitting on.
-		if r.Buffered() == 0 {
-			w.report()
-			if w.sess.needAck() {
-				_ = w.enc.WriteFrame(&frame{Kind: frameAck})
-			}
-			_ = w.enc.Flush()
-			if w.fatal != nil {
-				return w.fatal
-			}
-			if werr := w.enc.Err(); werr != nil {
-				if r, err = w.reconnect(werr); err != nil || r == nil {
-					return err
+				// Blocking point. Once the batch is done, report settled
+				// counters; either way make sure quiet receive directions
+				// still carry acks, flush, and surface any buffered-writer
+				// failure.
+				if !batchOpen {
+					w.report()
+				}
+				if w.sess.needAck() {
+					_ = w.enc.WriteFrame(&frame{Kind: frameAck})
+				}
+				w.peerIdleAcks()
+				_ = w.enc.Flush()
+				if w.fatal != nil {
+					return w.fatal
+				}
+				if werr := w.enc.Err(); werr != nil {
+					done, err := w.coordReconnect(&coordGen, werr)
+					if done || err != nil {
+						return err
+					}
+				}
+				select {
+				case ev = <-w.p2p.inbox:
+				case <-sessTick.C:
+					w.peerIdleAcks()
+					continue
 				}
 			}
+		}
+		batchOpen = ev.more
+		shutdown, err := w.handlePeerEvent(ev, &coordGen)
+		if err != nil || shutdown {
+			return err
+		}
+		if w.fatal != nil {
+			return w.fatal
 		}
 	}
 }
@@ -238,7 +222,7 @@ type worker struct {
 	queue    []localDelivery
 	start    time.Time
 	assigned bool
-	p2p      *p2pState // peer-to-peer data plane; nil in star mode
+	p2p      *p2pState // the peer-to-peer data plane
 
 	// assignedIDs is the sorted node-id set from the last frameAssign,
 	// hashed into the re-attach digest so a restarted coordinator can
@@ -285,13 +269,7 @@ func (w *worker) applyAssign(f *frame) error {
 	w.processed, w.emitted = 0, 0
 	w.repProcessed, w.repEmitted = 0, 0
 	w.assigned = true
-	if w.p2p != nil {
-		return w.applyP2PAssign(f)
-	}
-	if f.Worker >= 0 {
-		return errors.New("tcpnet: star worker received a p2p assignment: run the worker with WithWorkerP2P")
-	}
-	return nil
+	return w.applyP2PAssign(f)
 }
 
 // newRedialRNG seeds a per-worker jitter source. Wall clock alone would
@@ -375,11 +353,11 @@ func (w *worker) reconnect(cause error) (*wireReader, error) {
 // fresh assignment.
 func (w *worker) handshake(conn net.Conn) (*wireReader, error) {
 	enc := newSessionWriter(conn, w.sess)
-	// A blank p2p worker (orphaned before its first assignment) has no
+	// A blank worker (orphaned before its first assignment) has no
 	// session identity, so the coordinator can only seat it in the slot
 	// whose logged address book entry matches its data-plane listener.
 	// Re-advertise it ahead of the hello, mirroring the bootstrap sequence.
-	if !w.assigned && w.p2p != nil {
+	if !w.assigned {
 		if err := enc.WriteFrame(&frame{Kind: framePeerAddr,
 			Addr: advertiseAddr(w.p2p.l.Addr(), conn.LocalAddr())}); err != nil {
 			return nil, err
@@ -471,12 +449,11 @@ func (w *worker) drainLocal() error {
 // buffered for retransmission, and carries the worker's session stats for
 // the coordinator's run report.
 func (w *worker) report() {
-	moved := w.processed != w.repProcessed || w.emitted != w.repEmitted || w.resumes != w.repResumes
-	if p := w.p2p; p != nil && !moved {
-		moved = p.dropped != p.repDropped || p.resumes != p.repResumes ||
-			!int64sEqual(p.peerEmitted, p.repPeerEmitted) ||
-			!int64sEqual(p.peerProcessed, p.repPeerProcessed)
-	}
+	p := w.p2p
+	moved := w.processed != w.repProcessed || w.emitted != w.repEmitted || w.resumes != w.repResumes ||
+		p.dropped != p.repDropped || p.resumes != p.repResumes ||
+		!int64sEqual(p.peerEmitted, p.repPeerEmitted) ||
+		!int64sEqual(p.peerProcessed, p.repPeerProcessed)
 	if !moved {
 		return
 	}
@@ -486,27 +463,23 @@ func (w *worker) report() {
 	// w.resumes here would double-count them in the folded stats.
 	f := &frame{Kind: frameReport, Processed: w.processed, Emitted: w.emitted,
 		WFrames: w.sess.framesSent(), WRetrans: w.retransmitted,
-		WChecksum: w.checksumFails, WDups: w.sess.dupes()}
-	if p := w.p2p; p != nil {
-		f.PeerEmitted, f.PeerProcessed, f.WDropped = p.peerEmitted, p.peerProcessed, p.dropped
-		f.WResumes = p.resumes
-		for _, lk := range p.links {
-			if lk == nil {
-				continue
-			}
-			f.WFrames += lk.sess.framesSent()
-			f.WDups += lk.sess.dupes()
+		WChecksum: w.checksumFails, WDups: w.sess.dupes(),
+		PeerEmitted: p.peerEmitted, PeerProcessed: p.peerProcessed, WDropped: p.dropped,
+		WResumes: p.resumes}
+	for _, lk := range p.links {
+		if lk == nil {
+			continue
 		}
+		f.WFrames += lk.sess.framesSent()
+		f.WDups += lk.sess.dupes()
 	}
 	if err := w.enc.WriteFrame(f); err != nil && w.fatal == nil {
 		w.fatal = fmt.Errorf("tcpnet: worker report: %w", err)
 	}
 	w.repProcessed, w.repEmitted, w.repResumes = w.processed, w.emitted, w.resumes
-	if p := w.p2p; p != nil {
-		p.repDropped, p.repResumes = p.dropped, p.resumes
-		p.repPeerEmitted = append(p.repPeerEmitted[:0], p.peerEmitted...)
-		p.repPeerProcessed = append(p.repPeerProcessed[:0], p.peerProcessed...)
-	}
+	p.repDropped, p.repResumes = p.dropped, p.resumes
+	p.repPeerEmitted = append(p.repPeerEmitted[:0], p.peerEmitted...)
+	p.repPeerProcessed = append(p.repPeerProcessed[:0], p.peerProcessed...)
 }
 
 // int64sEqual reports whether two counter arrays hold the same values.
@@ -534,24 +507,23 @@ type workerEnv struct {
 func (e *workerEnv) Now() int64 { return time.Since(e.w.start).Nanoseconds() }
 
 // Send implements runtime.Env: local destinations cascade in-process,
-// everything else goes through the coordinator. The session writer accepts
-// frames even while the connection is down — they land in the retransmit
-// buffer for replay on resume — so only encode failures surface here, and
-// those after the current message finishes processing: actors cannot
-// handle transport errors mid-Receive, and the worker must not panic on
-// them.
+// nodes another worker owns travel its direct peer link, and everything
+// else (coordinator-local nodes) goes over the coordinator link. The
+// session writer accepts frames even while the connection is down — they
+// land in the retransmit buffer for replay on resume — so only encode
+// failures surface here, and those after the current message finishes
+// processing: actors cannot handle transport errors mid-Receive, and the
+// worker must not panic on them.
 func (e *workerEnv) Send(to rt.NodeID, m rt.Message) {
 	if _, local := e.w.actors[to]; local {
 		e.w.queue = append(e.w.queue, localDelivery{from: e.self, to: to, msg: m})
 		return
 	}
-	if p := e.w.p2p; p != nil {
-		if j, owned := p.owner[to]; owned && j != p.self {
-			// Chunk-bearing worker→worker traffic: the data plane, directly
-			// to the owner instead of relaying through the coordinator.
-			e.w.sendPeer(j, e.self, to, m)
-			return
-		}
+	if j, owned := e.w.p2p.owner[to]; owned && j != e.w.p2p.self {
+		// Chunk-bearing worker→worker traffic: the data plane, directly to
+		// the owner.
+		e.w.sendPeer(j, e.self, to, m)
+		return
 	}
 	if err := e.w.enc.WriteFrame(&frame{Kind: frameMsg, From: int32(e.self), To: int32(to), Msg: m}); err != nil {
 		if e.w.fatal == nil {

@@ -68,7 +68,7 @@ type CkptRecord struct {
 	// CkptHeader.
 	Version       uint32
 	SessionBase   uint64
-	P2P           bool
+	P2P           bool // always set by the writer; 0 marks a star-topology log replay refuses
 	CfgBlob       []byte
 	PeerAddrs     []string
 	AssignIDs     []int32
