@@ -22,16 +22,15 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// coordCrashRun executes cfg over three TCP workers with checkpointing
+// coordCrashRun executes cfg over nWorkers TCP workers with checkpointing
 // armed. With crashRecs > 0 a crash point is installed (see
 // WithCrashPoint); when it fires, the harness does what a supervisor
 // would: rebind the listener on the same address, replay the log into a
 // restored coordinator, and finish the run with core.ResumeExecute.
 // Returns the final report, whether the crash actually fired, and the
 // final record count of the log.
-func coordCrashRun(t *testing.T, cfg core.Config, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
+func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
 	t.Helper()
-	const nWorkers = 3
 	blob, err := core.EncodeConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,9 @@ func checkRecovered(t *testing.T, got, want *core.Report) {
 // TestCoordRecoveryScriptedPoints kills the coordinator at a hand-picked
 // record of each interesting phase — mid-build, mid-probe, heavy-hitter
 // detection, the out-of-core finish, and stats collection — with and
-// without spill and heavy routing.
+// without spill and heavy routing. The p2p-* cases run three workers, a
+// full peer mesh; the star-* cases, named for the hub-and-spoke layout
+// they once ran on, run two workers joined by a single peer link.
 func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	plain := distConfig(core.Split)
 	spill := distConfig(core.Split)
@@ -208,23 +209,28 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	// build, then (heavy detection), then probe, then (out-of-core
 	// finish), then stats collection.
 	cases := []struct {
-		name  string
-		cfg   core.Config
-		phase int
-		recs  int64
+		name    string
+		cfg     core.Config
+		workers int
+		phase   int
+		recs    int64
 	}{
-		{"p2p-mid-build", plain, 0, 12},
-		{"p2p-mid-probe", plain, 1, 12},
-		{"p2p-mid-stats", plain, 2, 3},
-		{"p2p-spill-finish", spill, 2, 2},
-		{"p2p-heavy-detect", heavy, 1, 2},
-		{"p2p-spill-heavy-probe", spillHeavy, 2, 8},
-		// A whole-log record count (phase -1) at which the randomized
+		{"star-mid-build", plain, 2, 0, 12},
+		{"star-mid-probe", plain, 2, 1, 12},
+		{"p2p-mid-build", plain, 3, 0, 12},
+		{"p2p-mid-probe", plain, 3, 1, 12},
+		{"p2p-mid-stats", plain, 3, 2, 3},
+		{"p2p-spill-finish", spill, 3, 2, 2},
+		{"p2p-heavy-detect", heavy, 3, 1, 2},
+		{"p2p-spill-heavy-probe", spillHeavy, 3, 2, 8},
+		// Whole-log record counts (phase -1) at which the randomized
 		// sweep below used to fail about one run in eleven: a worker's
 		// report landed between the two startBuild deliveries, the replay
 		// counted three of the four kickoff injections, and the resumed
 		// run had a source stream its build slice again.
-		{"p2p-log-107", plain, -1, 107},
+		{"star-log-63", plain, 2, -1, 63},
+		{"star-log-147", plain, 2, -1, 147},
+		{"p2p-log-107", plain, 3, -1, 107},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +238,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.phase, tc.recs)
+			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs)
 			if !crashed {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
@@ -248,53 +254,62 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 // exactly. Report batching makes the log length vary slightly between
 // runs, so a late sample occasionally outlives the run without firing;
 // those runs still serve as differential checks, and the firing rate is
-// asserted in bulk.
+// asserted in bulk. The star sweep runs two workers, the p2p sweep three.
 func TestCoordRecoveryRandomizedPoints(t *testing.T) {
-	t.Run("p2p", func(t *testing.T) {
-		const trials = 12
-		cfg := distConfig(core.Split)
-		want, err := core.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, crashed, total := coordCrashRun(t, cfg, 0, 0)
-		if crashed {
-			t.Fatal("control run crashed with no crash point armed")
-		}
-		if base.Matches != want.Matches || base.Checksum != want.Checksum {
-			t.Fatalf("control run diverged before any crash: %d/%#x, want %d/%#x",
-				base.Matches, base.Checksum, want.Matches, want.Checksum)
-		}
-		if total < 10 {
-			t.Fatalf("control log holds only %d records", total)
-		}
-		rng := rand.New(rand.NewSource(0xC0FFEE + 3))
-		fired := 0
-		for trial := 0; trial < trials; trial++ {
-			recs := 3 + rng.Int63n(total-3)
-			got, crashed, _ := coordCrashRun(t, cfg, -1, recs)
-			if !crashed {
-				t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
-				if got.Matches != want.Matches || got.Checksum != want.Checksum {
-					t.Errorf("trial %d (no crash): result %d/%#x, want %d/%#x",
-						trial, got.Matches, got.Checksum, want.Matches, want.Checksum)
+	for _, mode := range []struct {
+		name    string
+		workers int
+		trials  int
+	}{
+		{"star", 2, 6},
+		{"p2p", 3, 8},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			trials := mode.trials
+			cfg := distConfig(core.Split)
+			want, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, crashed, total := coordCrashRun(t, cfg, mode.workers, 0, 0)
+			if crashed {
+				t.Fatal("control run crashed with no crash point armed")
+			}
+			if base.Matches != want.Matches || base.Checksum != want.Checksum {
+				t.Fatalf("control run diverged before any crash: %d/%#x, want %d/%#x",
+					base.Matches, base.Checksum, want.Matches, want.Checksum)
+			}
+			if total < 10 {
+				t.Fatalf("control log holds only %d records", total)
+			}
+			rng := rand.New(rand.NewSource(0xC0FFEE + int64(len(mode.name))))
+			fired := 0
+			for trial := 0; trial < trials; trial++ {
+				recs := 3 + rng.Int63n(total-3)
+				got, crashed, _ := coordCrashRun(t, cfg, mode.workers, -1, recs)
+				if !crashed {
+					t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
+					if got.Matches != want.Matches || got.Checksum != want.Checksum {
+						t.Errorf("trial %d (no crash): result %d/%#x, want %d/%#x",
+							trial, got.Matches, got.Checksum, want.Matches, want.Checksum)
+					}
+					continue
 				}
-				continue
+				fired++
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("trial %d (crash at record %d): result %d/%#x, want %d/%#x "+
+						"(reattached=%d resumes=%d rung=%d nodesLost=%d restreamed=%d probeDegraded=%d degraded=%v)",
+						trial, recs, got.Matches, got.Checksum, want.Matches, want.Checksum,
+						got.ReattachedWorkers, got.Resumes, got.RecoveryRung, got.NodesLost,
+						got.RestreamedChunks, got.DegradedProbeRecoveries, got.Degraded)
+				}
+				if got.CoordRestarts != 1 {
+					t.Errorf("trial %d: CoordRestarts = %d, want 1", trial, got.CoordRestarts)
+				}
 			}
-			fired++
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("trial %d (crash at record %d): result %d/%#x, want %d/%#x "+
-					"(reattached=%d resumes=%d rung=%d nodesLost=%d restreamed=%d probeDegraded=%d degraded=%v)",
-					trial, recs, got.Matches, got.Checksum, want.Matches, want.Checksum,
-					got.ReattachedWorkers, got.Resumes, got.RecoveryRung, got.NodesLost,
-					got.RestreamedChunks, got.DegradedProbeRecoveries, got.Degraded)
+			if fired < trials*2/3 {
+				t.Errorf("only %d of %d sampled crash points fired", fired, trials)
 			}
-			if got.CoordRestarts != 1 {
-				t.Errorf("trial %d: CoordRestarts = %d, want 1", trial, got.CoordRestarts)
-			}
-		}
-		if fired < trials*2/3 {
-			t.Errorf("only %d of %d sampled crash points fired", fired, trials)
-		}
-	})
+		})
+	}
 }

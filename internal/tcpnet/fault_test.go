@@ -211,12 +211,26 @@ func TestDrainTimeoutOption(t *testing.T) {
 }
 
 // TestWorkerDeathRecoversOverTCP is the end-to-end tentpole check on the
-// real transport: one of three worker processes dies mid-build, the
-// coordinator tombstones it on the surviving workers' peer links
-// (framePeerDown), the failure handler feeds the deaths to the scheduler,
-// and the recovery protocol re-streams the lost state — the run completes
-// with the exact fault-free result over the remaining peer links.
+// real transport: one of two worker processes dies mid-build, the failure
+// handler feeds the deaths to the scheduler, and the recovery protocol
+// re-streams the lost state — the run completes with the exact fault-free
+// result on the survivor.
 func TestWorkerDeathRecoversOverTCP(t *testing.T) {
+	testWorkerDeathRecovers(t, 2)
+}
+
+// TestP2PWorkerDeathRecovers kills one of three workers mid-build: the
+// coordinator must also tombstone the dead peer on both survivors
+// (framePeerDown), and recovery must still be exact over the one peer link
+// left between them.
+func TestP2PWorkerDeathRecovers(t *testing.T) {
+	testWorkerDeathRecovers(t, 3)
+}
+
+// testWorkerDeathRecovers runs the split join on `workers` workers, of
+// which worker 1 dies after 100 KiB, and checks that recovery is exact.
+func testWorkerDeathRecovers(t *testing.T, workers int) {
+	t.Helper()
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
 	if err != nil {
@@ -235,7 +249,6 @@ func TestWorkerDeathRecoversOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 3
 	conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {

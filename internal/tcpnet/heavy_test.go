@@ -29,9 +29,15 @@ func heavyDistConfig(alg core.Algorithm) core.Config {
 }
 
 // TestDistributedHeavy runs the heavy path with all join nodes hosted on
-// three TCP workers: heavyClone replication chunks are worker↔worker chunk
-// traffic, so they must ride the peer links — zero relayed messages.
+// two TCP workers; TestP2PHeavy runs it on three.
 func TestDistributedHeavy(t *testing.T) {
+	testHeavy(t, 2)
+}
+
+// testHeavy runs the heavy path for each adaptive algorithm on `workers`
+// TCP workers: heavyClone replication chunks are worker↔worker chunk
+// traffic, so they must ride the peer links — zero relayed messages.
+func testHeavy(t *testing.T, workers int) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := heavyDistConfig(alg)
@@ -42,7 +48,7 @@ func TestDistributedHeavy(t *testing.T) {
 			if want.HeavyKeys == 0 {
 				t.Fatal("scenario detected no heavy keys in the simulator")
 			}
-			got := runDistJoin(t, cfg, 3)
+			got := runDistJoin(t, cfg, workers)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
 				t.Errorf("distributed heavy result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)

@@ -1,17 +1,13 @@
 package tcpnet_test
 
-// Peer-to-peer data-plane differential suite: every star-topology
-// differential check repeated with WithP2P / WithWorkerP2P, asserting the
-// join result stays bit-identical to the simulator AND that no chunk
-// traffic relayed through the coordinator hub (RelayedMessages == 0) —
-// the property the data plane exists to provide.
+// The differential checks of tcpnet_test.go and heavy_test.go on a
+// three-worker peer mesh: every worker holds two peer links, so a chunk's
+// sender, its receiver and the coordinator are three different processes.
+// The two-worker variants there have a single peer link. Every run asserts
+// the coordinator relayed no worker→worker message (runDistJoin).
 
 import (
-	"net"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
@@ -19,85 +15,8 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// startWorkersP2P launches n p2p-enabled worker loops over real localhost
-// TCP connections and returns the coordinator-side conns.
-func startWorkersP2P(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, n)
-	for i := 0; i < n; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	return conns, &wg
-}
-
-// runP2PJoin executes cfg across `workers` p2p workers and returns the
-// report; the result fingerprint and relayed-traffic assertions are the
-// caller's.
-func runP2PJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
-	t.Helper()
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, wg := startWorkersP2P(t, workers)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// assertNoRelay pins the data plane's reason to exist: with every join node
-// worker-hosted, no worker→worker message may relay through the hub.
-func assertNoRelay(t *testing.T, r *core.Report) {
-	t.Helper()
-	if r.RelayedMessages != 0 || r.RelayedBytes != 0 {
-		t.Errorf("p2p run relayed %d msgs (%d bytes) through the coordinator, want 0",
-			r.RelayedMessages, r.RelayedBytes)
-	}
-}
-
 // TestP2PJoinMatchesSimulator runs every algorithm with the join nodes
-// spread over three p2p workers and compares the result with the
-// simulator's — the same differential oracle as the star suite, over the
-// direct worker↔worker links.
+// spread over three workers and compares the result with the simulator's.
 func TestP2PJoinMatchesSimulator(t *testing.T) {
 	for _, alg := range core.Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -106,18 +25,17 @@ func TestP2PJoinMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runP2PJoin(t, cfg, 3)
+			got := runDistJoin(t, cfg, 3)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p result %d/%#x, want %d/%#x",
+				t.Errorf("three-worker result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
 			}
-			assertNoRelay(t, got)
 		})
 	}
 }
 
 // TestP2PSkewed exercises replication chains and reshuffling — the
-// heaviest worker↔worker flows — over the peer links.
+// heaviest worker↔worker flows — over the three-worker mesh.
 func TestP2PSkewed(t *testing.T) {
 	cfg := distConfig(core.Hybrid)
 	cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
@@ -126,16 +44,15 @@ func TestP2PSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runP2PJoin(t, cfg, 3)
+	got := runDistJoin(t, cfg, 3)
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p skewed result %d/%#x, want %d/%#x",
+		t.Errorf("three-worker skewed result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
-	assertNoRelay(t, got)
 }
 
-// TestP2PSpill crosses the spillOrder/spillAck control handshake (still on
-// the coordinator links) with chunk migration on the peer links.
+// TestP2PSpill crosses the spillOrder/spillAck control handshake with
+// chunk migration between three workers, one join node each at the cap.
 func TestP2PSpill(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -149,24 +66,23 @@ func TestP2PSpill(t *testing.T) {
 			if want.SpilledPartitions == 0 {
 				t.Fatal("scenario did not engage the spill rung")
 			}
-			got := runP2PJoin(t, cfg, 2)
+			got := runDistJoin(t, cfg, 3)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p spill result %d/%#x, want %d/%#x",
+				t.Errorf("three-worker spill result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
 			}
 			if got.SpilledPartitions == 0 || got.ExhaustedResources {
-				t.Errorf("p2p spill state wrong: partitions=%d exhausted=%v",
+				t.Errorf("three-worker spill state wrong: partitions=%d exhausted=%v",
 					got.SpilledPartitions, got.ExhaustedResources)
 			}
-			assertNoRelay(t, got)
 		})
 	}
 }
 
-// TestP2PPartialAssignment mixes worker-hosted and coordinator-local join
-// nodes: worker↔worker traffic must take the peer links while
-// worker↔local traffic keeps using the coordinator link (which is direct
-// delivery, not relaying).
+// TestP2PPartialAssignment mixes two workers with coordinator-local join
+// nodes: worker↔worker traffic must take the peer link while
+// worker↔local traffic uses the coordinator link (direct delivery, not a
+// relay).
 func TestP2PPartialAssignment(t *testing.T) {
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
@@ -181,103 +97,18 @@ func TestP2PPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkersP2P(t, 2)
+	conns, wg := startWorkers(t, 2)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
 			assignment[id] = i % 2
 		}
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p partial-assignment result %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
-	}
-	assertNoRelay(t, got)
-}
-
-// TestP2PMultiWayPipeline hosts a three-way join pipeline on three p2p
-// workers: the stage-to-stage chunk handoff is pure worker↔worker traffic,
-// the flow the data plane accelerates most.
-func TestP2PMultiWayPipeline(t *testing.T) {
-	mc := core.MultiConfig{
-		Algorithm:    core.Hybrid,
-		InitialNodes: 2,
-		MaxNodes:     6,
-		Sources:      2,
-		MemoryBudget: 300 << 10,
-		ChunkTuples:  500,
-		Relations: []core.StageRelation{
-			{Spec: datagen.Spec{Dist: datagen.Uniform, Tuples: 15_000, Seed: 801}},
-			{Spec: datagen.Spec{Dist: datagen.Uniform, Tuples: 15_000, Seed: 802}, MatchFraction: 0.9},
-			{Spec: datagen.Spec{Dist: datagen.Uniform, Tuples: 15_000, Seed: 803}, MatchFraction: 0.9},
-		},
-	}
-	want, err := core.RunMulti(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := core.EncodeMultiConfig(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.MultiJoinNodeIDs(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	factory := func(b []byte, id rt.NodeID) (rt.Actor, error) {
-		m, err := core.DecodeMultiConfig(b)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMultiJoinActor(m, id)
-	}
-	const workers = 3
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ExecuteMulti(mc, coord)
 	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
@@ -285,126 +116,19 @@ func TestP2PMultiWayPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p pipeline %d/%#x, want %d/%#x",
+		t.Errorf("partial-assignment result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
-	// MultiReport carries no transport stats; assert on the coordinator
-	// directly — stage handoffs are pure worker↔worker traffic, so any
-	// relaying here means the data plane was bypassed.
-	if ts.RelayedMessages != 0 || ts.RelayedBytes != 0 {
-		t.Errorf("p2p pipeline relayed %d msgs (%d bytes) through the coordinator, want 0",
-			ts.RelayedMessages, ts.RelayedBytes)
-	}
+	assertNoRelay(t, ts)
 }
 
-// TestP2PWorkerDeathRecovers kills one of three p2p workers mid-build: the
-// coordinator must tombstone the dead peer on the surviving workers
-// (framePeerDown), the failure handler feeds the deaths to the scheduler,
-// and the re-stream recovery must still produce the exact fault-free
-// result over the remaining peer links.
-func TestP2PWorkerDeathRecovers(t *testing.T) {
-	cfg := distConfig(core.Split)
-	want, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers, killWorker = 3, 1
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if i == killWorker {
-				_ = tcpnet.RunWorker(&killConn{Conn: c, remaining: 100 << 10}, joinFactory,
-					tcpnet.WithWorkerP2P("127.0.0.1:0"))
-				return // dies by design
-			}
-			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("surviving p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	var coord *tcpnet.Coordinator
-	handler := func(worker int, nodes []rt.NodeID, cause error) {
-		t.Logf("worker %d died (%v); notifying scheduler of %d nodes", worker, cause, len(nodes))
-		for _, n := range nodes {
-			coord.Inject(schedID, core.NodeDeadMessage(n))
-		}
-	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns,
-		tcpnet.WithP2P(),
-		tcpnet.WithFailureHandler(handler),
-		tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("p2p run with worker death did not recover: %v", err)
-	}
-	if got.NodesLost == 0 {
-		t.Fatal("the doomed worker's nodes were never declared dead")
-	}
-	if got.Degraded {
-		t.Fatalf("build-phase worker death should recover exactly, got degraded: %v", got)
-	}
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("recovered p2p result %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
-	}
-	if got.RestreamedChunks <= 0 {
-		t.Errorf("recovery should re-stream chunks, got %d", got.RestreamedChunks)
-	}
-	assertNoRelay(t, got)
+// TestP2PMultiWayPipeline hosts the three-way join pipeline on three
+// workers, so stage-to-stage handoffs cross every peer link.
+func TestP2PMultiWayPipeline(t *testing.T) {
+	runMultiWayPipeline(t, 3)
 }
 
-// TestP2PIncompatibleWithReconnect pins the documented restriction: a
-// coordinator-dialed replacement process would listen on a fresh data-plane
-// address nobody re-broadcasts, so the combination must be rejected up
-// front, not fail mysteriously at runtime.
-func TestP2PIncompatibleWithReconnect(t *testing.T) {
-	_, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, nil,
-		tcpnet.WithP2P(),
-		tcpnet.WithReconnect(func(int) (net.Conn, error) { return nil, nil }, 1, 0))
-	if err == nil {
-		t.Fatal("WithP2P + WithReconnect accepted, want an error")
-	}
-	if !strings.Contains(err.Error(), "WithResume") {
-		t.Errorf("error should point at WithResume as the supported recovery path: %v", err)
-	}
+// TestP2PHeavy runs the heavy path on three workers.
+func TestP2PHeavy(t *testing.T) {
+	testHeavy(t, 3)
 }

@@ -110,8 +110,9 @@ func distConfig(alg core.Algorithm) core.Config {
 
 // TestDistributedJoinMatchesSimulator runs every algorithm, and the
 // out-of-core baseline under both policies, with all join nodes spread
-// over three TCP worker processes (in-process goroutines over real
-// sockets) and compares the join result with the simulator's.
+// over two TCP worker processes (in-process goroutines over real sockets,
+// one peer link between them) and compares the join result with the
+// simulator's. TestP2PJoinMatchesSimulator covers the three-worker mesh.
 func TestDistributedJoinMatchesSimulator(t *testing.T) {
 	var cfgs []core.Config
 	for _, alg := range core.Algorithms() {
@@ -129,7 +130,7 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runDistJoin(t, cfg, 3)
+			got := runDistJoin(t, cfg, 2)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
 				t.Errorf("distributed result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -145,7 +146,7 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 }
 
 // TestDistributedSkewed exercises replication chains and reshuffling — the
-// heaviest worker↔worker flows — across process boundaries.
+// heaviest worker↔worker flows — across two worker processes.
 func TestDistributedSkewed(t *testing.T) {
 	cfg := distConfig(core.Hybrid)
 	cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
@@ -154,7 +155,7 @@ func TestDistributedSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runDistJoin(t, cfg, 3)
+	got := runDistJoin(t, cfg, 2)
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
 		t.Errorf("distributed result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
@@ -191,10 +192,10 @@ func TestDistributedSpill(t *testing.T) {
 	}
 }
 
-// TestPartialAssignment mixes worker-hosted and coordinator-local join
-// nodes: worker↔worker traffic must take the peer links while
-// worker↔local traffic uses the coordinator link (direct delivery, not a
-// relay).
+// TestPartialAssignment mixes join nodes on a single worker with
+// coordinator-local ones: every cross-process message uses the coordinator
+// link, which is direct delivery, not a relay. TestP2PPartialAssignment
+// adds a second worker and so the peer links.
 func TestPartialAssignment(t *testing.T) {
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
@@ -209,11 +210,11 @@ func TestPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkers(t, 2)
+	conns, wg := startWorkers(t, 1)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
-			assignment[id] = i % 2
+			assignment[id] = 0
 		}
 	}
 	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
@@ -253,9 +254,16 @@ func TestWorkerCountRejected(t *testing.T) {
 }
 
 // TestDistributedMultiWayPipeline hosts a three-way join pipeline on
-// three TCP workers and checks the result against the simulator: the
+// two TCP workers and checks the result against the simulator: the
 // stage-to-stage chunk handoff is pure worker↔worker traffic.
 func TestDistributedMultiWayPipeline(t *testing.T) {
+	runMultiWayPipeline(t, 2)
+}
+
+// runMultiWayPipeline runs the three-way pipeline on `workers` TCP workers
+// and checks it against the simulator and for zero relayed messages.
+func runMultiWayPipeline(t *testing.T, workers int) {
+	t.Helper()
 	mc := core.MultiConfig{
 		Algorithm:    core.Hybrid,
 		InitialNodes: 2,
@@ -281,7 +289,6 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 3
 	conns, wg := startWorkersWith(t, workers, func(b []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(b)
 		if err != nil {
