@@ -11,6 +11,8 @@
 // then:
 //
 //	ehjadist -listen :7420 -workers 3 -spawn=false ...
+//
+// A spawned worker runs `ehjadist -worker` followed by joind's flags.
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"ehjoin/cmd/internal/worker"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/metrics"
@@ -47,12 +50,15 @@ const (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "-worker" {
+		// A self-spawned worker (see -spawn): the rest of the command
+		// line is worker flags.
+		os.Exit(worker.Main("ehjadist -worker", os.Args[2:]))
+	}
 	var (
 		listen       = flag.String("listen", "127.0.0.1:0", "address to accept workers on")
 		workers      = flag.Int("workers", 2, "number of worker processes")
 		spawn        = flag.Bool("spawn", true, "spawn local worker copies of this binary")
-		worker       = flag.Bool("worker", false, "run as a worker (internal, used by -spawn)")
-		connect      = flag.String("connect", "", "coordinator address (worker mode)")
 		algName      = flag.String("alg", "hybrid", "join algorithm: split|replication|hybrid|ooc")
 		initial      = flag.Int("initial", 2, "initial number of join nodes")
 		maxNodes     = flag.Int("max", 8, "total join nodes in the environment")
@@ -89,11 +95,6 @@ func main() {
 	}
 	startCPUProfile(*cpuProfile)
 	defer stopCPUProfile()
-
-	if *worker {
-		runWorker(*connect, *chaos, *resume, *park)
-		return
-	}
 
 	if *workers < 1 || *workers > tcpnet.MaxWorkers {
 		fmt.Fprintf(os.Stderr, "ehjadist: -workers %d: want 1 to %d\n", *workers, tcpnet.MaxWorkers)
@@ -405,50 +406,6 @@ func parseCrashPoint(s string) (phase int, records int64, err error) {
 		return 0, 0, fmt.Errorf("-coord-kill %q: bad record count %q", s, n)
 	}
 	return phase, records, nil
-}
-
-func runWorker(connect, chaos string, resume, park bool) {
-	plan, err := tcpnet.ParseChaos(chaos)
-	if err != nil {
-		fatal(err)
-	}
-	// All connections — initial and redialed — go through the same chaos
-	// plan, so a scheduled fault fires exactly once per worker process no
-	// matter how many reconnects it takes to get past it.
-	dial := func() (net.Conn, error) {
-		c, err := net.Dial("tcp", connect)
-		if err != nil {
-			return nil, err
-		}
-		return plan.Wrap(c), nil
-	}
-	conn, err := dial()
-	if err != nil {
-		fatal(err)
-	}
-	defer conn.Close()
-	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-		cfg, err := core.DecodeConfig(blob)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewJoinActor(cfg, id)
-	}
-	var opts []tcpnet.WorkerOption
-	if resume {
-		opts = append(opts, tcpnet.WithWorkerResume(dial, 0, 0))
-		if park {
-			opts = append(opts, tcpnet.WithWorkerPark())
-		}
-	}
-	if chaos != "" {
-		// Peer links share the process's one chaos plan, so a scheduled
-		// fault fires once per worker whichever link it lands on.
-		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
-	}
-	if err := tcpnet.RunWorker(conn, factory, opts...); err != nil {
-		fatal(err)
-	}
 }
 
 // stopCPUProfile ends the -cpuprofile profile, if one is running; fatal

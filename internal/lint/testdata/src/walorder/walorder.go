@@ -20,16 +20,22 @@ type CkptRecord struct {
 	Worker int32
 }
 
-const stateDead = 3
+const linkDead = 3
 
 type session struct{ acked uint64 }
 
 func (s *session) logged(seq uint64) {}
 func (s *session) reset()            {}
 
-type worker struct {
+// link mirrors tcpnet's connection end: the coordinator's per-worker view
+// embeds it, so the tombstone is an assignment to a promoted field.
+type link struct {
 	state int
 	sess  *session
+}
+
+type worker struct {
+	link
 }
 
 type actor struct{}
@@ -63,13 +69,19 @@ func (c *Coordinator) ackBad(i int) {
 }
 
 func (c *Coordinator) markBad(i int) {
-	c.workers[i].state = stateDead // want `worker tombstoned \(state = stateDead\) in markBad before any logRecord\(Kind: CkptDeath\)`
+	c.workers[i].state = linkDead // want `worker tombstoned \(state = linkDead\) in markBad before any logRecord\(Kind: CkptDeath\)`
+	c.logRecord(&CkptRecord{Kind: CkptDeath, Worker: int32(i)})
+}
+
+// The same tombstone spelled through the embedded link is still flagged.
+func (c *Coordinator) markBadViaLink(i int) {
+	c.workers[i].link.state = linkDead // want `worker tombstoned \(state = linkDead\) in markBadViaLink before any logRecord\(Kind: CkptDeath\)`
 	c.logRecord(&CkptRecord{Kind: CkptDeath, Worker: int32(i)})
 }
 
 func (c *Coordinator) markGood(i int) {
 	c.logRecord(&CkptRecord{Kind: CkptDeath, Worker: int32(i)})
-	c.workers[i].state = stateDead
+	c.workers[i].state = linkDead
 }
 
 // A record built elsewhere: the kind is not syntactically readable, so it
@@ -95,12 +107,12 @@ type replayState struct{}
 
 // Replay re-applies records already in the log: exempt.
 func (c *Coordinator) replayDeath(st *replayState, i int) {
-	c.workers[i].state = stateDead
+	c.workers[i].state = linkDead
 }
 
 // No Coordinator receiver or parameter: out of scope.
 func freeStanding(w *worker) {
-	w.state = stateDead
+	w.state = linkDead
 }
 
 // An intentional exception must carry its reason.

@@ -20,7 +20,7 @@ import (
 //     logRecord: the ack may only leave once the frame's event is durable.
 //   - a Receive call (applying a delivery to a local actor) requires a
 //     prior logRecord(Kind: CkptDelivery).
-//   - w.state = stateDead (tombstoning a worker) requires CkptDeath.
+//   - w.state = linkDead (tombstoning a worker's link) requires CkptDeath.
 //   - sess.reset() or bumpPeerEpoch(...) (invalidating a session epoch and
 //     broadcasting it) requires CkptEpoch.
 //   - drains++ (advancing the phase barrier) requires CkptPhase.
@@ -165,8 +165,8 @@ func checkWalOrder(pass *Pass, fd *ast.FuncDecl) {
 				if !ok || sel.Sel.Name != "state" || i >= len(n.Rhs) {
 					continue
 				}
-				if id, ok := n.Rhs[i].(*ast.Ident); ok && id.Name == "stateDead" {
-					ws.require(n.Pos(), "CkptDeath", "worker tombstoned (state = stateDead)")
+				if id, ok := n.Rhs[i].(*ast.Ident); ok && id.Name == "linkDead" {
+					ws.require(n.Pos(), "CkptDeath", "worker tombstoned (state = linkDead)")
 				}
 			}
 		case *ast.IncDecStmt:

@@ -7,6 +7,7 @@ package tcpnet_test
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,13 +42,13 @@ func baselineRun(t *testing.T) (uint64, uint64) {
 	return b.matches, b.checksum
 }
 
-// runChaosJoin runs the Split join across two TCP workers with worker 0's
+// runChaosJoin runs the Split join across TCP workers with worker 0's
 // connection (initial and every redial) wrapped in the given chaos plan,
 // and the session layer's resume ladder enabled on both ends. With
 // coordSide the plan wraps the coordinator's end of worker 0's first
 // connection instead, so write-offset faults land in the
-// coordinator→worker stream.
-func runChaosJoin(t *testing.T, spec string, coordSide bool) *core.Report {
+// coordinator→worker stream. opts are added to the coordinator's.
+func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts ...tcpnet.Option) *core.Report {
 	t.Helper()
 	plan, err := tcpnet.ParseChaos(spec)
 	if err != nil {
@@ -70,8 +71,8 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool) *core.Report {
 	// Workers dial sequentially so worker 0 is deterministically the
 	// chaos-wrapped connection.
 	var wg sync.WaitGroup
-	conns := make([]net.Conn, 2)
-	for i := 0; i < 2; i++ {
+	conns := make([]net.Conn, workers)
+	for i := range conns {
 		p := plan
 		if i != 0 || coordSide {
 			p = nil // only worker 0's end suffers, if any
@@ -108,15 +109,15 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool) *core.Report {
 
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
-		assignment[id] = i % 2
+		assignment[id] = i % workers
 	}
 	// A flipped length prefix leaves the reader waiting on a body that
 	// never arrives; the heartbeat is what breaks that connection, so keep
 	// its timeout short (stalls in the plans stay well under it).
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns,
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, append(opts,
 		tcpnet.WithResume(l, 5*time.Second),
 		tcpnet.WithHeartbeat(100*time.Millisecond, 3*time.Second),
-		tcpnet.WithDrainTimeout(60*time.Second))
+		tcpnet.WithDrainTimeout(60*time.Second))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := runChaosJoin(t, tc.spec, tc.coordSide)
+			r := runChaosJoin(t, tc.spec, tc.coordSide, 2)
 			assertBitIdentical(t, r, tc.spec)
 			if r.NodesLost != 0 || r.RestreamedChunks != 0 {
 				t.Errorf("chaos %q escalated past the session layer: lost %d node(s), re-streamed %d chunks",
@@ -201,7 +202,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 func TestChaosSeededRuns(t *testing.T) {
 	for _, seed := range []string{"3", "5", "9"} {
 		t.Run("seed-"+seed, func(t *testing.T) {
-			r := runChaosJoin(t, seed, false)
+			r := runChaosJoin(t, seed, false, 2)
 			assertBitIdentical(t, r, "seed "+seed)
 			if r.NodesLost != 0 || r.RestreamedChunks != 0 {
 				t.Errorf("seed %s escalated past the session layer: lost %d node(s), re-streamed %d chunks",
@@ -216,7 +217,7 @@ func TestChaosSeededRuns(t *testing.T) {
 // frames is strictly smaller than the total reliable-frame count — the
 // resume replayed only the unacked suffix, not the whole stream.
 func TestChaosResumeIsIncremental(t *testing.T) {
-	r := runChaosJoin(t, "tear@3001", false)
+	r := runChaosJoin(t, "tear@3001", false, 2)
 	assertBitIdentical(t, r, "tear@3001")
 	if r.Resumes < 1 {
 		t.Fatal("the tear did not trigger a session resume")
@@ -234,6 +235,26 @@ func TestChaosResumeIsIncremental(t *testing.T) {
 	if r.RetransmittedFrames >= r.SessionFrames {
 		t.Errorf("retransmitted %d of %d reliable frames: resume replayed everything instead of the unacked suffix",
 			r.RetransmittedFrames, r.SessionFrames)
+	}
+}
+
+// TestNoGoroutineOutlivesClose pins link teardown: once Close has
+// returned and every RunWorker with it, no reader, writer, dialer or
+// handshake goroutine is left. The two-worker run has a one-frame
+// coordinator inbox, so readers are blocked posting to it when the run
+// ends; the three-worker run resumes a chaos-torn link along the way.
+func TestNoGoroutineOutlivesClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	assertBitIdentical(t, runChaosJoin(t, "", false, 2, tcpnet.WithInboxFrames(1)), "none")
+	assertBitIdentical(t, runChaosJoin(t, "7", false, 3), "7")
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 1 s after Close, %d before the runs:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -129,19 +129,13 @@ func (c *Coordinator) kill() {
 	if c.resumeL != nil {
 		_ = c.resumeL.Close()
 	}
+	c.shut()
 	for _, w := range c.workers {
-		st := w.state
-		// Dead first: send and sendCtl check state, so no caller up the
-		// stack can touch the closed outbox after we unwind.
+		w.retire()
+		// Dead, not down: sendTo checks state, so no caller up the stack
+		// sequences anything more into these sessions after we unwind.
 		//lint:allow walorder crash simulation tears the control plane down without logging; recovery replays the snapshot+log, never this in-memory state
-		w.state = stateDead
-		if st != stateLive || w.out == nil {
-			continue
-		}
-		_ = w.conn.Close()
-		close(w.out)
-		<-w.wdone
-		w.out = nil
+		w.state = linkDead
 	}
 }
 
@@ -377,7 +371,7 @@ var ErrStarCheckpoint = errors.New("tcpnet: checkpoint was written by a star-top
 // deliveries through them reconstructs the control plane bit-for-bit.
 //
 // The returned coordinator has no worker connections: every worker that
-// was live at the crash is parked in stateReconnecting with its session
+// was live at the crash is parked with its link down and its session
 // positions restored from the log, waiting for the worker's redial on
 // the resume listener (WithResume, mandatory). Workers that pass the
 // re-attach cross-checks continue their sessions in place (rung 1);
@@ -398,28 +392,11 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if !h.P2P {
 		return nil, ErrStarCheckpoint
 	}
-	c := &Coordinator{
-		assignment:   make(map[rt.NodeID]int),
-		local:        make(map[rt.NodeID]rt.Actor),
-		bySession:    make(map[uint64]int),
-		inboxCap:     defaultInboxFrames,
-		outboxCap:    defaultOutboxFrames,
-		start:        time.Now(),
-		cfgBlob:      h.CfgBlob,
-		sessionBase:  h.SessionBase,
-		peerAddrs:    h.PeerAddrs,
-		drainTimeout: DrainTimeout,
-		hbInterval:   DefaultHeartbeatInterval,
-		hbTimeout:    DefaultHeartbeatTimeout,
-		resumeWindow: DefaultResumeWindow,
-	}
-	for _, o := range opts {
-		o(c)
-	}
+	c := newCoordinator(opts)
+	c.cfgBlob, c.sessionBase, c.peerAddrs = h.CfgBlob, h.SessionBase, h.PeerAddrs
 	if c.resumeL == nil {
 		return nil, errors.New("tcpnet: RestoreCoordinator requires WithResume — recovery is worker-initiated re-attachment")
 	}
-	c.inbox = make(chan taggedFrame, c.inboxCap)
 	nW := 0
 	for i, id := range h.AssignIDs {
 		w := int(h.AssignWorkers[i])
@@ -451,21 +428,11 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 		}
 		c.local[id] = a
 	}
+	// Every worker starts down, gated like the coordinator that wrote the
+	// log; restore() below seeds each gate with the replayed coverage.
 	now := time.Now()
 	for i := 0; i < nW; i++ {
-		w := &workerConn{
-			conn:      nil,
-			lastHeard: now,
-			state:     stateReconnecting,
-			sess:      newSession(h.SessionBase|uint64(i), c.retransFrames, c.retransBytes),
-		}
-		if c.ckpt != nil {
-			// Same write-ahead ack gating as the coordinator that wrote the
-			// log; restore() below seeds the gate with the replayed coverage.
-			w.sess.enableAckGate()
-		}
-		c.bySession[w.sess.id] = i
-		c.workers = append(c.workers, w)
+		c.addWorker(i, now)
 	}
 
 	// Replay. Deliveries run through the local actors, whose regenerated
@@ -585,7 +552,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 				return nil, fmt.Errorf("tcpnet: checkpoint death for nonexistent worker %d", w)
 			}
 			st.dead[w] = true
-			c.workers[w].state = stateDead
+			c.workers[w].state = linkDead
 			for j := range c.workers {
 				if j != w && !st.dead[j] {
 					f := getFrame()

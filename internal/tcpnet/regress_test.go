@@ -13,7 +13,9 @@ package tcpnet
 //     a stage handoff on a peer link ballooned the sender's retransmit
 //     buffer until the session overflowed and lost resumability;
 //  4. a peer hello that beat the acceptor's own assignment was dropped and
-//     cost the dialer a fixed 100 ms retry delay.
+//     cost the dialer a fixed 100 ms retry delay;
+//  5. a worker answered pings from its actor loop, so one long Receive got
+//     a healthy worker declared dead.
 
 import (
 	"bytes"
@@ -97,6 +99,41 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 	}
 }
 
+// TestHeartbeatSurvivesLongReceive pins pongs off the actor loop: a worker
+// whose actor spends 1 s inside one Receive — five heartbeat timeouts — is
+// busy, not dead. The link reader answers the coordinator's pings
+// meanwhile, so Drain completes with no death and no recovery rung. (A
+// wedged actor loop is still caught: its inbox fills, the coordinator's
+// outbox stalls, and the stall timeout fails the worker.)
+func TestHeartbeatSurvivesLongReceive(t *testing.T) {
+	server, client := tcpPair(t)
+	const sink = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &slowEcho{to: sink, delay: time.Second}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+		WithHeartbeat(20*time.Millisecond, 200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var got int64
+	c.Register(sink, &countActor{n: &got})
+
+	c.Inject(1, &testMsg{})
+	if err := c.Drain(); err != nil {
+		t.Fatalf("a long Receive failed the drain: %v", err)
+	}
+	if got != 1 {
+		t.Fatalf("sink received %d of 1 echo", got)
+	}
+	if ts := c.TransportStats(); ts.Resumes != 0 || ts.FullReassigns != 0 {
+		t.Errorf("resumes %d, full reassigns %d; want no recovery rung", ts.Resumes, ts.FullReassigns)
+	}
+	c.Close()
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+}
+
 // TestAckDebtPeerLink pins the ack-debt bound on the receive site the bug
 // was found on: a p2p peer link carrying a stage handoff. The link is
 // one-directional — the receiving worker emits nothing back — so piggyback
@@ -108,29 +145,28 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 // drained, exactly one ack per threshold of inbound frames may appear.
 func TestAckDebtPeerLink(t *testing.T) {
 	var got int64
-	lk := &peerLink{
+	lk := &link{
 		idx:   1,
 		sess:  newSession(1, 0, 0),
 		state: linkLive,
 		out:   make(chan *frame, 16),
 	}
 	w := &worker{
-		sess:   newSession(0, 0, 0),
+		coord:  &link{idx: -1, sess: newSession(0, 0, 0)},
 		actors: map[rt.NodeID]rt.Actor{1: &countActor{n: &got}},
 		p2p: &p2pState{
 			self:          0,
 			n:             2,
-			links:         []*peerLink{nil, lk},
+			links:         []*link{nil, lk},
 			peerEmitted:   make([]int64, 2),
 			peerProcessed: make([]int64, 2),
 		},
 	}
-	coordGen := 0
 	deliver := func(seq uint64) {
 		f := getFrame()
 		f.Kind, f.From, f.To, f.Seq = frameMsg, 9, 1, seq
 		f.Msg = &testMsg{Seq: int(seq)}
-		if _, err := w.handlePeerEvent(peerEvent{src: 1, gen: lk.gen, f: f}, &coordGen); err != nil {
+		if _, err := w.handleEvent(linkEvent{src: 1, gen: lk.gen, f: f}); err != nil {
 			t.Fatalf("frame %d: %v", seq, err)
 		}
 	}
@@ -167,28 +203,33 @@ func TestAckDebtPeerLink(t *testing.T) {
 
 // TestAckDebtCoordLink pins the same bound on the worker's coordinator
 // link (a pure build-phase ingest stream: the coordinator delivers chunks,
-// the worker emits nothing). This site encodes the ack synchronously, so
-// the debt resets on the spot and the stream must carry exactly one ack
-// per threshold of frames — no more, no fewer.
+// the worker emits nothing). Here the test plays a writer that keeps up —
+// it encodes whatever the link queued after every frame — so the debt
+// resets on the spot and the stream must carry exactly one ack per
+// threshold of frames — no more, no fewer.
 func TestAckDebtCoordLink(t *testing.T) {
 	var got int64
 	var wire bytes.Buffer
 	sess := newSession(0, 0, 0)
+	lk := &link{idx: -1, sess: sess, state: linkLive, out: make(chan *frame, 16)}
+	enc := newSessionWriter(&wire, sess)
 	w := &worker{
-		sess:   sess,
-		enc:    newSessionWriter(&wire, sess),
+		coord:  lk,
 		actors: map[rt.NodeID]rt.Actor{1: &countActor{n: &got}},
 	}
-	coordGen := 0
 	const frames = 600 // two full thresholds plus a tail that must stay silent
 	for seq := uint64(1); seq <= frames; seq++ {
 		f := getFrame()
 		f.Kind, f.From, f.To, f.Seq = frameMsg, int32(rt.NoNode), 1, seq
 		f.Msg = &testMsg{Seq: int(seq)}
-		if _, err := w.handleCoordEvent(peerEvent{src: -1, gen: 0, f: f}, &coordGen); err != nil {
+		if _, err := w.handleEvent(linkEvent{src: -1, gen: lk.gen, f: f}); err != nil {
 			t.Fatalf("frame %d: %v", seq, err)
 		}
+		for len(lk.out) > 0 {
+			_ = enc.WriteFrame(<-lk.out)
+		}
 	}
+	_ = enc.Flush()
 	if int(got) != frames {
 		t.Fatalf("actor saw %d of %d deliveries", got, frames)
 	}
@@ -247,7 +288,7 @@ func TestAckDebtCoordinatorSide(t *testing.T) {
 		f := getFrame()
 		f.Kind, f.From, f.To, f.Seq = frameMsg, 1, int32(sink), seq
 		f.Msg = &testMsg{Seq: int(seq)}
-		c.apply(taggedFrame{worker: 0, gen: w.gen, f: f})
+		c.apply(linkEvent{src: 0, gen: w.gen, f: f})
 		if seq == ackDebtThreshold-1 {
 			// No outbound traffic has acked anything yet: if any receive
 			// below the threshold had volunteered, the debt would be short.
@@ -347,13 +388,12 @@ func TestEarlyPeerHelloWaitsForAssignment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &worker{p2p: &p2pState{
-			self:  -1,
-			l:     l,
-			inbox: make(chan peerEvent, 16),
-			done:  make(chan struct{}),
-		}}
-		t.Cleanup(w.teardownP2P)
+		w := &worker{
+			mux:   newMux(16),
+			coord: &link{idx: -1, sess: newSession(0, 0, 0)},
+			p2p:   &p2pState{self: -1, l: l},
+		}
+		t.Cleanup(w.teardown)
 		return w
 	}
 	acceptor, dialer := newWorker(), newWorker()
@@ -370,16 +410,15 @@ func TestEarlyPeerHelloWaitsForAssignment(t *testing.T) {
 		}
 		putFrame(f)
 	}
-	coordGen := 0
-	pump := func(w *worker, ev peerEvent) {
-		if _, err := w.handlePeerEvent(ev, &coordGen); err != nil {
+	pump := func(w *worker, ev linkEvent) {
+		if _, err := w.handleEvent(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	assign(dialer, 1) // spawns the dialer toward worker 0
 	select {
-	case ev := <-acceptor.p2p.inbox: // the hello, ahead of worker 0's assignment
+	case ev := <-acceptor.inbox: // the hello, ahead of worker 0's assignment
 		pump(acceptor, ev)
 	case <-time.After(5 * time.Second):
 		t.Fatal("no hello reached the acceptor")
@@ -389,9 +428,9 @@ func TestEarlyPeerHelloWaitsForAssignment(t *testing.T) {
 	deadline := time.After(25 * time.Millisecond)
 	for dialer.p2p.links[0].state != linkLive {
 		select {
-		case ev := <-acceptor.p2p.inbox:
+		case ev := <-acceptor.inbox:
 			pump(acceptor, ev)
-		case ev := <-dialer.p2p.inbox:
+		case ev := <-dialer.inbox:
 			pump(dialer, ev)
 		case <-deadline:
 			t.Fatalf("peer link not live 25 ms after the acceptor's assignment (%d dial(s))", atomic.LoadInt64(&dials))

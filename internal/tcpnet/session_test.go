@@ -321,7 +321,7 @@ func TestResumeWindowExpiry(t *testing.T) {
 	default:
 		t.Fatal("failure handler never ran after the resume window expired")
 	}
-	if c.workers[0].state != stateDead {
+	if c.workers[0].state != linkDead {
 		t.Fatalf("worker state %v after window expiry, want dead", c.workers[0].state)
 	}
 }

@@ -6,24 +6,26 @@
 // reports, heartbeats, source chunks) and to every other worker over a
 // direct peer link that carries worker-to-worker chunk traffic (peer.go).
 //
+// Each end of each connection is a link (link.go): a reader goroutine that
+// posts decoded frames into its owner's merged inbox and answers pings
+// itself, a writer goroutine behind a bounded outbox, and a session with
+// its receive gate and ack policy. One event loop per process — the
+// coordinator's Drain, a worker's RunWorker — applies the inbox. No loop
+// ever blocks inside a socket write, and while an outbox is full the loop
+// keeps servicing its inbox, so two ends that each wait for the other to
+// read cannot deadlock.
+//
 // Quiescence (the Drain phase barrier) is detected with per-link
 // counters: every worker reports, after fully draining its local queue,
 // how many messages it has processed and emitted on its coordinator link
-// and on each peer link. Because reports follow the emitted messages on
-// the same FIFO connection — the buffered writers preserve per-connection
-// order and flush at every blocking point — the coordinator observing
+// and on each peer link. Because a report follows the messages emitted
+// before it through the same outbox and connection, the coordinator
+// observing
 //
 //	delivered(w) == processed(w)  and  received(w) == emitted(w)
 //
 // for every worker, the per-pair equalities of quiescent, and its own
 // local queue empty, implies global quiescence.
-//
-// Every connection is written by a dedicated writer goroutine behind a
-// bounded outbox, so the drain loop never blocks inside a socket write.
-// This makes the transport immune to the mutual write stall where the
-// coordinator and a worker each wait for the other to read: the drain loop
-// always returns to servicing its inbox, so the worker's writes always
-// eventually complete.
 //
 // Worker failures (closed or corrupted connections, hung processes caught
 // by the heartbeat) never panic the coordinator. Recovery is a three-rung
@@ -172,71 +174,18 @@ const (
 	defaultOutboxFrames = 4096
 )
 
-// workerState is the lifecycle of one worker connection.
-type workerState uint8
-
-const (
-	stateLive workerState = iota
-	stateReconnecting
-	stateDead
-)
-
-func (s workerState) String() string {
-	switch s {
-	case stateLive:
-		return "live"
-	case stateReconnecting:
-		return "reconnecting"
-	default:
-		return "dead"
-	}
-}
-
-// taggedFrame is a frame annotated with its worker index and connection
-// generation for the coordinator's merged inbox.
-type taggedFrame struct {
-	worker int
-	gen    int
-	f      *frame
-	err    error
-	resume *resumeRequest
-}
-
-// resumeRequest is a worker's redial handshake, parked in the inbox until
-// the drain loop decides between resume and reassignment.
-type resumeRequest struct {
-	conn      net.Conn
-	r         *wireReader // already holds any bytes read past the hello
-	session   uint64
-	epoch     uint32
-	lastSeq   uint64
-	canReplay bool
-	// frameCoordResume extension (hasDigest): the worker's ack floor and
-	// its assignment digest, cross-checked against a replayed checkpoint.
-	hasDigest bool
-	ackedSeq  uint64
-	digest    uint64
-	// peerAddr is the data-plane listener a blank worker re-advertised
-	// ahead of its hello; it pins the worker to the slot whose logged
-	// address book entry it matches.
-	peerAddr string
-}
-
-// workerConn is the coordinator's view of one worker.
+// workerConn is the coordinator's view of one worker: its end of the
+// worker's link (down while the worker is expected to redial) plus the
+// counters and recovery state the coordinator owns.
 type workerConn struct {
-	conn      net.Conn
-	out       chan *frame   // writer-goroutine outbox; non-nil only while live
-	wdone     chan struct{} // closed when the writer goroutine has exited
-	sess      *session
+	link
 	delivered int64 // messages the coordinator enqueued for this worker
 	processed int64 // last reported processed count
 	received  int64 // messages the coordinator read from this worker
 	emitted   int64 // last reported emitted count
 	lastHeard time.Time
-	gen       int // bumped when a connection is retired; older frames are stale
-	state     workerState
 
-	resumeDeadline time.Time // while reconnecting: give up on resume after this
+	resumeDeadline time.Time // while down: give up on resume after this
 	failCause      error     // what broke the last connection
 	// restored marks a worker whose session positions came from a
 	// checkpoint replay rather than live traffic: its next resume must
@@ -270,12 +219,10 @@ type FailureHandler func(worker int, nodes []rt.NodeID, cause error)
 
 // Coordinator implements runtime.Engine over TCP workers.
 type Coordinator struct {
+	mux        // every worker link's reader and every resume hello post here
 	workers    []*workerConn
 	bySession  map[uint64]int
-	inbox      chan taggedFrame
 	inboxCap   int
-	outboxCap  int
-	pending    []taggedFrame // frames deferred while a full outbox was draining
 	assignment map[rt.NodeID]int
 	local      map[rt.NodeID]rt.Actor
 	queue      []localDelivery
@@ -308,7 +255,6 @@ type Coordinator struct {
 	resumes       int64 // rung-1 recoveries performed
 	fullReassigns int64 // rung-2 recoveries performed
 	retransmitted int64 // frames the coordinator replayed on resume
-	checksumFails int64 // corrupted frames the coordinator's read loops rejected
 	relayedMsgs   int64 // worker→worker messages relayed through the coordinator; a guard, always 0
 	relayedBytes  int64 // payload bytes of those relayed messages
 
@@ -398,29 +344,14 @@ var ErrNoWorkers = errors.New("tcpnet: no worker connections")
 // worker's advertised data-plane listener (framePeerAddr), so each
 // assignment carries the complete address book.
 func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Conn, opts ...Option) (*Coordinator, error) {
-	c := &Coordinator{
-		assignment:   assignment,
-		local:        make(map[rt.NodeID]rt.Actor),
-		bySession:    make(map[uint64]int),
-		inboxCap:     defaultInboxFrames,
-		outboxCap:    defaultOutboxFrames,
-		start:        time.Now(),
-		cfgBlob:      cfgBlob,
-		drainTimeout: DrainTimeout,
-		hbInterval:   DefaultHeartbeatInterval,
-		hbTimeout:    DefaultHeartbeatTimeout,
-		resumeWindow: DefaultResumeWindow,
-	}
-	for _, o := range opts {
-		o(c)
-	}
 	if len(conns) == 0 {
 		return nil, ErrNoWorkers
 	}
 	if len(conns) > MaxWorkers {
 		return nil, fmt.Errorf("tcpnet: at most %d workers supported, got %d", MaxWorkers, len(conns))
 	}
-	c.inbox = make(chan taggedFrame, c.inboxCap)
+	c := newCoordinator(opts)
+	c.assignment, c.cfgBlob = assignment, cfgBlob
 	c.perWorker = make([][]int32, len(conns))
 	c.peerEpochs = make([]uint32, len(conns))
 	for id, w := range assignment {
@@ -446,8 +377,7 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	// port; a timestamp base with the worker index in the low bits does.
 	// Peer-pair sessions carve out the 0x8000 bit of the same low range
 	// (see pairSession), so they can never collide with a worker session.
-	base := uint64(time.Now().UnixNano()) &^ 0xFFFF
-	c.sessionBase = base
+	c.sessionBase = uint64(time.Now().UnixNano()) &^ 0xFFFF
 	now := time.Now()
 	readers := make([]*wireReader, len(conns))
 	for i, conn := range conns {
@@ -470,14 +400,8 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 		c.peerAddrs = append(c.peerAddrs, f.Addr)
 		putFrame(f)
 	}
-	for i, conn := range conns {
-		w := &workerConn{conn: conn, lastHeard: now,
-			sess: newSession(base|uint64(i), c.retransFrames, c.retransBytes)}
-		if c.ckpt != nil {
-			w.sess.enableAckGate()
-		}
-		c.bySession[w.sess.id] = i
-		c.workers = append(c.workers, w)
+	for i := range conns {
+		c.addWorker(i, now)
 	}
 	// The header must be on disk before any record that refers to its
 	// topology — and before any worker traffic that could log one.
@@ -486,16 +410,46 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 		return nil, c.fatal
 	}
 	for i, conn := range conns {
-		w := c.workers[i]
-		c.startWriter(w, conn, nil, nil)
-		//lint:allow chansend outbox was created empty this iteration and the writer just started; the first send cannot fill it
-		w.out <- c.assignFrame(i, 0)
-		go c.readLoop(i, 0, readers[i])
+		c.workers[i].start(conn, readers[i], c.assignFrame(i, 0), nil, &c.mux)
 	}
 	if c.resumeL != nil {
 		go c.acceptLoop(c.resumeL)
 	}
 	return c, nil
+}
+
+// newCoordinator applies opts over the defaults NewCoordinator and
+// RestoreCoordinator share.
+func newCoordinator(opts []Option) *Coordinator {
+	c := &Coordinator{
+		assignment:   make(map[rt.NodeID]int),
+		local:        make(map[rt.NodeID]rt.Actor),
+		bySession:    make(map[uint64]int),
+		inboxCap:     defaultInboxFrames,
+		start:        time.Now(),
+		drainTimeout: DrainTimeout,
+		hbInterval:   DefaultHeartbeatInterval,
+		hbTimeout:    DefaultHeartbeatTimeout,
+		resumeWindow: DefaultResumeWindow,
+	}
+	for _, o := range opts {
+		o(c)
+	}
+	c.mux = newMux(c.inboxCap)
+	return c
+}
+
+// addWorker appends worker i's end of its link, down until a connection
+// is started on it. Its session id is the run's session base with the
+// worker index in the low bits.
+func (c *Coordinator) addWorker(i int, now time.Time) {
+	w := &workerConn{lastHeard: now,
+		link: link{idx: i, sess: newSession(c.sessionBase|uint64(i), c.retransFrames, c.retransBytes)}}
+	if c.ckpt != nil {
+		w.sess.enableAckGate()
+	}
+	c.bySession[w.sess.id] = i
+	c.workers = append(c.workers, w)
 }
 
 // pairSession derives the session id both ends of a peer link (i, j)
@@ -530,79 +484,6 @@ func (c *Coordinator) assignFrame(i int, epoch uint32) *frame {
 		af.MapWorkers[k] = int32(c.assignment[id])
 	}
 	return af
-}
-
-// startWriter attaches a fresh outbox and writer goroutine to w's current
-// connection. first (optional) is written before anything else — the
-// resume-accept or reassign frame that must precede all traffic on the new
-// connection — followed by retrans, the pre-encoded unacked frames being
-// replayed.
-func (c *Coordinator) startWriter(w *workerConn, conn net.Conn, first *frame, retrans [][]byte) {
-	w.out = make(chan *frame, c.outboxCap)
-	w.wdone = make(chan struct{})
-	go writeLoop(conn, newSessionWriter(conn, w.sess), w.out, w.wdone, first, retrans)
-}
-
-// writeLoop owns one connection's buffered writer: it batches queued
-// frames and flushes exactly when the outbox runs dry — immediately before
-// it would block — so everything the coordinator is waiting on is on the
-// wire. On a write error it closes the connection (the failure surfaces
-// through the read loop) and keeps draining the outbox; the session writer
-// keeps sequencing reliable frames into the retransmit buffer while it
-// does, so nothing is lost and senders are never blocked behind a wedged
-// socket. It exits when the outbox is closed.
-func writeLoop(conn net.Conn, w *wireWriter, out <-chan *frame, done chan<- struct{}, first *frame, retrans [][]byte) {
-	defer close(done)
-	if first != nil {
-		_ = w.WriteFrame(first)
-		putFrame(first)
-	}
-	for _, b := range retrans {
-		_ = w.WriteRaw(b)
-	}
-	// The handshake reply and replay must hit the wire before the loop
-	// parks on an empty outbox: the worker is blocked waiting for them.
-	if w.Err() == nil {
-		_ = w.Flush()
-	}
-	if w.Err() != nil {
-		_ = conn.Close()
-	}
-	for f := range out {
-		_ = w.WriteFrame(f)
-		// Encoded (or failed for good): the frame's bytes live in the
-		// session's retransmit buffer now, so a message that lent the
-		// transport a pooled buffer gets it back.
-		if r, ok := f.Msg.(rt.Releaser); ok {
-			r.Release()
-		}
-		putFrame(f)
-		if w.Err() == nil && len(out) == 0 {
-			_ = w.Flush()
-		}
-		if w.Err() != nil {
-			_ = conn.Close()
-		}
-	}
-	if w.Err() == nil {
-		_ = w.Flush()
-	}
-}
-
-// readLoop decodes one worker connection's frames into the merged inbox.
-// The reader is passed in (not built from the conn) so a resumed
-// connection keeps the bytes its handshake already buffered.
-func (c *Coordinator) readLoop(i, gen int, r *wireReader) {
-	for {
-		f, err := r.ReadFrame()
-		if err != nil {
-			//lint:allow chansend bounded-inbox backpressure by design; the coordinator loop always drains inbox, see send()
-			c.inbox <- taggedFrame{worker: i, gen: gen, err: err}
-			return
-		}
-		//lint:allow chansend bounded-inbox backpressure by design; the coordinator loop always drains inbox, see send()
-		c.inbox <- taggedFrame{worker: i, gen: gen, f: f}
-	}
 }
 
 // acceptLoop turns redialed connections into resume requests for the
@@ -646,21 +527,10 @@ func (c *Coordinator) resumeHandshake(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	req := &resumeRequest{conn: conn, r: r, peerAddr: peerAddr,
-		session: f.Session, epoch: f.Epoch, lastSeq: f.LastSeq, canReplay: f.CanReplay}
-	if f.Kind == frameCoordResume {
-		req.hasDigest = true
-		req.ackedSeq = f.AckedSeq
-		req.digest = f.Digest
-	}
-	putFrame(f)
-	select {
-	case c.inbox <- taggedFrame{resume: req}:
-	default:
-		// Inbox jammed; dropping the attempt is safe — the worker's
-		// handshake read times out and it redials.
-		_ = conn.Close()
-	}
+	// The hello's Addr carries the re-advertised listener (if any) to
+	// applyResume; a resume hello has no address of its own.
+	f.Addr = peerAddr
+	c.post(linkEvent{src: -1, f: f, hs: &handshake{conn: conn, r: r}}, nil)
 }
 
 // Register implements runtime.Engine. Actors for remotely assigned ids are
@@ -713,36 +583,15 @@ func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 				c.workers[c.assignment[from]].sess.logged(srcSeq)
 			}
 		}
-		wc := c.workers[w]
-		if wc.state != stateLive {
-			if wc.state == stateReconnecting && c.resumeL != nil && wc.sess.resumable() {
-				// The worker is expected back with its state intact:
-				// sequence the message straight into the retransmit
-				// buffer, to be replayed on resume. No outbox exists
-				// while disconnected.
-				f := getFrame()
-				f.Kind, f.From, f.To, f.Msg = frameMsg, int32(from), int32(to), m
-				_, err := wc.sess.encode(f)
-				putFrame(f)
-				if err != nil {
-					if c.fatal == nil {
-						c.fatal = err
-					}
-					return
-				}
-				wc.delivered++
-				return
-			}
+		f := getFrame()
+		f.Kind, f.From, f.To, f.Msg = frameMsg, int32(from), int32(to), m
+		if c.sendTo(w, f) {
+			c.workers[w].delivered++
+		} else if c.fatal == nil {
 			// Expected during the window between a death and the join
 			// layer rerouting around it; mirrors the simulator dropping
 			// messages to crashed nodes.
 			c.dropped++
-			return
-		}
-		f := getFrame()
-		f.Kind, f.From, f.To, f.Msg = frameMsg, int32(from), int32(to), m
-		if c.send(w, f) {
-			wc.delivered++
 		}
 		return
 	}
@@ -760,33 +609,34 @@ func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 	c.queue = append(c.queue, localDelivery{from: from, to: to, msg: m, srcSeq: srcSeq})
 }
 
-// send enqueues f on worker i's outbox. The fast path never blocks; while
-// the outbox is full the drain loop keeps servicing the inbox (deferring
-// frames to c.pending in arrival order) so the worker's own writes — and
-// therefore its reads, and therefore this outbox — keep making progress. A
-// worker that accepts nothing for the whole stall timeout is declared
-// failed. Reports whether the frame was enqueued.
-func (c *Coordinator) send(i int, f *frame) bool {
-	w := c.workers[i]
-	select {
-	case w.out <- f:
-		return true
-	default:
-	}
-	stall := time.NewTimer(c.stallTimeout())
-	defer stall.Stop()
-	for {
-		select {
-		case w.out <- f:
+// sendTo delivers a reliable frame to worker j, taking ownership of it: on
+// the live outbox, or — while the worker is expected back with its session
+// intact (resume on, window not overflowed) — sequenced straight into the
+// retransmit buffer, to be replayed on resume in order with everything
+// before it. A worker whose full outbox accepts nothing for the whole stall
+// timeout is failed, and the frame takes the same path. Frames to dead or
+// non-resumable workers are dropped: a worker that comes back at all comes
+// back through a fresh assignment and a re-stream. Reports whether the
+// frame was taken.
+func (c *Coordinator) sendTo(j int, f *frame) bool {
+	w := c.workers[j]
+	if w.state == linkLive {
+		if w.send(f, &c.mux, c.stallTimeout()) {
 			return true
-		case tf := <-c.inbox:
-			c.pending = append(c.pending, tf)
-		case <-stall.C:
-			putFrame(f)
-			c.failWorker(i, fmt.Errorf("outbox full for %v: worker stopped draining its connection", c.stallTimeout()))
+		}
+		c.failWorker(j, fmt.Errorf("outbox full for %v: worker stopped draining its connection", c.stallTimeout()))
+	}
+	if w.state == linkDown && c.resumeL != nil && w.sess.resumable() {
+		if err := w.buffer(f); err != nil {
+			if c.fatal == nil {
+				c.fatal = err
+			}
 			return false
 		}
+		return true
 	}
+	putFrame(f)
+	return false
 }
 
 // stallTimeout bounds how long a full outbox may refuse a frame before its
@@ -806,20 +656,15 @@ func (c *Coordinator) stallTimeout() time.Duration {
 // surface).
 func (c *Coordinator) failWorker(i int, cause error) {
 	w := c.workers[i]
-	if w.state != stateLive || c.closed {
+	if w.state != linkLive || c.closed {
 		return
 	}
-	_ = w.conn.Close()
-	close(w.out) // writer drains the outbox into the session buffer, exits
-	<-w.wdone
-	w.out = nil
-	w.gen++ // frames still in flight from the old connection are stale
+	w.retire()
 	w.failCause = cause
 	if c.resumeL != nil {
 		// Rung 1 pending: the worker holds its state and redials us.
 		// Whether the session actually resumes — or falls through to a
 		// full reassignment — is decided when its hello arrives.
-		w.state = stateReconnecting
 		w.resumeDeadline = time.Now().Add(c.resumeWindow)
 		return
 	}
@@ -857,15 +702,15 @@ func (c *Coordinator) markDead(i int, cause error) {
 			return
 		}
 	}
-	c.workers[i].state = stateDead
+	c.workers[i].state = linkDead
 	c.scrubQueuedSeqs(i)
 	for j, w := range c.workers {
-		if j == i || w.state == stateDead {
+		if j == i || w.state == linkDead {
 			continue
 		}
 		f := getFrame()
 		f.Kind, f.From = framePeerDown, int32(i)
-		c.sendCtl(j, f)
+		c.sendTo(j, f)
 	}
 	c.notifyDeath(i, cause)
 }
@@ -877,45 +722,28 @@ func (c *Coordinator) markDead(i int, cause error) {
 func (c *Coordinator) bumpPeerEpoch(i int) {
 	c.peerEpochs[i]++
 	for j, w := range c.workers {
-		if j == i || w.state == stateDead {
+		if j == i || w.state == linkDead {
 			continue
 		}
 		f := getFrame()
 		f.Kind, f.From, f.Epoch = framePeerEpoch, int32(i), c.peerEpochs[i]
-		c.sendCtl(j, f)
-	}
-}
-
-// sendCtl delivers a reliable control frame to worker j, sequencing it
-// straight into the session's retransmit buffer when the worker is between
-// connections (it will be replayed on resume, in order with the message
-// stream). Frames to dead or non-resumable workers are dropped: a worker
-// that comes back at all comes back through a fresh assignment, which
-// carries the complete peer state these frames were incrementally updating.
-func (c *Coordinator) sendCtl(j int, f *frame) {
-	w := c.workers[j]
-	switch {
-	case w.state == stateLive:
-		_ = c.send(j, f)
-	case w.state == stateReconnecting && c.resumeL != nil && w.sess.resumable():
-		_, err := w.sess.encode(f)
-		putFrame(f)
-		if err != nil && c.fatal == nil {
-			c.fatal = err
-		}
-	default:
-		putFrame(f)
+		c.sendTo(j, f)
 	}
 }
 
 // applyResume decides a redialing worker's fate: resume the session from
 // the retransmit buffers (rung 1), or reassign it from scratch under a new
-// epoch (rung 2).
-func (c *Coordinator) applyResume(req *resumeRequest) {
-	i, ok := c.bySession[req.session]
+// epoch (rung 2). ev carries the worker's hello: a frameCoordResume (or a
+// legacy frameResume, which has no digest), with Addr holding the listener
+// a blank worker re-advertised ahead of it.
+func (c *Coordinator) applyResume(ev linkEvent) {
+	req, conn := ev.f, ev.hs.conn
+	defer putFrame(req)
+	hasDigest := req.Kind == frameCoordResume
+	i, ok := c.bySession[req.Session]
 	blank := false
-	if !ok && !c.closed && req.hasDigest && req.session == 0 && req.epoch == 0 &&
-		req.lastSeq == 0 && req.ackedSeq == 0 && req.digest == assignDigest(0, 0, nil) {
+	if !ok && !c.closed && hasDigest && req.Session == 0 && req.Epoch == 0 &&
+		req.LastSeq == 0 && req.AckedSeq == 0 && req.Digest == assignDigest(0, 0, nil) {
 		// A parked worker orphaned before its first assignment ever
 		// reached it. It has no session identity to present, but it is a
 		// blank slate, and any slot the log never heard a frame from is
@@ -928,32 +756,28 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		// re-advertised listener must pin the claim to the one slot whose
 		// logged address it matches.
 		for k, wk := range c.workers {
-			if wk.state == stateReconnecting && wk.sess.seen() == 0 &&
+			if wk.state == linkDown && wk.sess.seen() == 0 &&
 				wk.sess.ackedNow() == 0 && wk.sess.resumable() &&
-				req.peerAddr != "" && c.peerAddrs[k] == req.peerAddr {
+				req.Addr != "" && c.peerAddrs[k] == req.Addr {
 				i, ok, blank = k, true, true
 				break
 			}
 		}
 	}
 	if !ok || c.closed {
-		_ = req.conn.Close()
+		_ = conn.Close()
 		return
 	}
 	w := c.workers[i]
-	if w.state == stateDead {
+	if w.state == linkDead {
 		// Too late: the scheduler already recovered around this worker.
-		_ = req.conn.Close()
+		_ = conn.Close()
 		return
 	}
-	if w.state == stateLive {
+	if w.state == linkLive {
 		// The worker noticed the failure before we did; retire the old
 		// connection first, exactly as failWorker would.
-		_ = w.conn.Close()
-		close(w.out)
-		<-w.wdone
-		w.out = nil
-		w.gen++
+		w.retire()
 		if w.failCause == nil {
 			w.failCause = errors.New("worker redialed over a live connection")
 		}
@@ -973,12 +797,12 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 	//   - digest match: the worker's (session, epoch, node set) is the
 	//     one the replayed log assigns it. A legacy frameResume carries
 	//     no digest and is never trusted by a restored coordinator.
-	ok = blank || (req.epoch == sess.epochNow() && req.canReplay && sess.resumable() &&
-		req.lastSeq >= sess.ackedNow() && req.lastSeq <= uint64(sess.framesSent()) &&
-		req.ackedSeq <= sess.seen())
+	ok = blank || (req.Epoch == sess.epochNow() && req.CanReplay && sess.resumable() &&
+		req.LastSeq >= sess.ackedNow() && req.LastSeq <= uint64(sess.framesSent()) &&
+		req.AckedSeq <= sess.seen())
 	if ok && !blank {
-		if req.hasDigest {
-			ok = req.digest == assignDigest(sess.id, req.epoch, c.perWorker[i])
+		if hasDigest {
+			ok = req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i])
 		} else {
 			ok = !w.restored
 		}
@@ -991,8 +815,8 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		// predicate carries straight across the disconnect. A blank
 		// worker is the degenerate case: position zero, so the replay is
 		// the slot's whole stream, prefixed by the assignment it missed.
-		sess.peerAck(req.lastSeq)
-		retrans := sess.unackedSince(req.lastSeq)
+		sess.peerAck(req.LastSeq)
+		retrans := sess.unackedSince(req.LastSeq)
 		var okf *frame
 		if blank {
 			okf = c.assignFrame(i, sess.epochNow())
@@ -1007,9 +831,6 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 			// as a duplicate by the sequence window.
 			okf.Kind, okf.LastSeq = frameResumeOK, sess.ackable()
 		}
-		w.conn = req.conn
-		w.gen++
-		w.state = stateLive
 		w.lastHeard = time.Now()
 		w.resumeDeadline = time.Time{}
 		w.failCause = nil
@@ -1017,8 +838,7 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 			w.restored = false
 			c.reattached++
 		}
-		c.startWriter(w, req.conn, okf, retrans)
-		go c.readLoop(i, w.gen, req.r)
+		w.start(conn, ev.hs.r, okf, retrans, &c.mux)
 		c.resumes++
 		c.retransmitted += int64(len(retrans))
 		return
@@ -1033,8 +853,8 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		cause = errors.New("connection lost")
 	}
 	cause = fmt.Errorf("session %#x not resumable (epoch %d/%d, replayable %v/%v, seen %d of [%d, %d], restored %v): %w",
-		req.session, req.epoch, sess.epochNow(), req.canReplay, sess.resumable(),
-		req.lastSeq, sess.ackedNow(), sess.framesSent(), w.restored, cause)
+		req.Session, req.Epoch, sess.epochNow(), req.CanReplay, sess.resumable(),
+		req.LastSeq, sess.ackedNow(), sess.framesSent(), w.restored, cause)
 	w.restored = false
 	epoch := sess.bumpEpoch()
 	peerEpoch := c.peerEpochs[i] + 1
@@ -1047,26 +867,21 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		c.logRecord(&wire.CkptRecord{Kind: wire.CkptEpoch, Worker: int32(i),
 			SessEpoch: epoch, PeerEpoch: peerEpoch})
 		if c.killed {
-			_ = req.conn.Close()
+			_ = conn.Close()
 			return
 		}
 	}
 	sess.reset()
 	c.scrubQueuedSeqs(i)
 	c.bumpPeerEpoch(i)
-	af := c.assignFrame(i, epoch)
-	w.conn = req.conn
-	w.gen++
 	w.delivered, w.processed, w.received, w.emitted = 0, 0, 0, 0
 	w.peerEmitted, w.peerProcessed = nil, nil
 	w.lastHeard = time.Now()
-	w.state = stateLive
 	w.resumeDeadline = time.Time{}
 	w.failCause = nil
 	c.fullReassigns++
-	c.startWriter(w, req.conn, af, nil)
+	w.start(conn, ev.hs.r, c.assignFrame(i, epoch), nil, &c.mux)
 	c.sendPeerLiveness(i)
-	go c.readLoop(i, w.gen, req.r)
 	c.notifyDeath(i, cause)
 }
 
@@ -1076,12 +891,12 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 // redial a dead peer's address forever.
 func (c *Coordinator) sendPeerLiveness(i int) {
 	for k, w := range c.workers {
-		if k == i || w.state != stateDead {
+		if k == i || w.state != linkDead {
 			continue
 		}
 		f := getFrame()
 		f.Kind, f.From = framePeerDown, int32(k)
-		c.sendCtl(i, f)
+		c.sendTo(i, f)
 	}
 }
 
@@ -1103,8 +918,8 @@ func (c *Coordinator) notifyDeath(i int, cause error) {
 }
 
 // quiescent reports whether no work remains anywhere. Dead workers are
-// excluded: their outstanding counters can never settle. A reconnecting
-// worker blocks quiescence — its resume, or the failure notification that
+// excluded: their outstanding counters can never settle. A worker whose
+// link is down blocks quiescence — its resume, or the failure notification that
 // follows, are still in flight.
 //
 // The per-connection predicate generalizes to per-link counters: besides
@@ -1130,9 +945,9 @@ func (c *Coordinator) quiescent() bool {
 	}
 	for _, w := range c.workers {
 		switch w.state {
-		case stateDead:
+		case linkDead:
 			continue
-		case stateReconnecting:
+		case linkDown:
 			return false
 		}
 		if w.delivered != w.processed || w.received != w.emitted {
@@ -1140,11 +955,11 @@ func (c *Coordinator) quiescent() bool {
 		}
 	}
 	for i, wi := range c.workers {
-		if wi.state != stateLive {
+		if wi.state != linkLive {
 			continue
 		}
 		for j, wj := range c.workers {
-			if j == i || wj.state != stateLive {
+			if j == i || wj.state != linkLive {
 				continue
 			}
 			if peerCount(wi.peerEmitted, j) != peerCount(wj.peerProcessed, i) {
@@ -1191,9 +1006,9 @@ func (c *Coordinator) Drain() error {
 	c.lastProgress = now
 	for _, w := range c.workers {
 		switch w.state {
-		case stateLive:
+		case linkLive:
 			w.lastHeard = now
-		case stateReconnecting:
+		case linkDown:
 			if !w.resumeDeadline.IsZero() {
 				w.resumeDeadline = now.Add(c.resumeWindow)
 			}
@@ -1207,9 +1022,8 @@ func (c *Coordinator) Drain() error {
 				return c.fatal
 			}
 			if len(c.pending) > 0 {
-				tf := c.pending[0]
-				c.pending = c.pending[1:]
-				c.apply(tf)
+				ev, _ := c.poll()
+				c.apply(ev)
 				continue
 			}
 			d := c.queue[0]
@@ -1265,8 +1079,8 @@ func (c *Coordinator) Drain() error {
 		}
 		// Block until a worker has something for us.
 		select {
-		case tf := <-c.inbox:
-			c.apply(tf)
+		case ev := <-c.inbox:
+			c.apply(ev)
 		case <-heartbeat:
 			c.pingWorkers()
 		case <-sessTick.C:
@@ -1281,14 +1095,16 @@ func (c *Coordinator) Drain() error {
 	}
 }
 
-// pingWorkers sends one ping to every live worker and declares dead any
-// worker silent past the heartbeat timeout. Pings are best-effort: a full
-// outbox already proves traffic is in flight, so the ping is skipped
-// rather than queued behind it.
+// pingWorkers sends one ping to every live worker and fails any worker
+// silent past the heartbeat timeout. The worker's link reader answers the
+// ping, not its actor loop, so silence means a dead process or a socket
+// nobody reads — not a long Receive. Pings are best-effort: a full outbox
+// already proves traffic is in flight, so the ping is skipped rather than
+// queued behind it.
 func (c *Coordinator) pingWorkers() {
 	now := time.Now()
 	for i, w := range c.workers {
-		if w.state != stateLive {
+		if w.state != linkLive {
 			continue
 		}
 		if c.hbTimeout > 0 && now.Sub(w.lastHeard) > c.hbTimeout {
@@ -1296,35 +1112,20 @@ func (c *Coordinator) pingWorkers() {
 				now.Sub(w.lastHeard).Round(time.Millisecond), c.hbTimeout))
 			continue
 		}
-		f := getFrame()
-		f.Kind = framePing
-		select {
-		case w.out <- f:
-		default:
-			putFrame(f)
-		}
+		w.offer(framePing)
 	}
 }
 
-// sessionTick is the coordinator's session maintenance: flush a bare ack
-// for any receive direction that has gone quiet (so worker retransmit
-// buffers keep trimming during one-sided traffic), and expire resume
-// deadlines, falling through to the next recovery rung.
+// sessionTick is the coordinator's session maintenance: idle acks on live
+// links, and expired resume deadlines falling through to the next
+// recovery rung.
 func (c *Coordinator) sessionTick() {
 	now := time.Now()
 	for i, w := range c.workers {
 		switch w.state {
-		case stateLive:
-			if w.sess.needAck() {
-				f := getFrame()
-				f.Kind = frameAck
-				select {
-				case w.out <- f:
-				default:
-					putFrame(f) // traffic in flight will carry the ack
-				}
-			}
-		case stateReconnecting:
+		case linkLive:
+			w.idleAck()
+		case linkDown:
 			if !w.resumeDeadline.IsZero() && now.After(w.resumeDeadline) {
 				w.resumeDeadline = time.Time{}
 				cause := w.failCause
@@ -1355,59 +1156,37 @@ func (c *Coordinator) timeoutError() error {
 // which either recovers the worker or sets the fatal error Drain returns.
 func (c *Coordinator) absorb() {
 	for {
-		if len(c.pending) > 0 {
-			tf := c.pending[0]
-			c.pending = c.pending[1:]
-			c.apply(tf)
-			continue
-		}
-		select {
-		case tf := <-c.inbox:
-			c.apply(tf)
-		default:
+		ev, ok := c.poll()
+		if !ok {
 			return
 		}
+		c.apply(ev)
 	}
 }
 
-func (c *Coordinator) apply(tf taggedFrame) {
-	if tf.resume != nil {
-		c.applyResume(tf.resume)
+// apply applies one inbox event: a worker's redial hello, or a frame or
+// read error from a worker link.
+func (c *Coordinator) apply(ev linkEvent) {
+	if ev.hs != nil {
+		c.applyResume(ev)
 		return
 	}
-	w := c.workers[tf.worker]
-	if w.state != stateLive || tf.gen != w.gen {
-		// Stale frame from a tombstoned or replaced connection.
-		if tf.f != nil {
-			putFrame(tf.f)
-		}
+	i := int(ev.src)
+	w := c.workers[i]
+	f, err := w.receive(ev)
+	if err != nil {
+		c.failWorker(i, err)
 		return
 	}
-	if tf.err != nil {
-		if c.closed {
-			return
-		}
-		if errors.Is(tf.err, wire.ErrChecksum) {
-			c.checksumFails++
-		}
-		c.failWorker(tf.worker, tf.err)
+	if f == nil {
 		return
 	}
 	w.lastHeard = time.Now()
-	c.lastProgress = w.lastHeard
-	f := tf.f
-	w.sess.peerAck(f.Ack)
-	if f.Seq > 0 {
-		ok, err := w.sess.acceptSeq(f.Seq)
-		if err != nil {
-			putFrame(f)
-			c.failWorker(tf.worker, err)
-			return
-		}
-		if !ok {
-			putFrame(f) // duplicate from a retransmission overlap
-			return
-		}
+	if f.Kind != framePong {
+		// A pong proves the worker's link reader alive, not its actors:
+		// only real traffic resets the drain's inactivity clock, so a
+		// wedged actor loop still times the drain out.
+		c.lastProgress = w.lastHeard
 	}
 	switch f.Kind {
 	case frameMsg:
@@ -1428,32 +1207,19 @@ func (c *Coordinator) apply(tf taggedFrame) {
 			// Every accepted reliable frame must land in the log once —
 			// frameMsg does via route — so a restored coordinator's
 			// receive position matches what it acked pre-crash.
-			c.logRecord(&wire.CkptRecord{Kind: wire.CkptMark, Worker: int32(tf.worker),
+			c.logRecord(&wire.CkptRecord{Kind: wire.CkptMark, Worker: int32(i),
 				Seq: f.Seq, Ack: f.Ack, Processed: w.processed, Emitted: w.emitted})
 			if !c.killed {
 				w.sess.logged(f.Seq)
 			}
 		}
 	case framePong, frameAck:
-		// lastHeard and peerAck updates above are the whole point.
+		// The lastHeard update and the piggybacked ack are the whole point.
 	}
-	wasReliable := f.Seq > 0
+	reliable := f.Seq > 0
 	putFrame(f)
-	if !wasReliable {
-		return
-	}
-	// A worker streaming results up with nothing routed back to it gets no
-	// piggyback acks from us; cap its retransmit debt mid-stream. The ack
-	// is encoded by the writer goroutine (debt resets when it drains), so
-	// the modulo limits the trigger to one ack per threshold of frames.
-	if debt := w.sess.ackDebt(); debt >= ackDebtThreshold && debt%ackDebtThreshold == 0 {
-		af := getFrame()
-		af.Kind = frameAck
-		select {
-		case w.out <- af:
-		default:
-			putFrame(af) // a full outbox is traffic that will carry the ack
-		}
+	if reliable {
+		w.payAckDebt()
 	}
 }
 
@@ -1472,7 +1238,6 @@ func (c *Coordinator) TransportStats() rt.TransportStats {
 		Resumes:             c.resumes,
 		FullReassigns:       c.fullReassigns,
 		RetransmittedFrames: c.retransmitted,
-		ChecksumFailures:    c.checksumFails,
 		DroppedMessages:     c.dropped,
 		RelayedMessages:     c.relayedMsgs,
 		RelayedBytes:        c.relayedBytes,
@@ -1484,7 +1249,7 @@ func (c *Coordinator) TransportStats() rt.TransportStats {
 		ts.FramesSent += w.sess.framesSent() + w.repWFrames
 		ts.DuplicateFrames += w.sess.dupes() + w.repWDups
 		ts.RetransmittedFrames += w.repWRetrans
-		ts.ChecksumFailures += w.repWChecksum
+		ts.ChecksumFailures += w.checksumFails + w.repWChecksum
 		ts.DroppedMessages += w.repWDropped
 		// WResumes is peer-link resumes only (counted once per pair, by the
 		// dialer end); coordinator-link resumes are already in c.resumes.
@@ -1498,7 +1263,8 @@ func (c *Coordinator) TransportStats() rt.TransportStats {
 // what lets workers distinguish shutdown from failure: a redial refused
 // after EOF means the run is over. (A coordinator downed by its crash
 // point has nothing left to close: kill already severed every connection
-// with no shutdown frame, and marked the workers dead.)
+// with no shutdown frame, and marked the workers dead.) Every reader and
+// resume handshake is released too, so no goroutine outlives Close.
 func (c *Coordinator) Close() {
 	if c.closed {
 		return
@@ -1507,22 +1273,9 @@ func (c *Coordinator) Close() {
 	if c.resumeL != nil {
 		_ = c.resumeL.Close()
 	}
+	c.shut()
 	for _, w := range c.workers {
-		if w.state != stateLive {
-			continue
-		}
-		f := getFrame()
-		f.Kind = frameShutdown
-		select {
-		case w.out <- f:
-		default:
-			// Outbox jammed; the connection close below delivers EOF,
-			// which workers also treat as a clean shutdown.
-			putFrame(f)
-		}
-		close(w.out)
-		<-w.wdone
-		_ = w.conn.Close()
+		w.shutdown(frameShutdown)
 	}
 }
 

@@ -347,7 +347,7 @@ func TestDeadWorkerHeartbeatNotReset(t *testing.T) {
 	defer c.Close()
 	long := time.Now().Add(-time.Hour)
 	dead, live := c.workers[0], c.workers[1]
-	dead.state = stateDead
+	dead.state = linkDead
 	dead.lastHeard = long
 	live.lastHeard = long
 	if err := c.Drain(); err != nil {
@@ -583,7 +583,7 @@ func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
 		t.Errorf("failure handler ran (%v): the doomed worker should have resumed", cause)
 	default:
 	}
-	if c.workers[0].state != stateLive {
+	if c.workers[0].state != linkLive {
 		t.Fatalf("doomed worker state %v after its resume, want live", c.workers[0].state)
 	}
 	c.Close()

@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	rt "ehjoin/internal/runtime"
-	wire "ehjoin/internal/wire"
 )
 
 // ActorFactory constructs a worker-hosted actor for one of the node ids the
@@ -104,19 +104,18 @@ func WithWorkerPeerChaos(wrap func(net.Conn) net.Conn) WorkerOption {
 // closes. It returns nil on clean shutdown.
 //
 // One event loop multiplexes the coordinator link and every peer link:
-// per-connection read goroutines post decoded frames into a merged inbox
-// and the loop applies them. Writes are buffered; the worker flushes
-// exactly when the inbox runs dry and it is about to block. Counter
-// reports are coalesced: one report per batch of delivered messages — a
-// batch ends when the inbox is dry and the last event's reader held no
-// further bytes — and only when the counters actually moved, not one per
-// message. Because the report is written after the batch's emitted
-// messages on the same FIFO connections, the coordinator's quiescence
+// each link's reader posts decoded frames into a merged inbox and the loop
+// applies them; each link's writer flushes when its outbox runs dry.
+// Counter reports are coalesced: one report per batch of delivered
+// messages — a batch ends when the inbox is dry and the last event's
+// reader held no further bytes — and only when the counters actually
+// moved, not one per message. Because the report is queued after the
+// batch's emitted messages on the same link, the coordinator's quiescence
 // predicate stays sound.
 //
-// Transport failures are handled at the same blocking points. With
-// WithWorkerResume the worker redials and resumes; without it, a bare EOF
-// is a clean shutdown and anything else is returned as an error.
+// With WithWorkerResume a broken coordinator link is redialed and resumed
+// on the loop; without it, a bare EOF is a clean shutdown and anything
+// else is returned as an error.
 func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error {
 	o := workerOpts{attempts: DefaultWorkerRedialAttempts, backoff: DefaultWorkerRedialBackoff, peerListen: ":0"}
 	for _, opt := range opts {
@@ -126,82 +125,57 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 	if err != nil {
 		return fmt.Errorf("tcpnet: worker peer listen %q: %w", o.peerListen, err)
 	}
-	sess := newSession(0, o.maxFrames, o.maxBytes)
 	w := &worker{
-		conn:    conn,
-		sess:    sess,
+		mux:     newMux(peerInboxFrames),
+		coord:   &link{idx: -1, sess: newSession(0, o.maxFrames, o.maxBytes)},
 		opts:    o,
 		factory: factory,
-		enc:     newSessionWriter(conn, sess),
 		actors:  make(map[rt.NodeID]rt.Actor),
 		start:   time.Now(),
 		rng:     newRedialRNG(),
-		p2p: &p2pState{
-			self:  -1,
-			l:     l,
-			inbox: make(chan peerEvent, peerInboxFrames),
-			done:  make(chan struct{}),
-			wrap:  o.peerWrap,
-		},
+		p2p:     &p2pState{self: -1, l: l, wrap: o.peerWrap},
 	}
-	defer w.teardownP2P()
+	defer w.teardown()
 	// Bootstrap: the advertised listener address must be the coordinator's
 	// first frame from us, before it sends any assignment — every
 	// assignment carries the complete address book.
-	if err := w.enc.WriteFrame(&frame{Kind: framePeerAddr, Addr: advertiseAddr(l.Addr(), conn.LocalAddr())}); err != nil {
-		return err
-	}
-	if err := w.enc.Flush(); err != nil {
-		return err
-	}
+	hello := getFrame()
+	hello.Kind, hello.Addr = framePeerAddr, advertiseAddr(l.Addr(), conn.LocalAddr())
+	w.coord.start(conn, newWireReader(conn), hello, nil, &w.mux)
 	go w.peerAcceptLoop(l)
-	coordGen := 0
-	go w.peerReadLoop(-1, coordGen, newWireReader(conn))
 
 	sessTick := time.NewTicker(sessionTickInterval)
 	defer sessTick.Stop()
 	batchOpen := false // the last event's reader already buffered more input
 	for {
-		var ev peerEvent
-		switch {
-		case len(w.p2p.pending) > 0:
-			ev = w.p2p.pending[0]
-			w.p2p.pending = w.p2p.pending[1:]
-		default:
+		ev, ok := w.poll()
+		if !ok {
+			// Blocking point. Once the batch is done, report settled
+			// counters; either way make sure quiet receive directions still
+			// carry acks, and redial a coordinator link a stalled outbox
+			// retired.
+			if !batchOpen {
+				w.report()
+			}
+			w.idleAcks()
+			if w.fatal != nil {
+				return w.fatal
+			}
+			if w.coord.state == linkDown {
+				done, err := w.coordReconnect(fmt.Errorf("tcpnet: coordinator link outbox full for %v", linkStallTimeout))
+				if done || err != nil {
+					return err
+				}
+			}
 			select {
-			case ev = <-w.p2p.inbox:
-			default:
-				// Blocking point. Once the batch is done, report settled
-				// counters; either way make sure quiet receive directions
-				// still carry acks, flush, and surface any buffered-writer
-				// failure.
-				if !batchOpen {
-					w.report()
-				}
-				if w.sess.needAck() {
-					_ = w.enc.WriteFrame(&frame{Kind: frameAck})
-				}
-				w.peerIdleAcks()
-				_ = w.enc.Flush()
-				if w.fatal != nil {
-					return w.fatal
-				}
-				if werr := w.enc.Err(); werr != nil {
-					done, err := w.coordReconnect(&coordGen, werr)
-					if done || err != nil {
-						return err
-					}
-				}
-				select {
-				case ev = <-w.p2p.inbox:
-				case <-sessTick.C:
-					w.peerIdleAcks()
-					continue
-				}
+			case ev = <-w.inbox:
+			case <-sessTick.C:
+				w.idleAcks()
+				continue
 			}
 		}
 		batchOpen = ev.more
-		shutdown, err := w.handlePeerEvent(ev, &coordGen)
+		shutdown, err := w.handleEvent(ev)
 		if err != nil || shutdown {
 			return err
 		}
@@ -213,9 +187,8 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 
 // worker is the in-process state of one worker.
 type worker struct {
-	conn     net.Conn
-	enc      *wireWriter
-	sess     *session
+	mux            // every link's reader and every peer handshake post here
+	coord    *link // the coordinator link
 	opts     workerOpts
 	factory  ActorFactory
 	actors   map[rt.NodeID]rt.Actor
@@ -232,16 +205,135 @@ type worker struct {
 	rng         *rand.Rand // redial jitter; per-worker, never the global source
 
 	processed    int64 // cumulative coordinator-delivered frames handled
-	emitted      int64 // cumulative messages written to the coordinator
+	emitted      int64 // cumulative messages sent to the coordinator
 	repProcessed int64 // processed as of the last report sent
 	repEmitted   int64 // emitted as of the last report sent
 	repResumes   int64 // resumes as of the last report sent
 
 	resumes       int64 // session resumes performed
 	retransmitted int64 // frames replayed to the coordinator on resume
-	checksumFails int64 // corrupted frames rejected on this worker's reads
 
-	fatal error // first encode failure; surfaced at the next blocking point
+	fatal error // first unmaskable failure; surfaced at the next blocking point
+}
+
+// handleEvent applies one inbox event. It returns shutdown=true on a clean
+// coordinator shutdown and a non-nil error when the worker cannot
+// continue.
+func (w *worker) handleEvent(ev linkEvent) (shutdown bool, err error) {
+	if ev.hs != nil {
+		w.installPeerConn(ev)
+		return false, nil
+	}
+	lk := w.coord
+	if src := int(ev.src); src >= 0 {
+		if src >= len(w.p2p.links) || w.p2p.links[src] == nil {
+			if ev.f != nil {
+				putFrame(ev.f)
+			}
+			return false, nil
+		}
+		lk = w.p2p.links[src]
+	}
+	f, err := lk.receive(ev)
+	if err != nil {
+		if lk == w.coord {
+			return w.coordReconnect(err)
+		}
+		// A sequence gap is loss the link failed to mask: drop the
+		// connection and let the resume handshake restore order.
+		w.linkBroken(lk)
+		return false, nil
+	}
+	if f == nil {
+		return false, nil
+	}
+	reliable := f.Seq > 0
+	if lk == w.coord {
+		shutdown, err = w.applyCoordFrame(f)
+	} else {
+		err = w.applyPeerFrame(lk, f)
+	}
+	if reliable && err == nil {
+		lk.payAckDebt()
+	}
+	return shutdown, err
+}
+
+// applyCoordFrame applies one frame from the coordinator link.
+func (w *worker) applyCoordFrame(f *frame) (shutdown bool, err error) {
+	switch f.Kind {
+	case frameAssign:
+		err = w.applyAssign(f)
+	case frameMsg:
+		w.processed++
+		return false, w.deliver(f)
+	case framePeerEpoch:
+		err = w.applyPeerEpoch(int(f.From), f.Epoch)
+	case framePeerDown:
+		w.applyPeerDown(int(f.From))
+	case framePing, frameAck:
+		// The reader already answered the ping; the piggybacked ack is the
+		// whole point.
+	case frameShutdown:
+		shutdown = true
+	default:
+		err = fmt.Errorf("tcpnet: worker got unexpected frame kind %d", f.Kind)
+	}
+	putFrame(f)
+	return shutdown, err
+}
+
+// deliver queues a received message for its local actor and runs the
+// queue dry.
+func (w *worker) deliver(f *frame) error {
+	w.queue = append(w.queue, localDelivery{from: rt.NodeID(f.From), to: rt.NodeID(f.To), msg: f.Msg})
+	putFrame(f)
+	return w.drainLocal()
+}
+
+// sendOn ships a reliable frame on one of this worker's links, taking
+// ownership of it. A live link takes the outbox; a down one — or one a
+// stalled outbox just retired — sequences the frame into its session
+// buffer, to be replayed when the link comes back. A peer link has no
+// reassignment rung of its own, so overflowing its buffer while down is
+// loss no resume can mask: the worker goes fatal and the coordinator's
+// recovery ladder takes over. A frame toward a dead peer is dropped.
+// Reports whether the frame was taken.
+func (w *worker) sendOn(lk *link, f *frame) bool {
+	if lk.state == linkLive {
+		if lk.send(f, &w.mux, linkStallTimeout) {
+			return true
+		}
+		w.linkBroken(lk)
+	}
+	if lk.state == linkDead {
+		putFrame(f)
+		return false
+	}
+	if err := lk.buffer(f); err != nil {
+		if w.fatal == nil {
+			w.fatal = fmt.Errorf("tcpnet: worker encode on link %d: %w", lk.idx, err)
+		}
+		return false
+	}
+	if lk != w.coord && !lk.sess.resumable() {
+		if w.fatal == nil {
+			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d overflowed its retransmit window while disconnected", lk.idx)
+		}
+		return false
+	}
+	return true
+}
+
+// idleAcks offers a bare ack on every live link whose receive direction
+// has gone quiet.
+func (w *worker) idleAcks() {
+	w.coord.idleAck()
+	for _, lk := range w.p2p.links {
+		if lk != nil {
+			lk.idleAck()
+		}
+	}
 }
 
 // applyAssign installs (or reinstalls) this worker's assignment: adopt the
@@ -250,10 +342,10 @@ type worker struct {
 // rung — everything this worker held is gone from the protocol's point of
 // view, and the scheduler is re-streaming it.
 func (w *worker) applyAssign(f *frame) error {
-	if w.assigned && f.Session == w.sess.id && f.Epoch == w.sess.epochNow() {
+	if w.assigned && f.Session == w.coord.sess.id && f.Epoch == w.coord.sess.epochNow() {
 		return nil // duplicate of the current assignment
 	}
-	w.sess.adopt(f.Session, f.Epoch)
+	w.coord.sess.adopt(f.Session, f.Epoch)
 	actors := make(map[rt.NodeID]rt.Actor, len(f.IDs))
 	for _, id := range f.IDs {
 		a, err := w.factory(f.CfgBlob, rt.NodeID(id))
@@ -295,14 +387,15 @@ func redialDelay(attempt int, base time.Duration, rng *rand.Rand) time.Duration 
 	return base/2 + time.Duration(rng.Int63n(int64(base)+1))
 }
 
-// reconnect handles a broken connection. Returns the reader for the
-// replacement connection, or (nil, nil) for a clean shutdown, or an error
-// when the worker cannot continue.
-func (w *worker) reconnect(cause error) (*wireReader, error) {
-	if errors.Is(cause, wire.ErrChecksum) {
-		w.checksumFails++
-	}
-	_ = w.conn.Close()
+// coordReconnect handles a broken coordinator link on the event loop: the
+// link is retired (everything queued lands in the session's retransmit
+// buffer), then redialed and resumed — or reassigned from scratch. Peer
+// links are untouched by a rung-1 resume; a rung-2 reassignment rebuilds
+// them inside applyAssign. It returns shutdown=true when the break was the
+// coordinator's clean shutdown, and an error when the worker cannot
+// continue.
+func (w *worker) coordReconnect(cause error) (shutdown bool, err error) {
+	w.coord.retire()
 	clean := errors.Is(cause, io.EOF)
 	// An unassigned worker normally has nothing to resume — except in park
 	// mode, where the coordinator may have crashed before the assignment
@@ -311,9 +404,9 @@ func (w *worker) reconnect(cause error) (*wireReader, error) {
 	// from, replaying that slot's whole stream from the retransmit buffer.
 	if w.opts.dial == nil || (!w.assigned && !w.opts.park) {
 		if clean {
-			return nil, nil
+			return true, nil
 		}
-		return nil, fmt.Errorf("tcpnet: worker connection: %w", cause)
+		return false, fmt.Errorf("tcpnet: worker connection: %w", cause)
 	}
 	lastErr := cause
 	for attempt := 0; attempt < w.opts.attempts; attempt++ {
@@ -328,31 +421,31 @@ func (w *worker) reconnect(cause error) (*wireReader, error) {
 				// a normal shutdown, not a fault. In park mode the same
 				// signature means a crashed coordinator whose restart may
 				// still be binding, so keep working the schedule.
-				return nil, nil
+				return true, nil
 			}
 			lastErr = err
 			continue
 		}
-		r, herr := w.handshake(conn)
-		if herr != nil {
+		if herr := w.handshake(conn); herr != nil {
 			_ = conn.Close()
 			lastErr = herr
 			continue
 		}
-		return r, nil
+		return false, nil
 	}
 	if clean {
-		return nil, nil
+		return true, nil
 	}
-	return nil, fmt.Errorf("tcpnet: worker lost coordinator (%v); redial gave up: %v", cause, lastErr)
+	return false, fmt.Errorf("tcpnet: worker lost coordinator (%v); redial gave up: %v", cause, lastErr)
 }
 
 // handshake runs the worker's half of the resume protocol on a freshly
 // dialed connection: send the hello, then either resume (replaying our
 // unacked frames past the coordinator's receive position) or accept a
-// fresh assignment.
-func (w *worker) handshake(conn net.Conn) (*wireReader, error) {
-	enc := newSessionWriter(conn, w.sess)
+// fresh assignment, and start the coordinator link on the connection.
+func (w *worker) handshake(conn net.Conn) error {
+	sess := w.coord.sess
+	enc := newSessionWriter(conn, sess)
 	// A blank worker (orphaned before its first assignment) has no
 	// session identity, so the coordinator can only seat it in the slot
 	// whose logged address book entry matches its data-plane listener.
@@ -360,66 +453,51 @@ func (w *worker) handshake(conn net.Conn) (*wireReader, error) {
 	if !w.assigned {
 		if err := enc.WriteFrame(&frame{Kind: framePeerAddr,
 			Addr: advertiseAddr(w.p2p.l.Addr(), conn.LocalAddr())}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	epoch := w.sess.epochNow()
-	hello := &frame{Kind: frameCoordResume, Session: w.sess.id, Epoch: epoch,
-		LastSeq: w.sess.seen(), AckedSeq: w.sess.ackedNow(), CanReplay: w.sess.resumable(),
-		Digest: assignDigest(w.sess.id, epoch, w.assignedIDs)}
+	epoch := sess.epochNow()
+	hello := &frame{Kind: frameCoordResume, Session: sess.id, Epoch: epoch,
+		LastSeq: sess.seen(), AckedSeq: sess.ackedNow(), CanReplay: sess.resumable(),
+		Digest: assignDigest(sess.id, epoch, w.assignedIDs)}
 	if err := enc.WriteFrame(hello); err != nil {
-		return nil, err
+		return err
 	}
 	if err := enc.Flush(); err != nil {
-		return nil, err
+		return err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
 	r := newWireReader(conn)
 	f, err := r.ReadFrame()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	w.sess.peerAck(f.Ack)
+	sess.peerAck(f.Ack)
+	defer putFrame(f)
 	switch f.Kind {
 	case frameResumeOK:
-		w.sess.peerAck(f.LastSeq)
-		retrans := w.sess.unackedSince(f.LastSeq)
-		for _, b := range retrans {
-			if err := enc.WriteRaw(b); err != nil {
-				putFrame(f)
-				return nil, err
-			}
-		}
-		putFrame(f)
+		sess.peerAck(f.LastSeq)
+		retrans := sess.unackedSince(f.LastSeq)
 		w.resumes++
 		w.retransmitted += int64(len(retrans))
-		w.conn = conn
-		w.enc = enc
+		w.coord.start(conn, r, nil, retrans, &w.mux)
 		// Any report in the replay predates the disconnect and carries
 		// stale session stats; follow the replay with a fresh one so the
 		// coordinator sees this resume even if the run quiesces before the
 		// worker's next blocking point.
 		w.report()
-		if err := enc.Flush(); err != nil {
-			return nil, err
-		}
-		return r, nil
+		return nil
 	case frameAssign:
 		// The coordinator rejected the resume: rebuild from scratch
 		// under the new epoch (the full-reassignment rung).
-		aerr := w.applyAssign(f)
-		putFrame(f)
-		if aerr != nil {
-			return nil, aerr
+		if err := w.applyAssign(f); err != nil {
+			return err
 		}
-		w.conn = conn
-		w.enc = enc
-		return r, nil
+		w.coord.start(conn, r, nil, nil, &w.mux)
+		return nil
 	default:
-		kind := f.Kind
-		putFrame(f)
-		return nil, fmt.Errorf("tcpnet: unexpected resume reply kind %d", kind)
+		return fmt.Errorf("tcpnet: unexpected resume reply kind %d", f.Kind)
 	}
 }
 
@@ -443,11 +521,12 @@ func (w *worker) drainLocal() error {
 	return w.fatal
 }
 
-// report writes a counter report if the counters moved since the last one.
+// report sends a counter report if the counters moved since the last one.
 // Only called with an empty local queue, so the counters are settled. The
 // report rides the session layer like any reliable frame: it is sequenced,
 // buffered for retransmission, and carries the worker's session stats for
-// the coordinator's run report.
+// the coordinator's run report. The writer encodes it later, so its
+// per-peer arrays are copies the loop never touches again.
 func (w *worker) report() {
 	p := w.p2p
 	moved := w.processed != w.repProcessed || w.emitted != w.repEmitted || w.resumes != w.repResumes ||
@@ -461,25 +540,21 @@ func (w *worker) report() {
 	// itself: peer-link resumes (dialer end). Coordinator-link resumes are
 	// counted coordinator-side when the resume is accepted — reporting
 	// w.resumes here would double-count them in the folded stats.
-	f := &frame{Kind: frameReport, Processed: w.processed, Emitted: w.emitted,
-		WFrames: w.sess.framesSent(), WRetrans: w.retransmitted,
-		WChecksum: w.checksumFails, WDups: w.sess.dupes(),
-		PeerEmitted: p.peerEmitted, PeerProcessed: p.peerProcessed, WDropped: p.dropped,
-		WResumes: p.resumes}
-	for _, lk := range p.links {
-		if lk == nil {
-			continue
+	f := getFrame()
+	f.Kind, f.Processed, f.Emitted = frameReport, w.processed, w.emitted
+	f.WRetrans, f.WDropped, f.WResumes = w.retransmitted, p.dropped, p.resumes
+	f.PeerEmitted, f.PeerProcessed = slices.Clone(p.peerEmitted), slices.Clone(p.peerProcessed)
+	for _, lk := range append([]*link{w.coord}, p.links...) {
+		if lk != nil {
+			f.WFrames += lk.sess.framesSent()
+			f.WDups += lk.sess.dupes()
+			f.WChecksum += lk.checksumFails
 		}
-		f.WFrames += lk.sess.framesSent()
-		f.WDups += lk.sess.dupes()
-	}
-	if err := w.enc.WriteFrame(f); err != nil && w.fatal == nil {
-		w.fatal = fmt.Errorf("tcpnet: worker report: %w", err)
 	}
 	w.repProcessed, w.repEmitted, w.repResumes = w.processed, w.emitted, w.resumes
 	p.repDropped, p.repResumes = p.dropped, p.resumes
-	p.repPeerEmitted = append(p.repPeerEmitted[:0], p.peerEmitted...)
-	p.repPeerProcessed = append(p.repPeerProcessed[:0], p.peerProcessed...)
+	p.repPeerEmitted, p.repPeerProcessed = f.PeerEmitted, f.PeerProcessed
+	w.sendOn(w.coord, f)
 }
 
 // int64sEqual reports whether two counter arrays hold the same values.
@@ -508,30 +583,34 @@ func (e *workerEnv) Now() int64 { return time.Since(e.w.start).Nanoseconds() }
 
 // Send implements runtime.Env: local destinations cascade in-process,
 // nodes another worker owns travel its direct peer link, and everything
-// else (coordinator-local nodes) goes over the coordinator link. The
-// session writer accepts frames even while the connection is down — they
-// land in the retransmit buffer for replay on resume — so only encode
-// failures surface here, and those after the current message finishes
-// processing: actors cannot handle transport errors mid-Receive, and the
-// worker must not panic on them.
+// else (coordinator-local nodes) goes over the coordinator link. A link
+// accepts frames even while its connection is down — they land in the
+// retransmit buffer for replay on resume — so transport failures never
+// reach an actor mid-Receive; unmaskable ones surface at the worker's
+// next blocking point.
 func (e *workerEnv) Send(to rt.NodeID, m rt.Message) {
-	if _, local := e.w.actors[to]; local {
-		e.w.queue = append(e.w.queue, localDelivery{from: e.self, to: to, msg: m})
+	w := e.w
+	if _, local := w.actors[to]; local {
+		w.queue = append(w.queue, localDelivery{from: e.self, to: to, msg: m})
 		return
 	}
-	if j, owned := e.w.p2p.owner[to]; owned && j != e.w.p2p.self {
+	f := getFrame()
+	f.Kind, f.From, f.To, f.Msg = frameMsg, int32(e.self), int32(to), m
+	if j, owned := w.p2p.owner[to]; owned && j != w.p2p.self {
 		// Chunk-bearing worker→worker traffic: the data plane, directly to
-		// the owner.
-		e.w.sendPeer(j, e.self, to, m)
-		return
-	}
-	if err := e.w.enc.WriteFrame(&frame{Kind: frameMsg, From: int32(e.self), To: int32(to), Msg: m}); err != nil {
-		if e.w.fatal == nil {
-			e.w.fatal = fmt.Errorf("tcpnet: worker encode %T to node %d: %w", m, to, err)
+		// the owner. Sends toward a dead peer are dropped, mirroring the
+		// simulator dropping sends to crashed nodes.
+		lk := w.p2p.links[j]
+		if w.sendOn(lk, f) {
+			w.p2p.peerEmitted[j]++
+		} else if lk.state == linkDead {
+			w.p2p.dropped++
 		}
 		return
 	}
-	e.w.emitted++
+	if w.sendOn(w.coord, f) {
+		w.emitted++
+	}
 }
 
 // ChargeCPU implements runtime.Env as a no-op.
