@@ -12,7 +12,10 @@ import (
 // here, so coverage can never silently lag the format.
 func ckptFixtures() map[CkptKind]*CkptRecord {
 	return map[CkptKind]*CkptRecord{
-		CkptHeader: {Kind: CkptHeader, Version: CkptVersion, SessionBase: 0xABCD0000,
+		// Version is a literal, not CkptVersion: the record layout is
+		// pinned byte for byte (golden_test.go) independently of the
+		// format version the header announces.
+		CkptHeader: {Kind: CkptHeader, Version: 2, SessionBase: 0xABCD0000,
 			P2P: true, CfgBlob: []byte{9, 8, 7},
 			PeerAddrs:     []string{"10.0.0.1:9001", "10.0.0.2:9002"},
 			AssignIDs:     []int32{5, 6, 7},
