@@ -49,11 +49,14 @@ govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed; skipping (CI runs the pinned version)"; fi
 
-# Short fuzz sessions over the wire codecs, seeded from testdata/fuzz.
+# Short fuzz sessions over the wire codecs: the message registry, the
+# checkpoint records, the chunk layout, the protocol messages and frames.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
+	$(GO) test -fuzz FuzzDecodeCoreMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
+	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/tcpnet/
 
 # The repository's one benchmark (bench/README.md): every workload end to
 # end over real worker processes, then traced; results in bench/out/.

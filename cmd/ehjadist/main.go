@@ -35,7 +35,6 @@ import (
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 	"ehjoin/internal/tuple"
-	"ehjoin/internal/wire"
 )
 
 const (
@@ -70,7 +69,6 @@ func main() {
 		heavyThresh  = flag.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 = off): replicate heavy build keys, partition their probes")
 		kill         = flag.String("kill", "", "kill spawned worker W at T seconds wall time, format W@T (fault-injection demo; needs -spawn)")
 		recover_     = flag.Bool("recover", false, "survive worker deaths: re-stream lost state via the scheduler instead of aborting")
-		wireMode     = flag.String("wire", "binary", "message encoding on the wire: binary|gob")
 		spillRung    = flag.Bool("spill", false, "evict partitions to worker-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
 		chaos        = flag.String("chaos", "", "deterministic network fault injection on worker connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3;drop@20000;stallr@8000:50")
 		resume       = flag.Bool("resume", true, "recover broken worker connections by ack-based session resume (retransmit only unacked frames) before falling back to re-streaming")
@@ -84,15 +82,6 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *wireMode {
-	case "binary":
-		wire.SetBinary(true)
-	case "gob":
-		wire.SetBinary(false)
-	default:
-		fmt.Fprintf(os.Stderr, "ehjadist: unknown wire mode %q (want binary or gob)\n", *wireMode)
-		os.Exit(2)
-	}
 	startCPUProfile(*cpuProfile)
 	defer stopCPUProfile()
 
@@ -208,7 +197,7 @@ func main() {
 			fatal(err)
 		}
 		for i := 0; i < *workers; i++ {
-			args := []string{"-worker", "-connect", l.Addr().String(), "-wire", *wireMode,
+			args := []string{"-worker", "-connect", l.Addr().String(),
 				"-resume=" + strconv.FormatBool(*resume), "-park=" + strconv.FormatBool(*park)}
 			if *chaos != "" {
 				args = append(args, "-chaos", *chaos)
@@ -340,8 +329,7 @@ func main() {
 	elapsed := time.Since(start).Seconds()
 	fmt.Printf("ehjadist: %d matches (checksum %#x) across %d worker process(es) in %.2fs wall time\n",
 		report.Matches, report.Checksum, *workers, elapsed)
-	fmt.Printf("ehjadist: %.0f tuples/sec over the %s wire\n",
-		float64(*rTuples+*sTuples)/elapsed, *wireMode)
+	fmt.Printf("ehjadist: %.0f tuples/sec\n", float64(*rTuples+*sTuples)/elapsed)
 	fmt.Printf("ehjadist: nodes %d -> %d, splits %d, replications %d\n",
 		report.InitialNodes, report.FinalNodes, report.Splits, report.Replications)
 	fmt.Printf("ehjadist: p2p topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",

@@ -13,7 +13,6 @@ import (
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
-	"ehjoin/internal/wire"
 )
 
 // Main parses a worker's flags from args (the command line after the
@@ -25,7 +24,6 @@ func Main(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
 		connect    = fs.String("connect", "127.0.0.1:7420", "coordinator address")
-		wireMode   = fs.String("wire", "binary", "message encoding on the wire: binary|gob")
 		chaos      = fs.String("chaos", "", "deterministic network fault injection on this worker's connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3")
 		resume     = fs.Bool("resume", true, "redial the coordinator and resume the session when the connection breaks")
 		park       = fs.Bool("park", false, "ride out a coordinator crash: keep redialing through the full jittered schedule and re-attach when a restarted coordinator rebinds, instead of treating EOF as shutdown")
@@ -37,14 +35,6 @@ func Main(prog string, args []string) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
 		return code
-	}
-	switch *wireMode {
-	case "binary":
-		wire.SetBinary(true)
-	case "gob":
-		wire.SetBinary(false)
-	default:
-		return fail(2, fmt.Errorf("unknown wire mode %q (want binary or gob)", *wireMode))
 	}
 	plan, err := tcpnet.ParseChaos(*chaos)
 	if err != nil {

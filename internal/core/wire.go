@@ -1,55 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/wire"
 )
-
-// init registers every protocol message with gob so the TCP transport can
-// ship them between processes as runtime.Message interface values.
-func init() {
-	gob.Register(&startBuild{})
-	gob.Register(&genStep{})
-	gob.Register(&dataChunk{})
-	gob.Register(&chunkAck{})
-	gob.Register(&sourcePhaseDone{})
-	gob.Register(&memFull{})
-	gob.Register(&memFullNack{})
-	gob.Register(&spillOrder{})
-	gob.Register(&spillAck{})
-	gob.Register(&joinInit{})
-	gob.Register(&splitOrder{})
-	gob.Register(&splitDone{})
-	gob.Register(&retire{})
-	gob.Register(&routeUpdate{})
-	gob.Register(&moveTuples{})
-	gob.Register(&cloneTable{})
-	gob.Register(&cloneTuples{})
-	gob.Register(&cloneEnd{})
-	gob.Register(&doReshuffle{})
-	gob.Register(&countReq{})
-	gob.Register(&countResp{})
-	gob.Register(&reshuffleAssign{})
-	gob.Register(&startProbe{})
-	gob.Register(&finishOOC{})
-	gob.Register(&nodeDead{})
-	gob.Register(&purgeRange{})
-	gob.Register(&replayRange{})
-	gob.Register(&replayDone{})
-	gob.Register(&detectHeavy{})
-	gob.Register(&keyCountReq{})
-	gob.Register(&keyCountResp{})
-	gob.Register(&heavyAssign{})
-	gob.Register(&heavyClone{})
-	gob.Register(&collectStats{})
-	gob.Register(&setForward{})
-	gob.Register(&statsReq{})
-	gob.Register(&joinStats{})
-	gob.Register(&sourceStats{})
-}
 
 // EncodeConfig serialises a Config for shipping to worker processes.
 func EncodeConfig(cfg Config) ([]byte, error) {
@@ -57,17 +13,13 @@ func EncodeConfig(cfg Config) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(n); err != nil {
-		return nil, fmt.Errorf("core: encode config: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wire.Encode(nil, &n, configFields)
 }
 
 // DecodeConfig is the inverse of EncodeConfig.
 func DecodeConfig(blob []byte) (Config, error) {
 	var cfg Config
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&cfg); err != nil {
+	if err := wire.Decode(blob, &cfg, configFields); err != nil {
 		return Config{}, fmt.Errorf("core: decode config: %w", err)
 	}
 	return cfg, nil
@@ -124,17 +76,13 @@ func EncodeMultiConfig(mc MultiConfig) ([]byte, error) {
 	if _, err := mc.stageConfigs(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mc); err != nil {
-		return nil, fmt.Errorf("core: encode multi config: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wire.Encode(nil, &mc, multiConfigFields)
 }
 
 // DecodeMultiConfig is the inverse of EncodeMultiConfig.
 func DecodeMultiConfig(blob []byte) (MultiConfig, error) {
 	var mc MultiConfig
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&mc); err != nil {
+	if err := wire.Decode(blob, &mc, multiConfigFields); err != nil {
 		return MultiConfig{}, fmt.Errorf("core: decode multi config: %w", err)
 	}
 	return mc, nil

@@ -2,8 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"ehjoin/internal/hashfn"
@@ -37,81 +44,220 @@ func TestEncodeConfigValidates(t *testing.T) {
 	}
 }
 
-// TestMessageGobRoundTrip ships every message kind through gob as an
-// interface value, the way the TCP transport does.
-func TestMessageGobRoundTrip(t *testing.T) {
-	table, err := hashfn.NewTable(hashfn.DefaultSpace(), []int32{5, 6})
+// wireSizeTypes parses the package's non-test files and returns every type
+// with a WireSize method: the protocol's message set, as the source
+// declares it.
+func wireSizeTypes(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: tuple.DefaultLayout(),
-		Tuples: []tuple.Tuple{{Index: 1, Key: 2}, {Index: 3, Key: 4}}}
-
-	msgs := []rt.Message{
-		&startBuild{Table: table},
-		&genStep{},
-		&dataChunk{Chunk: chunk, Origin: 3, Forwarded: true},
-		&chunkAck{Rel: tuple.RelS},
-		&chunkAck{Rel: tuple.RelR, Adjust: windowNarrow},
-		&sourcePhaseDone{Rel: tuple.RelR, Chunks: 7},
-		&memFull{Bytes: 99},
-		&memFullNack{},
-		&spillOrder{TargetBytes: 4096},
-		&spillAck{Partitions: 3, Bytes: 2048},
-		&joinInit{Range: hashfn.Range{Lo: 1, Hi: 9}, Table: table},
-		&splitOrder{Lower: hashfn.Range{Lo: 1, Hi: 5}, Upper: hashfn.Range{Lo: 5, Hi: 9}, NewNode: 4, Table: table},
-		&splitDone{MovedTuples: 11},
-		&retire{ForwardTo: 8, Table: table},
-		&routeUpdate{Table: table},
-		&moveTuples{Chunk: chunk},
-		&doReshuffle{},
-		&countReq{Range: hashfn.Range{Lo: 0, Hi: 4}},
-		&countResp{Range: hashfn.Range{Lo: 0, Hi: 4}, Counts: []int64{1, 2, 3, 4}},
-		&reshuffleAssign{Keep: hashfn.Range{Lo: 0, Hi: 2}, GroupEntries: table.Entries, Table: table},
-		&startProbe{Table: table},
-		&finishOOC{},
-		&detectHeavy{},
-		&keyCountReq{Positions: []int32{3, 9, 27}},
-		&keyCountResp{Keys: []uint64{2, 4}, Counts: []int64{100, 50}, SpilledParts: []int32{1}},
-		&heavyAssign{Keys: []uint64{2, 4, 8}},
-		&heavyClone{Chunk: chunk},
-		&setForward{NextTable: table, NextSeed: 42, Layout: tuple.DefaultLayout()},
-		&collectStats{},
-		&statsReq{},
-		&joinStats{Active: true, Stored: 5, Matches: 6, Checksum: 7, Forwarded: 8},
-		&sourceStats{ChunksSent: 9, ProbeExtraCopies: 10},
+	var names []string
+	for _, f := range pkgs["core"].Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Name.Name != "WireSize" {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			names = append(names, recv.(*ast.Ident).Name)
+		}
 	}
-	for _, m := range msgs {
-		var buf bytes.Buffer
-		holder := struct{ M rt.Message }{M: m}
-		if err := gob.NewEncoder(&buf).Encode(&holder); err != nil {
+	sort.Strings(names)
+	return names
+}
+
+// protocolMessages is one zero value of every message type; the two tests
+// below hold it to the source's message set and to the codec registry.
+func protocolMessages() []rt.Message {
+	return []rt.Message{
+		&startBuild{}, &genStep{}, &dataChunk{}, &chunkAck{}, &sourcePhaseDone{},
+		&memFull{}, &memFullNack{}, &spillOrder{}, &spillAck{}, &joinInit{},
+		&splitOrder{}, &splitDone{}, &retire{}, &routeUpdate{}, &moveTuples{},
+		&cloneTable{}, &cloneTuples{}, &cloneEnd{}, &doReshuffle{}, &countReq{},
+		&countResp{}, &reshuffleAssign{}, &startProbe{}, &finishOOC{}, &setForward{},
+		&nodeDead{}, &purgeRange{}, &replayRange{}, &replayDone{}, &detectHeavy{},
+		&keyCountReq{}, &keyCountResp{}, &heavyAssign{}, &heavyClone{}, &collectStats{},
+		&statsReq{}, &joinStats{}, &sourceStats{},
+	}
+}
+
+// TestEveryMessageHasCodec: every type the package declares with a
+// WireSize method — every message an engine can send — has a registered
+// wire codec, and protocolMessages lists exactly the declared set.
+func TestEveryMessageHasCodec(t *testing.T) {
+	var listed []string
+	n := 0
+	for _, m := range protocolMessages() {
+		listed = append(listed, reflect.TypeOf(m).Elem().Name())
+		fill(t, reflect.ValueOf(m).Elem(), &n)
+		if _, err := wire.AppendMessage(nil, m); errors.Is(err, wire.ErrUnknownKind) {
+			t.Errorf("%T has no registered codec", m)
+		}
+	}
+	sort.Strings(listed)
+	if declared := wireSizeTypes(t); !reflect.DeepEqual(declared, listed) {
+		t.Fatalf("declared message types and protocolMessages differ:\ndeclared %v\nlisted   %v", declared, listed)
+	}
+	if n := len(listed); n != 38 {
+		t.Errorf("%d messages, want the protocol's 38", n)
+	}
+}
+
+// fill sets every exported field reachable from v — through nested
+// structs, slices and pointers — to a non-zero value distinct per field,
+// and fails on a field kind it does not know.
+func fill(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int8:
+		v.SetInt(1) // chunkAck's window adjustment lives in [-1, 1]
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(-int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *n))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i), n)
+			}
+		}
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := 0; i < s.Len(); i++ {
+			fill(t, s.Index(i), n)
+		}
+		v.Set(s)
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		fill(t, p.Elem(), n)
+		v.Set(p)
+	default:
+		t.Fatalf("fill: no rule for a %v field", v.Type())
+	}
+}
+
+// TestEveryFieldRoundTrips sets every exported field of every message, of
+// Config and of MultiConfig to a non-zero value and requires the codec to
+// carry each one: a field added without a codec line fails here.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	n := 0
+	for _, m := range protocolMessages() {
+		fill(t, reflect.ValueOf(m).Elem(), &n)
+		data, err := wire.AppendMessage(nil, m)
+		if err != nil {
 			t.Fatalf("%T: encode: %v", m, err)
 		}
-		var back struct{ M rt.Message }
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		back, err := wire.DecodeMessage(data)
+		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
 		}
-		if back.M == nil {
-			t.Fatalf("%T: decoded nil", m)
-		}
-		if back.M.WireSize() != m.WireSize() {
-			t.Errorf("%T: wire size changed %d -> %d", m, m.WireSize(), back.M.WireSize())
+		if !reflect.DeepEqual(back, m) {
+			t.Errorf("%T round trip:\n got %+v\nwant %+v", m, back, m)
 		}
 	}
-	// Spot-check payload fidelity on a chunk-bearing message.
-	var buf bytes.Buffer
-	holder := struct{ M rt.Message }{M: &dataChunk{Chunk: chunk, Origin: 3}}
-	if err := gob.NewEncoder(&buf).Encode(&holder); err != nil {
-		t.Fatal(err)
+	var cfg, cfgBack Config
+	fill(t, reflect.ValueOf(&cfg).Elem(), &n)
+	roundTripFields(t, &cfg, &cfgBack, configFields)
+	var mc, mcBack MultiConfig
+	fill(t, reflect.ValueOf(&mc).Elem(), &n)
+	roundTripFields(t, &mc, &mcBack, multiConfigFields)
+}
+
+func roundTripFields[T any](t *testing.T, in, out *T, fields func(*wire.Codec, *T)) {
+	t.Helper()
+	data, err := wire.Encode(nil, in, fields)
+	if err != nil {
+		t.Fatalf("%T: encode: %v", in, err)
 	}
-	var back struct{ M rt.Message }
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
+	if err := wire.Decode(data, out, fields); err != nil {
+		t.Fatalf("%T: decode: %v", in, err)
 	}
-	dc := back.M.(*dataChunk)
-	if len(dc.Chunk.Tuples) != 2 || dc.Chunk.Tuples[1].Key != 4 || dc.Origin != 3 {
-		t.Errorf("chunk payload corrupted: %+v", dc)
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("%T round trip:\n got %+v\nwant %+v", in, out, in)
 	}
+}
+
+// TestNilAndEmptyDecodeToNil: a nil routing table stays nil across the
+// wire, and an empty slice arrives as nil.
+func TestNilAndEmptyDecodeToNil(t *testing.T) {
+	full := hashfn.Range{Lo: 0, Hi: 1 << 16}
+	for _, tc := range []struct{ in, want rt.Message }{
+		{&routeUpdate{}, &routeUpdate{}},
+		{&routeUpdate{Table: &hashfn.Table{Version: 3, Entries: []hashfn.Entry{{Range: full, Owners: []int32{}}},
+			Dead: []int32{}, Barriers: []hashfn.Barrier{}}},
+			&routeUpdate{Table: &hashfn.Table{Version: 3, Entries: []hashfn.Entry{{Range: full}}}}},
+		{&keyCountResp{Keys: []uint64{}, Counts: []int64{}, SpilledParts: []int32{}}, &keyCountResp{}},
+		{&heavyAssign{Keys: []uint64{}}, &heavyAssign{}},
+		{&setForward{Layout: tuple.DefaultLayout()}, &setForward{Layout: tuple.DefaultLayout()}},
+	} {
+		data, err := wire.AppendMessage(nil, tc.in)
+		if err != nil {
+			t.Fatalf("%T: encode: %v", tc.in, err)
+		}
+		back, err := wire.DecodeMessage(data)
+		if err != nil {
+			t.Fatalf("%T: decode: %v", tc.in, err)
+		}
+		if !reflect.DeepEqual(back, tc.want) {
+			t.Errorf("%T decoded to %+v, want %+v", tc.in, back, tc.want)
+		}
+	}
+}
+
+// FuzzDecodeCoreMessage drives arbitrary payloads through the protocol's
+// own codecs: decode must never panic, and whatever decodes must re-encode
+// to a fixed point.
+func FuzzDecodeCoreMessage(f *testing.F) {
+	table, err := hashfn.NewTable(hashfn.DefaultSpace(), []int32{5, 6, 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	table.AddReplica(1, 8)
+	table.MarkDead(6)
+	for _, m := range []rt.Message{
+		&routeUpdate{Table: table},
+		&joinStats{Active: true, Stored: 5, Matches: 6, Checksum: 7, Forwarded: 8, WidestWindow: 32},
+		&keyCountResp{Keys: []uint64{2, 4}, Counts: []int64{100, 50}, SpilledParts: []int32{1}},
+	} {
+		data, err := wire.AppendMessage(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := wire.DecodeMessage(data)
+		if err != nil {
+			return
+		}
+		re, err := wire.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", m, err)
+		}
+		m2, err := wire.DecodeMessage(re)
+		if err != nil {
+			t.Fatalf("re-encoded message does not decode: %v", err)
+		}
+		re2, err := wire.AppendMessage(nil, m2)
+		if err != nil || !bytes.Equal(re, re2) {
+			t.Fatalf("re-encode is not a fixed point (%v):\n first %x\nsecond %x", err, re, re2)
+		}
+	})
 }
 
 // TestChunkAckBinaryRoundTrip pins the flow-control ack's codec (wire id 2):
@@ -130,8 +276,8 @@ func TestChunkAckBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: encode: %v", m, err)
 		}
-		if len(frame) != 3 || frame[0] != wireChunkAck {
-			t.Fatalf("%+v encoded as % x, want codec id %d and two payload bytes", m, frame, wireChunkAck)
+		if len(frame) != 3 || frame[0] != 2 {
+			t.Fatalf("%+v encoded as % x, want codec id 2 and two payload bytes", m, frame)
 		}
 		back, err := wire.DecodeMessage(frame)
 		if err != nil {
@@ -144,12 +290,12 @@ func TestChunkAckBinaryRoundTrip(t *testing.T) {
 			t.Errorf("%+v: wire size %d, want the constant %d every simulated charge assumes", m, back.WireSize(), ctrlBytes)
 		}
 	}
-	if zero, err := wire.DecodeMessage([]byte{wireChunkAck, 0, 0}); err != nil || zero.(*chunkAck).Adjust != windowKeep {
+	if zero, err := wire.DecodeMessage([]byte{2, 0, 0}); err != nil || zero.(*chunkAck).Adjust != windowKeep {
 		t.Errorf("all-zero payload decoded to %+v, %v; want a keep ack", zero, err)
 	}
 	for _, bad := range [][]byte{
-		{wireChunkAck}, {wireChunkAck, 1}, {wireChunkAck, 1, 0, 0},
-		{wireChunkAck, 0, 2}, {wireChunkAck, 0, 0xfe}, {wireChunkAck, 1, 0x7f},
+		{2}, {2, 1}, {2, 1, 0, 0},
+		{2, 0, 2}, {2, 0, 0xfe}, {2, 1, 0x7f},
 	} {
 		if _, err := wire.DecodeMessage(bad); err == nil {
 			t.Errorf("malformed frame % x decoded", bad)
@@ -158,7 +304,7 @@ func TestChunkAckBinaryRoundTrip(t *testing.T) {
 }
 
 // TestSpillMessagesBinaryRoundTrip pins the spill handshake's fixed-layout
-// binary codecs (wire ids 5 and 6) independently of gob.
+// codecs (wire ids 5 and 6).
 func TestSpillMessagesBinaryRoundTrip(t *testing.T) {
 	msgs := []rt.Message{
 		&spillOrder{TargetBytes: 0},
@@ -190,9 +336,9 @@ func TestSpillMessagesBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHeavyMessagesBinaryRoundTrip pins the heavy-routing frames' binary
-// codecs (wire ids 7 and 8) independently of gob: the heavyAssign key list
-// and the heavyClone replication chunk.
+// TestHeavyMessagesBinaryRoundTrip pins the heavy-routing frames' codecs
+// (wire ids 7 and 8): the heavyAssign key list and the heavyClone
+// replication chunk.
 func TestHeavyMessagesBinaryRoundTrip(t *testing.T) {
 	chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: tuple.DefaultLayout(),
 		Tuples: []tuple.Tuple{{Index: 1, Key: 2}, {Index: 3, Key: 2}}}
@@ -207,8 +353,8 @@ func TestHeavyMessagesBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode: %v", m, err)
 		}
-		if len(frame) == 0 || (frame[0] != wireHeavyAssign && frame[0] != wireHeavyClone) {
-			t.Fatalf("%T went through the gob fallback: % x", m, frame[:1])
+		if len(frame) == 0 || (frame[0] != 7 && frame[0] != 8) {
+			t.Fatalf("%T encoded under codec id % x, want 7 or 8", m, frame[:1])
 		}
 		back, err := wire.DecodeMessage(frame)
 		if err != nil {

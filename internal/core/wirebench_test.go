@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
+	"ehjoin/internal/hashfn"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tuple"
 	"ehjoin/internal/wire"
@@ -21,47 +20,48 @@ func benchChunkMsg() *dataChunk {
 	return &dataChunk{Chunk: c, Origin: 3, Forwarded: true, Version: 7}
 }
 
-// BenchmarkWireCodec measures encode+decode of a chunk-bearing message:
-// the hand-written binary codec against the gob stream the transport used
-// before (one persistent encoder/decoder per connection, so gob's type
-// descriptors are amortised exactly as they were on the wire).
-func BenchmarkWireCodec(b *testing.B) {
-	msg := benchChunkMsg()
-	payload := int64(msg.Chunk.BinarySize() + 13)
+// benchRouteMsg builds the largest control message: a routing-table
+// broadcast over the paper's 24-node cluster, every entry split and one
+// replicated.
+func benchRouteMsg(b *testing.B) *routeUpdate {
+	owners := make([]int32, 24)
+	for i := range owners {
+		owners[i] = int32(i + 9)
+	}
+	t, err := hashfn.NewTable(hashfn.DefaultSpace(), owners)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t.AddReplica(0, 40)
+	return &routeUpdate{Table: t}
+}
 
-	b.Run("binary", func(b *testing.B) {
-		buf, err := wire.AppendMessage(nil, msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(payload)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf, err = wire.AppendMessage(buf[:0], msg)
+// BenchmarkWireCodec measures encode+decode of the chunk-bearing message
+// that dominates traffic and of the table-bearing control message.
+func BenchmarkWireCodec(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		msg  rt.Message
+	}{
+		{"dataChunk", benchChunkMsg()},
+		{"routeUpdate", benchRouteMsg(b)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			buf, err := wire.AppendMessage(nil, arm.msg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := wire.DecodeMessage(buf); err != nil {
-				b.Fatal(err)
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, err = wire.AppendMessage(buf[:0], arm.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := wire.DecodeMessage(buf); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-
-	b.Run("gob-stream", func(b *testing.B) {
-		type holder struct{ M rt.Message }
-		var bb bytes.Buffer
-		enc := gob.NewEncoder(&bb)
-		dec := gob.NewDecoder(&bb)
-		b.SetBytes(payload)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(&holder{M: msg}); err != nil {
-				b.Fatal(err)
-			}
-			var h holder
-			if err := dec.Decode(&h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

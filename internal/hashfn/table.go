@@ -56,7 +56,7 @@ type Table struct {
 	// index is the coarse position index behind EntryIndexOf: slot s holds
 	// the first entry whose Range.Hi exceeds s<<shift. It describes the
 	// table at Version indexVer-1 (0: never built) and is private to this
-	// copy — Clone, gob and the wire codecs never carry it.
+	// copy — Clone and the wire codec never carry it.
 	index    []int32
 	indexVer uint64
 	shift    uint

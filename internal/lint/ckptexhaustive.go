@@ -8,11 +8,12 @@ import (
 )
 
 // NewCkptExhaustive returns the checkpoint-kind analyzer, the CkptKind
-// sibling of wireexhaustive. The checkpoint record enum has three homes a
-// new kind must reach — the encoder, the decoder, and the restore-time
-// replay switch — and forgetting the third is the expensive one: the log
-// writes fine, and the bug only surfaces when a kill-point test (or a real
-// crash) replays a record the coordinator does not understand.
+// sibling of wireexhaustive. The checkpoint record enum has two homes a new
+// kind must reach — the record codec, one function that both encodes and
+// decodes, and the restore-time replay switch — and forgetting the second
+// is the expensive one: the log writes fine, and the bug only surfaces when
+// a kill-point test (or a real crash) replays a record the coordinator does
+// not understand.
 //
 // Per switch, in the packages named "wire" and "tcpnet": every switch whose
 // tag is the CkptKind type must carry a case arm for every declared
@@ -20,35 +21,30 @@ import (
 // cross-package switches are covered), a default arm, and a reference to
 // ErrUnknownKind in that default.
 //
-// Program-level, the three anchor switches must exist at all: encode in
-// AppendCheckpointRecord (wire), decode in Next (wire), replay-apply in
-// RestoreCoordinator (tcpnet). Deleting or renaming one breaks the lint
-// gate instead of the first crash-recovery run. The anchor check only
-// fires when the role's home package was loaded and references CkptKind,
-// so fixture and subset runs stay quiet.
+// Program-level, the two anchor switches must exist at all: encode and
+// decode in recordFields (wire), replay-apply in RestoreCoordinator
+// (tcpnet). Deleting or renaming one breaks the lint gate instead of the
+// first crash-recovery run. The anchor check only fires when the anchor's
+// home package was loaded and references CkptKind, so fixture and subset
+// runs stay quiet.
 func NewCkptExhaustive() *Analyzer {
 	a := &Analyzer{
 		Name: "ckptexhaustive",
-		Doc: "verifies every CkptKind constant has encode, decode, and replay-apply arms\n" +
+		Doc: "verifies every CkptKind constant has codec and replay-apply arms\n" +
 			"with a typed ErrUnknownKind default, so a new checkpoint record kind cannot\n" +
 			"reach production without its replay path",
 	}
 
-	type roleInfo struct {
-		fn    string // function whose body anchors the role's switch
-		home  string // package name the role must live in
-		found bool
-	}
-	roles := map[string]*roleInfo{
-		"encode": {fn: "AppendCheckpointRecord", home: "wire"},
-		"decode": {fn: "Next", home: "wire"},
-		"replay": {fn: "RestoreCoordinator", home: "tcpnet"},
-	}
+	// anchors maps each home package to the one function whose switch
+	// must dispatch every CkptKind there.
+	anchors := map[string]string{"wire": "recordFields", "tcpnet": "RestoreCoordinator"}
+	found := map[string]bool{}
 	homeSeen := map[string]token.Position{} // loaded packages that reference CkptKind
 
 	a.Run = func(pass *Pass) error {
 		pkgName := pass.Pkg.Name()
-		if pkgName != "wire" && pkgName != "tcpnet" {
+		anchor, home := anchors[pkgName]
+		if !home {
 			return nil
 		}
 		sawKind := pass.Pkg.Scope().Lookup("CkptKind") != nil
@@ -73,17 +69,8 @@ func NewCkptExhaustive() *Analyzer {
 					continue
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok {
-						return true
-					}
-					if !checkCkptSwitch(pass, sw) {
-						return true
-					}
-					for _, ri := range roles {
-						if ri.fn == fd.Name.Name && ri.home == pkgName {
-							ri.found = true
-						}
+					if sw, ok := n.(*ast.SwitchStmt); ok && checkCkptSwitch(pass, sw) && fd.Name.Name == anchor {
+						found[pkgName] = true
 					}
 					return true
 				})
@@ -93,16 +80,13 @@ func NewCkptExhaustive() *Analyzer {
 	}
 
 	a.Finish = func(report func(Diagnostic)) error {
-		for _, role := range []string{"encode", "decode", "replay"} {
-			ri := roles[role]
-			pos, loaded := homeSeen[ri.home]
-			if !loaded || ri.found {
-				continue
+		for _, home := range []string{"wire", "tcpnet"} {
+			if pos, loaded := homeSeen[home]; loaded && !found[home] {
+				report(Diagnostic{Check: "ckptexhaustive", Pos: pos,
+					Message: "no switch over CkptKind found in " + anchors[home] + ": package " +
+						home + " must dispatch checkpoint records exhaustively there (or the " +
+						"anchor table in ckptexhaustive.go needs the function's new name)"})
 			}
-			report(Diagnostic{Check: "ckptexhaustive", Pos: pos,
-				Message: "no " + role + " switch over CkptKind found in " + ri.fn + ": package " +
-					ri.home + " must dispatch checkpoint records exhaustively there (or the " +
-					"anchor table in ckptexhaustive.go needs the function's new name)"})
 		}
 		return nil
 	}
@@ -157,7 +141,7 @@ func checkCkptSwitch(pass *Pass, sw *ast.SwitchStmt) bool {
 	for _, c := range consts {
 		if !covered[c.Name()] {
 			pass.Reportf(sw.Pos(), "switch over CkptKind is missing an arm for %s: every checkpoint "+
-				"record kind needs encode, decode, and replay handling", c.Name())
+				"record kind needs codec and replay handling", c.Name())
 		}
 	}
 	if defaultClause == nil {

@@ -115,6 +115,10 @@ func TestWalOrderFixture(t *testing.T)       { runFixture(t, "walorder", "walord
 func TestCkptExhaustiveFixture(t *testing.T) { runFixture(t, "ckptexhaustive", "ckpt") }
 func TestLedgerFixture(t *testing.T)         { runFixture(t, "ledger", "ledger") }
 
+// TestCkptExhaustiveAnchor: renaming the record codec away from the anchor
+// table is itself a finding — the gate cannot silently stop checking it.
+func TestCkptExhaustiveAnchor(t *testing.T) { runFixture(t, "ckptexhaustive", "ckptanchor") }
+
 // TestSuppressionSyntax pins the grammar: an allow comment without a reason
 // is itself a finding and suppresses nothing.
 func TestSuppressionSyntax(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package wire is the ckptexhaustive-analyzer fixture: every switch over
 // the CkptKind type must cover all declared kinds, carry a default arm,
-// and fail typed (ErrUnknownKind) in that default. The clean encoder and
-// decoder double as the role anchors the program-level check looks for.
+// and fail typed (ErrUnknownKind) in that default. The clean record codec
+// doubles as the role anchor the program-level check looks for.
 package wire
 
 import (
@@ -19,29 +19,14 @@ const (
 	CkptDeath
 )
 
-// AppendCheckpointRecord is the encode anchor: exhaustive, typed default.
-func AppendCheckpointRecord(b []byte, k CkptKind) ([]byte, error) {
-	switch k {
-	case CkptHeader:
-		return append(b, 1), nil
-	case CkptDelivery:
-		return append(b, 2), nil
-	case CkptDeath:
-		return append(b, 3), nil
-	default:
-		return nil, fmt.Errorf("encode: %w (kind %d)", ErrUnknownKind, k)
-	}
-}
-
-type reader struct{}
-
-// Next is the decode anchor.
-func (r *reader) Next(k CkptKind) error {
+// recordFields is the codec anchor: one function both encodes and decodes
+// a record, so one exhaustive switch covers both directions.
+func recordFields(k CkptKind) error {
 	switch k {
 	case CkptHeader, CkptDelivery, CkptDeath:
 		return nil
 	default:
-		return fmt.Errorf("decode: %w (kind %d)", ErrUnknownKind, k)
+		return fmt.Errorf("codec: %w (kind %d)", ErrUnknownKind, k)
 	}
 }
 

@@ -7,14 +7,11 @@ import (
 	"ehjoin/internal/datagen"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
-	"ehjoin/internal/wire"
 )
 
 // BenchmarkTCPJoinThroughput runs a full distributed hybrid join over real
 // localhost sockets — two worker loops, coordinator-hosted sources and
-// scheduler — and reports end-to-end tuple throughput with the binary wire
-// codecs against the gob fallback (the pre-existing encoding). Workers run
-// as goroutines, so both processes' codec setting is toggled together.
+// scheduler — and reports end-to-end tuple throughput.
 func BenchmarkTCPJoinThroughput(b *testing.B) {
 	cfg := core.Config{
 		Algorithm:     core.Hybrid,
@@ -37,34 +34,25 @@ func BenchmarkTCPJoinThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	for _, mode := range []struct {
-		name   string
-		binary bool
-	}{{"binary", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := wire.SetBinary(mode.binary)
-			defer wire.SetBinary(prev)
-			for i := 0; i < b.N; i++ {
-				conns, wg := startWorkers(b, 2)
-				assignment := make(map[rt.NodeID]int)
-				for j, id := range ids {
-					assignment[id] = j % 2
-				}
-				coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.Execute(cfg, coord)
-				coord.Close()
-				wg.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Matches == 0 {
-					b.Fatal("join produced no matches")
-				}
-			}
-			b.ReportMetric(float64(tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-		})
+	for i := 0; i < b.N; i++ {
+		conns, wg := startWorkers(b, 2)
+		assignment := make(map[rt.NodeID]int)
+		for j, id := range ids {
+			assignment[id] = j % 2
+		}
+		coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Execute(cfg, coord)
+		coord.Close()
+		wg.Wait()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Matches == 0 {
+			b.Fatal("join produced no matches")
+		}
 	}
+	b.ReportMetric(float64(tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
 }

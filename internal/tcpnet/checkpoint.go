@@ -29,8 +29,10 @@ package tcpnet
 // cheaper or a dearer path to the same one.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"sort"
 	"time"
@@ -165,27 +167,14 @@ func (c *Coordinator) headerRecord() *wire.CkptRecord {
 // mismatch means the replayed log and the worker disagree about who the
 // worker even is, and the re-attach falls through to rung 2.
 func assignDigest(session uint64, epoch uint32, ids []int32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	for i := 0; i < 8; i++ {
-		mix(byte(session >> (8 * i)))
-	}
-	for i := 0; i < 4; i++ {
-		mix(byte(epoch >> (8 * i)))
-	}
+	b := binary.LittleEndian.AppendUint64(nil, session)
+	b = binary.LittleEndian.AppendUint32(b, epoch)
 	for _, id := range ids {
-		for i := 0; i < 4; i++ {
-			mix(byte(uint32(id) >> (8 * i)))
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // DrainsDone reports how many phase barriers (Drain calls) the

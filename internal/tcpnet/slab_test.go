@@ -16,9 +16,8 @@ import (
 	wire "ehjoin/internal/wire"
 )
 
-// slabMsg is a payload with a hand-written codec, so encoding it allocates
-// nothing and its frame can be made exactly as large as a test needs (gob,
-// which testMsg rides, allocates on every encode).
+// slabMsg is a payload whose frame can be made exactly as large as a test
+// needs, and whose encoding allocates nothing.
 type slabMsg struct{ Pad []byte }
 
 func (m *slabMsg) WireSize() int { return len(m.Pad) }
@@ -32,17 +31,13 @@ type releasableMsg struct {
 func (m *releasableMsg) Release() { atomic.AddInt64(m.released, 1) }
 
 func init() {
-	wire.Register(250, &slabMsg{},
-		func(buf []byte, m rt.Message) []byte { return append(buf, m.(*slabMsg).Pad...) },
-		func(data []byte) (rt.Message, error) { return &slabMsg{Pad: append([]byte(nil), data...)}, nil })
-	wire.Register(251, &releasableMsg{},
-		func(buf []byte, m rt.Message) []byte { return append(buf, m.(*releasableMsg).Pad...) },
-		func(data []byte) (rt.Message, error) { return &slabMsg{Pad: append([]byte(nil), data...)}, nil })
+	wire.Register(250, func(c *wire.Codec, m *slabMsg) { wire.Blob(c, &m.Pad) })
+	wire.Register(251, func(c *wire.Codec, m *releasableMsg) { wire.Blob(c, &m.Pad) })
 }
 
 // padFor returns a payload whose frame is frameBytes long on the wire.
 func padFor(frameBytes int, fill byte) []byte {
-	const overhead = frameHeaderLen + minBodyLen + 8 + 1 // length, envelope+kind, from/to, codec id
+	const overhead = frameHeaderLen + minBodyLen + 8 + 1 + 4 // length, envelope+kind, from/to, codec id, pad length
 	return bytes.Repeat([]byte{fill}, frameBytes-overhead)
 }
 

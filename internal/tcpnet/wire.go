@@ -22,9 +22,10 @@ import (
 // the frame is acted on, and surfaces as wire.ErrChecksum instead of a
 // clean close. seq is the per-session sequence number for reliable frames
 // (0 for control frames); ack is the sender's cumulative receive position,
-// piggybacked on every frame in both directions (see session.go). frameMsg
-// payloads are encoded by internal/wire: hand-written binary codecs for
-// the hot chunk-bearing messages, gob for the rare control messages.
+// piggybacked on every frame in both directions (see session.go). The kind
+// byte and fields are one field-codec function (frameFields, internal/wire)
+// shared by the writer and the reader; a frameMsg payload is the message's
+// codec id and its registered fields.
 //
 // Both directions are buffered. The flush discipline is what keeps the
 // coordinator's quiescence predicate sound on a buffered transport: a
@@ -66,111 +67,79 @@ func putFrame(f *frame) {
 	framePool.Put(f)
 }
 
+// frameFields is the frame body after the session envelope: the kind byte
+// and the kind's fields. appendFrame and ReadFrame both run it.
+func frameFields(c *wire.Codec, f *frame) {
+	wire.U8(c, &f.Kind)
+	switch f.Kind {
+	case frameAssign:
+		wire.U64(c, &f.Session)
+		wire.U32(c, &f.Epoch)
+		wire.Blob(c, &f.CfgBlob)
+		wire.Slice(c, &f.IDs, 4, wire.U32)
+		// Data-plane half: worker index, address book, peer epochs, and
+		// the full node→worker map.
+		wire.U32(c, &f.Worker)
+		wire.Slice(c, &f.Peers, 2, wire.Str16)
+		wire.Slice(c, &f.Epochs, 4, wire.U32)
+		wire.Pairs(c, &f.MapIDs, &f.MapWorkers, 8, wire.U32, wire.U32)
+	case frameMsg:
+		wire.U32(c, &f.From)
+		wire.U32(c, &f.To)
+		wire.Message(c, &f.Msg)
+	case frameReport:
+		wire.U64(c, &f.Processed)
+		wire.U64(c, &f.Emitted)
+		wire.U64(c, &f.WFrames)
+		wire.U64(c, &f.WResumes)
+		wire.U64(c, &f.WRetrans)
+		wire.U64(c, &f.WChecksum)
+		wire.U64(c, &f.WDups)
+		wire.U64(c, &f.WDropped)
+		n := wire.Len(c, len(f.PeerEmitted), 16)
+		wire.Elems(c, &f.PeerEmitted, n, wire.U64)
+		wire.Elems(c, &f.PeerProcessed, n, wire.U64)
+	case frameResume, frameCoordResume:
+		wire.U64(c, &f.Session)
+		wire.U32(c, &f.Epoch)
+		wire.U64(c, &f.LastSeq)
+		if f.Kind == frameCoordResume {
+			wire.U64(c, &f.AckedSeq)
+			wire.U64(c, &f.Digest)
+		}
+		wire.Bool(c, &f.CanReplay)
+	case frameResumeOK, framePeerHelloOK:
+		wire.U64(c, &f.LastSeq)
+	case framePeerAddr:
+		wire.Str16(c, &f.Addr)
+	case framePeerHello:
+		wire.U32(c, &f.From)
+		wire.U64(c, &f.Session)
+		wire.U32(c, &f.Epoch)
+		wire.U64(c, &f.LastSeq)
+		wire.Bool(c, &f.CanReplay)
+	case framePeerEpoch:
+		wire.U32(c, &f.From)
+		wire.U32(c, &f.Epoch)
+	case framePeerDown:
+		wire.U32(c, &f.From)
+	case framePing, framePong, frameShutdown, frameAck:
+		// envelope and kind byte only
+	default:
+		c.Fail(wire.ErrUnknownKind)
+	}
+}
+
 // appendFrame appends one complete frame — length prefix, CRC32C,
 // sequence number, cumulative ack, kind byte, fields — to dst.
 func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length, patched below
-	dst = append(dst, 0, 0, 0, 0) // crc, patched below
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, patched below
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = binary.LittleEndian.AppendUint64(dst, ack)
-	dst = append(dst, byte(f.Kind))
-	var err error
-	switch f.Kind {
-	case frameAssign:
-		dst = binary.LittleEndian.AppendUint64(dst, f.Session)
-		dst = binary.LittleEndian.AppendUint32(dst, f.Epoch)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.CfgBlob)))
-		dst = append(dst, f.CfgBlob...)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.IDs)))
-		for _, id := range f.IDs {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-		}
-		// Data-plane half: worker index, address book, peer epochs, and
-		// the full node→worker map.
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Worker))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Peers)))
-		for _, p := range f.Peers {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p)))
-			dst = append(dst, p...)
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Epochs)))
-		for _, e := range f.Epochs {
-			dst = binary.LittleEndian.AppendUint32(dst, e)
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.MapIDs)))
-		for i, id := range f.MapIDs {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(f.MapWorkers[i]))
-		}
-	case frameMsg:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.From))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.To))
-		if dst, err = wire.AppendMessage(dst, f.Msg); err != nil {
-			return nil, err
-		}
-	case frameReport:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Processed))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Emitted))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WFrames))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WResumes))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WRetrans))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WChecksum))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WDups))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.WDropped))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.PeerEmitted)))
-		for _, v := range f.PeerEmitted {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-		for _, v := range f.PeerProcessed {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-	case frameResume:
-		dst = binary.LittleEndian.AppendUint64(dst, f.Session)
-		dst = binary.LittleEndian.AppendUint32(dst, f.Epoch)
-		dst = binary.LittleEndian.AppendUint64(dst, f.LastSeq)
-		var replay byte
-		if f.CanReplay {
-			replay = 1
-		}
-		dst = append(dst, replay)
-	case frameCoordResume:
-		dst = binary.LittleEndian.AppendUint64(dst, f.Session)
-		dst = binary.LittleEndian.AppendUint32(dst, f.Epoch)
-		dst = binary.LittleEndian.AppendUint64(dst, f.LastSeq)
-		dst = binary.LittleEndian.AppendUint64(dst, f.AckedSeq)
-		dst = binary.LittleEndian.AppendUint64(dst, f.Digest)
-		var replay byte
-		if f.CanReplay {
-			replay = 1
-		}
-		dst = append(dst, replay)
-	case frameResumeOK:
-		dst = binary.LittleEndian.AppendUint64(dst, f.LastSeq)
-	case framePeerAddr:
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Addr)))
-		dst = append(dst, f.Addr...)
-	case framePeerHello:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.From))
-		dst = binary.LittleEndian.AppendUint64(dst, f.Session)
-		dst = binary.LittleEndian.AppendUint32(dst, f.Epoch)
-		dst = binary.LittleEndian.AppendUint64(dst, f.LastSeq)
-		var replay byte
-		if f.CanReplay {
-			replay = 1
-		}
-		dst = append(dst, replay)
-	case framePeerHelloOK:
-		dst = binary.LittleEndian.AppendUint64(dst, f.LastSeq)
-	case framePeerEpoch:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.From))
-		dst = binary.LittleEndian.AppendUint32(dst, f.Epoch)
-	case framePeerDown:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.From))
-	case framePing, framePong, frameShutdown, frameAck:
-		// envelope and kind byte only
-	default:
-		return nil, fmt.Errorf("tcpnet: encode unknown frame kind %d: %w", f.Kind, wire.ErrUnknownKind)
+	dst, err := wire.Encode(dst, f, frameFields)
+	if err != nil {
+		return nil, fmt.Errorf("tcpnet: encode frame kind %d: %w", f.Kind, err)
 	}
 	body := dst[start+frameHeaderLen:]
 	if len(body) > maxFrameBytes {
@@ -309,197 +278,10 @@ func (r *wireReader) ReadFrame() (*frame, error) {
 	f := getFrame()
 	f.Seq = binary.LittleEndian.Uint64(body[4:])
 	f.Ack = binary.LittleEndian.Uint64(body[12:])
-	f.Kind = frameKind(body[20])
-	body = body[minBodyLen:]
-	bad := func() (*frame, error) {
+	if err := wire.Decode(body[envelopeLen:], f, frameFields); err != nil {
 		kind := f.Kind
 		putFrame(f)
-		return nil, fmt.Errorf("tcpnet: short body for frame kind %d: %w", kind, wire.ErrTruncated)
-	}
-	switch f.Kind {
-	case frameAssign:
-		if len(body) < 16 {
-			return bad()
-		}
-		f.Session = binary.LittleEndian.Uint64(body)
-		f.Epoch = binary.LittleEndian.Uint32(body[8:])
-		bl := int(binary.LittleEndian.Uint32(body[12:]))
-		body = body[16:]
-		if bl < 0 || len(body) < bl+4 {
-			return bad()
-		}
-		if bl > 0 {
-			f.CfgBlob = append([]byte(nil), body[:bl]...) // body is reused; copy
-		}
-		body = body[bl:]
-		cnt := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if cnt < 0 || len(body) < 4*cnt {
-			return bad()
-		}
-		f.IDs = make([]int32, cnt)
-		for i := range f.IDs {
-			f.IDs[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-		}
-		body = body[4*cnt:]
-		if len(body) < 8 {
-			return bad()
-		}
-		f.Worker = int32(binary.LittleEndian.Uint32(body))
-		np := int(binary.LittleEndian.Uint32(body[4:]))
-		body = body[8:]
-		if np < 0 || np > maxFrameBytes/2 {
-			return bad()
-		}
-		if np > 0 {
-			f.Peers = make([]string, np)
-			for i := range f.Peers {
-				if len(body) < 2 {
-					return bad()
-				}
-				al := int(binary.LittleEndian.Uint16(body))
-				body = body[2:]
-				if len(body) < al {
-					return bad()
-				}
-				f.Peers[i] = string(body[:al])
-				body = body[al:]
-			}
-		}
-		if len(body) < 4 {
-			return bad()
-		}
-		ne := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if ne < 0 || len(body) < 4*ne {
-			return bad()
-		}
-		if ne > 0 {
-			f.Epochs = make([]uint32, ne)
-			for i := range f.Epochs {
-				f.Epochs[i] = binary.LittleEndian.Uint32(body[4*i:])
-			}
-		}
-		body = body[4*ne:]
-		if len(body) < 4 {
-			return bad()
-		}
-		nm := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if nm < 0 || len(body) < 8*nm {
-			return bad()
-		}
-		if nm > 0 {
-			f.MapIDs = make([]int32, nm)
-			f.MapWorkers = make([]int32, nm)
-			for i := 0; i < nm; i++ {
-				f.MapIDs[i] = int32(binary.LittleEndian.Uint32(body[8*i:]))
-				f.MapWorkers[i] = int32(binary.LittleEndian.Uint32(body[8*i+4:]))
-			}
-		}
-	case frameMsg:
-		if len(body) < 8 {
-			return bad()
-		}
-		f.From = int32(binary.LittleEndian.Uint32(body))
-		f.To = int32(binary.LittleEndian.Uint32(body[4:]))
-		m, err := wire.DecodeMessage(body[8:])
-		if err != nil {
-			putFrame(f)
-			return nil, err
-		}
-		f.Msg = m
-	case frameReport:
-		if len(body) < 68 {
-			return bad()
-		}
-		f.Processed = int64(binary.LittleEndian.Uint64(body))
-		f.Emitted = int64(binary.LittleEndian.Uint64(body[8:]))
-		f.WFrames = int64(binary.LittleEndian.Uint64(body[16:]))
-		f.WResumes = int64(binary.LittleEndian.Uint64(body[24:]))
-		f.WRetrans = int64(binary.LittleEndian.Uint64(body[32:]))
-		f.WChecksum = int64(binary.LittleEndian.Uint64(body[40:]))
-		f.WDups = int64(binary.LittleEndian.Uint64(body[48:]))
-		f.WDropped = int64(binary.LittleEndian.Uint64(body[56:]))
-		nw := int(binary.LittleEndian.Uint32(body[64:]))
-		body = body[68:]
-		if nw < 0 || len(body) < 16*nw {
-			return bad()
-		}
-		if nw > 0 {
-			f.PeerEmitted = make([]int64, nw)
-			f.PeerProcessed = make([]int64, nw)
-			for i := 0; i < nw; i++ {
-				f.PeerEmitted[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
-			}
-			body = body[8*nw:]
-			for i := 0; i < nw; i++ {
-				f.PeerProcessed[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
-			}
-		}
-	case frameResume:
-		if len(body) < 21 {
-			return bad()
-		}
-		f.Session = binary.LittleEndian.Uint64(body)
-		f.Epoch = binary.LittleEndian.Uint32(body[8:])
-		f.LastSeq = binary.LittleEndian.Uint64(body[12:])
-		f.CanReplay = body[20] != 0
-	case frameCoordResume:
-		if len(body) < 37 {
-			return bad()
-		}
-		f.Session = binary.LittleEndian.Uint64(body)
-		f.Epoch = binary.LittleEndian.Uint32(body[8:])
-		f.LastSeq = binary.LittleEndian.Uint64(body[12:])
-		f.AckedSeq = binary.LittleEndian.Uint64(body[20:])
-		f.Digest = binary.LittleEndian.Uint64(body[28:])
-		f.CanReplay = body[36] != 0
-	case frameResumeOK:
-		if len(body) < 8 {
-			return bad()
-		}
-		f.LastSeq = binary.LittleEndian.Uint64(body)
-	case framePeerAddr:
-		if len(body) < 2 {
-			return bad()
-		}
-		al := int(binary.LittleEndian.Uint16(body))
-		if len(body) < 2+al {
-			return bad()
-		}
-		f.Addr = string(body[2 : 2+al])
-	case framePeerHello:
-		if len(body) < 25 {
-			return bad()
-		}
-		f.From = int32(binary.LittleEndian.Uint32(body))
-		f.Session = binary.LittleEndian.Uint64(body[4:])
-		f.Epoch = binary.LittleEndian.Uint32(body[12:])
-		f.LastSeq = binary.LittleEndian.Uint64(body[16:])
-		f.CanReplay = body[24] != 0
-	case framePeerHelloOK:
-		if len(body) < 8 {
-			return bad()
-		}
-		f.LastSeq = binary.LittleEndian.Uint64(body)
-	case framePeerEpoch:
-		if len(body) < 8 {
-			return bad()
-		}
-		f.From = int32(binary.LittleEndian.Uint32(body))
-		f.Epoch = binary.LittleEndian.Uint32(body[4:])
-	case framePeerDown:
-		if len(body) < 4 {
-			return bad()
-		}
-		f.From = int32(binary.LittleEndian.Uint32(body))
-	case framePing, framePong, frameShutdown, frameAck:
-		// envelope and kind byte only
-	default:
-		kind := f.Kind
-		putFrame(f)
-		return nil, fmt.Errorf("tcpnet: unknown frame kind %d: %w", kind, wire.ErrUnknownKind)
+		return nil, fmt.Errorf("tcpnet: frame kind %d: %w", kind, err)
 	}
 	return f, nil
 }

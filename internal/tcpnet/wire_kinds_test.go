@@ -1,12 +1,14 @@
 package tcpnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
 
 	wire "ehjoin/internal/wire"
@@ -180,4 +182,81 @@ func TestUnknownKindTyped(t *testing.T) {
 			t.Errorf("unknown-kind error %q does not name kind %s", err, want)
 		}
 	}
+}
+
+// TestFrameHostileCountBounded: a CRC-valid frameAssign that claims 1<<24
+// peer addresses and carries none must fail with wire.ErrTruncated before
+// allocating for the claim. An unchecked count allocated 256 MB here.
+func TestFrameHostileCountBounded(t *testing.T) {
+	body := make([]byte, 4, 49)                          // crc, patched below
+	body = binary.LittleEndian.AppendUint64(body, 1)     // seq
+	body = binary.LittleEndian.AppendUint64(body, 0)     // ack
+	body = append(body, byte(frameAssign))               // kind
+	body = binary.LittleEndian.AppendUint64(body, 77)    // session
+	body = binary.LittleEndian.AppendUint32(body, 3)     // epoch
+	body = binary.LittleEndian.AppendUint32(body, 0)     // config blob length
+	body = binary.LittleEndian.AppendUint32(body, 0)     // node id count
+	body = binary.LittleEndian.AppendUint32(body, 1)     // worker index
+	body = binary.LittleEndian.AppendUint32(body, 1<<24) // peer address count
+	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], crcTable))
+	raw := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+	if len(raw) != 53 {
+		t.Fatalf("hostile frame is %d bytes, want 53", len(raw))
+	}
+
+	r := newWireReader(bytes.NewReader(raw))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("hostile peer count: got %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("rejecting the hostile count allocated %d bytes, want under 64 KB", alloc)
+	}
+}
+
+// FuzzReadFrame drives arbitrary bytes through the frame reader: decoding
+// must never panic, and a frame that decodes must re-encode, under its own
+// envelope, to bytes that decode and re-encode to themselves.
+func FuzzReadFrame(f *testing.F) {
+	fixtures := kindFixtures()
+	for k := frameKind(1); int(k) <= len(fixtures); k++ {
+		data, err := appendFrame(nil, fixtures[k], 3, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	reencode := func(t *testing.T, data []byte) []byte {
+		// A 4 KB reader, not the connection's 256 KB one: one per input.
+		r := &wireReader{br: bufio.NewReader(bytes.NewReader(data))}
+		fr, err := r.ReadFrame()
+		if err != nil {
+			return nil
+		}
+		defer putFrame(fr)
+		re, err := appendFrame(nil, fr, fr.Seq, fr.Ack)
+		if err != nil {
+			t.Fatalf("decoded kind %d frame does not re-encode: %v", fr.Kind, err)
+		}
+		return re
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The envelope may legally claim up to maxFrameBytes, and the reader
+		// allocates the claimed body before reading it; keep the fuzzer on
+		// the frame body and out of gigabyte allocations.
+		if len(data) >= frameHeaderLen && binary.LittleEndian.Uint32(data) > 1<<20 {
+			return
+		}
+		re := reencode(t, data)
+		if re == nil {
+			return
+		}
+		if re2 := reencode(t, re); !bytes.Equal(re, re2) {
+			t.Fatalf("re-encode is not a fixed point:\n first %x\nsecond %x", re, re2)
+		}
+	})
 }

@@ -5,9 +5,9 @@
 //
 // The CRC32C (Castagnoli) covers the kind byte and the payload, so a
 // flipped bit in a stored log surfaces as ErrChecksum instead of a
-// garbage replay. Message payloads reuse this package's message codec
-// (AppendMessage/DecodeMessage), so every protocol message that can cross
-// the TCP wire can also land in the log.
+// garbage replay. One field-codec function, recordFields, both writes and
+// reads a record body; message payloads are coded by Message, so every
+// protocol message that can cross the TCP wire can also land in the log.
 //
 // The log is append-only and crash-truncated: a coordinator killed
 // mid-write leaves a torn final record. ReadCheckpoint therefore treats
@@ -33,7 +33,9 @@ import (
 // number — to delivery, relay, and mark records, so replay can restore
 // each session's receive position to the contiguous prefix the log
 // actually covers instead of assuming record count equals sequence floor.
-const CkptVersion = 2
+// Version 3 changed the header's config blob from gob to the field codec
+// (core.EncodeConfig); record layouts did not move.
+const CkptVersion = 3
 
 // CkptKind enumerates checkpoint record kinds.
 type CkptKind uint8
@@ -112,62 +114,50 @@ const (
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// recordFields is the record body after the CRC: the kind byte and the
+// kind's fields. AppendCheckpointRecord and Next both run it.
+func recordFields(c *Codec, rec *CkptRecord) {
+	U8(c, &rec.Kind)
+	switch rec.Kind {
+	case CkptHeader:
+		U32(c, &rec.Version)
+		U64(c, &rec.SessionBase)
+		Bool(c, &rec.P2P)
+		Blob(c, &rec.CfgBlob)
+		Slice(c, &rec.PeerAddrs, 2, Str16)
+		Pairs(c, &rec.AssignIDs, &rec.AssignWorkers, 8, U32, U32)
+	case CkptDelivery, CkptRelay:
+		U32(c, &rec.From)
+		U32(c, &rec.To)
+		U32(c, &rec.Worker)
+		U64(c, &rec.Seq)
+		Message(c, &rec.Msg)
+	case CkptMark:
+		U32(c, &rec.Worker)
+		U64(c, &rec.Seq)
+		U64(c, &rec.Ack)
+		U64(c, &rec.Processed)
+		U64(c, &rec.Emitted)
+	case CkptPhase:
+		U32(c, &rec.Phase)
+	case CkptEpoch:
+		U32(c, &rec.Worker)
+		U32(c, &rec.SessEpoch)
+		U32(c, &rec.PeerEpoch)
+	case CkptDeath:
+		U32(c, &rec.Worker)
+	default:
+		c.Fail(ErrUnknownKind)
+	}
+}
+
 // AppendCheckpointRecord appends rec's complete encoding to dst.
 func AppendCheckpointRecord(dst []byte, rec *CkptRecord) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length, patched below
-	dst = append(dst, 0, 0, 0, 0) // crc, patched below
-	dst = append(dst, byte(rec.Kind))
-	var err error
-	switch rec.Kind {
-	case CkptHeader:
-		dst = binary.LittleEndian.AppendUint32(dst, rec.Version)
-		dst = binary.LittleEndian.AppendUint64(dst, rec.SessionBase)
-		var p2p byte
-		if rec.P2P {
-			p2p = 1
-		}
-		dst = append(dst, p2p)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.CfgBlob)))
-		dst = append(dst, rec.CfgBlob...)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.PeerAddrs)))
-		for _, a := range rec.PeerAddrs {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(a)))
-			dst = append(dst, a...)
-		}
-		if len(rec.AssignIDs) != len(rec.AssignWorkers) {
-			return nil, fmt.Errorf("wire: checkpoint header with %d ids but %d workers",
-				len(rec.AssignIDs), len(rec.AssignWorkers))
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.AssignIDs)))
-		for i, id := range rec.AssignIDs {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.AssignWorkers[i]))
-		}
-	case CkptDelivery, CkptRelay:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.From))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.To))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Worker))
-		dst = binary.LittleEndian.AppendUint64(dst, rec.Seq)
-		if dst, err = AppendMessage(dst, rec.Msg); err != nil {
-			return nil, err
-		}
-	case CkptMark:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Worker))
-		dst = binary.LittleEndian.AppendUint64(dst, rec.Seq)
-		dst = binary.LittleEndian.AppendUint64(dst, rec.Ack)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Processed))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Emitted))
-	case CkptPhase:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Phase))
-	case CkptEpoch:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Worker))
-		dst = binary.LittleEndian.AppendUint32(dst, rec.SessEpoch)
-		dst = binary.LittleEndian.AppendUint32(dst, rec.PeerEpoch)
-	case CkptDeath:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Worker))
-	default:
-		return nil, fmt.Errorf("wire: encode unknown checkpoint kind %d: %w", rec.Kind, ErrUnknownKind)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, patched below
+	dst, err := Encode(dst, rec, recordFields)
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode checkpoint record kind %d: %w", rec.Kind, err)
 	}
 	body := dst[start+ckptHeaderLen:]
 	if len(body) > maxCkptBytes {
@@ -216,105 +206,9 @@ func (cr *CheckpointReader) Next() (*CkptRecord, error) {
 	if want, got := binary.LittleEndian.Uint32(body), crc32.Checksum(body[4:], ckptCRC); got != want {
 		return nil, fmt.Errorf("wire: checkpoint record crc %#x, header says %#x: %w", got, want, ErrChecksum)
 	}
-	rec := &CkptRecord{Kind: CkptKind(body[4])}
-	body = body[ckptMinBody:]
-	bad := func() (*CkptRecord, error) {
-		return nil, fmt.Errorf("wire: short body for checkpoint kind %d: %w", rec.Kind, ErrTruncated)
-	}
-	switch rec.Kind {
-	case CkptHeader:
-		if len(body) < 17 {
-			return bad()
-		}
-		rec.Version = binary.LittleEndian.Uint32(body)
-		rec.SessionBase = binary.LittleEndian.Uint64(body[4:])
-		rec.P2P = body[12] != 0
-		bl := int(binary.LittleEndian.Uint32(body[13:]))
-		body = body[17:]
-		if bl < 0 || len(body) < bl+4 {
-			return bad()
-		}
-		if bl > 0 {
-			rec.CfgBlob = append([]byte(nil), body[:bl]...) // body is reused; copy
-		}
-		body = body[bl:]
-		np := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if np < 0 || np > maxCkptBytes/2 {
-			return bad()
-		}
-		if np > 0 {
-			rec.PeerAddrs = make([]string, np)
-			for i := range rec.PeerAddrs {
-				if len(body) < 2 {
-					return bad()
-				}
-				al := int(binary.LittleEndian.Uint16(body))
-				body = body[2:]
-				if len(body) < al {
-					return bad()
-				}
-				rec.PeerAddrs[i] = string(body[:al])
-				body = body[al:]
-			}
-		}
-		if len(body) < 4 {
-			return bad()
-		}
-		na := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if na < 0 || len(body) < 8*na {
-			return bad()
-		}
-		if na > 0 {
-			rec.AssignIDs = make([]int32, na)
-			rec.AssignWorkers = make([]int32, na)
-			for i := 0; i < na; i++ {
-				rec.AssignIDs[i] = int32(binary.LittleEndian.Uint32(body[8*i:]))
-				rec.AssignWorkers[i] = int32(binary.LittleEndian.Uint32(body[8*i+4:]))
-			}
-		}
-	case CkptDelivery, CkptRelay:
-		if len(body) < 20 {
-			return bad()
-		}
-		rec.From = int32(binary.LittleEndian.Uint32(body))
-		rec.To = int32(binary.LittleEndian.Uint32(body[4:]))
-		rec.Worker = int32(binary.LittleEndian.Uint32(body[8:]))
-		rec.Seq = binary.LittleEndian.Uint64(body[12:])
-		m, err := DecodeMessage(body[20:])
-		if err != nil {
-			return nil, err
-		}
-		rec.Msg = m
-	case CkptMark:
-		if len(body) < 36 {
-			return bad()
-		}
-		rec.Worker = int32(binary.LittleEndian.Uint32(body))
-		rec.Seq = binary.LittleEndian.Uint64(body[4:])
-		rec.Ack = binary.LittleEndian.Uint64(body[12:])
-		rec.Processed = int64(binary.LittleEndian.Uint64(body[20:]))
-		rec.Emitted = int64(binary.LittleEndian.Uint64(body[28:]))
-	case CkptPhase:
-		if len(body) < 4 {
-			return bad()
-		}
-		rec.Phase = int32(binary.LittleEndian.Uint32(body))
-	case CkptEpoch:
-		if len(body) < 12 {
-			return bad()
-		}
-		rec.Worker = int32(binary.LittleEndian.Uint32(body))
-		rec.SessEpoch = binary.LittleEndian.Uint32(body[4:])
-		rec.PeerEpoch = binary.LittleEndian.Uint32(body[8:])
-	case CkptDeath:
-		if len(body) < 4 {
-			return bad()
-		}
-		rec.Worker = int32(binary.LittleEndian.Uint32(body))
-	default:
-		return nil, fmt.Errorf("wire: unknown checkpoint kind %d: %w", rec.Kind, ErrUnknownKind)
+	rec := new(CkptRecord)
+	if err := Decode(body[4:], rec, recordFields); err != nil {
+		return nil, fmt.Errorf("wire: checkpoint record kind %d: %w", rec.Kind, err)
 	}
 	return rec, nil
 }

@@ -1,123 +1,104 @@
-// Package wire provides the binary message codec used by the TCP
-// transport. A message payload travels as
+// Package wire is the one binary codec of the TCP transport and the
+// coordinator's checkpoint log. Every format — each protocol message, the
+// tcpnet frame body, the checkpoint record body, the run configuration — is
+// one function that names its fields once, in wire order:
 //
-//	[1-byte codec id][payload]
+//	func(c *wire.Codec, m *spillAck) {
+//		wire.U64(c, &m.Partitions)
+//		wire.U64(c, &m.Bytes)
+//	}
 //
-// Codec id 0 is the gob fallback: the payload is a self-contained gob
-// stream holding the message as a runtime.Message interface value, so any
-// gob-registered message type crosses the wire without a hand-written
-// codec. Nonzero ids are compact hand-written codecs registered by the
-// message-owning package for the hot, chunk-bearing message kinds that
-// dominate traffic (gob's reflection walk is far too slow for them).
+// Encode runs it to append the fields, and Decode runs the same function to
+// parse them back through the same pointers (codec.go), so a layout cannot
+// be written one way and read another. Integers are fixed-width little-
+// endian. Decoding checks every length and count against the bytes that
+// remain before it allocates anything, and the first error sticks: later
+// fields read nothing, and Decode returns it wrapping one of the typed
+// sentinels in errors.go. Field coding uses no reflection.
 //
-// The registry is append-only and must be populated from init functions:
-// after process start-up it is read concurrently without locking.
+// A message travels as [1-byte codec id][fields]: the id names the message
+// type, whose registered format function lists the fields. The registry is
+// append-only and must be populated from init functions: after process
+// start-up it is read concurrently without locking.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"os"
 	"reflect"
 
 	rt "ehjoin/internal/runtime"
 )
 
-// gobFallback is the reserved codec id for gob-encoded payloads.
-const gobFallback = 0
-
 type codec struct {
 	id     uint8
-	append func(buf []byte, m rt.Message) []byte
-	decode func(data []byte) (rt.Message, error)
+	fields func(*Codec, rt.Message)
+	new    func() rt.Message
 }
 
 var (
 	byType = make(map[reflect.Type]*codec)
 	byID   [256]*codec
-
-	// binaryEnabled gates the hand-written codecs. With EHJOIN_WIRE=gob in
-	// the environment every message falls back to gob — useful for
-	// baseline measurements and as an escape hatch.
-	binaryEnabled = os.Getenv("EHJOIN_WIRE") != "gob"
 )
 
-// Register installs a hand-written binary codec for the concrete type of
-// prototype under the given nonzero id. Ids are part of the wire protocol:
-// they must be identical in every process of a run and never reused for a
-// different type. enc appends the payload to buf and returns the extended
-// slice; dec parses a payload into a fresh message and must copy everything
-// it keeps (the input aliases a reused read buffer). Register must be
-// called from an init function; it panics on id or type collisions.
-func Register(id uint8, prototype rt.Message,
-	enc func(buf []byte, m rt.Message) []byte,
-	dec func(data []byte) (rt.Message, error)) {
-	if id == gobFallback {
-		panic("wire: codec id 0 is reserved for the gob fallback")
-	}
-	t := reflect.TypeOf(prototype)
+// Register installs the format of message type P under id. Ids are part of
+// the wire protocol: they must be identical in every process of a run and
+// never reused for a different type. fields lists P's fields; decoding runs
+// it on a fresh zero P. Register must be called from an init function; it
+// panics on id or type collisions.
+func Register[M any, P interface {
+	*M
+	rt.Message
+}](id uint8, fields func(*Codec, P)) {
+	t := reflect.TypeOf(P(nil))
 	if byID[id] != nil {
 		panic(fmt.Sprintf("wire: codec id %d registered twice", id))
 	}
 	if _, dup := byType[t]; dup {
 		panic(fmt.Sprintf("wire: type %v registered twice", t))
 	}
-	c := &codec{id: id, append: enc, decode: dec}
-	byType[t] = c
-	byID[id] = c
+	cd := &codec{id: id,
+		fields: func(c *Codec, m rt.Message) { fields(c, m.(P)) },
+		new:    func() rt.Message { return P(new(M)) },
+	}
+	byType[t] = cd
+	byID[id] = cd
 }
 
-// SetBinary toggles the hand-written codecs (true = use them, false = gob
-// for everything) and returns the previous setting. Both settings decode
-// either encoding — the codec id byte selects the path — so processes with
-// different settings interoperate. Intended for benchmarks and tests.
-func SetBinary(on bool) bool {
-	prev := binaryEnabled
-	binaryEnabled = on
-	return prev
-}
-
-// holder carries a message as an interface value through gob, so the
-// concrete type is resolved via the gob registry on the far side.
-type holder struct{ M rt.Message }
-
-// AppendMessage appends m's wire encoding (codec id byte + payload) to buf.
-func AppendMessage(buf []byte, m rt.Message) ([]byte, error) {
-	if binaryEnabled {
-		if c := byType[reflect.TypeOf(m)]; c != nil {
-			buf = append(buf, c.id)
-			return c.append(buf, m), nil
+// Message codes a message as its codec id byte and its registered fields.
+// Encoding a message of an unregistered type fails with ErrUnknownKind.
+func Message(c *Codec, m *rt.Message) {
+	if !c.decoding {
+		cd := byType[reflect.TypeOf(*m)]
+		if cd == nil {
+			c.Fail(fmt.Errorf("wire: no codec registered for %T: %w", *m, ErrUnknownKind))
+			return
 		}
+		c.buf = append(c.buf, cd.id)
+		cd.fields(c, *m)
+		return
 	}
-	buf = append(buf, gobFallback)
-	var bb bytes.Buffer
-	if err := gob.NewEncoder(&bb).Encode(&holder{M: m}); err != nil {
-		return nil, fmt.Errorf("wire: gob encode %T: %w", m, err)
+	if b := c.take(1); b != nil {
+		cd := byID[b[0]]
+		if cd == nil {
+			c.Fail(fmt.Errorf("wire: unknown codec id %d: %w", b[0], ErrUnknownKind))
+			return
+		}
+		*m = cd.new()
+		cd.fields(c, *m)
 	}
-	return append(buf, bb.Bytes()...), nil
+}
+
+// AppendMessage appends m's wire encoding (codec id byte + fields) to buf.
+func AppendMessage(buf []byte, m rt.Message) ([]byte, error) {
+	return Encode(buf, &m, Message)
 }
 
 // DecodeMessage parses one message produced by AppendMessage. The returned
 // message shares no memory with data.
 func DecodeMessage(data []byte) (rt.Message, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("wire: empty message payload: %w", ErrTruncated)
+	var m rt.Message
+	if err := Decode(data, &m, Message); err != nil {
+		return nil, err
 	}
-	id, payload := data[0], data[1:]
-	if id == gobFallback {
-		var h holder
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&h); err != nil {
-			return nil, fmt.Errorf("wire: gob decode: %w", err)
-		}
-		if h.M == nil {
-			return nil, fmt.Errorf("wire: gob decoded nil message")
-		}
-		return h.M, nil
-	}
-	c := byID[id]
-	if c == nil {
-		return nil, fmt.Errorf("wire: unknown codec id %d: %w", id, ErrUnknownKind)
-	}
-	return c.decode(payload)
+	return m, nil
 }

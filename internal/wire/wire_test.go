@@ -3,21 +3,17 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
+	"errors"
+	"hash/crc32"
+	"reflect"
+	"runtime"
 	"testing"
 
 	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/tuple"
 )
 
-// gobOnlyMsg has no registered codec, so it always rides the gob fallback.
-type gobOnlyMsg struct {
-	Text string
-}
-
-func (m *gobOnlyMsg) WireSize() int { return len(m.Text) }
-
-// binMsg gets a hand-written codec registered in init.
+// binMsg is a fixed-layout message: [8B A][4B B].
 type binMsg struct {
 	A uint64
 	B uint32
@@ -25,24 +21,63 @@ type binMsg struct {
 
 func (m *binMsg) WireSize() int { return 12 }
 
+func binFields(c *Codec, m *binMsg) {
+	U64(c, &m.A)
+	U32(c, &m.B)
+}
+
+// kitMsg carries one field of every kind the codec offers.
+type kitMsg struct {
+	Flag    bool
+	Small   int8
+	Word    int32
+	Big     int
+	Ratio   float64
+	Name    string
+	Blob    []byte
+	List    []uint64
+	IDs     []int32
+	Owners  []int32
+	Names   []string
+	Inner   *binMsg
+	Chunk   *tuple.Chunk
+	Trailer []uint32
+}
+
+func (m *kitMsg) WireSize() int { return 64 }
+
+// unregisteredMsg has no codec.
+type unregisteredMsg struct{}
+
+func (*unregisteredMsg) WireSize() int { return 0 }
+
 func init() {
-	gob.Register(&gobOnlyMsg{})
-	gob.Register(&binMsg{})
-	Register(200, &binMsg{},
-		func(buf []byte, m rt.Message) []byte {
-			bm := m.(*binMsg)
-			buf = binary.LittleEndian.AppendUint64(buf, bm.A)
-			return binary.LittleEndian.AppendUint32(buf, bm.B)
-		},
-		func(data []byte) (rt.Message, error) {
-			if len(data) != 12 {
-				return nil, fmt.Errorf("binMsg payload %d bytes, want 12", len(data))
-			}
-			return &binMsg{
-				A: binary.LittleEndian.Uint64(data),
-				B: binary.LittleEndian.Uint32(data[8:]),
-			}, nil
-		})
+	Register(200, binFields)
+	Register(201, func(c *Codec, m *kitMsg) {
+		Bool(c, &m.Flag)
+		U8(c, &m.Small)
+		U32(c, &m.Word)
+		U64(c, &m.Big)
+		F64(c, &m.Ratio)
+		Str16(c, &m.Name)
+		Blob(c, &m.Blob)
+		Slice(c, &m.List, 8, U64)
+		Pairs(c, &m.IDs, &m.Owners, 8, U32, U32)
+		Slice(c, &m.Names, 2, Str16)
+		Opt(c, &m.Inner, binFields)
+		Chunk(c, &m.Chunk)
+		Rest(c, &m.Trailer, 4, U32)
+	})
+}
+
+func kitFixture() *kitMsg {
+	return &kitMsg{Flag: true, Small: -3, Word: -70000, Big: 1 << 40, Ratio: 0.25,
+		Name: "peer 10.0.0.1:9001", Blob: []byte{1, 2, 3}, List: []uint64{7, 1 << 63},
+		IDs: []int32{5, 6}, Owners: []int32{0, 1}, Names: []string{"a", ""},
+		Inner: &binMsg{A: 1, B: 2},
+		Chunk: &tuple.Chunk{Rel: tuple.RelS, Layout: tuple.Layout{PayloadBytes: 84},
+			Tuples: []tuple.Tuple{{Index: 4, Key: 5}}},
+		Trailer: []uint32{9, 10, 11}}
 }
 
 func roundTrip(t *testing.T, m rt.Message) rt.Message {
@@ -79,58 +114,92 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobFallbackRoundTrip(t *testing.T) {
-	in := &gobOnlyMsg{Text: "no codec registered"}
-	buf, err := AppendMessage(nil, in)
-	if err != nil {
-		t.Fatal(err)
+// TestEveryFieldKindRoundTrip: a message holding one field of every kind
+// survives the codec, and its empty form decodes empty slices and a nil
+// pointer back to nil.
+func TestEveryFieldKindRoundTrip(t *testing.T) {
+	if in, got := kitFixture(), roundTrip(t, kitFixture()); !reflect.DeepEqual(got, in) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, in)
 	}
-	if buf[0] != gobFallback {
-		t.Fatalf("unregistered message used codec id %d, want %d", buf[0], gobFallback)
-	}
-	got := roundTrip(t, in)
-	if gm, ok := got.(*gobOnlyMsg); !ok || gm.Text != in.Text {
-		t.Fatalf("round trip: got %#v, want %#v", got, in)
+	empty := &kitMsg{Blob: []byte{}, List: []uint64{}, IDs: []int32{}, Owners: []int32{},
+		Names: []string{}, Chunk: &tuple.Chunk{}, Trailer: []uint32{}}
+	want := &kitMsg{Chunk: &tuple.Chunk{}}
+	if got := roundTrip(t, empty); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-func TestSetBinaryForcesGob(t *testing.T) {
-	prev := SetBinary(false)
-	defer SetBinary(prev)
-	in := &binMsg{A: 7, B: 9}
-	buf, err := AppendMessage(nil, in)
-	if err != nil {
-		t.Fatal(err)
+// TestEncodeRejectsInconsistentFields: a pair count the second slice does
+// not match, or a string too long for its length prefix, fails the encode
+// instead of writing a layout the decoder would misread.
+func TestEncodeRejectsInconsistentFields(t *testing.T) {
+	ragged := kitFixture()
+	ragged.Owners = ragged.Owners[:1]
+	if _, err := AppendMessage(nil, ragged); err == nil {
+		t.Error("paired slices of different lengths encoded")
 	}
-	if buf[0] != gobFallback {
-		t.Fatalf("with binary disabled, codec id is %d, want %d", buf[0], gobFallback)
-	}
-	// The decode side keys off the id byte, so gob-encoded frames decode
-	// regardless of the local setting: mixed processes interoperate.
-	SetBinary(true)
-	got, err := DecodeMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm, ok := got.(*binMsg); !ok || *bm != *in {
-		t.Fatalf("round trip: got %#v, want %#v", got, in)
+	long := kitFixture()
+	long.Name = string(make([]byte, 1<<16))
+	if _, err := AppendMessage(nil, long); err == nil {
+		t.Error("a 64 KiB string encoded behind a 2-byte length")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Error("empty payload decoded without error")
+	if _, err := DecodeMessage(nil); !errors.Is(err, ErrTruncated) {
+		t.Errorf("empty payload: got %v, want ErrTruncated", err)
 	}
-	if _, err := DecodeMessage([]byte{199, 1, 2}); err == nil {
-		t.Error("unknown codec id decoded without error")
+	if _, err := DecodeMessage([]byte{199, 1, 2}); !errors.Is(err, ErrUnknownKind) {
+		t.Errorf("unknown codec id: got %v, want ErrUnknownKind", err)
 	}
-	if _, err := DecodeMessage([]byte{200, 1, 2}); err == nil {
-		t.Error("truncated binMsg payload decoded without error")
+	if _, err := DecodeMessage([]byte{200, 1, 2}); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated binMsg: got %v, want ErrTruncated", err)
 	}
-	var bb bytes.Buffer
-	bb.WriteByte(gobFallback)
-	bb.WriteString("not a gob stream")
-	if _, err := DecodeMessage(bb.Bytes()); err == nil {
-		t.Error("corrupt gob payload decoded without error")
+	whole, _ := AppendMessage(nil, &binMsg{A: 1, B: 2})
+	if _, err := DecodeMessage(append(whole, 0)); !errors.Is(err, ErrBadLength) {
+		t.Errorf("trailing byte: got %v, want ErrBadLength", err)
+	}
+	// Every cut before the uncounted trailer fails; inside it, a cut on an
+	// element boundary is a shorter valid trailer by design.
+	kit, _ := AppendMessage(nil, kitFixture())
+	for cut := 1; cut < len(kit)-4*len(kitFixture().Trailer); cut++ {
+		if _, err := DecodeMessage(kit[:cut]); err == nil {
+			t.Fatalf("kitMsg cut to %d of %d bytes decoded", cut, len(kit))
+		}
+	}
+}
+
+// TestUnregisteredMessageTyped: a message type without a registered codec
+// cannot be encoded, and the error is the typed unknown-kind sentinel.
+func TestUnregisteredMessageTyped(t *testing.T) {
+	if _, err := AppendMessage(nil, &unregisteredMsg{}); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("unregistered message: got %v, want ErrUnknownKind", err)
+	}
+}
+
+// TestCheckpointHostileCountBounded: a CRC-valid header record that claims
+// 1<<24 peer addresses and carries none must fail with ErrTruncated before
+// allocating for the claim. The parent of this test allocated 256 MB here.
+func TestCheckpointHostileCountBounded(t *testing.T) {
+	body := make([]byte, 4, 26)
+	body = append(body, byte(CkptHeader))
+	body = binary.LittleEndian.AppendUint32(body, CkptVersion)
+	body = binary.LittleEndian.AppendUint64(body, 0xABCD0000) // session base
+	body = append(body, 1)                                    // p2p
+	body = binary.LittleEndian.AppendUint32(body, 0)          // config blob length
+	body = binary.LittleEndian.AppendUint32(body, 1<<24)      // peer address count
+	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], ckptCRC))
+	raw := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+
+	cr := NewCheckpointReader(bytes.NewReader(raw))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cr.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("hostile peer count: got %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("rejecting the hostile count allocated %d bytes, want under 64 KB", alloc)
 	}
 }
