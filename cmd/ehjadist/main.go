@@ -71,14 +71,11 @@ func main() {
 		recover_     = flag.Bool("recover", false, "survive worker deaths: re-stream lost state via the scheduler instead of aborting")
 		spillRung    = flag.Bool("spill", false, "evict partitions to worker-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
 		chaos        = flag.String("chaos", "", "deterministic network fault injection on worker connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3;drop@20000;stallr@8000:50")
-		resume       = flag.Bool("resume", true, "recover broken worker connections by ack-based session resume (retransmit only unacked frames) before falling back to re-streaming")
 		resumeWindow = flag.Duration("resume-window", tcpnet.DefaultResumeWindow,
-			"how long a disconnected worker may take to redial before the next recovery rung")
-		wal          = flag.String("wal", "", "write-ahead checkpoint log for the coordinator control plane (DESIGN.md §12); enables crash recovery via -coord-restart")
-		coordKill    = flag.String("coord-kill", "", "kill the coordinator after record N of phase P, format P@N (P=-1 counts whole-log records); fault-injection demo, needs -wal")
-		coordRestart = flag.Bool("coord-restart", false, "on coordinator death, restart in-process: replay the -wal log, rebind the listener, and resume the run where it died")
-		park         = flag.Bool("park", false, "workers ride out a coordinator crash parked in their redial loop instead of treating EOF as shutdown (implied for spawned workers by -coord-restart)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the coordinator to FILE and of each spawned worker i to FILE.w<i>")
+			"how long a disconnected worker may take to redial and resume its session before it is declared dead")
+		wal        = flag.String("wal", "", "write-ahead checkpoint log for the coordinator control plane (DESIGN.md §12)")
+		coordKill  = flag.String("coord-kill", "", "kill the coordinator after record N of phase P, format P@N (P=-1 counts whole-log records), then restart it in-process from the -wal log; fault-injection demo, needs -wal")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the coordinator to FILE and of each spawned worker i to FILE.w<i>")
 	)
 	flag.Parse()
 
@@ -165,12 +162,6 @@ func main() {
 		}
 		crashPhase, crashRecs = p, n
 	}
-	if *coordRestart && *wal == "" {
-		fatal(fmt.Errorf("-coord-restart: needs -wal to restart from"))
-	}
-	if *wal != "" && !*resume {
-		fatal(fmt.Errorf("-wal: crash recovery is worker-initiated re-attachment; it needs -resume"))
-	}
 	var walF *os.File
 	if *wal != "" {
 		f, err := os.Create(*wal)
@@ -180,14 +171,10 @@ func main() {
 		defer f.Close()
 		walF = f
 	}
-	// Spawned workers must survive the coordinator's death to re-attach.
-	*park = *park || (*coordRestart && *spawn)
-
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	defer l.Close()
 	fmt.Printf("ehjadist: coordinator on %s, waiting for %d worker(s)\n", l.Addr(), *workers)
 
 	var procs []*exec.Cmd
@@ -197,8 +184,7 @@ func main() {
 			fatal(err)
 		}
 		for i := 0; i < *workers; i++ {
-			args := []string{"-worker", "-connect", l.Addr().String(),
-				"-resume=" + strconv.FormatBool(*resume), "-park=" + strconv.FormatBool(*park)}
+			args := []string{"-worker", "-connect", l.Addr().String()}
 			if *chaos != "" {
 				args = append(args, "-chaos", *chaos)
 			}
@@ -243,20 +229,15 @@ func main() {
 	}
 	var coord *tcpnet.Coordinator
 	// baseOpts builds the option set shared by the first coordinator and
-	// any crash restarts; each instance gets its own listener and a
-	// failure handler closed over its own *Coordinator (the handler runs
-	// inside that coordinator's Drain loop, so the closure is safe).
-	baseOpts := func(l net.Listener, target **tcpnet.Coordinator) []tcpnet.Option {
-		var opts []tcpnet.Option
-		if *resume {
-			// The coordinator takes over the listener: disconnected workers
-			// redial it and resume their session in place.
-			opts = append(opts, tcpnet.WithResume(l, *resumeWindow))
-		}
+	// a crash restart; each instance gets a failure handler closed over its
+	// own *Coordinator (the handler runs inside that coordinator's Drain
+	// loop, so the closure is safe).
+	baseOpts := func(target **tcpnet.Coordinator) []tcpnet.Option {
+		opts := []tcpnet.Option{tcpnet.WithResumeWindow(*resumeWindow)}
 		if walF != nil {
 			opts = append(opts, tcpnet.WithCheckpoint(walF))
 		}
-		if *recover_ || *coordRestart {
+		if *recover_ || *coordKill != "" {
 			opts = append(opts, tcpnet.WithFailureHandler(func(w int, nodes []rt.NodeID, cause error) {
 				fmt.Fprintf(os.Stderr, "ehjadist: worker %d failed (%v); recovering %d node(s)\n",
 					w, cause, len(nodes))
@@ -267,11 +248,13 @@ func main() {
 		}
 		return opts
 	}
-	opts := baseOpts(l, &coord)
+	opts := baseOpts(&coord)
 	if crashRecs > 0 {
 		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
 	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns, opts...)
+	// The coordinator takes the listener over: disconnected workers redial
+	// it and resume their session in place.
+	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -284,7 +267,7 @@ func main() {
 	}
 	start := time.Now()
 	report, err := core.Execute(cfg, coord)
-	if err != nil && errors.Is(err, tcpnet.ErrCoordKilled) && *coordRestart {
+	if err != nil && errors.Is(err, tcpnet.ErrCoordKilled) {
 		// The supervisor path (DESIGN.md §12): the old process state is
 		// gone — only the write-ahead log and the parked workers survive.
 		// Rebind the workers' dial address, replay the log into a restored
@@ -297,7 +280,6 @@ func main() {
 		if lerr != nil {
 			fatal(fmt.Errorf("rebinding %s: %w", l.Addr(), lerr))
 		}
-		defer l2.Close()
 		logged, rerr := os.ReadFile(*wal)
 		if rerr != nil {
 			fatal(rerr)
@@ -311,7 +293,7 @@ func main() {
 			fatal(rerr)
 		}
 		var coord2 *tcpnet.Coordinator
-		coord2, rerr = tcpnet.RestoreCoordinator(snap, rs.Actors(), baseOpts(l2, &coord2)...)
+		coord2, rerr = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, baseOpts(&coord2)...)
 		if rerr != nil {
 			fatal(fmt.Errorf("restoring from checkpoint: %w", rerr))
 		}

@@ -25,8 +25,6 @@ func Main(prog string, args []string) int {
 	var (
 		connect    = fs.String("connect", "127.0.0.1:7420", "coordinator address")
 		chaos      = fs.String("chaos", "", "deterministic network fault injection on this worker's connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3")
-		resume     = fs.Bool("resume", true, "redial the coordinator and resume the session when the connection breaks")
-		park       = fs.Bool("park", false, "ride out a coordinator crash: keep redialing through the full jittered schedule and re-attach when a restarted coordinator rebinds, instead of treating EOF as shutdown")
 		noSpill    = fs.Bool("no-spill", false, "decline spill orders on this worker even when the coordinator enables the spill rung (e.g. no usable local disk)")
 		peerListen = fs.String("peer-listen", ":0", "data-plane listener address other workers dial; the advertised host falls back to this worker's coordinator-facing address when unspecified")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of this worker to FILE")
@@ -54,7 +52,9 @@ func Main(prog string, args []string) int {
 
 	// All connections — initial and redialed — go through the same chaos
 	// plan, so a scheduled fault fires exactly once per worker process no
-	// matter how many reconnects it takes to get past it.
+	// matter how many reconnects it takes to get past it. A broken or
+	// closed coordinator link is always redialed: a coordinator restarted
+	// from its write-ahead log finds this worker parked, state intact.
 	dial := func() (net.Conn, error) {
 		c, err := net.Dial("tcp", *connect)
 		if err != nil {
@@ -62,12 +62,6 @@ func Main(prog string, args []string) int {
 		}
 		return plan.Wrap(c), nil
 	}
-	conn, err := dial()
-	if err != nil {
-		return fail(1, err)
-	}
-	defer conn.Close()
-
 	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
 		cfg, err := core.DecodeConfig(blob)
 		if err != nil {
@@ -81,18 +75,12 @@ func Main(prog string, args []string) int {
 		return core.NewJoinActor(cfg, id)
 	}
 	opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P(*peerListen)}
-	if *resume {
-		opts = append(opts, tcpnet.WithWorkerResume(dial, 0, 0))
-		if *park {
-			opts = append(opts, tcpnet.WithWorkerPark())
-		}
-	}
 	if *chaos != "" {
 		// Peer links share the process's one chaos plan, so a scheduled
 		// fault fires once per worker whichever link it lands on.
 		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 	}
-	if err := tcpnet.RunWorker(conn, factory, opts...); err != nil {
+	if err := tcpnet.RunWorker(dial, factory, opts...); err != nil {
 		return fail(1, err)
 	}
 	return 0

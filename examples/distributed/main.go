@@ -45,11 +45,12 @@ func main() {
 	const workers = 3
 	cfg := config()
 
+	// The coordinator takes this listener over: workers that lose their
+	// connection redial it, and Close closes it.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
 
 	self, err := os.Executable()
 	if err != nil {
@@ -91,7 +92,7 @@ func main() {
 		assignment[id] = i % workers
 	}
 
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,11 +124,7 @@ func main() {
 }
 
 func runWorker(addr string) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
 		cfg, err := core.DecodeConfig(blob)
 		if err != nil {
@@ -135,7 +132,7 @@ func runWorker(addr string) {
 		}
 		return core.NewJoinActor(cfg, id)
 	}
-	if err := tcpnet.RunWorker(conn, factory); err != nil {
+	if err := tcpnet.RunWorker(dial, factory); err != nil {
 		log.Fatal(err)
 	}
 }

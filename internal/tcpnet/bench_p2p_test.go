@@ -114,46 +114,30 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 		return core.NewMultiJoinActor(m, id)
 	}
 	const workers = 4
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	hub := &nic{}
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for j := 0; j < workers; j++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			b.Fatal(err)
-		}
-		conns[j] = cconn
+	l := listen(b)
+	conns, wg := startWorkerLoops(b, l, workers, func(int) {
 		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
+		var wrap func(net.Conn) net.Conn
 		if shaped {
 			wnic := &nic{}
-			conns[j] = &nicConn{Conn: cconn, nic: hub}
-			wconn = &nicConn{Conn: wconn, nic: wnic}
-			opts = append(opts, tcpnet.WithWorkerPeerChaos(func(c net.Conn) net.Conn {
-				return &nicConn{Conn: c, nic: wnic}
-			}))
+			wrap = func(c net.Conn) net.Conn { return &nicConn{Conn: c, nic: wnic} }
+			opts = append(opts, tcpnet.WithWorkerPeerChaos(wrap))
 		}
-		wg.Add(1)
-		go func(c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory, opts...); err != nil {
-				b.Errorf("worker: %v", err)
-			}
-		}(wconn)
+		if err := tcpnet.RunWorker(dialer(l, wrap), factory, opts...); err != nil {
+			b.Errorf("worker: %v", err)
+		}
+	})
+	if shaped {
+		hub := &nic{}
+		for j, c := range conns {
+			conns[j] = &nicConn{Conn: c, nic: hub}
+		}
 	}
-	l.Close()
 	assignment := make(map[rt.NodeID]int)
 	for j, id := range ids {
 		assignment[id] = j % workers
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func BenchmarkTCPJoinThroughput(b *testing.B) {
 	}
 
 	for i := 0; i < b.N; i++ {
-		conns, wg := startWorkers(b, 2)
+		l, conns, wg := startWorkers(b, 2)
 		assignment := make(map[rt.NodeID]int)
 		for j, id := range ids {
 			assignment[id] = j % 2
 		}
-		coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+		coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 		if err != nil {
 			b.Fatal(err)
 		}

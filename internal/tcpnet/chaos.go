@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	wire "ehjoin/internal/wire"
 )
 
 // Deterministic network fault injection. A ChaosPlan is a schedule of
@@ -351,7 +353,7 @@ func (c *chaosConn) feed(b []byte) {
 		b = b[take:]
 		if len(c.cur) == frameHeaderLen && c.curNeed == 0 {
 			bodyLen := int(binary.LittleEndian.Uint32(c.cur))
-			if bodyLen < minBodyLen || bodyLen > maxFrameBytes {
+			if bodyLen < minBodyLen || bodyLen > wire.MaxEnvelope {
 				c.parseBroken = true // framing lost; disable duplication
 				return
 			}

@@ -43,9 +43,8 @@ func baselineRun(t *testing.T) (uint64, uint64) {
 }
 
 // runChaosJoin runs the Split join across TCP workers with worker 0's
-// connection (initial and every redial) wrapped in the given chaos plan,
-// and the session layer's resume ladder enabled on both ends. With
-// coordSide the plan wraps the coordinator's end of worker 0's first
+// connection (initial and every redial) wrapped in the given chaos plan.
+// With coordSide the plan wraps the coordinator's end of worker 0's first
 // connection instead, so write-offset faults land in the
 // coordinator→worker stream. opts are added to the coordinator's.
 func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts ...tcpnet.Option) *core.Report {
@@ -64,47 +63,20 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 		t.Fatal(err)
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Workers dial sequentially so worker 0 is deterministically the
 	// chaos-wrapped connection.
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := range conns {
-		p := plan
-		if i != 0 || coordSide {
-			p = nil // only worker 0's end suffers, if any
+	l := listen(t)
+	conns, wg := startWorkerLoops(t, l, workers, func(i int) {
+		var wrap func(net.Conn) net.Conn
+		if i == 0 && !coordSide {
+			wrap = plan.Wrap // only worker 0's end suffers, if any
 		}
-		dial := func() (net.Conn, error) {
-			c, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				return nil, err
-			}
-			return p.Wrap(c), nil
+		if err := tcpnet.RunWorker(dialer(l, wrap), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
+			t.Errorf("worker %d: %v", i, err)
 		}
-		wconn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		if i == 0 && coordSide {
-			conns[i] = plan.Wrap(cconn)
-		}
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerResume(dial, 20, 20*time.Millisecond),
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, wconn)
+	})
+	if coordSide {
+		conns[0] = plan.Wrap(conns[0])
 	}
 
 	assignment := make(map[rt.NodeID]int)
@@ -114,8 +86,7 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 	// A flipped length prefix leaves the reader waiting on a body that
 	// never arrives; the heartbeat is what breaks that connection, so keep
 	// its timeout short (stalls in the plans stay well under it).
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, append(opts,
-		tcpnet.WithResume(l, 5*time.Second),
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns, append(opts,
 		tcpnet.WithHeartbeat(100*time.Millisecond, 3*time.Second),
 		tcpnet.WithDrainTimeout(60*time.Second))...)
 	if err != nil {

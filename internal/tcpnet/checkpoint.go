@@ -17,7 +17,7 @@ package tcpnet
 // the crash cut off in flight.
 //
 // Workers survive the crash parked in their redial loop and re-attach
-// through the extended resume handshake (frameCoordResume), which carries
+// through their one resume handshake (frameCoordResume), which carries
 // enough of the worker's session view — receive position, ack floor, and
 // a digest of its assigned node set — for the restored coordinator to
 // prove the replayed log and the worker's state describe the same run.
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"sort"
 	"time"
 
@@ -59,8 +60,7 @@ type ckptWriter struct {
 }
 
 // WithCheckpoint enables write-ahead checkpointing of the coordinator's
-// control plane onto w (typically an append-mode file). Requires
-// WithResume: recovery is worker-initiated re-attachment.
+// control plane onto w (typically an append-mode file).
 func WithCheckpoint(w io.Writer) Option {
 	return func(c *Coordinator) { c.ckpt = &ckptWriter{w: w} }
 }
@@ -120,17 +120,14 @@ func (c *Coordinator) logRecord(rec *wire.CkptRecord) {
 // session state preserved — and route becomes a no-op, so nothing
 // escapes after the trigger record. Drain surfaces ErrCoordKilled at its
 // next fatal check. Workers see a bare connection reset and park in
-// their redial loops (WithWorkerPark) until a restored coordinator
-// rebinds the listener.
+// their redial loops until a restored coordinator rebinds the listener.
 func (c *Coordinator) kill() {
 	c.crashArmed = false
 	c.killed = true
 	if c.fatal == nil {
 		c.fatal = ErrCoordKilled
 	}
-	if c.resumeL != nil {
-		_ = c.resumeL.Close()
-	}
+	_ = c.l.Close()
 	c.shut()
 	for _, w := range c.workers {
 		w.retire()
@@ -163,7 +160,7 @@ func (c *Coordinator) headerRecord() *wire.CkptRecord {
 
 // assignDigest fingerprints one worker's session identity: session id,
 // epoch, and its assigned node ids in ascending order (FNV-1a). Both
-// ends compute it independently during the extended resume handshake; a
+// ends compute it independently during the resume handshake; a
 // mismatch means the replayed log and the worker disagree about who the
 // worker even is, and the re-attach falls through to rung 2.
 func assignDigest(session uint64, epoch uint32, ids []int32) uint64 {
@@ -361,16 +358,19 @@ var ErrStarCheckpoint = errors.New("tcpnet: checkpoint was written by a star-top
 //
 // The returned coordinator has no worker connections: every worker that
 // was live at the crash is parked with its link down and its session
-// positions restored from the log, waiting for the worker's redial on
-// the resume listener (WithResume, mandatory). Workers that pass the
-// re-attach cross-checks continue their sessions in place (rung 1);
+// positions restored from the log, waiting for the worker's redial on l,
+// the listener rebound on the address the workers dial. Workers that pass
+// the re-attach cross-checks continue their sessions in place (rung 1);
 // workers that do not — and workers whose resume window lapses — take
-// the reassignment or death rungs exactly as on a live coordinator.
+// the reassignment or death rungs exactly as on a live coordinator. As
+// with NewCoordinator, the coordinator owns l, and an error return has
+// closed it.
 //
 // Pass WithCheckpoint with an append handle to the same log to keep it
 // growing across the restart; a second crash then replays the whole
 // history again.
-func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...Option) (*Coordinator, error) {
+func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Listener, opts ...Option) (_ *Coordinator, err error) {
+	defer closeOnError(l, &err)
 	if len(snap.Records) == 0 || snap.Records[0].Kind != wire.CkptHeader {
 		return nil, errors.New("tcpnet: snapshot has no header record")
 	}
@@ -381,11 +381,8 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if !h.P2P {
 		return nil, ErrStarCheckpoint
 	}
-	c := newCoordinator(opts)
+	c := newCoordinator(l, opts)
 	c.cfgBlob, c.sessionBase, c.peerAddrs = h.CfgBlob, h.SessionBase, h.PeerAddrs
-	if c.resumeL == nil {
-		return nil, errors.New("tcpnet: RestoreCoordinator requires WithResume — recovery is worker-initiated re-attachment")
-	}
 	nW := 0
 	for i, id := range h.AssignIDs {
 		w := int(h.AssignWorkers[i])
@@ -581,6 +578,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if c.fatal != nil {
 		return nil, c.fatal
 	}
-	go c.acceptLoop(c.resumeL)
+	go c.acceptLoop()
 	return c, nil
 }

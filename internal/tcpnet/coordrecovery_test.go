@@ -3,7 +3,7 @@ package tcpnet_test
 // Coordinator crash recovery, end to end (DESIGN.md §12): the coordinator
 // is killed abruptly at scripted and randomized points of a real
 // distributed join, a fresh coordinator is restored from the write-ahead
-// checkpoint, the parked workers re-attach through the extended resume
+// checkpoint, the parked workers re-attach through their one resume
 // handshake, and the resumed run must produce the exact fault-free result
 // — Matches and Checksum bit-identical to the simulator's — with and
 // without the spill and heavy-hitter paths.
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,43 +43,17 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 		t.Fatal(err)
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen(t)
 	addr := l.Addr().String()
-	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, nWorkers)
-	for i := range conns {
-		wconn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	conns, wg := startWorkerLoops(t, l, nWorkers, func(i int) {
+		// The workers dial l's address, which the restart rebinds.
+		if err := tcpnet.RunWorker(dialer(l, nil), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
+			// Not fatal by itself: a worker that gives up is rung-3
+			// territory, and the result-equality check is the arbiter
+			// of whether recovery stayed exact.
+			t.Logf("worker %d exit: %v", i, err)
 		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			wopts := []tcpnet.WorkerOption{
-				// A generous park schedule: the worker must still be
-				// redialing when the restored coordinator rebinds.
-				tcpnet.WithWorkerResume(dial, 200, 5*time.Millisecond),
-				tcpnet.WithWorkerPark(),
-				tcpnet.WithWorkerP2P("127.0.0.1:0"),
-			}
-			if err := tcpnet.RunWorker(c, joinFactory, wopts...); err != nil {
-				// Not fatal by itself: a worker that gives up is rung-3
-				// territory, and the result-equality check is the arbiter
-				// of whether recovery stayed exact.
-				t.Logf("worker %d exit: %v", i, err)
-			}
-		}(i, wconn)
-	}
+	})
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % nWorkers
@@ -94,7 +67,6 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 		}
 	}
 	opts := []tcpnet.Option{
-		tcpnet.WithResume(l, 5*time.Second),
 		tcpnet.WithCheckpoint(&wal),
 		tcpnet.WithFailureHandler(handler),
 		tcpnet.WithDrainTimeout(30 * time.Second),
@@ -103,7 +75,7 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 	if crashRecs > 0 {
 		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
 	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns, opts...)
+	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +112,12 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 			}
 		}
 		ropts := []tcpnet.Option{
-			tcpnet.WithResume(l2, 5*time.Second),
 			tcpnet.WithCheckpoint(&wal),
 			tcpnet.WithFailureHandler(handler2),
 			tcpnet.WithDrainTimeout(30 * time.Second),
 			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
 		}
-		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(), ropts...)
+		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, ropts...)
 		if err != nil {
 			t.Fatalf("restore from checkpoint: %v", err)
 		}

@@ -2,12 +2,15 @@ package tcpnet
 
 // Unit-level crash-recovery tests: redial jitter bounds and spread, chaos
 // against the resume listener's re-attach handshake — stalled, corrupt,
-// and torn hellos must be shed without wedging the coordinator, a digest
-// mismatch must land on rung 2, and a correct extended hello must still
-// resume on rung 1 afterwards — and the replay's header checks.
+// torn, oversize and retired-format hellos must be shed without wedging
+// the coordinator, a digest mismatch must land on rung 2, and a correct
+// hello must still resume on rung 1 afterwards — and the replay's header
+// checks.
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -19,19 +22,13 @@ import (
 )
 
 func TestCoordRecoveryRedialJitter(t *testing.T) {
-	const base = 200 * time.Millisecond
+	const base = redialBackoff
 	rng := rand.New(rand.NewSource(1))
-	if d := redialDelay(0, 0, rng); d != 0 {
-		t.Errorf("redialDelay with base 0 = %v, want 0", d)
-	}
-	if d := redialDelay(3, base, nil); d != 0 {
-		t.Errorf("redialDelay with nil rng = %v, want 0", d)
-	}
 	for i := 0; i < 1000; i++ {
-		if d := redialDelay(0, base, rng); d < 0 || d > base/2 {
+		if d := redialDelay(0, rng); d < 0 || d > base/2 {
 			t.Fatalf("first-attempt delay %v outside [0, %v]", d, base/2)
 		}
-		if d := redialDelay(1+i%5, base, rng); d < base/2 || d > base/2+base {
+		if d := redialDelay(1+i%5, rng); d < base/2 || d > base/2+base {
 			t.Fatalf("retry delay %v outside [%v, %v]", d, base/2, base/2+base)
 		}
 	}
@@ -44,7 +41,7 @@ func TestCoordRecoveryRedialJitter(t *testing.T) {
 	distinct := make(map[time.Duration]bool, fleet)
 	lo, hi := base, time.Duration(0)
 	for seed := int64(0); seed < fleet; seed++ {
-		d := redialDelay(0, base, rand.New(rand.NewSource(seed)))
+		d := redialDelay(0, rand.New(rand.NewSource(seed)))
 		distinct[d] = true
 		if d < lo {
 			lo = d
@@ -78,18 +75,43 @@ func chaosHello(t *testing.T, dial func() (net.Conn, error), payload []byte) net
 	return conn
 }
 
+// closedByPeer asserts the far end closes conn: a read returns EOF, not
+// a frame, within the handshake deadline.
+func closedByPeer(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(2 * resumeHandshakeTimeout))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("%s: read %d byte(s), %v; want the connection closed (EOF)", what, n, err)
+	}
+}
+
+// oversizePrefix writes a length prefix claiming a gigabyte and closes the
+// write side, so the far end's reader meets EOF mid-frame. (Whether it
+// allocated for the claim is what the OversizePrefixBounded tests pin.)
+func oversizePrefix(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, 1<<30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCoordRecoveryHandshakeChaos throws malformed re-attach attempts at
 // the resume listener — a stalled connection that never speaks, pure
-// garbage, and a torn frameCoordResume prefix — then proves the listener
-// still serves: a correct extended hello resumes the session on rung 1,
-// no reassignment, no death.
+// garbage, a torn frameCoordResume prefix, a length prefix claiming a
+// gigabyte, and a CRC-valid hello in the retired digest-less format (kind
+// 7) — then proves the listener still serves: a correct hello resumes the
+// session on rung 1, no reassignment, no death. Every malformed
+// connection that ends is closed by the coordinator.
 func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	l, server, client, dial := resumePair(t)
 	advertisePeer(t, client)
 
 	deaths := make(chan error, 8)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, 10*time.Second),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(10*time.Second),
 		WithDrainTimeout(30*time.Second),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
 			deaths <- cause
@@ -127,8 +149,8 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	_ = client.Close()
 
 	// Chaos at the listener. None of these reach applyResume: the stalled
-	// connection parks against the handshake read deadline, the other two
-	// fail frame decoding and are dropped on the spot.
+	// connection parks against the handshake read deadline, the others
+	// fail frame decoding and are closed on the spot.
 	stalled := chaosHello(t, dial, nil)
 	defer stalled.Close()
 	garbage := chaosHello(t, dial, []byte("this is not a frame and never will be"))
@@ -142,6 +164,27 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	}
 	torn := chaosHello(t, dial, raw[:len(raw)/2])
 	_ = torn.Close() // tear it: half a hello, then FIN
+	oversize := chaosHello(t, dial, nil)
+	defer oversize.Close()
+	oversizePrefix(t, oversize)
+	closedByPeer(t, oversize, "oversize prefix")
+	closedByPeer(t, garbage, "garbage")
+	// The retired hello: (session, epoch, lastSeq, canReplay) under kind 7,
+	// with a valid CRC. It once resumed a session with no digest check.
+	retired := binary.LittleEndian.AppendUint64(wire.OpenEnvelope(nil), 0) // seq
+	retired = binary.LittleEndian.AppendUint64(retired, n)                 // ack
+	retired = append(retired, 7)
+	retired = binary.LittleEndian.AppendUint64(retired, session)
+	retired = binary.LittleEndian.AppendUint32(retired, epoch)
+	retired = binary.LittleEndian.AppendUint64(retired, n) // lastSeq
+	retired = append(retired, 1)                           // canReplay
+	retired, err = wire.SealEnvelope(retired, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := chaosHello(t, dial, retired)
+	defer old.Close()
+	closedByPeer(t, old, "retired frameResume hello")
 
 	// The real re-attach: same bytes, whole frame. Must come back as
 	// frameResumeOK (rung 1) with nothing to retransmit — the hello
@@ -187,7 +230,7 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	}
 }
 
-// TestCoordRecoveryDigestMismatch sends an extended hello whose digest
+// TestCoordRecoveryDigestMismatch sends a resume hello whose digest
 // does not match the coordinator's view of the session. The cross-check
 // must refuse rung 1 and fall through to the rung-2 reassignment: a fresh
 // assignment under a bumped epoch, with the failure handler told to purge
@@ -197,8 +240,8 @@ func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	advertisePeer(t, client)
 
 	deaths := make(chan error, 8)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, 10*time.Second),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(10*time.Second),
 		WithDrainTimeout(30*time.Second),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
 			deaths <- cause
@@ -311,7 +354,7 @@ func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
 		localA: &countActor{n: &delivered},
 		localB: &countActor{n: &delivered},
 	}
-	c, err := RestoreCoordinator(snap, actors, WithResume(l, time.Second))
+	c, err := RestoreCoordinator(snap, actors, l, WithResumeWindow(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +385,14 @@ func TestRestoreRejectsStarCheckpoint(t *testing.T) {
 			AssignIDs: []int32{1}, AssignWorkers: []int32{0}},
 		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
 	}}
-	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, WithResume(l, time.Second))
+	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, l, WithResumeWindow(time.Second))
 	if !errors.Is(err, ErrStarCheckpoint) {
 		t.Fatalf("RestoreCoordinator on a star header = %v, want ErrStarCheckpoint", err)
 	}
 	if delivered != 0 {
 		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
+	}
+	if err := l.Close(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener after a rejected restore: Close = %v, want net.ErrClosed", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,46 +39,39 @@ func joinFactory(blob []byte, id rt.NodeID) (rt.Actor, error) {
 	return core.NewJoinActor(cfg, id)
 }
 
-// startFaultyWorkers launches n workers; the one at killWorker dies after
-// reading killBytes. The doomed worker's error is always expected. With
-// strict set, every other worker must exit cleanly — demand that only
-// when the run is supposed to recover and finish; on an aborting run the
-// coordinator tears the connections down with survivor writes still in
-// flight, so survivor errors are part of the failure path.
-func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict bool) ([]net.Conn, *sync.WaitGroup) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// deadAfterFirst returns a worker dial function for l that connects once,
+// through wrap, and refuses every redial: the process behind it is gone.
+func deadAfterFirst(l net.Listener, wrap func(net.Conn) net.Conn) func() (net.Conn, error) {
+	var dialed atomic.Bool
+	dial := dialer(l, wrap)
+	return func() (net.Conn, error) {
+		if dialed.Swap(true) {
+			return nil, errors.New("injected fault: the worker process is gone")
+		}
+		return dial()
 	}
-	defer l.Close()
+}
 
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, n)
-	for i := 0; i < n; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
+// startFaultyWorkers launches n workers; the one at killWorker dies after
+// reading killBytes and never redials. The doomed worker's error is always
+// expected. With strict set, every other worker must exit cleanly — demand
+// that only when the run is supposed to recover and finish; on an aborting
+// run the coordinator tears the connections down with survivor writes
+// still in flight, so survivor errors are part of the failure path.
+func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict bool) (net.Listener, []net.Conn, *sync.WaitGroup) {
+	t.Helper()
+	l := listen(t)
+	conns, wg := startWorkerLoops(t, l, n, func(i int) {
+		if i == killWorker {
+			kill := func(c net.Conn) net.Conn { return &killConn{Conn: c, remaining: killBytes} }
+			_ = tcpnet.RunWorker(deadAfterFirst(l, kill), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0"))
+			return // dies by design
 		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
+		if err := tcpnet.RunWorker(dialer(l, nil), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil && strict {
+			t.Errorf("surviving worker %d: %v", i, err)
 		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if i == killWorker {
-				_ = tcpnet.RunWorker(&killConn{Conn: c, remaining: killBytes}, joinFactory,
-					tcpnet.WithWorkerP2P("127.0.0.1:0"))
-				return // dies by design
-			}
-			if err := tcpnet.RunWorker(c, joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil && strict {
-				t.Errorf("surviving worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	return conns, &wg
+	})
+	return l, conns, wg
 }
 
 // TestDisconnectMidBuildFails: without a failure handler, a worker dying
@@ -93,12 +87,13 @@ func TestDisconnectMidBuildFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startFaultyWorkers(t, 2, 1, 64<<10, false)
+	l, conns, wg := startFaultyWorkers(t, 2, 1, 64<<10, false)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % 2
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns,
+		tcpnet.WithResumeWindow(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,39 +130,38 @@ func (h *hungConn) Close() error {
 }
 
 // startHungWorker runs a worker loop over a connection it never reads
-// from and returns the coordinator-side conn. The worker is released at
-// test cleanup.
-func startHungWorker(t *testing.T) net.Conn {
+// from, and that it never redials, and returns the coordinator's listener
+// and its end of the connection. The worker is released at test cleanup.
+func startHungWorker(t *testing.T) (net.Listener, net.Conn) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	l := listen(t)
+	hung := make(chan *hungConn, 1)
+	wrap := func(c net.Conn) net.Conn {
+		h := &hungConn{Conn: c, closed: make(chan struct{})}
+		hung <- h
+		return h
 	}
-	defer l.Close()
-	wconn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = tcpnet.RunWorker(deadAfterFirst(l, wrap), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0"))
+	}()
 	cconn, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hung := &hungConn{Conn: wconn, closed: make(chan struct{})}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = tcpnet.RunWorker(hung, joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0"))
-	}()
-	t.Cleanup(func() { hung.Close(); <-done })
-	return cconn
+	h := <-hung
+	t.Cleanup(func() { h.Close(); <-done })
+	return l, cconn
 }
 
 // TestHeartbeatDetectsHungWorker: a worker that stops reading without
 // closing its connection is caught by the ping/pong heartbeat, not the
 // drain timeout.
 func TestHeartbeatDetectsHungWorker(t *testing.T) {
-	cconn := startHungWorker(t)
-	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
+	l, cconn := startHungWorker(t)
+	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, l, []net.Conn{cconn},
+		tcpnet.WithResumeWindow(100*time.Millisecond),
 		tcpnet.WithHeartbeat(20*time.Millisecond, 150*time.Millisecond),
 		tcpnet.WithDrainTimeout(10*time.Second))
 	if err != nil {
@@ -187,8 +181,8 @@ func TestHeartbeatDetectsHungWorker(t *testing.T) {
 // TestDrainTimeoutOption: with heartbeats disabled, the configurable drain
 // timeout still bounds a stuck drain and reports per-worker counters.
 func TestDrainTimeoutOption(t *testing.T) {
-	cconn := startHungWorker(t)
-	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
+	l, cconn := startHungWorker(t)
+	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, l, []net.Conn{cconn},
 		tcpnet.WithHeartbeat(0, 0),
 		tcpnet.WithDrainTimeout(150*time.Millisecond))
 	if err != nil {
@@ -249,7 +243,7 @@ func testWorkerDeathRecovers(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 
-	conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
+	l, conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % workers
@@ -261,8 +255,9 @@ func testWorkerDeathRecovers(t *testing.T, workers int) {
 			coord.Inject(schedID, core.NodeDeadMessage(n))
 		}
 	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns,
+	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns,
 		tcpnet.WithFailureHandler(handler),
+		tcpnet.WithResumeWindow(100*time.Millisecond),
 		tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

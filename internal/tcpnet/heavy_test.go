@@ -111,7 +111,7 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	// Kill a quarter of the way through the doomed worker's initial build
 	// traffic: a fixed offset near the end of it lets detection slip past
 	// the build barrier, where a death degrades instead of recovering.
-	conns, wg := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
+	l, conns, wg := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % 2
@@ -127,8 +127,9 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	// the timeout can be generous: the skewed workload's match explosion
 	// slows the surviving worker enough under -race that a 500ms silence
 	// threshold falsely declares it dead too.
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns,
+	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns,
 		tcpnet.WithFailureHandler(handler),
+		tcpnet.WithResumeWindow(100*time.Millisecond),
 		tcpnet.WithHeartbeat(50*time.Millisecond, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)

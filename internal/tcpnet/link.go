@@ -56,10 +56,20 @@ func (s linkState) String() string {
 }
 
 // handshake is a fresh connection a dial or accept goroutine hands to the
-// event loop. r already holds any bytes read past the handshake frame.
+// event loop. r already holds any bytes read past the handshake frame. A
+// dialer whose schedule ran out posts one with no connection.
 type handshake struct {
 	conn net.Conn
 	r    *wireReader
+}
+
+// readHandshake reads one handshake frame from a fresh connection, under
+// the handshake deadline.
+func readHandshake(conn net.Conn, r *wireReader) (*frame, error) {
+	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
+	f, err := r.ReadFrame()
+	_ = conn.SetReadDeadline(time.Time{})
+	return f, err
 }
 
 // linkEvent is one entry in an event loop's merged inbox: a decoded frame,
@@ -77,6 +87,17 @@ type linkEvent struct {
 	// more: the reader already holds bytes of the next frame, so the batch
 	// this frame belongs to is still arriving.
 	more bool
+}
+
+// drop releases an event nobody will apply: the frame goes back to the
+// pool, and a handshake's connection, if it has one, is closed.
+func (ev linkEvent) drop() {
+	if ev.f != nil {
+		putFrame(ev.f)
+	}
+	if ev.hs != nil && ev.hs.conn != nil {
+		_ = ev.hs.conn.Close()
+	}
 }
 
 // mux is one event loop's merged inbox. pending holds the events deferred
@@ -125,8 +146,7 @@ func (m *mux) post(ev linkEvent, cancel <-chan struct{}) {
 		case <-cancel:
 		}
 	}
-	putFrame(ev.f)
-	_ = ev.hs.conn.Close()
+	ev.drop()
 }
 
 // shut stops every reader and handshake goroutine posting to the loop and
@@ -144,12 +164,7 @@ func (m *mux) shut() {
 		if !ok {
 			return
 		}
-		if ev.f != nil {
-			putFrame(ev.f)
-		}
-		if ev.hs != nil {
-			_ = ev.hs.conn.Close()
-		}
+		ev.drop()
 	}
 }
 
@@ -163,7 +178,7 @@ type link struct {
 	gen   int32         // bumped whenever a connection is installed or retired; older events are stale
 	state linkState
 
-	stop     chan struct{} // cancels a peer link's dialer goroutine, if any
+	stop     chan struct{} // cancels the link's dialer goroutine, if any
 	everLive bool          // live before in this epoch: the next start is a resume (peer links)
 
 	checksumFails int64 // corrupted frames this link's readers rejected

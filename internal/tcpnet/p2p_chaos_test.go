@@ -6,8 +6,6 @@ package tcpnet_test
 // resume — never escalated to the coordinator's worker-recovery ladder.
 
 import (
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -36,41 +34,22 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		t.Fatal(err)
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, 2)
-	for i := 0; i < 2; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
+	l := listen(t)
+	conns, wg := startWorkerLoops(t, l, 2, func(i int) {
 		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
 		if i == 1 {
 			opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 		}
-		wg.Add(1)
-		go func(i int, c net.Conn, opts []tcpnet.WorkerOption) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, joinFactory, opts...); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, wconn, opts)
-	}
+		if err := tcpnet.RunWorker(dialer(l, nil), joinFactory, opts...); err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	})
 
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % 2
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns,
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns,
 		tcpnet.WithDrainTimeout(60*time.Second))
 	if err != nil {
 		t.Fatal(err)

@@ -97,14 +97,14 @@ func TestP2PPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkers(t, 2)
+	l, conns, wg := startWorkers(t, 2)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
 			assignment[id] = i % 2
 		}
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		t.Fatal(err)
 	}

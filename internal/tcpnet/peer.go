@@ -14,7 +14,9 @@ package tcpnet
 // is:
 //
 //   - Worker i dials every peer j < i and accepts connections from every
-//     peer j > i, so each unordered pair shares exactly one link.
+//     peer j > i, so each unordered pair shares exactly one link. The
+//     dialer is the same background loop that redials the coordinator
+//     (dialLoop), paced at peerDialBackoff and never giving up.
 //   - Both ends derive the link's session id independently (pairSession)
 //     from the run's session base, and its epoch from the coordinator-owned
 //     per-worker peer epochs carried in assignments and framePeerEpoch
@@ -56,6 +58,7 @@ type p2pState struct {
 	self   int // this worker's index; -1 until the first assignment
 	n      int
 	l      net.Listener
+	addr   string   // l's advertised address, as sent at bootstrap
 	addrs  []string // peer address book from the assignment
 	owner  map[rt.NodeID]int
 	base   uint64   // session base shared with the coordinator link
@@ -149,7 +152,7 @@ func (w *worker) applyP2PAssign(f *frame) error {
 			continue
 		}
 		if p.links[j] == nil {
-			p.links[j] = &link{idx: j, sess: newSession(0, w.opts.maxFrames, w.opts.maxBytes)}
+			p.links[j] = &link{idx: j, sess: newSession(0, 0, 0)}
 		}
 		w.resetPeerLink(p.links[j])
 	}
@@ -208,14 +211,16 @@ func (w *worker) applyPeerDown(from int) {
 }
 
 // linkBroken retires a failed connection; the session keeps buffering
-// outbound frames for replay. The coordinator link is redialed at the
-// event loop's next blocking point. A peer link whose retransmit window
-// already overflowed cannot be masked, so the worker escalates to a fatal
-// error (the coordinator then runs the ordinary worker recovery ladder);
-// otherwise its dialer end re-establishes it.
-func (w *worker) linkBroken(lk *link) {
+// outbound frames for replay. The coordinator link is redialed at once. A
+// peer link whose retransmit window already overflowed cannot be masked,
+// so the worker escalates to a fatal error (the coordinator then runs the
+// ordinary worker recovery ladder); otherwise its dialer end
+// re-establishes it.
+func (w *worker) linkBroken(lk *link, cause error) {
 	lk.retire()
 	if lk == w.coord {
+		w.lost = cause
+		w.spawnCoordDialer()
 		return
 	}
 	if !lk.sess.resumable() {
@@ -229,88 +234,33 @@ func (w *worker) linkBroken(lk *link) {
 	}
 }
 
-// spawnPeerDialer starts the background goroutine that (re-)establishes
-// the link to a lower-indexed peer. It captures the link's current
-// generation and epoch; an epoch bump retires it via lk.stop and spawns a
-// fresh dialer.
+// spawnPeerDialer starts the dialer that (re-)establishes the link to a
+// lower-indexed peer, under the link's current generation and epoch; an
+// epoch bump retires it via lk.stop and spawns a fresh one. Rejected
+// handshakes are expected during epoch-bump races — the two ends learn
+// the new epoch at different times — and resolve by retrying.
 func (w *worker) spawnPeerDialer(lk *link) {
-	stop := make(chan struct{})
-	lk.stop = stop
-	go w.dialPeer(int16(lk.idx), lk.gen, w.p2p.addrs[lk.idx], lk.sess, lk.sess.epochNow(), stop)
-}
-
-// dialPeer dials a peer's data-plane listener until the handshake
-// succeeds, the link is retired (stop), or the worker shuts down (done).
-// Rejected handshakes are expected during epoch-bump races — the two ends
-// learn the new epoch at different times — and resolve by retrying.
-func (w *worker) dialPeer(idx int16, gen int32, addr string, sess *session, epoch uint32, stop chan struct{}) {
-	backoff := time.NewTimer(0)
-	if !backoff.Stop() {
-		<-backoff.C
-	}
-	defer backoff.Stop()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			backoff.Reset(peerDialBackoff)
-			select {
-			case <-backoff.C:
-			case <-stop:
-				return
-			case <-w.done:
-				return
-			}
-		}
-		select {
-		case <-stop:
-			return
-		case <-w.done:
-			return
-		default:
-		}
+	p := w.p2p
+	addr, wrap := p.addrs[lk.idx], p.wrap
+	dial := func() (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, resumeHandshakeTimeout)
-		if err != nil {
-			continue
+		if err == nil && wrap != nil {
+			conn = wrap(conn)
 		}
-		if w.p2p.wrap != nil {
-			conn = w.p2p.wrap(conn)
-		}
-		r, okf, herr := peerDialHandshake(conn, w.p2p.self, sess, epoch)
-		if herr != nil {
-			_ = conn.Close()
-			continue
-		}
-		w.post(linkEvent{src: idx, gen: gen, f: okf, hs: &handshake{conn: conn, r: r}}, stop)
-		return
+		return conn, err
 	}
+	hello := &frame{Kind: framePeerHello, From: int32(p.self), Session: lk.sess.id,
+		Epoch: lk.sess.epochNow(), LastSeq: lk.sess.seen(), CanReplay: lk.sess.resumable()}
+	w.redial(lk, peerPause, dial, []*frame{hello}, framePeerHelloOK)
 }
 
-// peerDialHandshake runs the dialing side of the peer handshake: send the
-// hello, read the helloOK. The returned reader keeps any bytes buffered
-// past the helloOK; the caller installs the connection and replays the
-// unacked suffix on the main loop, where the session is quiescent.
-func peerDialHandshake(conn net.Conn, self int, sess *session, epoch uint32) (*wireReader, *frame, error) {
-	enc := newWireWriter(conn)
-	hello := &frame{Kind: framePeerHello, From: int32(self), Session: sess.id,
-		Epoch: epoch, LastSeq: sess.seen(), CanReplay: sess.resumable()}
-	if err := enc.WriteFrame(hello); err != nil {
-		return nil, nil, err
+// peerPause paces a peer dialer: the first attempt at once, then one every
+// peerDialBackoff for as long as the link needs one.
+func peerPause(attempt int) (time.Duration, bool) {
+	if attempt == 0 {
+		return 0, true
 	}
-	if err := enc.Flush(); err != nil {
-		return nil, nil, err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
-	r := newWireReader(conn)
-	f, err := r.ReadFrame()
-	if err != nil {
-		return nil, nil, err
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	if f.Kind != framePeerHelloOK {
-		kind := f.Kind
-		putFrame(f)
-		return nil, nil, fmt.Errorf("tcpnet: unexpected peer handshake reply kind %d", kind)
-	}
-	return r, f, nil
+	return peerDialBackoff, true
 }
 
 // peerAcceptLoop hands accepted data-plane connections to handshake
@@ -329,14 +279,12 @@ func (w *worker) peerAcceptLoop(l net.Listener) {
 // inbox; the main loop decides whether to accept. Anything malformed just
 // drops the connection — the dialer retries on its own schedule.
 func (w *worker) peerAcceptHandshake(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
 	r := newWireReader(conn)
-	f, err := r.ReadFrame()
+	f, err := readHandshake(conn, r)
 	if err != nil {
 		_ = conn.Close()
 		return
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	if f.Kind != framePeerHello || f.From < 0 || f.From >= MaxWorkers {
 		putFrame(f)
 		_ = conn.Close()
@@ -352,7 +300,7 @@ func (w *worker) peerAcceptHandshake(conn net.Conn) {
 // encodes into the same session.
 func (w *worker) installPeerConn(ev linkEvent) {
 	p := w.p2p
-	f, conn := ev.f, ev.hs.conn
+	f := ev.f
 	if p.self < 0 && f.Kind == framePeerHello {
 		// The peer's assignment landed before ours. Dropping the connection
 		// would cost its dialer a full peerDialBackoff; hold the hello until
@@ -362,8 +310,7 @@ func (w *worker) installPeerConn(ev linkEvent) {
 	}
 	src := int(ev.src)
 	if p.self < 0 || src < 0 || src >= len(p.links) || src == p.self || p.links[src] == nil {
-		putFrame(f)
-		_ = conn.Close()
+		ev.drop()
 		return
 	}
 	lk := p.links[src]
@@ -371,14 +318,12 @@ func (w *worker) installPeerConn(ev linkEvent) {
 		// Our dialer finished. Stale if the link was retired (epoch bump,
 		// teardown) since the dial started.
 		if ev.gen != lk.gen || lk.state != linkDown {
-			putFrame(f)
-			_ = conn.Close()
+			ev.drop()
 			return
 		}
 		lk.sess.peerAck(f.LastSeq)
 		if !lk.sess.resumable() {
-			putFrame(f)
-			_ = conn.Close()
+			ev.drop()
 			if w.fatal == nil {
 				w.fatal = fmt.Errorf("tcpnet: peer link to worker %d overflowed its retransmit window while disconnected", lk.idx)
 			}
@@ -395,13 +340,11 @@ func (w *worker) installPeerConn(ev linkEvent) {
 		f.Session != lk.sess.id || f.Epoch != lk.sess.epochNow() {
 		// Wrong pair identity or a stale/racing epoch: drop the connection
 		// and let the dialer retry once both ends have converged.
-		putFrame(f)
-		_ = conn.Close()
+		ev.drop()
 		return
 	}
 	if !f.CanReplay || !lk.sess.resumable() {
-		putFrame(f)
-		_ = conn.Close()
+		ev.drop()
 		if w.fatal == nil {
 			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d is not resumable: retransmit window overflowed", lk.idx)
 		}
@@ -425,8 +368,7 @@ func (w *worker) parkEarlyHello(ev linkEvent) {
 	p := w.p2p
 	for i, old := range p.early {
 		if old.src == ev.src {
-			putFrame(old.f)
-			_ = old.hs.conn.Close()
+			old.drop()
 			p.early[i] = ev
 			return
 		}
@@ -459,8 +401,7 @@ func (w *worker) teardown() {
 	w.shut()
 	_ = w.p2p.l.Close()
 	for _, ev := range w.p2p.early {
-		putFrame(ev.f)
-		_ = ev.hs.conn.Close()
+		ev.drop()
 	}
 	w.p2p.early = nil
 	for _, lk := range w.p2p.links {

@@ -16,6 +16,8 @@ package tcpnet
 //     cost the dialer a fixed 100 ms retry delay;
 //  5. a worker answered pings from its actor loop, so one long Receive got
 //     a healthy worker declared dead.
+//  6. a 4-byte length prefix made any listener — the coordinator's, or a
+//     worker's peer listener — allocate up to 1 GiB before reading a byte.
 
 import (
 	"bytes"
@@ -69,9 +71,9 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 	const rounds = 150
 	const delay = 2 * time.Millisecond
 	const driver = rt.NodeID(50)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &slowEcho{to: driver, delay: delay}})
+	workerDone := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &slowEcho{to: driver, delay: delay}})
 	const timeout = 100 * time.Millisecond
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server},
 		WithDrainTimeout(timeout))
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +110,8 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 func TestHeartbeatSurvivesLongReceive(t *testing.T) {
 	server, client := tcpPair(t)
 	const sink = rt.NodeID(50)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &slowEcho{to: sink, delay: time.Second}})
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+	workerDone := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &slowEcho{to: sink, delay: time.Second}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server},
 		WithHeartbeat(20*time.Millisecond, 200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestAckDebtCoordLink(t *testing.T) {
 func TestAckDebtCoordinatorSide(t *testing.T) {
 	server, client := tcpPair(t)
 	advertisePeer(t, client)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,5 +443,43 @@ func TestEarlyPeerHelloWaitsForAssignment(t *testing.T) {
 	}
 	if n := atomic.LoadInt64(&dials); n != 1 {
 		t.Errorf("dialer connected %d times, want 1: the early hello was dropped", n)
+	}
+}
+
+// TestPeerListenerShedsOversizePrefix sends a worker's peer listener a
+// frame prefix claiming a gigabyte, then EOF. The connection is closed,
+// and the worker goes on serving: the next message is delivered with no
+// recovery rung.
+func TestPeerListenerShedsOversizePrefix(t *testing.T) {
+	server, client := tcpPair(t)
+	var got int64
+	done := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	conn, err := net.Dial("tcp", c.peerAddrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	oversizePrefix(t, conn)
+	closedByPeer(t, conn, "oversize prefix on the peer listener")
+
+	c.Inject(1, &testMsg{})
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := atomic.LoadInt64(&got); got != 1 {
+		t.Fatalf("worker delivered %d of 1 message after the hostile connection", got)
+	}
+	if ts := c.TransportStats(); ts.Resumes != 0 || ts.FullReassigns != 0 {
+		t.Errorf("resumes %d, full reassigns %d; want no recovery rung", ts.Resumes, ts.FullReassigns)
+	}
+	c.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("worker exit: %v", err)
 	}
 }

@@ -85,9 +85,9 @@ func TestSessionAcceptSeq(t *testing.T) {
 	}
 }
 
-// resumePair returns a listening coordinator endpoint: the accepted server
-// conn for NewCoordinator, the listener to hand to WithResume, and a dial
-// function for the worker side.
+// resumePair returns a listening coordinator endpoint: the listener and
+// the accepted server conn for NewCoordinator, the worker's end of that
+// connection, and a dial function that redials the listener.
 func resumePair(t *testing.T) (net.Listener, net.Conn, net.Conn, func() (net.Conn, error)) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -114,8 +114,8 @@ func resumePair(t *testing.T) (net.Listener, net.Conn, net.Conn, func() (net.Con
 	if d.err != nil {
 		t.Fatal(d.err)
 	}
-	// The coordinator owns the listener (WithResume) and the conns; no
-	// cleanup here beyond a safety net.
+	// The coordinator owns the listener and the conns; no cleanup here
+	// beyond a safety net.
 	t.Cleanup(func() { l.Close(); server.Close(); d.c.Close() })
 	return l, server, d.c, dial
 }
@@ -142,10 +142,8 @@ func TestResumeAfterTear(t *testing.T) {
 	l, server, client, dial := resumePair(t)
 
 	const sink = rt.NodeID(50)
-	done := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}},
-		WithWorkerResume(dial, 10, 10*time.Millisecond))
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{plan.Wrap(server)},
-		WithResume(l, 5*time.Second),
+	done := runTestWorker(firstConn(client, dial), map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{plan.Wrap(server)},
 		WithDrainTimeout(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +202,8 @@ func TestResumeWindowOverflowFallsBack(t *testing.T) {
 	// drain loop, so it must never block (the scripted worker's final
 	// connection close can raise a second, post-test death).
 	causeCh := make(chan error, 8)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, time.Second),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(time.Second),
 		WithRetransmitWindow(4, 1<<20),
 		WithDrainTimeout(30*time.Second),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
@@ -244,7 +242,8 @@ func TestResumeWindowOverflowFallsBack(t *testing.T) {
 			}
 			defer conn.Close()
 			w := newWireWriter(conn)
-			hello := &frame{Kind: frameResume, Session: session, LastSeq: uint64(n), CanReplay: true}
+			hello := &frame{Kind: frameCoordResume, Session: session, LastSeq: uint64(n), CanReplay: true,
+				Digest: assignDigest(session, 0, []int32{1})}
 			if err := w.WriteFrame(hello); err != nil {
 				return err
 			}
@@ -297,8 +296,8 @@ func TestResumeWindowExpiry(t *testing.T) {
 	advertisePeer(t, client)
 
 	causeCh := make(chan error, 1)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, 300*time.Millisecond),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(300*time.Millisecond),
 		WithDrainTimeout(30*time.Second),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
 			causeCh <- cause

@@ -186,8 +186,8 @@ func TestSessionSlabsLeaveOnlyThroughAcks(t *testing.T) {
 func TestWriterReleasesEncodedMessages(t *testing.T) {
 	server, client := tcpPair(t)
 	var got int64
-	done := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
+	done := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
 	}

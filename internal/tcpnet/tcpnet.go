@@ -28,21 +28,26 @@
 // local queue empty, implies global quiescence.
 //
 // Worker failures (closed or corrupted connections, hung processes caught
-// by the heartbeat) never panic the coordinator. Recovery is a three-rung
-// ladder, cheapest first (see session.go):
+// by the heartbeat) never panic the coordinator. There is one way back
+// onto a broken connection: the coordinator owns the listener its workers
+// dialed, and a worker owns the dial function that reached it. A worker
+// that loses its coordinator keeps its state and redials on a background
+// goroutine — its event loop goes on serving the peer links — with one
+// hello, frameCoordResume. Recovery is a three-rung ladder, cheapest first
+// (see session.go):
 //
-//  1. Ack-based resume (WithResume): the worker redials, the two sides
-//     exchange (session, epoch, lastSeqSeen), and only unacked frames are
+//  1. Ack-based resume: the worker redials, the two sides exchange
+//     (session, epoch, lastSeqSeen, digest), and only unacked frames are
 //     retransmitted. Actor state survived; nothing is recomputed.
 //  2. Full reassignment: when the retransmit window overflowed or the
 //     session epoch changed, the redialed worker is reassigned from
 //     scratch under a new epoch and the failure handler fires so the join
 //     layer purges the lost footprint and re-streams it deterministically.
-//  3. Death: no reconnection inside the resume window. The worker is
-//     tombstoned and the failure handler (WithFailureHandler) lets the
-//     scheduler recover — exactly in the build phase, degrading to
-//     replica-loss accounting in the probe phase — or, without a handler,
-//     Drain surfaces a descriptive error.
+//  3. Death: no reconnection inside the resume window (WithResumeWindow).
+//     The worker is tombstoned and the failure handler
+//     (WithFailureHandler) lets the scheduler recover — exactly in the
+//     build phase, degrading to replica-loss accounting in the probe phase
+//     — or, without a handler, Drain surfaces a descriptive error.
 package tcpnet
 
 import (
@@ -66,7 +71,7 @@ const (
 	frameShutdown
 	framePing
 	framePong
-	frameResume      // worker → coordinator: redial handshake hello
+	_                // retired: the digest-less redial hello; the kind stays reserved
 	frameResumeOK    // coordinator → worker: resume accepted
 	frameAck         // bare cumulative ack, sent when idle traffic can't carry one
 	framePeerAddr    // worker → coordinator: data-plane listener address (bootstrap)
@@ -74,12 +79,11 @@ const (
 	framePeerHelloOK // worker → worker: peer-link handshake accepted
 	framePeerEpoch   // coordinator → worker: a peer was reassigned; reset its link under the new epoch
 	framePeerDown    // coordinator → worker: a peer is dead; drop its link and its traffic
-	// frameCoordResume is the extended redial hello a worker sends in place
-	// of frameResume: on top of (session, epoch, lastSeqSeen, canReplay) it
-	// carries the worker's outbound ack floor and a digest of its assigned
-	// node set, so a coordinator restored from a write-ahead checkpoint can
-	// prove the worker's session state matches the replayed log before
-	// accepting a rung-1 re-attach.
+	// frameCoordResume is the worker's one redial hello: (session, epoch,
+	// lastSeqSeen, canReplay), the worker's outbound ack floor, and a digest
+	// of its assigned node set, so a coordinator — live, or restored from a
+	// write-ahead checkpoint — can prove the worker's session state matches
+	// its own before accepting a rung-1 re-attach.
 	frameCoordResume
 )
 
@@ -91,7 +95,7 @@ type frame struct {
 	Seq uint64 // per-session sequence (0 = unsequenced control frame)
 	Ack uint64 // sender's cumulative receive position
 
-	// frameAssign / frameResume
+	// frameAssign / frameCoordResume
 	CfgBlob []byte
 	IDs     []int32
 	Session uint64
@@ -106,14 +110,13 @@ type frame struct {
 	MapIDs     []int32
 	MapWorkers []int32
 
-	// frameResume / frameResumeOK / framePeerHello / framePeerHelloOK /
-	// frameCoordResume
+	// frameCoordResume / frameResumeOK / framePeerHello / framePeerHelloOK
 	LastSeq   uint64
 	CanReplay bool
 
-	// frameCoordResume extension: the highest coordinator seq the worker
-	// has acked (its retransmit-buffer floor) and the digest of its
-	// (session, epoch, assigned node ids).
+	// frameCoordResume: the highest coordinator seq the worker has acked
+	// (its retransmit-buffer floor) and the digest of its (session, epoch,
+	// assigned node ids).
 	AckedSeq uint64
 	Digest   uint64
 
@@ -245,7 +248,7 @@ type Coordinator struct {
 	hbInterval    time.Duration
 	hbTimeout     time.Duration
 	onFailure     FailureHandler
-	resumeL       net.Listener
+	l             net.Listener // the listener workers dialed; redials arrive here
 	resumeWindow  time.Duration
 	retransFrames int
 	retransBytes  int
@@ -303,19 +306,13 @@ func WithFailureHandler(h FailureHandler) Option {
 	return func(c *Coordinator) { c.onFailure = h }
 }
 
-// WithResume accepts worker-initiated session resumes on l: a worker whose
-// connection breaks redials l, and its session continues with only the
-// unacked frames retransmitted — the cheapest recovery rung, with actor
-// state intact. window bounds how long the coordinator waits for the
-// redial (0 = DefaultResumeWindow) before declaring the worker dead. The
-// coordinator owns l and closes it on Close, which is also how clean
-// shutdown is disambiguated on the worker side: a redial refused after EOF
-// means the run is over.
-func WithResume(l net.Listener, window time.Duration) Option {
+// WithResumeWindow bounds how long a disconnected worker may take to
+// redial before the coordinator declares it dead (default
+// DefaultResumeWindow; 0 keeps the default).
+func WithResumeWindow(d time.Duration) Option {
 	return func(c *Coordinator) {
-		c.resumeL = l
-		if window > 0 {
-			c.resumeWindow = window
+		if d > 0 {
+			c.resumeWindow = d
 		}
 	}
 }
@@ -336,21 +333,25 @@ const MaxWorkers = 128
 // run needs at least one worker process to host its join nodes.
 var ErrNoWorkers = errors.New("tcpnet: no worker connections")
 
-// NewCoordinator wires up accepted worker connections. assignment maps
-// node ids to indexes in conns; every unassigned registered node runs
-// locally. cfgBlob is shipped verbatim to each worker (typically
-// core.EncodeConfig output) together with its assigned node ids, the peer
-// address book, and the full node→worker map. It first reads every
-// worker's advertised data-plane listener (framePeerAddr), so each
+// NewCoordinator wires up worker connections accepted from l, the
+// listener the workers dialed. The coordinator owns l from here on: every
+// worker that loses its connection redials it, and Close closes it (an
+// error return has closed it already). assignment maps node ids to
+// indexes in conns; every unassigned
+// registered node runs locally. cfgBlob is shipped verbatim to each worker
+// (typically core.EncodeConfig output) together with its assigned node
+// ids, the peer address book, and the full node→worker map. It first reads
+// every worker's advertised data-plane listener (framePeerAddr), so each
 // assignment carries the complete address book.
-func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Conn, opts ...Option) (*Coordinator, error) {
+func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener, conns []net.Conn, opts ...Option) (_ *Coordinator, err error) {
+	defer closeOnError(l, &err)
 	if len(conns) == 0 {
 		return nil, ErrNoWorkers
 	}
 	if len(conns) > MaxWorkers {
 		return nil, fmt.Errorf("tcpnet: at most %d workers supported, got %d", MaxWorkers, len(conns))
 	}
-	c := newCoordinator(opts)
+	c := newCoordinator(l, opts)
 	c.assignment, c.cfgBlob = assignment, cfgBlob
 	c.perWorker = make([][]int32, len(conns))
 	c.peerEpochs = make([]uint32, len(conns))
@@ -365,9 +366,6 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	// actor construction order, recovery targets) are reproducible.
 	for _, ids := range c.perWorker {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	if c.ckpt != nil && c.resumeL == nil {
-		return nil, errors.New("tcpnet: WithCheckpoint requires WithResume; recovery is worker-initiated re-attachment")
 	}
 	if c.crashArmed && c.ckpt == nil {
 		return nil, errors.New("tcpnet: WithCrashPoint requires WithCheckpoint")
@@ -385,8 +383,7 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 		// Bootstrap: the worker's first frame advertises its data-plane
 		// listener; it must be in hand before any assignment goes out, so
 		// every assignment can carry the complete address book.
-		_ = conn.SetReadDeadline(now.Add(resumeHandshakeTimeout))
-		f, err := readers[i].ReadFrame()
+		f, err := readHandshake(conn, readers[i])
 		if err != nil {
 			return nil, fmt.Errorf("tcpnet: worker %d peer-address hello: %w", i, err)
 		}
@@ -396,7 +393,6 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 			return nil, fmt.Errorf("tcpnet: worker %d sent frame kind %d (addr %q), want its peer address",
 				i, kind, addr)
 		}
-		_ = conn.SetReadDeadline(time.Time{})
 		c.peerAddrs = append(c.peerAddrs, f.Addr)
 		putFrame(f)
 	}
@@ -412,16 +408,23 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	for i, conn := range conns {
 		c.workers[i].start(conn, readers[i], c.assignFrame(i, 0), nil, &c.mux)
 	}
-	if c.resumeL != nil {
-		go c.acceptLoop(c.resumeL)
-	}
+	go c.acceptLoop()
 	return c, nil
+}
+
+// closeOnError closes l when *err is set: a constructor that fails hands
+// back no coordinator to own the listener it was given.
+func closeOnError(l net.Listener, err *error) {
+	if *err != nil {
+		l.Close()
+	}
 }
 
 // newCoordinator applies opts over the defaults NewCoordinator and
 // RestoreCoordinator share.
-func newCoordinator(opts []Option) *Coordinator {
+func newCoordinator(l net.Listener, opts []Option) *Coordinator {
 	c := &Coordinator{
+		l:            l,
 		assignment:   make(map[rt.NodeID]int),
 		local:        make(map[rt.NodeID]rt.Actor),
 		bySession:    make(map[uint64]int),
@@ -488,9 +491,9 @@ func (c *Coordinator) assignFrame(i int, epoch uint32) *frame {
 
 // acceptLoop turns redialed connections into resume requests for the
 // drain loop. It exits when the listener closes (Coordinator.Close).
-func (c *Coordinator) acceptLoop(l net.Listener) {
+func (c *Coordinator) acceptLoop() {
 	for {
-		conn, err := l.Accept()
+		conn, err := c.l.Accept()
 		if err != nil {
 			return
 		}
@@ -502,9 +505,8 @@ func (c *Coordinator) acceptLoop(l net.Listener) {
 // inbox. Anything malformed, late, or unroutable just drops the
 // connection — the worker retries or gives up on its own schedule.
 func (c *Coordinator) resumeHandshake(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
 	r := newWireReader(conn)
-	f, err := r.ReadFrame()
+	f, err := readHandshake(conn, r)
 	if err != nil {
 		_ = conn.Close()
 		return
@@ -516,13 +518,12 @@ func (c *Coordinator) resumeHandshake(conn net.Conn) {
 	if f.Kind == framePeerAddr {
 		peerAddr = f.Addr
 		putFrame(f)
-		if f, err = r.ReadFrame(); err != nil {
+		if f, err = readHandshake(conn, r); err != nil {
 			_ = conn.Close()
 			return
 		}
 	}
-	_ = conn.SetReadDeadline(time.Time{})
-	if f.Kind != frameResume && f.Kind != frameCoordResume {
+	if f.Kind != frameCoordResume {
 		putFrame(f)
 		_ = conn.Close()
 		return
@@ -611,7 +612,7 @@ func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 
 // sendTo delivers a reliable frame to worker j, taking ownership of it: on
 // the live outbox, or — while the worker is expected back with its session
-// intact (resume on, window not overflowed) — sequenced straight into the
+// intact (window not overflowed) — sequenced straight into the
 // retransmit buffer, to be replayed on resume in order with everything
 // before it. A worker whose full outbox accepts nothing for the whole stall
 // timeout is failed, and the frame takes the same path. Frames to dead or
@@ -626,7 +627,7 @@ func (c *Coordinator) sendTo(j int, f *frame) bool {
 		}
 		c.failWorker(j, fmt.Errorf("outbox full for %v: worker stopped draining its connection", c.stallTimeout()))
 	}
-	if w.state == linkDown && c.resumeL != nil && w.sess.resumable() {
+	if w.state == linkDown && w.sess.resumable() {
 		if err := w.buffer(f); err != nil {
 			if c.fatal == nil {
 				c.fatal = err
@@ -650,10 +651,10 @@ func (c *Coordinator) stallTimeout() time.Duration {
 
 // failWorker handles a broken worker connection: retire the connection
 // (waiting for the writer goroutine so every queued reliable frame lands
-// in the retransmit buffer, in order), then either wait for a
-// worker-initiated resume (WithResume) or tombstone the worker and hand
-// the death to the failure handler (or record it as fatal for Drain to
-// surface).
+// in the retransmit buffer, in order) and wait for the worker, which holds
+// its state, to redial. Whether the session resumes, falls through to a
+// full reassignment, or — once the resume window lapses — ends in the
+// worker's death is decided by what arrives, or does not, on the listener.
 func (c *Coordinator) failWorker(i int, cause error) {
 	w := c.workers[i]
 	if w.state != linkLive || c.closed {
@@ -661,14 +662,7 @@ func (c *Coordinator) failWorker(i int, cause error) {
 	}
 	w.retire()
 	w.failCause = cause
-	if c.resumeL != nil {
-		// Rung 1 pending: the worker holds its state and redials us.
-		// Whether the session actually resumes — or falls through to a
-		// full reassignment — is decided when its hello arrives.
-		w.resumeDeadline = time.Now().Add(c.resumeWindow)
-		return
-	}
-	c.markDead(i, cause)
+	w.resumeDeadline = time.Now().Add(c.resumeWindow)
 }
 
 // scrubQueuedSeqs zeroes the source sequence number of every queued local
@@ -733,16 +727,14 @@ func (c *Coordinator) bumpPeerEpoch(i int) {
 
 // applyResume decides a redialing worker's fate: resume the session from
 // the retransmit buffers (rung 1), or reassign it from scratch under a new
-// epoch (rung 2). ev carries the worker's hello: a frameCoordResume (or a
-// legacy frameResume, which has no digest), with Addr holding the listener
-// a blank worker re-advertised ahead of it.
+// epoch (rung 2). ev carries the worker's frameCoordResume hello, with
+// Addr holding the listener a blank worker re-advertised ahead of it.
 func (c *Coordinator) applyResume(ev linkEvent) {
 	req, conn := ev.f, ev.hs.conn
 	defer putFrame(req)
-	hasDigest := req.Kind == frameCoordResume
 	i, ok := c.bySession[req.Session]
 	blank := false
-	if !ok && !c.closed && hasDigest && req.Session == 0 && req.Epoch == 0 &&
+	if !ok && !c.closed && req.Session == 0 && req.Epoch == 0 &&
 		req.LastSeq == 0 && req.AckedSeq == 0 && req.Digest == assignDigest(0, 0, nil) {
 		// A parked worker orphaned before its first assignment ever
 		// reached it. It has no session identity to present, but it is a
@@ -795,18 +787,10 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 	//   - ackedSeq ≤ seen: no worker-side frame was acked and pruned
 	//     beyond our replayed receive position (an ack outran the log);
 	//   - digest match: the worker's (session, epoch, node set) is the
-	//     one the replayed log assigns it. A legacy frameResume carries
-	//     no digest and is never trusted by a restored coordinator.
+	//     one the replayed log assigns it.
 	ok = blank || (req.Epoch == sess.epochNow() && req.CanReplay && sess.resumable() &&
 		req.LastSeq >= sess.ackedNow() && req.LastSeq <= uint64(sess.framesSent()) &&
-		req.AckedSeq <= sess.seen())
-	if ok && !blank {
-		if hasDigest {
-			ok = req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i])
-		} else {
-			ok = !w.restored
-		}
-	}
+		req.AckedSeq <= sess.seen() && req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i]))
 	if ok {
 		// Rung 1: both retransmit buffers survived intact. Trim ours to
 		// the worker's receive position and replay only the rest; tell
@@ -1258,21 +1242,21 @@ func (c *Coordinator) TransportStats() rt.TransportStats {
 	return ts
 }
 
-// Close shuts every live worker down, waits for each writer goroutine to
-// flush, and closes the connections. Closing the resume listener first is
-// what lets workers distinguish shutdown from failure: a redial refused
-// after EOF means the run is over. (A coordinator downed by its crash
-// point has nothing left to close: kill already severed every connection
-// with no shutdown frame, and marked the workers dead.) Every reader and
-// resume handshake is released too, so no goroutine outlives Close.
+// Close closes the listener, then shuts every live worker down with a
+// frameShutdown behind everything already queued, waits for each writer
+// goroutine to flush, and closes the connections. A worker that misses
+// the shutdown frame reads a bare EOF and works through its redial
+// schedule against the closed listener before it, too, exits cleanly. (A
+// coordinator downed by its crash point has nothing left to close: kill
+// already severed every connection with no shutdown frame, and marked the
+// workers dead.) Every reader and resume handshake is released too, so no
+// goroutine outlives Close.
 func (c *Coordinator) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.resumeL != nil {
-		_ = c.resumeL.Close()
-	}
+	_ = c.l.Close()
 	c.shut()
 	for _, w := range c.workers {
 		w.shutdown(frameShutdown)

@@ -13,42 +13,68 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// startWorkers launches n worker loops over real localhost TCP connections
-// and returns the coordinator-side conns.
-func startWorkers(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
-	return startWorkersWith(t, n, joinFactory)
-}
-
-// startWorkersWith is startWorkers with a caller-chosen actor factory.
-func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) ([]net.Conn, *sync.WaitGroup) {
+// listen opens the coordinator's listener on a loopback port. The
+// coordinator takes it over and closes it; the cleanup is a safety net.
+func listen(t testing.TB) net.Listener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
+	return l
+}
 
+// dialer returns a worker dial function for l's address that interposes
+// wrap, if any, on every connection.
+func dialer(l net.Listener, wrap func(net.Conn) net.Conn) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err == nil && wrap != nil {
+			c = wrap(c)
+		}
+		return c, err
+	}
+}
+
+// startWorkerLoops runs run(i), a RunWorker that dials l, on a goroutine
+// per worker, one worker at a time: worker i's connection is accepted
+// before worker i+1 starts, so conns[i] is worker i's coordinator end.
+func startWorkerLoops(t testing.TB, l net.Listener, n int, run func(i int)) ([]net.Conn, *sync.WaitGroup) {
+	t.Helper()
 	var wg sync.WaitGroup
 	conns := make([]net.Conn, n)
-	for i := 0; i < n; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
+	for i := range conns {
 		wg.Add(1)
-		go func(i int, c net.Conn) {
+		go func(i int) {
 			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, wconn)
+			run(i)
+		}(i)
+		c, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
 	}
 	return conns, &wg
+}
+
+// startWorkers launches n worker loops over real localhost TCP connections
+// and returns the coordinator's listener and its side of each connection.
+func startWorkers(t testing.TB, n int) (net.Listener, []net.Conn, *sync.WaitGroup) {
+	return startWorkersWith(t, n, joinFactory)
+}
+
+// startWorkersWith is startWorkers with a caller-chosen actor factory.
+func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) (net.Listener, []net.Conn, *sync.WaitGroup) {
+	t.Helper()
+	l := listen(t)
+	conns, wg := startWorkerLoops(t, l, n, func(i int) {
+		if err := tcpnet.RunWorker(dialer(l, nil), factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	})
+	return l, conns, wg
 }
 
 // assertNoRelay pins the data plane's reason to exist: no worker→worker
@@ -74,12 +100,12 @@ func runDistJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkers(t, workers)
+	l, conns, wg := startWorkers(t, workers)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % workers
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +236,14 @@ func TestPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkers(t, 1)
+	l, conns, wg := startWorkers(t, 1)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
 			assignment[id] = 0
 		}
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,18 +263,23 @@ func TestPartialAssignment(t *testing.T) {
 
 func TestBadAssignmentRejected(t *testing.T) {
 	conns := make([]net.Conn, 1) // never touched: the assignment is checked first
-	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{5: 2}, conns); err == nil {
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{5: 2}, listen(t), conns); err == nil {
 		t.Error("out-of-range worker index accepted")
 	}
 }
 
 // TestWorkerCountRejected pins the bounds NewCoordinator enforces before it
-// touches a connection: at least one worker, at most MaxWorkers.
+// touches a connection: at least one worker, at most MaxWorkers. A
+// rejected call has closed the listener it was handed.
 func TestWorkerCountRejected(t *testing.T) {
-	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, nil); !errors.Is(err, tcpnet.ErrNoWorkers) {
+	l := listen(t)
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, l, nil); !errors.Is(err, tcpnet.ErrNoWorkers) {
 		t.Errorf("zero workers: got %v, want ErrNoWorkers", err)
 	}
-	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, make([]net.Conn, tcpnet.MaxWorkers+1)); err == nil {
+	if err := l.Close(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener after a rejected NewCoordinator: Close = %v, want net.ErrClosed", err)
+	}
+	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, listen(t), make([]net.Conn, tcpnet.MaxWorkers+1)); err == nil {
 		t.Errorf("%d workers accepted, want at most %d", tcpnet.MaxWorkers+1, tcpnet.MaxWorkers)
 	}
 }
@@ -289,7 +320,7 @@ func runMultiWayPipeline(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkersWith(t, workers, func(b []byte, id rt.NodeID) (rt.Actor, error) {
+	l, conns, wg := startWorkersWith(t, workers, func(b []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(b)
 		if err != nil {
 			return nil, err
@@ -300,7 +331,7 @@ func runMultiWayPipeline(t *testing.T, workers int) {
 	for i, id := range ids {
 		assignment[id] = i % workers
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,19 +84,51 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return server, d.c
 }
 
-// runTestWorker serves a worker over conn with the given actors, reporting
-// RunWorker's result on the returned channel. Start it before
-// NewCoordinator, which waits for the worker's bootstrap frame.
-func runTestWorker(conn net.Conn, actors map[rt.NodeID]rt.Actor, opts ...WorkerOption) <-chan error {
+// testListener opens a loopback listener for a coordinator to own; the
+// cleanup is a safety net.
+func testListener(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// firstConn returns a worker dial function that hands out conn for the
+// first connection and dials every redial with next; a nil next refuses
+// them all, as a dead process would.
+func firstConn(conn net.Conn, next func() (net.Conn, error)) func() (net.Conn, error) {
+	var used atomic.Bool
+	return func() (net.Conn, error) {
+		if !used.Swap(true) {
+			return conn, nil
+		}
+		if next == nil {
+			return nil, errors.New("redial refused")
+		}
+		return next()
+	}
+}
+
+// runTestWorker serves a worker with the given actors, connecting with
+// dial, and reports RunWorker's result on the returned channel. Start it
+// before NewCoordinator, which waits for the worker's bootstrap frame.
+func runTestWorker(dial func() (net.Conn, error), actors map[rt.NodeID]rt.Actor, opts ...WorkerOption) <-chan error {
 	done := make(chan error, 1)
 	opts = append([]WorkerOption{WithWorkerP2P("127.0.0.1:0")}, opts...)
 	go func() {
-		done <- RunWorker(conn, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
+		done <- RunWorker(dial, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
 			return actors[id], nil
 		}, opts...)
 	}()
 	return done
 }
+
+// newWireWriter is a frame writer for hand-built streams: a session writer
+// over a fresh session, so reliable frames carry sequence numbers from 1.
+func newWireWriter(w io.Writer) *wireWriter { return newSessionWriter(w, newSession(0, 0, 0)) }
 
 // advertisePeer writes the bootstrap frame a worker opens its coordinator
 // link with, so a scripted worker end gets past NewCoordinator's
@@ -121,7 +153,6 @@ func TestFrameRoundTrip(t *testing.T) {
 			WFrames: 11, WResumes: 2, WRetrans: 5, WChecksum: 1, WDups: 3},
 		{Kind: framePing},
 		{Kind: framePong},
-		{Kind: frameResume, Session: 0xABCD0001, Epoch: 2, LastSeq: 77, CanReplay: true},
 		{Kind: frameCoordResume, Session: 0xABCD0001, Epoch: 2, LastSeq: 77,
 			AckedSeq: 70, Digest: 0x0123456789ABCDEF, CanReplay: true},
 		{Kind: frameResumeOK, LastSeq: 1234},
@@ -306,7 +337,7 @@ func TestAssignmentIDsSorted(t *testing.T) {
 			}
 		}()
 		assignment := map[rt.NodeID]int{5: 0, 1: 0, 4: 0, 2: 0, 3: 0, 11: 1, 10: 1}
-		c, err := NewCoordinator(nil, assignment, []net.Conn{server, dummyConn(t)})
+		c, err := NewCoordinator(nil, assignment, testListener(t), []net.Conn{server, dummyConn(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +373,7 @@ func dummyConn(t *testing.T) net.Conn {
 // skips tombstoned workers: resurrecting lastHeard on a dead worker made
 // monitoring state lie about when the worker was last seen.
 func TestDeadWorkerHeartbeatNotReset(t *testing.T) {
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1},
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1}, testListener(t),
 		[]net.Conn{dummyConn(t), dummyConn(t)},
 		WithHeartbeat(time.Hour, time.Hour))
 	if err != nil {
@@ -421,9 +452,9 @@ func TestReportCoalescing(t *testing.T) {
 	server, client := tcpPair(t)
 	rec := &recordingConn{Conn: client, gate: make(chan struct{})}
 	var got int64
-	workerDone := runTestWorker(rec, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+	workerDone := runTestWorker(firstConn(rec, nil), map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
 
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,9 +498,9 @@ func TestReportCoalescing(t *testing.T) {
 func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	server, client := tcpPair(t)
 	const sink = rt.NodeID(50)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
+	workerDone := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server},
 		WithInboxFrames(2),
 		WithDrainTimeout(30*time.Second))
 	if err != nil {
@@ -534,14 +565,13 @@ func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
 	var got int64
 	const sink = rt.NodeID(50)
 	const n = 50
-	doomedDone := runTestWorker(doomedClient, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}},
-		WithWorkerResume(redial, 1, time.Millisecond))
-	healthyDone := runTestWorker(healthyClient, map[rt.NodeID]rt.Actor{2: &echoActor{to: sink}})
+	doomedDone := runTestWorker(firstConn(doomedClient, redial), map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
+	healthyDone := runTestWorker(firstConn(healthyClient, nil), map[rt.NodeID]rt.Actor{2: &echoActor{to: sink}})
 
 	deaths := make(chan error, 2)
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1},
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1}, l,
 		[]net.Conn{doomedServer, healthyServer},
-		WithResume(l, 30*time.Second),
+		WithResumeWindow(30*time.Second),
 		WithDrainTimeout(30*time.Second),
 		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
 			deaths <- cause
@@ -598,6 +628,162 @@ func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
 	}
 }
 
+// TestCoordRedialDoesNotStallPeerLinks is the worker-side mirror of the
+// test above: while a worker's coordinator redial is held for over a
+// second, its event loop must keep applying frames from its peer links.
+// Worker 0 hosts a counter, worker 1 an echo toward it, so every message
+// injected at worker 1 reaches worker 0 over their peer link only. Worker
+// 0's redial blocks until released; the echoes must all land before that,
+// and the worker then resumes on rung 1.
+func TestCoordRedialDoesNotStallPeerLinks(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func() (net.Conn, net.Conn) {
+		client, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { server.Close(); client.Close() })
+		return server, client
+	}
+	parkedServer, parkedClient := pair()
+	echoServer, echoClient := pair()
+
+	redialing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	redial := func() (net.Conn, error) {
+		once.Do(func() { close(redialing) })
+		<-release
+		return net.Dial("tcp", l.Addr().String())
+	}
+	var got int64
+	const counter = rt.NodeID(1)
+	const n = 50
+	parkedDone := runTestWorker(firstConn(parkedClient, redial), map[rt.NodeID]rt.Actor{counter: &countActor{n: &got}})
+	echoDone := runTestWorker(firstConn(echoClient, nil), map[rt.NodeID]rt.Actor{2: &echoActor{to: counter}})
+
+	deaths := make(chan error, 2)
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{counter: 0, 2: 1}, l,
+		[]net.Conn{parkedServer, echoServer},
+		WithResumeWindow(30*time.Second),
+		WithDrainTimeout(30*time.Second),
+		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
+			deaths <- cause
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// One echo first, so the peer link is up before the coordinator link
+	// breaks.
+	c.Inject(2, &testMsg{Seq: -1})
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	parkedClient.Close()
+	select {
+	case <-redialing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 0 never redialed its coordinator")
+	}
+	held := time.Now()
+	for i := 0; i < n; i++ {
+		c.Inject(2, &testMsg{Seq: i})
+	}
+	for atomic.LoadInt64(&got) < 1+n {
+		if time.Since(held) > 5*time.Second {
+			close(release)
+			t.Fatalf("worker 0 applied %d of %d peer frames while its coordinator redial was held",
+				atomic.LoadInt64(&got)-1, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(time.Second - time.Since(held))
+	close(release)
+
+	if err := c.Drain(); err != nil {
+		t.Fatalf("Drain across the held redial: %v", err)
+	}
+	if stats := c.TransportStats(); stats.Resumes != 1 || stats.FullReassigns != 0 {
+		t.Errorf("resumes %d, full reassigns %d; want 1 and 0", stats.Resumes, stats.FullReassigns)
+	}
+	select {
+	case cause := <-deaths:
+		t.Errorf("failure handler ran (%v): worker 0 should have resumed", cause)
+	default:
+	}
+	c.Close()
+	for name, done := range map[string]<-chan error{"parked": parkedDone, "echo": echoDone} {
+		if err := <-done; err != nil {
+			t.Errorf("%s worker exit: %v", name, err)
+		}
+	}
+}
+
+// TestWorkerExitLatency pins how fast RunWorker returns now that parking
+// is the only behaviour: at once after frameShutdown, and — after a bare
+// EOF with no listener behind it — only once the whole redial schedule has
+// been refused, which is at least the sum of its shortest waits and at
+// most the sum of its longest plus a second.
+func TestWorkerExitLatency(t *testing.T) {
+	t.Run("shutdown", func(t *testing.T) {
+		server, client := tcpPair(t)
+		var got int64
+		done := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+		c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		c.Close()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("worker exit: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("worker still running 5 s after frameShutdown")
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("worker returned %v after frameShutdown, want within 100ms", d)
+		}
+	})
+	t.Run("bare-eof", func(t *testing.T) {
+		l := testListener(t)
+		done := runTestWorker(func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }, nil)
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err := newWireReader(server).ReadFrame(); err != nil || f.Kind != framePeerAddr {
+			t.Fatalf("bootstrap frame: %v, %v", f, err)
+		}
+		l.Close()
+		start := time.Now()
+		server.Close()
+		floor := time.Duration(redialAttempts-1) * redialBackoff / 2
+		ceiling := redialBackoff/2 + time.Duration(redialAttempts-1)*(redialBackoff/2+redialBackoff) + time.Second
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("worker exit after a bare EOF: %v, want nil", err)
+			}
+		case <-time.After(ceiling):
+			t.Fatalf("worker still running %v after a bare EOF", ceiling)
+		}
+		if d := time.Since(start); d < floor {
+			t.Errorf("worker returned %v after a bare EOF: it gave up before its redial schedule (at least %v)", d, floor)
+		}
+	})
+}
+
 // TestQuiescenceFIFOOrdering pins the property the quiescence predicate
 // depends on: buffering and coalescing must preserve per-connection FIFO
 // order, and Drain must not return while a flushed-but-unprocessed frame
@@ -608,8 +794,8 @@ func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
 func TestQuiescenceFIFOOrdering(t *testing.T) {
 	server, client := tcpPair(t)
 	const sink = rt.NodeID(50)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
+	workerDone := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 	deaths := make(chan error, 1)
 	// Record 1 is the header, record 2 the injected relay; the CkptDeath
 	// markDead logs when the resume window expires is record 3.
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, 100*time.Millisecond),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(100*time.Millisecond),
 		WithCheckpoint(&wal),
 		WithCrashPoint(-1, 3),
 		WithDrainTimeout(30*time.Second),
@@ -89,8 +89,8 @@ func TestCrashAtEpochRecordKeepsLogAhead(t *testing.T) {
 	deaths := make(chan error, 1)
 	const n = 3
 	// Records 1..4: header + three relays; the rung-2 CkptEpoch is 5.
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithResume(l, 10*time.Second),
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(10*time.Second),
 		WithCheckpoint(&wal),
 		WithCrashPoint(-1, n+2),
 		WithDrainTimeout(30*time.Second),

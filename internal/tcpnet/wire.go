@@ -4,15 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
 	wire "ehjoin/internal/wire"
 )
 
-// Wire format. Every frame is length-prefixed and carries a session
-// envelope:
+// Wire format. Every frame is one wire envelope (internal/wire) whose
+// payload opens with the session envelope:
 //
 //	[4-byte little-endian body length][body]
 //	body = [crc32c(4)][seq(8)][ack(8)][kind(1)][kind-specific fields]
@@ -35,9 +34,6 @@ import (
 // worker's report still follows every message it emitted before it.
 
 const (
-	// maxFrameBytes bounds a single frame body; a corrupt length prefix
-	// fails fast instead of attempting a huge allocation.
-	maxFrameBytes = 1 << 30
 	// writeBufBytes/readBufBytes size the per-connection buffers; large
 	// enough to batch many control frames and a data chunk per syscall.
 	writeBufBytes = 256 << 10
@@ -49,10 +45,6 @@ const (
 	// minBodyLen is the envelope plus the kind byte.
 	minBodyLen = envelopeLen + 1
 )
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on amd64
-// and arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // framePool recycles frame structs between the read loops, the drain
 // loop, and the writer goroutines.
@@ -99,14 +91,12 @@ func frameFields(c *wire.Codec, f *frame) {
 		n := wire.Len(c, len(f.PeerEmitted), 16)
 		wire.Elems(c, &f.PeerEmitted, n, wire.U64)
 		wire.Elems(c, &f.PeerProcessed, n, wire.U64)
-	case frameResume, frameCoordResume:
+	case frameCoordResume:
 		wire.U64(c, &f.Session)
 		wire.U32(c, &f.Epoch)
 		wire.U64(c, &f.LastSeq)
-		if f.Kind == frameCoordResume {
-			wire.U64(c, &f.AckedSeq)
-			wire.U64(c, &f.Digest)
-		}
+		wire.U64(c, &f.AckedSeq)
+		wire.U64(c, &f.Digest)
 		wire.Bool(c, &f.CanReplay)
 	case frameResumeOK, framePeerHelloOK:
 		wire.U64(c, &f.LastSeq)
@@ -134,75 +124,40 @@ func frameFields(c *wire.Codec, f *frame) {
 // sequence number, cumulative ack, kind byte, fields — to dst.
 func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, patched below
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint64(wire.OpenEnvelope(dst), seq)
 	dst = binary.LittleEndian.AppendUint64(dst, ack)
 	dst, err := wire.Encode(dst, f, frameFields)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: encode frame kind %d: %w", f.Kind, err)
 	}
-	body := dst[start+frameHeaderLen:]
-	if len(body) > maxFrameBytes {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(body))
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], crcTable))
-	return dst, nil
+	return wire.SealEnvelope(dst, start)
 }
 
-// wireWriter encodes frames onto a buffered connection. Not safe for
-// concurrent use: each connection direction has exactly one owner.
-//
-// A writer with a session attached keeps accepting reliable frames after
-// the connection has failed: WriteFrame still sequences and buffers them
-// in the session (they will be replayed on resume) and returns nil, with
-// the transport error held in Err for the owner to act on at its next
-// blocking point. A sessionless writer (handshakes, redials) returns
-// transport errors directly.
+// wireWriter encodes frames through a session onto a buffered connection.
+// Not safe for concurrent use: each connection direction has exactly one
+// owner.
 type wireWriter struct {
-	bw      *bufio.Writer
-	sess    *session
-	scratch []byte // reused encode buffer for the sessionless path
-	err     error  // first transport error, sticky
-}
-
-func newWireWriter(w io.Writer) *wireWriter {
-	return &wireWriter{bw: bufio.NewWriterSize(w, writeBufBytes)}
+	bw   *bufio.Writer
+	sess *session
+	err  error // first transport error, sticky
 }
 
 func newSessionWriter(w io.Writer, s *session) *wireWriter {
 	return &wireWriter{bw: bufio.NewWriterSize(w, writeBufBytes), sess: s}
 }
 
-// WriteFrame encodes and buffers one frame. Encoding failures (unknown
-// kind, codec errors) are always returned; transport failures follow the
-// session/sessionless contract above.
+// WriteFrame encodes one frame through the session, which sequences and
+// buffers a reliable one, and buffers it for the connection. Encoding
+// failures (unknown kind, codec errors) are returned; transport failures
+// are not: after one, reliable frames are still sequenced into the
+// session (to be replayed on resume), and the error waits in Err for the
+// owner to act on at its next blocking point.
 func (w *wireWriter) WriteFrame(f *frame) error {
-	var data []byte
-	var err error
-	if w.sess != nil {
-		data, err = w.sess.encode(f)
-	} else {
-		w.scratch, err = appendFrame(w.scratch[:0], f, 0, 0)
-		data = w.scratch
+	data, err := w.sess.encode(f)
+	if err == nil {
+		_ = w.WriteRaw(data)
 	}
-	if err != nil {
-		return err
-	}
-	if w.err != nil {
-		if w.sess != nil {
-			return nil
-		}
-		return w.err
-	}
-	if _, werr := w.bw.Write(data); werr != nil {
-		w.err = werr
-		if w.sess != nil {
-			return nil
-		}
-		return werr
-	}
-	return nil
+	return err
 }
 
 // WriteRaw buffers pre-encoded frame bytes — the retransmission path.
@@ -230,20 +185,15 @@ func (w *wireWriter) Flush() error {
 // Err returns the first transport error this writer hit, if any.
 func (w *wireWriter) Err() error { return w.err }
 
-// wireReader decodes frames from a buffered connection.
-type wireReader struct {
-	br  *bufio.Reader
-	buf []byte // reused body buffer; decoded frames must not alias it
-}
+// wireReader decodes frames from a buffered connection; Buffered reports
+// the received-but-unparsed bytes, which the worker uses to coalesce
+// counter reports: while more input is already buffered it keeps
+// processing, and reports only when about to block.
+type wireReader struct{ *wire.EnvelopeReader }
 
 func newWireReader(r io.Reader) *wireReader {
-	return &wireReader{br: bufio.NewReaderSize(r, readBufBytes)}
+	return &wireReader{wire.NewEnvelopeReader(r, readBufBytes, minBodyLen)}
 }
-
-// Buffered reports how many received-but-unparsed bytes are waiting. The
-// worker uses it to coalesce counter reports: while more input is already
-// buffered it keeps processing, and reports only when about to block.
-func (r *wireReader) Buffered() int { return r.br.Buffered() }
 
 // ReadFrame blocks for the next frame. The frame comes from framePool;
 // hand it back with putFrame once its fields have been consumed.
@@ -253,32 +203,14 @@ func (r *wireReader) Buffered() int { return r.br.Buffered() }
 // CRC — returns an error matching one of the wire package's typed decode
 // errors, so callers can tell corruption from shutdown.
 func (r *wireReader) ReadFrame() (*frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("tcpnet: stream ended mid-header (%v): %w", err, wire.ErrTruncated)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < minBodyLen || n > maxFrameBytes {
-		return nil, fmt.Errorf("tcpnet: frame length %d outside [%d, %d]: %w",
-			n, minBodyLen, maxFrameBytes, wire.ErrBadLength)
-	}
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	body := r.buf[:n]
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		return nil, fmt.Errorf("tcpnet: frame body truncated (%v): %w", err, wire.ErrTruncated)
-	}
-	if want, got := binary.LittleEndian.Uint32(body), crc32.Checksum(body[4:], crcTable); got != want {
-		return nil, fmt.Errorf("tcpnet: frame crc %#x, header says %#x: %w", got, want, wire.ErrChecksum)
+	body, err := r.Next()
+	if err != nil {
+		return nil, err
 	}
 	f := getFrame()
-	f.Seq = binary.LittleEndian.Uint64(body[4:])
-	f.Ack = binary.LittleEndian.Uint64(body[12:])
-	if err := wire.Decode(body[envelopeLen:], f, frameFields); err != nil {
+	f.Seq = binary.LittleEndian.Uint64(body)
+	f.Ack = binary.LittleEndian.Uint64(body[8:])
+	if err := wire.Decode(body[16:], f, frameFields); err != nil {
 		kind := f.Kind
 		putFrame(f)
 		return nil, fmt.Errorf("tcpnet: frame kind %d: %w", kind, err)

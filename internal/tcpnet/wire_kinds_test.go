@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -13,6 +12,9 @@ import (
 
 	wire "ehjoin/internal/wire"
 )
+
+// crcTable is the frame CRC's polynomial, for hand-built frames.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // kindFixtures returns one representative, fully-populated frame per
 // declared frame kind. The test below fails if a kind is added to the enum
@@ -32,8 +34,6 @@ func kindFixtures() map[frameKind]*frame {
 		frameShutdown: {Kind: frameShutdown},
 		framePing:     {Kind: framePing},
 		framePong:     {Kind: framePong},
-		frameResume: {Kind: frameResume, Session: 77, Epoch: 3,
-			LastSeq: 41, CanReplay: true},
 		frameResumeOK: {Kind: frameResumeOK, LastSeq: 41},
 		frameAck:      {Kind: frameAck},
 		framePeerAddr: {Kind: framePeerAddr, Addr: "10.0.0.1:9001"},
@@ -47,13 +47,13 @@ func kindFixtures() map[frameKind]*frame {
 	}
 }
 
-// allFrameKinds enumerates the enum by probing the encoder: kinds are
-// declared contiguously from 1, and the first unknown kind ends the range.
+// allFrameKinds enumerates the enum by probing the encoder with every
+// kind byte; a reserved or undeclared kind fails with ErrUnknownKind.
 func allFrameKinds(t *testing.T) []frameKind {
 	t.Helper()
 	var kinds []frameKind
 	fixtures := kindFixtures()
-	for k := frameKind(1); ; k++ {
+	for k := frameKind(1); k != 0; k++ {
 		f := fixtures[k]
 		if f == nil {
 			f = &frame{Kind: k}
@@ -62,7 +62,7 @@ func allFrameKinds(t *testing.T) []frameKind {
 			if !errors.Is(err, wire.ErrUnknownKind) {
 				t.Fatalf("kind %d: %v", k, err)
 			}
-			break
+			continue
 		}
 		kinds = append(kinds, k)
 	}
@@ -217,12 +217,34 @@ func TestFrameHostileCountBounded(t *testing.T) {
 	}
 }
 
+// TestFrameOversizePrefixBounded: a frame whose 4-byte prefix claims a
+// gigabyte, followed by EOF, must fail with wire.ErrTruncated without
+// allocating for the claim. The reader used to allocate the whole claimed
+// body first, so any client of a listener could cost the process 1 GiB
+// with 4 bytes.
+func TestFrameOversizePrefixBounded(t *testing.T) {
+	r := newWireReader(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, 1<<30)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("1 GiB prefix then EOF: got %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting the prefix allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
 // FuzzReadFrame drives arbitrary bytes through the frame reader: decoding
 // must never panic, and a frame that decodes must re-encode, under its own
 // envelope, to bytes that decode and re-encode to themselves.
 func FuzzReadFrame(f *testing.F) {
 	fixtures := kindFixtures()
-	for k := frameKind(1); int(k) <= len(fixtures); k++ {
+	for k := frameKind(1); k != 0; k++ {
+		if fixtures[k] == nil {
+			continue
+		}
 		data, err := appendFrame(nil, fixtures[k], 3, 2)
 		if err != nil {
 			f.Fatal(err)
@@ -230,9 +252,10 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<30)) // a gigabyte claimed, nothing sent
 	reencode := func(t *testing.T, data []byte) []byte {
 		// A 4 KB reader, not the connection's 256 KB one: one per input.
-		r := &wireReader{br: bufio.NewReader(bytes.NewReader(data))}
+		r := &wireReader{wire.NewEnvelopeReader(bytes.NewReader(data), 4096, minBodyLen)}
 		fr, err := r.ReadFrame()
 		if err != nil {
 			return nil
@@ -245,12 +268,6 @@ func FuzzReadFrame(f *testing.F) {
 		return re
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The envelope may legally claim up to maxFrameBytes, and the reader
-		// allocates the claimed body before reading it; keep the fuzzer on
-		// the frame body and out of gigabyte allocations.
-		if len(data) >= frameHeaderLen && binary.LittleEndian.Uint32(data) > 1<<20 {
-			return
-		}
 		re := reencode(t, data)
 		if re == nil {
 			return

@@ -18,52 +18,24 @@ import (
 // (typically decoded with core.DecodeConfig).
 type ActorFactory func(cfgBlob []byte, id rt.NodeID) (rt.Actor, error)
 
-// Default redial policy for WithWorkerResume.
+// The coordinator link's redial schedule: attempts, spread around the
+// backoff pace by redialDelay's jitter. A worker that loses its
+// coordinator — a broken connection, or a bare EOF without frameShutdown —
+// keeps its state and works through the whole schedule, under 3 s, before
+// it gives up.
 const (
-	DefaultWorkerRedialAttempts = 10
-	DefaultWorkerRedialBackoff  = 200 * time.Millisecond
+	redialAttempts = 10
+	redialBackoff  = 200 * time.Millisecond
 )
 
 // workerOpts collects RunWorker's optional behaviour.
 type workerOpts struct {
-	dial       func() (net.Conn, error)
-	attempts   int
-	backoff    time.Duration
-	park       bool
-	maxFrames  int
-	maxBytes   int
 	peerListen string
 	peerWrap   func(net.Conn) net.Conn
 }
 
 // WorkerOption configures RunWorker.
 type WorkerOption func(*workerOpts)
-
-// WithWorkerResume makes the worker survive connection loss: on any read
-// or write failure it keeps its actor state, redials the coordinator's
-// resume listener with dial (up to attempts tries, backoff apart; zero
-// values take the defaults), and resumes the session with only unacked
-// frames retransmitted. If the coordinator instead answers with a fresh
-// assignment, the worker rebuilds from scratch — the full-reassignment
-// recovery rung. A clean EOF whose redial is refused is still a normal
-// shutdown.
-func WithWorkerResume(dial func() (net.Conn, error), attempts int, backoff time.Duration) WorkerOption {
-	return func(o *workerOpts) {
-		o.dial = dial
-		if attempts > 0 {
-			o.attempts = attempts
-		}
-		if backoff > 0 {
-			o.backoff = backoff
-		}
-	}
-}
-
-// WithWorkerRetransmitWindow bounds the worker-side retransmit buffer
-// (defaults DefaultRetransmitFrames / DefaultRetransmitBytes).
-func WithWorkerRetransmitWindow(frames, bytes int) WorkerOption {
-	return func(o *workerOpts) { o.maxFrames, o.maxBytes = frames, bytes }
-}
 
 // WithWorkerP2P sets the address of the worker's data-plane listener, the
 // one other workers dial for their direct peer links (see peer.go). The
@@ -78,18 +50,6 @@ func WithWorkerP2P(listen string) WorkerOption {
 	}
 }
 
-// WithWorkerPark makes the worker ride out a coordinator crash: a clean
-// EOF (exactly what a killed coordinator's closing TCP stack sends) no
-// longer short-circuits the redial loop on the first refused dial.
-// Instead the worker parks — it keeps its actor state and retransmit
-// buffer and works through the full redial schedule, re-attaching via the
-// extended resume handshake when a restarted coordinator re-binds the
-// listener. Only after every attempt is refused does a clean EOF count as
-// a normal shutdown. Requires WithWorkerResume.
-func WithWorkerPark() WorkerOption {
-	return func(o *workerOpts) { o.park = true }
-}
-
 // WithWorkerPeerChaos interposes wrap on every peer connection this worker
 // dials — the hook the chaos property suite uses to inject faults on
 // worker↔worker links without touching the coordinator link.
@@ -97,11 +57,11 @@ func WithWorkerPeerChaos(wrap func(net.Conn) net.Conn) WorkerOption {
 	return func(o *workerOpts) { o.peerWrap = wrap }
 }
 
-// RunWorker serves one worker process over an established connection to
-// the coordinator: it opens its data-plane listener, advertises it as its
+// RunWorker serves one worker process: it opens its data-plane listener,
+// connects to the coordinator with dial, advertises the listener as its
 // first frame, receives the assignment, constructs its actors, and
-// processes messages until the coordinator shuts it down or the connection
-// closes. It returns nil on clean shutdown.
+// processes messages until the coordinator shuts it down. It returns nil
+// on clean shutdown.
 //
 // One event loop multiplexes the coordinator link and every peer link:
 // each link's reader posts decoded frames into a merged inbox and the loop
@@ -113,11 +73,14 @@ func WithWorkerPeerChaos(wrap func(net.Conn) net.Conn) WorkerOption {
 // batch's emitted messages on the same link, the coordinator's quiescence
 // predicate stays sound.
 //
-// With WithWorkerResume a broken coordinator link is redialed and resumed
-// on the loop; without it, a bare EOF is a clean shutdown and anything
-// else is returned as an error.
-func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error {
-	o := workerOpts{attempts: DefaultWorkerRedialAttempts, backoff: DefaultWorkerRedialBackoff, peerListen: ":0"}
+// A broken coordinator link is redialed with dial on a background
+// goroutine while the loop goes on serving the peer links, and resumed or
+// reassigned when the coordinator answers. If the redial schedule runs out
+// after a bare EOF — a coordinator that closed without frameShutdown and
+// never came back — the run is over and RunWorker returns nil; after any
+// other failure it returns the error.
+func RunWorker(dial func() (net.Conn, error), factory ActorFactory, opts ...WorkerOption) error {
+	o := workerOpts{peerListen: ":0"}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -125,22 +88,26 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 	if err != nil {
 		return fmt.Errorf("tcpnet: worker peer listen %q: %w", o.peerListen, err)
 	}
+	conn, err := dial()
+	if err != nil {
+		_ = l.Close()
+		return fmt.Errorf("tcpnet: worker dial: %w", err)
+	}
 	w := &worker{
 		mux:     newMux(peerInboxFrames),
-		coord:   &link{idx: -1, sess: newSession(0, o.maxFrames, o.maxBytes)},
-		opts:    o,
+		coord:   &link{idx: -1, sess: newSession(0, 0, 0)},
+		dial:    dial,
 		factory: factory,
 		actors:  make(map[rt.NodeID]rt.Actor),
 		start:   time.Now(),
-		rng:     newRedialRNG(),
-		p2p:     &p2pState{self: -1, l: l, wrap: o.peerWrap},
+		p2p:     &p2pState{self: -1, l: l, addr: advertiseAddr(l.Addr(), conn.LocalAddr()), wrap: o.peerWrap},
 	}
 	defer w.teardown()
 	// Bootstrap: the advertised listener address must be the coordinator's
 	// first frame from us, before it sends any assignment — every
 	// assignment carries the complete address book.
 	hello := getFrame()
-	hello.Kind, hello.Addr = framePeerAddr, advertiseAddr(l.Addr(), conn.LocalAddr())
+	hello.Kind, hello.Addr = framePeerAddr, w.p2p.addr
 	w.coord.start(conn, newWireReader(conn), hello, nil, &w.mux)
 	go w.peerAcceptLoop(l)
 
@@ -152,20 +119,13 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 		if !ok {
 			// Blocking point. Once the batch is done, report settled
 			// counters; either way make sure quiet receive directions still
-			// carry acks, and redial a coordinator link a stalled outbox
-			// retired.
+			// carry acks.
 			if !batchOpen {
 				w.report()
 			}
 			w.idleAcks()
 			if w.fatal != nil {
 				return w.fatal
-			}
-			if w.coord.state == linkDown {
-				done, err := w.coordReconnect(fmt.Errorf("tcpnet: coordinator link outbox full for %v", linkStallTimeout))
-				if done || err != nil {
-					return err
-				}
 			}
 			select {
 			case ev = <-w.inbox:
@@ -187,9 +147,10 @@ func RunWorker(conn net.Conn, factory ActorFactory, opts ...WorkerOption) error 
 
 // worker is the in-process state of one worker.
 type worker struct {
-	mux            // every link's reader and every peer handshake post here
-	coord    *link // the coordinator link
-	opts     workerOpts
+	mux                               // every link's reader, handshake and dialer posts here
+	coord    *link                    // the coordinator link
+	dial     func() (net.Conn, error) // connects to the coordinator, first time and every redial
+	lost     error                    // what broke the coordinator link; reported if its redial gives up
 	factory  ActorFactory
 	actors   map[rt.NodeID]rt.Actor
 	queue    []localDelivery
@@ -202,7 +163,6 @@ type worker struct {
 	// cross-check this worker's claimed assignment against its replayed
 	// log before granting a cheap resume.
 	assignedIDs []int32
-	rng         *rand.Rand // redial jitter; per-worker, never the global source
 
 	processed    int64 // cumulative coordinator-delivered frames handled
 	emitted      int64 // cumulative messages sent to the coordinator
@@ -221,27 +181,25 @@ type worker struct {
 // continue.
 func (w *worker) handleEvent(ev linkEvent) (shutdown bool, err error) {
 	if ev.hs != nil {
+		if ev.src < 0 {
+			return w.installCoordConn(ev)
+		}
 		w.installPeerConn(ev)
 		return false, nil
 	}
 	lk := w.coord
 	if src := int(ev.src); src >= 0 {
 		if src >= len(w.p2p.links) || w.p2p.links[src] == nil {
-			if ev.f != nil {
-				putFrame(ev.f)
-			}
+			ev.drop()
 			return false, nil
 		}
 		lk = w.p2p.links[src]
 	}
 	f, err := lk.receive(ev)
 	if err != nil {
-		if lk == w.coord {
-			return w.coordReconnect(err)
-		}
-		// A sequence gap is loss the link failed to mask: drop the
-		// connection and let the resume handshake restore order.
-		w.linkBroken(lk)
+		// A read error, or a sequence gap — loss the link failed to mask:
+		// drop the connection and let the resume handshake restore order.
+		w.linkBroken(lk, err)
 		return false, nil
 	}
 	if f == nil {
@@ -304,7 +262,7 @@ func (w *worker) sendOn(lk *link, f *frame) bool {
 		if lk.send(f, &w.mux, linkStallTimeout) {
 			return true
 		}
-		w.linkBroken(lk)
+		w.linkBroken(lk, fmt.Errorf("tcpnet: outbox full for %v", linkStallTimeout))
 	}
 	if lk.state == linkDead {
 		putFrame(f)
@@ -364,10 +322,10 @@ func (w *worker) applyAssign(f *frame) error {
 	return w.applyP2PAssign(f)
 }
 
-// newRedialRNG seeds a per-worker jitter source. Wall clock alone would
-// hand co-spawned workers (same `for` loop, same millisecond) correlated
-// seeds, so the pid is mixed in; determinism is not wanted here — the
-// whole point is that real workers spread out.
+// newRedialRNG seeds a redial jitter source. Wall clock alone would hand
+// co-spawned workers (same `for` loop, same millisecond) correlated seeds,
+// so the pid is mixed in; determinism is not wanted here — the whole point
+// is that real workers spread out.
 func newRedialRNG() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(os.Getpid())<<32))
 }
@@ -376,129 +334,170 @@ func newRedialRNG() *rand.Rand {
 // same coordinator crash do not stampede the restarted listener in the
 // same instant. The first attempt waits a random fraction of half the
 // backoff (quick, but decorrelated); every later attempt waits backoff/2
-// plus a random backoff — full jitter around the configured pace.
-func redialDelay(attempt int, base time.Duration, rng *rand.Rand) time.Duration {
-	if base <= 0 || rng == nil {
-		return 0
-	}
+// plus a random backoff — full jitter around redialBackoff.
+func redialDelay(attempt int, rng *rand.Rand) time.Duration {
 	if attempt == 0 {
-		return time.Duration(rng.Int63n(int64(base)/2 + 1))
+		return time.Duration(rng.Int63n(int64(redialBackoff)/2 + 1))
 	}
-	return base/2 + time.Duration(rng.Int63n(int64(base)+1))
+	return redialBackoff/2 + time.Duration(rng.Int63n(int64(redialBackoff)+1))
 }
 
-// coordReconnect handles a broken coordinator link on the event loop: the
-// link is retired (everything queued lands in the session's retransmit
-// buffer), then redialed and resumed — or reassigned from scratch. Peer
-// links are untouched by a rung-1 resume; a rung-2 reassignment rebuilds
-// them inside applyAssign. It returns shutdown=true when the break was the
-// coordinator's clean shutdown, and an error when the worker cannot
-// continue.
-func (w *worker) coordReconnect(cause error) (shutdown bool, err error) {
-	w.coord.retire()
-	clean := errors.Is(cause, io.EOF)
-	// An unassigned worker normally has nothing to resume — except in park
-	// mode, where the coordinator may have crashed before the assignment
-	// ever reached us. Such a worker redials with a blank hello (session 0)
-	// and the restored coordinator seats it in a slot the log never heard
-	// from, replaying that slot's whole stream from the retransmit buffer.
-	if w.opts.dial == nil || (!w.assigned && !w.opts.park) {
-		if clean {
-			return true, nil
-		}
-		return false, fmt.Errorf("tcpnet: worker connection: %w", cause)
+// redial (re-)establishes lk on a background goroutine that runs
+// dialLoop; retiring lk cancels it. The arguments are taken on the event
+// loop, so the goroutine touches no link state.
+func (w *worker) redial(lk *link, pause func(attempt int) (time.Duration, bool),
+	dial func() (net.Conn, error), hello []*frame, want ...frameKind) {
+	stop := make(chan struct{})
+	lk.stop = stop
+	go w.dialLoop(int16(lk.idx), lk.gen, stop, pause, dial, hello, want)
+}
+
+// dialLoop is every redial a worker runs, for its coordinator link and its
+// peer links alike: wait as pause says, dial, send the hello, read one
+// reply of a wanted kind, and post the connection to the event loop as a
+// handshake event of link src, generation gen. Retiring the link (stop) or
+// shutting the worker down (done) ends it silently. When pause reports
+// the schedule spent, it posts a handshake event with no connection and
+// the last error instead.
+func (w *worker) dialLoop(src int16, gen int32, stop chan struct{}, pause func(int) (time.Duration, bool),
+	dial func() (net.Conn, error), hello []*frame, want []frameKind) {
+	timer := time.NewTimer(0)
+	if !timer.Stop() {
+		<-timer.C
 	}
-	lastErr := cause
-	for attempt := 0; attempt < w.opts.attempts; attempt++ {
-		if d := redialDelay(attempt, w.opts.backoff, w.rng); d > 0 {
-			time.Sleep(d)
+	defer timer.Stop()
+	var lastErr error
+	for attempt := 0; ; attempt++ {
+		d, ok := pause(attempt)
+		if !ok {
+			w.post(linkEvent{src: src, gen: gen, err: lastErr, hs: &handshake{}}, stop)
+			return
 		}
-		conn, err := w.opts.dial()
-		if err != nil {
-			if clean && !w.opts.park {
-				// EOF and nobody accepting redials: the coordinator
-				// closed its resume listener before the connections —
-				// a normal shutdown, not a fault. In park mode the same
-				// signature means a crashed coordinator whose restart may
-				// still be binding, so keep working the schedule.
-				return true, nil
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+		case <-stop:
+			return
+		case <-w.done:
+			return
+		}
+		conn, err := dial()
+		if err == nil {
+			var r *wireReader
+			var f *frame
+			if r, f, err = dialHandshake(conn, hello, want); err == nil {
+				w.post(linkEvent{src: src, gen: gen, f: f, hs: &handshake{conn: conn, r: r}}, stop)
+				return
 			}
-			lastErr = err
-			continue
-		}
-		if herr := w.handshake(conn); herr != nil {
 			_ = conn.Close()
-			lastErr = herr
-			continue
 		}
+		lastErr = err
+	}
+}
+
+// dialHandshake runs the dialing side of a handshake: write the hello
+// frames, then read one reply, which must be of a wanted kind. The
+// returned reader keeps any bytes buffered past the reply; the event loop
+// installs the connection, where the session is quiescent.
+func dialHandshake(conn net.Conn, hello []*frame, want []frameKind) (*wireReader, *frame, error) {
+	var b []byte
+	var err error
+	for _, f := range hello {
+		if b, err = appendFrame(b, f, 0, 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err = conn.Write(b); err != nil {
+		return nil, nil, err
+	}
+	r := newWireReader(conn)
+	f, err := readHandshake(conn, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !slices.Contains(want, f.Kind) {
+		kind := f.Kind
+		putFrame(f)
+		return nil, nil, fmt.Errorf("tcpnet: unexpected handshake reply kind %d", kind)
+	}
+	return r, f, nil
+}
+
+// spawnCoordDialer redials the coordinator on the jittered schedule with
+// the worker's re-attach hello. The hello is built here, once: while the
+// link is down nothing moves the session identity, the receive position
+// or the assigned node set. If the retransmit buffer overflows meanwhile,
+// installCoordConn hangs up on the resume and dials again with a fresh
+// hello.
+func (w *worker) spawnCoordDialer() {
+	sess := w.coord.sess
+	epoch := sess.epochNow()
+	hello := []*frame{{Kind: frameCoordResume, Session: sess.id, Epoch: epoch,
+		LastSeq: sess.seen(), AckedSeq: sess.ackedNow(), CanReplay: sess.resumable(),
+		Digest: assignDigest(sess.id, epoch, w.assignedIDs)}}
+	if !w.assigned {
+		// A blank worker — orphaned before its first assignment reached it —
+		// has no session identity, so the coordinator can only seat it in
+		// the slot whose address book entry is its data-plane listener:
+		// re-advertise the listener ahead of the hello, as at bootstrap.
+		hello = append([]*frame{{Kind: framePeerAddr, Addr: w.p2p.addr}}, hello...)
+	}
+	rng := newRedialRNG()
+	pause := func(attempt int) (time.Duration, bool) {
+		return redialDelay(attempt, rng), attempt < redialAttempts
+	}
+	w.redial(w.coord, pause, w.dial, hello, frameResumeOK, frameAssign)
+}
+
+// installCoordConn applies the coordinator dialer's outcome on the event
+// loop, the way installPeerConn applies a peer dialer's. frameResumeOK
+// resumes the session, replaying our unacked frames past the coordinator's
+// receive position (rung 1); frameAssign rebuilds the worker from scratch
+// under the new epoch (rung 2). Peer links are untouched by a resume; a
+// reassignment rebuilds them inside applyAssign. A spent schedule ends the
+// worker: cleanly if the link was lost to a bare EOF, with an error
+// otherwise.
+func (w *worker) installCoordConn(ev linkEvent) (shutdown bool, err error) {
+	lk, sess := w.coord, w.coord.sess
+	if ev.gen != lk.gen || lk.state != linkDown {
+		ev.drop()
 		return false, nil
 	}
-	if clean {
-		return true, nil
-	}
-	return false, fmt.Errorf("tcpnet: worker lost coordinator (%v); redial gave up: %v", cause, lastErr)
-}
-
-// handshake runs the worker's half of the resume protocol on a freshly
-// dialed connection: send the hello, then either resume (replaying our
-// unacked frames past the coordinator's receive position) or accept a
-// fresh assignment, and start the coordinator link on the connection.
-func (w *worker) handshake(conn net.Conn) error {
-	sess := w.coord.sess
-	enc := newSessionWriter(conn, sess)
-	// A blank worker (orphaned before its first assignment) has no
-	// session identity, so the coordinator can only seat it in the slot
-	// whose logged address book entry matches its data-plane listener.
-	// Re-advertise it ahead of the hello, mirroring the bootstrap sequence.
-	if !w.assigned {
-		if err := enc.WriteFrame(&frame{Kind: framePeerAddr,
-			Addr: advertiseAddr(w.p2p.l.Addr(), conn.LocalAddr())}); err != nil {
-			return err
+	lk.stop = nil // the dialer exits after posting
+	f, conn := ev.f, ev.hs.conn
+	if conn == nil {
+		if errors.Is(w.lost, io.EOF) {
+			return true, nil
 		}
+		return false, fmt.Errorf("tcpnet: worker lost coordinator (%v); redial gave up: %v", w.lost, ev.err)
 	}
-	epoch := sess.epochNow()
-	hello := &frame{Kind: frameCoordResume, Session: sess.id, Epoch: epoch,
-		LastSeq: sess.seen(), AckedSeq: sess.ackedNow(), CanReplay: sess.resumable(),
-		Digest: assignDigest(sess.id, epoch, w.assignedIDs)}
-	if err := enc.WriteFrame(hello); err != nil {
-		return err
-	}
-	if err := enc.Flush(); err != nil {
-		return err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(resumeHandshakeTimeout))
-	r := newWireReader(conn)
-	f, err := r.ReadFrame()
-	if err != nil {
-		return err
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	sess.peerAck(f.Ack)
 	defer putFrame(f)
-	switch f.Kind {
-	case frameResumeOK:
-		sess.peerAck(f.LastSeq)
-		retrans := sess.unackedSince(f.LastSeq)
-		w.resumes++
-		w.retransmitted += int64(len(retrans))
-		w.coord.start(conn, r, nil, retrans, &w.mux)
-		// Any report in the replay predates the disconnect and carries
-		// stale session stats; follow the replay with a fresh one so the
-		// coordinator sees this resume even if the run quiesces before the
-		// worker's next blocking point.
-		w.report()
-		return nil
-	case frameAssign:
-		// The coordinator rejected the resume: rebuild from scratch
-		// under the new epoch (the full-reassignment rung).
+	sess.peerAck(f.Ack)
+	if f.Kind == frameAssign {
 		if err := w.applyAssign(f); err != nil {
-			return err
+			_ = conn.Close()
+			return false, err
 		}
-		w.coord.start(conn, r, nil, nil, &w.mux)
-		return nil
-	default:
-		return fmt.Errorf("tcpnet: unexpected resume reply kind %d", f.Kind)
+		lk.start(conn, ev.hs.r, nil, nil, &w.mux)
+		return false, nil
 	}
+	sess.peerAck(f.LastSeq)
+	if !sess.resumable() {
+		// The buffer overflowed after the hello promised a replay.
+		_ = conn.Close()
+		w.spawnCoordDialer()
+		return false, nil
+	}
+	retrans := sess.unackedSince(f.LastSeq)
+	w.resumes++
+	w.retransmitted += int64(len(retrans))
+	lk.start(conn, ev.hs.r, nil, retrans, &w.mux)
+	// Any report in the replay predates the disconnect and carries stale
+	// session stats; follow the replay with a fresh one so the coordinator
+	// sees this resume even if the run quiesces before the worker's next
+	// blocking point.
+	w.report()
+	return false, nil
 }
 
 // drainLocal processes the queue to empty (local sends between this
@@ -531,8 +530,8 @@ func (w *worker) report() {
 	p := w.p2p
 	moved := w.processed != w.repProcessed || w.emitted != w.repEmitted || w.resumes != w.repResumes ||
 		p.dropped != p.repDropped || p.resumes != p.repResumes ||
-		!int64sEqual(p.peerEmitted, p.repPeerEmitted) ||
-		!int64sEqual(p.peerProcessed, p.repPeerProcessed)
+		!slices.Equal(p.peerEmitted, p.repPeerEmitted) ||
+		!slices.Equal(p.peerProcessed, p.repPeerProcessed)
 	if !moved {
 		return
 	}
@@ -555,19 +554,6 @@ func (w *worker) report() {
 	p.repDropped, p.repResumes = p.dropped, p.resumes
 	p.repPeerEmitted, p.repPeerProcessed = f.PeerEmitted, f.PeerProcessed
 	w.sendOn(w.coord, f)
-}
-
-// int64sEqual reports whether two counter arrays hold the same values.
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // workerEnv implements runtime.Env for worker-hosted actors.

@@ -1,10 +1,10 @@
 // Checkpoint codec: the coordinator's write-ahead log of control-plane
-// events (DESIGN.md §12). A checkpoint is a flat sequence of records:
+// events (DESIGN.md §12). A checkpoint is a flat sequence of records, one
+// envelope each (envelope.go):
 //
 //	[4-byte little-endian record length][crc32c(4)][kind(1)][payload]
 //
-// The CRC32C (Castagnoli) covers the kind byte and the payload, so a
-// flipped bit in a stored log surfaces as ErrChecksum instead of a
+// so a flipped bit in a stored log surfaces as ErrChecksum instead of a
 // garbage replay. One field-codec function, recordFields, both writes and
 // reads a record body; message payloads are coded by Message, so every
 // protocol message that can cross the TCP wire can also land in the log.
@@ -18,10 +18,7 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	rt "ehjoin/internal/runtime"
@@ -103,16 +100,8 @@ type CkptRecord struct {
 	PeerEpoch uint32
 }
 
-const (
-	ckptHeaderLen = 4
-	// ckptMinBody is crc + kind.
-	ckptMinBody = 4 + 1
-	// maxCkptBytes bounds one record body, so a corrupt length prefix in a
-	// damaged log fails fast instead of attempting a huge allocation.
-	maxCkptBytes = 1 << 30
-)
-
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
+// ckptMinBody is the shortest record envelope: crc + kind.
+const ckptMinBody = 4 + 1
 
 // recordFields is the record body after the CRC: the kind byte and the
 // kind's fields. AppendCheckpointRecord and Next both run it.
@@ -154,29 +143,19 @@ func recordFields(c *Codec, rec *CkptRecord) {
 // AppendCheckpointRecord appends rec's complete encoding to dst.
 func AppendCheckpointRecord(dst []byte, rec *CkptRecord) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, patched below
-	dst, err := Encode(dst, rec, recordFields)
+	dst, err := Encode(OpenEnvelope(dst), rec, recordFields)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode checkpoint record kind %d: %w", rec.Kind, err)
 	}
-	body := dst[start+ckptHeaderLen:]
-	if len(body) > maxCkptBytes {
-		return nil, fmt.Errorf("wire: checkpoint record of %d bytes exceeds limit", len(body))
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], ckptCRC))
-	return dst, nil
+	return SealEnvelope(dst, start)
 }
 
 // CheckpointReader decodes records from a stored checkpoint stream.
-type CheckpointReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
+type CheckpointReader struct{ env *EnvelopeReader }
 
 // NewCheckpointReader wraps r for record-at-a-time decoding.
 func NewCheckpointReader(r io.Reader) *CheckpointReader {
-	return &CheckpointReader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &CheckpointReader{NewEnvelopeReader(r, 1<<16, ckptMinBody)}
 }
 
 // Next decodes the next record. A clean end of stream at a record boundary
@@ -184,30 +163,12 @@ func NewCheckpointReader(r io.Reader) *CheckpointReader {
 // CRC, or an unknown kind return an error wrapping the matching typed
 // decode error, so callers can tell a torn tail from a clean end.
 func (cr *CheckpointReader) Next() (*CkptRecord, error) {
-	var hdr [ckptHeaderLen]byte
-	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: checkpoint ended mid-header (%v): %w", err, ErrTruncated)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < ckptMinBody || n > maxCkptBytes {
-		return nil, fmt.Errorf("wire: checkpoint record length %d outside [%d, %d]: %w",
-			n, ckptMinBody, maxCkptBytes, ErrBadLength)
-	}
-	if cap(cr.buf) < n {
-		cr.buf = make([]byte, n)
-	}
-	body := cr.buf[:n]
-	if _, err := io.ReadFull(cr.br, body); err != nil {
-		return nil, fmt.Errorf("wire: checkpoint record truncated (%v): %w", err, ErrTruncated)
-	}
-	if want, got := binary.LittleEndian.Uint32(body), crc32.Checksum(body[4:], ckptCRC); got != want {
-		return nil, fmt.Errorf("wire: checkpoint record crc %#x, header says %#x: %w", got, want, ErrChecksum)
+	body, err := cr.env.Next()
+	if err != nil {
+		return nil, err
 	}
 	rec := new(CkptRecord)
-	if err := Decode(body[4:], rec, recordFields); err != nil {
+	if err := Decode(body, rec, recordFields); err != nil {
 		return nil, fmt.Errorf("wire: checkpoint record kind %d: %w", rec.Kind, err)
 	}
 	return rec, nil

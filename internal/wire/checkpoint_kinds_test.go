@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -79,7 +80,7 @@ func TestCkptUnknownKindTyped(t *testing.T) {
 	// [4B len][4B crc][1B kind], crc over body[4:].
 	body := make([]byte, ckptMinBody)
 	body[4] = 0xEE
-	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], ckptCRC))
+	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], castagnoli))
 	raw := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
 	raw = append(raw, body...)
 
@@ -89,5 +90,23 @@ func TestCkptUnknownKindTyped(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "238") {
 		t.Errorf("unknown-kind error %q does not name kind 238", err)
+	}
+}
+
+// TestCheckpointOversizePrefixBounded: a record whose 4-byte prefix claims
+// a gigabyte, followed by the end of the log, must fail with ErrTruncated
+// without allocating for the claim. The reader used to allocate the whole
+// claimed body before reading a byte of it.
+func TestCheckpointOversizePrefixBounded(t *testing.T) {
+	cr := NewCheckpointReader(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, 1<<30)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cr.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("1 GiB prefix then EOF: got %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting the prefix allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

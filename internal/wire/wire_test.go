@@ -188,7 +188,7 @@ func TestCheckpointHostileCountBounded(t *testing.T) {
 	body = append(body, 1)                                    // p2p
 	body = binary.LittleEndian.AppendUint32(body, 0)          // config blob length
 	body = binary.LittleEndian.AppendUint32(body, 1<<24)      // peer address count
-	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], ckptCRC))
+	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], castagnoli))
 	raw := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
 
 	cr := NewCheckpointReader(bytes.NewReader(raw))
