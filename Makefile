@@ -50,13 +50,15 @@ govulncheck:
 	else echo "govulncheck not installed; skipping (CI runs the pinned version)"; fi
 
 # Short fuzz sessions over the wire codecs: the message registry, the
-# checkpoint records, the chunk layout, the protocol messages and frames.
+# checkpoint records, the chunk layout, the protocol messages and frames;
+# then the match-fold kernel against its per-pair definition.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
 	$(GO) test -fuzz FuzzDecodeCoreMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/tcpnet/
+	$(GO) test -fuzz FuzzMixRun -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
 
 # The repository's one benchmark (bench/README.md): every workload end to
 # end over real worker processes, then traced; results in bench/out/.

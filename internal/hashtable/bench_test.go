@@ -72,7 +72,10 @@ func BenchmarkTable(b *testing.B) {
 // BenchmarkProbeAllRuns measures the match kernel where a join's cost is
 // its output: 20 000 build tuples over 50 keys (runs of 400), probed in
 // 1000-tuple chunks, so every probe tuple folds 400 matches. ns/match is
-// the number DESIGN.md "Batch entry points" quotes.
+// the number DESIGN.md "Batch entry points" quotes. kernel=avx512 is
+// ProbeAll as the engine runs it; kernel=go is the same table loop with
+// every run folded by the per-pair Go loop, the path on CPUs without
+// AVX-512.
 func BenchmarkProbeAllRuns(b *testing.B) {
 	const tuples, keys, chunk = 20_000, 50, 1_000
 	tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
@@ -84,14 +87,30 @@ func BenchmarkProbeAllRuns(b *testing.B) {
 		probe[i] = tuple.Tuple{Index: uint64(tuples + i), Key: uint64(i%keys) * fibMul}
 	}
 	tab.ProbeAll(probe[:1]) // seal off the clock
-	var matches int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, x := tab.ProbeAll(probe)
-		matches += m
-		sinkXor ^= x
+	foldGo := func(run []tuple.Tuple, probeIndex uint64) uint64 {
+		var x uint64
+		for _, bt := range run {
+			x ^= tuple.MixPair(bt.Index, probeIndex)
+		}
+		return x
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+	for _, k := range []struct {
+		name   string
+		mixRun func([]tuple.Tuple, uint64) uint64
+	}{{"avx512", tuple.MixRun}, {"go", foldGo}} {
+		b.Run("kernel="+k.name, func(b *testing.B) {
+			if k.name == "avx512" && tuple.MixRunKernel() != "avx512" {
+				b.Skip("no AVX-512 kernel: not amd64, the CPU lacks AVX512F or AVX512DQ, or the OS does not save ZMM state")
+			}
+			var matches int64
+			for i := 0; i < b.N; i++ {
+				m, x := tab.probeAll(probe, k.mixRun)
+				matches += m
+				sinkXor ^= x
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+		})
+	}
 }
 
 // BenchmarkExtractRanges is one member's side of a hybrid reshuffle: a

@@ -348,10 +348,17 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 
 // ProbeAll probes a batch of tuples and returns the total match count and
 // the XOR of tuple.MixPair over every matched (build, probe) pair — the
-// join's result fingerprint. The fold is written into the loop, a direct
-// call the compiler inlines: under skew a join's cost is its output, and a
-// function value here is an indirect call per match.
+// join's result fingerprint. The slot's own tuple folds inline; a
+// duplicate-key run folds through tuple.MixRun, one call per run, which is
+// where a skewed join spends its time: under skew a join's cost is its
+// output.
 func (t *Table) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64) {
+	return t.probeAll(ts, tuple.MixRun)
+}
+
+// probeAll is ProbeAll with the run fold as a parameter, so a benchmark
+// can time the table's loop over the pure-Go fold on any CPU.
+func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]tuple.Tuple, uint64) uint64) (matches int64, xor uint64) {
 	for _, probe := range ts {
 		sg, i := t.find(probe.Key)
 		if i < 0 {
@@ -362,9 +369,7 @@ func (t *Table) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64) {
 		if m := sg.meta[i]; m >= metaRun {
 			run := t.dups[m-metaRun]
 			matches += int64(len(run))
-			for _, b := range run {
-				xor ^= tuple.MixPair(b.Index, probe.Index)
-			}
+			xor ^= mixRun(run, probe.Index)
 		}
 	}
 	return matches, xor

@@ -3,6 +3,8 @@ package tcpnet
 import (
 	"fmt"
 	"sync"
+
+	wire "ehjoin/internal/wire"
 )
 
 // Session layer: per-worker reliable delivery on top of TCP connections
@@ -118,7 +120,8 @@ type session struct {
 	// Stats (cumulative across resumes and epochs).
 	duplicates int64 // received frames dropped by sequence dedup
 
-	scratch []byte // encode buffer for unsequenced frames, and for reliable ones while free is empty
+	scratch []byte     // encode buffer for unsequenced frames, and for reliable ones while free is empty
+	codec   wire.Codec // every frame encodes on it, under mu: no pool on the send path
 
 	// free holds the slabs of acked frames for encode to fill again. Only
 	// peerAck stocks it: a frame the peer acknowledged was written to the
@@ -168,7 +171,7 @@ func (s *session) encode(f *frame) ([]byte, error) {
 	if dst == nil {
 		dst = s.scratch[:0]
 	}
-	b, err := appendFrame(dst, f, seq, ack)
+	b, err := appendFrameOn(&s.codec, dst, f, seq, ack)
 	if err != nil {
 		s.recycle(slab)
 		return nil, err

@@ -123,10 +123,16 @@ func frameFields(c *wire.Codec, f *frame) {
 // appendFrame appends one complete frame — length prefix, CRC32C,
 // sequence number, cumulative ack, kind byte, fields — to dst.
 func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
+	return appendFrameOn(new(wire.Codec), dst, f, seq, ack)
+}
+
+// appendFrameOn is appendFrame encoding on c, which the caller owns: a
+// session encodes every frame it sends on its own Codec.
+func appendFrameOn(c *wire.Codec, dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint64(wire.OpenEnvelope(dst), seq)
 	dst = binary.LittleEndian.AppendUint64(dst, ack)
-	dst, err := wire.Encode(dst, f, frameFields)
+	dst, err := wire.EncodeOn(c, dst, f, frameFields)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: encode frame kind %d: %w", f.Kind, err)
 	}

@@ -25,23 +25,33 @@ func (c *Codec) Fail(err error) {
 
 // codecs recycles Codecs. Format functions reach message formats through
 // function values, so a Codec on the caller's stack would escape to the
-// heap once per frame; the send path allocates nothing per frame.
+// heap once per pass. A sender that encodes every frame owns its Codec
+// instead (EncodeOn): the race detector's sync.Pool drops items at random.
 var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
 // Encode appends v's fields, as fields lists them, to dst.
 func Encode[T any](dst []byte, v *T, fields func(*Codec, *T)) ([]byte, error) {
-	return run(Codec{buf: dst}, v, fields)
+	c := codecs.Get().(*Codec)
+	defer codecs.Put(c)
+	return EncodeOn(c, dst, v, fields)
+}
+
+// EncodeOn is Encode on a Codec the caller owns and does not share.
+func EncodeOn[T any](c *Codec, dst []byte, v *T, fields func(*Codec, *T)) ([]byte, error) {
+	return run(c, Codec{buf: dst}, v, fields)
 }
 
 // Decode parses data into v, as fields lists it. Every byte of data must
 // belong to a field: anything left over fails with ErrBadLength.
 func Decode[T any](data []byte, v *T, fields func(*Codec, *T)) error {
-	_, err := run(Codec{decoding: true, buf: data}, v, fields)
+	c := codecs.Get().(*Codec)
+	defer codecs.Put(c)
+	_, err := run(c, Codec{decoding: true, buf: data}, v, fields)
 	return err
 }
 
-func run[T any](start Codec, v *T, fields func(*Codec, *T)) ([]byte, error) {
-	c := codecs.Get().(*Codec)
+// run is one pass on c, which it leaves zeroed.
+func run[T any](c *Codec, start Codec, v *T, fields func(*Codec, *T)) ([]byte, error) {
 	*c = start
 	fields(c, v)
 	if c.decoding && len(c.buf) > 0 {
@@ -49,7 +59,6 @@ func run[T any](start Codec, v *T, fields func(*Codec, *T)) ([]byte, error) {
 	}
 	out, err := c.buf, c.err
 	*c = Codec{}
-	codecs.Put(c)
 	if err != nil {
 		return nil, err
 	}
