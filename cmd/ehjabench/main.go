@@ -23,7 +23,6 @@ func main() {
 		fig      = flag.String("fig", "all", `figure to reproduce ("fig2".."fig13", "all", or "none")`)
 		ablation = flag.String("ablation", "", `ablation study to run ("blocking-migration", "ooc-policy", or "all")`)
 		scale    = flag.Float64("scale", 1.0, "workload scale factor (tuples and memory budget)")
-		seed     = flag.Uint64("seed", 1, "data-generation seed")
 		verbose  = flag.Bool("v", false, "print per-run progress")
 		csv      = flag.Bool("csv", false, "emit comma-separated values instead of aligned text")
 	)
@@ -33,7 +32,7 @@ func main() {
 	if *verbose {
 		progress = os.Stderr
 	}
-	s := expt.NewSession(expt.Options{Scale: *scale, Seed: *seed, Progress: progress})
+	s := expt.NewSession(expt.Options{Scale: *scale, Progress: progress})
 
 	start := time.Now()
 	var tables []*expt.Table

@@ -19,7 +19,6 @@ import (
 
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
-	"ehjoin/internal/hashfn"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/sim"
 	"ehjoin/internal/spill"
@@ -89,22 +88,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tupleSize   = fs.Int("tuple", 100, "logical tuple size in bytes")
 		distName    = fs.String("dist", "uniform", "join-attribute distribution: uniform|gaussian|zipf")
 		probeDist   = fs.String("probe-dist", "", "probe-side distribution override: uniform|gaussian|zipf|correlated (default: same as -dist; correlated mirrors the build stream)")
-		sigma       = fs.Float64("sigma", 0.001, "gaussian standard deviation")
-		mean        = fs.Float64("mean", 0.5, "gaussian mean")
+		sigma       = fs.Float64("sigma", 0.001, "gaussian standard deviation (mean 0.5)")
 		zipfS       = fs.Float64("zipf-s", 1.5, "zipf exponent s (rank r has mass proportional to r^-s)")
 		budget      = fs.Int64("budget", 64<<20, "per-node hash memory budget in bytes")
-		match       = fs.Float64("match", 1.0, "fraction of probe tuples matching the build relation")
 		seed        = fs.Uint64("seed", 1, "generation seed")
 		verbose     = fs.Bool("v", false, "print per-node loads and utilisation")
 		blocking    = fs.Bool("blocking", false, "model split migrations as blocking sends (ablation A1)")
 		oocHybrid   = fs.Bool("ooc-hybrid", false, "use the hybrid-hash out-of-core policy instead of Grace (ablation A2)")
-		hashMode    = fs.String("hash", "scaled", "position hashing: scaled (order-preserving) or multiplicative (mixing)")
 		timeline    = fs.Bool("timeline", false, "render a per-node virtual-time utilisation timeline")
 		materialize = fs.Bool("materialize", false, "retain join output in memory; probe-phase expansion applies (paper footnote 1)")
 		faults      = fs.String("faults", "", "crash join nodes at virtual times: NODE@ATSEC[:DETECTSEC],... (e.g. 0@1.5,3@2:0.05)")
 		spillRung   = fs.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
-		heavy       = fs.Bool("heavy", false, "detect heavy-hitter keys after the build and replicate them across their serving group, partitioning their probes instead of broadcasting (DESIGN.md §11)")
-		heavyThresh = fs.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 with -heavy: 1/(2·initial nodes))")
+		heavyThresh = fs.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 = off): replicate heavy build keys across their serving group, partition their probes instead of broadcasting (DESIGN.md §11)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -148,18 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	threshold := *heavyThresh
-	if threshold == 0 && *heavy {
-		threshold = 1 / (2 * float64(*initial))
-	}
-
-	space := hashfn.DefaultSpace()
-	switch *hashMode {
-	case "scaled":
-	case "multiplicative", "mult":
-		space.Mode = hashfn.Multiplicative
-	default:
-		fmt.Fprintf(stderr, "ehjarun: unknown hash mode %q\n", *hashMode)
+	if *tupleSize < tuple.PhysicalSize {
+		fmt.Fprintf(stderr, "ehjarun: -tuple %d is below the %d-byte physical tuple\n", *tupleSize, tuple.PhysicalSize)
 		return 2
 	}
 	cost := rt.OSUMed()
@@ -176,21 +161,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxNodes:          *maxNodes,
 		Sources:           *sources,
 		MemoryBudget:      *budget,
-		Space:             space,
 		Cost:              cost,
 		OOCPolicy:         policy,
 		MaterializeOutput: *materialize,
 		SpillEnabled:      *spillRung,
-		HeavyThreshold:    threshold,
+		HeavyThreshold:    *heavyThresh,
 		Build: datagen.Spec{
-			Dist: dist, Mean: *mean, Sigma: *sigma, ZipfS: *zipfS,
+			Dist: dist, Mean: 0.5, Sigma: *sigma, ZipfS: *zipfS,
 			Tuples: *rTuples, Seed: *seed, Layout: layout,
 		},
 		Probe: datagen.Spec{
-			Dist: pDist, Mean: *mean, Sigma: *sigma, ZipfS: *zipfS,
+			Dist: pDist, Mean: 0.5, Sigma: *sigma, ZipfS: *zipfS,
 			Tuples: *sTuples, Seed: *seed + 1, Layout: layout,
 		},
-		MatchFraction: *match,
+		MatchFraction: 1,
 	}
 
 	wall := time.Now()

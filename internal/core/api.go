@@ -133,9 +133,15 @@ func setupStage(cfg Config, eng rt.Engine, build, probe relationGen) (*schedActo
 	for i := 0; i < cfg.InitialNodes; i++ {
 		eng.Inject(cfg.joinID(i), &joinInit{Range: table.Entries[i].Range, Table: table.Clone()})
 	}
-	// Phase 1: hash-table building.
-	for i := 0; i < cfg.Sources; i++ {
-		eng.Inject(cfg.sourceID(i), &startBuild{Table: table.Clone()})
+	// Phase 1: hash-table building. Every source's copy is cloned before
+	// the first source starts: on a concurrent engine the scheduler splits
+	// table as soon as one source's chunks overflow a node.
+	starts := make([]*startBuild, cfg.Sources)
+	for i := range starts {
+		starts[i] = &startBuild{Table: table.Clone()}
+	}
+	for i, m := range starts {
+		eng.Inject(cfg.sourceID(i), m)
 	}
 	return sched, nil
 }

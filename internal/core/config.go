@@ -55,6 +55,21 @@ func Algorithms() []Algorithm {
 	return []Algorithm{Replication, Split, Hybrid, OutOfCore}
 }
 
+// Settings no experiment varies (DESIGN.md §17), fixed as constants.
+const (
+	// creditWindow is the base per-(source, destination) send window in
+	// chunks: what a source starts each destination at, and where a join
+	// node's advertised window returns before it overflows.
+	creditWindow = 4
+	// burstChunks is how many chunks' worth of tuples a source generates
+	// per scheduling step.
+	burstChunks = 2
+	// spillPartitions is the spill rung's fan-out per node: how many
+	// partitions an out-of-core node, or an expanding algorithm's node on
+	// the spill rung, divides its build tuples into for eviction.
+	spillPartitions = 32
+)
+
 // Config describes one join execution.
 type Config struct {
 	// Algorithm is the join strategy to run.
@@ -94,24 +109,14 @@ type Config struct {
 	MatchFraction float64
 	// Cost is the cluster cost model. Defaults to runtime.OSUMed.
 	Cost rt.CostModel
-	// CreditWindow is the per-(source,destination) flow-control window in
-	// chunks. Defaults to 4.
-	CreditWindow int
-	// MaxCreditWindow lets join nodes advertise a deeper window than
-	// CreditWindow while they have memory to absorb it (DESIGN.md §15): each
-	// node moves the window it grants a source between CreditWindow and this
-	// cap, following its remaining budget during the build and sitting at
-	// the cap during the probe. Defaults to CreditWindow — a fixed window,
-	// which is what the simulator's modelled network is calibrated for.
+	// MaxCreditWindow lets join nodes advertise a deeper send window than
+	// the fixed base of creditWindow chunks while they have memory to absorb
+	// it (DESIGN.md §15): each node moves the window it grants a source
+	// between the base and this cap, following its remaining budget during
+	// the build and sitting at the cap during the probe. Defaults to the base
+	// — a fixed window, which is what the simulator's modelled network is
+	// calibrated for; a cap below the base is rejected.
 	MaxCreditWindow int
-	// BurstChunks is how many chunks' worth of tuples a source generates
-	// per scheduling step. Defaults to 2.
-	BurstChunks int
-	// SpillPartitions is the spill rung's fan-out per node: how many
-	// partitions an out-of-core node, or an expanding algorithm's node on
-	// the spill rung, divides its build tuples into for eviction. Defaults
-	// to 32.
-	SpillPartitions int
 	// OOCPolicy selects which partitions an out-of-core node evicts when its
 	// table overflows: spill.Grace (the paper's basic algorithm, default)
 	// evicts every partition at the first overflow; spill.HybridHash (a
@@ -125,7 +130,7 @@ type Config struct {
 	//
 	// Deprecated: the field survives only because the frozen
 	// bench/workloads.go sets Cores: 1; it goes with the benchmark refresh
-	// (ROADMAP item 4).
+	// (ROADMAP item 1a).
 	Cores int
 	// SpillEnabled arms the degradation ladder's fourth rung for the
 	// expanding algorithms: when the scheduler cannot (or, per the cost
@@ -133,9 +138,7 @@ type Config struct {
 	// hash partitions to local disk and keeps building instead of running
 	// over budget, and the run completes without ExhaustedResources. The
 	// out-of-core baseline ignores it (it runs on the same rung from the
-	// start, evicting on its own overflow instead of on an order). Not
-	// supported together with MaterializeOutput: materialised output and
-	// probe-phase table clones cannot carry spilled state.
+	// start, evicting on its own overflow instead of on an order).
 	SpillEnabled bool
 	// HeavyThreshold arms heavy-hitter routing (DESIGN.md §11): after the
 	// build (and any reshuffle), keys whose build mass strictly exceeds
@@ -143,7 +146,7 @@ type Config struct {
 	// group and their probe tuples partitioned round-robin over it instead
 	// of broadcast. 0 disables the round. The out-of-core baseline ignores
 	// it (routing never expands there, and spilled state cannot host key
-	// replicas). cmd flag -heavy defaults this to 1/(2·InitialNodes).
+	// replicas).
 	HeavyThreshold float64
 	// MaterializeOutput makes join nodes retain their matches in memory
 	// (as a downstream in-memory operator would require) instead of
@@ -151,8 +154,14 @@ type Config struct {
 	// table for the node's memory budget, and the adaptive expansion of
 	// the paper's §4 footnote 1 applies to the *probe* phase as well: an
 	// overflowing node's table is cloned to a recruited node, which takes
-	// over the range for the rest of the probe. Not supported by the
-	// out-of-core baseline.
+	// over the range for the rest of the probe.
+	//
+	// It composes with neither the out-of-core baseline nor SpillEnabled,
+	// for one reason: an overflowing output's only remedy is that clone,
+	// and a clone carries the in-memory table, not spilled partitions. The
+	// baseline never recruits, so its output would have nowhere to go, and
+	// a node on the spill rung would hand its recruit a table missing every
+	// evicted partition's build tuples.
 	MaterializeOutput bool
 	// BaseID offsets every node id this configuration uses (scheduler,
 	// sources, join nodes). Single joins leave it zero; the multi-way
@@ -192,20 +201,11 @@ func (c Config) normalized() (Config, error) {
 	if c.Cost == (rt.CostModel{}) {
 		c.Cost = rt.OSUMed()
 	}
-	if c.CreditWindow == 0 {
-		c.CreditWindow = 4
-	}
 	if c.MaxCreditWindow == 0 {
-		c.MaxCreditWindow = c.CreditWindow
+		c.MaxCreditWindow = creditWindow
 	}
-	if c.MaxCreditWindow < c.CreditWindow {
-		return c, fmt.Errorf("core: MaxCreditWindow %d below CreditWindow %d", c.MaxCreditWindow, c.CreditWindow)
-	}
-	if c.BurstChunks == 0 {
-		c.BurstChunks = 2
-	}
-	if c.SpillPartitions == 0 {
-		c.SpillPartitions = 32
+	if c.MaxCreditWindow < creditWindow {
+		return c, fmt.Errorf("core: MaxCreditWindow %d below the base window %d", c.MaxCreditWindow, creditWindow)
 	}
 	if c.Build.Layout.PayloadBytes == 0 {
 		c.Build.Layout = tuple.DefaultLayout()
@@ -218,6 +218,15 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.InitialNodes <= 0 {
 		return c, fmt.Errorf("core: InitialNodes must be positive, got %d", c.InitialNodes)
+	}
+	if c.Sources < 0 {
+		return c, fmt.Errorf("core: Sources %d is negative", c.Sources)
+	}
+	if c.MemoryBudget < 0 {
+		return c, fmt.Errorf("core: MemoryBudget %d is negative", c.MemoryBudget)
+	}
+	if c.ChunkTuples < 0 {
+		return c, fmt.Errorf("core: ChunkTuples %d is negative", c.ChunkTuples)
 	}
 	if c.InitialNodes > c.MaxNodes {
 		return c, fmt.Errorf("core: InitialNodes %d exceeds MaxNodes %d", c.InitialNodes, c.MaxNodes)

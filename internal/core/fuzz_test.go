@@ -102,10 +102,6 @@ func fuzzOneConfig(t *testing.T, rng *rand.Rand, it int) {
 		rTuples := int64(1_000 + rng.Intn(40_000))
 		sTuples := int64(1_000 + rng.Intn(40_000))
 		tupleSize := 16 + rng.Intn(400)
-		mode := hashfn.Scaled
-		if rng.Intn(3) == 0 {
-			mode = hashfn.Multiplicative
-		}
 		spec := func(seed uint64) datagen.Spec {
 			s := datagen.Spec{
 				Dist: datagen.Uniform, Tuples: rTuples, Seed: seed,
@@ -124,13 +120,11 @@ func fuzzOneConfig(t *testing.T, rng *rand.Rand, it int) {
 			MaxNodes:      maxNodes,
 			Sources:       1 + rng.Intn(6),
 			MemoryBudget:  int64(64<<10 + rng.Intn(2<<20)),
-			Space:         hashfn.Space{Bits: uint(8 + rng.Intn(9)), Mode: mode},
+			Space:         hashfn.Space{Bits: uint(8 + rng.Intn(9))},
 			ChunkTuples:   64 + rng.Intn(2000),
 			Build:         spec(uint64(1000 + it)),
 			Probe:         spec(uint64(2000 + it)),
 			MatchFraction: rng.Float64(),
-			CreditWindow:  1 + rng.Intn(8),
-			BurstChunks:   1 + rng.Intn(4),
 		}
 		cfg.Probe.Tuples = sTuples
 		if rng.Intn(2) == 0 {

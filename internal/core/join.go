@@ -49,8 +49,8 @@ type joinActor struct {
 	forwardTo   rt.NodeID
 
 	// windows is the send window this node currently advertises to each
-	// data source (DESIGN.md §15); a source without an entry is at
-	// Config.CreditWindow. widestWindow is the largest value ever advertised.
+	// data source (DESIGN.md §15); a source without an entry is at the base
+	// creditWindow. widestWindow is the largest value ever advertised.
 	windows      map[rt.NodeID]int
 	widestWindow int
 
@@ -221,7 +221,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 func (j *joinActor) advertise(src rt.NodeID, rel tuple.Relation) int8 {
 	w, ok := j.windows[src]
 	if !ok {
-		w = j.cfg.CreditWindow
+		w = creditWindow
 	}
 	adj := windowKeep
 	switch target := j.windowTarget(rel); {
@@ -245,13 +245,13 @@ func (j *joinActor) advertise(src rt.NodeID, rel tuple.Relation) int8 {
 // of relation rel are streaming. Probing stores nothing, so the probe phase
 // runs at the cap. During the build all sources together may have at most a
 // quarter of the node's remaining budget in flight — deep while the table is
-// far from full, back at CreditWindow before it overflows, so overflow
-// reports, expansions and spill orders keep the timing a fixed window gives
-// them. Nodes that only buffer or forward what arrives (not yet initialised,
+// far from full, back at the base creditWindow before it overflows, so
+// overflow reports, expansions and spill orders keep the timing a fixed
+// window gives them. Nodes that only buffer or forward what arrives (not yet initialised,
 // retired), the out-of-core baseline, and probes that materialise their
-// output stay at CreditWindow.
+// output stay at the base.
 func (j *joinActor) windowTarget(rel tuple.Relation) int {
-	base, limit := j.cfg.CreditWindow, j.cfg.MaxCreditWindow
+	base, limit := creditWindow, j.cfg.MaxCreditWindow
 	switch {
 	case !j.active || j.cfg.Algorithm == OutOfCore:
 		return base
@@ -690,7 +690,7 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 // already holds.
 func (j *joinActor) armRung() {
 	j.spillRung = spill.NewRung(j.cfg.Space, j.cfg.Build.Layout, j.cfg.Probe.Layout,
-		j.budget, j.cfg.SpillPartitions, j.cfg.Cost)
+		j.budget, spillPartitions, j.cfg.Cost)
 	j.partLive = make([]int64, j.spillRung.Parts())
 	j.pendingN = make([]int64, j.spillRung.Parts())
 	j.table.ForEach(func(t tuple.Tuple) { j.partLive[j.spillRung.PartOf(t.Key)]++ })

@@ -205,16 +205,12 @@ func configFields(c *wire.Codec, cfg *Config) {
 	wire.U64(c, &cfg.MemoryBudget)
 	wire.Slice(c, &cfg.NodeBudgets, 8, wire.U64)
 	wire.U64(c, &cfg.Space.Bits)
-	wire.U8(c, &cfg.Space.Mode)
 	wire.U64(c, &cfg.ChunkTuples)
 	specFields(c, &cfg.Build)
 	specFields(c, &cfg.Probe)
 	wire.F64(c, &cfg.MatchFraction)
 	costFields(c, &cfg.Cost)
-	wire.U64(c, &cfg.CreditWindow)
 	wire.U64(c, &cfg.MaxCreditWindow)
-	wire.U64(c, &cfg.BurstChunks)
-	wire.U64(c, &cfg.SpillPartitions)
 	wire.U8(c, &cfg.OOCPolicy)
 	wire.U64(c, &cfg.Cores)
 	wire.Bool(c, &cfg.SpillEnabled)
@@ -237,7 +233,5 @@ func multiConfigFields(c *wire.Codec, mc *MultiConfig) {
 	wire.U64(c, &mc.MemoryBudget)
 	wire.U64(c, &mc.ChunkTuples)
 	costFields(c, &mc.Cost)
-	wire.U64(c, &mc.CreditWindow)
-	wire.U64(c, &mc.BurstChunks)
 	wire.Slice(c, &mc.Relations, 57, stageFields)
 }

@@ -50,8 +50,6 @@ type MultiConfig struct {
 	MemoryBudget int64
 	ChunkTuples  int
 	Cost         rt.CostModel
-	CreditWindow int
-	BurstChunks  int
 	Relations    []StageRelation
 }
 
@@ -113,8 +111,6 @@ func (mc MultiConfig) stageConfigs() ([]Config, error) {
 			MemoryBudget: mc.MemoryBudget,
 			ChunkTuples:  mc.ChunkTuples,
 			Cost:         mc.Cost,
-			CreditWindow: mc.CreditWindow,
-			BurstChunks:  mc.BurstChunks,
 			BaseID:       base,
 			// Stage s builds from R_{s+2} in 1-based relation numbering.
 			Build: mc.Relations[s+1].Spec,

@@ -155,7 +155,7 @@ type Report struct {
 	// Flow control (DESIGN.md §15). CreditStalls counts the generation steps
 	// on which a data source parked because a destination's send window was
 	// exhausted; WidestWindow is the largest window, in chunks, any join node
-	// advertised to a source (Config.CreditWindow on a fixed-window run).
+	// advertised to a source (the base window of 4 on a fixed-window run).
 	CreditStalls int64
 	WidestWindow int64
 

@@ -634,7 +634,7 @@ func (sc *schedActor) finishDetect(env rt.Env) {
 		if sc.keyCounts[k] < min {
 			continue
 		}
-		if len(sc.taintedParts) > 0 && sc.taintedParts[spill.PartitionOf(k, sc.cfg.SpillPartitions)] {
+		if len(sc.taintedParts) > 0 && sc.taintedParts[spill.PartitionOf(k, spillPartitions)] {
 			continue // rung 4 owns this key's probes; leave routing alone
 		}
 		heavy = append(heavy, k)

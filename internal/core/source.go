@@ -142,13 +142,13 @@ func (s *sourceActor) beginPhase(env rt.Env, rel tuple.Relation, table *hashfn.T
 	env.Send(s.id, &genStep{})
 }
 
-// step generates up to BurstChunks chunks' worth of tuples, then reschedules
+// step generates up to burstChunks chunks' worth of tuples, then reschedules
 // itself (or stalls until credits return).
 func (s *sourceActor) step(env rt.Env) {
 	if !s.started || s.finished {
 		return
 	}
-	budget := int64(s.cfg.BurstChunks * s.cfg.ChunkTuples)
+	budget := int64(burstChunks * s.cfg.ChunkTuples)
 	gen, probing := s.build, false
 	if s.phase != tuple.RelR {
 		gen, probing = s.probe, true
@@ -284,7 +284,7 @@ func (s *sourceActor) trySend(env rt.Env, dest rt.NodeID) {
 	}
 	cr, ok := s.credits[dest]
 	if !ok {
-		cr = s.cfg.CreditWindow
+		cr = creditWindow
 	}
 	for cr > 0 && len(s.queue[dest]) > 0 {
 		q := s.queue[dest][0]
@@ -386,7 +386,7 @@ func (s *sourceActor) onReplay(env rt.Env, msg *replayRange) {
 // credit, plus or minus the node's adjustment of its window.
 func (s *sourceActor) credit(env rt.Env, dest rt.NodeID, grant int) {
 	if _, ok := s.credits[dest]; !ok {
-		s.credits[dest] = s.cfg.CreditWindow
+		s.credits[dest] = creditWindow
 	}
 	s.credits[dest] += grant
 	s.trySend(env, dest)

@@ -11,7 +11,7 @@ import (
 
 // sourceFixture builds a source with a two-node routing table and drives it
 // through the scripted env.
-func sourceFixture(t *testing.T, tuples int64, window int) (*sourceActor, *scriptEnv, *hashfn.Table) {
+func sourceFixture(t *testing.T, tuples int64) (*sourceActor, *scriptEnv, *hashfn.Table) {
 	t.Helper()
 	cfg := Config{
 		Algorithm:    Replication,
@@ -20,8 +20,6 @@ func sourceFixture(t *testing.T, tuples int64, window int) (*sourceActor, *scrip
 		Sources:      1,
 		MemoryBudget: 1 << 30,
 		ChunkTuples:  10,
-		CreditWindow: window,
-		BurstChunks:  2,
 		Build:        datagen.Spec{Dist: datagen.Uniform, Tuples: tuples, Seed: 5},
 		Probe:        datagen.Spec{Dist: datagen.Uniform, Tuples: tuples, Seed: 6},
 	}
@@ -66,10 +64,10 @@ func drive(s *sourceActor, env *scriptEnv) []scriptSend {
 }
 
 func TestSourceRespectsCreditWindow(t *testing.T) {
-	s, env, table := sourceFixture(t, 1000, 3) // 100 chunks' worth of tuples
+	s, env, table := sourceFixture(t, 1000) // 100 chunks' worth of tuples
 	s.table = table
 	sends := drive(s, env)
-	// At most CreditWindow data chunks per destination may be in flight.
+	// At most creditWindow data chunks per destination may be in flight.
 	counts := map[rt.NodeID]int{}
 	for _, snd := range sends {
 		if _, ok := snd.msg.(*dataChunk); ok {
@@ -77,7 +75,7 @@ func TestSourceRespectsCreditWindow(t *testing.T) {
 		}
 	}
 	for dest, n := range counts {
-		if n > 3 {
+		if n > creditWindow {
 			t.Errorf("destination %d received %d chunks without credit", dest, n)
 		}
 	}
@@ -90,7 +88,7 @@ func TestSourceRespectsCreditWindow(t *testing.T) {
 }
 
 func TestSourceResumesOnCredit(t *testing.T) {
-	s, env, table := sourceFixture(t, 1000, 3)
+	s, env, table := sourceFixture(t, 1000)
 	s.table = table
 	shipped := 0
 	for _, snd := range drive(s, env) {
@@ -121,7 +119,7 @@ func TestSourceResumesOnCredit(t *testing.T) {
 }
 
 func TestSourceProbeBroadcastCountsExtraCopies(t *testing.T) {
-	s, env, table := sourceFixture(t, 200, 100)
+	s, env, table := sourceFixture(t, 200)
 	table.AddReplica(0, int32(s.cfg.joinID(2)))
 	table.AddReplica(0, int32(s.cfg.joinID(3)))
 	s.table = table
@@ -150,7 +148,7 @@ func TestSourceProbeBroadcastCountsExtraCopies(t *testing.T) {
 }
 
 func TestSourceIgnoresStaleRouteUpdate(t *testing.T) {
-	s, env, table := sourceFixture(t, 100, 4)
+	s, env, table := sourceFixture(t, 100)
 	s.table = table
 	newer := table.Clone()
 	newer.AddReplica(0, 99)
@@ -165,7 +163,7 @@ func TestSourceIgnoresStaleRouteUpdate(t *testing.T) {
 }
 
 func TestSourceStatsReply(t *testing.T) {
-	s, env, table := sourceFixture(t, 100, 4)
+	s, env, table := sourceFixture(t, 100)
 	s.table = table
 	s.Receive(env, rt.NoNode, &statsReq{})
 	one[*sourceStats](t, env.take(), rt.NoNode)

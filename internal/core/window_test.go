@@ -32,7 +32,6 @@ func windowFixture(t *testing.T, mutate func(*Config)) (*joinActor, Config) {
 		MaxNodes:        2,
 		Sources:         2,
 		ChunkTuples:     10,
-		CreditWindow:    4,
 		MaxCreditWindow: 12,
 		Build:           datagen.Spec{Dist: datagen.Uniform, Tuples: 100, Seed: 1},
 		Probe:           datagen.Spec{Dist: datagen.Uniform, Tuples: 100, Seed: 2},
@@ -74,11 +73,11 @@ func TestWindowTargetFollowsHeadroom(t *testing.T) {
 	}
 	fillTo(j, cfg.MemoryBudget-3*8000) // below base × unit
 	if got := j.windowTarget(tuple.RelR); got != 4 {
-		t.Errorf("under 4 units of headroom: build target %d, want CreditWindow 4", got)
+		t.Errorf("under 4 units of headroom: build target %d, want the base 4", got)
 	}
 	fillTo(j, cfg.MemoryBudget+5*8000) // over budget
 	if got := j.windowTarget(tuple.RelR); got != 4 {
-		t.Errorf("over budget: build target %d, want CreditWindow 4", got)
+		t.Errorf("over budget: build target %d, want the base 4", got)
 	}
 	if got := j.windowTarget(tuple.RelS); got != 12 {
 		t.Errorf("probe target %d on a full node, want the cap 12: probing stores nothing", got)
@@ -130,7 +129,7 @@ func TestJoinAdvertisesOneChunkPerAck(t *testing.T) {
 	if _, moved := j.windows[src1]; moved {
 		t.Fatal("source 1's window moved on source 0's traffic")
 	}
-	fillTo(j, cfg.MemoryBudget) // full: target back at CreditWindow
+	fillTo(j, cfg.MemoryBudget) // full: target back at the base
 	for i := 1; i <= 8; i++ {
 		if ack := send(src0, tuple.RelR); ack.Adjust != windowNarrow || j.windows[src0] != 12-i {
 			t.Fatalf("narrowing chunk %d: adjust %d, window %d; want narrow to %d", i, ack.Adjust, j.windows[src0], 12-i)
@@ -154,16 +153,16 @@ func TestJoinAdvertisesOneChunkPerAck(t *testing.T) {
 }
 
 // TestSourceBanksWhatTheAckGrants: keep returns one credit, widen two,
-// narrow none — a source that has never heard of a node starts it at
-// CreditWindow — and a step that parks on an exhausted window is counted.
+// narrow none — a source that has never heard of a node starts it at the
+// base window — and a step that parks on an exhausted window is counted.
 func TestSourceBanksWhatTheAckGrants(t *testing.T) {
-	s, env, table := sourceFixture(t, 1000, 3)
+	s, env, table := sourceFixture(t, 1000)
 	s.table = table
 	dest := s.cfg.joinID(0)
 	for _, step := range []struct {
 		adjust int8
 		want   int
-	}{{windowWiden, 3 + 2}, {windowKeep, 6}, {windowNarrow, 6}, {windowWiden, 8}} {
+	}{{windowWiden, creditWindow + 2}, {windowKeep, 7}, {windowNarrow, 7}, {windowWiden, 9}} {
 		s.Receive(env, dest, &chunkAck{Rel: tuple.RelR, Adjust: step.adjust})
 		if s.credits[dest] != step.want {
 			t.Fatalf("after an ack adjusting by %d: %d credits, want %d", step.adjust, s.credits[dest], step.want)
@@ -173,7 +172,7 @@ func TestSourceBanksWhatTheAckGrants(t *testing.T) {
 	if !s.stalled || s.creditStalls != 1 {
 		t.Errorf("after streaming into the window: stalled %v, %d stalls counted; want true, 1", s.stalled, s.creditStalls)
 	}
-	other := s.cfg.joinID(1) // still at its initial three credits, so this is the window that ran out
+	other := s.cfg.joinID(1) // still at its initial four credits, so this is the window that ran out
 	if s.credits[other] != 0 || len(s.queue[other]) < 2 {
 		t.Errorf("parked with %d credits and %d queued chunks for node %d", s.credits[other], len(s.queue[other]), other)
 	}
@@ -252,10 +251,10 @@ func TestWindowAdjustmentSurvivesCheckpointLog(t *testing.T) {
 func TestMaxCreditWindowValidation(t *testing.T) {
 	cfg := testConfig(Split)
 	n, err := cfg.normalized()
-	if err != nil || n.MaxCreditWindow != n.CreditWindow {
-		t.Fatalf("default MaxCreditWindow %d (err %v), want CreditWindow %d", n.MaxCreditWindow, err, n.CreditWindow)
+	if err != nil || n.MaxCreditWindow != creditWindow {
+		t.Fatalf("default MaxCreditWindow %d (err %v), want the base window %d", n.MaxCreditWindow, err, creditWindow)
 	}
-	cfg.CreditWindow, cfg.MaxCreditWindow = 6, 5
+	cfg.MaxCreditWindow = creditWindow - 1
 	if _, err := cfg.normalized(); err == nil {
 		t.Error("a cap below the base window was accepted")
 	}
@@ -264,7 +263,7 @@ func TestMaxCreditWindowValidation(t *testing.T) {
 // ledgerEngine wraps an engine to check the flow-control pair invariant
 // whenever the run is quiescent: at every phase barrier, for every source
 // and every live join node, the credits the source holds equal the window
-// the node advertises to it, inside [CreditWindow, MaxCreditWindow]. With
+// the node advertises to it, inside [creditWindow, MaxCreditWindow]. With
 // nothing in flight that is the whole ledger — credits held + chunks in
 // flight + acks in flight = window. It can also kill one join node after it
 // has absorbed a given number of build chunks; the dying node reports its
@@ -282,7 +281,7 @@ type ledgerEngine struct {
 	victim      rt.NodeID // rt.NoNode: nobody dies
 	killAfter   int
 	barriers    int
-	everWide    bool // some window stood above CreditWindow at a barrier
+	everWide    bool // some window stood above the base at a barrier
 	everShrunk  bool // some node stood below the widest window it had advertised
 	buildWidest int  // widest window any node advertised during the build phase
 }
@@ -307,7 +306,7 @@ func (e *ledgerEngine) Drain() error {
 		return err
 	}
 	e.barriers++
-	base, limit := e.cfg.CreditWindow, e.cfg.MaxCreditWindow
+	base, limit := creditWindow, e.cfg.MaxCreditWindow
 	for _, s := range e.sources {
 		for _, j := range e.joins {
 			if e.sched.deadNodes[j.id] {
@@ -375,15 +374,13 @@ func TestWindowLedgerAcrossEnginesAndFaultPaths(t *testing.T) {
 				if raceEnabled && engine == "sim" && withHeavy {
 					continue // the live half keeps every cell under the detector
 				}
-				base := 1 + rng.Intn(4)
 				cfg := Config{
 					Algorithm:       alg,
 					InitialNodes:    2,
 					MaxNodes:        8,
 					Sources:         1 + rng.Intn(3),
 					ChunkTuples:     50 + rng.Intn(150),
-					CreditWindow:    base,
-					MaxCreditWindow: base + 1 + rng.Intn(30),
+					MaxCreditWindow: creditWindow + 1 + rng.Intn(30),
 					MatchFraction:   0.5,
 					Build:           datagen.Spec{Dist: datagen.Uniform, Tuples: int64(15_000 + rng.Intn(10_000)), Seed: rng.Uint64()},
 					Probe:           datagen.Spec{Dist: datagen.Uniform, Tuples: int64(15_000 + rng.Intn(10_000)), Seed: rng.Uint64()},
@@ -442,8 +439,8 @@ func TestWindowLedgerAcrossEnginesAndFaultPaths(t *testing.T) {
 				if withDeath && rep.NodesLost != 1 {
 					t.Errorf("%s: %d nodes lost, want the victim", label, rep.NodesLost)
 				}
-				if rep.WidestWindow < int64(ncfg.CreditWindow) || rep.WidestWindow > int64(ncfg.MaxCreditWindow) {
-					t.Errorf("%s: report says widest window %d, outside %d..%d", label, rep.WidestWindow, ncfg.CreditWindow, ncfg.MaxCreditWindow)
+				if rep.WidestWindow < creditWindow || rep.WidestWindow > int64(ncfg.MaxCreditWindow) {
+					t.Errorf("%s: report says widest window %d, outside %d..%d", label, rep.WidestWindow, creditWindow, ncfg.MaxCreditWindow)
 				}
 				if eng.everWide {
 					widened++
@@ -471,7 +468,7 @@ func TestWindowLedgerAcrossEnginesAndFaultPaths(t *testing.T) {
 	}
 }
 
-// TestExplicitCapEqualToBaseChangesNothing: a cap equal to CreditWindow is
+// TestExplicitCapEqualToBaseChangesNothing: a cap equal to the base window is
 // the default, and the default is the fixed window — the simulator's report
 // is identical field for field, expansion log, timings and wire totals
 // included.
@@ -487,7 +484,7 @@ func TestExplicitCapEqualToBaseChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.MaxCreditWindow = 4 // normalized() defaults CreditWindow to 4
+			cfg.MaxCreditWindow = creditWindow
 			explicit, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -505,8 +502,8 @@ func TestExplicitCapEqualToBaseChangesNothing(t *testing.T) {
 // TestDeepWindowDoesNotDeepenOvershoot is the constraint the headroom rule
 // exists for: on an undersized cluster that ends up spilling, a cap of 32
 // must not change how much is evicted, nor let any node stand further over
-// its budget when it reports overflow than the fixed window does — a static
-// window of 32 does both (DESIGN.md §15).
+// its budget when it reports overflow than the fixed window does
+// (DESIGN.md §15).
 func TestDeepWindowDoesNotDeepenOvershoot(t *testing.T) {
 	for _, alg := range []Algorithm{Split, Replication, Hybrid} {
 		cfg := testConfig(alg)
@@ -515,10 +512,10 @@ func TestDeepWindowDoesNotDeepenOvershoot(t *testing.T) {
 		cfg.ChunkTuples = 100 // 2 MiB of budget is 13 chunks per source at the quarter rule
 		cfg.Build.Tuples, cfg.Probe.Tuples = 120_000, 60_000
 		cfg.MemoryBudget = 2 << 20
-		run := func(base, limit int) (*Report, int64, int) {
+		run := func(limit int) (*Report, int64, int) {
 			t.Helper()
 			c := cfg
-			c.CreditWindow, c.MaxCreditWindow = base, limit
+			c.MaxCreditWindow = limit
 			c, err := c.normalized()
 			if err != nil {
 				t.Fatal(err)
@@ -536,9 +533,8 @@ func TestDeepWindowDoesNotDeepenOvershoot(t *testing.T) {
 			}
 			return r, worst - c.MemoryBudget, eng.buildWidest
 		}
-		fixed, fixedOver, _ := run(4, 4)
-		deep, deepOver, deepWidest := run(4, 32)
-		static, staticOver, _ := run(32, 32) // the rejected alternative
+		fixed, fixedOver, _ := run(creditWindow)
+		deep, deepOver, deepWidest := run(32)
 		if fixed.SpilledPartitions == 0 || deepWidest < 8 {
 			t.Fatalf("%v: scenario is vacuous: %d partitions spilled, build-phase windows reached %d",
 				alg, fixed.SpilledPartitions, deepWidest)
@@ -557,13 +553,8 @@ func TestDeepWindowDoesNotDeepenOvershoot(t *testing.T) {
 			t.Errorf("%v: cap 32 stood %d bytes over budget at its worst overflow report, the fixed window %d",
 				alg, deepOver, fixedOver)
 		}
-		if staticOver <= fixedOver+chunkBytes || static.SpilledPartitions <= fixed.SpilledPartitions {
-			t.Errorf("%v: a static window of 32 overshot by %d bytes and spilled %d partitions — no worse than the fixed window (%d, %d), so this scenario cannot tell the rule from its absence",
-				alg, staticOver, static.SpilledPartitions, fixedOver, fixed.SpilledPartitions)
-		}
-		t.Logf("%v: build windows reached %d; worst overshoot fixed %d, cap 32 %d, static 32 %d bytes; spilled %d / %d / %d partitions",
-			alg, deepWidest, fixedOver, deepOver, staticOver,
-			fixed.SpilledPartitions, deep.SpilledPartitions, static.SpilledPartitions)
+		t.Logf("%v: build windows reached %d; worst overshoot fixed %d, cap 32 %d bytes; spilled %d / %d partitions",
+			alg, deepWidest, fixedOver, deepOver, fixed.SpilledPartitions, deep.SpilledPartitions)
 	}
 }
 

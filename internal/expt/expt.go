@@ -28,8 +28,6 @@ type Options struct {
 	// 1.0 reproduces the paper's sizes (10M-100M tuples); benchmarks use
 	// much smaller scales. Defaults to 1.0.
 	Scale float64
-	// Seed offsets the data-generation seeds.
-	Seed uint64
 	// Progress, when non-nil, receives a line per completed run.
 	Progress io.Writer
 }
@@ -37,9 +35,6 @@ type Options struct {
 func (o Options) normalized() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -151,11 +146,11 @@ func (s *Session) run(w workload) (*core.Report, error) {
 		OOCPolicy:    w.oocPolicy,
 		Build: datagen.Spec{
 			Dist: w.dist, Mean: 0.5, Sigma: w.sigma,
-			Tuples: scaleTuples(w.rTuples, s.opt.Scale), Seed: s.opt.Seed, Layout: layout,
+			Tuples: scaleTuples(w.rTuples, s.opt.Scale), Seed: 1, Layout: layout,
 		},
 		Probe: datagen.Spec{
 			Dist: w.dist, Mean: 0.5, Sigma: w.sigma,
-			Tuples: scaleTuples(w.sTuples, s.opt.Scale), Seed: s.opt.Seed + 1, Layout: layout,
+			Tuples: scaleTuples(w.sTuples, s.opt.Scale), Seed: 2, Layout: layout,
 		},
 		MatchFraction: 1.0,
 	}

@@ -1,57 +1,23 @@
 // Package hashfn implements the hash-address machinery of the join system:
-// the hash-table position space, the functions mapping join attributes to
+// the hash-table position space, the function mapping join attributes to
 // positions, and the routing tables that map contiguous position ranges to
 // join nodes.
 //
 // The paper treats the hash table as an array of positions whose *range* is
 // partitioned into buckets, one bucket per join node (Figure 1); splitting
-// and reshuffling both subdivide contiguous sub-ranges. We therefore expose
-// two position functions:
-//
-//   - Scaled: order-preserving (top bits of the join attribute). A skewed
-//     attribute distribution produces clustered positions, which is the
-//     regime the paper's skew experiments exercise.
-//   - Multiplicative: a Fibonacci-style mixing hash that uniformises any
-//     key distribution. Useful when the caller wants classic hash-join
-//     behaviour regardless of the value distribution.
+// and reshuffling both subdivide contiguous sub-ranges. A key's position is
+// therefore order-preserving — the top bits of the join attribute — so a
+// skewed attribute distribution produces clustered positions, which is the
+// regime the paper's skew experiments exercise.
 package hashfn
 
 import "fmt"
-
-// Mode selects how join-attribute values map to hash-table positions.
-type Mode uint8
-
-const (
-	// Scaled maps a key to a position by taking its top bits, preserving
-	// the ordering (and therefore any skew) of the key distribution.
-	Scaled Mode = iota
-	// Multiplicative applies a 64-bit Fibonacci multiplicative hash before
-	// taking the top bits, spreading any key distribution uniformly.
-	Multiplicative
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Scaled:
-		return "scaled"
-	case Multiplicative:
-		return "multiplicative"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint8(m))
-	}
-}
-
-// fibMul is 2^64 / phi, the classic multiplicative-hashing constant.
-const fibMul = 0x9E3779B97F4A7C15
 
 // Space is the hash-table position space: positions are integers in
 // [0, 1<<Bits).
 type Space struct {
 	// Bits is the log2 of the number of hash-table positions.
 	Bits uint
-	// Mode selects the key-to-position function.
-	Mode Mode
 }
 
 // DefaultBits yields 65 536 positions, enough to subdivide across hundreds
@@ -59,26 +25,20 @@ type Space struct {
 const DefaultBits = 16
 
 // DefaultSpace returns the space used throughout the experiments.
-func DefaultSpace() Space { return Space{Bits: DefaultBits, Mode: Scaled} }
+func DefaultSpace() Space { return Space{Bits: DefaultBits} }
 
 // Positions returns the number of positions in the space.
 func (s Space) Positions() int { return 1 << s.Bits }
 
-// PositionOf maps a join-attribute value to a hash-table position.
-func (s Space) PositionOf(key uint64) int {
-	if s.Mode == Multiplicative {
-		key *= fibMul
-	}
-	return int(key >> (64 - s.Bits))
-}
+// PositionOf maps a join-attribute value to a hash-table position: its
+// top Bits bits, preserving the ordering (and therefore any skew) of the
+// key distribution.
+func (s Space) PositionOf(key uint64) int { return int(key >> (64 - s.Bits)) }
 
 // Validate reports whether the space is usable.
 func (s Space) Validate() error {
 	if s.Bits == 0 || s.Bits > 30 {
 		return fmt.Errorf("hashfn: space bits %d out of range [1,30]", s.Bits)
-	}
-	if s.Mode != Scaled && s.Mode != Multiplicative {
-		return fmt.Errorf("hashfn: unknown mode %d", s.Mode)
 	}
 	return nil
 }

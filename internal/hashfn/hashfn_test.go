@@ -6,20 +6,18 @@ import (
 )
 
 func TestPositionInSpace(t *testing.T) {
-	for _, mode := range []Mode{Scaled, Multiplicative} {
-		s := Space{Bits: 10, Mode: mode}
-		f := func(key uint64) bool {
-			p := s.PositionOf(key)
-			return p >= 0 && p < s.Positions()
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("mode %v: %v", mode, err)
-		}
+	s := Space{Bits: 10}
+	f := func(key uint64) bool {
+		p := s.PositionOf(key)
+		return p >= 0 && p < s.Positions()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestScaledIsOrderPreserving(t *testing.T) {
-	s := Space{Bits: 12, Mode: Scaled}
+	s := Space{Bits: 12}
 	f := func(a, b uint64) bool {
 		if a > b {
 			a, b = b, a
@@ -41,20 +39,15 @@ func TestScaledExtremes(t *testing.T) {
 	}
 }
 
-func TestMultiplicativeSpreadsClusteredKeys(t *testing.T) {
-	// Keys clustered in a tiny window should still hit many distinct
-	// positions under the mixing hash, and very few under the scaled hash.
-	s := Space{Bits: 16, Mode: Multiplicative}
-	sc := Space{Bits: 16, Mode: Scaled}
-	mixed := map[int]bool{}
+// Keys clustered in a tiny window land on one or two positions: the skew
+// of the attribute distribution survives into routing, which is what the
+// paper's skew experiments measure.
+func TestScaledKeepsClusteredKeysTogether(t *testing.T) {
+	s := Space{Bits: 16}
 	scaled := map[int]bool{}
 	base := uint64(1) << 40
 	for i := uint64(0); i < 1000; i++ {
-		mixed[s.PositionOf(base+i)] = true
-		scaled[sc.PositionOf(base+i)] = true
-	}
-	if len(mixed) < 900 {
-		t.Errorf("multiplicative hash hit only %d distinct positions", len(mixed))
+		scaled[s.PositionOf(base+i)] = true
 	}
 	if len(scaled) > 2 {
 		t.Errorf("scaled hash spread clustered keys over %d positions", len(scaled))
@@ -65,7 +58,7 @@ func TestSpaceValidate(t *testing.T) {
 	if err := DefaultSpace().Validate(); err != nil {
 		t.Errorf("default space invalid: %v", err)
 	}
-	for _, bad := range []Space{{Bits: 0}, {Bits: 31}, {Bits: 8, Mode: Mode(7)}} {
+	for _, bad := range []Space{{Bits: 0}, {Bits: 31}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("space %+v should be invalid", bad)
 		}
@@ -84,13 +77,7 @@ func TestRangeHalves(t *testing.T) {
 	}
 }
 
-func TestModeAndRangeStrings(t *testing.T) {
-	if Scaled.String() != "scaled" || Multiplicative.String() != "multiplicative" {
-		t.Error("mode strings wrong")
-	}
-	if Mode(9).String() == "" {
-		t.Error("unknown mode string empty")
-	}
+func TestRangeString(t *testing.T) {
 	if (Range{1, 3}).String() != "[1,3)" {
 		t.Errorf("range string: %s", Range{1, 3})
 	}

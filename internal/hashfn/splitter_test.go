@@ -19,7 +19,7 @@ func runSplit(t *testing.T, tbl *Table, sp *Splitter, newOwner int32) int {
 }
 
 func TestSplitterWalksInOrder(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1, 2, 3})
 	sp := NewSplitter(len(tbl.Entries))
 	// Round 0: the pointer must visit the original four buckets in order.
@@ -45,7 +45,7 @@ func TestSplitterWalksInOrder(t *testing.T) {
 }
 
 func TestSplitterBarrier(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	sp := NewSplitter(len(tbl.Entries))
 	idx := sp.Next(tbl)
@@ -66,7 +66,7 @@ func TestSplitterBarrier(t *testing.T) {
 }
 
 func TestSplitterSkipsUnsplittable(t *testing.T) {
-	space := Space{Bits: 2, Mode: Scaled} // 4 positions
+	space := Space{Bits: 2} // 4 positions
 	tbl := mustTable(t, space, []int32{0, 1, 2, 3})
 	sp := NewSplitter(len(tbl.Entries))
 	// Every entry has width 1; nothing can split.
@@ -76,7 +76,7 @@ func TestSplitterSkipsUnsplittable(t *testing.T) {
 }
 
 func TestSplitterExhaustsToPositionGranularity(t *testing.T) {
-	space := Space{Bits: 4, Mode: Scaled} // 16 positions
+	space := Space{Bits: 4} // 16 positions
 	tbl := mustTable(t, space, []int32{0})
 	sp := NewSplitter(1)
 	next := int32(1)

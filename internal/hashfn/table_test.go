@@ -17,7 +17,7 @@ func mustTable(t *testing.T, space Space, owners []int32) *Table {
 }
 
 func TestNewTableTilesSpace(t *testing.T) {
-	space := Space{Bits: 10, Mode: Scaled}
+	space := Space{Bits: 10}
 	for _, n := range []int{1, 2, 3, 4, 7, 16, 24} {
 		owners := make([]int32, n)
 		for i := range owners {
@@ -46,7 +46,7 @@ func TestNewTableErrors(t *testing.T) {
 }
 
 func TestOwnerLookup(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{10, 11, 12, 13})
 	for p := 0; p < space.Positions(); p++ {
 		want := int32(10 + p/(space.Positions()/4))
@@ -57,7 +57,7 @@ func TestOwnerLookup(t *testing.T) {
 }
 
 func TestSplitEntryKeepsInvariants(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	lower, upper, err := tbl.SplitEntry(1, 2)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestSplitEntryKeepsInvariants(t *testing.T) {
 }
 
 func TestSplitEntryTooNarrow(t *testing.T) {
-	space := Space{Bits: 1, Mode: Scaled}
+	space := Space{Bits: 1}
 	tbl := mustTable(t, space, []int32{0, 1})
 	if _, _, err := tbl.SplitEntry(0, 2); err == nil {
 		t.Error("splitting a width-1 entry should fail")
@@ -89,7 +89,7 @@ func TestSplitEntryTooNarrow(t *testing.T) {
 }
 
 func TestAddReplicaChangesBuildOwnerOnly(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1, 2})
 	tbl.AddReplica(1, 7)
 	e := tbl.Entries[1]
@@ -105,7 +105,7 @@ func TestAddReplicaChangesBuildOwnerOnly(t *testing.T) {
 }
 
 func TestReplaceEntries(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	tbl.AddReplica(1, 2)
 	repl := []Entry{
@@ -137,7 +137,7 @@ func TestReplaceEntries(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	c := tbl.Clone()
 	tbl.AddReplica(0, 9)
@@ -150,7 +150,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestOwnersDeduplicated(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{3, 4})
 	tbl.AddReplica(0, 4)
 	got := tbl.Owners()
@@ -165,7 +165,7 @@ func TestOwnersDeduplicated(t *testing.T) {
 func TestRandomMutationSequenceKeepsInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		space := Space{Bits: 10, Mode: Scaled}
+		space := Space{Bits: 10}
 		tbl, err := NewTable(space, []int32{0, 1, 2, 3})
 		if err != nil {
 			return false
@@ -205,7 +205,7 @@ func TestRandomMutationSequenceKeepsInvariants(t *testing.T) {
 }
 
 func TestEntryIndexOwnedBy(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{5, 6})
 	if got := tbl.EntryIndexOwnedBy(6); got != 1 {
 		t.Errorf("index owned by 6 = %d", got)
@@ -221,7 +221,7 @@ func TestEntryIndexOwnedBy(t *testing.T) {
 // slot).
 func TestEntryIndexOfEveryPosition(t *testing.T) {
 	for _, bits := range []uint{8, 16} {
-		space := Space{Bits: bits, Mode: Scaled}
+		space := Space{Bits: bits}
 		for _, n := range []int{1, 2, 7, 16, 17, 40, 256} {
 			owners := make([]int32, n)
 			for i := range owners {
@@ -274,7 +274,7 @@ func checkAgainstScan(t *testing.T, tbl *Table, space Space, rng *rand.Rand, wha
 // both a slot per position and several positions per slot are covered.
 func TestEntryIndexOfAfterEveryMutator(t *testing.T) {
 	for bits := uint(1); bits <= 16; bits++ {
-		space := Space{Bits: bits, Mode: Scaled}
+		space := Space{Bits: bits}
 		rng := rand.New(rand.NewSource(int64(bits)))
 		for trial := 0; trial < 8; trial++ {
 			n := 1 + rng.Intn(min(8, space.Positions()))
@@ -403,7 +403,7 @@ func TestTakeIndex(t *testing.T) {
 }
 
 func TestEntryIndexOfBeyondSpacePanics(t *testing.T) {
-	tbl := mustTable(t, Space{Bits: 8, Mode: Scaled}, []int32{0, 1})
+	tbl := mustTable(t, Space{Bits: 8}, []int32{0, 1})
 	for _, p := range []int{-1, 256, 1 << 20} {
 		func() {
 			defer func() {
@@ -417,7 +417,7 @@ func TestEntryIndexOfBeyondSpacePanics(t *testing.T) {
 }
 
 func TestReplaceOwner(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	tbl.AddReplica(1, 5)
 	v := tbl.Version
@@ -431,7 +431,7 @@ func TestReplaceOwner(t *testing.T) {
 }
 
 func TestSetSoleOwner(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	tbl := mustTable(t, space, []int32{0, 1})
 	tbl.AddReplica(1, 5)
 	c := tbl.Clone()
@@ -452,7 +452,7 @@ func TestSetSoleOwner(t *testing.T) {
 }
 
 func TestMergeEntry(t *testing.T) {
-	space := Space{Bits: 8, Mode: Scaled}
+	space := Space{Bits: 8}
 	for _, tc := range []struct {
 		idx, into int
 		want      []Range

@@ -9,7 +9,7 @@ import (
 	"ehjoin/internal/tuple"
 )
 
-var testSpace = hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+var testSpace = hashfn.Space{Bits: 8}
 
 func TestInsertProbeAgainstMapModel(t *testing.T) {
 	f := func(seed int64) bool {

@@ -24,7 +24,7 @@ import (
 
 const maxStepsPerInsert = 8
 
-var smallSpace = hashfn.Space{Bits: 8, Mode: hashfn.Multiplicative}
+var smallSpace = hashfn.Space{Bits: 8}
 
 // insertAll inserts ts into a fresh staged table and into a fresh sealed
 // one, and fails the test if indexing them did more than maxStepsPerInsert
@@ -71,17 +71,14 @@ func TestOneSpillPartitionDoesNotCluster(t *testing.T) {
 	}))
 }
 
-// A join node holds the keys of one routing range: under Multiplicative
-// routing they agree on the top bits of key*fibMul, under Scaled routing
-// on the top bits of the key itself.
+// A join node holds the keys of one routing range: they agree on the top
+// bits of the key itself.
 func TestOneRoutingRangeDoesNotCluster(t *testing.T) {
-	for _, mode := range []hashfn.Mode{hashfn.Multiplicative, hashfn.Scaled} {
-		space := hashfn.Space{Bits: 16, Mode: mode}
-		r := hashfn.Range{Lo: 3 << 10, Hi: 4 << 10} // 1/64 of the positions
-		insertAll(t, mode.String()+" range", space, keysWhere(100_000, func(k uint64) bool {
-			return r.Contains(space.PositionOf(k))
-		}))
-	}
+	space := hashfn.Space{Bits: 16}
+	r := hashfn.Range{Lo: 3 << 10, Hi: 4 << 10} // 1/64 of the positions
+	insertAll(t, "routing range", space, keysWhere(100_000, func(k uint64) bool {
+		return r.Contains(space.PositionOf(k))
+	}))
 }
 
 // A split or reshuffle ships ExtractRange's result in returned (slot)

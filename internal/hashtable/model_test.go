@@ -116,10 +116,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (wrapped int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	space := hashfn.Space{Bits: uint(4 + rng.Intn(6)), Mode: hashfn.Scaled}
-	if rng.Intn(2) == 0 {
-		space.Mode = hashfn.Multiplicative
-	}
+	space := hashfn.Space{Bits: uint(4 + rng.Intn(6))}
 	layout := tuple.LayoutForTupleSize(16 + rng.Intn(100))
 	tbl := New(space, layout)
 	model := tableModel{}
@@ -372,10 +369,10 @@ func TestExtractFromWrappedCluster(t *testing.T) {
 }
 
 // TestRoutingHashesSpreadOverSegments: keys that agree on the top bits of
-// key*fibMul (one spill partition, one Multiplicative routing range) or of
-// the key itself (one Scaled range) must still use all 64 segments evenly —
-// a table whose segment choice shared those bits would grow as one or two
-// big segments and lose the bounded growth transient.
+// key*fibMul (one spill partition) or of the key itself (one routing range)
+// must still use all 64 segments evenly — a table whose segment choice
+// shared those bits would grow as one or two big segments and lose the
+// bounded growth transient.
 func TestRoutingHashesSpreadOverSegments(t *testing.T) {
 	for name, ok := range map[string]func(uint64) bool{
 		"top bits of key*fibMul": func(k uint64) bool { return (k*fibMul)>>59 == 5 },
@@ -454,7 +451,7 @@ func randRanges(rng *rand.Rand, space hashfn.Space, kind string) []hashfn.Range 
 // avoid the top quarter of the space, so some ranges hold nothing: their
 // result must be nil.
 func TestExtractRangesMatchesModel(t *testing.T) {
-	space := hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+	space := hashfn.Space{Bits: 8}
 	layout := tuple.DefaultLayout()
 	for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
 		for _, kind := range append(rangeKinds, "untouched") {
@@ -521,7 +518,7 @@ func TestExtractRangesMatchesModel(t *testing.T) {
 }
 
 func TestExtractRangesPanics(t *testing.T) {
-	space := hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+	space := hashfn.Space{Bits: 8}
 	fill := func() *Table {
 		tbl := New(space, tuple.DefaultLayout())
 		for p := 0; p < space.Positions(); p++ {
@@ -551,7 +548,7 @@ func TestExtractRangesPanics(t *testing.T) {
 // More ranges than one pass can sort by (a slot is a byte) take more
 // passes and still come back per range, in order.
 func TestExtractRangesBeyondOnePass(t *testing.T) {
-	space := hashfn.Space{Bits: 10, Mode: hashfn.Scaled}
+	space := hashfn.Space{Bits: 10}
 	tbl := New(space, tuple.DefaultLayout())
 	model := tableModel{}
 	rng := rand.New(rand.NewSource(3))

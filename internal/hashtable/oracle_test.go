@@ -42,7 +42,7 @@ func sameMultiset(t *testing.T, what string, got, want []tuple.Tuple) {
 // the name the benchmark's oracle uses, cannot be imported here — spill
 // imports this package; spill's own test pins it to tuple.MixPair.)
 func TestProbeAllMatchesPerMatchFold(t *testing.T) {
-	space := hashfn.Space{Bits: 8, Mode: hashfn.Scaled}
+	space := hashfn.Space{Bits: 8}
 	runLens := []int{1, 2, 3, 7, 1000, 1501}
 	const absentKeys = 3
 	key := func(k int) uint64 { return uint64(k+1) * fibMul }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // NewCkptExhaustive returns the checkpoint-kind analyzer, the CkptKind
@@ -115,43 +114,13 @@ func checkCkptSwitch(pass *Pass, sw *ast.SwitchStmt) bool {
 	if len(consts) == 0 {
 		return false
 	}
-	sort.Slice(consts, func(i, j int) bool { return consts[i].Name() < consts[j].Name() })
-
-	covered := map[string]bool{}
-	var defaultClause *ast.CaseClause
-	for _, cl := range sw.Body.List {
-		cc := cl.(*ast.CaseClause)
-		if cc.List == nil {
-			defaultClause = cc
-			continue
-		}
-		for _, e := range cc.List {
-			var obj types.Object
-			switch e := e.(type) {
-			case *ast.Ident:
-				obj = pass.Info.Uses[e]
-			case *ast.SelectorExpr:
-				obj = pass.Info.Uses[e.Sel]
-			}
-			if c, ok := obj.(*types.Const); ok {
-				covered[c.Name()] = true
-			}
-		}
-	}
-	for _, c := range consts {
-		if !covered[c.Name()] {
-			pass.Reportf(sw.Pos(), "switch over CkptKind is missing an arm for %s: every checkpoint "+
-				"record kind needs codec and replay handling", c.Name())
-		}
-	}
-	if defaultClause == nil {
-		pass.Reportf(sw.Pos(), "switch over CkptKind has no default arm: an unknown record must fail "+
-			"with the typed wire.ErrUnknownKind, not fall through silently")
-		return true
-	}
-	if !mentionsIdent(defaultClause, "ErrUnknownKind") {
-		pass.Reportf(defaultClause.Pos(), "default arm of CkptKind switch does not reference "+
-			"ErrUnknownKind: replay and decode must fail typed on a record kind they do not know")
-	}
+	checkEnumSwitch(pass, sw, consts, enumSwitchReports{
+		missing: "switch over CkptKind is missing an arm for %s: every checkpoint " +
+			"record kind needs codec and replay handling",
+		noDefault: "switch over CkptKind has no default arm: an unknown record must fail " +
+			"with the typed wire.ErrUnknownKind, not fall through silently",
+		noUnknown: "default arm of CkptKind switch does not reference " +
+			"ErrUnknownKind: replay and decode must fail typed on a record kind they do not know",
+	})
 	return true
 }

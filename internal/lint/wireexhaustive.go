@@ -106,9 +106,27 @@ func checkKindSwitch(pass *Pass, sw *ast.SwitchStmt, kinds map[*types.TypeName][
 	if len(consts) == 0 {
 		return
 	}
+	name := tagType.Obj().Name()
+	checkEnumSwitch(pass, sw, consts, enumSwitchReports{
+		missing: "switch over " + name + " is missing an arm for %s: every frame kind " +
+			"needs both encode and decode handling",
+		noDefault: "switch over " + name + " has no default arm: corrupt input must fail with " +
+			"the typed wire.ErrUnknownKind, not fall through silently",
+		noUnknown: "default arm for " + name + " switch does not wrap ErrUnknownKind: " +
+			"callers must be able to errors.Is an unknown kind apart from a clean close",
+	})
+}
 
+// enumSwitchReports is one analyzer's wording of checkEnumSwitch's three
+// findings; missing formats the name of the constant without an arm.
+type enumSwitchReports struct {
+	missing, noDefault, noUnknown string
+}
+
+// checkEnumSwitch requires sw to have an arm for every constant in consts
+// (reported in name order) and a default arm that mentions ErrUnknownKind.
+func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt, consts []*types.Const, r enumSwitchReports) {
 	sort.Slice(consts, func(i, j int) bool { return consts[i].Name() < consts[j].Name() })
-
 	covered := map[string]bool{}
 	var defaultClause *ast.CaseClause
 	for _, cl := range sw.Body.List {
@@ -130,22 +148,17 @@ func checkKindSwitch(pass *Pass, sw *ast.SwitchStmt, kinds map[*types.TypeName][
 			}
 		}
 	}
-
 	for _, c := range consts {
 		if !covered[c.Name()] {
-			pass.Reportf(sw.Pos(), "switch over %s is missing an arm for %s: every frame kind "+
-				"needs both encode and decode handling", tagType.Obj().Name(), c.Name())
+			pass.Reportf(sw.Pos(), r.missing, c.Name())
 		}
 	}
 	if defaultClause == nil {
-		pass.Reportf(sw.Pos(), "switch over %s has no default arm: corrupt input must fail with "+
-			"the typed wire.ErrUnknownKind, not fall through silently", tagType.Obj().Name())
+		pass.Reportf(sw.Pos(), "%s", r.noDefault)
 		return
 	}
 	if !mentionsIdent(defaultClause, "ErrUnknownKind") {
-		pass.Reportf(defaultClause.Pos(), "default arm for %s switch does not wrap ErrUnknownKind: "+
-			"callers must be able to errors.Is an unknown kind apart from a clean close",
-			tagType.Obj().Name())
+		pass.Reportf(defaultClause.Pos(), "%s", r.noUnknown)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"ehjoin/internal/tuple"
 )
 
-var space = hashfn.Space{Bits: 10, Mode: hashfn.Scaled}
+var space = hashfn.Space{Bits: 10}
 
 // fakeEnv satisfies runtime.Env, accumulating charges.
 type fakeEnv struct {

@@ -10,6 +10,7 @@ package tcpnet
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -394,5 +395,29 @@ func TestRestoreRejectsStarCheckpoint(t *testing.T) {
 	}
 	if err := l.Close(); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("listener after a rejected restore: Close = %v, want net.ErrClosed", err)
+	}
+}
+
+// TestRestoreRejectsVersion3Checkpoint: a version-3 log carries a config
+// blob with fields this build no longer has, so RestoreCoordinator refuses
+// its header with the version error before replaying a single record.
+func TestRestoreRejectsVersion3Checkpoint(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered int64
+	snap := &Snapshot{Records: []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: 3, SessionBase: 0x770000, P2P: true,
+			AssignIDs: []int32{1}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
+		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
+	}}
+	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, l, WithResumeWindow(time.Second))
+	want := fmt.Sprintf("checkpoint version 3, this coordinator speaks %d", wire.CkptVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RestoreCoordinator on a version-3 header = %v, want %q", err, want)
+	}
+	if delivered != 0 {
+		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
 	}
 }

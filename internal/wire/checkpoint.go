@@ -31,8 +31,10 @@ import (
 // each session's receive position to the contiguous prefix the log
 // actually covers instead of assuming record count equals sequence floor.
 // Version 3 changed the header's config blob from gob to the field codec
-// (core.EncodeConfig); record layouts did not move.
-const CkptVersion = 3
+// (core.EncodeConfig); record layouts did not move. Version 4 dropped the
+// settings the configuration census fixed (hash mode, base credit window,
+// burst size, spill fan-out) from that blob.
+const CkptVersion = 4
 
 // CkptKind enumerates checkpoint record kinds.
 type CkptKind uint8
