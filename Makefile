@@ -28,10 +28,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The in-tree invariant suite (internal/lint): determinism, channel and
-# lock discipline, wire and checkpoint exhaustiveness, report-counter sync,
-# goroutine lifetime bounding, WAL log-before-act ordering, and the
-# conservation ledger. -v prints the //lint:allow suppressions so
+# The in-tree invariant suite (internal/lint): determinism, channel
+# discipline, no blocking under a lock, report-counter sync, WAL
+# log-before-act ordering, and the conservation ledger — each proved by a
+# mutant of the real tree that only it catches (go test ./internal/lint). -v prints the //lint:allow suppressions so
 # exceptions stay auditable; CHECKS=walorder,ledger runs a subset.
 ehjalint:
 	$(GO) run ./cmd/ehjalint -v $(if $(CHECKS),-checks $(CHECKS)) ./...

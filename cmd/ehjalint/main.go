@@ -1,9 +1,8 @@
 // Command ehjalint runs ehjoin's in-tree invariant analyzers over the
 // module and fails (exit 1) on any finding. It is the mechanical form of
 // the correctness argument the test suite leans on: determinism of the
-// simulated paths, channel and lock discipline in the transport,
-// wire-format and checkpoint-kind exhaustiveness, report-counter sync,
-// goroutine lifetime bounding, WAL log-before-act ordering, and
+// simulated paths, channel discipline and no blocking under a lock in the
+// transport, report-counter sync, WAL log-before-act ordering, and
 // conservation-ledger reversal.
 //
 // Usage:
@@ -18,14 +17,18 @@
 //	//lint:allow <check> <reason>
 //
 // on the flagged line or the line directly above it. The reason is
-// mandatory; -v prints every suppression so exceptions stay auditable.
+// mandatory; -v prints every suppression so exceptions stay auditable. An
+// unknown -checks name is a usage error (exit 2) that lists every unknown
+// name.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"ehjoin/internal/lint"
@@ -64,24 +67,32 @@ func toJSONDiags(ds []lint.Diagnostic) []jsonDiag {
 	return out
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, runs the suite and
+// prints the findings. It returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ehjalint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		checks   = flag.String("checks", "", "comma-separated subset of analyzers to run (default: all)")
-		list     = flag.Bool("list", false, "list the analyzers and exit")
-		verbose  = flag.Bool("v", false, "also print suppressed findings")
-		jsonMode = flag.Bool("json", false, "emit findings and suppressions as JSON on stdout")
+		checks   = fs.String("checks", "", "comma-separated subset of analyzers to run (default: all)")
+		list     = fs.Bool("list", false, "list the analyzers and exit")
+		verbose  = fs.Bool("v", false, "also print suppressed findings")
+		jsonMode = fs.Bool("json", false, "emit findings and suppressions as JSON on stdout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%s\n", a.Name)
+			fmt.Fprintf(stdout, "%s\n", a.Name)
 			for _, line := range strings.Split(a.Doc, "\n") {
-				fmt.Printf("    %s\n", line)
+				fmt.Fprintf(stdout, "    %s\n", line)
 			}
 		}
-		return
+		return 0
 	}
 	if *checks != "" {
 		want := map[string]bool{}
@@ -95,22 +106,27 @@ func main() {
 				delete(want, a.Name)
 			}
 		}
-		for unknown := range want {
-			fmt.Fprintf(os.Stderr, "ehjalint: unknown check %q\n", unknown)
-			os.Exit(2)
+		if len(want) > 0 {
+			unknown := make([]string, 0, len(want))
+			for c := range want {
+				unknown = append(unknown, fmt.Sprintf("%q", c))
+			}
+			sort.Strings(unknown)
+			fmt.Fprintf(stderr, "ehjalint: unknown check(s) %s\n", strings.Join(unknown, ", "))
+			return 2
 		}
 		analyzers = picked
 	}
 
-	pkgs, err := lint.Load(flag.Args()...)
+	pkgs, err := lint.Load(fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehjalint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ehjalint:", err)
+		return 2
 	}
 	res, err := lint.RunSuite(analyzers, pkgs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehjalint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ehjalint:", err)
+		return 2
 	}
 	if *jsonMode {
 		doc := jsonReport{
@@ -118,30 +134,31 @@ func main() {
 			Suppressed: toJSONDiags(res.Suppressed),
 			Packages:   len(pkgs),
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, "ehjalint:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "ehjalint:", err)
+			return 2
 		}
 		if len(res.Findings) > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *verbose {
 		for _, d := range res.Suppressed {
-			fmt.Printf("%s (suppressed)\n", d)
+			fmt.Fprintf(stdout, "%s (suppressed)\n", d)
 		}
 	}
 	for _, d := range res.Findings {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(res.Findings) > 0 {
-		fmt.Fprintf(os.Stderr, "ehjalint: %d finding(s) in %d package(s)\n", len(res.Findings), len(pkgs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ehjalint: %d finding(s) in %d package(s)\n", len(res.Findings), len(pkgs))
+		return 1
 	}
 	if *verbose {
-		fmt.Printf("ehjalint: clean (%d packages, %d suppression(s))\n", len(pkgs), len(res.Suppressed))
+		fmt.Fprintf(stdout, "ehjalint: clean (%d packages, %d suppression(s))\n", len(pkgs), len(res.Suppressed))
 	}
+	return 0
 }

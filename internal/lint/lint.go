@@ -1,11 +1,15 @@
 // Package lint is ehjoin's in-tree static-analysis suite: a small
 // go/analysis-style framework plus the analyzers that mechanically enforce
 // this codebase's correctness invariants — determinism of the simulated
-// paths, channel and lock discipline in the TCP transport, wire-format and
-// checkpoint-kind exhaustiveness, report-counter sync, goroutine lifetime
-// bounding, WAL log-before-act ordering, and conservation-ledger reversal.
-// The cmd/ehjalint driver runs every analyzer over the module and fails CI
-// on any finding.
+// paths, channel discipline and no blocking under a lock in the TCP
+// transport, report-counter sync, WAL log-before-act ordering, and
+// conservation-ledger reversal. The cmd/ehjalint driver runs every
+// analyzer over the module and fails CI on any finding.
+//
+// Every analyzer earns its place with a mutant: a rewrite of the real tree
+// that re-introduces its bug class, which it must catch and which no test
+// of the owning package rejects (mutation_test.go). A bug class the tests
+// already reject needs no analyzer.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only:
@@ -19,12 +23,12 @@
 //
 //	busy := wallClock() //lint:allow determinism exec stats are diagnostic only
 //
-// The comment must name the check and give a non-empty reason, and may sit
-// on the flagged line or on the line directly above it. A suppression
-// without a reason is itself reported, so every exception stays visible
-// and justified in the diff. So is a stale suppression — an allow whose
-// check ran but silenced nothing — which keeps the exception inventory
-// honest as the code it excused evolves.
+// The comment must follow the prefix with a space, name the check and give
+// a non-empty reason, and may sit on the flagged line or on the line
+// directly above it. A malformed suppression is itself reported, so every
+// exception stays visible and justified in the diff. So is a stale
+// suppression — an allow whose check ran but silenced nothing — which
+// keeps the exception inventory honest as the code it excused evolves.
 package lint
 
 import (
@@ -89,11 +93,8 @@ func Analyzers() []*Analyzer {
 		NewDeterminism(),
 		NewChanSend(),
 		NewLockCheck(),
-		NewWireExhaustive(),
 		NewReportSync(),
-		NewGoroLifetime(),
 		NewWalOrder(),
-		NewCkptExhaustive(),
 		NewLedger(),
 	}
 }
@@ -110,25 +111,23 @@ type suppression struct {
 const allowPrefix = "//lint:allow "
 
 // collectSuppressions parses every //lint:allow comment in the package.
-// Malformed suppressions (no check, or no reason) are reported as
-// diagnostics of the pseudo-check "lint".
+// Malformed suppressions (no space after the prefix, no check, or no
+// reason) are reported as diagnostics of the pseudo-check "lint".
 func collectSuppressions(fset *token.FileSet, files []*ast.File) (map[string][]*suppression, []Diagnostic) {
 	byFile := make(map[string][]*suppression)
 	var malformed []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, strings.TrimSpace(allowPrefix)) &&
-					!strings.HasPrefix(c.Text, "//lint:allow") {
+				if !strings.HasPrefix(c.Text, "//lint:allow") {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				rest := strings.TrimPrefix(c.Text, "//lint:allow")
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
+				fields := strings.Fields(strings.TrimPrefix(c.Text, allowPrefix))
+				if !strings.HasPrefix(c.Text, allowPrefix) || len(fields) < 2 {
 					malformed = append(malformed, Diagnostic{
 						Check: "lint", Pos: pos,
-						Message: "//lint:allow needs a check name and a reason: //lint:allow <check> <reason>",
+						Message: "malformed suppression: want //lint:allow <check> <reason>",
 					})
 					continue
 				}

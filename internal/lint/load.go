@@ -24,6 +24,8 @@ type LoadedPackage struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+
+	imp types.Importer // the export-data importer the package was checked with
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -93,39 +95,52 @@ func Load(patterns ...string) ([]*LoadedPackage, error) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("lint: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("lint: parsing %s: %w", name, err)
-			}
-			files = append(files, f)
+		paths := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			paths[i] = filepath.Join(p.Dir, name)
 		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		conf := types.Config{Importer: imp}
-		tp, err := conf.Check(p.ImportPath, fset, files, info)
+		lp, err := parseAndCheck(LoadedPackage{PkgPath: p.ImportPath, Name: p.Name, Dir: p.Dir, Fset: fset, imp: imp}, paths, nil)
 		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %w", p.ImportPath, err)
+			return nil, err
 		}
-		loaded = append(loaded, &LoadedPackage{
-			PkgPath: p.ImportPath,
-			Name:    p.Name,
-			Dir:     p.Dir,
-			Fset:    fset,
-			Files:   files,
-			Types:   tp,
-			Info:    info,
-		})
+		loaded = append(loaded, lp)
 	}
 	if len(loaded) == 0 {
 		return nil, fmt.Errorf("lint: no packages matched %v", patterns)
 	}
 	return loaded, nil
+}
+
+// parseAndCheck parses the files at paths into pkg.Fset — taking a file's
+// text from src when src has it, from disk otherwise — and type-checks them
+// as pkg.PkgPath against pkg's importer. It returns a copy of pkg with
+// Files, Types and Info filled in.
+func parseAndCheck(pkg LoadedPackage, paths []string, src map[string][]byte) (*LoadedPackage, error) {
+	pkg.Files = nil
+	for _, path := range paths {
+		var text any // nil: ParseFile reads the file from disk
+		if b, ok := src[path]; ok {
+			text = b
+		}
+		f, err := parser.ParseFile(pkg.Fset, path, text, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parsing %s: %w", filepath.Base(path), err)
+		}
+		pkg.Files = append(pkg.Files, f)
+	}
+	pkg.Info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: pkg.imp}
+	tp, err := conf.Check(pkg.PkgPath, pkg.Fset, pkg.Files, pkg.Info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-checking %s: %w", pkg.PkgPath, err)
+	}
+	pkg.Types = tp
+	return &pkg, nil
 }

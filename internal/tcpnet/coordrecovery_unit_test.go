@@ -4,8 +4,8 @@ package tcpnet
 // against the resume listener's re-attach handshake — stalled, corrupt,
 // torn, oversize and retired-format hellos must be shed without wedging
 // the coordinator, a digest mismatch must land on rung 2, and a correct
-// hello must still resume on rung 1 afterwards — and the replay's header
-// checks.
+// hello must still resume on rung 1 afterwards — the replay's header
+// checks, and the replay of every checkpoint record kind.
 
 import (
 	"encoding/binary"
@@ -366,6 +366,96 @@ func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
 	}
 	if delivered != 4 {
 		t.Errorf("replay delivered %d messages to local actors, want 4", delivered)
+	}
+}
+
+// TestCoordRecoveryReplaysEveryCkptKind restores a hand-built log holding
+// one record of every checkpoint kind the codec accepts, and checks the
+// effect each record must leave on the restored coordinator. A kind the
+// replay switch lost fails the restore with ErrUnknownKind; a kind the
+// codec gained fails the probe until it has a record and an effect here.
+func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0 serves node 1 and worker 1 node 4; node 2 is coordinator-local.
+	const node0, node1, local = 1, 4, 2
+	var delivered int64
+	replays := map[wire.CkptKind]struct {
+		rec    *wire.CkptRecord
+		effect func(c *Coordinator) (got, want int64)
+	}{
+		wire.CkptHeader: { // a restart marker left by a previous recovery
+			rec:    &wire.CkptRecord{Kind: wire.CkptHeader, Version: wire.CkptVersion},
+			effect: func(c *Coordinator) (int64, int64) { return c.restarts, 2 },
+		},
+		wire.CkptDelivery: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: local, Worker: -1, Msg: &testMsg{}},
+			effect: func(*Coordinator) (int64, int64) { return delivered, 1 },
+		},
+		wire.CkptRelay: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptRelay, From: node0, To: node1, Worker: 0, Seq: 1, Msg: &testMsg{}},
+			effect: func(c *Coordinator) (int64, int64) { return c.workers[0].received, 1 },
+		},
+		wire.CkptMark: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptMark, Worker: 0, Seq: 2, Processed: 7, Emitted: 5},
+			effect: func(c *Coordinator) (int64, int64) { return c.workers[0].processed, 7 },
+		},
+		wire.CkptPhase: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptPhase, Phase: 0},
+			effect: func(c *Coordinator) (int64, int64) { return int64(c.drains), 1 },
+		},
+		wire.CkptEpoch: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 1, SessEpoch: 1, PeerEpoch: 3},
+			effect: func(c *Coordinator) (int64, int64) { return int64(c.peerEpochs[1]), 3 },
+		},
+		wire.CkptDeath: {
+			rec:    &wire.CkptRecord{Kind: wire.CkptDeath, Worker: 1},
+			effect: func(c *Coordinator) (int64, int64) { return int64(c.workers[1].state), int64(linkDead) },
+		},
+	}
+	snap := &Snapshot{Records: []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000, P2P: true,
+			AssignIDs: []int32{node0, node1}, AssignWorkers: []int32{0, 1},
+			PeerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+	}}
+	var kinds []wire.CkptKind
+	for k := wire.CkptKind(1); k != 0; k++ {
+		rec := &wire.CkptRecord{Kind: k, Msg: &testMsg{}}
+		if r, ok := replays[k]; ok {
+			rec = r.rec
+		}
+		if _, err := wire.AppendCheckpointRecord(nil, rec); err != nil {
+			if !errors.Is(err, wire.ErrUnknownKind) {
+				t.Fatalf("kind %d: %v", k, err)
+			}
+			continue
+		}
+		if _, ok := replays[k]; !ok {
+			t.Fatalf("the codec accepts checkpoint kind %d but this test has no record for it: "+
+				"add one, with the effect its replay must leave", k)
+		}
+		kinds = append(kinds, k)
+		snap.Records = append(snap.Records, rec)
+	}
+	if len(kinds) != len(replays) {
+		t.Fatalf("the codec accepts %d checkpoint kinds, this test replays %d", len(kinds), len(replays))
+	}
+
+	c, err := RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{local: &countActor{n: &delivered}}, l,
+		WithResumeWindow(time.Second))
+	if errors.Is(err, wire.ErrUnknownKind) {
+		t.Fatalf("replay has no arm for a kind the codec writes: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, k := range kinds {
+		if got, want := replays[k].effect(c); got != want {
+			t.Errorf("after replaying a kind-%d record: got %d, want %d", k, got, want)
+		}
 	}
 }
 

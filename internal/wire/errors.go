@@ -22,8 +22,8 @@ var (
 	ErrChecksum = errors.New("frame checksum mismatch")
 	// ErrUnknownKind marks a frame kind or codec id outside the registered
 	// set: a version-skewed peer or corruption that survived the checksum.
-	// Every encode/decode switch default wraps this sentinel (enforced by
-	// the wireexhaustive analyzer) so transports can errors.Is it apart
-	// from a clean close.
+	// Every encode/decode switch default wraps this sentinel (pinned by
+	// TestUnknownKindTyped, TestUnknownCodecTyped and the every-kind tests)
+	// so transports can errors.Is it apart from a clean close.
 	ErrUnknownKind = errors.New("unknown frame kind")
 )
