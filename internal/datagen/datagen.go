@@ -143,9 +143,20 @@ const maxUnit = 1 - 1.0/(1<<53)
 // < 1% of the mass for any s > 1.
 const zipfRanks = 65536
 
-// zipfTable builds the cumulative rank CDF for exponent s: cum[r] is the
-// probability of drawing a rank <= r, with cum[zipfRanks-1] pinned to 1.
-func zipfTable(s float64) []float64 {
+// zipfGuide is the number of equal slices of [0,1) the guide table over
+// the rank CDF cuts: a power of two, so u·zipfGuide is exact.
+const zipfGuide = 1 << 14
+
+// zipfCDF is the inverse-CDF table of one exponent: cum[r] is the
+// probability of drawing a rank <= r, with cum[zipfRanks-1] pinned to 1,
+// and guide[j] is the rank drawn at u = j/zipfGuide.
+type zipfCDF struct {
+	cum   []float64
+	guide []uint16 // zipfGuide+1 entries; a rank < zipfRanks fits
+}
+
+// newZipfCDF builds the tables for exponent s.
+func newZipfCDF(s float64) *zipfCDF {
 	cum := make([]float64, zipfRanks)
 	total := 0.0
 	for r := 0; r < zipfRanks; r++ {
@@ -156,7 +167,22 @@ func zipfTable(s float64) []float64 {
 		cum[r] /= total
 	}
 	cum[zipfRanks-1] = 1
-	return cum
+	guide := make([]uint16, zipfGuide+1)
+	for j := range guide {
+		guide[j] = uint16(sort.SearchFloat64s(cum, float64(j)/zipfGuide))
+	}
+	return &zipfCDF{cum: cum, guide: guide}
+}
+
+// rank returns the rank drawn at u in [0,1): the first r with cum[r] >= u,
+// as sort.SearchFloat64s over all of cum finds it. With j = ⌊u·zipfGuide⌋,
+// j/zipfGuide <= u < (j+1)/zipfGuide, and the rank is monotone in u, so it
+// lies in [guide[j], guide[j+1]] — a range that ends inside cum, because
+// cum ends at 1.
+func (z *zipfCDF) rank(u float64) int {
+	j := int(u * zipfGuide)
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	return lo + sort.SearchFloat64s(z.cum[lo:hi+1], u)
 }
 
 // zipfKey scatters rank r to its 64-bit join attribute. splitmix64 is
@@ -169,8 +195,8 @@ func zipfKey(seed uint64, r int) uint64 {
 
 // Gen generates one relation deterministically.
 type Gen struct {
-	spec    Spec
-	zipfCum []float64 // inverse-CDF table, built once in New (Zipf only)
+	spec Spec
+	zipf *zipfCDF // built once in New (Zipf only)
 }
 
 // New returns a generator for the relation described by spec.
@@ -183,7 +209,7 @@ func New(spec Spec) (*Gen, error) {
 	}
 	g := &Gen{spec: spec}
 	if spec.Dist == Zipf {
-		g.zipfCum = zipfTable(spec.ZipfS)
+		g.zipf = newZipfCDF(spec.ZipfS)
 	}
 	return g, nil
 }
@@ -210,11 +236,7 @@ func (g *Gen) KeyAt(i int64) uint64 {
 		return uint64(v * float64(1<<32) * float64(1<<32))
 	case Zipf:
 		u := unit(splitmix64(g.spec.Seed ^ 0x5A69706644726177 ^ uint64(i)*0xE7037ED1A0B428DB))
-		r := sort.SearchFloat64s(g.zipfCum, u)
-		if r >= zipfRanks {
-			r = zipfRanks - 1
-		}
-		return zipfKey(g.spec.Seed, r)
+		return zipfKey(g.spec.Seed, g.zipf.rank(u))
 	default: // Uniform
 		return splitmix64(g.spec.Seed ^ uint64(i)*0x9E3779B97F4A7C15)
 	}

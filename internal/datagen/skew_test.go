@@ -3,6 +3,8 @@ package datagen
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -174,5 +176,58 @@ func TestZipfValidation(t *testing.T) {
 	}
 	if err := (Spec{Dist: Zipf, ZipfS: 1.5, Tuples: 10}).Validate(); err != nil {
 		t.Errorf("Validate rejected a valid Zipf spec: %v", err)
+	}
+}
+
+// TestZipfGuideMatchesFullSearch: the guide table's bounded search draws
+// the rank the full binary search over the CDF draws, for a million random
+// u, at every guide boundary j/zipfGuide and its neighbours, and at every
+// CDF value and its neighbours — every u in [0,1) where the answer changes.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, s := range []float64{0.5, 1.1, 1.5, 3} {
+		z := newZipfCDF(s)
+		var us []float64
+		for i := 0; i < 1_000_000; i++ {
+			us = append(us, unit(rng.Uint64()))
+		}
+		near := func(u float64) {
+			us = append(us, math.Nextafter(u, 0), u, math.Nextafter(u, 2))
+		}
+		for j := 0; j <= zipfGuide; j++ {
+			near(float64(j) / zipfGuide)
+		}
+		for _, c := range z.cum {
+			near(c)
+		}
+		checked := 0
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue // outside unit's range
+			}
+			checked++
+			if got, want := z.rank(u), sort.SearchFloat64s(z.cum, u); got != want {
+				t.Fatalf("s=%v u=%v (%#x): guided rank %d, full search %d", s, u, math.Float64bits(u), got, want)
+			}
+		}
+		if checked < 1_000_000+3*zipfRanks {
+			t.Fatalf("s=%v: only %d u checked", s, checked)
+		}
+	}
+}
+
+// sinkKey keeps BenchmarkZipfKeyAt's keys observable.
+var sinkKey uint64
+
+// BenchmarkZipfKeyAt is the cost of one Zipf key: the rank draw and the
+// rank's scatter.
+func BenchmarkZipfKeyAt(b *testing.B) {
+	g, err := New(Spec{Dist: Zipf, ZipfS: 1.1, Tuples: 1 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkKey ^= g.KeyAt(int64(i))
 	}
 }

@@ -74,8 +74,8 @@ func BenchmarkTable(b *testing.B) {
 // 1000-tuple chunks, so every probe tuple folds 400 matches. ns/match is
 // the number DESIGN.md "Batch entry points" quotes. kernel=avx512 is
 // ProbeAll as the engine runs it; kernel=go is the same table loop with
-// every run folded by the per-pair Go loop, the path on CPUs without
-// AVX-512.
+// every run's words folded by tuple.MixRunGeneric, the pure-Go loop and
+// the path on CPUs without AVX-512.
 func BenchmarkProbeAllRuns(b *testing.B) {
 	const tuples, keys, chunk = 20_000, 50, 1_000
 	tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
@@ -87,17 +87,10 @@ func BenchmarkProbeAllRuns(b *testing.B) {
 		probe[i] = tuple.Tuple{Index: uint64(tuples + i), Key: uint64(i%keys) * fibMul}
 	}
 	tab.ProbeAll(probe[:1]) // seal off the clock
-	foldGo := func(run []tuple.Tuple, probeIndex uint64) uint64 {
-		var x uint64
-		for _, bt := range run {
-			x ^= tuple.MixPair(bt.Index, probeIndex)
-		}
-		return x
-	}
 	for _, k := range []struct {
 		name   string
-		mixRun func([]tuple.Tuple, uint64) uint64
-	}{{"avx512", tuple.MixRun}, {"go", foldGo}} {
+		mixRun func([]uint64, uint64) uint64
+	}{{"avx512", tuple.MixRun}, {"go", tuple.MixRunGeneric}} {
 		b.Run("kernel="+k.name, func(b *testing.B) {
 			if k.name == "avx512" && tuple.MixRunKernel() != "avx512" {
 				b.Skip("no AVX-512 kernel: not amd64, the CPU lacks AVX512F or AVX512DQ, or the OS does not save ZMM state")

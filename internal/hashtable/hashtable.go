@@ -10,9 +10,12 @@
 // The local table is flat and open-addressed over *distinct keys*
 // (DESIGN.md "Join-node table layout"): a slot holds one tuple, a
 // parallel meta word says whether the slot is empty, holds its key's only
-// tuple, or also owns a contiguous run with the key's other tuples.
-// Inserting a tuple of a new key allocates nothing; probing a key scans
-// one slot and, for a duplicated key, one slice.
+// tuple, or also owns a contiguous run with the key's other tuples. A run
+// stores each tuple as one 8-byte word, tuple.RunWord of its index — the
+// slot holds the key they share — and every reader that hands tuples back
+// rebuilds them exactly (tuple.RunIndex). Inserting a tuple of a new key
+// allocates nothing; probing a key scans one slot and, for a duplicated
+// key, one slice.
 //
 // The index does not exist during the build phase (DESIGN.md "Staged
 // build, one-shot seal"). A table starts *staged*: inserts append to small
@@ -92,9 +95,10 @@ type Table struct {
 	// (find) and cleared only by Reset; while it is false slots and meta
 	// are nil and the tuples live in the segments' staging blocks.
 	sealed bool
-	// dups holds, per duplicated key, the key's tuples beyond the one in
-	// its slot; freeDups lists the entries extraction has emptied.
-	dups     [][]tuple.Tuple
+	// dups holds, per duplicated key, the RunWords of the key's tuples
+	// beyond the one in its slot; freeDups lists the entries extraction
+	// has emptied.
+	dups     [][]uint64
 	freeDups []int32
 	count    int64
 	bytes    int64
@@ -253,10 +257,11 @@ func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 			return
 		}
 		if sg.slots[i].Key == tp.Key {
+			w := tuple.RunWord(tp.Index)
 			if m == metaOne {
-				sg.meta[i] = metaRun + t.newRun(tp)
+				sg.meta[i] = metaRun + t.newRun(w)
 			} else {
-				t.dups[m-metaRun] = append(t.dups[m-metaRun], tp)
+				t.dups[m-metaRun] = append(t.dups[m-metaRun], w)
 			}
 			return
 		}
@@ -267,15 +272,15 @@ func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 	}
 }
 
-// newRun starts a duplicate run holding tp and returns its index.
-func (t *Table) newRun(tp tuple.Tuple) int32 {
+// newRun starts a duplicate run holding the word w and returns its index.
+func (t *Table) newRun(w uint64) int32 {
 	if n := len(t.freeDups); n > 0 {
 		r := t.freeDups[n-1]
 		t.freeDups = t.freeDups[:n-1]
-		t.dups[r] = append(t.dups[r], tp)
+		t.dups[r] = append(t.dups[r], w)
 		return r
 	}
-	t.dups = append(t.dups, []tuple.Tuple{tp})
+	t.dups = append(t.dups, []uint64{w})
 	return int32(len(t.dups) - 1)
 }
 
@@ -333,14 +338,14 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 	if i < 0 {
 		return 0
 	}
-	var run []tuple.Tuple
+	var run []uint64
 	if m := sg.meta[i]; m >= metaRun {
 		run = t.dups[m-metaRun]
 	}
 	if fn != nil {
 		fn(sg.slots[i])
-		for _, tp := range run {
-			fn(tp)
+		for _, w := range run {
+			fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
 		}
 	}
 	return 1 + len(run)
@@ -349,16 +354,16 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 // ProbeAll probes a batch of tuples and returns the total match count and
 // the XOR of tuple.MixPair over every matched (build, probe) pair — the
 // join's result fingerprint. The slot's own tuple folds inline; a
-// duplicate-key run folds through tuple.MixRun, one call per run, which is
-// where a skewed join spends its time: under skew a join's cost is its
-// output.
+// duplicate-key run's words fold through tuple.MixRun, one call per run,
+// which is where a skewed join spends its time: under skew a join's cost
+// is its output.
 func (t *Table) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64) {
 	return t.probeAll(ts, tuple.MixRun)
 }
 
 // probeAll is ProbeAll with the run fold as a parameter, so a benchmark
 // can time the table's loop over the pure-Go fold on any CPU.
-func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]tuple.Tuple, uint64) uint64) (matches int64, xor uint64) {
+func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64) (matches int64, xor uint64) {
 	for _, probe := range ts {
 		sg, i := t.find(probe.Key)
 		if i < 0 {
@@ -562,15 +567,17 @@ func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 			i++
 			continue
 		}
-		var run []tuple.Tuple
+		key := sg.slots[i].Key
+		var run []uint64
 		if m >= metaRun {
 			run = t.dups[m-metaRun]
 			kept := run[:0]
-			for _, tp := range run {
+			for _, w := range run {
+				tp := tuple.Tuple{Index: tuple.RunIndex(w), Key: key}
 				if d := s.of(tp); d >= 0 {
 					out[d] = append(out[d], tp)
 				} else {
-					kept = append(kept, tp)
+					kept = append(kept, w)
 				}
 			}
 			run = kept
@@ -584,7 +591,7 @@ func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 				sg.remove(i)
 				continue
 			}
-			sg.slots[i] = run[len(run)-1]
+			sg.slots[i].Index = tuple.RunIndex(run[len(run)-1])
 			run = run[:len(run)-1]
 		}
 		if m >= metaRun {
@@ -641,8 +648,9 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 			}
 			fn(sg.slots[i])
 			if m >= metaRun {
-				for _, tp := range t.dups[m-metaRun] {
-					fn(tp)
+				key := sg.slots[i].Key
+				for _, w := range t.dups[m-metaRun] {
+					fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
 				}
 			}
 		}

@@ -129,3 +129,30 @@ func TestUniqueKeyInsertFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(tbl)
 }
+
+// A duplicate-run member is one 8-byte word (tuple.RunWord of its index;
+// the slot holds the key), so a sealed table of 200 keys with a thousand
+// tuples each stays within 12 heap bytes per duplicate, append's slack
+// included; a whole 16-byte tuple per duplicate reads about 20.
+func TestDuplicateRunFootprint(t *testing.T) {
+	const n, keys = 200_000, 200
+	ts := make([]tuple.Tuple, n)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Index: uint64(i), Key: uint64(i%keys) * 0x9E3779B97F4A7C15}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := hashtable.New(smallSpace, tuple.DefaultLayout())
+	tbl.InsertAll(ts)
+	tbl.Probe(0, nil) // seals: the staging blocks become garbage
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perDup := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (n - keys)
+	t.Logf("%.1f heap bytes per duplicate", perDup)
+	if perDup > 12 {
+		t.Errorf("%.1f heap bytes per duplicate, want <= 12", perDup)
+	}
+	runtime.KeepAlive(ts)
+	runtime.KeepAlive(tbl)
+}

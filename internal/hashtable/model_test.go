@@ -55,6 +55,15 @@ func (m tableModel) extract(pred func(tuple.Tuple) bool) []tuple.Tuple {
 	return out
 }
 
+// wideIndex spreads a sequence number over the full 64-bit index range —
+// a bijection, so indices stay distinct — so the duplicate runs' words and
+// their inverse (tuple.RunWord, tuple.RunIndex) see every bit through
+// Probe, TuplesWithKey, ForEach and extraction.
+func wideIndex(n uint64) uint64 {
+	n *= 0xD6E8FEB86659FD93
+	return n ^ n>>32
+}
+
 // wrappedSlots counts occupied slots sitting before their home slot: the
 // members of probe clusters that wrapped the end of a segment.
 func (t *Table) wrappedSlots() int {
@@ -128,9 +137,9 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 	draw := func() tuple.Tuple {
 		next++
 		if poolSize == 0 {
-			return tuple.Tuple{Index: next, Key: rng.Uint64()}
+			return tuple.Tuple{Index: wideIndex(next), Key: rng.Uint64()}
 		}
-		return tuple.Tuple{Index: next, Key: pool[rng.Intn(poolSize)]}
+		return tuple.Tuple{Index: wideIndex(next), Key: pool[rng.Intn(poolSize)]}
 	}
 	// someKey returns a key that was inserted at some point most of the
 	// time, a certain miss otherwise.
@@ -471,7 +480,7 @@ func TestExtractRangesMatchesModel(t *testing.T) {
 					if i == n/2 && state == acrossSeal {
 						tbl.Probe(0, nil)
 					}
-					tp := tuple.Tuple{Index: uint64(i), Key: pool[rng.Intn(len(pool))]}
+					tp := tuple.Tuple{Index: wideIndex(uint64(i)), Key: pool[rng.Intn(len(pool))]}
 					tbl.Insert(tp)
 					model[tp.Key] = append(model[tp.Key], tp)
 				}

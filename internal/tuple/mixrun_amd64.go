@@ -1,7 +1,7 @@
 package tuple
 
 // haveAVX512 is fixed at package init: the CPU has AVX512F (the 512-bit
-// loads, VPERMT2Q, shifts, XORs) and AVX512DQ (VPMULLQ), and the OS saves
+// loads, shifts, XORs) and AVX512DQ (VPMULLQ), and the OS saves
 // the opmask and ZMM state on a context switch (XCR0 bits 1, 2 and 5-7).
 var haveAVX512 = detectAVX512()
 
@@ -21,15 +21,16 @@ func detectAVX512() bool {
 	return ebx&f != 0 && ebx&dq != 0
 }
 
-// mixRunVector folds the longest prefix of run whose length is a multiple
-// of 16 through the AVX-512 kernel, and returns the prefix length and its
-// XOR; with no kernel, or a run shorter than 16, it folds nothing.
-func mixRunVector(run []Tuple, probeIndex uint64) (int, uint64) {
-	n := len(run) &^ 15
+// mixRunVector folds the longest prefix of words whose length is a
+// multiple of 16 through the AVX-512 kernel against the probe word k, and
+// returns the prefix length and its XOR; with no kernel, or fewer than 16
+// words, it folds nothing.
+func mixRunVector(words []uint64, k uint64) (int, uint64) {
+	n := len(words) &^ 15
 	if !haveAVX512 || n == 0 {
 		return 0, 0
 	}
-	return n, mixRunAVX512(run[:n], probeIndex)
+	return n, mixRunAVX512(words[:n], k)
 }
 
 func mixRunKernel() string {
@@ -39,11 +40,11 @@ func mixRunKernel() string {
 	return "go"
 }
 
-// mixRunAVX512 is MixRun over a run whose length is a positive multiple of
-// 16 (mixrun_amd64.s).
+// mixRunAVX512 is mixRunGeneric over a positive multiple of 16 words
+// (mixrun_amd64.s).
 //
 //go:noescape
-func mixRunAVX512(run []Tuple, probeIndex uint64) uint64
+func mixRunAVX512(words []uint64, k uint64) uint64
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

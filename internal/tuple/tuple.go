@@ -73,39 +73,89 @@ func LayoutForTupleSize(size int) Layout {
 	return Layout{PayloadBytes: size - PhysicalSize}
 }
 
+// The multipliers of MixPair, and the inverse of mixC1 modulo 2^64
+// (mixC1·mixC1Inv = 1), which RunIndex needs.
+const (
+	mixC1    = 0x9E3779B97F4A7C15
+	mixC2    = 0xC2B2AE3D27D4EB4F
+	mixC3    = 0xFF51AFD7ED558CCD
+	mixC1Inv = 0xF1DE83E19937733D
+)
+
 // MixPair hashes a (build index, probe index) match into a 64-bit word;
 // XOR-accumulating these yields an order-independent result fingerprint.
 // It is the one definition of the join's checksum: the table's probe
 // kernel, the spill paths, the pipeline stages and the reference joins all
 // fold through it.
 func MixPair(buildIndex, probeIndex uint64) uint64 {
-	x := buildIndex*0x9E3779B97F4A7C15 ^ probeIndex*0xC2B2AE3D27D4EB4F
+	x := buildIndex*mixC1 ^ probeIndex*mixC2
 	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
+	x *= mixC3
 	x ^= x >> 29
 	return x
 }
 
-// MixRun returns the XOR of MixPair(b.Index, probeIndex) over every b in
-// run: one probe tuple's fold over the build tuples that share its key. On
-// amd64 CPUs with AVX-512 (checked once, at package init) it folds sixteen
-// pairs per vector step and leaves the last len(run)%16 to the pure-Go
-// loop, which is the whole path everywhere else. Both compute MixPair's
-// words exactly, and XOR does not depend on order, so the result is
-// bit-identical on every path.
-func MixRun(run []Tuple, probeIndex uint64) uint64 {
-	n, x := mixRunVector(run, probeIndex)
-	return x ^ mixRunGeneric(run[n:], probeIndex)
+// RunWord is the part of MixPair that depends on the build index alone:
+// with m = buildIndex·C1 and k = probeIndex·C2, (m ^ k)>>33 = m>>33 ^ k>>33,
+// so MixPair(b, p) = g(RunWord(b) ^ probeWord(p)) with g(y) = y·C3 ^
+// (y·C3)>>29. A table stores each duplicate-run member as this word, so the
+// fold pays one multiply per match. It is a bijection: RunIndex inverts it.
+func RunWord(buildIndex uint64) uint64 {
+	m := buildIndex * mixC1
+	return m ^ m>>33
+}
+
+// RunIndex returns the build index whose RunWord is w: a 33-bit xor-shift
+// undoes itself, and C1 is odd.
+func RunIndex(w uint64) uint64 { return (w ^ w>>33) * mixC1Inv }
+
+// probeWord is the part of MixPair that depends on the probe index alone,
+// the counterpart of RunWord.
+func probeWord(probeIndex uint64) uint64 {
+	k := probeIndex * mixC2
+	return k ^ k>>33
+}
+
+// MixRun returns the XOR of MixPair(RunIndex(w), probeIndex) over every w
+// in words: one probe tuple's fold over the build tuples that share its
+// key, stored as RunWords. On amd64 CPUs with AVX-512 (checked once, at
+// package init) it folds sixteen words per vector step and leaves the last
+// len(words)%16 to the pure-Go loop, which is the whole path everywhere
+// else. Both compute MixPair's words exactly, and XOR does not depend on
+// order, so the result is bit-identical on every path.
+func MixRun(words []uint64, probeIndex uint64) uint64 {
+	k := probeWord(probeIndex)
+	n, x := mixRunVector(words, k)
+	return x ^ mixRunGeneric(words[n:], k)
 }
 
 // MixRunKernel names the path MixRun takes for runs of 16 or more:
 // "avx512" or "go".
 func MixRunKernel() string { return mixRunKernel() }
 
-func mixRunGeneric(run []Tuple, probeIndex uint64) uint64 {
+// MixRunGeneric is MixRun on the pure-Go loop whatever the CPU: the path
+// off amd64 and without AVX-512, and the reference the vector kernel is
+// tested and benchmarked against.
+func MixRunGeneric(words []uint64, probeIndex uint64) uint64 {
+	return mixRunGeneric(words, probeWord(probeIndex))
+}
+
+// mixRunGeneric folds words against the probe word k, g(w ^ k) per word,
+// four words per step: the four multiplies are independent.
+func mixRunGeneric(words []uint64, k uint64) uint64 {
 	var x uint64
-	for _, b := range run {
-		x ^= MixPair(b.Index, probeIndex)
+	i := 0
+	for ; i+4 <= len(words); i += 4 {
+		w := words[i : i+4 : i+4]
+		y0 := (w[0] ^ k) * mixC3
+		y1 := (w[1] ^ k) * mixC3
+		y2 := (w[2] ^ k) * mixC3
+		y3 := (w[3] ^ k) * mixC3
+		x ^= y0 ^ y0>>29 ^ y1 ^ y1>>29 ^ y2 ^ y2>>29 ^ y3 ^ y3>>29
+	}
+	for _, w := range words[i:] {
+		y := (w ^ k) * mixC3
+		x ^= y ^ y>>29
 	}
 	return x
 }
