@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ehjoin/internal/datagen"
-	"ehjoin/internal/hashfn"
 	"ehjoin/internal/metrics"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/sim"
@@ -22,128 +20,15 @@ func Run(cfg Config) (*Report, error) {
 
 // Execute runs the configured join on an arbitrary engine (simulator,
 // goroutine engine, or TCP transport). The engine must be freshly
-// constructed; Execute registers all actors and drives the phases.
+// constructed; Execute registers all actors and drives the phase schedule
+// (schedule.go) from its first step.
 func Execute(cfg Config, eng rt.Engine) (*Report, error) {
-	cfg, err := cfg.normalized()
+	st, err := singleStage(cfg)
 	if err != nil {
 		return nil, err
 	}
-	build, err := datagen.New(cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := datagen.NewProbe(cfg.Probe, build, cfg.MatchFraction)
-	if err != nil {
-		return nil, err
-	}
-
-	sched, err := setupStage(cfg, eng, build, probe)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: build phase: %w", err)
-	}
-	buildEnd := eng.NowSeconds()
-
-	// Phase 2 (hybrid only): reshuffling.
-	reshuffleEnd := buildEnd
-	if cfg.Algorithm == Hybrid {
-		eng.Inject(cfg.schedulerID(), &doReshuffle{})
-		if err := eng.Drain(); err != nil {
-			return nil, fmt.Errorf("core: reshuffle phase: %w", err)
-		}
-		reshuffleEnd = eng.NowSeconds()
-	}
-
-	// Phase 2.5: heavy-hitter detection (DESIGN.md §11). Runs on the
-	// drained post-build (and post-reshuffle) cluster, so the histograms
-	// are final and every process holds the same routing table; the
-	// normalizer has already cleared the threshold for the out-of-core
-	// baseline.
-	if cfg.HeavyThreshold > 0 {
-		eng.Inject(cfg.schedulerID(), &detectHeavy{})
-		if err := eng.Drain(); err != nil {
-			return nil, fmt.Errorf("core: heavy-hitter detection: %w", err)
-		}
-		reshuffleEnd = eng.NowSeconds()
-	}
-
-	// Phase 3: probing (plus, for OOC, the local out-of-core joins).
-	eng.Inject(cfg.schedulerID(), &startProbe{})
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: probe phase: %w", err)
-	}
-	if cfg.Algorithm == OutOfCore || cfg.SpillEnabled {
-		// The OOC baseline always finishes on disk; under SpillEnabled the
-		// expanding algorithms may have engaged the spill rung, whose
-		// evicted partitions join here the same way.
-		eng.Inject(cfg.schedulerID(), &finishOOC{})
-		if err := eng.Drain(); err != nil {
-			return nil, fmt.Errorf("core: out-of-core finish: %w", err)
-		}
-	}
-	end := eng.NowSeconds()
-
-	// Statistics round: the scheduler polls every node. This is part of
-	// the protocol (not a direct memory read) so join actors may live in
-	// other processes; it runs after timing is recorded.
-	eng.Inject(cfg.schedulerID(), &collectStats{})
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: stats collection: %w", err)
-	}
-
-	return assembleReport(cfg, eng, sched, buildEnd, reshuffleEnd, end)
-}
-
-// setupStage registers one complete stage instance — scheduler, data
-// sources, join nodes — on the engine, activates the initial working nodes,
-// and kicks off the table-building phase. The caller Drains.
-func setupStage(cfg Config, eng rt.Engine, build, probe relationGen) (*schedActor, error) {
-	// Initial bucket assignment: one entry per initial working node.
-	owners := make([]int32, cfg.InitialNodes)
-	working := make([]rt.NodeID, cfg.InitialNodes)
-	for i := range owners {
-		working[i] = cfg.joinID(i)
-		owners[i] = int32(working[i])
-	}
-	table, err := hashfn.NewTable(cfg.Space, owners)
-	if err != nil {
-		return nil, err
-	}
-	potential := make([]rt.NodeID, 0, cfg.MaxNodes-cfg.InitialNodes)
-	for i := cfg.InitialNodes; i < cfg.MaxNodes; i++ {
-		potential = append(potential, cfg.joinID(i))
-	}
-
-	sched := newScheduler(cfg, table, working, potential)
-	eng.Register(cfg.schedulerID(), sched)
-
-	for i := 0; i < cfg.Sources; i++ {
-		s := newSource(cfg, i, build, probe)
-		eng.Register(s.id, s)
-	}
-
-	for i := 0; i < cfg.MaxNodes; i++ {
-		j := newJoin(cfg, cfg.joinID(i))
-		eng.Register(j.id, j)
-	}
-	// Activate the initial working nodes by message, so the same flow
-	// works when join actors live in other processes (TCP transport).
-	for i := 0; i < cfg.InitialNodes; i++ {
-		eng.Inject(cfg.joinID(i), &joinInit{Range: table.Entries[i].Range, Table: table.Clone()})
-	}
-	// Phase 1: hash-table building. Every source's copy is cloned before
-	// the first source starts: on a concurrent engine the scheduler splits
-	// table as soon as one source's chunks overflow a node.
-	starts := make([]*startBuild, cfg.Sources)
-	for i := range starts {
-		starts[i] = &startBuild{Table: table.Clone()}
-	}
-	for i, m := range starts {
-		eng.Inject(cfg.sourceID(i), m)
-	}
-	return sched, nil
+	st.register(eng)
+	return st.run(eng, 0, 0)
 }
 
 // assembleReport folds the scheduler's collected per-node statistics into a

@@ -188,10 +188,14 @@ func TestProbePhaseDeathDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New(cfg.Cost)
-	sched, err := setupStage(cfg, eng, build, probe)
+	st, err := newStage(cfg, build, probe)
 	if err != nil {
 		t.Fatal(err)
+	}
+	eng := sim.New(cfg.Cost)
+	st.register(eng)
+	for _, in := range st.kickoff {
+		eng.Inject(in.to, in.msg)
 	}
 	if err := eng.Drain(); err != nil {
 		t.Fatalf("build phase: %v", err)
@@ -213,7 +217,7 @@ func TestProbePhaseDeathDegrades(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatalf("stats collection: %v", err)
 	}
-	got, err := assembleReport(cfg, eng, sched, buildEnd, buildEnd, end)
+	got, err := assembleReport(cfg, eng, st.sched, buildEnd, buildEnd, end)
 	if err != nil {
 		t.Fatalf("degraded run should still complete: %v", err)
 	}

@@ -144,92 +144,65 @@ func ExecuteMulti(mc MultiConfig, eng rt.Engine) (*MultiReport, error) {
 		return nil, err
 	}
 
-	// Relation generators: R1 is a root generator; every later relation
-	// links to its predecessor (R2 references R1's primary attribute, the
-	// rest reference their predecessor's chain attribute).
+	// R1 is a root generator; every later relation links to its
+	// predecessor (R2 references R1's primary attribute, the rest their
+	// predecessor's chain attribute). All stages build concurrently.
 	r1, err := datagen.New(mc.Relations[0].Spec)
 	if err != nil {
 		return nil, err
 	}
-	builds := make([]relationGen, len(cfgs))
-	for s := range cfgs {
+	stages := make([]*stage, len(cfgs))
+	for s, cfg := range cfgs {
 		rel := mc.Relations[s+1]
-		up := mc.Relations[s].Spec
-		linked, err := datagen.NewLinked(rel.Spec, up, rel.MatchFraction, s > 0)
+		build, err := datagen.NewLinked(rel.Spec, mc.Relations[s].Spec, rel.MatchFraction, s > 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: relation %d: %w", s+2, err)
 		}
-		builds[s] = linked
-	}
-
-	// Register every stage; all stages build concurrently.
-	scheds := make([]*schedActor, len(cfgs))
-	for s, cfg := range cfgs {
-		sched, err := setupStage(cfg, eng, builds[s], r1)
-		if err != nil {
+		if stages[s], err = newStage(cfg, build, r1); err != nil {
 			return nil, err
 		}
-		scheds[s] = sched
+		stages[s].register(eng)
 	}
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: pipeline build phase: %w", err)
-	}
-	buildEnd := eng.NowSeconds()
-
-	// Reshuffle every stage (hybrid only).
-	reshuffleEnd := buildEnd
+	var buildEnd, reshuffleEnd, end float64
+	steps := []step{{"pipeline build phase", kickoffs(stages...), []*float64{&buildEnd, &reshuffleEnd}}}
 	if mc.Algorithm == Hybrid {
-		for _, cfg := range cfgs {
-			eng.Inject(cfg.schedulerID(), &doReshuffle{})
-		}
-		if err := eng.Drain(); err != nil {
-			return nil, fmt.Errorf("core: pipeline reshuffle phase: %w", err)
-		}
-		reshuffleEnd = eng.NowSeconds()
+		steps = append(steps, step{"pipeline reshuffle phase", toSchedulers(&doReshuffle{}, stages...), []*float64{&reshuffleEnd}})
 	}
-
 	// Wire the stages together: stage s's nodes forward matches using
-	// stage s+1's final routing table, each node through its own copy (a
-	// lookup builds the copy's index, and on the live engine the nodes run
-	// concurrently).
-	for s := 0; s+1 < len(cfgs); s++ {
-		interLayout := tuple.Layout{
-			PayloadBytes: mc.Relations[s+1].Spec.Layout.PayloadBytes +
-				mc.Relations[0].Spec.Layout.PayloadBytes,
+	// stage s+1's final routing table, read after the reshuffle, each node
+	// through its own copy (a lookup builds the copy's index, and on the
+	// live engine the nodes run concurrently).
+	wiring := func() []pendingInject {
+		var in []pendingInject
+		for s := 0; s+1 < len(cfgs); s++ {
+			interLayout := tuple.Layout{
+				PayloadBytes: mc.Relations[s+1].Spec.Layout.PayloadBytes +
+					mc.Relations[0].Spec.Layout.PayloadBytes,
+			}
+			for i := 0; i < cfgs[s].MaxNodes; i++ {
+				in = append(in, pendingInject{cfgs[s].joinID(i), &setForward{
+					NextTable: stages[s+1].sched.table.Clone(),
+					NextSeed:  mc.Relations[s+1].Spec.Seed,
+					Layout:    interLayout,
+				}})
+			}
 		}
-		for i := 0; i < cfgs[s].MaxNodes; i++ {
-			eng.Inject(cfgs[s].joinID(i), &setForward{
-				NextTable: scheds[s+1].table.Clone(),
-				NextSeed:  mc.Relations[s+1].Spec.Seed,
-				Layout:    interLayout,
-			})
-		}
+		return in
 	}
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: pipeline wiring: %w", err)
+	steps = append(steps,
+		step{"pipeline wiring", wiring, nil},
+		// Probe: R1 streams into stage 0; matches cascade through the stages.
+		step{"pipeline probe phase", toSchedulers(&startProbe{}, stages[0]), []*float64{&end}},
+		step{"pipeline stats collection", toSchedulers(&collectStats{}, stages...), nil})
+	if err := runSteps(eng, steps, 0, 0); err != nil {
+		return nil, err
 	}
-
-	// Probe: R1 streams into stage 0; matches cascade through the stages.
-	eng.Inject(cfgs[0].schedulerID(), &startProbe{})
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: pipeline probe phase: %w", err)
-	}
-	end := eng.NowSeconds()
-
-	// Collect statistics from every stage.
-	for _, cfg := range cfgs {
-		eng.Inject(cfg.schedulerID(), &collectStats{})
-	}
-	if err := eng.Drain(); err != nil {
-		return nil, fmt.Errorf("core: pipeline stats collection: %w", err)
-	}
-
-	return assembleMultiReport(mc, cfgs, scheds, eng, buildEnd, reshuffleEnd, end)
+	return assembleMultiReport(mc, stages, eng, buildEnd, reshuffleEnd, end)
 }
 
 // assembleMultiReport folds per-stage statistics into a MultiReport and
 // verifies the pipeline conservation invariants.
-func assembleMultiReport(mc MultiConfig, cfgs []Config, scheds []*schedActor,
+func assembleMultiReport(mc MultiConfig, stages []*stage,
 	eng rt.Engine, buildEnd, reshuffleEnd, end float64) (*MultiReport, error) {
 
 	r := &MultiReport{
@@ -238,10 +211,10 @@ func assembleMultiReport(mc MultiConfig, cfgs []Config, scheds []*schedActor,
 		ProbeSec:     end - reshuffleEnd,
 		TotalSec:     end,
 	}
-	last := len(cfgs) - 1
+	last := len(stages) - 1
 	prevForwardCopies := int64(-1)
-	for s, cfg := range cfgs {
-		sched := scheds[s]
+	for s, st := range stages {
+		cfg, sched := st.cfg, st.sched
 		if len(sched.joinStats) != cfg.MaxNodes {
 			return nil, fmt.Errorf("core: stage %d stats incomplete", s)
 		}

@@ -1,104 +1,55 @@
 package core
 
 import (
-	"fmt"
-
-	"ehjoin/internal/datagen"
-	"ehjoin/internal/hashfn"
 	rt "ehjoin/internal/runtime"
 )
 
 // Coordinator crash recovery, core side. The transport (internal/tcpnet)
-// write-ahead-logs the coordinator's control plane and can replay it into
-// a restarted coordinator; what it cannot do is re-drive Execute's phase
-// sequence, because the phase schedule lives here. PrepareResume rebuilds
-// the deterministic pre-run actor set for the transport to replay the log
-// through, and ResumeExecute picks the run up at the exact drain step —
-// and the exact injection within that step — where the old coordinator
-// died.
-//
-// Both halves lean on the same determinism that the recovery ladder's
-// re-stream rung already requires: actor construction and the injection
-// schedule are pure functions of the Config, so a replayed log plus "skip
-// what the log already absorbed" lands the new process in a state
-// bit-identical to the old one's.
+// write-ahead-logs the coordinator's control plane and replays it into a
+// restarted coordinator, but the phase schedule lives here: PrepareResume
+// rebuilds the stage for the replay to run through, and ResumeExecute
+// walks the same step list from the drain step — and the injection within
+// it — where the old coordinator died. Actor construction, the kickoff and
+// the step list are pure functions of the Config (the determinism the
+// re-stream rung already needs), so a replayed log plus "skip what the log
+// already absorbed" lands the new process in the old one's state.
 
-// ResumeState is the deterministic pre-run state PrepareResume rebuilds:
-// the normalized config, the initial routing table, and one constructed
-// actor per node id. The transport replays its checkpoint log through
-// Actors() before ResumeExecute drives the remaining phases.
-type ResumeState struct {
-	cfg    Config
-	table  *hashfn.Table
-	sched  *schedActor
-	actors map[rt.NodeID]rt.Actor
-}
+// ResumeState is the stage PrepareResume rebuilt: the normalized config,
+// one constructed actor per node id, and the build kickoff cloned from the
+// initial routing table before any replay. The transport replays its
+// checkpoint log through Actors() before ResumeExecute drives the
+// remaining phases.
+type ResumeState struct{ st *stage }
 
 // Actors returns the full actor set, keyed by node id, for the transport
 // to register (locally-hosted ids) and replay through. The scheduler and
 // sources are always in the map; join actors are too, so a coordinator
 // hosting some join nodes locally restores them the same way.
-func (rs *ResumeState) Actors() map[rt.NodeID]rt.Actor { return rs.actors }
+func (rs *ResumeState) Actors() map[rt.NodeID]rt.Actor {
+	actors := make(map[rt.NodeID]rt.Actor, len(rs.st.actors))
+	for i, a := range rs.st.actors {
+		actors[rs.st.cfg.BaseID+rt.NodeID(i)] = a
+	}
+	return actors
+}
 
 // Config returns the normalized configuration the state was built from.
-func (rs *ResumeState) Config() Config { return rs.cfg }
+func (rs *ResumeState) Config() Config { return rs.st.cfg }
 
-// PrepareResume reconstructs the state Execute would have built before
-// its first Drain — the same actors, in the same order, from the same
-// config — without touching an engine. cfgBlob is the EncodeConfig blob
-// the crashed coordinator persisted in its checkpoint header.
+// PrepareResume reconstructs the stage Execute builds before its first
+// Drain — the same actors and kickoff, from the same config — without
+// touching an engine. cfgBlob is the EncodeConfig blob the crashed
+// coordinator persisted in its checkpoint header.
 func PrepareResume(cfgBlob []byte) (*ResumeState, error) {
 	cfg, err := DecodeConfig(cfgBlob)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err = cfg.normalized()
+	st, err := singleStage(cfg)
 	if err != nil {
 		return nil, err
 	}
-	build, err := datagen.New(cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := datagen.NewProbe(cfg.Probe, build, cfg.MatchFraction)
-	if err != nil {
-		return nil, err
-	}
-
-	// Mirror setupStage exactly, minus the engine registration and the
-	// kickoff injections (those are ResumeExecute's step 0).
-	owners := make([]int32, cfg.InitialNodes)
-	working := make([]rt.NodeID, cfg.InitialNodes)
-	for i := range owners {
-		working[i] = cfg.joinID(i)
-		owners[i] = int32(working[i])
-	}
-	table, err := hashfn.NewTable(cfg.Space, owners)
-	if err != nil {
-		return nil, err
-	}
-	potential := make([]rt.NodeID, 0, cfg.MaxNodes-cfg.InitialNodes)
-	for i := cfg.InitialNodes; i < cfg.MaxNodes; i++ {
-		potential = append(potential, cfg.joinID(i))
-	}
-
-	sched := newScheduler(cfg, table, working, potential)
-	actors := make(map[rt.NodeID]rt.Actor, 1+cfg.Sources+cfg.MaxNodes)
-	actors[cfg.schedulerID()] = sched
-	for i := 0; i < cfg.Sources; i++ {
-		s := newSource(cfg, i, build, probe)
-		actors[s.id] = s
-	}
-	for i := 0; i < cfg.MaxNodes; i++ {
-		actors[cfg.joinID(i)] = newJoin(cfg, cfg.joinID(i))
-	}
-	return &ResumeState{cfg: cfg, table: table, sched: sched, actors: actors}, nil
-}
-
-// pendingInject is one root injection of the phase schedule.
-type pendingInject struct {
-	to  rt.NodeID
-	msg rt.Message
+	return &ResumeState{st}, nil
 }
 
 // ResumeExecute continues a crashed run on a restored engine. drainsDone
@@ -115,78 +66,5 @@ type pendingInject struct {
 // reconstructible from the log and the differential oracle compares only
 // the join results (Matches, Checksum), which are exact.
 func ResumeExecute(rs *ResumeState, eng rt.Engine, drainsDone, rootInjects int) (*Report, error) {
-	cfg := rs.cfg
-	step := 0
-	runStep := func(name string, injects []pendingInject) error {
-		k := step
-		step++
-		if k < drainsDone {
-			return nil
-		}
-		skip := 0
-		if k == drainsDone {
-			skip = rootInjects
-			if skip > len(injects) {
-				return fmt.Errorf("core: resume: log absorbed %d root injections but the %s step only has %d",
-					rootInjects, name, len(injects))
-			}
-		}
-		for _, in := range injects[skip:] {
-			eng.Inject(in.to, in.msg)
-		}
-		if err := eng.Drain(); err != nil {
-			return fmt.Errorf("core: %s phase: %w", name, err)
-		}
-		return nil
-	}
-
-	// Step 0: the setup kickoff — joinInit per initial node, then
-	// startBuild per source, in setupStage's order.
-	kickoff := make([]pendingInject, 0, cfg.InitialNodes+cfg.Sources)
-	for i := 0; i < cfg.InitialNodes; i++ {
-		kickoff = append(kickoff, pendingInject{cfg.joinID(i),
-			&joinInit{Range: rs.table.Entries[i].Range, Table: rs.table.Clone()}})
-	}
-	for i := 0; i < cfg.Sources; i++ {
-		kickoff = append(kickoff, pendingInject{cfg.sourceID(i), &startBuild{Table: rs.table.Clone()}})
-	}
-	if err := runStep("build", kickoff); err != nil {
-		return nil, err
-	}
-	buildEnd := eng.NowSeconds()
-
-	sched := []pendingInject{{cfg.schedulerID(), nil}}
-	reshuffleEnd := buildEnd
-	if cfg.Algorithm == Hybrid {
-		sched[0].msg = &doReshuffle{}
-		if err := runStep("reshuffle", sched); err != nil {
-			return nil, err
-		}
-		reshuffleEnd = eng.NowSeconds()
-	}
-	if cfg.HeavyThreshold > 0 {
-		sched[0].msg = &detectHeavy{}
-		if err := runStep("heavy-hitter detection", sched); err != nil {
-			return nil, err
-		}
-		reshuffleEnd = eng.NowSeconds()
-	}
-
-	sched[0].msg = &startProbe{}
-	if err := runStep("probe", sched); err != nil {
-		return nil, err
-	}
-	if cfg.Algorithm == OutOfCore || cfg.SpillEnabled {
-		sched[0].msg = &finishOOC{}
-		if err := runStep("out-of-core finish", sched); err != nil {
-			return nil, err
-		}
-	}
-	end := eng.NowSeconds()
-
-	sched[0].msg = &collectStats{}
-	if err := runStep("stats collection", sched); err != nil {
-		return nil, err
-	}
-	return assembleReport(cfg, eng, rs.sched, buildEnd, reshuffleEnd, end)
+	return rs.st.run(eng, drainsDone, rootInjects)
 }

@@ -145,7 +145,6 @@ func (c *Coordinator) headerRecord() *wire.CkptRecord {
 		Kind:        wire.CkptHeader,
 		Version:     wire.CkptVersion,
 		SessionBase: c.sessionBase,
-		P2P:         true,
 		CfgBlob:     c.cfgBlob,
 		PeerAddrs:   c.peerAddrs,
 	}
@@ -344,12 +343,6 @@ func (st *replayState) resendCtl(c *Coordinator, w int, f *frame) {
 	}
 }
 
-// ErrStarCheckpoint is RestoreCoordinator's error for a log whose header
-// says its coordinator relayed worker-to-worker traffic itself (the star
-// topology, header P2P byte 0): replaying it would regenerate relays no
-// worker expects, so such a log cannot be restored.
-var ErrStarCheckpoint = errors.New("tcpnet: checkpoint was written by a star-topology coordinator; only peer-to-peer logs can be restored")
-
 // RestoreCoordinator rebuilds a coordinator from a parsed checkpoint log.
 // actors are the freshly constructed coordinator-local actors (typically
 // core.PrepareResume output; ids assigned to workers are ignored), built
@@ -377,9 +370,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 	h := snap.Records[0]
 	if h.Version != wire.CkptVersion {
 		return nil, fmt.Errorf("tcpnet: checkpoint version %d, this coordinator speaks %d", h.Version, wire.CkptVersion)
-	}
-	if !h.P2P {
-		return nil, ErrStarCheckpoint
 	}
 	c := newCoordinator(l, opts)
 	c.cfgBlob, c.sessionBase, c.peerAddrs = h.CfgBlob, h.SessionBase, h.PeerAddrs

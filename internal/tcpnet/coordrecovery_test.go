@@ -161,9 +161,9 @@ func checkRecovered(t *testing.T, got, want *core.Report) {
 }
 
 // TestCoordRecoveryScriptedPoints kills the coordinator at a hand-picked
-// record of each interesting phase — mid-build, mid-probe, heavy-hitter
-// detection, the out-of-core finish, and stats collection — with and
-// without spill and heavy routing. The p2p-* cases run three workers, a
+// record of each interesting phase — mid-build, the hybrid reshuffle,
+// mid-probe, heavy-hitter detection, the out-of-core finish, and stats
+// collection — with and without spill and heavy routing. The p2p-* cases run three workers, a
 // full peer mesh; the star-* cases, named for the hub-and-spoke layout
 // they once ran on, run two workers joined by a single peer link.
 func TestCoordRecoveryScriptedPoints(t *testing.T) {
@@ -175,10 +175,11 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	spillHeavy := heavyDistConfig(core.Split)
 	spillHeavy.MaxNodes = 3
 	spillHeavy.SpillEnabled = true
+	hybrid := distConfig(core.Hybrid)
 
-	// Phase indices follow core.Execute's drain sequence for each config:
-	// build, then (heavy detection), then probe, then (out-of-core
-	// finish), then stats collection.
+	// Phase indices follow core.Execute's step list for each config:
+	// build, then (reshuffle), then (heavy detection), then probe, then
+	// (out-of-core finish), then stats collection.
 	cases := []struct {
 		name    string
 		cfg     core.Config
@@ -194,6 +195,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 		{"p2p-spill-finish", spill, 3, 2, 2},
 		{"p2p-heavy-detect", heavy, 3, 1, 2},
 		{"p2p-spill-heavy-probe", spillHeavy, 3, 2, 8},
+		{"p2p-hybrid-mid-reshuffle", hybrid, 3, 1, 8},
 		// Whole-log record counts (phase -1) at which the randomized
 		// sweep below used to fail about one run in eleven: a worker's
 		// report landed between the two startBuild deliveries, the replay

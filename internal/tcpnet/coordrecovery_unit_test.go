@@ -340,7 +340,7 @@ func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
 		return &wire.CkptRecord{Kind: kind, From: int32(rt.NoNode), To: to, Worker: w, Msg: &testMsg{}}
 	}
 	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000, P2P: true,
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
 			AssignIDs: []int32{worker}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
 		inject(wire.CkptRelay, worker, 0),     // injection to a worker node: logged at route
 		inject(wire.CkptDelivery, localA, -1), // first local injection dequeued
@@ -416,7 +416,7 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 		},
 	}
 	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000, P2P: true,
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
 			AssignIDs: []int32{node0, node1}, AssignWorkers: []int32{0, 1},
 			PeerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
 	}}
@@ -459,12 +459,11 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsStarCheckpoint pins the header check: a log whose
-// header P2P byte is 0 came from a coordinator that relayed
-// worker-to-worker chunks itself. Replaying it would regenerate relays no
-// worker of this build expects, so RestoreCoordinator refuses it with a
-// typed error before replaying a single record.
-func TestRestoreRejectsStarCheckpoint(t *testing.T) {
+// TestRestoreRejectsStaleVersionCheckpoint: a version-4 log's header
+// carries the topology byte this build no longer has, so
+// RestoreCoordinator refuses it with the version error before replaying a
+// single record, and closes the listener it was handed.
+func TestRestoreRejectsStaleVersionCheckpoint(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -472,42 +471,19 @@ func TestRestoreRejectsStarCheckpoint(t *testing.T) {
 	defer l.Close()
 	var delivered int64
 	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
-			AssignIDs: []int32{1}, AssignWorkers: []int32{0}},
+		{Kind: wire.CkptHeader, Version: 4, SessionBase: 0x770000,
+			AssignIDs: []int32{1}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
 		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
 	}}
 	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, l, WithResumeWindow(time.Second))
-	if !errors.Is(err, ErrStarCheckpoint) {
-		t.Fatalf("RestoreCoordinator on a star header = %v, want ErrStarCheckpoint", err)
+	want := fmt.Sprintf("checkpoint version 4, this coordinator speaks %d", wire.CkptVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RestoreCoordinator on a version-4 header = %v, want %q", err, want)
 	}
 	if delivered != 0 {
 		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
 	}
 	if err := l.Close(); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("listener after a rejected restore: Close = %v, want net.ErrClosed", err)
-	}
-}
-
-// TestRestoreRejectsVersion3Checkpoint: a version-3 log carries a config
-// blob with fields this build no longer has, so RestoreCoordinator refuses
-// its header with the version error before replaying a single record.
-func TestRestoreRejectsVersion3Checkpoint(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered int64
-	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: 3, SessionBase: 0x770000, P2P: true,
-			AssignIDs: []int32{1}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
-		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
-	}}
-	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, l, WithResumeWindow(time.Second))
-	want := fmt.Sprintf("checkpoint version 3, this coordinator speaks %d", wire.CkptVersion)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("RestoreCoordinator on a version-3 header = %v, want %q", err, want)
-	}
-	if delivered != 0 {
-		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
 	}
 }

@@ -33,15 +33,17 @@ import (
 // Version 3 changed the header's config blob from gob to the field codec
 // (core.EncodeConfig); record layouts did not move. Version 4 dropped the
 // settings the configuration census fixed (hash mode, base credit window,
-// burst size, spill fan-out) from that blob.
-const CkptVersion = 4
+// burst size, spill fan-out) from that blob. Version 5 dropped the
+// header's topology byte: every log since the relay's removal is
+// peer-to-peer.
+const CkptVersion = 5
 
 // CkptKind enumerates checkpoint record kinds.
 type CkptKind uint8
 
 const (
 	// CkptHeader opens a log: format version, config blob, session base,
-	// topology, and the node→worker assignment.
+	// peer addresses, and the node→worker assignment.
 	CkptHeader CkptKind = iota + 1
 	// CkptDelivery is a message enqueued for a coordinator-local actor
 	// (scheduler or source), in delivery order — the replay stream that
@@ -69,7 +71,6 @@ type CkptRecord struct {
 	// CkptHeader.
 	Version       uint32
 	SessionBase   uint64
-	P2P           bool // always set by the writer; 0 marks a star-topology log replay refuses
 	CfgBlob       []byte
 	PeerAddrs     []string
 	AssignIDs     []int32
@@ -113,7 +114,6 @@ func recordFields(c *Codec, rec *CkptRecord) {
 	case CkptHeader:
 		U32(c, &rec.Version)
 		U64(c, &rec.SessionBase)
-		Bool(c, &rec.P2P)
 		Blob(c, &rec.CfgBlob)
 		Slice(c, &rec.PeerAddrs, 2, Str16)
 		Pairs(c, &rec.AssignIDs, &rec.AssignWorkers, 8, U32, U32)

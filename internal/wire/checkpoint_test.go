@@ -16,7 +16,7 @@ func ckptFixtures() map[CkptKind]*CkptRecord {
 		// pinned byte for byte (golden_test.go) independently of the
 		// format version the header announces.
 		CkptHeader: {Kind: CkptHeader, Version: 2, SessionBase: 0xABCD0000,
-			P2P: true, CfgBlob: []byte{9, 8, 7},
+			CfgBlob:       []byte{9, 8, 7},
 			PeerAddrs:     []string{"10.0.0.1:9001", "10.0.0.2:9002"},
 			AssignIDs:     []int32{5, 6, 7},
 			AssignWorkers: []int32{0, 1, 0}},

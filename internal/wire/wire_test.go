@@ -185,7 +185,6 @@ func TestCheckpointHostileCountBounded(t *testing.T) {
 	body = append(body, byte(CkptHeader))
 	body = binary.LittleEndian.AppendUint32(body, CkptVersion)
 	body = binary.LittleEndian.AppendUint64(body, 0xABCD0000) // session base
-	body = append(body, 1)                                    // p2p
 	body = binary.LittleEndian.AppendUint32(body, 0)          // config blob length
 	body = binary.LittleEndian.AppendUint32(body, 1<<24)      // peer address count
 	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], castagnoli))
