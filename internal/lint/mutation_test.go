@@ -252,12 +252,12 @@ func TestMutantReportSync(t *testing.T) {
 	}})
 }
 
-// TestMutantWalOrder: markDead tombstones the worker before it logs the
+// TestMutantWalOrder: tombstone marks the worker dead before it logs the
 // CkptDeath record, so a crash between the two replays a worker the live
 // run had already written off.
 func TestMutantWalOrder(t *testing.T) {
 	runMutant(t, mutant{check: "walorder", pkg: "ehjoin/internal/tcpnet", edits: map[string]edit{
-		"tcpnet.go": inFunc("markDead", func(fset *token.FileSet, body *ast.BlockStmt) bool {
+		"tcpnet.go": inFunc("tombstone", func(fset *token.FileSet, body *ast.BlockStmt) bool {
 			for i := 1; i < len(body.List); i++ {
 				if render(fset, body.List[i]) == "c.workers[i].state = linkDead" {
 					body.List[i-1], body.List[i] = body.List[i], body.List[i-1]
@@ -269,13 +269,12 @@ func TestMutantWalOrder(t *testing.T) {
 	}})
 }
 
-// TestMutantLedger: neither a reassignment nor a restore clears a worker's
-// per-pair quiescence counters, so the drain barrier compares a fresh
-// stream against the dead one's counts.
+// TestMutantLedger: a new session epoch — a live reassignment or its
+// replay — does not clear the worker's per-pair quiescence counters, so
+// the drain barrier compares a fresh stream against the dead one's counts.
 func TestMutantLedger(t *testing.T) {
 	runMutant(t, mutant{check: "ledger", pkg: "ehjoin/internal/tcpnet", edits: map[string]edit{
-		"checkpoint.go": deleteStmt("RestoreCoordinator", "wc.peerEmitted, wc.peerProcessed = nil, nil"),
-		"tcpnet.go":     deleteStmt("applyResume", "w.peerEmitted, w.peerProcessed = nil, nil"),
+		"tcpnet.go": deleteStmt("resetEpoch", "w.peerEmitted, w.peerProcessed = nil, nil"),
 	}})
 }
 

@@ -103,10 +103,10 @@ func (c *Coordinator) headerThenEpoch(i int) {
 	c.workers[i].sess.reset() // want `session reset in headerThenEpoch before any logRecord\(Kind: CkptEpoch\)`
 }
 
-type replayState struct{}
+type Snapshot struct{}
 
-// Replay re-applies records already in the log: exempt.
-func (c *Coordinator) replayDeath(st *replayState, i int) {
+// Replay from a Snapshot re-applies records already in the log: exempt.
+func (c *Coordinator) replayDeath(snap *Snapshot, i int) {
 	c.workers[i].state = linkDead
 }
 

@@ -26,9 +26,9 @@ import (
 //   - drains++ (advancing the phase barrier) requires CkptPhase.
 //
 // Scope: non-test functions in the package named "tcpnet" whose receiver
-// or a parameter is the Coordinator type. Replay code is exempt — any
-// function whose receiver or parameter is Snapshot, replayState, or
-// replayEnv re-applies already-logged records by construction. A logRecord
+// or a parameter is the Coordinator type. Snapshot builders are exempt —
+// a function whose receiver or parameter is Snapshot re-applies
+// already-logged records by construction. A logRecord
 // whose record kind cannot be read syntactically (a variable, a helper
 // other than headerRecord) is treated as matching every kind: the check
 // errs toward silence on shapes it cannot prove.
@@ -100,11 +100,11 @@ func funcMentionsType(fd *ast.FuncDecl, name string) bool {
 	return false
 }
 
-// funcIsReplay reports whether fd belongs to the checkpoint-replay path,
-// which re-applies records that are already in the log.
+// funcIsReplay reports whether fd builds a coordinator from a Snapshot,
+// re-applying records that are already in the log. Replay runs the live
+// transitions with the log set aside, so those stay in scope.
 func funcIsReplay(fd *ast.FuncDecl) bool {
-	return funcMentionsType(fd, "Snapshot") ||
-		funcMentionsType(fd, "replayState") || funcMentionsType(fd, "replayEnv")
+	return funcMentionsType(fd, "Snapshot")
 }
 
 // walScan is the per-function linear state: which record kinds have been

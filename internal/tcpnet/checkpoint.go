@@ -6,15 +6,17 @@ package tcpnet
 // workers whose cause the replay cannot regenerate, worker counter
 // reports, phase barriers, epoch bumps, and deaths. A coordinator killed
 // mid-run (SIGKILL — no flush, no goodbyes) is restored by replaying the
-// log through freshly constructed local actors: the deliveries rebuild
+// log through freshly constructed local actors and the live coordinator's
+// own transitions, with every worker link down: the deliveries rebuild
 // the scheduler and source state, and — because actor processing is a
 // pure function of the delivery sequence — the sends that processing
-// regenerates are re-encoded straight into fresh per-worker retransmit
-// buffers, frame for frame and sequence number for sequence number, as
-// if the crash had merely disconnected every worker at once. Nothing is
-// put on a wire during replay; the re-attach handshake then trims each
-// buffer to what its worker actually saw and retransmits only the tail
-// the crash cut off in flight.
+// regenerates, like the relays and control broadcasts the log records,
+// are sequenced into fresh per-worker retransmit buffers, frame for frame
+// and sequence number for sequence number, as if the crash had merely
+// disconnected every worker at once. Nothing is put on a wire during
+// replay; the re-attach handshake then trims each buffer to what its
+// worker actually saw and retransmits only the tail the crash cut off in
+// flight.
 //
 // Workers survive the crash parked in their redial loop and re-attach
 // through their one resume handshake (frameCoordResume), which carries
@@ -207,55 +209,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // header, for rebuilding the coordinator-local actors (core.PrepareResume).
 func (s *Snapshot) CfgBlob() []byte { return s.Records[0].CfgBlob }
 
-// replayEnv is the runtime.Env local actors see during log replay. Sends
-// to other local actors are parked on a FIFO: each one that was enqueued
-// pre-crash was logged at that moment and appears later in the record
-// stream as its own delivery, which consumes the FIFO head instead of
-// double-delivering. Whatever remains on the FIFO when the log runs out
-// are sends the crash cut off before they could be logged — replay is
-// the only place they still exist, so RestoreCoordinator re-enqueues
-// them for the resumed run. Sends to workers are re-encoded into the
-// destination session's retransmit buffer — same frames, same sequence
-// numbers as pre-crash — but never put on a wire: whatever the worker
-// already received is trimmed away at re-attach, and the rest is the
-// retransmit tail.
-type replayEnv struct {
-	c    *Coordinator
-	st   *replayState
-	self rt.NodeID
-}
-
-func (e *replayEnv) Now() int64 { return time.Since(e.c.start).Nanoseconds() }
-
-func (e *replayEnv) Send(to rt.NodeID, m rt.Message) {
-	w, remote := e.c.assignment[to]
-	if !remote {
-		e.st.pendingLocal = append(e.st.pendingLocal,
-			localDelivery{from: e.self, to: to, msg: m})
-		return
-	}
-	e.st.resend(e.c, w, int32(e.self), int32(to), m)
-}
-
-func (e *replayEnv) ChargeCPU(ns int64)                {}
-func (e *replayEnv) ChargeDisk(bytes int64, read bool) {}
-
-// replayState carries what replay derives beyond the sessions themselves:
-// inbound sequence coverage per worker (cover — the receive direction has
-// no buffer to rebuild, only a position), liveness, and the local-send
-// FIFO.
-type replayState struct {
-	cover []seqCover
-	dead  []bool
-	// pendingLocal holds local→local sends regenerated by replay, in
-	// generation order — which is exactly the order their CkptDelivery
-	// records appear in the log, because deliveries are logged in
-	// processing order and replay re-runs each Receive at its record's
-	// position. The log's local-origin delivery records consume this FIFO
-	// from the head; the unconsumed tail is what the crash cut off.
-	pendingLocal []localDelivery
-}
-
 // seqCover accumulates which sequence numbers of one worker's inbound
 // stream the log covers. Records are not logged in sequence order: a
 // report's mark and a relay land at receive time, but a message bound for
@@ -300,49 +253,6 @@ func (sc *seqCover) applied() []uint64 {
 	return out
 }
 
-// resend re-sequences one reliable message frame into worker w's
-// retransmit buffer, mirroring route's disposition pre-crash: dropped if
-// the worker is dead, encoded otherwise. Replay may regenerate a send the
-// crash actually suppressed, or one route dropped on a momentarily
-// non-resumable session — both are harmless: the frame sits in the buffer
-// and is either retransmitted at re-attach (the worker never saw it;
-// delivering it now is the recovery) or excluded when a cross-check fails
-// and the worker takes rung 2, which is exact. Buffer overflow is not an
-// error — the session marks itself non-resumable and the worker falls
-// back to rung 2.
-func (st *replayState) resend(c *Coordinator, w int, from, to int32, m rt.Message) {
-	if st.dead[w] {
-		c.dropped++
-		return
-	}
-	wc := c.workers[w]
-	f := getFrame()
-	f.Kind, f.From, f.To, f.Msg = frameMsg, from, to, m
-	_, err := wc.sess.encode(f)
-	putFrame(f)
-	if err != nil {
-		if c.fatal == nil {
-			c.fatal = fmt.Errorf("tcpnet: checkpoint replay re-encode: %w", err)
-		}
-		return
-	}
-	wc.delivered++
-}
-
-// resendCtl re-sequences a reliable control frame into worker w's buffer,
-// mirroring sendCtl. Takes ownership of f.
-func (st *replayState) resendCtl(c *Coordinator, w int, f *frame) {
-	if st.dead[w] {
-		putFrame(f)
-		return
-	}
-	_, err := c.workers[w].sess.encode(f)
-	putFrame(f)
-	if err != nil && c.fatal == nil {
-		c.fatal = fmt.Errorf("tcpnet: checkpoint replay re-encode: %w", err)
-	}
-}
-
 // RestoreCoordinator rebuilds a coordinator from a parsed checkpoint log.
 // actors are the freshly constructed coordinator-local actors (typically
 // core.PrepareResume output; ids assigned to workers are ignored), built
@@ -358,6 +268,12 @@ func (st *replayState) resendCtl(c *Coordinator, w int, f *frame) {
 // the reassignment or death rungs exactly as on a live coordinator. As
 // with NewCoordinator, the coordinator owns l, and an error return has
 // closed it.
+//
+// A local actor's sends to another local actor that the crash cut off
+// before their delivery was logged survive only as replay regenerations:
+// they stay on the restored coordinator's queue for the resumed run's
+// first Drain, which logs each one when it dequeues it, as it logs every
+// local delivery.
 //
 // Pass WithCheckpoint with an append handle to the same log to keep it
 // growing across the restart; a second crash then replays the whole
@@ -411,22 +327,29 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 		c.addWorker(i, now)
 	}
 
-	// Replay. Deliveries run through the local actors, whose regenerated
-	// sends rebuild the retransmit buffers; relays and control broadcasts
-	// re-encode from their records. prefixOpen tracks whether we are still
-	// inside the injected-message prefix of the current phase (see
-	// RootInjects). A phase's injections are routed into an empty queue
-	// before its Drain starts, and deliveries are logged at dequeue, in
-	// queue order — so the prefix ends at the first delivery whose sender
-	// is a node, and at nothing else: marks, worker relays, epoch bumps and
-	// deaths are logged at receive time, between two dequeues, and land
-	// among the injections' records whenever a worker speaks early. An
-	// injection the count misses is delivered twice by the resumed run.
-	st := &replayState{
-		cover: make([]seqCover, nW),
-		dead:  make([]bool, nW),
-	}
-	env := &replayEnv{c: c, st: st}
+	// Replay runs every record through the transition the live coordinator
+	// ran for it, with the log set aside so nothing is logged twice: relays
+	// go through route, epochs through resetEpoch and deaths through
+	// tombstone, and deliveries through the local actors on a plain
+	// coordEnv. Every link is down, so whatever those transitions send to a
+	// worker is sequenced into its retransmit buffer — the frames and
+	// sequence numbers it held before the crash — and nothing reaches a
+	// wire. A local actor's send to another local actor lands on c.queue,
+	// where the log's record of its delivery consumes it from the head.
+	//
+	// prefixOpen tracks whether we are still inside the injected-message
+	// prefix of the current phase (see RootInjects). A phase's injections
+	// are routed into an empty queue before its Drain starts, and
+	// deliveries are logged at dequeue, in queue order — so the prefix ends
+	// at the first delivery whose sender is a node, and at nothing else:
+	// marks, worker relays, epoch bumps and deaths are logged at receive
+	// time, between two dequeues, and land among the injections' records
+	// whenever a worker speaks early. An injection the count misses is
+	// delivered twice by the resumed run.
+	ckpt := c.ckpt
+	c.ckpt = nil
+	env := &coordEnv{c: c}
+	cover := make([]seqCover, nW)
 	prefixOpen := true
 	headers := 0
 	for _, rec := range snap.Records[1:] {
@@ -440,7 +363,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 			headers++
 			continue
 		case wire.CkptDelivery, wire.CkptRelay:
-			from := rt.NodeID(rec.From)
+			from, to := rt.NodeID(rec.From), rt.NodeID(rec.To)
 			if from != rt.NoNode {
 				if rec.Kind == wire.CkptDelivery {
 					prefixOpen = false
@@ -450,28 +373,26 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 			}
 			src, remote := c.assignment[from]
 			if remote {
-				st.cover[src].add(rec.Seq)
+				cover[src].add(rec.Seq)
 				c.workers[src].received++
 			} else if from != rt.NoNode {
-				// A local actor's send, logged pre-crash at enqueue time.
-				// Replay regenerated it when the sender's own delivery ran
-				// above; this record is that send's reappearance, so
-				// consume it from the FIFO instead of delivering twice.
-				if len(st.pendingLocal) == 0 || st.pendingLocal[0].from != from ||
-					st.pendingLocal[0].to != rt.NodeID(rec.To) {
+				// A local actor's send, logged pre-crash at dequeue time.
+				// Replay regenerated it onto the queue when the sender's
+				// own delivery ran; this record is its dequeue.
+				if len(c.queue) == 0 || c.queue[0].from != from || c.queue[0].to != to {
 					return nil, fmt.Errorf("tcpnet: checkpoint replay diverged: "+
-						"log has %T %d→%d but replay did not regenerate it", rec.Msg, from, rec.To)
+						"log has %T %d→%d but replay did not regenerate it", rec.Msg, from, to)
 				}
-				st.pendingLocal = st.pendingLocal[1:]
+				c.queue[0] = localDelivery{}
+				c.queue = c.queue[1:]
 			}
 			if rec.Kind == wire.CkptRelay {
-				if w, remote := c.assignment[rt.NodeID(rec.To)]; remote {
-					st.resend(c, w, rec.From, rec.To, rec.Msg)
+				if _, remote := c.assignment[to]; !remote {
+					return nil, fmt.Errorf("tcpnet: checkpoint relays %T to node %d, which no worker hosts", rec.Msg, to)
 				}
-				c.replayed++
-				continue
+				c.route(from, to, rec.Msg, rec.Seq)
+				break
 			}
-			to := rt.NodeID(rec.To)
 			a, ok := c.local[to]
 			if !ok {
 				return nil, fmt.Errorf("tcpnet: checkpoint delivers %T to node %d, which is not coordinator-local", rec.Msg, to)
@@ -483,7 +404,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint mark for nonexistent worker %d", w)
 			}
-			st.cover[w].add(rec.Seq)
+			cover[w].add(rec.Seq)
 			c.workers[w].processed = rec.Processed
 			c.workers[w].emitted = rec.Emitted
 		case wire.CkptPhase:
@@ -495,67 +416,31 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint epoch for nonexistent worker %d", w)
 			}
-			wc := c.workers[w]
-			if epoch := wc.sess.bumpEpoch(); epoch != rec.SessEpoch {
+			if epoch, _ := c.resetEpoch(w, rec.PeerEpoch); epoch != rec.SessEpoch {
 				return nil, fmt.Errorf("tcpnet: checkpoint replay diverged: worker %d at epoch %d, log says %d",
 					w, epoch, rec.SessEpoch)
 			}
-			wc.sess.reset()
-			st.cover[w] = seqCover{}
-			wc.delivered, wc.processed, wc.received, wc.emitted = 0, 0, 0, 0
-			wc.peerEmitted, wc.peerProcessed = nil, nil
-			c.peerEpochs[w] = rec.PeerEpoch
-			// The reassignment broadcast framePeerEpoch to every other
-			// non-dead worker, then caught the reassigned worker up on
-			// already-dead peers (sendPeerLiveness).
-			for j := range c.workers {
-				if j != w && !st.dead[j] {
-					f := getFrame()
-					f.Kind, f.From, f.Epoch = framePeerEpoch, int32(w), rec.PeerEpoch
-					st.resendCtl(c, j, f)
-				}
-			}
-			for k := range c.workers {
-				if k != w && st.dead[k] {
-					f := getFrame()
-					f.Kind, f.From = framePeerDown, int32(k)
-					st.resendCtl(c, w, f)
-				}
-			}
+			cover[w] = seqCover{}
+			c.sendPeerLiveness(w)
 		case wire.CkptDeath:
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint death for nonexistent worker %d", w)
 			}
-			st.dead[w] = true
-			c.workers[w].state = linkDead
-			for j := range c.workers {
-				if j != w && !st.dead[j] {
-					f := getFrame()
-					f.Kind, f.From = framePeerDown, int32(w)
-					st.resendCtl(c, j, f)
-				}
-			}
+			c.tombstone(w)
 		default:
 			return nil, fmt.Errorf("tcpnet: checkpoint replay: %w (kind %d)", wire.ErrUnknownKind, rec.Kind)
 		}
 		c.replayed++
 	}
-
-	// Sends the crash cut off before they were logged survive only as
-	// replay regenerations; route them for real now — they are logged
-	// (write-ahead, so a second crash replays them too) and queued for the
-	// resumed run's first Drain.
-	for _, d := range st.pendingLocal {
-		c.route(d.from, d.to, d.msg, 0)
-	}
+	c.ckpt = ckpt
 
 	restartCause := fmt.Errorf("coordinator restarted from checkpoint: %w", ErrCoordKilled)
 	for i, w := range c.workers {
-		if st.dead[i] {
+		if w.state == linkDead {
 			continue
 		}
-		w.sess.restore(st.cover[i].floor, st.cover[i].applied())
+		w.sess.restore(cover[i].floor, cover[i].applied())
 		w.restored = true
 		w.resumeDeadline = now.Add(c.resumeWindow)
 		w.failCause = restartCause

@@ -27,8 +27,10 @@ import (
 // would: rebind the listener on the same address, replay the log into a
 // restored coordinator, and finish the run with core.ResumeExecute.
 // Returns the final report, whether the crash actually fired, and the
-// final record count of the log.
-func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
+// final record count of the log. onRestore, if set, sees the killed and
+// the restored coordinator before the resumed run starts.
+func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, crashRecs int64,
+	onRestore func(killed, restored *tcpnet.Coordinator)) (*core.Report, bool, int64) {
 	t.Helper()
 	blob, err := core.EncodeConfig(cfg)
 	if err != nil {
@@ -121,6 +123,9 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 		if err != nil {
 			t.Fatalf("restore from checkpoint: %v", err)
 		}
+		if onRestore != nil {
+			onRestore(coord, coord2)
+		}
 		got, err = core.ResumeExecute(rs, coord2, coord2.DrainsDone(), coord2.RootInjects())
 		if err != nil {
 			t.Fatalf("resumed run: %v", err)
@@ -211,7 +216,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs)
+			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs, nil)
 			if !crashed {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
@@ -244,7 +249,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, crashed, total := coordCrashRun(t, cfg, mode.workers, 0, 0)
+			base, crashed, total := coordCrashRun(t, cfg, mode.workers, 0, 0, nil)
 			if crashed {
 				t.Fatal("control run crashed with no crash point armed")
 			}
@@ -259,7 +264,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			fired := 0
 			for trial := 0; trial < trials; trial++ {
 				recs := 3 + rng.Int63n(total-3)
-				got, crashed, _ := coordCrashRun(t, cfg, mode.workers, -1, recs)
+				got, crashed, _ := coordCrashRun(t, cfg, mode.workers, -1, recs, nil)
 				if !crashed {
 					t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
 					if got.Matches != want.Matches || got.Checksum != want.Checksum {
@@ -284,5 +289,88 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 				t.Errorf("only %d of %d sampled crash points fired", fired, trials)
 			}
 		})
+	}
+}
+
+// TestCoordRecoveryReplayRebuildsBuffers pins the claim replay rests on
+// (DESIGN.md §12): replaying the log rebuilds each worker's retransmit
+// buffer frame for frame and sequence number for sequence number. For
+// every worker still live after the replay, each frame the killed
+// coordinator still held for retransmission must sit in the restored
+// buffer under the same sequence number, with the same kind, endpoints
+// and message; only the piggybacked ack may differ. The restored buffer
+// may hold more: it was never trimmed by a worker's ack, and the record
+// that fired the crash replays although its act never ran.
+func TestCoordRecoveryReplayRebuildsBuffers(t *testing.T) {
+	spill := distConfig(core.Split)
+	spill.MaxNodes = 3
+	spill.SpillEnabled = true
+	cases := []struct {
+		name    string
+		cfg     core.Config
+		workers int
+		phase   int
+		recs    int64
+	}{
+		{"star-mid-build", distConfig(core.Split), 2, 0, 12},
+		{"p2p-mid-probe", distConfig(core.Split), 3, 1, 12},
+		{"p2p-spill-finish", spill, 3, 2, 2},
+		{"p2p-hybrid-mid-reshuffle", distConfig(core.Hybrid), 3, 1, 8},
+	}
+	// Worker acks trim a buffer to nothing at times, so one case may
+	// compare no frame; the sweep as a whole must compare some.
+	total := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := core.Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compared := 0
+			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs,
+				func(killed, restored *tcpnet.Coordinator) {
+					for w := 0; w < tc.workers; w++ {
+						after, resumable, dead, err := tcpnet.RetransmitBuffer(restored, w)
+						if err != nil {
+							t.Fatalf("worker %d: restored buffer: %v", w, err)
+						}
+						if dead {
+							continue
+						}
+						before, _, _, err := tcpnet.RetransmitBuffer(killed, w)
+						if err != nil {
+							t.Fatalf("worker %d: killed buffer: %v", w, err)
+						}
+						if !resumable {
+							t.Errorf("worker %d: the replayed buffer overflowed its window", w)
+							continue
+						}
+						for seq, b := range before {
+							a, ok := after[seq]
+							switch {
+							case !ok:
+								t.Errorf("worker %d seq %d: kind %d %d→%d is missing from the restored buffer",
+									w, seq, b.Kind, b.From, b.To)
+							case a.Kind != b.Kind || a.From != b.From || a.To != b.To:
+								t.Errorf("worker %d seq %d: restored kind %d %d→%d, killed kind %d %d→%d",
+									w, seq, a.Kind, a.From, a.To, b.Kind, b.From, b.To)
+							case !bytes.Equal(a.Canon, b.Canon):
+								t.Errorf("worker %d seq %d: kind %d %d→%d carries a different message",
+									w, seq, b.Kind, b.From, b.To)
+							}
+							compared++
+						}
+					}
+				})
+			if !crashed {
+				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
+			}
+			t.Logf("compared %d buffered frames", compared)
+			total += compared
+			checkRecovered(t, got, want)
+		})
+	}
+	if total == 0 {
+		t.Error("no killed coordinator held a buffered frame: the test compared nothing")
 	}
 }

@@ -487,3 +487,61 @@ func TestRestoreRejectsStaleVersionCheckpoint(t *testing.T) {
 		t.Errorf("listener after a rejected restore: Close = %v, want net.ErrClosed", err)
 	}
 }
+
+// TestRestoreRejectsMalformedLog feeds RestoreCoordinator logs that break
+// replay in each of the ways it checks for: a record naming a worker the
+// header does not have, a delivery or relay whose destination sits on the
+// wrong side of the coordinator, a local actor's send that replay never
+// regenerated, and an epoch that skips. Each must fail the restore with
+// an error naming the problem, never a panic, and close the listener.
+func TestRestoreRejectsMalformedLog(t *testing.T) {
+	// Worker 0 hosts node 1; node 2 is coordinator-local.
+	const remote, local = 1, 2
+	cases := []struct {
+		name string
+		rec  *wire.CkptRecord
+		want string
+	}{
+		{"mark-out-of-range", &wire.CkptRecord{Kind: wire.CkptMark, Worker: 1, Seq: 1}, "mark for nonexistent worker 1"},
+		{"epoch-out-of-range", &wire.CkptRecord{Kind: wire.CkptEpoch, Worker: -1, SessEpoch: 1}, "epoch for nonexistent worker -1"},
+		{"death-out-of-range", &wire.CkptRecord{Kind: wire.CkptDeath, Worker: 5}, "death for nonexistent worker 5"},
+		{"delivery-to-worker-node",
+			&wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: remote, Worker: -1, Msg: &testMsg{}},
+			"not coordinator-local"},
+		{"relay-to-local-node",
+			&wire.CkptRecord{Kind: wire.CkptRelay, From: int32(rt.NoNode), To: local, Worker: 0, Msg: &testMsg{}},
+			"no worker hosts"},
+		{"unregenerated-local-send",
+			&wire.CkptRecord{Kind: wire.CkptDelivery, From: local, To: local, Worker: -1, Msg: &testMsg{}},
+			"replay did not regenerate it"},
+		{"epoch-skips", &wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 0, SessEpoch: 2, PeerEpoch: 1},
+			"worker 0 at epoch 1, log says 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			snap := &Snapshot{Records: []*wire.CkptRecord{
+				{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
+					AssignIDs: []int32{remote}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
+				tc.rec,
+			}}
+			var delivered int64
+			c, err := RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{local: &countActor{n: &delivered}}, l,
+				WithResumeWindow(time.Second))
+			if err == nil {
+				c.Close()
+				t.Fatalf("RestoreCoordinator accepted the log; want an error containing %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreCoordinator = %v, want an error containing %q", err, tc.want)
+			}
+			if err := l.Close(); !errors.Is(err, net.ErrClosed) {
+				t.Errorf("listener after a rejected restore: Close = %v, want net.ErrClosed", err)
+			}
+		})
+	}
+}

@@ -682,9 +682,19 @@ func (c *Coordinator) scrubQueuedSeqs(i int) {
 	}
 }
 
-// markDead tombstones worker i: peers are told to drop their direct links
-// to it, and the failure handler (or Drain's fatal error) takes over.
+// markDead declares worker i dead: tombstone it, then hand its nodes to
+// the failure handler (or Drain's fatal error).
 func (c *Coordinator) markDead(i int, cause error) {
+	if c.tombstone(i) {
+		c.notifyDeath(i, cause)
+	}
+}
+
+// tombstone logs worker i's death and acts on it: the link goes dead, its
+// queued sequence numbers are scrubbed, and peers are told to drop their
+// direct links to it. Replay runs it for every CkptDeath record. Reports
+// false when the log write killed the coordinator and nothing was done.
+func (c *Coordinator) tombstone(i int) bool {
 	if c.ckpt != nil {
 		// Log-before-act: the tombstone, the scrub, the peer-down
 		// broadcasts, and the death notification are all observable
@@ -693,7 +703,7 @@ func (c *Coordinator) markDead(i int, cause error) {
 		// scrubbed against its death.
 		c.logRecord(&wire.CkptRecord{Kind: wire.CkptDeath, Worker: int32(i)})
 		if c.killed {
-			return
+			return false
 		}
 	}
 	c.workers[i].state = linkDead
@@ -706,21 +716,21 @@ func (c *Coordinator) markDead(i int, cause error) {
 		f.Kind, f.From = framePeerDown, int32(i)
 		c.sendTo(j, f)
 	}
-	c.notifyDeath(i, cause)
+	return true
 }
 
-// bumpPeerEpoch advances worker i's peer epoch (it is being reassigned
-// from scratch, so every direct link to it must reset) and broadcasts the
-// bump to the other workers. Worker i itself learns the new epoch from the
+// bumpPeerEpoch sets worker i's peer epoch (it is being reassigned from
+// scratch, so every direct link to it must reset) and broadcasts the bump
+// to the other workers. Worker i itself learns the new epoch from the
 // fresh assignment frame.
-func (c *Coordinator) bumpPeerEpoch(i int) {
-	c.peerEpochs[i]++
+func (c *Coordinator) bumpPeerEpoch(i int, epoch uint32) {
+	c.peerEpochs[i] = epoch
 	for j, w := range c.workers {
 		if j == i || w.state == linkDead {
 			continue
 		}
 		f := getFrame()
-		f.Kind, f.From, f.Epoch = framePeerEpoch, int32(i), c.peerEpochs[i]
+		f.Kind, f.From, f.Epoch = framePeerEpoch, int32(i), epoch
 		c.sendTo(j, f)
 	}
 }
@@ -840,8 +850,29 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 		req.Session, req.Epoch, sess.epochNow(), req.CanReplay, sess.resumable(),
 		req.LastSeq, sess.ackedNow(), sess.framesSent(), w.restored, cause)
 	w.restored = false
-	epoch := sess.bumpEpoch()
-	peerEpoch := c.peerEpochs[i] + 1
+	epoch, ok := c.resetEpoch(i, c.peerEpochs[i]+1)
+	if !ok {
+		_ = conn.Close()
+		return
+	}
+	w.lastHeard = time.Now()
+	w.resumeDeadline = time.Time{}
+	w.failCause = nil
+	c.fullReassigns++
+	w.start(conn, ev.hs.r, c.assignFrame(i, epoch), nil, &c.mux)
+	c.sendPeerLiveness(i)
+	c.notifyDeath(i, cause)
+}
+
+// resetEpoch logs and starts worker i's next session epoch (rung 2): the
+// session and the worker's counters start over, its queued sequence
+// numbers are scrubbed, and its peer epoch becomes peerEpoch, broadcast to
+// every other live worker. Replay runs it for every CkptEpoch record.
+// Returns the new session epoch, and false when the log write killed the
+// coordinator and nothing was done.
+func (c *Coordinator) resetEpoch(i int, peerEpoch uint32) (uint32, bool) {
+	w := c.workers[i]
+	epoch := w.sess.bumpEpoch()
 	if c.ckpt != nil {
 		// Log-before-act: the session reset, the queue scrub, and the
 		// broadcasts bumpPeerEpoch is about to sequence are all effects
@@ -851,22 +882,15 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 		c.logRecord(&wire.CkptRecord{Kind: wire.CkptEpoch, Worker: int32(i),
 			SessEpoch: epoch, PeerEpoch: peerEpoch})
 		if c.killed {
-			_ = conn.Close()
-			return
+			return epoch, false
 		}
 	}
-	sess.reset()
+	w.sess.reset()
 	c.scrubQueuedSeqs(i)
-	c.bumpPeerEpoch(i)
+	c.bumpPeerEpoch(i, peerEpoch)
 	w.delivered, w.processed, w.received, w.emitted = 0, 0, 0, 0
 	w.peerEmitted, w.peerProcessed = nil, nil
-	w.lastHeard = time.Now()
-	w.resumeDeadline = time.Time{}
-	w.failCause = nil
-	c.fullReassigns++
-	w.start(conn, ev.hs.r, c.assignFrame(i, epoch), nil, &c.mux)
-	c.sendPeerLiveness(i)
-	c.notifyDeath(i, cause)
+	return epoch, true
 }
 
 // sendPeerLiveness catches a freshly reassigned worker up on peers that
