@@ -298,9 +298,8 @@ func main() {
 			fatal(fmt.Errorf("restoring from checkpoint: %w", rerr))
 		}
 		coord = coord2
-		report, err = core.ResumeExecute(rs, coord, coord.DrainsDone(), coord.RootInjects())
+		report, err = core.ResumeExecute(rs, coord)
 	}
-	stats := coord.TransportStats()
 	coord.Close()
 	for _, p := range procs {
 		_ = p.Wait()
@@ -314,8 +313,6 @@ func main() {
 	fmt.Printf("ehjadist: %.0f tuples/sec\n", float64(*rTuples+*sTuples)/elapsed)
 	fmt.Printf("ehjadist: nodes %d -> %d, splits %d, replications %d\n",
 		report.InitialNodes, report.FinalNodes, report.Splits, report.Replications)
-	fmt.Printf("ehjadist: p2p topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
-		stats.RelayedMessages, stats.RelayedBytes>>10)
 	if report.HeavyKeys > 0 {
 		fmt.Printf("ehjadist: %d heavy key(s): %d build tuples replicated, %d probes partitioned, probe max/mean %.2f\n",
 			report.HeavyKeys, report.HeavyCopies, report.HeavyProbeTuples,

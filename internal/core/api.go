@@ -28,7 +28,7 @@ func Execute(cfg Config, eng rt.Engine) (*Report, error) {
 		return nil, err
 	}
 	st.register(eng)
-	return st.run(eng, 0, 0)
+	return st.run(eng)
 }
 
 // assembleReport folds the scheduler's collected per-node statistics into a
@@ -150,8 +150,6 @@ func assembleReport(cfg Config, eng rt.Engine, sched *schedActor,
 		r.ChecksumFailures = s.ChecksumFailures
 		r.DuplicateFrames = s.DuplicateFrames
 		r.SessionFrames = s.FramesSent
-		r.RelayedMessages = s.RelayedMessages
-		r.RelayedBytes = s.RelayedBytes
 		r.CoordRestarts = s.CoordRestarts
 		r.CheckpointReplays = s.CheckpointReplays
 		r.ReattachedWorkers = s.ReattachedWorkers

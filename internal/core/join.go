@@ -277,16 +277,20 @@ func (j *joinActor) onCloneTable(env rt.Env, msg *cloneTable) {
 	copied := make([]tuple.Tuple, 0, j.table.Count())
 	j.table.ForEach(func(t tuple.Tuple) { copied = append(copied, t) })
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(copied)))
-	for lo := 0; lo < len(copied); lo += j.cfg.ChunkTuples {
-		hi := lo + j.cfg.ChunkTuples
-		if hi > len(copied) {
-			hi = len(copied)
-		}
-		chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: j.cfg.Build.Layout, Tuples: copied[lo:hi]}
-		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
-		env.Send(msg.To, &cloneTuples{Chunk: chunk})
-	}
+	j.shipChunks(env, msg.To, copied, func(c *tuple.Chunk) rt.Message { return &cloneTuples{Chunk: c} })
 	env.Send(msg.To, &cloneEnd{TotalTuples: int64(len(copied))})
+}
+
+// shipChunks cuts build tuples into chunk-sized messages for dest, each
+// made by wrap and charged the per-chunk overhead. Table clones, heavy-key
+// replicas and migrations all ship this way.
+func (j *joinActor) shipChunks(env rt.Env, dest rt.NodeID, ts []tuple.Tuple, wrap func(*tuple.Chunk) rt.Message) {
+	for lo := 0; lo < len(ts); lo += j.cfg.ChunkTuples {
+		hi := min(lo+j.cfg.ChunkTuples, len(ts))
+		chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: j.cfg.Build.Layout, Tuples: ts[lo:hi]}
+		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
+		env.Send(dest, wrap(chunk))
+	}
 }
 
 // maybeReleaseHeldProbes processes buffered probe tuples once the clone is
@@ -346,9 +350,10 @@ func (j *joinActor) onHeavyAssign(env rt.Env, msg *heavyAssign) {
 				continue
 			}
 			env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(mine)))
+			// The sender keeps its copy, as onCloneTable's does.
 			for _, o := range heavyGroup(j.route, j.cfg.Space, k) {
 				if dest := rt.NodeID(o); dest != j.id {
-					j.shipHeavyClones(env, dest, mine)
+					j.shipChunks(env, dest, mine, func(c *tuple.Chunk) rt.Message { return &heavyClone{Chunk: c} })
 				}
 			}
 		}
@@ -357,21 +362,6 @@ func (j *joinActor) onHeavyAssign(env rt.Env, msg *heavyAssign) {
 	j.pendingHeavyClones = nil
 	for _, c := range pend {
 		j.absorbHeavyClone(env, c)
-	}
-}
-
-// shipHeavyClones sends one heavy key's local build tuples to a group peer
-// in chunk-sized heavyClone messages. Like onCloneTable the sender keeps
-// its copy.
-func (j *joinActor) shipHeavyClones(env rt.Env, dest rt.NodeID, ts []tuple.Tuple) {
-	for lo := 0; lo < len(ts); lo += j.cfg.ChunkTuples {
-		hi := lo + j.cfg.ChunkTuples
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: j.cfg.Build.Layout, Tuples: ts[lo:hi]}
-		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
-		env.Send(dest, &heavyClone{Chunk: chunk})
 	}
 }
 
@@ -891,7 +881,7 @@ func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 	moved := j.extractOwned(env, msg.Upper)
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(moved)))
 	j.movedOut += int64(len(moved))
-	j.shipTuples(env, msg.NewNode, moved, j.cfg.Build.Layout)
+	j.shipTuples(env, msg.NewNode, moved)
 	// With BlockingMigration the victim's CPU is occupied for the
 	// transfer's full wire time before its done message releases the
 	// scheduler's barrier split pointer — a blocking-send implementation.
@@ -912,20 +902,12 @@ func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 
 // shipTuples sends migrated tuples in chunk-sized moveTuples messages,
 // stamped with the sender's routing-table version for barrier filtering.
-func (j *joinActor) shipTuples(env rt.Env, dest rt.NodeID, ts []tuple.Tuple, layout tuple.Layout) {
+func (j *joinActor) shipTuples(env rt.Env, dest rt.NodeID, ts []tuple.Tuple) {
 	var ver uint64
 	if j.route != nil {
 		ver = j.route.Version
 	}
-	for lo := 0; lo < len(ts); lo += j.cfg.ChunkTuples {
-		hi := lo + j.cfg.ChunkTuples
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		chunk := &tuple.Chunk{Rel: tuple.RelR, Layout: layout, Tuples: ts[lo:hi]}
-		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
-		env.Send(dest, &moveTuples{Chunk: chunk, Version: ver})
-	}
+	j.shipChunks(env, dest, ts, func(c *tuple.Chunk) rt.Message { return &moveTuples{Chunk: c, Version: ver} })
 }
 
 // onReshuffle redistributes this node's share of a replicated range so the
@@ -954,7 +936,7 @@ func (j *joinActor) onReshuffle(env rt.Env, msg *reshuffleAssign) {
 		}
 		env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(moved)))
 		j.reshuffleOut += int64(len(moved))
-		j.shipTuples(env, owner, moved, j.cfg.Build.Layout)
+		j.shipTuples(env, owner, moved)
 	}
 }
 

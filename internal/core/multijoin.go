@@ -194,7 +194,7 @@ func ExecuteMulti(mc MultiConfig, eng rt.Engine) (*MultiReport, error) {
 		// Probe: R1 streams into stage 0; matches cascade through the stages.
 		step{"pipeline probe phase", toSchedulers(&startProbe{}, stages[0]), []*float64{&end}},
 		step{"pipeline stats collection", toSchedulers(&collectStats{}, stages...), nil})
-	if err := runSteps(eng, steps, 0, 0); err != nil {
+	if err := runSteps(eng, steps); err != nil {
 		return nil, err
 	}
 	return assembleMultiReport(mc, stages, eng, buildEnd, reshuffleEnd, end)

@@ -8,11 +8,12 @@ import (
 // write-ahead-logs the coordinator's control plane and replays it into a
 // restarted coordinator, but the phase schedule lives here: PrepareResume
 // rebuilds the stage for the replay to run through, and ResumeExecute
-// walks the same step list from the drain step — and the injection within
-// it — where the old coordinator died. Actor construction, the kickoff and
-// the step list are pure functions of the Config (the determinism the
-// re-stream rung already needs), so a replayed log plus "skip what the log
-// already absorbed" lands the new process in the old one's state.
+// walks the same step list on the restored engine, which skips the steps
+// — and the injections within the interrupted one — its log already
+// absorbed. Actor construction, the kickoff and the step list are pure
+// functions of the Config (the determinism the re-stream rung already
+// needs), so a replayed log plus "skip what the log already absorbed"
+// lands the new process in the old one's state.
 
 // ResumeState is the stage PrepareResume rebuilt: the normalized config,
 // one constructed actor per node id, and the build kickoff cloned from the
@@ -52,19 +53,16 @@ func PrepareResume(cfgBlob []byte) (*ResumeState, error) {
 	return &ResumeState{st}, nil
 }
 
-// ResumeExecute continues a crashed run on a restored engine. drainsDone
-// is the number of Drain steps the old coordinator completed (the
-// transport's replayed phase count) and rootInjects is how many of the
-// current step's root injections its log had already absorbed; both come
-// straight from the restored coordinator. Steps before drainsDone are
-// skipped outright — their effects live in the replayed actors and the
-// workers — and the in-flight step skips its first rootInjects
-// injections before draining, so nothing is delivered twice.
+// ResumeExecute continues a crashed run on a restored engine. It walks the
+// whole step list; the engine passes the Drains its log completed without
+// running them — their effects live in the replayed actors and the
+// workers — and discards the injections its log already holds, so nothing
+// is delivered twice.
 //
 // Phase timings in the returned report are measured from the restart, not
 // the original start: wall-clock continuity across a crash is not
 // reconstructible from the log and the differential oracle compares only
 // the join results (Matches, Checksum), which are exact.
-func ResumeExecute(rs *ResumeState, eng rt.Engine, drainsDone, rootInjects int) (*Report, error) {
-	return rs.st.run(eng, drainsDone, rootInjects)
+func ResumeExecute(rs *ResumeState, eng rt.Engine) (*Report, error) {
+	return rs.st.run(eng)
 }

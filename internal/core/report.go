@@ -129,11 +129,6 @@ type Report struct {
 	ChecksumFailures    int64 // frames rejected by CRC32C verification
 	DuplicateFrames     int64 // frames dropped by sequence-number dedup
 	SessionFrames       int64 // unique reliable frames carried, both directions
-	// RelayedMessages/RelayedBytes count worker→worker traffic that relayed
-	// through the coordinator hub — the star-topology bottleneck the p2p
-	// data plane removes (≈0 when workers exchange chunks directly).
-	RelayedMessages int64
-	RelayedBytes    int64
 	// RecoveryRung is the most expensive recovery rung the run engaged:
 	// 0 none, 1 ack-based resume, 2 purge + re-stream, 3 degraded
 	// (replica loss the probe phase worked around).
@@ -221,10 +216,6 @@ func (r *Report) String() string {
 		s += fmt.Sprintf(" rung %d resumes %d retransmitted %d/%d frames crc-fail %d dups %d",
 			r.RecoveryRung, r.Resumes, r.RetransmittedFrames, r.SessionFrames,
 			r.ChecksumFailures, r.DuplicateFrames)
-	}
-	if r.RelayedMessages > 0 {
-		s += fmt.Sprintf(" relayed %d msgs (%d KB) via coordinator",
-			r.RelayedMessages, r.RelayedBytes>>10)
 	}
 	return s
 }

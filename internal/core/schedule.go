@@ -12,7 +12,9 @@ import (
 // fixed list of steps, each a burst of root injections followed by one
 // Drain. Execute, ResumeExecute and ExecuteMulti all walk their list with
 // runSteps, so the drain count a transport logs, the phase a coordinator
-// kill names and the step a resumed run re-enters are one sequence.
+// kill names and the step a resumed run re-enters are one sequence. A
+// resumed run walks the whole list too: the restored engine, which knows
+// what its log absorbed, skips it.
 
 // stage is one complete EHJA instance before it runs: the scheduler, data
 // sources and join nodes in registration order, and the kickoff that
@@ -161,39 +163,25 @@ func (st *stage) steps(buildEnd, reshuffleEnd, end *float64) []step {
 	return append(steps, step{"stats collection", toSchedulers(&collectStats{}, st), nil})
 }
 
-// run drives the single-join schedule from step drainsDone on and folds
-// the collected statistics into a Report.
-func (st *stage) run(eng rt.Engine, drainsDone, rootInjects int) (*Report, error) {
+// run drives the single-join schedule and folds the collected statistics
+// into a Report.
+func (st *stage) run(eng rt.Engine) (*Report, error) {
 	var buildEnd, reshuffleEnd, end float64
-	if err := runSteps(eng, st.steps(&buildEnd, &reshuffleEnd, &end), drainsDone, rootInjects); err != nil {
+	if err := runSteps(eng, st.steps(&buildEnd, &reshuffleEnd, &end)); err != nil {
 		return nil, err
 	}
 	return assembleReport(st.cfg, eng, st.sched, buildEnd, reshuffleEnd, end)
 }
 
-// runSteps injects each step's messages and drains. Steps before
-// drainsDone are skipped outright, and the step at drainsDone drops its
-// first rootInjects injections: a resumed run's log has already absorbed
-// them. Every step's timestamps are read from the engine clock, whether it
-// ran or was skipped.
-func runSteps(eng rt.Engine, steps []step, drainsDone, rootInjects int) error {
-	for k, s := range steps {
-		if k >= drainsDone {
-			injects := s.injects()
-			skip := 0
-			if k == drainsDone {
-				if rootInjects > len(injects) {
-					return fmt.Errorf("core: resume: log absorbed %d root injections but the %s step only has %d",
-						rootInjects, s.name, len(injects))
-				}
-				skip = rootInjects
-			}
-			for _, in := range injects[skip:] {
-				eng.Inject(in.to, in.msg)
-			}
-			if err := eng.Drain(); err != nil {
-				return fmt.Errorf("core: %s: %w", s.name, err)
-			}
+// runSteps injects each step's messages and drains, then reads the step's
+// timestamps from the engine clock.
+func runSteps(eng rt.Engine, steps []step) error {
+	for _, s := range steps {
+		for _, in := range s.injects() {
+			eng.Inject(in.to, in.msg)
+		}
+		if err := eng.Drain(); err != nil {
+			return fmt.Errorf("core: %s: %w", s.name, err)
 		}
 		now := eng.NowSeconds()
 		for _, m := range s.marks {

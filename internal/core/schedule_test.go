@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"ehjoin/internal/datagen"
@@ -29,7 +28,7 @@ func scheduleConfig(alg Algorithm, heavy, spill bool) Config {
 
 // TestResumeFromStartMatchesExecute: a run resumed before its first step
 // on the simulator — PrepareResume from the config blob, every actor
-// registered in id order, ResumeExecute(rs, sim, 0, 0) — returns exactly
+// registered in id order, ResumeExecute(rs, sim) — returns exactly
 // the Report Execute does, for every algorithm with and without the
 // heavy-hitter and spill steps.
 func TestResumeFromStartMatchesExecute(t *testing.T) {
@@ -60,7 +59,7 @@ func TestResumeFromStartMatchesExecute(t *testing.T) {
 					for _, id := range ids {
 						eng.Register(id, actors[id])
 					}
-					got, err := ResumeExecute(rs, eng, 0, 0)
+					got, err := ResumeExecute(rs, eng)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -76,107 +75,6 @@ func TestResumeFromStartMatchesExecute(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// recordingEngine logs injections and counts drains. Its clock reads 10
-// plus the drains so far, so a skipped step's timestamp differs from an
-// unset one.
-type recordingEngine struct {
-	injects []pendingInject
-	drains  int
-}
-
-func (e *recordingEngine) Register(rt.NodeID, rt.Actor) {}
-func (e *recordingEngine) Inject(to rt.NodeID, m rt.Message) {
-	e.injects = append(e.injects, pendingInject{to, m})
-}
-func (e *recordingEngine) Drain() error        { e.drains++; return nil }
-func (e *recordingEngine) NowSeconds() float64 { return float64(10 + e.drains) }
-
-// TestRunStepsSkipsWhatTheLogAbsorbed walks the full single-join schedule
-// (build, reshuffle, heavy detection, probe, out-of-core finish, stats)
-// and resumes it at every (drainsDone=k, rootInjects=j): exactly
-// len(steps)−k drains run, the injections are the full run's minus the
-// steps before k and the first j of step k, and every timestamp is the
-// engine clock after its step, skipped or not.
-func TestRunStepsSkipsWhatTheLogAbsorbed(t *testing.T) {
-	cfg, err := scheduleConfig(Hybrid, true, true).normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := singleStage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b, r, e float64
-	steps := st.steps(&b, &r, &e)
-	if len(steps) != 6 {
-		t.Fatalf("schedule has %d steps, want 6", len(steps))
-	}
-	full := &recordingEngine{}
-	if err := runSteps(full, steps, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if want := cfg.InitialNodes + cfg.Sources + len(steps) - 1; len(full.injects) != want {
-		t.Fatalf("full run injected %d messages, want %d", len(full.injects), want)
-	}
-	offset := 0
-	for k, s := range steps {
-		n := len(s.injects())
-		for j := 0; j <= n; j++ {
-			eng := &recordingEngine{}
-			var buildEnd, reshuffleEnd, end float64
-			if err := runSteps(eng, st.steps(&buildEnd, &reshuffleEnd, &end), k, j); err != nil {
-				t.Fatalf("k=%d j=%d: %v", k, j, err)
-			}
-			if eng.drains != len(steps)-k {
-				t.Errorf("k=%d j=%d: %d drains, want %d", k, j, eng.drains, len(steps)-k)
-			}
-			want := full.injects[offset+j:]
-			if len(eng.injects) != len(want) {
-				t.Fatalf("k=%d j=%d: %d injections, want %d", k, j, len(eng.injects), len(want))
-			}
-			for i, in := range eng.injects {
-				if in.to != want[i].to || reflect.TypeOf(in.msg) != reflect.TypeOf(want[i].msg) {
-					t.Errorf("k=%d j=%d: injection %d is %T to %d, want %T to %d",
-						k, j, i, in.msg, in.to, want[i].msg, want[i].to)
-				}
-			}
-			// Step i leaves the clock at 10 plus the drains run through
-			// it, max(0, i+1−k). Build is step 0, reshuffle and heavy
-			// detection steps 1–2, the out-of-core finish step 4.
-			clock := func(i int) float64 { return float64(10 + max(0, i+1-k)) }
-			if buildEnd != clock(0) || reshuffleEnd != clock(2) || end != clock(4) {
-				t.Errorf("k=%d j=%d: timestamps %v/%v/%v, want %v/%v/%v",
-					k, j, buildEnd, reshuffleEnd, end, clock(0), clock(2), clock(4))
-			}
-		}
-		offset += n
-	}
-}
-
-// TestRunStepsRejectsOvercount: a log that claims more root injections
-// than the interrupted step has is refused before anything is injected
-// or drained.
-func TestRunStepsRejectsOvercount(t *testing.T) {
-	st, err := singleStage(scheduleConfig(Hybrid, true, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b, r, e float64
-	steps := st.steps(&b, &r, &e)
-	for k, s := range steps {
-		n := len(s.injects())
-		eng := &recordingEngine{}
-		err := runSteps(eng, steps, k, n+1)
-		want := fmt.Sprintf("log absorbed %d root injections but the %s step only has %d", n+1, s.name, n)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("k=%d: runSteps = %v, want %q", k, err, want)
-		}
-		if eng.drains != 0 || len(eng.injects) != 0 {
-			t.Errorf("k=%d: %d drains and %d injections before the error, want none", k, eng.drains, len(eng.injects))
 		}
 	}
 }

@@ -85,12 +85,6 @@ type TransportStats struct {
 	// FramesSent counts unique reliable frames sequenced, both
 	// directions summed (retransmissions excluded).
 	FramesSent int64
-	// RelayedMessages counts worker→worker messages that relayed through
-	// the coordinator hub (star topology); ~0 with the p2p data plane,
-	// where chunk traffic travels over direct worker↔worker links.
-	RelayedMessages int64
-	// RelayedBytes is the payload volume of those relayed messages.
-	RelayedBytes int64
 	// CoordRestarts counts coordinator processes restored from a
 	// write-ahead checkpoint (0 on a crash-free run).
 	CoordRestarts int64

@@ -2,18 +2,18 @@ package tcpnet
 
 // Coordinator crash recovery (DESIGN.md §12). With WithCheckpoint the
 // coordinator writes every control-plane transition to a write-ahead log
-// before acting on it: deliveries to coordinator-local actors, relays to
-// workers whose cause the replay cannot regenerate, worker counter
-// reports, phase barriers, epoch bumps, and deaths. A coordinator killed
-// mid-run (SIGKILL — no flush, no goodbyes) is restored by replaying the
-// log through freshly constructed local actors and the live coordinator's
-// own transitions, with every worker link down: the deliveries rebuild
-// the scheduler and source state, and — because actor processing is a
-// pure function of the delivery sequence — the sends that processing
-// regenerates, like the relays and control broadcasts the log records,
-// are sequenced into fresh per-worker retransmit buffers, frame for frame
-// and sequence number for sequence number, as if the crash had merely
-// disconnected every worker at once. Nothing is put on a wire during
+// before acting on it: injections, deliveries to coordinator-local actors,
+// worker counter reports, phase barriers, epoch bumps, and deaths, each
+// kind from one writer. A coordinator killed mid-run (SIGKILL — no flush,
+// no goodbyes) is restored by replaying the log through freshly
+// constructed local actors and the live coordinator's own transitions,
+// with every worker link down: the deliveries rebuild the scheduler and
+// source state, and — because actor processing is a pure function of the
+// delivery sequence — the sends that processing regenerates, and the
+// injections and control broadcasts the log records, are sequenced into
+// fresh per-worker retransmit buffers, frame for frame and sequence number
+// for sequence number, as if the crash had merely disconnected every
+// worker at once. Nothing is put on a wire during
 // replay; the re-attach handshake then trims each buffer to what its
 // worker actually saw and retransmits only the tail the crash cut off in
 // flight.
@@ -175,16 +175,6 @@ func assignDigest(session uint64, epoch uint32, ids []int32) uint64 {
 	return h.Sum64()
 }
 
-// DrainsDone reports how many phase barriers (Drain calls) the
-// coordinator has completed — on a restored coordinator, recovered from
-// the log, so the resumed run knows which phases not to repeat.
-func (c *Coordinator) DrainsDone() int { return c.drains }
-
-// RootInjects reports how many injected (orchestration) messages of the
-// interrupted phase the log already holds — the resumed run skips that
-// prefix of the phase's inject list and re-issues only the rest.
-func (c *Coordinator) RootInjects() int { return c.rootInjects }
-
 // Snapshot is a parsed checkpoint log, ready for RestoreCoordinator.
 type Snapshot struct {
 	// Records is the log's intact prefix; Records[0] is the header.
@@ -211,7 +201,7 @@ func (s *Snapshot) CfgBlob() []byte { return s.Records[0].CfgBlob }
 
 // seqCover accumulates which sequence numbers of one worker's inbound
 // stream the log covers. Records are not logged in sequence order: a
-// report's mark and a relay land at receive time, but a message bound for
+// report's mark lands at receive time, but a message bound for
 // a local actor is only logged when dequeued — so a crash can leave later
 // sequences in the log while an earlier message was still queued, lost.
 // floor is the largest contiguous prefix (the position the session
@@ -269,11 +259,16 @@ func (sc *seqCover) applied() []uint64 {
 // with NewCoordinator, the coordinator owns l, and an error return has
 // closed it.
 //
-// A local actor's sends to another local actor that the crash cut off
-// before their delivery was logged survive only as replay regenerations:
-// they stay on the restored coordinator's queue for the resumed run's
-// first Drain, which logs each one when it dequeues it, as it logs every
-// local delivery.
+// A local actor's sends to another local actor, and injections for one,
+// that the crash cut off before their delivery was logged stay on the
+// restored coordinator's queue for the resumed run's first Drain, which
+// logs each one when it dequeues it, as it logs every local delivery.
+//
+// The restored coordinator skips what its log absorbed, so the resumed run
+// drives the whole phase schedule against it: it passes the Drains the log
+// completed without running them and discards every injection until then,
+// and then discards the interrupted phase's first root injections, as many
+// as the log holds. If that phase makes fewer, its Drain fails.
 //
 // Pass WithCheckpoint with an append handle to the same log to keep it
 // growing across the restart; a second crash then replays the whole
@@ -328,29 +323,21 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 	}
 
 	// Replay runs every record through the transition the live coordinator
-	// ran for it, with the log set aside so nothing is logged twice: relays
-	// go through route, epochs through resetEpoch and deaths through
-	// tombstone, and deliveries through the local actors on a plain
+	// ran for it, with the log set aside so nothing is logged twice:
+	// injections go through route, epochs through resetEpoch and deaths
+	// through tombstone, and deliveries through the local actors on a plain
 	// coordEnv. Every link is down, so whatever those transitions send to a
 	// worker is sequenced into its retransmit buffer — the frames and
 	// sequence numbers it held before the crash — and nothing reaches a
-	// wire. A local actor's send to another local actor lands on c.queue,
-	// where the log's record of its delivery consumes it from the head.
-	//
-	// prefixOpen tracks whether we are still inside the injected-message
-	// prefix of the current phase (see RootInjects). A phase's injections
-	// are routed into an empty queue before its Drain starts, and
-	// deliveries are logged at dequeue, in queue order — so the prefix ends
-	// at the first delivery whose sender is a node, and at nothing else:
-	// marks, worker relays, epoch bumps and deaths are logged at receive
-	// time, between two dequeues, and land among the injections' records
-	// whenever a worker speaks early. An injection the count misses is
-	// delivered twice by the resumed run.
+	// wire. A message for a local actor from an injection or another local
+	// actor lands on c.queue, where the log's record of its delivery
+	// consumes it from the head. The root injections since the last phase
+	// barrier are the interrupted phase's, which the resumed run must not
+	// make again.
 	ckpt := c.ckpt
 	c.ckpt = nil
 	env := &coordEnv{c: c}
 	cover := make([]seqCover, nW)
-	prefixOpen := true
 	headers := 0
 	for _, rec := range snap.Records[1:] {
 		switch rec.Kind {
@@ -362,40 +349,31 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 			}
 			headers++
 			continue
-		case wire.CkptDelivery, wire.CkptRelay:
-			from, to := rt.NodeID(rec.From), rt.NodeID(rec.To)
-			if from != rt.NoNode {
-				if rec.Kind == wire.CkptDelivery {
-					prefixOpen = false
-				}
-			} else if prefixOpen {
+		case wire.CkptInject:
+			if rec.Root {
 				c.rootInjects++
 			}
-			src, remote := c.assignment[from]
-			if remote {
+			// An unknown destination sets c.fatal, which fails the restore.
+			c.route(rt.NoNode, rt.NodeID(rec.To), rec.Msg, 0)
+		case wire.CkptDelivery:
+			from, to := rt.NodeID(rec.From), rt.NodeID(rec.To)
+			a, ok := c.local[to]
+			if !ok {
+				return nil, fmt.Errorf("tcpnet: checkpoint delivers %T to node %d, which is not coordinator-local", rec.Msg, to)
+			}
+			if src, remote := c.assignment[from]; remote {
 				cover[src].add(rec.Seq)
 				c.workers[src].received++
-			} else if from != rt.NoNode {
-				// A local actor's send, logged pre-crash at dequeue time.
-				// Replay regenerated it onto the queue when the sender's
-				// own delivery ran; this record is its dequeue.
+			} else {
+				// An injection or a local actor's send: replay routed it
+				// onto the queue when it met the injection's record or the
+				// sender's own delivery, and this record is its dequeue.
 				if len(c.queue) == 0 || c.queue[0].from != from || c.queue[0].to != to {
 					return nil, fmt.Errorf("tcpnet: checkpoint replay diverged: "+
 						"log has %T %d→%d but replay did not regenerate it", rec.Msg, from, to)
 				}
 				c.queue[0] = localDelivery{}
 				c.queue = c.queue[1:]
-			}
-			if rec.Kind == wire.CkptRelay {
-				if _, remote := c.assignment[to]; !remote {
-					return nil, fmt.Errorf("tcpnet: checkpoint relays %T to node %d, which no worker hosts", rec.Msg, to)
-				}
-				c.route(from, to, rec.Msg, rec.Seq)
-				break
-			}
-			a, ok := c.local[to]
-			if !ok {
-				return nil, fmt.Errorf("tcpnet: checkpoint delivers %T to node %d, which is not coordinator-local", rec.Msg, to)
 			}
 			env.self = to
 			a.Receive(env, from, rec.Msg)
@@ -410,7 +388,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 		case wire.CkptPhase:
 			c.drains = int(rec.Phase) + 1
 			c.rootInjects = 0
-			prefixOpen = true
 		case wire.CkptEpoch:
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
@@ -434,6 +411,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 		c.replayed++
 	}
 	c.ckpt = ckpt
+	c.skipDrains = c.drains
 
 	restartCause := fmt.Errorf("coordinator restarted from checkpoint: %w", ErrCoordKilled)
 	for i, w := range c.workers {

@@ -11,6 +11,7 @@ package tcpnet_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -21,16 +22,23 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
+// killAt is one scripted coordinator kill: record recs of phase, or of
+// the whole log with phase -1 (see WithCrashPoint).
+type killAt struct {
+	phase int
+	recs  int64
+}
+
 // coordCrashRun executes cfg over nWorkers TCP workers with checkpointing
-// armed. With crashRecs > 0 a crash point is installed (see
-// WithCrashPoint); when it fires, the harness does what a supervisor
-// would: rebind the listener on the same address, replay the log into a
-// restored coordinator, and finish the run with core.ResumeExecute.
-// Returns the final report, whether the crash actually fired, and the
-// final record count of the log. onRestore, if set, sees the killed and
-// the restored coordinator before the resumed run starts.
-func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, crashRecs int64,
-	onRestore func(killed, restored *tcpnet.Coordinator)) (*core.Report, bool, int64) {
+// armed, and the first of kills installed as the coordinator's crash
+// point. Each time one fires, the harness does what a supervisor would:
+// rebind the listener on the same address, replay the log into a restored
+// coordinator armed with the next kill, and resume the run with
+// core.ResumeExecute. Returns the final report, how many kills fired, and
+// the final record count of the log. onRestore, if set, sees the killed
+// and the restored coordinator before each resumed run starts.
+func coordCrashRun(t *testing.T, cfg core.Config, nWorkers int,
+	onRestore func(killed, restored *tcpnet.Coordinator), kills ...killAt) (*core.Report, int, int64) {
 	t.Helper()
 	blob, err := core.EncodeConfig(cfg)
 	if err != nil {
@@ -62,90 +70,79 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, cras
 	}
 
 	var wal bytes.Buffer
+	// The handler runs inside the current coordinator's Drain, and coord
+	// always names that coordinator.
 	var coord *tcpnet.Coordinator
 	handler := func(worker int, nodes []rt.NodeID, cause error) {
 		for _, n := range nodes {
 			coord.Inject(schedID, core.NodeDeadMessage(n))
 		}
 	}
-	opts := []tcpnet.Option{
-		tcpnet.WithCheckpoint(&wal),
-		tcpnet.WithFailureHandler(handler),
-		tcpnet.WithDrainTimeout(30 * time.Second),
-		tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
+	opts := func(fired int) []tcpnet.Option {
+		o := []tcpnet.Option{
+			tcpnet.WithCheckpoint(&wal),
+			tcpnet.WithFailureHandler(handler),
+			tcpnet.WithDrainTimeout(30 * time.Second),
+			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
+		}
+		if fired < len(kills) {
+			o = append(o, tcpnet.WithCrashPoint(kills[fired].phase, kills[fired].recs))
+		}
+		return o
 	}
-	if crashRecs > 0 {
-		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
-	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts...)
+	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts(0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	got, err := core.Execute(cfg, coord)
-	crashed := false
-	if err != nil {
-		if !errors.Is(err, tcpnet.ErrCoordKilled) {
-			coord.Close()
-			wg.Wait()
-			t.Fatalf("run failed for a reason other than the injected crash: %v", err)
-		}
-		crashed = true
+	fired := 0
+	for errors.Is(err, tcpnet.ErrCoordKilled) {
+		fired++
 		coord.Close()
 
 		// The restart path: same address (the workers' dial target), the
 		// log's intact prefix, fresh local actors from the logged config.
-		l2, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatalf("rebind %s: %v", addr, err)
+		// (err keeps the resumed run's outcome for the loop condition, so
+		// the restart's own errors take other names.)
+		l2, lerr := net.Listen("tcp", addr)
+		if lerr != nil {
+			t.Fatalf("rebind %s: %v", addr, lerr)
 		}
-		snap, err := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+		snap, rerr := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
+		if rerr != nil {
+			t.Fatal(rerr)
 		}
-		rs, err := core.PrepareResume(snap.CfgBlob())
-		if err != nil {
-			t.Fatal(err)
+		rs, rerr := core.PrepareResume(snap.CfgBlob())
+		if rerr != nil {
+			t.Fatal(rerr)
 		}
-		var coord2 *tcpnet.Coordinator
-		handler2 := func(worker int, nodes []rt.NodeID, cause error) {
-			for _, n := range nodes {
-				coord2.Inject(schedID, core.NodeDeadMessage(n))
-			}
-		}
-		ropts := []tcpnet.Option{
-			tcpnet.WithCheckpoint(&wal),
-			tcpnet.WithFailureHandler(handler2),
-			tcpnet.WithDrainTimeout(30 * time.Second),
-			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
-		}
-		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, ropts...)
-		if err != nil {
-			t.Fatalf("restore from checkpoint: %v", err)
+		killed := coord
+		coord, rerr = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, opts(fired)...)
+		if rerr != nil {
+			t.Fatalf("restore from checkpoint: %v", rerr)
 		}
 		if onRestore != nil {
-			onRestore(coord, coord2)
+			onRestore(killed, coord)
 		}
-		got, err = core.ResumeExecute(rs, coord2, coord2.DrainsDone(), coord2.RootInjects())
-		if err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-		coord = coord2
+		got, err = core.ResumeExecute(rs, coord)
 	}
-	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
-	assertNoRelay(t, ts)
+	if err != nil {
+		t.Fatalf("run failed after %d coordinator kill(s): %v", fired, err)
+	}
 	snap, err := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, crashed, int64(len(snap.Records))
+	return got, fired, int64(len(snap.Records))
 }
 
 // checkRecovered asserts the resumed run's result is bit-identical to the
-// fault-free oracle and that the report records how it got there.
-func checkRecovered(t *testing.T, got, want *core.Report) {
+// fault-free oracle and that the report records how it got there: one
+// coordinator restart per kill.
+func checkRecovered(t *testing.T, got, want *core.Report, kills int64) {
 	t.Helper()
 	t.Logf("recovery: reattached=%d replays=%d restarts=%d rung=%d resumes=%d nodesLost=%d restreamed=%d",
 		got.ReattachedWorkers, got.CheckpointReplays, got.CoordRestarts,
@@ -154,8 +151,8 @@ func checkRecovered(t *testing.T, got, want *core.Report) {
 		t.Errorf("recovered result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
-	if got.CoordRestarts != 1 {
-		t.Errorf("CoordRestarts = %d, want 1", got.CoordRestarts)
+	if got.CoordRestarts != kills {
+		t.Errorf("CoordRestarts = %d, want %d", got.CoordRestarts, kills)
 	}
 	if got.CheckpointReplays <= 0 {
 		t.Error("CheckpointReplays = 0: the restored coordinator replayed nothing")
@@ -216,11 +213,11 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs, nil)
-			if !crashed {
+			got, fired, _ := coordCrashRun(t, tc.cfg, tc.workers, nil, killAt{tc.phase, tc.recs})
+			if fired != 1 {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
-			checkRecovered(t, got, want)
+			checkRecovered(t, got, want, 1)
 		})
 	}
 }
@@ -249,8 +246,8 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, crashed, total := coordCrashRun(t, cfg, mode.workers, 0, 0, nil)
-			if crashed {
+			base, fired, total := coordCrashRun(t, cfg, mode.workers, nil)
+			if fired != 0 {
 				t.Fatal("control run crashed with no crash point armed")
 			}
 			if base.Matches != want.Matches || base.Checksum != want.Checksum {
@@ -261,11 +258,11 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 				t.Fatalf("control log holds only %d records", total)
 			}
 			rng := rand.New(rand.NewSource(0xC0FFEE + int64(len(mode.name))))
-			fired := 0
+			hits := 0
 			for trial := 0; trial < trials; trial++ {
 				recs := 3 + rng.Int63n(total-3)
-				got, crashed, _ := coordCrashRun(t, cfg, mode.workers, -1, recs, nil)
-				if !crashed {
+				got, fired, _ := coordCrashRun(t, cfg, mode.workers, nil, killAt{-1, recs})
+				if fired == 0 {
 					t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
 					if got.Matches != want.Matches || got.Checksum != want.Checksum {
 						t.Errorf("trial %d (no crash): result %d/%#x, want %d/%#x",
@@ -273,7 +270,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 					}
 					continue
 				}
-				fired++
+				hits++
 				if got.Matches != want.Matches || got.Checksum != want.Checksum {
 					t.Errorf("trial %d (crash at record %d): result %d/%#x, want %d/%#x "+
 						"(reattached=%d resumes=%d rung=%d nodesLost=%d restreamed=%d probeDegraded=%d degraded=%v)",
@@ -285,8 +282,8 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 					t.Errorf("trial %d: CoordRestarts = %d, want 1", trial, got.CoordRestarts)
 				}
 			}
-			if fired < trials*2/3 {
-				t.Errorf("only %d of %d sampled crash points fired", fired, trials)
+			if hits < trials*2/3 {
+				t.Errorf("only %d of %d sampled crash points fired", hits, trials)
 			}
 		})
 	}
@@ -327,7 +324,7 @@ func TestCoordRecoveryReplayRebuildsBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 			compared := 0
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs,
+			got, fired, _ := coordCrashRun(t, tc.cfg, tc.workers,
 				func(killed, restored *tcpnet.Coordinator) {
 					for w := 0; w < tc.workers; w++ {
 						after, resumable, dead, err := tcpnet.RetransmitBuffer(restored, w)
@@ -361,16 +358,44 @@ func TestCoordRecoveryReplayRebuildsBuffers(t *testing.T) {
 							compared++
 						}
 					}
-				})
-			if !crashed {
+				}, killAt{tc.phase, tc.recs})
+			if fired != 1 {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
 			t.Logf("compared %d buffered frames", compared)
 			total += compared
-			checkRecovered(t, got, want)
+			checkRecovered(t, got, want, 1)
 		})
 	}
 	if total == 0 {
 		t.Error("no killed coordinator held a buffered frame: the test compared nothing")
+	}
+}
+
+// TestCoordRecoveryDoubleCrash kills the coordinator twice in one build
+// phase: first at each of the first records after the log's header — the
+// kickoff's injections and the first deliveries they cause — and then the
+// restored coordinator at a later record of the same phase, and resumes
+// from the log both of them wrote. The second replay must count the
+// phase's root injections across the restart marker: the restored
+// coordinator logs the ones it made itself, and the resumed run must skip
+// all of them, or a source streams its build slice twice and the run
+// fails build-tuple conservation.
+func TestCoordRecoveryDoubleCrash(t *testing.T) {
+	cfg := distConfig(core.Split)
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for first := int64(2); first <= 9; first++ {
+		for _, second := range []int64{4, 6, 10, 20} {
+			t.Run(fmt.Sprintf("build-%d-then-%d", first, second), func(t *testing.T) {
+				got, fired, _ := coordCrashRun(t, cfg, 2, nil, killAt{0, first}, killAt{0, second})
+				if fired != 2 {
+					t.Fatalf("%d of the 2 kills fired", fired)
+				}
+				checkRecovered(t, got, want, 2)
+			})
+		}
 	}
 }

@@ -5,15 +5,18 @@ package tcpnet
 // torn, oversize and retired-format hellos must be shed without wedging
 // the coordinator, a digest mismatch must land on rung 2, and a correct
 // hello must still resume on rung 1 afterwards — the replay's header
-// checks, and the replay of every checkpoint record kind.
+// checks, the replay of every checkpoint record kind, and the restored
+// coordinator's skip of what its log absorbed.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -322,58 +325,12 @@ func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	}
 }
 
-// TestCoordRecoveryRootInjectsSurviveInterleavedMarks replays a hand-built
-// log in which a worker's report and a worker relay were received between
-// the dequeues of a phase's injections — what a fast worker does to a
-// kickoff. Every injection must still count: the resumed run skips exactly
-// RootInjects() entries of the phase's list, and an injection the count
-// misses is delivered a second time (a source streams its build slice
-// twice). Only a delivery from a node ends the prefix; an injection logged
-// after one is a failure handler's, not the phase's.
-func TestCoordRecoveryRootInjectsSurviveInterleavedMarks(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const worker, localA, localB = 1, 2, 3
-	inject := func(kind wire.CkptKind, to int32, w int32) *wire.CkptRecord {
-		return &wire.CkptRecord{Kind: kind, From: int32(rt.NoNode), To: to, Worker: w, Msg: &testMsg{}}
-	}
-	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
-			AssignIDs: []int32{worker}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
-		inject(wire.CkptRelay, worker, 0),     // injection to a worker node: logged at route
-		inject(wire.CkptDelivery, localA, -1), // first local injection dequeued
-		{Kind: wire.CkptMark, Worker: 0, Seq: 1, Processed: 1},
-		{Kind: wire.CkptRelay, From: worker, To: worker, Worker: 0, Seq: 2, Msg: &testMsg{}},
-		inject(wire.CkptDelivery, localB, -1), // second local injection dequeued
-		{Kind: wire.CkptDelivery, From: worker, To: localA, Worker: 0, Seq: 3, Msg: &testMsg{}},
-		inject(wire.CkptDelivery, localA, -1), // a failure handler's injection
-	}}
-	var delivered int64
-	actors := map[rt.NodeID]rt.Actor{
-		localA: &countActor{n: &delivered},
-		localB: &countActor{n: &delivered},
-	}
-	c, err := RestoreCoordinator(snap, actors, l, WithResumeWindow(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.RootInjects(); got != 3 {
-		t.Errorf("RootInjects = %d, want 3: the mark and the worker relay sit inside the prefix, "+
-			"the worker's delivery ends it", got)
-	}
-	if delivered != 4 {
-		t.Errorf("replay delivered %d messages to local actors, want 4", delivered)
-	}
-}
-
 // TestCoordRecoveryReplaysEveryCkptKind restores a hand-built log holding
-// one record of every checkpoint kind the codec accepts, and checks the
-// effect each record must leave on the restored coordinator. A kind the
-// replay switch lost fails the restore with ErrUnknownKind; a kind the
-// codec gained fails the probe until it has a record and an effect here.
+// a record of every checkpoint kind the codec accepts — an injection both
+// for a local node and for a worker's — and checks the effect each record
+// must leave on the restored coordinator. A kind the replay switch lost
+// fails the restore with ErrUnknownKind; a kind the codec gained fails the
+// probe until it has a record and an effect here.
 func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -382,37 +339,53 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 	// Worker 0 serves node 1 and worker 1 node 4; node 2 is coordinator-local.
 	const node0, node1, local = 1, 4, 2
 	var delivered int64
-	replays := map[wire.CkptKind]struct {
+	replays := []struct {
 		rec    *wire.CkptRecord
 		effect func(c *Coordinator) (got, want int64)
 	}{
-		wire.CkptHeader: { // a restart marker left by a previous recovery
-			rec:    &wire.CkptRecord{Kind: wire.CkptHeader, Version: wire.CkptVersion},
-			effect: func(c *Coordinator) (int64, int64) { return c.restarts, 2 },
+		{ // a restart marker left by a previous recovery
+			&wire.CkptRecord{Kind: wire.CkptHeader, Version: wire.CkptVersion},
+			func(c *Coordinator) (int64, int64) { return c.restarts, 2 },
 		},
-		wire.CkptDelivery: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: local, Worker: -1, Msg: &testMsg{}},
-			effect: func(*Coordinator) (int64, int64) { return delivered, 1 },
+		{
+			&wire.CkptRecord{Kind: wire.CkptPhase, Phase: 0},
+			func(c *Coordinator) (int64, int64) { return int64(c.drains), 1 },
 		},
-		wire.CkptRelay: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptRelay, From: node0, To: node1, Worker: 0, Seq: 1, Msg: &testMsg{}},
-			effect: func(c *Coordinator) (int64, int64) { return c.workers[0].received, 1 },
+		{
+			&wire.CkptRecord{Kind: wire.CkptDelivery, From: node0, To: local, Worker: 0, Seq: 1, Msg: &testMsg{}},
+			func(*Coordinator) (int64, int64) { return delivered, 1 },
 		},
-		wire.CkptMark: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptMark, Worker: 0, Seq: 2, Processed: 7, Emitted: 5},
-			effect: func(c *Coordinator) (int64, int64) { return c.workers[0].processed, 7 },
+		{ // for a local node: queued for the first Drain
+			&wire.CkptRecord{Kind: wire.CkptInject, To: local, Root: true, Msg: &testMsg{}},
+			func(c *Coordinator) (int64, int64) { return int64(len(c.queue)), 1 },
 		},
-		wire.CkptPhase: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptPhase, Phase: 0},
-			effect: func(c *Coordinator) (int64, int64) { return int64(c.drains), 1 },
+		{ // for a worker's node: in the worker's retransmit buffer
+			&wire.CkptRecord{Kind: wire.CkptInject, To: node0, Root: true, Msg: &testMsg{}},
+			func(c *Coordinator) (int64, int64) {
+				frames, _, _, err := RetransmitBuffer(c, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := int64(0)
+				for _, f := range frames {
+					if frameKind(f.Kind) == frameMsg && f.To == node0 {
+						n++
+					}
+				}
+				return n, 1
+			},
 		},
-		wire.CkptEpoch: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 1, SessEpoch: 1, PeerEpoch: 3},
-			effect: func(c *Coordinator) (int64, int64) { return int64(c.peerEpochs[1]), 3 },
+		{
+			&wire.CkptRecord{Kind: wire.CkptMark, Worker: 0, Seq: 2, Processed: 7, Emitted: 5},
+			func(c *Coordinator) (int64, int64) { return c.workers[0].processed, 7 },
 		},
-		wire.CkptDeath: {
-			rec:    &wire.CkptRecord{Kind: wire.CkptDeath, Worker: 1},
-			effect: func(c *Coordinator) (int64, int64) { return int64(c.workers[1].state), int64(linkDead) },
+		{
+			&wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 1, SessEpoch: 1, PeerEpoch: 3},
+			func(c *Coordinator) (int64, int64) { return int64(c.peerEpochs[1]), 3 },
+		},
+		{
+			&wire.CkptRecord{Kind: wire.CkptDeath, Worker: 1},
+			func(c *Coordinator) (int64, int64) { return int64(c.workers[1].state), int64(linkDead) },
 		},
 	}
 	snap := &Snapshot{Records: []*wire.CkptRecord{
@@ -420,27 +393,27 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 			AssignIDs: []int32{node0, node1}, AssignWorkers: []int32{0, 1},
 			PeerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
 	}}
-	var kinds []wire.CkptKind
+	covered := make(map[wire.CkptKind]bool)
+	for _, r := range replays {
+		covered[r.rec.Kind] = true
+		snap.Records = append(snap.Records, r.rec)
+	}
+	accepted := 0
 	for k := wire.CkptKind(1); k != 0; k++ {
-		rec := &wire.CkptRecord{Kind: k, Msg: &testMsg{}}
-		if r, ok := replays[k]; ok {
-			rec = r.rec
-		}
-		if _, err := wire.AppendCheckpointRecord(nil, rec); err != nil {
+		if _, err := wire.AppendCheckpointRecord(nil, &wire.CkptRecord{Kind: k, Msg: &testMsg{}}); err != nil {
 			if !errors.Is(err, wire.ErrUnknownKind) {
 				t.Fatalf("kind %d: %v", k, err)
 			}
 			continue
 		}
-		if _, ok := replays[k]; !ok {
+		accepted++
+		if !covered[k] {
 			t.Fatalf("the codec accepts checkpoint kind %d but this test has no record for it: "+
 				"add one, with the effect its replay must leave", k)
 		}
-		kinds = append(kinds, k)
-		snap.Records = append(snap.Records, rec)
 	}
-	if len(kinds) != len(replays) {
-		t.Fatalf("the codec accepts %d checkpoint kinds, this test replays %d", len(kinds), len(replays))
+	if accepted != len(covered) {
+		t.Fatalf("the codec accepts %d checkpoint kinds, this test replays %d", accepted, len(covered))
 	}
 
 	c, err := RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{local: &countActor{n: &delivered}}, l,
@@ -452,15 +425,263 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, k := range kinds {
-		if got, want := replays[k].effect(c); got != want {
-			t.Errorf("after replaying a kind-%d record: got %d, want %d", k, got, want)
+	for _, r := range replays {
+		if got, want := r.effect(c); got != want {
+			t.Errorf("after replaying a kind-%d record to node %d: got %d, want %d", r.rec.Kind, r.rec.To, got, want)
 		}
 	}
 }
 
-// TestRestoreRejectsStaleVersionCheckpoint: a version-4 log's header
-// carries the topology byte this build no longer has, so
+// TestCoordRecoveryRootInjectCountIsExact replays a hand-built log in
+// which the interrupted phase's root injections interleave with a
+// worker's mark and delivery, a death, a failure handler's injection and
+// a restart marker — what a fast worker, a dying one and an earlier
+// recovery leave between a kickoff's records. The count is exactly the
+// root CkptInject records since the last phase barrier: the barrier
+// resets it, a restart marker does not, and nothing else moves it.
+func TestCoordRecoveryRootInjectCountIsExact(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0 hosts node 1 and worker 1 node 4; nodes 2 and 3 are local.
+	const node0, node1, localA, localB = 1, 4, 2, 3
+	inject := func(to int32, root bool) *wire.CkptRecord {
+		return &wire.CkptRecord{Kind: wire.CkptInject, To: to, Root: root, Msg: &testMsg{}}
+	}
+	dequeue := func(to int32) *wire.CkptRecord {
+		return &wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: to, Worker: -1, Msg: &testMsg{}}
+	}
+	snap := &Snapshot{Records: []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
+			AssignIDs: []int32{node0, node1}, AssignWorkers: []int32{0, 1},
+			PeerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+		inject(localA, true), // phase 0's kickoff: counted, then reset
+		dequeue(localA),
+		{Kind: wire.CkptPhase, Phase: 0},
+		inject(node0, true),  // 1: to a worker node
+		inject(localA, true), // 2
+		{Kind: wire.CkptMark, Worker: 0, Seq: 1, Processed: 1},
+		inject(localB, true), // 3
+		dequeue(localA),
+		{Kind: wire.CkptDelivery, From: node0, To: localA, Worker: 0, Seq: 2, Msg: &testMsg{}},
+		{Kind: wire.CkptDeath, Worker: 1},
+		inject(localA, false), // the failure handler's: not counted
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion},
+		inject(localB, true), // 4: the restored coordinator's own
+	}}
+	var delivered int64
+	actors := map[rt.NodeID]rt.Actor{
+		localA: &countActor{n: &delivered},
+		localB: &countActor{n: &delivered},
+	}
+	c, err := RestoreCoordinator(snap, actors, l, WithResumeWindow(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.rootInjects != 4 {
+		t.Errorf("root injections counted = %d, want 4", c.rootInjects)
+	}
+	if c.drains != 1 || c.skipDrains != 1 {
+		t.Errorf("drains %d, Drains to skip %d; want 1 and 1", c.drains, c.skipDrains)
+	}
+	if delivered != 3 {
+		t.Errorf("replay delivered %d messages to local actors, want 3", delivered)
+	}
+	// localB, the handler's localA and the last localB were never dequeued.
+	if len(c.queue) != 3 {
+		t.Errorf("%d deliveries left on the queue, want 3", len(c.queue))
+	}
+}
+
+// TestCoordRecoveryHandlerInjectIsNotRoot: an injection made between
+// Drains is logged root, and one a failure handler makes inside Drain is
+// not, so a replay counts only the phase schedule's own. Worker 0 dies
+// with a delivery outstanding; the handler injects to a local node.
+func TestCoordRecoveryHandlerInjectIsNotRoot(t *testing.T) {
+	l, server, client, _ := resumePair(t)
+	advertisePeer(t, client)
+	const local = 2
+	var delivered int64
+	var wal bytes.Buffer
+	var c *Coordinator
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
+		WithResumeWindow(100*time.Millisecond),
+		WithCheckpoint(&wal),
+		WithDrainTimeout(30*time.Second),
+		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
+			c.Inject(local, &testMsg{Seq: 1})
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Register(local, &countActor{n: &delivered})
+	c.Inject(1, &testMsg{Seq: 0})
+	_ = client.Close()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 1 {
+		t.Fatalf("the handler's injection was delivered %d times, want 1", delivered)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []bool
+	for _, rec := range snap.Records {
+		if rec.Kind == wire.CkptInject {
+			roots = append(roots, rec.Root)
+		}
+	}
+	if !slices.Equal(roots, []bool{true, false}) {
+		t.Errorf("injection records have root flags %v, want [true false]", roots)
+	}
+}
+
+// resumeSchedule is a three-step phase schedule of root injections to one
+// local node, numbered 0..5 across the steps.
+var resumeSchedule = [][]int{{0, 1, 2}, {3}, {4, 5}}
+
+// restoreAt restores a coordinator from a log that completed the first k
+// steps of resumeSchedule — every injection logged, delivered and the
+// step's barrier passed — and then logged the first j root injections of
+// step k before the crash. Worker 0, hosting node 1, died before all of
+// it, so every Drain quiesces on the local node 2 alone. Returns the
+// restored coordinator, its continued log, and node 2's actor.
+func restoreAt(t *testing.T, k, j int) (*Coordinator, *bytes.Buffer, *seqActor) {
+	t.Helper()
+	const local = 2
+	recs := []*wire.CkptRecord{
+		{Kind: wire.CkptHeader, Version: wire.CkptVersion, SessionBase: 0x770000,
+			AssignIDs: []int32{1}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
+		{Kind: wire.CkptDeath, Worker: 0},
+	}
+	for i := 0; i <= k && i < len(resumeSchedule); i++ {
+		injects := resumeSchedule[i]
+		if i == k {
+			injects = injects[:min(j, len(injects))]
+			for n := len(resumeSchedule[i]); n < j; n++ {
+				injects = append(injects, 100+n) // an overcounting log
+			}
+		}
+		for _, seq := range injects {
+			recs = append(recs, &wire.CkptRecord{Kind: wire.CkptInject, To: local, Root: true, Msg: &testMsg{Seq: seq}})
+		}
+		if i == k {
+			break
+		}
+		for _, seq := range injects {
+			recs = append(recs, &wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: local,
+				Worker: -1, Msg: &testMsg{Seq: seq}})
+		}
+		recs = append(recs, &wire.CkptRecord{Kind: wire.CkptPhase, Phase: int32(i)})
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &seqActor{}
+	var wal bytes.Buffer
+	c, err := RestoreCoordinator(&Snapshot{Records: recs}, map[rt.NodeID]rt.Actor{local: col}, l,
+		WithCheckpoint(&wal), WithDrainTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, &wal, col
+}
+
+// runResumeSchedule drives the whole of resumeSchedule against c, the way
+// core.ResumeExecute drives a phase schedule: every step's injections,
+// then its Drain.
+func runResumeSchedule(c *Coordinator) error {
+	for _, step := range resumeSchedule {
+		for _, seq := range step {
+			c.Inject(2, &testMsg{Seq: seq})
+		}
+		if err := c.Drain(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestCoordRecoverySkipsWhatTheLogAbsorbed restores at every
+// (completed steps k, logged injections j) of a three-step schedule and
+// runs the whole schedule against the restored coordinator. The local
+// node must see every injection exactly once, in schedule order — the
+// replay delivers the completed steps, the first real Drain the j logged
+// injections still queued, and the rest come from the resumed run. The
+// continued log must hold a barrier for each step from k on and an
+// injection record for each injection the resumed run did not skip.
+func TestCoordRecoverySkipsWhatTheLogAbsorbed(t *testing.T) {
+	want := []int{0, 1, 2, 3, 4, 5}
+	for k, step := range resumeSchedule {
+		for j := 0; j <= len(step); j++ {
+			c, wal, col := restoreAt(t, k, j)
+			err := runResumeSchedule(c)
+			c.Close()
+			if err != nil {
+				t.Fatalf("k=%d j=%d: resumed schedule: %v", k, j, err)
+			}
+			if !slices.Equal(col.seqs, want) {
+				t.Errorf("k=%d j=%d: node received %v, want %v", k, j, col.seqs, want)
+			}
+			snap, err := ReadSnapshot(bytes.NewReader(wal.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var phases, injected []int
+			for _, rec := range snap.Records {
+				switch rec.Kind {
+				case wire.CkptPhase:
+					phases = append(phases, int(rec.Phase))
+				case wire.CkptInject:
+					injected = append(injected, rec.Msg.(*testMsg).Seq)
+				}
+			}
+			var wantPhases []int
+			for i := k; i < len(resumeSchedule); i++ {
+				wantPhases = append(wantPhases, i)
+			}
+			skipped := j
+			for _, s := range resumeSchedule[:k] {
+				skipped += len(s)
+			}
+			if !slices.Equal(phases, wantPhases) {
+				t.Errorf("k=%d j=%d: continued log has barriers %v, want %v", k, j, phases, wantPhases)
+			}
+			if !slices.Equal(injected, want[skipped:]) {
+				t.Errorf("k=%d j=%d: continued log injects %v, want %v", k, j, injected, want[skipped:])
+			}
+		}
+	}
+}
+
+// TestCoordRecoveryRejectsOvercount: a log that holds more root
+// injections of the interrupted phase than the resumed run makes fails
+// that phase's Drain, naming the surplus, before anything more is
+// delivered.
+func TestCoordRecoveryRejectsOvercount(t *testing.T) {
+	for k, step := range resumeSchedule {
+		c, _, col := restoreAt(t, k, len(step)+1)
+		delivered := len(col.seqs)
+		err := runResumeSchedule(c)
+		c.Close()
+		want := fmt.Sprintf("the log holds 1 more root injection(s) of phase %d than the resumed run made", k)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("k=%d: resumed schedule = %v, want %q", k, err, want)
+		}
+		if len(col.seqs) != delivered {
+			t.Errorf("k=%d: %d deliveries after the restore, want none", k, len(col.seqs)-delivered)
+		}
+	}
+}
+
+// TestRestoreRejectsStaleVersionCheckpoint: a version-5 log logs its
+// injections as relay records this build no longer replays, so
 // RestoreCoordinator refuses it with the version error before replaying a
 // single record, and closes the listener it was handed.
 func TestRestoreRejectsStaleVersionCheckpoint(t *testing.T) {
@@ -471,14 +692,14 @@ func TestRestoreRejectsStaleVersionCheckpoint(t *testing.T) {
 	defer l.Close()
 	var delivered int64
 	snap := &Snapshot{Records: []*wire.CkptRecord{
-		{Kind: wire.CkptHeader, Version: 4, SessionBase: 0x770000,
+		{Kind: wire.CkptHeader, Version: 5, SessionBase: 0x770000,
 			AssignIDs: []int32{1}, AssignWorkers: []int32{0}, PeerAddrs: []string{"127.0.0.1:1"}},
 		{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: 2, Worker: -1, Msg: &testMsg{}},
 	}}
 	_, err = RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{2: &countActor{n: &delivered}}, l, WithResumeWindow(time.Second))
-	want := fmt.Sprintf("checkpoint version 4, this coordinator speaks %d", wire.CkptVersion)
+	want := fmt.Sprintf("checkpoint version 5, this coordinator speaks %d", wire.CkptVersion)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("RestoreCoordinator on a version-4 header = %v, want %q", err, want)
+		t.Fatalf("RestoreCoordinator on a version-5 header = %v, want %q", err, want)
 	}
 	if delivered != 0 {
 		t.Errorf("replay delivered %d message(s) before rejecting the header", delivered)
@@ -490,9 +711,10 @@ func TestRestoreRejectsStaleVersionCheckpoint(t *testing.T) {
 
 // TestRestoreRejectsMalformedLog feeds RestoreCoordinator logs that break
 // replay in each of the ways it checks for: a record naming a worker the
-// header does not have, a delivery or relay whose destination sits on the
-// wrong side of the coordinator, a local actor's send that replay never
-// regenerated, and an epoch that skips. Each must fail the restore with
+// header does not have, a delivery whose destination is not
+// coordinator-local, an injection for a node nobody hosts, a local actor's
+// send or an injection's delivery that replay never regenerated, and an
+// epoch that skips. Each must fail the restore with
 // an error naming the problem, never a panic, and close the listener.
 func TestRestoreRejectsMalformedLog(t *testing.T) {
 	// Worker 0 hosts node 1; node 2 is coordinator-local.
@@ -508,11 +730,14 @@ func TestRestoreRejectsMalformedLog(t *testing.T) {
 		{"delivery-to-worker-node",
 			&wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: remote, Worker: -1, Msg: &testMsg{}},
 			"not coordinator-local"},
-		{"relay-to-local-node",
-			&wire.CkptRecord{Kind: wire.CkptRelay, From: int32(rt.NoNode), To: local, Worker: 0, Msg: &testMsg{}},
-			"no worker hosts"},
+		{"inject-to-unknown-node",
+			&wire.CkptRecord{Kind: wire.CkptInject, To: 9, Root: true, Msg: &testMsg{}},
+			"for unknown node 9"},
 		{"unregenerated-local-send",
 			&wire.CkptRecord{Kind: wire.CkptDelivery, From: local, To: local, Worker: -1, Msg: &testMsg{}},
+			"replay did not regenerate it"},
+		{"uninjected-delivery",
+			&wire.CkptRecord{Kind: wire.CkptDelivery, From: int32(rt.NoNode), To: local, Worker: -1, Msg: &testMsg{}},
 			"replay did not regenerate it"},
 		{"epoch-skips", &wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 0, SessEpoch: 2, PeerEpoch: 1},
 			"worker 0 at epoch 1, log says 2"},

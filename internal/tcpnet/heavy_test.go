@@ -36,7 +36,8 @@ func TestDistributedHeavy(t *testing.T) {
 
 // testHeavy runs the heavy path for each adaptive algorithm on `workers`
 // TCP workers: heavyClone replication chunks are worker↔worker chunk
-// traffic, so they must ride the peer links — zero relayed messages.
+// traffic, so they must ride the peer links: one sent through the
+// coordinator fails the run.
 func testHeavy(t *testing.T, workers int) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -135,13 +136,11 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.Execute(cfg, coord)
-	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("heavy run with worker death did not recover: %v", err)
 	}
-	assertNoRelay(t, ts)
 	if got.NodesLost == 0 {
 		t.Fatal("the doomed worker's nodes were never declared dead")
 	}

@@ -55,13 +55,11 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		t.Fatal(err)
 	}
 	report, err := core.Execute(cfg, coord)
-	ts := coord.TransportStats()
 	coord.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("peer chaos run %q: %v", plan, err)
 	}
-	assertNoRelay(t, ts)
 	return report
 }
 
@@ -111,10 +109,6 @@ func TestPeerChaosFaultMatrix(t *testing.T) {
 			if r.NodesLost != 0 || r.RestreamedChunks != 0 {
 				t.Errorf("peer chaos %q escalated past the link layer: lost %d node(s), re-streamed %d chunks",
 					tc.spec, r.NodesLost, r.RestreamedChunks)
-			}
-			if r.RelayedMessages != 0 {
-				t.Errorf("peer chaos %q pushed %d msgs back through the coordinator; faults must not re-route the data plane",
-					tc.spec, r.RelayedMessages)
 			}
 			tc.check(t, r)
 		})

@@ -98,7 +98,7 @@ type session struct {
 
 	// replayApplied marks sequences above lastSeqSeen whose effects a
 	// checkpoint replay already applied (coordinator crash recovery):
-	// reports and relays are logged at receive time, so the log can cover
+	// reports are logged at receive time, so the log can cover
 	// them while an earlier message frame was still queued, unlogged, at
 	// the crash. The peer retransmits the whole suffix; frames in this set
 	// advance the window and are acknowledged, but are not re-applied.
@@ -359,7 +359,7 @@ func (s *session) ackedNow() uint64 {
 // restore installs the replayed receive position (coordinator crash
 // recovery): seen is the largest contiguous sequence prefix the log
 // covers, and applied lists logged-and-replayed sequences above it —
-// frames whose records (reports, relays) were written at receive time
+// frames whose records (reports) were written at receive time
 // while an earlier message frame still sat queued, unlogged, when the
 // crash hit. The send side needs no installing: replay re-encoded every
 // regenerated frame through this session, so nextSeq, the retransmit

@@ -258,8 +258,6 @@ type Coordinator struct {
 	resumes       int64 // rung-1 recoveries performed
 	fullReassigns int64 // rung-2 recoveries performed
 	retransmitted int64 // frames the coordinator replayed on resume
-	relayedMsgs   int64 // worker→worker messages relayed through the coordinator; a guard, always 0
-	relayedBytes  int64 // payload bytes of those relayed messages
 
 	// Crash-recovery checkpointing (WithCheckpoint; see checkpoint.go).
 	ckpt        *ckptWriter
@@ -268,7 +266,9 @@ type Coordinator struct {
 	crashRecs   int64 // records into that phase (or total) before the kill
 	killed      bool  // crash fired: route is a no-op, Drain returns ErrCoordKilled
 	drains      int   // completed Drain calls (phase barriers logged)
-	rootInjects int   // restored: injected-message prefix of the interrupted phase
+	draining    bool  // inside Drain: an Inject now is a failure handler's, not a root one
+	skipDrains  int   // restored: Drains still to pass without running (phases the log completed)
+	rootInjects int   // restored: root injections of the interrupted phase still to discard
 	restarts    int64 // restorations in this coordinator's log lineage
 	replayed    int64 // checkpoint records replayed by this restoration
 	reattached  int64 // restored workers accepted back on rung 1
@@ -546,44 +546,44 @@ func (c *Coordinator) Register(id rt.NodeID, a rt.Actor) {
 	c.local[id] = a
 }
 
-// Inject implements runtime.Engine.
+// ErrMisrouted is the error Drain returns when a worker sends the
+// coordinator a message for a node a worker hosts. Worker→worker traffic
+// travels the direct peer links; the coordinator never relays it.
+var ErrMisrouted = errors.New("tcpnet: worker frame addressed to a worker-hosted node")
+
+// Inject implements runtime.Engine. It is the one place an injection
+// reaches the log: the record lands before the message is routed, marked
+// root when the call comes between Drains (a phase-schedule injection)
+// and not root when a failure handler makes it inside one. A restored
+// coordinator discards what its log already absorbed: every injection
+// until it has passed the Drains the log completed, then the interrupted
+// phase's first rootInjects (see RestoreCoordinator).
 func (c *Coordinator) Inject(to rt.NodeID, m rt.Message) {
+	if c.skipDrains > 0 {
+		return
+	}
+	if c.rootInjects > 0 {
+		c.rootInjects--
+		return
+	}
+	if c.ckpt != nil {
+		c.logRecord(&wire.CkptRecord{Kind: wire.CkptInject, To: int32(to), Root: !c.draining, Msg: m})
+	}
 	c.route(rt.NoNode, to, m, 0)
 }
 
-// route moves one message toward its destination. srcSeq is the session
-// sequence number of the worker frame that carried it — 0 when the sender
-// is coordinator-local or an injection — and is recorded in the message's
-// checkpoint record (relay here, delivery at enqueue below).
+// route moves one message toward its destination: a worker's link or the
+// local queue. srcSeq is the session sequence number of the worker frame
+// that carried it — 0 when the sender is coordinator-local or an
+// injection — and rides into the delivery's checkpoint record, which Drain
+// writes at dequeue. route itself logs nothing: a message for a worker is
+// an injection, which Inject logged, or a local actor's send, which replay
+// regenerates.
 func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 	if c.killed {
 		return
 	}
 	if w, remote := c.assignment[to]; remote {
-		_, fromRemote := c.assignment[from]
-		if fromRemote {
-			// Worker→worker traffic through the coordinator. Workers ship
-			// it over their direct peer links, so this counter is a guard
-			// that reads 0 on every run.
-			c.relayedMsgs++
-			c.relayedBytes += int64(m.WireSize())
-		}
-		if c.ckpt != nil && (fromRemote || from == rt.NoNode) {
-			// Write-ahead: replay cannot regenerate a send whose cause
-			// lives on a worker (a relay) or nowhere (an injection), so
-			// the message itself goes in the log — before the state
-			// check below, so the log sees exactly what route saw.
-			c.logRecord(&wire.CkptRecord{Kind: wire.CkptRelay,
-				From: int32(from), To: int32(to), Worker: int32(w), Seq: srcSeq, Msg: m})
-			if c.killed {
-				return
-			}
-			if srcSeq > 0 {
-				// The carrying frame's event is now durably logged, so its
-				// ack may leave (write-ahead ack gating).
-				c.workers[c.assignment[from]].sess.logged(srcSeq)
-			}
-		}
 		f := getFrame()
 		f.Kind, f.From, f.To, f.Msg = frameMsg, int32(from), int32(to), m
 		if c.sendTo(w, f) {
@@ -792,8 +792,8 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 	// regenerations:
 	//   - lastSeq ∈ [acked, framesSent]: the worker saw everything below
 	//     our buffer's floor, and nothing the replayed log does not know
-	//     about (a frame beyond the log's horizon — a torn tail, an
-	//     unlogged relay — breaks this);
+	//     about (a frame beyond the log's horizon — a torn tail —
+	//     breaks this);
 	//   - ackedSeq ≤ seen: no worker-side frame was acked and pruned
 	//     beyond our replayed receive position (an ack outran the log);
 	//   - digest match: the worker's (session, epoch, node set) is the
@@ -987,14 +987,28 @@ func peerCount(a []int64, i int) int64 {
 	return a[i]
 }
 
-// Drain implements runtime.Engine: process local deliveries and relay
-// worker traffic until global quiescence, pinging workers along the way.
+// Drain implements runtime.Engine: process local deliveries and worker
+// traffic until global quiescence, pinging workers along the way.
 //
 // The drain timeout is inactivity-based: the deadline resets on every
 // applied frame and every batch of local deliveries, so a long healthy
 // run with continuous traffic never times out mid-join — only a drain
 // where nothing has made progress for the whole timeout does.
+//
+// A restored coordinator passes the Drains its log completed without
+// running them, and refuses the interrupted phase's Drain when the run
+// injected fewer root messages than the log holds for that phase.
 func (c *Coordinator) Drain() error {
+	if c.skipDrains > 0 {
+		c.skipDrains--
+		return nil
+	}
+	if c.rootInjects > 0 {
+		return fmt.Errorf("tcpnet: resume: the log holds %d more root injection(s) of phase %d than the resumed run made",
+			c.rootInjects, c.drains)
+	}
+	c.draining = true
+	defer func() { c.draining = false }()
 	env := &coordEnv{c: c}
 	idle := time.NewTimer(c.drainTimeout)
 	defer idle.Stop()
@@ -1199,6 +1213,13 @@ func (c *Coordinator) apply(ev linkEvent) {
 	switch f.Kind {
 	case frameMsg:
 		w.received++
+		if dst, remote := c.assignment[rt.NodeID(f.To)]; remote {
+			if c.fatal == nil {
+				c.fatal = fmt.Errorf("%w: worker %d sent %T from node %d to node %d, which worker %d hosts",
+					ErrMisrouted, i, f.Msg, f.From, f.To, dst)
+			}
+			break
+		}
 		c.route(rt.NodeID(f.From), rt.NodeID(f.To), f.Msg, f.Seq)
 	case frameReport:
 		w.processed = f.Processed
@@ -1213,8 +1234,9 @@ func (c *Coordinator) apply(ev linkEvent) {
 		w.peerProcessed = append(w.peerProcessed[:0], f.PeerProcessed...)
 		if c.ckpt != nil {
 			// Every accepted reliable frame must land in the log once —
-			// frameMsg does via route — so a restored coordinator's
-			// receive position matches what it acked pre-crash.
+			// frameMsg does when Drain dequeues its delivery — so a
+			// restored coordinator's receive position matches what it
+			// acked pre-crash.
 			c.logRecord(&wire.CkptRecord{Kind: wire.CkptMark, Worker: int32(i),
 				Seq: f.Seq, Ack: f.Ack, Processed: w.processed, Emitted: w.emitted})
 			if !c.killed {
@@ -1247,8 +1269,6 @@ func (c *Coordinator) TransportStats() rt.TransportStats {
 		FullReassigns:       c.fullReassigns,
 		RetransmittedFrames: c.retransmitted,
 		DroppedMessages:     c.dropped,
-		RelayedMessages:     c.relayedMsgs,
-		RelayedBytes:        c.relayedBytes,
 		CoordRestarts:       c.restarts,
 		CheckpointReplays:   c.replayed,
 		ReattachedWorkers:   c.reattached,

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -828,5 +829,44 @@ func TestQuiescenceFIFOOrdering(t *testing.T) {
 	c.Close()
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker exit: %v", err)
+	}
+}
+
+// TestMisroutedWorkerFrameFailsDrain: worker→worker traffic travels the
+// direct peer links, so a worker frame addressed to a node another worker
+// hosts is a protocol violation. Drain must fail with ErrMisrouted naming
+// the worker, the sender and the destination, not forward the frame.
+func TestMisroutedWorkerFrameFailsDrain(t *testing.T) {
+	s0, c0 := tcpPair(t)
+	s1, c1 := tcpPair(t)
+	advertisePeer(t, c0)
+	advertisePeer(t, c1)
+	// Worker 0 hosts node 1, worker 1 node 4.
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 4: 1}, testListener(t), []net.Conn{s0, s1},
+		WithDrainTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// An unreported delivery keeps the Drain waiting for worker 0.
+	c.Inject(1, &testMsg{Seq: 0})
+	raw, err := appendFrame(nil, &frame{Kind: frameMsg, From: 1, To: 4, Msg: &testMsg{Seq: 1}}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c0.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Drain()
+	if !errors.Is(err, ErrMisrouted) {
+		t.Fatalf("Drain = %v, want ErrMisrouted", err)
+	}
+	for _, want := range []string{"worker 0", "from node 1", "to node 4", "worker 1 hosts"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Drain error %q does not name %q", err, want)
+		}
+	}
+	if d := c.workers[1].delivered; d != 0 {
+		t.Errorf("worker 1 was sent %d message(s), want none", d)
 	}
 }

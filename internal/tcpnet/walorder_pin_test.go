@@ -30,7 +30,7 @@ func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
-	// Record 1 is the header, record 2 the injected relay; the CkptDeath
+	// Record 1 is the header, record 2 the injection; the CkptDeath
 	// markDead logs when the resume window expires is record 3.
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
 		WithResumeWindow(100*time.Millisecond),
@@ -88,7 +88,7 @@ func TestCrashAtEpochRecordKeepsLogAhead(t *testing.T) {
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
 	const n = 3
-	// Records 1..4: header + three relays; the rung-2 CkptEpoch is 5.
+	// Records 1..4: header + three injections; the rung-2 CkptEpoch is 5.
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, l, []net.Conn{server},
 		WithResumeWindow(10*time.Second),
 		WithCheckpoint(&wal),

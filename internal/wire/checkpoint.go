@@ -35,8 +35,10 @@ import (
 // settings the configuration census fixed (hash mode, base credit window,
 // burst size, spill fan-out) from that blob. Version 5 dropped the
 // header's topology byte: every log since the relay's removal is
-// peer-to-peer.
-const CkptVersion = 5
+// peer-to-peer. Version 6 replaced the relay record with CkptInject, so
+// every injection is logged where it enters and replay counts the
+// interrupted phase's root injections instead of inferring them.
+const CkptVersion = 6
 
 // CkptKind enumerates checkpoint record kinds.
 type CkptKind uint8
@@ -49,10 +51,10 @@ const (
 	// (scheduler or source), in delivery order — the replay stream that
 	// reconstructs the control plane.
 	CkptDelivery
-	// CkptRelay is a message the coordinator routed to a remote worker on
-	// behalf of a remote (or injected) sender. Replay does not re-send it;
-	// the record keeps the outbound frame count per worker exact.
-	CkptRelay
+	// CkptInject is an injected (orchestration) message, logged when it is
+	// injected, before it is routed. Root marks a phase-schedule injection
+	// made between Drains; a failure handler's, made inside one, is not.
+	CkptInject
 	// CkptMark is a worker's counter report: its cumulative ack plus the
 	// processed/emitted counters the quiescence predicate reads.
 	CkptMark
@@ -76,14 +78,18 @@ type CkptRecord struct {
 	AssignIDs     []int32
 	AssignWorkers []int32
 
-	// CkptDelivery / CkptRelay.
+	// CkptDelivery / CkptInject (To and Msg only).
 	From, To int32
 	Msg      rt.Message
 
-	// CkptMark / CkptEpoch / CkptDeath / CkptRelay: the subject worker.
+	// CkptInject: a phase-schedule injection, not a failure handler's.
+	Root bool
+
+	// CkptDelivery / CkptMark / CkptEpoch / CkptDeath: the subject worker
+	// (for a delivery, the sender's worker, -1 when it is not on one).
 	Worker int32
 
-	// CkptDelivery / CkptRelay / CkptMark: the session sequence number of
+	// CkptDelivery / CkptMark: the session sequence number of
 	// the worker frame that carried this event, 0 when the sender was
 	// coordinator-local or an injection. Replay folds these into a
 	// per-session coverage set: the receive position restores to the
@@ -117,11 +123,15 @@ func recordFields(c *Codec, rec *CkptRecord) {
 		Blob(c, &rec.CfgBlob)
 		Slice(c, &rec.PeerAddrs, 2, Str16)
 		Pairs(c, &rec.AssignIDs, &rec.AssignWorkers, 8, U32, U32)
-	case CkptDelivery, CkptRelay:
+	case CkptDelivery:
 		U32(c, &rec.From)
 		U32(c, &rec.To)
 		U32(c, &rec.Worker)
 		U64(c, &rec.Seq)
+		Message(c, &rec.Msg)
+	case CkptInject:
+		U32(c, &rec.To)
+		Bool(c, &rec.Root)
 		Message(c, &rec.Msg)
 	case CkptMark:
 		U32(c, &rec.Worker)

@@ -22,7 +22,7 @@ func ckptFixtures() map[CkptKind]*CkptRecord {
 			AssignWorkers: []int32{0, 1, 0}},
 		CkptDelivery: {Kind: CkptDelivery, From: -1, To: 3, Worker: 1,
 			Msg: &binMsg{A: 11, B: 22}},
-		CkptRelay: {Kind: CkptRelay, From: 4, To: 9, Worker: 2,
+		CkptInject: {Kind: CkptInject, To: 9, Root: true,
 			Msg: &binMsg{A: 33, B: 44}},
 		CkptMark:  {Kind: CkptMark, Worker: 1, Ack: 41, Processed: 100, Emitted: 50},
 		CkptPhase: {Kind: CkptPhase, Phase: 3},
@@ -80,7 +80,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointStream(t *testing.T) {
 	fixtures := ckptFixtures()
 	var buf []byte
-	order := []CkptKind{CkptHeader, CkptDelivery, CkptRelay, CkptMark, CkptPhase, CkptEpoch, CkptDeath}
+	order := []CkptKind{CkptHeader, CkptDelivery, CkptInject, CkptMark, CkptPhase, CkptEpoch, CkptDeath}
 	for _, k := range order {
 		var err error
 		if buf, err = AppendCheckpointRecord(buf, fixtures[k]); err != nil {
@@ -170,6 +170,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// A failure handler's injection: the fixture above is a root one.
+	if data, err := AppendCheckpointRecord(nil, &CkptRecord{Kind: CkptInject, To: 2,
+		Msg: &binMsg{A: 1, B: 2}}); err == nil {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, 1, 2, 3, 4, 5})
 
@@ -188,7 +193,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded record does not decode: %v", err)
 			}
-			if rec.Kind != rec2.Kind || rec.Worker != rec2.Worker {
+			if rec.Kind != rec2.Kind || rec.Worker != rec2.Worker || rec.Root != rec2.Root {
 				t.Fatalf("re-decode mismatch: %+v vs %+v", rec, rec2)
 			}
 		}

@@ -9,11 +9,12 @@ import (
 // record, byte for byte. A restored coordinator replays logs written by
 // the process that died: a codec change may move code, never a byte of a
 // record. A layout change bumps CkptVersion (5 dropped the header's
-// topology byte).
+// topology byte; 6 gave kind 3 to CkptInject, so the relay record's golden
+// went with the relay itself: no coordinator writes or replays one).
 var ckptGolden = map[CkptKind]string{
 	CkptHeader:   "560000005e9dd33f01020000000000cdab0000000003000000090807020000000d0031302e302e302e313a393030310d0031302e302e302e323a3930303203000000050000000000000006000000010000000700000000000000",
 	CkptDelivery: "26000000b3cc8e1402ffffffff03000000010000000000000000000000c80b0000000000000016000000",
-	CkptRelay:    "260000002cb23ef5030400000009000000020000000000000000000000c821000000000000002c000000",
+	CkptInject:   "17000000f582ec95030900000001c821000000000000002c000000",
 	CkptMark:     "29000000cace0a7d04010000000000000000000000290000000000000064000000000000003200000000000000",
 	CkptPhase:    "09000000102e04ff0503000000",
 	CkptEpoch:    "11000000fc852efb06020000000400000005000000",
