@@ -368,7 +368,7 @@ func TestReshuffleMemFullStormStops(t *testing.T) {
 	if memFulls != 1 {
 		t.Errorf("scheduler heard %d memFull reports, want exactly 1", memFulls)
 	}
-	if !j.noMoreNodes {
+	if !j.stats.NoMoreNodes {
 		t.Error("node did not record the NACK")
 	}
 }
@@ -489,7 +489,7 @@ func TestJoinActorSpillOptOut(t *testing.T) {
 	if ack.Partitions != 0 || ack.Bytes != 0 {
 		t.Errorf("opt-out ack %+v, want empty", ack)
 	}
-	if !j.noMoreNodes {
+	if !j.stats.NoMoreNodes {
 		t.Error("opt-out must stop further overflow reports")
 	}
 }

@@ -199,16 +199,16 @@ func TestEvictionFlushBeforeRead(t *testing.T) {
 			n.j.Receive(n.env, rt.NoNode, &reshuffleAssign{Keep: lower, Table: n.table,
 				GroupEntries: []hashfn.Entry{{Range: lower, Owners: []int32{int32(n.j.id)}}, {Range: upper, Owners: []int32{int32(peer)}}}})
 			n.env.take()
-			if n.j.reshuffleOut != want {
-				t.Errorf("reshuffle moved %d tuples, %d were delivered for the upper half", n.j.reshuffleOut, want)
+			if n.j.stats.ReshuffleOut != want {
+				t.Errorf("reshuffle moved %d tuples, %d were delivered for the upper half", n.j.stats.ReshuffleOut, want)
 			}
 			n.dropRange(upper)
 		}},
 		{"purgeRange", Replication, true, func(t *testing.T, n *evictionNode, _ int64) {
 			want := n.inRange(upper)
 			n.j.Receive(n.env, rt.NoNode, &purgeRange{Range: upper, NewOwner: n.cfg.joinID(1), Table: n.table})
-			if n.j.purged != want {
-				t.Errorf("purge dropped %d tuples, %d were delivered for the range", n.j.purged, want)
+			if n.j.stats.Purged != want {
+				t.Errorf("purge dropped %d tuples, %d were delivered for the range", n.j.stats.Purged, want)
 			}
 			n.dropRange(upper)
 		}},

@@ -42,17 +42,16 @@ type joinActor struct {
 	pending  int64
 	kept     []tuple.Tuple // insertOwned's and divertSpilledProbes' scratch
 
-	// Overflow-reporting state.
-	lastReport  int64 // table bytes when memFull was last sent
-	noMoreNodes bool  // scheduler NACKed: environment exhausted
-	retired     bool  // replication/hybrid: stopped growing
-	forwardTo   rt.NodeID
+	// Overflow-reporting state; stats.NoMoreNodes records the scheduler's
+	// NACK (environment exhausted).
+	lastReport int64 // table bytes when memFull was last sent
+	retired    bool  // replication/hybrid: stopped growing
+	forwardTo  rt.NodeID
 
 	// windows is the send window this node currently advertises to each
 	// data source (DESIGN.md §15); a source without an entry is at the base
-	// creditWindow. widestWindow is the largest value ever advertised.
-	windows      map[rt.NodeID]int
-	widestWindow int
+	// creditWindow. stats.WidestWindow is the largest value ever advertised.
+	windows map[rt.NodeID]int
 
 	// preInit buffers chunks that arrive before this node's joinInit (the
 	// scheduler's broadcast can reach a data source, or a split order its
@@ -80,22 +79,9 @@ type joinActor struct {
 	cloneTotal    int64 // -1 until cloneEnd announces it
 	heldProbes    []*tuple.Chunk
 
-	// Stats.
-	buildChunks   int64
-	fwdChunks     int64 // forwarded pending buffers / stray sub-chunks
-	movedOut      int64 // tuples migrated away by splits
-	movedIn       int64 // tuples migrated in by splits
-	reshuffleOut  int64 // tuples redistributed away by reshuffling
-	splitOpNs     int64 // time attributable to split operations (Figure 5)
-	probeTuples   int64
-	heavyProbes   int64 // probe tuples that arrived via the heavy partitioned path
-	matches       uint64
-	checksum      uint64
-	strayBuild    int64 // build tuples that arrived outside the owned range
-	forwarded     int64 // matches forwarded to the next pipeline stage
-	forwardCopies int64 // forwarded sends including broadcast copies
-	purged        int64 // tuples discarded by failure-recovery purges
-	droppedStale  int64 // stale tuples discarded at re-stream barriers
+	// stats is the record statsReq reports; the node counts into it
+	// directly, and snapshot fills in only the derived fields.
+	stats joinStats
 }
 
 func newJoin(cfg Config, id rt.NodeID) *joinActor {
@@ -171,7 +157,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	case *routeUpdate:
 		j.updateRoute(msg.Table)
 	case *memFullNack:
-		j.noMoreNodes = true
+		j.stats.NoMoreNodes = true
 	case *countReq:
 		j.flushEvictions()
 		counts := j.table.CountsInRange(msg.Range)
@@ -235,9 +221,7 @@ func (j *joinActor) advertise(src rt.NodeID, rel tuple.Relation) int8 {
 		j.windows = make(map[rt.NodeID]int, j.cfg.Sources)
 	}
 	j.windows[src] = w
-	if w > j.widestWindow {
-		j.widestWindow = w
-	}
+	j.stats.WidestWindow = max(j.stats.WidestWindow, int64(w))
 	return adj
 }
 
@@ -385,27 +369,11 @@ func (j *joinActor) absorbHeavyClone(env rt.Env, c *tuple.Chunk) {
 // conservation invariant counts each build tuple exactly once (at the node
 // that originally stored it).
 func (j *joinActor) snapshot() *joinStats {
-	s := &joinStats{
-		Active:           j.active,
-		Stored:           j.storedBuildTuples() - j.cloneReceived - j.heavyCopies,
-		OutputBytes:      j.outputBytes,
-		MovedOut:         j.movedOut,
-		ReshuffleOut:     j.reshuffleOut,
-		SplitOpNs:        j.splitOpNs,
-		FwdChunks:        j.fwdChunks,
-		StrayBuild:       j.strayBuild,
-		ProbeTuples:      j.probeTuples,
-		Matches:          j.totalMatches(),
-		Checksum:         j.totalChecksum(),
-		Forwarded:        j.forwarded,
-		ForwardedCopies:  j.forwardCopies,
-		NoMoreNodes:      j.noMoreNodes,
-		Purged:           j.purged,
-		DroppedStale:     j.droppedStale,
-		HeavyCopies:      j.heavyCopies,
-		HeavyProbeTuples: j.heavyProbes,
-		WidestWindow:     int64(j.widestWindow),
-	}
+	s := j.stats
+	s.Active = j.active
+	s.Stored = j.storedBuildTuples() - j.cloneReceived - j.heavyCopies
+	s.Matches, s.Checksum = j.totalMatches(), j.totalChecksum()
+	s.HeavyCopies = j.heavyCopies
 	if j.spillRung != nil {
 		s.SpillWrittenBytes = j.spillRung.SpillWrittenBytes
 		s.SpillReadBytes = j.spillRung.SpillReadBytes
@@ -416,7 +384,7 @@ func (j *joinActor) snapshot() *joinStats {
 			s.SpillBytes = j.spillRung.SpillWrittenBytes
 		}
 	}
-	return s
+	return &s
 }
 
 // preInitChunk is a chunk buffered before the node was initialised.
@@ -434,7 +402,7 @@ func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 	env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 	dropped := j.extractLive(msg.Range)[0]
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(dropped)))
-	j.purged += int64(len(dropped))
+	j.stats.Purged += int64(len(dropped))
 	// Heavy-key copies inside the purged range are gone too; keep the
 	// conservation ledger consistent. (Purges fire only during build-phase
 	// recovery, which precedes detection, so this is purely defensive.)
@@ -444,7 +412,7 @@ func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 		}
 		n := j.heavyCopyCount[k]
 		j.heavyCopies -= n
-		j.purged -= n
+		j.stats.Purged -= n
 		delete(j.heavyCopyCount, k)
 	}
 	// Cloned-in copies live inside this node's owned range; when the purge
@@ -454,11 +422,11 @@ func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 	// Without this a clone-then-purge leaves cloneReceived pinned and
 	// reports Stored negative forever.
 	if j.cloneReceived > 0 && msg.Range.Lo <= j.rng.Lo && j.rng.Hi <= msg.Range.Hi {
-		j.purged -= j.cloneReceived
+		j.stats.Purged -= j.cloneReceived
 		j.cloneReceived = 0
 	}
 	if j.spillRung != nil {
-		j.purged += j.spillRung.PurgeRange(msg.Range)
+		j.stats.Purged += j.spillRung.PurgeRange(msg.Range)
 	}
 	j.updateRoute(msg.Table)
 	if msg.NewOwner == j.id {
@@ -492,7 +460,7 @@ func (j *joinActor) filterStale(c *tuple.Chunk, v uint64) *tuple.Chunk {
 	if len(kept) == len(c.Tuples) {
 		return c
 	}
-	j.droppedStale += int64(len(c.Tuples) - len(kept))
+	j.stats.DroppedStale += int64(len(c.Tuples) - len(kept))
 	if len(kept) == 0 {
 		return nil
 	}
@@ -505,7 +473,6 @@ func (j *joinActor) onMoveTuples(env rt.Env, c *tuple.Chunk, v uint64) {
 	if c = j.filterStale(c, v); c == nil {
 		return
 	}
-	j.movedIn += int64(len(c.Tuples))
 	if j.cfg.Algorithm == Split {
 		// This node's range may have been split again while the migration
 		// was in flight; re-forward any strays.
@@ -527,7 +494,6 @@ func (j *joinActor) dispatchChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 
 // onBuildChunk inserts (or spills, or forwards) one arriving build chunk.
 func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
-	j.buildChunks++
 	if c = j.filterStale(c, v); c == nil {
 		return
 	}
@@ -549,7 +515,7 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 		}
 		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 		env.Send(dest, &dataChunk{Chunk: c, Origin: rt.NoNode, Forwarded: true, Version: v})
-		j.fwdChunks++
+		j.stats.FwdChunks++
 		return
 	}
 	if j.cfg.Algorithm == Split {
@@ -591,7 +557,7 @@ func (j *joinActor) insertOrForward(env rt.Env, c *tuple.Chunk, v uint64) {
 	for _, t := range c.Tuples {
 		p := j.cfg.Space.PositionOf(t.Key)
 		if !j.rng.Contains(p) {
-			j.strayBuild++
+			j.stats.StrayBuild++
 			if dest := rt.NodeID(j.route.BuildOwnerOf(p)); dest != j.id {
 				if strays == nil {
 					strays = make(map[rt.NodeID]*tuple.Builder)
@@ -624,14 +590,14 @@ func (j *joinActor) insertOrForward(env rt.Env, c *tuple.Chunk, v uint64) {
 func (j *joinActor) sendForward(env rt.Env, dest rt.NodeID, c *tuple.Chunk, v uint64) {
 	env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 	env.Send(dest, &dataChunk{Chunk: c, Origin: rt.NoNode, Forwarded: true, Version: v})
-	j.fwdChunks++
+	j.stats.FwdChunks++
 }
 
 // checkOverflow reports bucket overflow to the scheduler. A node re-reports
 // as it keeps growing past the budget (re-armed per received chunk's worth
 // of growth), and stops once the scheduler signals resource exhaustion.
 func (j *joinActor) checkOverflow(env rt.Env, grewBy int) {
-	if j.noMoreNodes || j.retired {
+	if j.stats.NoMoreNodes || j.retired {
 		return
 	}
 	b := j.liveBytes()
@@ -655,7 +621,7 @@ func (j *joinActor) onSpillOrder(env rt.Env, msg *spillOrder) {
 	if !j.cfg.SpillEnabled {
 		// This host opted out (joind -spill=off): decline and run over
 		// budget, exactly as a memFullNack would have it.
-		j.noMoreNodes = true
+		j.stats.NoMoreNodes = true
 		env.Send(j.cfg.schedulerID(), &spillAck{})
 		return
 	}
@@ -880,7 +846,7 @@ func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 	j.updateRoute(msg.Table)
 	moved := j.extractOwned(env, msg.Upper)
 	env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(moved)))
-	j.movedOut += int64(len(moved))
+	j.stats.MovedOut += int64(len(moved))
 	j.shipTuples(env, msg.NewNode, moved)
 	// With BlockingMigration the victim's CPU is occupied for the
 	// transfer's full wire time before its done message releases the
@@ -891,7 +857,7 @@ func (j *joinActor) onSplit(env rt.Env, msg *splitOrder) {
 	if j.cfg.Cost.BlockingMigration {
 		env.ChargeCPU(j.cfg.Cost.NetTransferNs(int(movedBytes)))
 	}
-	j.splitOpNs += j.cfg.Cost.MoveNs*int64(len(moved)) +
+	j.stats.SplitOpNs += j.cfg.Cost.MoveNs*int64(len(moved)) +
 		j.cfg.Cost.NetTransferNs(int(movedBytes)) +
 		j.cfg.Cost.BuildNs*int64(len(moved)) // re-insertion at the new node
 	if j.liveBytes() <= j.budget {
@@ -935,7 +901,7 @@ func (j *joinActor) onReshuffle(env rt.Env, msg *reshuffleAssign) {
 			continue
 		}
 		env.ChargeCPU(j.cfg.Cost.MoveNs * int64(len(moved)))
-		j.reshuffleOut += int64(len(moved))
+		j.stats.ReshuffleOut += int64(len(moved))
 		j.shipTuples(env, owner, moved)
 	}
 }
@@ -948,11 +914,11 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		j.heldProbes = append(j.heldProbes, c)
 		return
 	}
-	j.probeTuples += int64(len(c.Tuples))
+	j.stats.ProbeTuples += int64(len(c.Tuples))
 	if j.heavySet != nil {
 		for _, t := range c.Tuples {
 			if j.heavySet[t.Key] {
-				j.heavyProbes++
+				j.stats.HeavyProbeTuples++
 			}
 		}
 	}
@@ -968,8 +934,8 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 		return
 	}
 	m, x := j.table.ProbeAll(ts)
-	j.matches += uint64(m)
-	j.checksum ^= x
+	j.stats.Matches += uint64(m)
+	j.stats.Checksum ^= x
 	env.ChargeCPU(j.cfg.Cost.ProbeNs*int64(len(ts)) + j.cfg.Cost.MatchNs*m)
 	if j.cfg.MaterializeOutput {
 		j.checkProbeOverflow(env, len(ts)*c.Layout.LogicalSize())
@@ -979,11 +945,11 @@ func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 // checkProbeOverflow accounts materialised output and reports overflow
 // during the probe phase (§4 footnote 1).
 func (j *joinActor) checkProbeOverflow(env rt.Env, grewBy int) {
-	j.outputBytes = int64(j.matches) * int64(j.cfg.outputLayout().LogicalSize())
-	if j.probeRetired || j.noMoreNodes {
+	j.stats.OutputBytes = int64(j.stats.Matches) * int64(j.cfg.outputLayout().LogicalSize())
+	if j.probeRetired || j.stats.NoMoreNodes {
 		return
 	}
-	total := j.liveBytes() + j.outputBytes
+	total := j.liveBytes() + j.stats.OutputBytes
 	if total <= j.budget {
 		return
 	}
@@ -1007,7 +973,7 @@ func (j *joinActor) probeAndForward(env rt.Env, ts []tuple.Tuple) {
 				Index: tuple.MixPair(b.Index, s.Index),
 				Key:   datagen.ChainKeyAt(j.fw.NextSeed, int64(b.Index)),
 			}
-			j.forwarded++
+			j.stats.Forwarded++
 			p := j.cfg.Space.PositionOf(next.Key)
 			for _, o := range j.fw.NextTable.ProbeOwnersOf(p) {
 				dest := rt.NodeID(o)
@@ -1019,14 +985,14 @@ func (j *joinActor) probeAndForward(env rt.Env, ts []tuple.Tuple) {
 					bld = tuple.NewBuilder(tuple.RelS, j.fw.Layout, j.cfg.ChunkTuples)
 					out[dest] = bld
 				}
-				j.forwardCopies++
+				j.stats.ForwardedCopies++
 				if full := bld.Add(next); full != nil {
 					j.sendStageChunk(env, dest, full)
 				}
 			}
 		})
 		if n > 0 {
-			j.matches += uint64(n)
+			j.stats.Matches += uint64(n)
 			env.ChargeCPU(j.cfg.Cost.MatchNs * int64(n))
 		}
 	}
@@ -1056,7 +1022,7 @@ func (j *joinActor) storedBuildTuples() int64 {
 
 // totalMatches merges in-core and out-of-core match counts.
 func (j *joinActor) totalMatches() uint64 {
-	m := j.matches
+	m := j.stats.Matches
 	if j.spillRung != nil {
 		m += j.spillRung.Matches()
 	}
@@ -1064,7 +1030,7 @@ func (j *joinActor) totalMatches() uint64 {
 }
 
 func (j *joinActor) totalChecksum() uint64 {
-	x := j.checksum
+	x := j.stats.Checksum
 	if j.spillRung != nil {
 		x ^= j.spillRung.Checksum()
 	}

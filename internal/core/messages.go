@@ -373,7 +373,11 @@ type statsReq struct{}
 
 func (*statsReq) WireSize() int { return ctrlBytes }
 
-// joinStats is a join node's statistics snapshot.
+// joinStats is a join node's run counters. The node counts into its own
+// record as it works; the snapshot a statsReq returns is a copy with the
+// derived fields filled in: Active, Stored, HeavyCopies, the spill fields,
+// and Matches and Checksum, which the node keeps for its in-core table and
+// the snapshot totals with the spill rung's.
 type joinStats struct {
 	Active            bool
 	Stored            int64
@@ -403,7 +407,8 @@ type joinStats struct {
 
 func (*joinStats) WireSize() int { return 128 }
 
-// sourceStats is a data source's statistics snapshot.
+// sourceStats is a data source's run counters; the source counts into its
+// own record and a statsReq gets a copy.
 type sourceStats struct {
 	ChunksSent       int64
 	ProbeExtraCopies int64

@@ -55,10 +55,7 @@ type sourceActor struct {
 	heavyRR     map[uint64]int
 	heavyGroups map[uint64][]int32
 
-	// stats
-	chunksSent       int64
-	probeExtraCopies int64 // probe tuples duplicated beyond their first copy
-	creditStalls     int64 // steps that parked generation on an exhausted window
+	stats sourceStats // the record statsReq reports, counted into directly
 }
 
 // destBuilder is one destination of a routing-table entry's tuples and the
@@ -114,11 +111,8 @@ func (s *sourceActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 		s.heavyRR = make(map[uint64]int, len(msg.Keys))
 		s.heavyGroups = nil
 	case *statsReq:
-		env.Send(from, &sourceStats{
-			ChunksSent:       s.chunksSent,
-			ProbeExtraCopies: s.probeExtraCopies,
-			CreditStalls:     s.creditStalls,
-		})
+		st := s.stats
+		env.Send(from, &st)
 	}
 }
 
@@ -166,7 +160,7 @@ func (s *sourceActor) step(env rt.Env) {
 				s.enqueue(env, d.dest, c)
 			}
 		}
-		s.probeExtraCopies += int64(len(dests) - 1) // a build tuple has one destination
+		s.stats.ProbeExtraCopies += int64(len(dests) - 1) // a build tuple has one destination
 	}
 	if s.next >= s.slice.Hi {
 		s.finished = true
@@ -180,7 +174,7 @@ func (s *sourceActor) step(env rt.Env) {
 	}
 	if s.backpressured() {
 		s.stalled = true
-		s.creditStalls++
+		s.stats.CreditStalls++
 		return
 	}
 	env.Send(s.id, &genStep{})
@@ -293,7 +287,7 @@ func (s *sourceActor) trySend(env rt.Env, dest rt.NodeID) {
 		cr--
 		env.ChargeCPU(s.cfg.Cost.ChunkOverheadNs)
 		env.Send(dest, &dataChunk{Chunk: q.c, Origin: s.id, Version: q.v})
-		s.chunksSent++
+		s.stats.ChunksSent++
 	}
 	s.credits[dest] = cr
 	if len(s.queue[dest]) == 0 {
@@ -407,5 +401,5 @@ func (s *sourceActor) maybeDone(env rt.Env) {
 		return
 	}
 	s.doneSent = true
-	env.Send(s.cfg.schedulerID(), &sourcePhaseDone{Rel: s.phase, Chunks: s.chunksSent})
+	env.Send(s.cfg.schedulerID(), &sourcePhaseDone{Rel: s.phase, Chunks: s.stats.ChunksSent})
 }

@@ -139,11 +139,11 @@ func TestSourceProbeBroadcastCountsExtraCopies(t *testing.T) {
 	}
 	// Entry 0 has three owners: every probe tuple hashed there counts two
 	// extra copies.
-	if s.probeExtraCopies == 0 {
+	if s.stats.ProbeExtraCopies == 0 {
 		t.Error("no extra probe copies counted for a replicated range")
 	}
-	if s.probeExtraCopies%2 != 0 {
-		t.Errorf("extra copies %d not a multiple of 2 (replica count - 1)", s.probeExtraCopies)
+	if s.stats.ProbeExtraCopies%2 != 0 {
+		t.Errorf("extra copies %d not a multiple of 2 (replica count - 1)", s.stats.ProbeExtraCopies)
 	}
 }
 

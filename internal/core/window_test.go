@@ -147,8 +147,8 @@ func TestJoinAdvertisesOneChunkPerAck(t *testing.T) {
 			t.Fatal("a forwarded chunk was acked")
 		}
 	}
-	if j.widestWindow != 12 || j.snapshot().WidestWindow != 12 {
-		t.Errorf("widest window %d (snapshot %d), want 12", j.widestWindow, j.snapshot().WidestWindow)
+	if j.stats.WidestWindow != 12 || j.snapshot().WidestWindow != 12 {
+		t.Errorf("widest window %d (snapshot %d), want 12", j.stats.WidestWindow, j.snapshot().WidestWindow)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestSourceBanksWhatTheAckGrants(t *testing.T) {
 		}
 	}
 	drive(s, env)
-	if !s.stalled || s.creditStalls != 1 {
-		t.Errorf("after streaming into the window: stalled %v, %d stalls counted; want true, 1", s.stalled, s.creditStalls)
+	if !s.stalled || s.stats.CreditStalls != 1 {
+		t.Errorf("after streaming into the window: stalled %v, %d stalls counted; want true, 1", s.stalled, s.stats.CreditStalls)
 	}
 	other := s.cfg.joinID(1) // still at its initial four credits, so this is the window that ran out
 	if s.credits[other] != 0 || len(s.queue[other]) < 2 {
@@ -325,9 +325,9 @@ func (e *ledgerEngine) Drain() error {
 					e.label, e.barriers, s.id, credits, j.id, window, base, limit)
 			}
 			e.everWide = e.everWide || window > base
-			e.everShrunk = e.everShrunk || window < j.widestWindow
-			if e.barriers == 1 && j.widestWindow > e.buildWidest {
-				e.buildWidest = j.widestWindow
+			e.everShrunk = e.everShrunk || int64(window) < j.stats.WidestWindow
+			if e.barriers == 1 {
+				e.buildWidest = max(e.buildWidest, int(j.stats.WidestWindow))
 			}
 		}
 	}

@@ -17,9 +17,10 @@ import (
 //     heavyCopies/heavyCopyCount exclude replicated tuples from Stored; a
 //     purge that drops the replicas must also drop the exclusions, or
 //     Stored goes negative on the purged range.
-//   - tcpnet.workerConn / tcpnet.p2pState: the per-pair quiescence
-//     counters. A reassigned worker restarts its streams from zero; stale
-//     per-pair counts would deadlock (or falsely pass) the Drain barrier.
+//   - tcpnet.workerReport / tcpnet.p2pState: the per-pair quiescence
+//     counters, as a worker reports them and as it counts them. A
+//     reassigned worker restarts its streams from zero; stale per-pair
+//     counts would deadlock (or falsely pass) the Drain barrier.
 //   - spill.Manager: per-partition resident byte accounting, reversed when
 //     a partition range is extracted or purged.
 var ledgerTable = []struct {
@@ -27,7 +28,7 @@ var ledgerTable = []struct {
 	fields   []string
 }{
 	{"core", "joinActor", []string{"cloneReceived", "heavyCopies", "heavyCopyCount"}},
-	{"tcpnet", "workerConn", []string{"peerEmitted", "peerProcessed"}},
+	{"tcpnet", "workerReport", []string{"PeerEmitted", "PeerProcessed"}},
 	{"tcpnet", "p2pState", []string{"peerEmitted", "peerProcessed"}},
 	{"spill", "Manager", []string{"rBytes", "sBytes"}},
 }
@@ -41,10 +42,12 @@ var ledgerRootRe = regexp.MustCompile(`(?i)(purge|restore|resume|redial|reset|ep
 // NewLedger returns the conservation-ledger analyzer: a program-level pass
 // (like reportsync) verifying every counter in ledgerTable is both accrued
 // somewhere and reversed on a reachable purge path. Accruals are +=, ++,
-// and append-assignments; reversals are -=, --, delete(), and assignments
-// of nil, zero, or a fresh make. Reachability is a same-package call-graph
-// walk from the root functions, over-approximated by function name — which
-// errs toward accepting a reversal, never toward a false positive.
+// append-assignments, and assignments of a whole struct, which accrue every
+// counter the struct's type carries (a report copied in whole); reversals
+// are -=, --, delete(), and assignments of nil, zero, or a fresh make.
+// Reachability is a same-package call-graph walk from the root functions,
+// over-approximated by function name — which errs toward accepting a
+// reversal, never toward a false positive.
 func NewLedger() *Analyzer {
 	a := &Analyzer{
 		Name: "ledger",
@@ -62,14 +65,24 @@ func NewLedger() *Analyzer {
 		reversedReachable bool // ... in a function reachable from a root
 	}
 	counters := map[string]*counterState{}
+	byType := map[string][]*counterState{} // "pkg.typ" -> its counters
 	var order []string
 	typeSeen := map[string]token.Position{} // "pkg.typ" -> type position
 	for _, e := range ledgerTable {
 		for _, f := range e.fields {
 			key := e.pkg + "." + e.typ + "." + f
 			counters[key] = &counterState{pkg: e.pkg, typ: e.typ, field: f}
+			byType[e.pkg+"."+e.typ] = append(byType[e.pkg+"."+e.typ], counters[key])
 			order = append(order, key)
 		}
+	}
+	// countersIn lists the counters a value of e's type carries.
+	countersIn := func(pass *Pass, e ast.Expr) []*counterState {
+		named, ok := pass.Info.TypeOf(e).(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return nil
+		}
+		return byType[named.Obj().Pkg().Name()+"."+named.Obj().Name()]
 	}
 
 	// counterOf resolves a mutated expression (selector, possibly indexed)
@@ -209,6 +222,11 @@ func NewLedger() *Analyzer {
 						}
 					case *ast.AssignStmt:
 						for i, lhs := range n.Lhs {
+							if n.Tok == token.ASSIGN {
+								for _, cs := range countersIn(pass, lhs) {
+									cs.accrued = true
+								}
+							}
 							cs := counterOf(pass, lhs)
 							if cs == nil || i >= len(n.Rhs) && len(n.Rhs) != 1 {
 								continue

@@ -110,7 +110,7 @@ func TestChanSendFixture(t *testing.T)    { runFixture(t, "chansend", "tcpnet") 
 func TestLockCheckFixture(t *testing.T)   { runFixture(t, "lockcheck", "hashtable") }
 func TestReportSyncFixture(t *testing.T)  { runFixture(t, "reportsync", "core") }
 func TestWalOrderFixture(t *testing.T)    { runFixture(t, "walorder", "walorder") }
-func TestLedgerFixture(t *testing.T)      { runFixture(t, "ledger", "ledger") }
+func TestLedgerFixture(t *testing.T)      { runFixture(t, "ledger", "ledger/...") }
 
 // TestSuppressionSyntax pins the grammar: an allow comment without a
 // reason, or with its check name run into the prefix, is itself a finding

@@ -274,7 +274,7 @@ func TestMutantWalOrder(t *testing.T) {
 // the drain barrier compares a fresh stream against the dead one's counts.
 func TestMutantLedger(t *testing.T) {
 	runMutant(t, mutant{check: "ledger", pkg: "ehjoin/internal/tcpnet", edits: map[string]edit{
-		"tcpnet.go": deleteStmt("resetEpoch", "w.peerEmitted, w.peerProcessed = nil, nil"),
+		"tcpnet.go": deleteStmt("resetEpoch", "w.rep.PeerEmitted, w.rep.PeerProcessed = nil, nil"),
 	}})
 }
 

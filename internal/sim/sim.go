@@ -78,8 +78,7 @@ type Stats struct {
 	Events       int64
 	MaxQueueSize int
 	// DroppedMessages counts messages discarded by fault injection: traffic
-	// addressed to a crashed node after its crash time, or dropped by an
-	// active link fault.
+	// addressed to a crashed node after its crash time.
 	DroppedMessages int64
 }
 
@@ -93,21 +92,10 @@ type Crash struct {
 	AtNs int64
 }
 
-// LinkFault degrades the directed link From -> To during [FromNs, ToNs):
-// messages entering the link in the window are either dropped or delayed
-// by ExtraDelayNs on top of the normal switch latency.
-type LinkFault struct {
-	From, To     rt.NodeID
-	FromNs, ToNs int64
-	ExtraDelayNs int64
-	Drop         bool
-}
-
 // FaultPlan is a deterministic fault-injection schedule, applied with
 // Sim.ApplyFaults before the run starts.
 type FaultPlan struct {
 	Crashes []Crash
-	Links   []LinkFault
 }
 
 // Observer receives one callback per processed message: the node was busy
@@ -131,8 +119,7 @@ type Sim struct {
 	// Trace, when set, observes every processed message.
 	Trace Observer
 
-	crashed    map[rt.NodeID]int64 // node -> crash time (virtual ns)
-	linkFaults []LinkFault
+	crashed map[rt.NodeID]int64 // node -> crash time (virtual ns)
 }
 
 const defaultMaxEvents = 2_000_000_000
@@ -175,7 +162,6 @@ func (s *Sim) ApplyFaults(p FaultPlan) {
 			s.crashed[c.Node] = c.AtNs
 		}
 	}
-	s.linkFaults = append(s.linkFaults, p.Links...)
 }
 
 func (s *Sim) push(e *event) {
@@ -308,26 +294,16 @@ func (e *env) Send(to rt.NodeID, m rt.Message) {
 		s.push(&event{t: e.cur, kind: evDeliver, from: e.node.id, to: to, msg: m})
 		return
 	}
-	var extraDelay int64
-	for _, lf := range s.linkFaults {
-		if lf.From == e.node.id && lf.To == to && e.cur >= lf.FromNs && e.cur < lf.ToNs {
-			if lf.Drop {
-				s.stats.DroppedMessages++
-				return
-			}
-			extraDelay += lf.ExtraDelayNs
-		}
-	}
 	size := m.WireSize() + s.cm.MsgOverheadBytes
 	s.stats.Messages++
 	s.stats.BytesOnWire += int64(size)
 	if size <= ctrlLaneBytes {
-		t := e.cur + s.cm.NetTransferNs(size) + s.cm.NetLatencyNs + extraDelay
+		t := e.cur + s.cm.NetTransferNs(size) + s.cm.NetLatencyNs
 		s.push(&event{t: t, kind: evDeliver, from: e.node.id, to: to, msg: m, size: size})
 		return
 	}
 	txStart := max64(e.cur, e.node.txFree)
 	txDone := txStart + s.cm.NetTransferNs(size)
 	e.node.txFree = txDone
-	s.push(&event{t: txDone + s.cm.NetLatencyNs + extraDelay, kind: evArrive, from: e.node.id, to: to, msg: m, size: size})
+	s.push(&event{t: txDone + s.cm.NetLatencyNs, kind: evArrive, from: e.node.id, to: to, msg: m, size: size})
 }

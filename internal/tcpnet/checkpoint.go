@@ -37,7 +37,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
-	"sort"
 	"time"
 
 	rt "ehjoin/internal/runtime"
@@ -288,38 +287,22 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 	for i, id := range h.AssignIDs {
 		w := int(h.AssignWorkers[i])
 		c.assignment[rt.NodeID(id)] = w
-		if w+1 > nW {
-			nW = w + 1
-		}
+		nW = max(nW, w+1)
 	}
-	if len(h.PeerAddrs) > nW {
-		nW = len(h.PeerAddrs)
-	}
+	nW = max(nW, len(h.PeerAddrs))
 	if nW == 0 {
 		return nil, errors.New("tcpnet: checkpoint header assigns no workers")
 	}
-	c.perWorker = make([][]int32, nW)
-	for i, id := range h.AssignIDs {
-		w := int(h.AssignWorkers[i])
-		c.perWorker[w] = append(c.perWorker[w], id)
+	// Every worker starts down, gated like the coordinator that wrote the
+	// log; restore() below seeds each gate with the replayed coverage.
+	if err := c.addWorkers(nW); err != nil {
+		return nil, err
 	}
-	// Header AssignIDs were emitted per worker in ascending order, but
-	// sort anyway: replay determinism must not hinge on writer behaviour.
-	for _, ids := range c.perWorker {
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	}
-	c.peerEpochs = make([]uint32, nW)
 	for id, a := range actors {
 		if _, remote := c.assignment[id]; remote {
 			continue
 		}
 		c.local[id] = a
-	}
-	// Every worker starts down, gated like the coordinator that wrote the
-	// log; restore() below seeds each gate with the replayed coverage.
-	now := time.Now()
-	for i := 0; i < nW; i++ {
-		c.addWorker(i, now)
 	}
 
 	// Replay runs every record through the transition the live coordinator
@@ -383,8 +366,8 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 				return nil, fmt.Errorf("tcpnet: checkpoint mark for nonexistent worker %d", w)
 			}
 			cover[w].add(rec.Seq)
-			c.workers[w].processed = rec.Processed
-			c.workers[w].emitted = rec.Emitted
+			c.workers[w].rep.Processed = rec.Processed
+			c.workers[w].rep.Emitted = rec.Emitted
 		case wire.CkptPhase:
 			c.drains = int(rec.Phase) + 1
 			c.rootInjects = 0
@@ -408,22 +391,23 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Lis
 		default:
 			return nil, fmt.Errorf("tcpnet: checkpoint replay: %w (kind %d)", wire.ErrUnknownKind, rec.Kind)
 		}
-		c.replayed++
+		c.stats.CheckpointReplays++
 	}
 	c.ckpt = ckpt
 	c.skipDrains = c.drains
 
 	restartCause := fmt.Errorf("coordinator restarted from checkpoint: %w", ErrCoordKilled)
+	deadline := time.Now().Add(c.resumeWindow)
 	for i, w := range c.workers {
 		if w.state == linkDead {
 			continue
 		}
 		w.sess.restore(cover[i].floor, cover[i].applied())
 		w.restored = true
-		w.resumeDeadline = now.Add(c.resumeWindow)
+		w.resumeDeadline = deadline
 		w.failCause = restartCause
 	}
-	c.restarts = int64(1 + headers)
+	c.stats.CoordRestarts = int64(1 + headers)
 
 	// Mark the restart in the continued log (if any), then open for
 	// re-attachments.

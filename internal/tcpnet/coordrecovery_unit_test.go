@@ -212,7 +212,7 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	putFrame(f)
 
 	// Settle quiescence: report the three deliveries processed.
-	rep, err := appendFrame(nil, &frame{Kind: frameReport, Processed: n}, 1, n)
+	rep, err := appendFrame(nil, &frame{Kind: frameReport, Rep: workerReport{Processed: n}}, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 	}{
 		{ // a restart marker left by a previous recovery
 			&wire.CkptRecord{Kind: wire.CkptHeader, Version: wire.CkptVersion},
-			func(c *Coordinator) (int64, int64) { return c.restarts, 2 },
+			func(c *Coordinator) (int64, int64) { return c.stats.CoordRestarts, 2 },
 		},
 		{
 			&wire.CkptRecord{Kind: wire.CkptPhase, Phase: 0},
@@ -377,7 +377,7 @@ func TestCoordRecoveryReplaysEveryCkptKind(t *testing.T) {
 		},
 		{
 			&wire.CkptRecord{Kind: wire.CkptMark, Worker: 0, Seq: 2, Processed: 7, Emitted: 5},
-			func(c *Coordinator) (int64, int64) { return c.workers[0].processed, 7 },
+			func(c *Coordinator) (int64, int64) { return c.workers[0].rep.Processed, 7 },
 		},
 		{
 			&wire.CkptRecord{Kind: wire.CkptEpoch, Worker: 1, SessEpoch: 1, PeerEpoch: 3},

@@ -74,18 +74,14 @@ type p2pState struct {
 
 	// Per-peer data-plane counters, indexed by worker; reported to the
 	// coordinator for the generalized quiescence predicate.
-	peerEmitted      []int64
-	peerProcessed    []int64
-	repPeerEmitted   []int64 // as of the last report sent
-	repPeerProcessed []int64
-	dropped          int64 // messages dropped toward dead peers
-	repDropped       int64
+	peerEmitted   []int64
+	peerProcessed []int64
+	dropped       int64 // messages dropped toward dead peers
 	// resumes counts peer-link session resumes. Each pair resume is
 	// counted exactly once fleet-wide — by the dialer end — because the
 	// coordinator (which owns the coordinator-link resume count) never
 	// observes peer links and folds this in verbatim from reports.
-	resumes    int64
-	repResumes int64
+	resumes int64
 }
 
 // advertiseAddr turns the listener's bind address into one peers can dial:
@@ -144,9 +140,11 @@ func (w *worker) applyP2PAssign(f *frame) error {
 	}
 	p.peerEmitted = make([]int64, p.n)
 	p.peerProcessed = make([]int64, p.n)
-	p.repPeerEmitted = make([]int64, p.n)
-	p.repPeerProcessed = make([]int64, p.n)
-	p.dropped, p.repDropped = 0, 0
+	p.dropped = 0
+	// The fresh counters read as already reported: a reassignment alone
+	// sends no report.
+	w.rep.PeerEmitted, w.rep.PeerProcessed = make([]int64, p.n), make([]int64, p.n)
+	w.rep.WDropped = 0
 	for j := 0; j < p.n; j++ {
 		if j == p.self {
 			continue

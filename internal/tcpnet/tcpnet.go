@@ -54,7 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -128,15 +128,23 @@ type frame struct {
 	From, To int32
 	Msg      rt.Message
 
-	// frameReport (cumulative counters)
+	// frameReport
+	Rep workerReport
+}
+
+// workerReport is a worker's cumulative counters, one value end to end: the
+// worker keeps the last one it sent, the frameReport carries it, and the
+// coordinator's workerConn holds the latest it read.
+type workerReport struct {
+	// Messages this worker processed from and emitted onto its
+	// coordinator link.
 	Processed int64
 	Emitted   int64
-	// Per-peer data-plane counters, indexed by worker:
-	// messages this worker emitted to / processed from each peer link.
+	// Per-peer data-plane counters, indexed by worker: messages this
+	// worker emitted to / processed from each peer link.
 	PeerEmitted   []int64
 	PeerProcessed []int64
-	// Worker-side session stats, piggybacked so the coordinator can fold
-	// them into the run report without another protocol.
+	// Worker-side session stats, folded into the run report.
 	WFrames   int64 // unique reliable frames the worker sequenced
 	WResumes  int64 // peer-link resumes (dialer end only); coordinator-link resumes are counted coordinator-side
 	WRetrans  int64 // frames the worker retransmitted on resume
@@ -182,10 +190,9 @@ const (
 // counters and recovery state the coordinator owns.
 type workerConn struct {
 	link
-	delivered int64 // messages the coordinator enqueued for this worker
-	processed int64 // last reported processed count
-	received  int64 // messages the coordinator read from this worker
-	emitted   int64 // last reported emitted count
+	delivered int64        // messages the coordinator enqueued for this worker
+	received  int64        // messages the coordinator read from this worker
+	rep       workerReport // the worker's latest report
 	lastHeard time.Time
 
 	resumeDeadline time.Time // while down: give up on resume after this
@@ -194,13 +201,6 @@ type workerConn struct {
 	// checkpoint replay rather than live traffic: its next resume must
 	// pass the digest cross-check, and counts as a re-attachment.
 	restored bool
-
-	// Latest worker-reported per-peer data-plane counters.
-	peerEmitted   []int64
-	peerProcessed []int64
-
-	// Latest worker-reported session stats.
-	repWFrames, repWResumes, repWRetrans, repWChecksum, repWDups, repWDropped int64
 }
 
 type localDelivery struct {
@@ -253,11 +253,12 @@ type Coordinator struct {
 	retransFrames int
 	retransBytes  int
 
-	fatal         error // first unrecoverable failure; surfaced by Drain
-	dropped       int64 // messages discarded because their worker is dead
-	resumes       int64 // rung-1 recoveries performed
-	fullReassigns int64 // rung-2 recoveries performed
-	retransmitted int64 // frames the coordinator replayed on resume
+	fatal error // first unrecoverable failure; surfaced by Drain
+	// stats holds the coordinator's own transport counters: messages
+	// dropped toward dead workers, rung-1 resumes and rung-2 reassignments,
+	// frames it replayed, and the restore lineage. TransportStats folds the
+	// workers' reports into a copy.
+	stats rt.TransportStats
 
 	// Crash-recovery checkpointing (WithCheckpoint; see checkpoint.go).
 	ckpt        *ckptWriter
@@ -269,9 +270,6 @@ type Coordinator struct {
 	draining    bool  // inside Drain: an Inject now is a failure handler's, not a root one
 	skipDrains  int   // restored: Drains still to pass without running (phases the log completed)
 	rootInjects int   // restored: root injections of the interrupted phase still to discard
-	restarts    int64 // restorations in this coordinator's log lineage
-	replayed    int64 // checkpoint records replayed by this restoration
-	reattached  int64 // restored workers accepted back on rung 1
 }
 
 // Option configures a Coordinator.
@@ -353,20 +351,6 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener
 	}
 	c := newCoordinator(l, opts)
 	c.assignment, c.cfgBlob = assignment, cfgBlob
-	c.perWorker = make([][]int32, len(conns))
-	c.peerEpochs = make([]uint32, len(conns))
-	for id, w := range assignment {
-		if w < 0 || w >= len(conns) {
-			return nil, fmt.Errorf("tcpnet: node %d assigned to nonexistent worker %d", id, w)
-		}
-		c.perWorker[w] = append(c.perWorker[w], int32(id))
-	}
-	// The assignment map's iteration order is randomised; sort each
-	// worker's id list so assignments (and everything downstream of them:
-	// actor construction order, recovery targets) are reproducible.
-	for _, ids := range c.perWorker {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
 	if c.crashArmed && c.ckpt == nil {
 		return nil, errors.New("tcpnet: WithCrashPoint requires WithCheckpoint")
 	}
@@ -376,7 +360,9 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener
 	// Peer-pair sessions carve out the 0x8000 bit of the same low range
 	// (see pairSession), so they can never collide with a worker session.
 	c.sessionBase = uint64(time.Now().UnixNano()) &^ 0xFFFF
-	now := time.Now()
+	if err := c.addWorkers(len(conns)); err != nil {
+		return nil, err
+	}
 	readers := make([]*wireReader, len(conns))
 	for i, conn := range conns {
 		readers[i] = newWireReader(conn)
@@ -395,9 +381,6 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener
 		}
 		c.peerAddrs = append(c.peerAddrs, f.Addr)
 		putFrame(f)
-	}
-	for i := range conns {
-		c.addWorker(i, now)
 	}
 	// The header must be on disk before any record that refers to its
 	// topology — and before any worker traffic that could log one.
@@ -442,17 +425,36 @@ func newCoordinator(l net.Listener, opts []Option) *Coordinator {
 	return c
 }
 
-// addWorker appends worker i's end of its link, down until a connection
-// is started on it. Its session id is the run's session base with the
-// worker index in the low bits.
-func (c *Coordinator) addWorker(i int, now time.Time) {
-	w := &workerConn{lastHeard: now,
-		link: link{idx: i, sess: newSession(c.sessionBase|uint64(i), c.retransFrames, c.retransBytes)}}
-	if c.ckpt != nil {
-		w.sess.enableAckGate()
+// addWorkers builds the table of n workers from the assignment: each
+// worker's node-id list, its peer epoch, and its end of its link, down
+// until a connection is started on it. A worker's session id is the run's
+// session base with the worker index in the low bits.
+func (c *Coordinator) addWorkers(n int) error {
+	c.perWorker = make([][]int32, n)
+	for id, w := range c.assignment {
+		if w < 0 || w >= n {
+			return fmt.Errorf("tcpnet: node %d assigned to nonexistent worker %d", id, w)
+		}
+		c.perWorker[w] = append(c.perWorker[w], int32(id))
 	}
-	c.bySession[w.sess.id] = i
-	c.workers = append(c.workers, w)
+	// The assignment map's iteration order is randomised; sort each
+	// worker's id list so assignments (and everything downstream of them:
+	// actor construction order, recovery targets, replay) are reproducible.
+	for _, ids := range c.perWorker {
+		slices.Sort(ids)
+	}
+	c.peerEpochs = make([]uint32, n)
+	now := time.Now()
+	for i := range n {
+		w := &workerConn{lastHeard: now,
+			link: link{idx: i, sess: newSession(c.sessionBase|uint64(i), c.retransFrames, c.retransBytes)}}
+		if c.ckpt != nil {
+			w.sess.enableAckGate()
+		}
+		c.bySession[w.sess.id] = i
+		c.workers = append(c.workers, w)
+	}
+	return nil
 }
 
 // pairSession derives the session id both ends of a peer link (i, j)
@@ -479,7 +481,7 @@ func (c *Coordinator) assignFrame(i int, epoch uint32) *frame {
 	for id := range c.assignment {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	af.MapIDs = make([]int32, len(ids))
 	af.MapWorkers = make([]int32, len(ids))
 	for k, id := range ids {
@@ -592,7 +594,7 @@ func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 			// Expected during the window between a death and the join
 			// layer rerouting around it; mirrors the simulator dropping
 			// messages to crashed nodes.
-			c.dropped++
+			c.stats.DroppedMessages++
 		}
 		return
 	}
@@ -830,11 +832,11 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 		w.failCause = nil
 		if w.restored {
 			w.restored = false
-			c.reattached++
+			c.stats.ReattachedWorkers++
 		}
 		w.start(conn, ev.hs.r, okf, retrans, &c.mux)
-		c.resumes++
-		c.retransmitted += int64(len(retrans))
+		c.stats.Resumes++
+		c.stats.RetransmittedFrames += int64(len(retrans))
 		return
 	}
 	// Rung 2: the window overflowed, the epochs disagree, or a restored
@@ -858,7 +860,7 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 	w.lastHeard = time.Now()
 	w.resumeDeadline = time.Time{}
 	w.failCause = nil
-	c.fullReassigns++
+	c.stats.FullReassigns++
 	w.start(conn, ev.hs.r, c.assignFrame(i, epoch), nil, &c.mux)
 	c.sendPeerLiveness(i)
 	c.notifyDeath(i, cause)
@@ -888,8 +890,9 @@ func (c *Coordinator) resetEpoch(i int, peerEpoch uint32) (uint32, bool) {
 	w.sess.reset()
 	c.scrubQueuedSeqs(i)
 	c.bumpPeerEpoch(i, peerEpoch)
-	w.delivered, w.processed, w.received, w.emitted = 0, 0, 0, 0
-	w.peerEmitted, w.peerProcessed = nil, nil
+	w.delivered, w.received = 0, 0
+	w.rep.Processed, w.rep.Emitted = 0, 0
+	w.rep.PeerEmitted, w.rep.PeerProcessed = nil, nil
 	return epoch, true
 }
 
@@ -921,7 +924,7 @@ func (c *Coordinator) notifyDeath(i int, cause error) {
 		w := c.workers[i]
 		c.fatal = fmt.Errorf("tcpnet: worker %d (nodes %v) failed: %v "+
 			"(delivered %d processed %d received %d emitted %d)",
-			i, c.perWorker[i], cause, w.delivered, w.processed, w.received, w.emitted)
+			i, c.perWorker[i], cause, w.delivered, w.rep.Processed, w.received, w.rep.Emitted)
 	}
 }
 
@@ -958,7 +961,7 @@ func (c *Coordinator) quiescent() bool {
 		case linkDown:
 			return false
 		}
-		if w.delivered != w.processed || w.received != w.emitted {
+		if w.delivered != w.rep.Processed || w.received != w.rep.Emitted {
 			return false
 		}
 	}
@@ -970,7 +973,7 @@ func (c *Coordinator) quiescent() bool {
 			if j == i || wj.state != linkLive {
 				continue
 			}
-			if peerCount(wi.peerEmitted, j) != peerCount(wj.peerProcessed, i) {
+			if peerCount(wi.rep.PeerEmitted, j) != peerCount(wj.rep.PeerProcessed, i) {
 				return false
 			}
 		}
@@ -1165,10 +1168,10 @@ func (c *Coordinator) sessionTick() {
 func (c *Coordinator) timeoutError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tcpnet: drain timed out after %v: %d queued local deliveries, %d dropped",
-		c.drainTimeout, len(c.queue), c.dropped)
+		c.drainTimeout, len(c.queue), c.stats.DroppedMessages)
 	for i, w := range c.workers {
 		fmt.Fprintf(&b, "; worker %d (%s) delivered %d processed %d received %d emitted %d",
-			i, w.state, w.delivered, w.processed, w.received, w.emitted)
+			i, w.state, w.delivered, w.rep.Processed, w.received, w.rep.Emitted)
 	}
 	return errors.New(b.String())
 }
@@ -1222,23 +1225,14 @@ func (c *Coordinator) apply(ev linkEvent) {
 		}
 		c.route(rt.NodeID(f.From), rt.NodeID(f.To), f.Msg, f.Seq)
 	case frameReport:
-		w.processed = f.Processed
-		w.emitted = f.Emitted
-		w.repWFrames = f.WFrames
-		w.repWResumes = f.WResumes
-		w.repWRetrans = f.WRetrans
-		w.repWChecksum = f.WChecksum
-		w.repWDups = f.WDups
-		w.repWDropped = f.WDropped
-		w.peerEmitted = append(w.peerEmitted[:0], f.PeerEmitted...)
-		w.peerProcessed = append(w.peerProcessed[:0], f.PeerProcessed...)
+		w.rep = f.Rep
 		if c.ckpt != nil {
 			// Every accepted reliable frame must land in the log once —
 			// frameMsg does when Drain dequeues its delivery — so a
 			// restored coordinator's receive position matches what it
 			// acked pre-crash.
 			c.logRecord(&wire.CkptRecord{Kind: wire.CkptMark, Worker: int32(i),
-				Seq: f.Seq, Ack: f.Ack, Processed: w.processed, Emitted: w.emitted})
+				Seq: f.Seq, Ack: f.Ack, Processed: w.rep.Processed, Emitted: w.rep.Emitted})
 			if !c.killed {
 				w.sess.logged(f.Seq)
 			}
@@ -1256,32 +1250,20 @@ func (c *Coordinator) apply(ev linkEvent) {
 // NowSeconds implements runtime.Engine with wall-clock time.
 func (c *Coordinator) NowSeconds() float64 { return time.Since(c.start).Seconds() }
 
-// DroppedMessages reports how many messages were discarded because their
-// destination worker was dead or reconnecting.
-func (c *Coordinator) DroppedMessages() int64 { return c.dropped }
-
 // TransportStats implements the optional engine stats hook the report
-// layer consumes (see core.Execute): a fold of the coordinator's own
-// session counters with the latest worker-reported ones.
+// layer consumes (see core.Execute): the coordinator's own counters with
+// the latest worker reports folded in.
 func (c *Coordinator) TransportStats() rt.TransportStats {
-	ts := rt.TransportStats{
-		Resumes:             c.resumes,
-		FullReassigns:       c.fullReassigns,
-		RetransmittedFrames: c.retransmitted,
-		DroppedMessages:     c.dropped,
-		CoordRestarts:       c.restarts,
-		CheckpointReplays:   c.replayed,
-		ReattachedWorkers:   c.reattached,
-	}
+	ts := c.stats
 	for _, w := range c.workers {
-		ts.FramesSent += w.sess.framesSent() + w.repWFrames
-		ts.DuplicateFrames += w.sess.dupes() + w.repWDups
-		ts.RetransmittedFrames += w.repWRetrans
-		ts.ChecksumFailures += w.checksumFails + w.repWChecksum
-		ts.DroppedMessages += w.repWDropped
+		ts.FramesSent += w.sess.framesSent() + w.rep.WFrames
+		ts.DuplicateFrames += w.sess.dupes() + w.rep.WDups
+		ts.RetransmittedFrames += w.rep.WRetrans
+		ts.ChecksumFailures += w.checksumFails + w.rep.WChecksum
+		ts.DroppedMessages += w.rep.WDropped
 		// WResumes is peer-link resumes only (counted once per pair, by the
-		// dialer end); coordinator-link resumes are already in c.resumes.
-		ts.Resumes += w.repWResumes
+		// dialer end); coordinator-link resumes are already in c.stats.
+		ts.Resumes += w.rep.WResumes
 	}
 	return ts
 }

@@ -150,8 +150,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: frameAssign, Session: 0xABCD0001, Epoch: 3, CfgBlob: []byte("config bytes"), IDs: []int32{3, 1, 9}},
 		{Kind: frameAssign, IDs: []int32{}},
 		{Kind: frameMsg, From: -1, To: 7, Msg: &testMsg{Seq: 42, Pad: []byte{1, 2, 3}}},
-		{Kind: frameReport, Processed: 123456789, Emitted: 987654321,
-			WFrames: 11, WResumes: 2, WRetrans: 5, WChecksum: 1, WDups: 3},
+		{Kind: frameReport, Rep: workerReport{Processed: 123456789, Emitted: 987654321,
+			PeerEmitted: []int64{0, 4, 9}, PeerProcessed: []int64{6, 0, 1},
+			WFrames: 11, WResumes: 2, WRetrans: 5, WChecksum: 1, WDups: 3, WDropped: 8}},
 		{Kind: framePing},
 		{Kind: framePong},
 		{Kind: frameCoordResume, Session: 0xABCD0001, Epoch: 2, LastSeq: 77,
@@ -178,13 +179,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if got.Kind != want.Kind || !bytes.Equal(got.CfgBlob, want.CfgBlob) ||
 			got.From != want.From || got.To != want.To ||
-			got.Processed != want.Processed || got.Emitted != want.Emitted ||
 			got.Session != want.Session || got.Epoch != want.Epoch ||
 			got.LastSeq != want.LastSeq || got.CanReplay != want.CanReplay ||
 			got.AckedSeq != want.AckedSeq || got.Digest != want.Digest ||
-			got.WFrames != want.WFrames || got.WResumes != want.WResumes ||
-			got.WRetrans != want.WRetrans || got.WChecksum != want.WChecksum ||
-			got.WDups != want.WDups {
+			!reflect.DeepEqual(got.Rep, want.Rep) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
 		}
 		if len(want.IDs) > 0 && !reflect.DeepEqual(got.IDs, want.IDs) {
@@ -208,7 +206,7 @@ func TestFrameSequencing(t *testing.T) {
 	for _, f := range []*frame{
 		{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: 1}},
 		{Kind: framePing},
-		{Kind: frameReport, Processed: 1},
+		{Kind: frameReport, Rep: workerReport{Processed: 1}},
 		{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: 2}},
 	} {
 		if err := w.WriteFrame(f); err != nil {
@@ -241,7 +239,7 @@ func TestFrameSequencing(t *testing.T) {
 func TestFrameDecodeErrors(t *testing.T) {
 	var bb bytes.Buffer
 	w := newWireWriter(&bb)
-	if err := w.WriteFrame(&frame{Kind: frameReport, Processed: 1, Emitted: 2}); err != nil {
+	if err := w.WriteFrame(&frame{Kind: frameReport, Rep: workerReport{Processed: 1, Emitted: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

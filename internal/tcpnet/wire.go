@@ -80,17 +80,18 @@ func frameFields(c *wire.Codec, f *frame) {
 		wire.U32(c, &f.To)
 		wire.Message(c, &f.Msg)
 	case frameReport:
-		wire.U64(c, &f.Processed)
-		wire.U64(c, &f.Emitted)
-		wire.U64(c, &f.WFrames)
-		wire.U64(c, &f.WResumes)
-		wire.U64(c, &f.WRetrans)
-		wire.U64(c, &f.WChecksum)
-		wire.U64(c, &f.WDups)
-		wire.U64(c, &f.WDropped)
-		n := wire.Len(c, len(f.PeerEmitted), 16)
-		wire.Elems(c, &f.PeerEmitted, n, wire.U64)
-		wire.Elems(c, &f.PeerProcessed, n, wire.U64)
+		r := &f.Rep
+		wire.U64(c, &r.Processed)
+		wire.U64(c, &r.Emitted)
+		wire.U64(c, &r.WFrames)
+		wire.U64(c, &r.WResumes)
+		wire.U64(c, &r.WRetrans)
+		wire.U64(c, &r.WChecksum)
+		wire.U64(c, &r.WDups)
+		wire.U64(c, &r.WDropped)
+		n := wire.Len(c, len(r.PeerEmitted), 16)
+		wire.Elems(c, &r.PeerEmitted, n, wire.U64)
+		wire.Elems(c, &r.PeerProcessed, n, wire.U64)
 	case frameCoordResume:
 		wire.U64(c, &f.Session)
 		wire.U32(c, &f.Epoch)

@@ -28,9 +28,9 @@ func kindFixtures() map[frameKind]*frame {
 			Epochs: []uint32{0, 2}, MapIDs: []int32{5, 6, 7}, MapWorkers: []int32{0, 1, 1}},
 		frameMsg: {Kind: frameMsg, From: 2, To: 9,
 			Msg: &testMsg{Seq: 11, Pad: []byte("kind table payload")}},
-		frameReport: {Kind: frameReport, Processed: 100, Emitted: 50,
+		frameReport: {Kind: frameReport, Rep: workerReport{Processed: 100, Emitted: 50,
 			WFrames: 9, WResumes: 1, WRetrans: 2, WChecksum: 3, WDups: 4,
-			WDropped: 5, PeerEmitted: []int64{0, 12, 7}, PeerProcessed: []int64{0, 3, 9}},
+			WDropped: 5, PeerEmitted: []int64{0, 12, 7}, PeerProcessed: []int64{0, 3, 9}}},
 		frameShutdown: {Kind: frameShutdown},
 		framePing:     {Kind: framePing},
 		framePong:     {Kind: framePong},

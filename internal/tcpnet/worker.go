@@ -121,7 +121,7 @@ func RunWorker(dial func() (net.Conn, error), factory ActorFactory, opts ...Work
 			// counters; either way make sure quiet receive directions still
 			// carry acks.
 			if !batchOpen {
-				w.report()
+				w.report(false)
 			}
 			w.idleAcks()
 			if w.fatal != nil {
@@ -164,14 +164,10 @@ type worker struct {
 	// log before granting a cheap resume.
 	assignedIDs []int32
 
-	processed    int64 // cumulative coordinator-delivered frames handled
-	emitted      int64 // cumulative messages sent to the coordinator
-	repProcessed int64 // processed as of the last report sent
-	repEmitted   int64 // emitted as of the last report sent
-	repResumes   int64 // resumes as of the last report sent
-
-	resumes       int64 // session resumes performed
-	retransmitted int64 // frames replayed to the coordinator on resume
+	processed     int64        // cumulative coordinator-delivered frames handled
+	emitted       int64        // cumulative messages sent to the coordinator
+	retransmitted int64        // frames replayed on resume, every link
+	rep           workerReport // the last report sent
 
 	fatal error // first unmaskable failure; surfaced at the next blocking point
 }
@@ -317,7 +313,7 @@ func (w *worker) applyAssign(f *frame) error {
 	w.assignedIDs = append(w.assignedIDs[:0], f.IDs...)
 	w.queue = nil
 	w.processed, w.emitted = 0, 0
-	w.repProcessed, w.repEmitted = 0, 0
+	w.rep.Processed, w.rep.Emitted = 0, 0
 	w.assigned = true
 	return w.applyP2PAssign(f)
 }
@@ -489,14 +485,13 @@ func (w *worker) installCoordConn(ev linkEvent) (shutdown bool, err error) {
 		return false, nil
 	}
 	retrans := sess.unackedSince(f.LastSeq)
-	w.resumes++
 	w.retransmitted += int64(len(retrans))
 	lk.start(conn, ev.hs.r, nil, retrans, &w.mux)
 	// Any report in the replay predates the disconnect and carries stale
-	// session stats; follow the replay with a fresh one so the coordinator
-	// sees this resume even if the run quiesces before the worker's next
-	// blocking point.
-	w.report()
+	// session stats; follow the replay with a fresh one, moved or not, so
+	// the coordinator sees this resume even if the run quiesces before the
+	// worker's next blocking point.
+	w.report(true)
 	return false, nil
 }
 
@@ -520,39 +515,36 @@ func (w *worker) drainLocal() error {
 	return w.fatal
 }
 
-// report sends a counter report if the counters moved since the last one.
-// Only called with an empty local queue, so the counters are settled. The
-// report rides the session layer like any reliable frame: it is sequenced,
-// buffered for retransmission, and carries the worker's session stats for
-// the coordinator's run report. The writer encodes it later, so its
-// per-peer arrays are copies the loop never touches again.
-func (w *worker) report() {
-	p := w.p2p
-	moved := w.processed != w.repProcessed || w.emitted != w.repEmitted || w.resumes != w.repResumes ||
-		p.dropped != p.repDropped || p.resumes != p.repResumes ||
-		!slices.Equal(p.peerEmitted, p.repPeerEmitted) ||
-		!slices.Equal(p.peerProcessed, p.repPeerProcessed)
-	if !moved {
+// report sends a counter report if the counters moved since the last one,
+// or unconditionally when forced. Only called with an empty local queue,
+// so the counters are settled. The report rides the session layer like any
+// reliable frame: it is sequenced, buffered for retransmission, and carries
+// the worker's session stats for the coordinator's run report. The writer
+// encodes it later, so its per-peer arrays are copies the loop never
+// touches again.
+func (w *worker) report(force bool) {
+	p, last := w.p2p, &w.rep
+	if !force && w.processed == last.Processed && w.emitted == last.Emitted &&
+		p.dropped == last.WDropped && p.resumes == last.WResumes &&
+		slices.Equal(p.peerEmitted, last.PeerEmitted) && slices.Equal(p.peerProcessed, last.PeerProcessed) {
 		return
 	}
 	// WResumes carries only the resumes the coordinator cannot observe
 	// itself: peer-link resumes (dialer end). Coordinator-link resumes are
-	// counted coordinator-side when the resume is accepted — reporting
-	// w.resumes here would double-count them in the folded stats.
-	f := getFrame()
-	f.Kind, f.Processed, f.Emitted = frameReport, w.processed, w.emitted
-	f.WRetrans, f.WDropped, f.WResumes = w.retransmitted, p.dropped, p.resumes
-	f.PeerEmitted, f.PeerProcessed = slices.Clone(p.peerEmitted), slices.Clone(p.peerProcessed)
+	// counted coordinator-side when the resume is accepted.
+	r := workerReport{Processed: w.processed, Emitted: w.emitted,
+		PeerEmitted: slices.Clone(p.peerEmitted), PeerProcessed: slices.Clone(p.peerProcessed),
+		WResumes: p.resumes, WRetrans: w.retransmitted, WDropped: p.dropped}
 	for _, lk := range append([]*link{w.coord}, p.links...) {
 		if lk != nil {
-			f.WFrames += lk.sess.framesSent()
-			f.WDups += lk.sess.dupes()
-			f.WChecksum += lk.checksumFails
+			r.WFrames += lk.sess.framesSent()
+			r.WDups += lk.sess.dupes()
+			r.WChecksum += lk.checksumFails
 		}
 	}
-	w.repProcessed, w.repEmitted, w.repResumes = w.processed, w.emitted, w.resumes
-	p.repDropped, p.repResumes = p.dropped, p.resumes
-	p.repPeerEmitted, p.repPeerProcessed = f.PeerEmitted, f.PeerProcessed
+	w.rep = r
+	f := getFrame()
+	f.Kind, f.Rep = frameReport, r
 	w.sendOn(w.coord, f)
 }
 

@@ -123,9 +123,6 @@ func (b *Builder) Flush() *Chunk {
 	return b.cut()
 }
 
-// Len reports the number of buffered (not yet cut) tuples.
-func (b *Builder) Len() int { return len(b.pending) }
-
 func (b *Builder) cut() *Chunk {
 	c := b.recycled
 	if c == nil {
@@ -134,22 +131,4 @@ func (b *Builder) cut() *Chunk {
 	*c = Chunk{Rel: b.rel, Tuples: b.pending, Layout: b.layout, home: b.free}
 	b.pending, b.recycled = nil, nil
 	return c
-}
-
-// Split partitions the chunk's tuples by a classifier function into new
-// chunks, one per distinct class in ascending class order. It is used when a
-// join node must forward only the portion of a chunk that belongs to another
-// node after a split (§4.1.3).
-func (c *Chunk) Split(classOf func(Tuple) int) map[int]*Chunk {
-	out := make(map[int]*Chunk)
-	for _, t := range c.Tuples {
-		k := classOf(t)
-		part := out[k]
-		if part == nil {
-			part = &Chunk{Rel: c.Rel, Layout: c.Layout}
-			out[k] = part
-		}
-		part.Tuples = append(part.Tuples, t)
-	}
-	return out
 }

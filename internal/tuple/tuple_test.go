@@ -85,29 +85,6 @@ func TestChunkLogicalBytes(t *testing.T) {
 	}
 }
 
-func TestChunkSplitPartitions(t *testing.T) {
-	c := &Chunk{Rel: RelR, Layout: DefaultLayout()}
-	for i := 0; i < 20; i++ {
-		c.Tuples = append(c.Tuples, Tuple{Index: uint64(i), Key: uint64(i)})
-	}
-	parts := c.Split(func(tp Tuple) int { return int(tp.Key % 3) })
-	total := 0
-	for class, part := range parts {
-		for _, tp := range part.Tuples {
-			if int(tp.Key%3) != class {
-				t.Errorf("tuple key %d in class %d", tp.Key, class)
-			}
-			total++
-		}
-		if part.Rel != RelR || part.Layout != c.Layout {
-			t.Error("split chunk lost relation or layout")
-		}
-	}
-	if total != 20 {
-		t.Errorf("split lost tuples: %d of 20", total)
-	}
-}
-
 func TestBuilderNeverDropsTuples(t *testing.T) {
 	f := func(n uint16, chunkSize uint8) bool {
 		cs := int(chunkSize%50) + 1
