@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -102,6 +103,47 @@ func BenchmarkProbeAllRuns(b *testing.B) {
 				sinkXor ^= x
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+		})
+	}
+}
+
+// BenchmarkProbeUnique measures the unique-key probe, the hot loop of
+// every workload without duplicate keys: 750 000 random keys (one
+// worker's share of the benchmark's build relation), sealed off the
+// clock, probed in 1000-tuple ProbeAll chunks of random keys. hit=all
+// probes stored keys only; in hit=half every other probe key is absent,
+// and those usually end on the tag array without reading a slot.
+func BenchmarkProbeUnique(b *testing.B) {
+	const keys, chunk, chunks = 750_000, 1_000, 256
+	rng := rand.New(rand.NewSource(1))
+	tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
+	stored := make([]uint64, keys)
+	for i := range stored {
+		stored[i] = rng.Uint64()
+		tab.Insert(tuple.Tuple{Index: uint64(i), Key: stored[i]})
+	}
+	tab.Probe(0, nil) // seal off the clock
+	for _, arm := range []struct {
+		name string
+		miss func(int) bool
+	}{{"all", func(int) bool { return false }}, {"half", func(i int) bool { return i%2 == 1 }}} {
+		probes := make([][]tuple.Tuple, chunks)
+		for c := range probes {
+			probes[c] = make([]tuple.Tuple, chunk)
+			for i := range probes[c] {
+				key := stored[rng.Intn(keys)]
+				if arm.miss(i) {
+					key = rng.Uint64() // absent with overwhelming probability
+				}
+				probes[c][i] = tuple.Tuple{Index: uint64(keys + i), Key: key}
+			}
+		}
+		b.Run("hit="+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, x := tab.ProbeAll(probes[i%chunks])
+				sinkXor ^= x
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/probe")
 		})
 	}
 }

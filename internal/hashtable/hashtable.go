@@ -8,14 +8,16 @@
 // clustering.
 //
 // The local table is flat and open-addressed over *distinct keys*
-// (DESIGN.md "Join-node table layout"): a slot holds one tuple, a
-// parallel meta word says whether the slot is empty, holds its key's only
-// tuple, or also owns a contiguous run with the key's other tuples. A run
-// stores each tuple as one 8-byte word, tuple.RunWord of its index — the
-// slot holds the key they share — and every reader that hands tuples back
-// rebuilds them exactly (tuple.RunIndex). Inserting a tuple of a new key
-// allocates nothing; probing a key scans one slot and, for a duplicated
-// key, one slice.
+// (DESIGN.md "Join-node table layout"): a slot holds one tuple, and a
+// parallel tag byte says whether the slot is empty and, if not, carries 6
+// bits of the key's hash and whether the key also owns a contiguous run
+// with its other tuples. A lookup reads a slot only where the tag matches,
+// so a probe for an absent key usually reads tags alone. A run stores each
+// tuple as one 8-byte word, tuple.RunWord of its index — the slot holds
+// the key they share — and every reader that hands tuples back rebuilds
+// them exactly (tuple.RunIndex). Inserting a tuple of a new key allocates
+// nothing; probing a key scans one slot and, for a duplicated key, one
+// slice.
 //
 // The index does not exist during the build phase (DESIGN.md "Staged
 // build, one-shot seal"). A table starts *staged*: inserts append to small
@@ -61,13 +63,20 @@ const (
 // instead of every segment of a uniformly filled table growing at once.
 var segStartCaps = [4]int{64, 71, 78, 87}
 
-// Meta words: metaEmpty, metaOne, or metaRun+r for a slot whose key also
-// owns the duplicate run Table.dups[r].
+// Tags: tagEmpty, or tagUsed | the low 6 bits of the key's mixKey, plus
+// tagRun when the slot's key also owns a duplicate run. The hash bits are
+// independent of the segment (the top bits) and of the home slot, so
+// within a segment they tell keys apart.
 const (
-	metaEmpty int32 = 0
-	metaOne   int32 = 1
-	metaRun   int32 = 2
+	tagEmpty uint8 = 0
+	tagUsed  uint8 = 0x80
+	tagRun   uint8 = 0x40
+	tagHash  uint8 = 0x3f
 )
+
+// tagOf is the tag of a slot holding a key whose mixed key is h and that
+// owns no run.
+func tagOf(h uint64) uint8 { return tagUsed | uint8(h)&tagHash }
 
 // segment is one linear-probed array of distinct keys at load ≤ ¾. Its
 // capacity is arbitrary (not a power of two): a hash is reduced to a slot
@@ -78,8 +87,12 @@ type segment struct {
 	// sealed.
 	blocks [][]tuple.Tuple
 	slots  []tuple.Tuple
-	meta   []int32
-	used   int // occupied slots
+	tags   []uint8
+	// runs holds, for a slot tagged tagRun, the index of its key's run in
+	// Table.dups. It is allocated at the segment's first duplicate, so a
+	// segment of unique keys has none.
+	runs []int32
+	used int // occupied slots
 	// salt, derived from the capacity, re-orders the segment's slots at
 	// every growth step: tuples extracted in slot order arrive at their
 	// next table in an order unrelated to that table's own slot order.
@@ -92,7 +105,7 @@ type Table struct {
 	layout tuple.Layout
 	segs   [numSegs]segment
 	// sealed says the segments are indexed. It is set by the first lookup
-	// (find) and cleared only by Reset; while it is false slots and meta
+	// (find) and cleared only by Reset; while it is false slots and tags
 	// are nil and the tuples live in the segments' staging blocks.
 	sealed bool
 	// dups holds, per duplicated key, the RunWords of the key's tuples
@@ -135,7 +148,7 @@ func mixKey(key uint64) uint64 {
 
 // home maps a mixed key to its preferred slot.
 func (sg *segment) home(h uint64) int {
-	hi, _ := bits.Mul64((h^sg.salt)*fibMul, uint64(len(sg.meta)))
+	hi, _ := bits.Mul64((h^sg.salt)*fibMul, uint64(len(sg.tags)))
 	return int(hi)
 }
 
@@ -150,14 +163,16 @@ func (t *Table) find(key uint64) (*segment, int) {
 	if sg.used == 0 {
 		return sg, -1
 	}
+	tag := tagOf(h)
 	for i := sg.home(h); ; {
-		if sg.meta[i] == metaEmpty {
+		g := sg.tags[i]
+		if g == tagEmpty {
 			return sg, -1
 		}
-		if sg.slots[i].Key == key {
+		if g&^tagRun == tag && sg.slots[i].Key == key {
 			return sg, i
 		}
-		if i++; i == len(sg.meta) {
+		if i++; i == len(sg.tags) {
 			i = 0
 		}
 	}
@@ -172,7 +187,7 @@ func (t *Table) Insert(tp tuple.Tuple) {
 	if !t.sealed {
 		sg.stage(tp)
 	} else {
-		if sg.used >= len(sg.meta)-len(sg.meta)/4 {
+		if sg.used >= len(sg.tags)-len(sg.tags)/4 {
 			t.grow(int(s))
 		}
 		t.index(sg, h, tp)
@@ -232,41 +247,48 @@ func (t *Table) seal() {
 				t.index(sg, mixKey(tp.Key), tp)
 			}
 		}
-		if sg.used < len(sg.meta)/2 {
+		if sg.used < len(sg.tags)/2 {
 			t.rehash(sg, sg.used+sg.used/3+4)
 		}
 	}
 }
 
-// alloc gives the segment empty arrays of capacity n; used is the caller's.
+// alloc gives the segment empty arrays of capacity n and no runs; used is
+// the caller's.
 func (sg *segment) alloc(n int) {
 	sg.slots = make([]tuple.Tuple, n)
-	sg.meta = make([]int32, n)
+	sg.tags = make([]uint8, n)
+	sg.runs = nil
 	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
 }
 
 // index places tp, whose mixed key is h, in a segment that has a free
 // slot to spare.
 func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
+	tag := tagOf(h)
 	for i := sg.home(h); ; {
-		m := sg.meta[i]
-		if m == metaEmpty {
+		g := sg.tags[i]
+		if g == tagEmpty {
 			sg.slots[i] = tp
-			sg.meta[i] = metaOne
+			sg.tags[i] = tag
 			sg.used++
 			return
 		}
-		if sg.slots[i].Key == tp.Key {
+		if g&^tagRun == tag && sg.slots[i].Key == tp.Key {
 			w := tuple.RunWord(tp.Index)
-			if m == metaOne {
-				sg.meta[i] = metaRun + t.newRun(w)
+			if g&tagRun == 0 {
+				if sg.runs == nil {
+					sg.runs = make([]int32, len(sg.tags))
+				}
+				sg.runs[i] = t.newRun(w)
+				sg.tags[i] |= tagRun
 			} else {
-				t.dups[m-metaRun] = append(t.dups[m-metaRun], w)
+				t.dups[sg.runs[i]] = append(t.dups[sg.runs[i]], w)
 			}
 			return
 		}
 		t.steps++
-		if i++; i == len(sg.meta) {
+		if i++; i == len(sg.tags) {
 			i = 0
 		}
 	}
@@ -304,30 +326,37 @@ func (t *Table) InsertChunk(c *tuple.Chunk) { t.InsertAll(c.Tuples) }
 // grow moves segment s of a sealed table to 1.5× its capacity.
 func (t *Table) grow(s int) {
 	sg := &t.segs[s]
-	n := len(sg.meta) + len(sg.meta)/2
+	n := len(sg.tags) + len(sg.tags)/2
 	if n == 0 {
 		n = segStartCaps[s%len(segStartCaps)]
 	}
 	t.rehash(sg, n)
 }
 
-// rehash moves the segment's occupied slots to fresh arrays of capacity n.
+// rehash moves the segment's occupied slots to fresh arrays of capacity n;
+// a segment that has runs keeps them.
 func (t *Table) rehash(sg *segment, n int) {
-	oldSlots, oldMeta := sg.slots, sg.meta
+	oldSlots, oldTags, oldRuns := sg.slots, sg.tags, sg.runs
 	sg.alloc(n)
-	for j, m := range oldMeta {
-		if m == metaEmpty {
+	if oldRuns != nil {
+		sg.runs = make([]int32, n)
+	}
+	for j, g := range oldTags {
+		if g == tagEmpty {
 			continue
 		}
 		i := sg.home(mixKey(oldSlots[j].Key))
-		for sg.meta[i] != metaEmpty {
+		for sg.tags[i] != tagEmpty {
 			t.steps++
 			if i++; i == n {
 				i = 0
 			}
 		}
 		sg.slots[i] = oldSlots[j]
-		sg.meta[i] = m
+		sg.tags[i] = g
+		if g&tagRun != 0 {
+			sg.runs[i] = oldRuns[j]
+		}
 	}
 }
 
@@ -339,8 +368,8 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 		return 0
 	}
 	var run []uint64
-	if m := sg.meta[i]; m >= metaRun {
-		run = t.dups[m-metaRun]
+	if sg.tags[i]&tagRun != 0 {
+		run = t.dups[sg.runs[i]]
 	}
 	if fn != nil {
 		fn(sg.slots[i])
@@ -371,8 +400,8 @@ func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64)
 		}
 		matches++
 		xor ^= tuple.MixPair(sg.slots[i].Index, probe.Index)
-		if m := sg.meta[i]; m >= metaRun {
-			run := t.dups[m-metaRun]
+		if sg.tags[i]&tagRun != 0 {
+			run := t.dups[sg.runs[i]]
 			matches += int64(len(run))
 			xor ^= mixRun(run, probe.Index)
 		}
@@ -561,16 +590,17 @@ func (sg *segment) extractStaged(out [][]tuple.Tuple, s *sorter) {
 // deleted by backward shift, which may pull a not yet examined slot into
 // position i — so i is examined again.
 func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
-	for i := 0; i < len(sg.meta); {
-		m := sg.meta[i]
-		if m == metaEmpty {
+	for i := 0; i < len(sg.tags); {
+		g := sg.tags[i]
+		if g == tagEmpty {
 			i++
 			continue
 		}
 		key := sg.slots[i].Key
+		hasRun := g&tagRun != 0
 		var run []uint64
-		if m >= metaRun {
-			run = t.dups[m-metaRun]
+		if hasRun {
+			run = t.dups[sg.runs[i]]
 			kept := run[:0]
 			for _, w := range run {
 				tp := tuple.Tuple{Index: tuple.RunIndex(w), Key: key}
@@ -585,8 +615,8 @@ func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 		if d := s.of(sg.slots[i]); d >= 0 {
 			out[d] = append(out[d], sg.slots[i])
 			if len(run) == 0 {
-				if m >= metaRun {
-					t.freeRun(m - metaRun)
+				if hasRun {
+					t.freeRun(sg.runs[i])
 				}
 				sg.remove(i)
 				continue
@@ -594,12 +624,12 @@ func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 			sg.slots[i].Index = tuple.RunIndex(run[len(run)-1])
 			run = run[:len(run)-1]
 		}
-		if m >= metaRun {
+		if hasRun {
 			if len(run) == 0 {
-				t.freeRun(m - metaRun)
-				sg.meta[i] = metaOne
+				t.freeRun(sg.runs[i])
+				sg.tags[i] &^= tagRun
 			} else {
-				t.dups[m-metaRun] = run
+				t.dups[sg.runs[i]] = run
 			}
 		}
 		i++
@@ -611,10 +641,10 @@ func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
 // tombstone is left and lookups keep stopping at the first empty slot.
 func (sg *segment) remove(i int) {
 	for j := i; ; {
-		if j++; j == len(sg.meta) {
+		if j++; j == len(sg.tags) {
 			j = 0
 		}
-		if sg.meta[j] == metaEmpty {
+		if sg.tags[j] == tagEmpty {
 			break
 		}
 		// The tuple at j must stay if its home lies cyclically in (i, j].
@@ -626,10 +656,13 @@ func (sg *segment) remove(i int) {
 		} else if i < k || k <= j {
 			continue
 		}
-		sg.slots[i], sg.meta[i] = sg.slots[j], sg.meta[j]
+		sg.slots[i], sg.tags[i] = sg.slots[j], sg.tags[j]
+		if sg.runs != nil {
+			sg.runs[i] = sg.runs[j]
+		}
 		i = j
 	}
-	sg.meta[i] = metaEmpty
+	sg.tags[i] = tagEmpty
 	sg.used--
 }
 
@@ -642,14 +675,14 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 				fn(tp)
 			}
 		}
-		for i, m := range sg.meta {
-			if m == metaEmpty {
+		for i, g := range sg.tags {
+			if g == tagEmpty {
 				continue
 			}
 			fn(sg.slots[i])
-			if m >= metaRun {
+			if g&tagRun != 0 {
 				key := sg.slots[i].Key
-				for _, w := range t.dups[m-metaRun] {
+				for _, w := range t.dups[sg.runs[i]] {
 					fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
 				}
 			}

@@ -60,13 +60,13 @@ func (t *Table) forEachKey(fn func(key uint64, n int64)) {
 				fn(tp.Key, 1)
 			}
 		}
-		for i, m := range sg.meta {
-			if m == metaEmpty {
+		for i, g := range sg.tags {
+			if g == tagEmpty {
 				continue
 			}
 			n := int64(1)
-			if m >= metaRun {
-				n += int64(len(t.dups[m-metaRun]))
+			if g&tagRun != 0 {
+				n += int64(len(t.dups[sg.runs[i]]))
 			}
 			fn(sg.slots[i].Key, n)
 		}

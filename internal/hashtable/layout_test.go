@@ -93,9 +93,58 @@ func TestReinsertInExtractedOrderDoesNotCluster(t *testing.T) {
 	insertAll(t, "re-insert in extracted order", smallSpace, moved)
 }
 
+// The tag's 6 hash bits must spread the keys of one segment over all 64
+// values whatever set the keys come from: a probe reads a slot only where
+// the tag matches. Tags taken from the bits that choose the segment are
+// one value per segment, every probe step reads its slot again, and a
+// unique-key probe at 750 k keys costs 117 ns instead of 92
+// (BenchmarkProbeUnique, hit=all, medians of six runs on a 2-vCPU Xeon).
+func TestTagsSpreadWithinSegment(t *testing.T) {
+	const n, seg = 100_000, 17
+	space := hashfn.Space{Bits: 16}
+	r := hashfn.Range{Lo: 3 << 10, Hi: 4 << 10} // 1/64 of the positions
+	const fibInverse = 0xF1DE83E19937733D       // spill's multiplier inverted mod 2^64
+	for _, set := range []struct {
+		name string
+		draw func(*rand.Rand) uint64
+		ok   func(uint64) bool
+	}{
+		{"uniform", (*rand.Rand).Uint64, func(uint64) bool { return true }},
+		{"one routing range",
+			func(rng *rand.Rand) uint64 { return 3<<58 | rng.Uint64()>>6 },
+			func(k uint64) bool { return r.Contains(space.PositionOf(k)) }},
+		{"spill partition 5 of 32",
+			func(rng *rand.Rand) uint64 { return (5<<59 | rng.Uint64()>>5) * fibInverse },
+			func(k uint64) bool { return spill.PartitionOf(k, 32) == 5 }},
+	} {
+		rng := rand.New(rand.NewSource(13))
+		tbl := hashtable.New(space, tuple.DefaultLayout())
+		for i := 0; i < n; {
+			k := set.draw(rng)
+			if !set.ok(k) {
+				t.Fatalf("%s: drew key %#x outside the set", set.name, k)
+			}
+			if hashtable.SegmentOf(k) == seg {
+				tbl.Insert(tuple.Tuple{Index: uint64(i), Key: k})
+				i++
+			}
+		}
+		tbl.Probe(0, nil) // seals
+		counts := tbl.TagHashCounts(seg)
+		share := n / len(counts)
+		for v, c := range counts {
+			if c < share/2 || c > 2*share {
+				t.Errorf("%s: tag hash %#x on %d of %d keys, want %d to %d", set.name, v, c, n, share/2, 2*share)
+				break
+			}
+		}
+	}
+}
+
 // Staging a tuple allocates 1/1024 of a block and holds the tuple's 16
-// bytes; the seal adds slots at load ¾ and drops the blocks, so a table
-// stays within 30 bytes per tuple. The allocation bound is checked at
+// bytes; the seal adds 17-byte slots (16 for the tuple, 1 for its tag) at
+// load ¾ and drops the blocks, so a table stays within 25 bytes per tuple
+// (4-byte tags read about 27). The allocation bound is checked at
 // 200 k tuples, where the doubling first blocks weigh more; the footprints
 // at one worker's share of the benchmark's build relation, where the
 // half-empty last blocks are under a byte per tuple.
@@ -124,9 +173,12 @@ func TestUniqueKeyInsertFootprint(t *testing.T) {
 		t.Errorf("%.1f heap bytes per staged tuple, want <= 18", perTuple)
 	}
 	tbl.Probe(0, nil)
-	if perTuple := heapPerTuple(&before); perTuple > 30 {
-		t.Errorf("%.1f heap bytes per tuple after the seal, want <= 30", perTuple)
+	perTuple := heapPerTuple(&before)
+	t.Logf("%.1f heap bytes per tuple after the seal", perTuple)
+	if perTuple > 25 {
+		t.Errorf("%.1f heap bytes per tuple after the seal, want <= 25", perTuple)
 	}
+	runtime.KeepAlive(ts) // allocated before the baseline: it must not leave the heap
 	runtime.KeepAlive(tbl)
 }
 

@@ -70,8 +70,8 @@ func (t *Table) wrappedSlots() int {
 	n := 0
 	for s := range t.segs {
 		sg := &t.segs[s]
-		for i, m := range sg.meta {
-			if m != metaEmpty && sg.home(mixKey(sg.slots[i].Key)) > i {
+		for i, g := range sg.tags {
+			if g != tagEmpty && sg.home(mixKey(sg.slots[i].Key)) > i {
 				n++
 			}
 		}
@@ -330,7 +330,7 @@ func TestExtractFromWrappedCluster(t *testing.T) {
 	tbl.Insert(tuple.Tuple{Key: 0}) // allocates the segment of key 0
 	h := mixKey(0)
 	sg := &tbl.segs[h>>(64-segBits)]
-	n := len(sg.meta)
+	n := len(sg.tags)
 	tbl.ExtractMatching(func(tuple.Tuple) bool { return true })
 
 	rng := rand.New(rand.NewSource(7))
@@ -343,8 +343,8 @@ func TestExtractFromWrappedCluster(t *testing.T) {
 			tbl.Insert(tuple.Tuple{Index: uint64(100 + len(keys)), Key: k}) // every key duplicated
 		}
 	}
-	if len(sg.meta) != n || tbl.wrappedSlots() < 7 {
-		t.Fatalf("setup: segment grew to %d or cluster did not wrap (%d wrapped)", len(sg.meta), tbl.wrappedSlots())
+	if len(sg.tags) != n || tbl.wrappedSlots() < 7 {
+		t.Fatalf("setup: segment grew to %d or cluster did not wrap (%d wrapped)", len(sg.tags), tbl.wrappedSlots())
 	}
 	gone := map[uint64]bool{}
 	for _, victim := range []int{0, 8, 4, 1} {

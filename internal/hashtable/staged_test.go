@@ -42,8 +42,8 @@ func TestSealedSegmentKeepsAnEmptySlot(t *testing.T) {
 			}
 			tbl.Insert(tuple.Tuple{Index: uint64(staged + i), Key: k})
 			sg := &tbl.segs[9]
-			if sg.used >= len(sg.meta) {
-				t.Fatalf("%d staged: segment full at %d of %d slots", staged, sg.used, len(sg.meta))
+			if sg.used >= len(sg.tags) {
+				t.Fatalf("%d staged: segment full at %d of %d slots", staged, sg.used, len(sg.tags))
 			}
 		}
 		for _, k := range keys {
@@ -55,7 +55,8 @@ func TestSealedSegmentKeepsAnEmptySlot(t *testing.T) {
 }
 
 // The seal sizes a segment's slots by its keys, not its tuples: duplicates
-// live in runs, and 20 bytes of slot per duplicate would be 4 MB here.
+// live in runs, and a 16-byte slot plus its tag byte per duplicate would
+// be 3.4 MB here. The runs array counts 4 bytes per slot.
 func TestSealSizesSlotsByKeys(t *testing.T) {
 	const tuples, keys = 200_000, 200
 	rng := rand.New(rand.NewSource(2))
@@ -85,10 +86,49 @@ func TestSealSizesSlotsByKeys(t *testing.T) {
 		if sg.blocks != nil {
 			t.Fatalf("segment %d kept its staging blocks across the seal", s)
 		}
-		slotBytes += len(sg.slots)*16 + len(sg.meta)*4
+		slotBytes += len(sg.slots)*16 + len(sg.tags) + 4*len(sg.runs)
 	}
 	if slotBytes > 64<<10 {
 		t.Errorf("slot arrays take %d bytes for %d keys, want <= 64 KB", slotBytes, keys)
+	}
+}
+
+// A segment's runs array is allocated at its first duplicate: a sealed
+// table of unique keys has none, and one duplicate — staged before the
+// seal or inserted after it — allocates runs in its own segment only.
+func TestUniqueKeysAllocateNoRuns(t *testing.T) {
+	for _, dupAfterSeal := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(6))
+		tbl := New(testSpace, tuple.DefaultLayout())
+		keys := make([]uint64, 20_000)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+			tbl.Insert(tuple.Tuple{Index: uint64(i), Key: keys[i]})
+		}
+		tbl.Probe(0, nil) // seals
+		for s := range tbl.segs {
+			if tbl.segs[s].runs != nil {
+				t.Fatalf("unique keys: segment %d has runs", s)
+			}
+		}
+		if !dupAfterSeal {
+			tbl.Reset()
+			for i, k := range keys {
+				tbl.Insert(tuple.Tuple{Index: uint64(i), Key: k})
+			}
+		}
+		dup := keys[len(keys)/2]
+		tbl.Insert(tuple.Tuple{Index: uint64(len(keys)), Key: dup})
+		if n := tbl.Probe(dup, nil); n != 2 {
+			t.Fatalf("duplicated key probes %d tuples, want 2", n)
+		}
+		own := int(mixKey(dup) >> (64 - segBits))
+		for s := range tbl.segs {
+			if has := tbl.segs[s].runs != nil; has != (s == own) {
+				t.Errorf("duplicate after seal %v: segment %d has runs %v, the duplicate's segment is %d",
+					dupAfterSeal, s, has, own)
+			}
+		}
 	}
 }
 
