@@ -17,7 +17,9 @@
 // the key they share — and every reader that hands tuples back rebuilds
 // them exactly (tuple.RunIndex). Inserting a tuple of a new key allocates
 // nothing; probing a key scans one slot and, for a duplicated key, one
-// slice.
+// slice. ProbeAll, the engine's probe, works in groups of 16 tuples: it
+// hashes the group and prefetches every home slot before it resolves any,
+// so the group's cache misses overlap instead of queueing.
 //
 // The index does not exist during the build phase (DESIGN.md "Staged
 // build, one-shot seal"). A table starts *staged*: inserts append to small
@@ -105,7 +107,7 @@ type Table struct {
 	layout tuple.Layout
 	segs   [numSegs]segment
 	// sealed says the segments are indexed. It is set by the first lookup
-	// (find) and cleared only by Reset; while it is false slots and tags
+	// (find or ProbeAll) and cleared only by Reset; while it is false slots and tags
 	// are nil and the tuples live in the segments' staging blocks.
 	sealed bool
 	// dups holds, per duplicated key, the RunWords of the key's tuples
@@ -153,7 +155,8 @@ func (sg *segment) home(h uint64) int {
 }
 
 // find returns the segment of key and the slot holding it, or -1. Every
-// lookup goes through it, so it is where a staged table is sealed.
+// single-key lookup goes through it, so it is where a staged table is
+// sealed; ProbeAll seals once and runs the same lookup per group.
 func (t *Table) find(key uint64) (*segment, int) {
 	if !t.sealed {
 		t.seal()
@@ -163,14 +166,20 @@ func (t *Table) find(key uint64) (*segment, int) {
 	if sg.used == 0 {
 		return sg, -1
 	}
+	return sg, sg.lookup(h, sg.home(h), key)
+}
+
+// lookup returns the slot of a non-empty segment holding key, whose mixed
+// key is h and home slot i, or -1. It is the package's one probe loop.
+func (sg *segment) lookup(h uint64, i int, key uint64) int {
 	tag := tagOf(h)
-	for i := sg.home(h); ; {
+	for {
 		g := sg.tags[i]
 		if g == tagEmpty {
-			return sg, -1
+			return -1
 		}
 		if g&^tagRun == tag && sg.slots[i].Key == key {
-			return sg, i
+			return i
 		}
 		if i++; i == len(sg.tags) {
 			i = 0
@@ -390,20 +399,56 @@ func (t *Table) ProbeAll(ts []tuple.Tuple) (matches int64, xor uint64) {
 	return t.probeAll(ts, tuple.MixRun)
 }
 
+// probeGroup is how many probes ProbeAll hashes and prefetches before it
+// resolves them. Groups of 8 to 64 measured alike (DESIGN.md §14).
+const probeGroup = 16
+
 // probeAll is ProbeAll with the run fold as a parameter, so a benchmark
-// can time the table's loop over the pure-Go fold on any CPU.
+// can time the table's loop over the pure-Go fold on any CPU. Each group
+// takes two passes: the first hashes every tuple and prefetches its home
+// slot, the second resolves each with lookup, by which time the group's
+// misses have been in flight together.
 func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64) (matches int64, xor uint64) {
-	for _, probe := range ts {
-		sg, i := t.find(probe.Key)
-		if i < 0 {
-			continue
+	if len(ts) > 0 && !t.sealed {
+		t.seal()
+	}
+	var (
+		hs    [probeGroup]uint64
+		homes [probeGroup]int // -1: the key's segment is empty
+		ps    [probeGroup]*tuple.Tuple
+	)
+	for len(ts) > 0 {
+		g := ts[:min(len(ts), probeGroup)]
+		ts = ts[len(g):]
+		n := 0
+		for j := range g {
+			h := mixKey(g[j].Key)
+			sg := &t.segs[h>>(64-segBits)]
+			hs[j], homes[j] = h, -1
+			if sg.used == 0 {
+				continue
+			}
+			homes[j] = sg.home(h)
+			ps[n] = &sg.slots[homes[j]]
+			n++
 		}
-		matches++
-		xor ^= tuple.MixPair(sg.slots[i].Index, probe.Index)
-		if sg.tags[i]&tagRun != 0 {
-			run := t.dups[sg.runs[i]]
-			matches += int64(len(run))
-			xor ^= mixRun(run, probe.Index)
+		prefetchSlots(ps[:n])
+		for j := range g {
+			if homes[j] < 0 {
+				continue
+			}
+			sg := &t.segs[hs[j]>>(64-segBits)]
+			i := sg.lookup(hs[j], homes[j], g[j].Key)
+			if i < 0 {
+				continue
+			}
+			matches++
+			xor ^= tuple.MixPair(sg.slots[i].Index, g[j].Index)
+			if sg.tags[i]&tagRun != 0 {
+				run := t.dups[sg.runs[i]]
+				matches += int64(len(run))
+				xor ^= mixRun(run, g[j].Index)
+			}
 		}
 	}
 	return matches, xor

@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -121,16 +122,75 @@ func TestProbeAllMatchesPerMatchFold(t *testing.T) {
 	check(k, "runs reused", 3*(evens+int64(len(runLens)-2)))
 }
 
-// The kernel allocates nothing: no closure, no per-chunk scratch.
-func TestProbeAllDoesNotAllocate(t *testing.T) {
-	tbl := New(testSpace, tuple.DefaultLayout())
-	var probes []tuple.Tuple
-	for i := 0; i < 4000; i++ {
-		tbl.Insert(tuple.Tuple{Index: uint64(i), Key: uint64(i%40) * fibMul})
-		probes = append(probes, tuple.Tuple{Index: uint64(i), Key: uint64(i%80) * fibMul})
+// TestProbeAllGroupBoundaries: ProbeAll hashes and prefetches a group of
+// probeGroup tuples before it resolves any of them. Batches that end on,
+// just before and just past a group boundary must meet the per-key Probe
+// fold, on a staged table (the seal runs inside the call) and a sealed
+// one, a sparse table whose segments are mostly empty (never allocated)
+// and a dense one with duplicate runs, and with a third of the probe keys
+// absent.
+func TestProbeAllGroupBoundaries(t *testing.T) {
+	shapes := []struct {
+		name       string
+		keys, dups int // dups: tuples per key for every fourth key
+	}{{"sparse", 8, 3}, {"dense", 3000, 5}} // 8 keys leave at least 56 of 64 segments empty
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 15, 16, 17, 33, 1000} {
+			for _, staged := range []bool{true, false} {
+				rng := rand.New(rand.NewSource(int64(41*n + sh.keys)))
+				tbl := New(testSpace, tuple.DefaultLayout())
+				stored := make([]uint64, sh.keys)
+				for k := range stored {
+					stored[k] = rng.Uint64()
+					copies := 1
+					if k%4 == 0 {
+						copies = sh.dups
+					}
+					for c := 0; c < copies; c++ {
+						tbl.Insert(tuple.Tuple{Index: uint64(k)<<8 | uint64(c), Key: stored[k]})
+					}
+				}
+				if !staged {
+					tbl.Probe(0, nil)
+				}
+				probes := make([]tuple.Tuple, n)
+				for i := range probes {
+					key := stored[rng.Intn(sh.keys)]
+					if i%3 == 2 {
+						key = rng.Uint64() // absent with overwhelming probability
+					}
+					probes[i] = tuple.Tuple{Index: 1<<40 + uint64(i), Key: key}
+				}
+				m, x := tbl.ProbeAll(probes) // a staged table seals here
+				var matches int64
+				var xor uint64
+				for _, p := range probes {
+					matches += int64(tbl.Probe(p.Key, func(b tuple.Tuple) { xor ^= tuple.MixPair(b.Index, p.Index) }))
+				}
+				if m != matches || x != xor {
+					t.Errorf("%s, staged %v, %d probes: ProbeAll = %d/%#x, per-key fold %d/%#x",
+						sh.name, staged, n, m, x, matches, xor)
+				}
+			}
+		}
 	}
-	tbl.ProbeAll(probes) // seals
-	if allocs := testing.AllocsPerRun(10, func() { tbl.ProbeAll(probes) }); allocs != 0 {
-		t.Errorf("ProbeAll allocates %v times per call on a sealed table", allocs)
+}
+
+// The kernel allocates nothing: no closure, no per-chunk scratch, and the
+// group's hashes, homes and prefetch pointers stay on the stack. One arm
+// probes duplicate runs, the other unique keys across 250 groups; both
+// probe absent keys too.
+func TestProbeAllDoesNotAllocate(t *testing.T) {
+	for _, keys := range []int{40, 4000} {
+		tbl := New(testSpace, tuple.DefaultLayout())
+		var probes []tuple.Tuple
+		for i := 0; i < 4000; i++ {
+			tbl.Insert(tuple.Tuple{Index: uint64(i), Key: uint64(i%keys) * fibMul})
+			probes = append(probes, tuple.Tuple{Index: uint64(i), Key: uint64(7*i%(2*keys)) * fibMul})
+		}
+		tbl.ProbeAll(probes) // seals
+		if allocs := testing.AllocsPerRun(10, func() { tbl.ProbeAll(probes) }); allocs != 0 {
+			t.Errorf("%d keys: ProbeAll allocates %v times per call on a sealed table", keys, allocs)
+		}
 	}
 }
