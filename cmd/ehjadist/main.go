@@ -88,18 +88,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var alg core.Algorithm
-	switch *algName {
-	case "split":
-		alg = core.Split
-	case "replication", "repl":
-		alg = core.Replication
-	case "hybrid":
-		alg = core.Hybrid
-	case "ooc", "out-of-core":
-		alg = core.OutOfCore
-	default:
-		fmt.Fprintf(os.Stderr, "ehjadist: unknown algorithm %q\n", *algName)
+	alg, err := core.ParseAlgorithm(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ehjadist:", err)
 		stopCPUProfile()
 		os.Exit(2)
 	}

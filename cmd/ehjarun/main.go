@@ -26,21 +26,6 @@ import (
 	"ehjoin/internal/tuple"
 )
 
-func parseAlg(s string) (core.Algorithm, error) {
-	switch s {
-	case "split":
-		return core.Split, nil
-	case "replication", "repl":
-		return core.Replication, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	case "ooc", "out-of-core":
-		return core.OutOfCore, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (split|replication|hybrid|ooc)", s)
-	}
-}
-
 // parseFaults parses the -faults value: a comma-separated list of
 // "NODE@ATSEC" or "NODE@ATSEC:DETECTSEC" crash specs, e.g. "0@1.5,3@2:0.05".
 func parseFaults(s string) (core.FaultPlan, error) {
@@ -122,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	alg, err := parseAlg(*algName)
+	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
 		fmt.Fprintln(stderr, "ehjarun:", err)
 		return 2

@@ -19,6 +19,7 @@ func TestBadInputsFailInOneLine(t *testing.T) {
 		{"-tuple 0", 2},
 		{"-sources -1", 1},
 		{"-budget -1", 1},
+		{"-alg bogus", 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args+" -r 20000 -s 20000"), &stdout, &stderr)

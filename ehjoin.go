@@ -19,10 +19,9 @@
 //
 // The algorithms execute as actors over interchangeable engines: a
 // deterministic cluster simulator with a calibrated cost model (the default
-// used by Run), a goroutine-per-actor live engine, and a TCP transport for
-// real multi-process runs. Results are exact — real tuples flow through
-// real hash tables — while the simulator's virtual clock reproduces the
-// paper's cluster timing.
+// used by Run) and a TCP transport for real multi-process runs. Results
+// are exact — real tuples flow through real hash tables — while the
+// simulator's virtual clock reproduces the paper's cluster timing.
 //
 // Quick start:
 //
@@ -93,8 +92,8 @@ type CostModel = rt.CostModel
 // cluster (Pentium III 933 MHz, 100 Mb/s switched Ethernet).
 func OSUMed() CostModel { return rt.OSUMed() }
 
-// Engine abstracts the execution substrate; see internal/sim,
-// internal/live, and internal/tcpnet.
+// Engine abstracts the execution substrate; see internal/sim and
+// internal/tcpnet.
 type Engine = rt.Engine
 
 // OOCPolicy selects how the out-of-core baseline degrades when memory

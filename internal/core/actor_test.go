@@ -209,6 +209,26 @@ func TestJoinActorPreInitBuffering(t *testing.T) {
 	}
 }
 
+// TestJoinActorCloneBeforeInit: a probe-phase recruit's table clone
+// travels the full node's link and its joinInit the scheduler's, so over
+// TCP the whole clone can land first. The recruit must then probe at once,
+// not hold its probe tuples for a clone that already arrived.
+func TestJoinActorCloneBeforeInit(t *testing.T) {
+	cfg := actorConfig(Replication)
+	j := newJoin(cfg, cfg.joinID(2))
+	env := &scriptEnv{}
+	full, src := cfg.joinID(0), cfg.sourceID(0)
+	j.Receive(env, full, &cloneTuples{Chunk: chunkOf(tuple.RelR, cfg.Build.Layout, 1, 2, 3)})
+	j.Receive(env, full, &cloneEnd{TotalTuples: 3})
+	j.Receive(env, src, &dataChunk{Chunk: chunkOf(tuple.RelS, cfg.Probe.Layout, 1, 2, 9), Origin: src})
+	table, _ := hashfn.NewTable(cfg.Space, []int32{int32(cfg.joinID(2))})
+	j.Receive(env, rt.NoNode, &joinInit{Range: table.Entries[0].Range, Table: table, AwaitClone: true})
+	if j.awaitClone || len(j.heldProbes) != 0 || j.stats.ProbeTuples != 3 || j.stats.Matches != 2 {
+		t.Errorf("after joinInit: awaiting %v, %d chunks held, %d probe tuples, %d matches; want none held, 3 probed, 2 matches",
+			j.awaitClone, len(j.heldProbes), j.stats.ProbeTuples, j.stats.Matches)
+	}
+}
+
 func TestJoinActorNackStopsReporting(t *testing.T) {
 	cfg := actorConfig(Replication)
 	j := newJoin(cfg, cfg.joinID(0))

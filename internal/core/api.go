@@ -18,8 +18,8 @@ func Run(cfg Config) (*Report, error) {
 	return Execute(n, sim.New(n.Cost))
 }
 
-// Execute runs the configured join on an arbitrary engine (simulator,
-// goroutine engine, or TCP transport). The engine must be freshly
+// Execute runs the configured join on an arbitrary engine (simulator or
+// TCP transport). The engine must be freshly
 // constructed; Execute registers all actors and drives the phase schedule
 // (schedule.go) from its first step.
 func Execute(cfg Config, eng rt.Engine) (*Report, error) {

@@ -3,7 +3,7 @@
 // the non-expanding out-of-core baseline, together with the system
 // architecture they run on — a scheduler, data sources, and join processes
 // (§4.1) — expressed as runtime.Actors so the same code executes on the
-// cluster simulator, the live goroutine engine, and the TCP transport.
+// cluster simulator and the TCP transport.
 package core
 
 import (
@@ -47,6 +47,23 @@ func (a Algorithm) String() string {
 		return "hybrid"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", uint8(a))
+	}
+}
+
+// ParseAlgorithm is the inverse of String for the command lines: it also
+// takes the short names "repl" and "ooc".
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s {
+	case "split":
+		return Split, nil
+	case "replication", "repl":
+		return Replication, nil
+	case "hybrid":
+		return Hybrid, nil
+	case "ooc", "out-of-core":
+		return OutOfCore, nil
+	default:
+		return 0, fmt.Errorf("unknown algorithm %q (split|replication|hybrid|ooc)", s)
 	}
 }
 

@@ -32,3 +32,24 @@ func TestNormalizedRejectsNegativeInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAlgorithmNames: every algorithm parses back from its String, the
+// command-line short names map to theirs, and an unknown name is an error
+// that lists the choices.
+func TestParseAlgorithmNames(t *testing.T) {
+	for _, a := range Algorithms() {
+		if got, err := ParseAlgorithm(a.String()); got != a || err != nil {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for name, want := range map[string]Algorithm{"repl": Replication, "ooc": OutOfCore} {
+		if got, err := ParseAlgorithm(name); got != want || err != nil {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Split", "Algorithm(1)"} {
+		if _, err := ParseAlgorithm(name); err == nil || !strings.Contains(err.Error(), "split|replication|hybrid|ooc") {
+			t.Errorf("ParseAlgorithm(%q): err %v, want one listing the choices", name, err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ehjoin/internal/datagen"
-	"ehjoin/internal/live"
 	"ehjoin/internal/metrics"
 	rt "ehjoin/internal/runtime"
 )
@@ -170,42 +169,6 @@ func TestHeavyRoutingMaterializedComposition(t *testing.T) {
 			if on.Matches != off.Matches || on.Checksum != off.Checksum {
 				t.Errorf("heavy-on result %d/%#x, want %d/%#x",
 					on.Matches, on.Checksum, off.Matches, off.Checksum)
-			}
-		})
-	}
-}
-
-// TestHeavyRoutingLiveEngine runs the heavy path on the goroutine engine:
-// real concurrency must not reorder detection against probe routing (the
-// drain barrier separates them), and the result must match the simulator
-// bit for bit. The heavy-key set is content-determined — global key mass
-// against a fixed threshold — so it too must match across engines.
-func TestHeavyRoutingLiveEngine(t *testing.T) {
-	for _, alg := range []Algorithm{Split, Replication, Hybrid} {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := heavyConfig(alg, datagen.Zipf, 1.5, 11)
-			cfg.HeavyThreshold = 0.02
-			wantMatches, wantChecksum := referenceJoin(t, cfg)
-			simRep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("sim: %v", err)
-			}
-			eng := live.New()
-			defer eng.Close()
-			liveRep, err := Execute(cfg, eng)
-			if err != nil {
-				t.Fatalf("live: %v", err)
-			}
-			if liveRep.Matches != wantMatches || liveRep.Checksum != wantChecksum {
-				t.Errorf("live result %d/%#x, want %d/%#x",
-					liveRep.Matches, liveRep.Checksum, wantMatches, wantChecksum)
-			}
-			if liveRep.HeavyKeys != simRep.HeavyKeys {
-				t.Errorf("live detected %d heavy keys, sim %d — detection must be content-determined",
-					liveRep.HeavyKeys, simRep.HeavyKeys)
-			}
-			if liveRep.HeavyProbeTuples == 0 {
-				t.Error("no probe tuples took the partitioned path on the live engine")
 			}
 		})
 	}

@@ -87,7 +87,7 @@ type joinActor struct {
 func newJoin(cfg Config, id rt.NodeID) *joinActor {
 	j := &joinActor{
 		cfg: cfg, id: id, budget: cfg.budgetOf(id), forwardTo: rt.NoNode,
-		table: hashtable.New(cfg.Space, cfg.Build.Layout),
+		table: hashtable.New(cfg.Space, cfg.Build.Layout), cloneTotal: -1,
 	}
 	if cfg.Algorithm == OutOfCore {
 		j.armRung()
@@ -117,7 +117,6 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 		j.activate(msg.Range, msg.Table)
 		if msg.AwaitClone {
 			j.awaitClone = true
-			j.cloneTotal = -1
 		}
 		for _, p := range j.preInit {
 			if p.migrated {
@@ -127,6 +126,9 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 			}
 		}
 		j.preInit = nil
+		// The clone travels the full node's link and joinInit the
+		// scheduler's: over TCP the whole clone can land first.
+		j.maybeReleaseHeldProbes(env)
 	case *dataChunk:
 		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 		if msg.Origin != rt.NoNode {

@@ -170,8 +170,9 @@ func ExecuteMulti(mc MultiConfig, eng rt.Engine) (*MultiReport, error) {
 	}
 	// Wire the stages together: stage s's nodes forward matches using
 	// stage s+1's final routing table, read after the reshuffle, each node
-	// through its own copy (a lookup builds the copy's index, and on the
-	// live engine the nodes run concurrently).
+	// through its own copy (a lookup builds the copy's index, and an
+	// engine that hands injections over in process may run the nodes
+	// concurrently).
 	wiring := func() []pendingInject {
 		var in []pendingInject
 		for s := 0; s+1 < len(cfgs); s++ {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ehjoin/internal/datagen"
-	"ehjoin/internal/live"
 	"ehjoin/internal/spill"
 )
 
@@ -134,20 +133,6 @@ func TestTwoWayPipelineEqualsSingleJoin(t *testing.T) {
 	}
 	if r.Matches != wantM || r.Checksum != wantCk {
 		t.Errorf("pipeline result %d/%#x, want %d/%#x", r.Matches, r.Checksum, wantM, wantCk)
-	}
-}
-
-func TestMultiJoinOnLiveEngine(t *testing.T) {
-	mc := multiConfig(Hybrid, 3)
-	wantM, wantCk := referenceMultiJoin(t, mc)
-	eng := live.New()
-	defer eng.Close()
-	r, err := ExecuteMulti(mc, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Matches != wantM || r.Checksum != wantCk {
-		t.Errorf("live pipeline result %d/%#x, want %d/%#x", r.Matches, r.Checksum, wantM, wantCk)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ehjoin/internal/datagen"
-	"ehjoin/internal/live"
 )
 
 // probeExpandConfig: ample build-side memory, but every probe tuple matches
@@ -81,20 +80,6 @@ func TestProbeExpansionRejectsOOC(t *testing.T) {
 	cfg := probeExpandConfig(OutOfCore)
 	if _, err := Run(cfg); err == nil {
 		t.Error("MaterializeOutput with the out-of-core baseline accepted")
-	}
-}
-
-func TestProbeExpansionOnLiveEngine(t *testing.T) {
-	cfg := probeExpandConfig(Split)
-	wantM, wantCk := referenceJoin(t, cfg)
-	eng := live.New()
-	defer eng.Close()
-	r, err := Execute(cfg, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Matches != wantM || r.Checksum != wantCk {
-		t.Errorf("live result %d/%#x, want %d/%#x", r.Matches, r.Checksum, wantM, wantCk)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/hashfn"
-	"ehjoin/internal/live"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/sim"
 	"ehjoin/internal/tuple"
@@ -268,15 +268,24 @@ func TestMaxCreditWindowValidation(t *testing.T) {
 // flight + acks in flight = window. It can also kill one join node after it
 // has absorbed a given number of build chunks; the dying node reports its
 // own death, standing in for a failure detector on either engine.
+//
+// On the simulator every actor registers here. On tcpnet the coordinator
+// discards the join actors Execute registers, and each worker builds its
+// own through the factory, which hands them to host; a barrier reads them
+// after Drain, and the socket reads and writes that carried the workers'
+// reports order those reads after the workers' writes.
 type ledgerEngine struct {
 	rt.Engine
 	t     *testing.T
 	label string
 	cfg   Config
 
-	sched   *schedActor
-	sources []*sourceActor
-	joins   []*joinActor
+	sched       *schedActor
+	sources     []*sourceActor
+	remoteJoins bool // the join actors run on workers: host records them
+
+	mu    sync.Mutex // host runs on the worker goroutines
+	joins []*joinActor
 
 	victim      rt.NodeID // rt.NoNode: nobody dies
 	killAfter   int
@@ -293,12 +302,23 @@ func (e *ledgerEngine) Register(id rt.NodeID, a rt.Actor) {
 	case *sourceActor:
 		e.sources = append(e.sources, act)
 	case *joinActor:
-		e.joins = append(e.joins, act)
-		if id == e.victim {
-			a = &mortalActor{inner: act, id: id, sched: e.cfg.schedulerID(), after: e.killAfter}
+		if !e.remoteJoins {
+			a = e.host(id, act)
 		}
 	}
 	e.Engine.Register(id, a)
+}
+
+// host records join node id's actor and returns what should run in its
+// place: the actor itself, or the victim's mortal wrapper.
+func (e *ledgerEngine) host(id rt.NodeID, j *joinActor) rt.Actor {
+	e.mu.Lock()
+	e.joins = append(e.joins, j)
+	e.mu.Unlock()
+	if id == e.victim {
+		return &mortalActor{inner: j, id: id, sched: e.cfg.schedulerID(), after: e.killAfter}
+	}
+	return j
 }
 
 func (e *ledgerEngine) Drain() error {
@@ -307,8 +327,11 @@ func (e *ledgerEngine) Drain() error {
 	}
 	e.barriers++
 	base, limit := creditWindow, e.cfg.MaxCreditWindow
+	e.mu.Lock()
+	joins := e.joins
+	e.mu.Unlock()
 	for _, s := range e.sources {
-		for _, j := range e.joins {
+		for _, j := range joins {
 			if e.sched.deadNodes[j.id] {
 				continue // both ends forgot it
 			}
@@ -360,19 +383,19 @@ func (m *mortalActor) Receive(env rt.Env, from rt.NodeID, msg rt.Message) {
 }
 
 // TestWindowLedgerAcrossEnginesAndFaultPaths is the pair-invariant sweep:
-// both in-process engines × the three expanding algorithms × spill rung ×
-// heavy routing × a join node dying mid-build, every cell on randomised
-// sizes, budgets, windows and seeds, every run checked at every barrier and
-// against the reference join.
+// the simulator and a loopback tcpnet cluster × the three expanding
+// algorithms × spill rung × heavy routing × a join node dying mid-build,
+// every cell on randomised sizes, budgets, windows and seeds, every run
+// checked at every barrier and against the reference join.
 func TestWindowLedgerAcrossEnginesAndFaultPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	var widened, shrunk, died, spilled, heavy int
-	for _, engine := range []string{"sim", "live"} {
+	for _, engine := range []string{"sim", "tcp"} {
 		for _, alg := range []Algorithm{Split, Replication, Hybrid} {
 			for cell := 0; cell < 8; cell++ {
 				withSpill, withHeavy, withDeath := cell&1 != 0, cell&2 != 0, cell&4 != 0
 				if raceEnabled && engine == "sim" && withHeavy {
-					continue // the live half keeps every cell under the detector
+					continue // the tcp half keeps every cell under the detector
 				}
 				cfg := Config{
 					Algorithm:       alg,
@@ -413,17 +436,19 @@ func TestWindowLedgerAcrossEnginesAndFaultPaths(t *testing.T) {
 				}
 				wantMatches, wantChecksum := referenceJoin(t, cfg)
 
-				var inner rt.Engine
-				if engine == "sim" {
-					inner = sim.New(ncfg.Cost)
-				} else {
-					l := live.New()
-					defer l.Close()
-					inner = l
-				}
-				eng := &ledgerEngine{Engine: inner, t: t, label: label, cfg: ncfg,
+				eng := &ledgerEngine{t: t, label: label, cfg: ncfg,
 					victim: victim, killAfter: 2 + rng.Intn(6)}
+				stop := func() {}
+				if engine == "sim" {
+					eng.Engine = sim.New(ncfg.Cost)
+				} else {
+					eng.remoteJoins = true
+					eng.Engine, stop = StartTCP(t, ncfg, func(id rt.NodeID, a rt.Actor) rt.Actor {
+						return eng.host(id, a.(*joinActor))
+					})
+				}
 				rep, err := Execute(ncfg, eng)
+				stop()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -1,15 +1,18 @@
 // Package runtime defines the execution abstraction the join algorithms are
 // written against. The scheduler, data sources, and join processes are
 // Actors exchanging Messages through an Env; the same actor code runs
-// unchanged on three engines:
+// unchanged on two engines:
 //
 //   - internal/sim: a deterministic discrete-event simulation with a
 //     calibrated cluster cost model (virtual time) — the engine used for
 //     reproducing the paper's measurements;
-//   - internal/live: a goroutine-per-actor engine (wall-clock time) — used
-//     for correctness cross-checks and live demos;
 //   - internal/tcpnet: a binary-framed TCP transport running actors
-//     across real OS processes.
+//     across real OS processes, or, in the wall-clock tests, across
+//     goroutines of one process over loopback TCP.
+//
+// internal/live, a goroutine-per-actor engine that runs none of
+// tcpnet's protocol, is kept only for one traced stage of the benchmark
+// harness and is due for deletion.
 package runtime
 
 // NodeID identifies one logical cluster node (scheduler, data source, or

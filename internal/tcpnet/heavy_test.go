@@ -28,17 +28,12 @@ func heavyDistConfig(alg core.Algorithm) core.Config {
 	return cfg
 }
 
-// TestDistributedHeavy runs the heavy path with all join nodes hosted on
-// two TCP workers; TestP2PHeavy runs it on three.
+// TestDistributedHeavy runs the heavy path for each adaptive algorithm
+// with all join nodes hosted on TCP workers: heavyClone replication chunks
+// are worker↔worker chunk traffic, so they must ride the peer links: one
+// sent through the coordinator fails the run. The heavy-key set is
+// content-determined, so it must match the simulator's too.
 func TestDistributedHeavy(t *testing.T) {
-	testHeavy(t, 2)
-}
-
-// testHeavy runs the heavy path for each adaptive algorithm on `workers`
-// TCP workers: heavyClone replication chunks are worker↔worker chunk
-// traffic, so they must ride the peer links: one sent through the
-// coordinator fails the run.
-func testHeavy(t *testing.T, workers int) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := heavyDistConfig(alg)
@@ -49,18 +44,20 @@ func testHeavy(t *testing.T, workers int) {
 			if want.HeavyKeys == 0 {
 				t.Fatal("scenario detected no heavy keys in the simulator")
 			}
-			got := runDistJoin(t, cfg, workers)
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("distributed heavy result %d/%#x, want %d/%#x",
-					got.Matches, got.Checksum, want.Matches, want.Checksum)
-			}
-			if got.HeavyKeys != want.HeavyKeys {
-				t.Errorf("distributed run detected %d heavy keys, sim %d",
-					got.HeavyKeys, want.HeavyKeys)
-			}
-			if got.HeavyProbeTuples == 0 {
-				t.Error("no probe tuples took the partitioned path over TCP")
-			}
+			meshes(t, func(t *testing.T, workers int) {
+				got := runDistJoin(t, cfg, workers)
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("distributed heavy result %d/%#x, want %d/%#x",
+						got.Matches, got.Checksum, want.Matches, want.Checksum)
+				}
+				if got.HeavyKeys != want.HeavyKeys {
+					t.Errorf("distributed run detected %d heavy keys, sim %d",
+						got.HeavyKeys, want.HeavyKeys)
+				}
+				if got.HeavyProbeTuples == 0 {
+					t.Error("no probe tuples took the partitioned path over TCP")
+				}
+			})
 		})
 	}
 }

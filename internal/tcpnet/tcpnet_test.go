@@ -2,6 +2,7 @@ package tcpnet_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -108,6 +109,17 @@ func runDistJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	return got
 }
 
+// meshes runs f once per worker count the differentials cover: two
+// workers share a single peer link; three make a mesh in which a chunk's
+// sender, its receiver and the coordinator are three different processes.
+// A worker→worker message sent through the coordinator fails either run
+// (ErrMisrouted).
+func meshes(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, workers := range []int{2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { f(t, workers) })
+	}
+}
+
 func distConfig(alg core.Algorithm) core.Config {
 	return core.Config{
 		Algorithm:     alg,
@@ -124,9 +136,8 @@ func distConfig(alg core.Algorithm) core.Config {
 
 // TestDistributedJoinMatchesSimulator runs every algorithm, and the
 // out-of-core baseline under both policies, with all join nodes spread
-// over two TCP worker processes (in-process goroutines over real sockets,
-// one peer link between them) and compares the join result with the
-// simulator's. TestP2PJoinMatchesSimulator covers the three-worker mesh.
+// over TCP worker processes (in-process goroutines over real sockets) and
+// compares the join result with the simulator's.
 func TestDistributedJoinMatchesSimulator(t *testing.T) {
 	var cfgs []core.Config
 	for _, alg := range core.Algorithms() {
@@ -144,35 +155,43 @@ func TestDistributedJoinMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runDistJoin(t, cfg, 2)
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("distributed result %d/%#x, want %d/%#x",
-					got.Matches, got.Checksum, want.Matches, want.Checksum)
-			}
-			if got.FinalNodes != want.FinalNodes {
-				t.Logf("final nodes differ (timing-dependent): %d vs %d", got.FinalNodes, want.FinalNodes)
-			}
-			if cfg.Algorithm == core.OutOfCore && got.SpillWrittenBytes == 0 {
-				t.Error("the out-of-core run never spilled: the case is vacuous")
-			}
+			meshes(t, func(t *testing.T, workers int) {
+				got := runDistJoin(t, cfg, workers)
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("distributed result %d/%#x, want %d/%#x",
+						got.Matches, got.Checksum, want.Matches, want.Checksum)
+				}
+				if got.FinalNodes != want.FinalNodes {
+					t.Logf("final nodes differ (timing-dependent): %d vs %d", got.FinalNodes, want.FinalNodes)
+				}
+				if cfg.Algorithm == core.OutOfCore && got.SpillWrittenBytes == 0 {
+					t.Error("the out-of-core run never spilled: the case is vacuous")
+				}
+			})
 		})
 	}
 }
 
 // TestDistributedSkewed exercises replication chains and reshuffling — the
-// heaviest worker↔worker flows — across two worker processes.
+// heaviest worker↔worker flows — under extreme skew, every algorithm.
 func TestDistributedSkewed(t *testing.T) {
-	cfg := distConfig(core.Hybrid)
-	cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
-	cfg.Probe = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 911}
-	want, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runDistJoin(t, cfg, 2)
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("distributed result %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
+	for _, alg := range core.Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := distConfig(alg)
+			cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
+			cfg.Probe = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 911}
+			want, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meshes(t, func(t *testing.T, workers int) {
+				got := runDistJoin(t, cfg, workers)
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("distributed skewed result %d/%#x, want %d/%#x",
+						got.Matches, got.Checksum, want.Matches, want.Checksum)
+				}
+			})
+		})
 	}
 }
 
@@ -193,15 +212,60 @@ func TestDistributedSpill(t *testing.T) {
 			if want.SpilledPartitions == 0 {
 				t.Fatal("scenario did not engage the spill rung")
 			}
-			got := runDistJoin(t, cfg, 2)
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("distributed spill result %d/%#x, want %d/%#x",
-					got.Matches, got.Checksum, want.Matches, want.Checksum)
+			meshes(t, func(t *testing.T, workers int) {
+				got := runDistJoin(t, cfg, workers)
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("distributed spill result %d/%#x, want %d/%#x",
+						got.Matches, got.Checksum, want.Matches, want.Checksum)
+				}
+				if got.SpilledPartitions == 0 || got.ExhaustedResources {
+					t.Errorf("distributed spill state wrong: partitions=%d exhausted=%v",
+						got.SpilledPartitions, got.ExhaustedResources)
+				}
+			})
+		})
+	}
+}
+
+// TestDistributedProbeExpansion materialises every match, so output
+// volume overflows the nodes during the probe phase: the probe-phase
+// expansion runs over the worker links and the result, the expansion count
+// and the output bytes must match the simulator's.
+func TestDistributedProbeExpansion(t *testing.T) {
+	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := core.Config{
+				Algorithm:         alg,
+				InitialNodes:      2,
+				MaxNodes:          12,
+				Sources:           4,
+				MemoryBudget:      2 << 20,
+				ChunkTuples:       1000,
+				Build:             datagen.Spec{Dist: datagen.Uniform, Tuples: 30_000, Seed: 601},
+				Probe:             datagen.Spec{Dist: datagen.Uniform, Tuples: 60_000, Seed: 602},
+				MatchFraction:     1.0,
+				MaterializeOutput: true,
 			}
-			if got.SpilledPartitions == 0 || got.ExhaustedResources {
-				t.Errorf("distributed spill state wrong: partitions=%d exhausted=%v",
-					got.SpilledPartitions, got.ExhaustedResources)
+			want, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if want.ProbeExpansions == 0 {
+				t.Fatal("scenario triggered no probe expansions in the simulator")
+			}
+			meshes(t, func(t *testing.T, workers int) {
+				got := runDistJoin(t, cfg, workers)
+				if got.Matches != want.Matches || got.Checksum != want.Checksum {
+					t.Errorf("distributed probe-expansion result %d/%#x, want %d/%#x",
+						got.Matches, got.Checksum, want.Matches, want.Checksum)
+				}
+				if got.ProbeExpansions == 0 {
+					t.Error("output pressure triggered no probe expansions over TCP")
+				}
+				if got.OutputBytes != want.OutputBytes {
+					t.Errorf("output bytes %d, simulator %d", got.OutputBytes, want.OutputBytes)
+				}
+			})
 		})
 	}
 }
@@ -247,6 +311,47 @@ func TestPartialAssignment(t *testing.T) {
 	}
 }
 
+// TestP2PPartialAssignment mixes two workers with coordinator-local join
+// nodes: worker↔worker traffic must take the peer link while
+// worker↔local traffic uses the coordinator link (direct delivery, not a
+// relay).
+func TestP2PPartialAssignment(t *testing.T) {
+	cfg := distConfig(core.Split)
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := core.EncodeConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := core.JoinNodeIDs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, conns, wg := startWorkers(t, 2)
+	assignment := make(map[rt.NodeID]int)
+	for i, id := range ids {
+		if i%3 != 2 { // every third join node stays coordinator-local
+			assignment[id] = i % 2
+		}
+	}
+	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Execute(cfg, coord)
+	coord.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Matches != want.Matches || got.Checksum != want.Checksum {
+		t.Errorf("partial-assignment result %d/%#x, want %d/%#x",
+			got.Matches, got.Checksum, want.Matches, want.Checksum)
+	}
+}
+
 func TestBadAssignmentRejected(t *testing.T) {
 	conns := make([]net.Conn, 1) // never touched: the assignment is checked first
 	if _, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{5: 2}, listen(t), conns); err == nil {
@@ -270,17 +375,10 @@ func TestWorkerCountRejected(t *testing.T) {
 	}
 }
 
-// TestDistributedMultiWayPipeline hosts a three-way join pipeline on
-// two TCP workers and checks the result against the simulator: the
-// stage-to-stage chunk handoff is pure worker↔worker traffic.
+// TestDistributedMultiWayPipeline hosts a three-way join pipeline on TCP
+// workers and checks the result against the simulator: the stage-to-stage
+// chunk handoff is pure worker↔worker traffic.
 func TestDistributedMultiWayPipeline(t *testing.T) {
-	runMultiWayPipeline(t, 2)
-}
-
-// runMultiWayPipeline runs the three-way pipeline on `workers` TCP workers
-// and checks it against the simulator.
-func runMultiWayPipeline(t *testing.T, workers int) {
-	t.Helper()
 	mc := core.MultiConfig{
 		Algorithm:    core.Hybrid,
 		InitialNodes: 2,
@@ -306,29 +404,32 @@ func runMultiWayPipeline(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, conns, wg := startWorkersWith(t, workers, func(b []byte, id rt.NodeID) (rt.Actor, error) {
+	factory := func(b []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(b)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewMultiJoinActor(m, id)
+	}
+	meshes(t, func(t *testing.T, workers int) {
+		l, conns, wg := startWorkersWith(t, workers, factory)
+		assignment := make(map[rt.NodeID]int)
+		for i, id := range ids {
+			assignment[id] = i % workers
+		}
+		coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.ExecuteMulti(mc, coord)
+		coord.Close()
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Matches != want.Matches || got.Checksum != want.Checksum {
+			t.Errorf("distributed pipeline %d/%#x, want %d/%#x",
+				got.Matches, got.Checksum, want.Matches, want.Checksum)
+		}
 	})
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ExecuteMulti(mc, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("distributed pipeline %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
-	}
 }
