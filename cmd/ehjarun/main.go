@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
+	"ehjoin/cmd/internal/cli"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	rt "ehjoin/internal/runtime"
@@ -63,19 +63,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ehjarun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	wl := cli.BindWorkload(fs, cli.Defaults{Initial: 4, Max: 24, Tuples: 1_000_000, Budget: 64 << 20})
 	var (
-		algName     = fs.String("alg", "hybrid", "join algorithm: split|replication|hybrid|ooc")
-		initial     = fs.Int("initial", 4, "initial number of join nodes")
-		maxNodes    = fs.Int("max", 24, "total join nodes in the environment")
 		sources     = fs.Int("sources", 8, "number of data-source nodes")
-		rTuples     = fs.Int64("r", 1_000_000, "build relation cardinality")
-		sTuples     = fs.Int64("s", 1_000_000, "probe relation cardinality")
 		tupleSize   = fs.Int("tuple", 100, "logical tuple size in bytes")
-		distName    = fs.String("dist", "uniform", "join-attribute distribution: uniform|gaussian|zipf")
 		probeDist   = fs.String("probe-dist", "", "probe-side distribution override: uniform|gaussian|zipf|correlated (default: same as -dist; correlated mirrors the build stream)")
 		sigma       = fs.Float64("sigma", 0.001, "gaussian standard deviation (mean 0.5)")
-		zipfS       = fs.Float64("zipf-s", 1.5, "zipf exponent s (rank r has mass proportional to r^-s)")
-		budget      = fs.Int64("budget", 64<<20, "per-node hash memory budget in bytes")
 		seed        = fs.Uint64("seed", 1, "generation seed")
 		verbose     = fs.Bool("v", false, "print per-node loads and utilisation")
 		blocking    = fs.Bool("blocking", false, "model split migrations as blocking sends (ablation A1)")
@@ -83,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeline    = fs.Bool("timeline", false, "render a per-node virtual-time utilisation timeline")
 		materialize = fs.Bool("materialize", false, "retain join output in memory; probe-phase expansion applies (paper footnote 1)")
 		faults      = fs.String("faults", "", "crash join nodes at virtual times: NODE@ATSEC[:DETECTSEC],... (e.g. 0@1.5,3@2:0.05)")
-		spillRung   = fs.Bool("spill", false, "evict partitions to node-local disk instead of aborting when the cluster is exhausted (fourth degradation rung)")
-		heavyThresh = fs.Float64("heavy-threshold", 0, "heavy-hitter mass threshold as a fraction of the build relation (0 = off): replicate heavy build keys across their serving group, partition their probes instead of broadcasting (DESIGN.md §11)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,78 +84,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, "ehjarun:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "ehjarun:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "ehjarun:", err)
+		return code
 	}
+	stop, err := cli.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return fail(1, err)
+	}
+	defer stop()
 
-	alg, err := core.ParseAlgorithm(*algName)
+	cfg, err := wl.Config(*seed)
 	if err != nil {
-		fmt.Fprintln(stderr, "ehjarun:", err)
-		return 2
+		return fail(2, err)
 	}
-	dist, err := datagen.ParseDist(*distName)
-	if err != nil {
-		fmt.Fprintln(stderr, "ehjarun:", err)
-		return 2
-	}
-	if dist == datagen.Correlated {
-		fmt.Fprintln(stderr, "ehjarun: correlated is probe-only; use -probe-dist correlated")
-		return 2
-	}
-	pDist := dist
 	if *probeDist != "" {
-		if pDist, err = datagen.ParseDist(*probeDist); err != nil {
-			fmt.Fprintln(stderr, "ehjarun:", err)
-			return 2
+		if cfg.Probe.Dist, err = datagen.ParseDist(*probeDist); err != nil {
+			return fail(2, err)
 		}
 	}
 	if *tupleSize < tuple.PhysicalSize {
-		fmt.Fprintf(stderr, "ehjarun: -tuple %d is below the %d-byte physical tuple\n", *tupleSize, tuple.PhysicalSize)
-		return 2
+		return fail(2, fmt.Errorf("-tuple %d is below the %d-byte physical tuple", *tupleSize, tuple.PhysicalSize))
 	}
-	cost := rt.OSUMed()
-	cost.BlockingMigration = *blocking
-	policy := spill.Grace
+	cfg.Sources = *sources
+	cfg.Cost = rt.OSUMed()
+	cfg.Cost.BlockingMigration = *blocking
 	if *oocHybrid {
-		policy = spill.HybridHash
+		cfg.OOCPolicy = spill.HybridHash
 	}
-
+	cfg.MaterializeOutput = *materialize
 	layout := tuple.LayoutForTupleSize(*tupleSize)
-	cfg := core.Config{
-		Algorithm:         alg,
-		InitialNodes:      *initial,
-		MaxNodes:          *maxNodes,
-		Sources:           *sources,
-		MemoryBudget:      *budget,
-		Cost:              cost,
-		OOCPolicy:         policy,
-		MaterializeOutput: *materialize,
-		SpillEnabled:      *spillRung,
-		HeavyThreshold:    *heavyThresh,
-		Build: datagen.Spec{
-			Dist: dist, Mean: 0.5, Sigma: *sigma, ZipfS: *zipfS,
-			Tuples: *rTuples, Seed: *seed, Layout: layout,
-		},
-		Probe: datagen.Spec{
-			Dist: pDist, Mean: 0.5, Sigma: *sigma, ZipfS: *zipfS,
-			Tuples: *sTuples, Seed: *seed + 1, Layout: layout,
-		},
-		MatchFraction: 1,
+	for _, spec := range []*datagen.Spec{&cfg.Build, &cfg.Probe} {
+		spec.Sigma, spec.Layout = *sigma, layout
 	}
 
 	wall := time.Now()
 	var rec *trace.Recorder
-	eng := sim.New(cost)
+	eng := sim.New(cfg.Cost)
 	if *timeline {
 		rec = trace.NewRecorder()
 		eng.Trace = rec
@@ -172,18 +128,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *faults != "" {
 		plan, err := parseFaults(*faults)
 		if err != nil {
-			fmt.Fprintln(stderr, "ehjarun:", err)
-			return 2
+			return fail(2, err)
 		}
 		if err := core.ApplyFaultPlan(cfg, eng, plan); err != nil {
-			fmt.Fprintln(stderr, "ehjarun:", err)
-			return 2
+			return fail(2, err)
 		}
 	}
 	r, err := core.Execute(cfg, eng)
 	if err != nil {
-		fmt.Fprintln(stderr, "ehjarun:", err)
-		return 1
+		return fail(1, err)
 	}
 	fmt.Fprintln(stdout, r)
 	fmt.Fprintf(stdout, "wire: %.1f MB in %d messages; spill: %d MB written, %d MB read, %d BNL pass(es); wall clock %.1fs\n",

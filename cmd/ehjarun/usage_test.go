@@ -20,6 +20,11 @@ func TestBadInputsFailInOneLine(t *testing.T) {
 		{"-sources -1", 1},
 		{"-budget -1", 1},
 		{"-alg bogus", 2},
+		{"-dist bogus", 2},
+		{"-dist correlated", 2},
+		{"-faults 0@NaN", 2},
+		{"-faults 0@Inf", 2},
+		{"-faults 0@1:NaN", 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args+" -r 20000 -s 20000"), &stdout, &stderr)

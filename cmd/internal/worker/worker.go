@@ -4,12 +4,13 @@
 package worker
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"os"
-	"runtime/pprof"
 
+	"ehjoin/cmd/internal/cli"
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
@@ -18,10 +19,11 @@ import (
 // Main parses a worker's flags from args (the command line after the
 // program name, or after ehjadist's -worker), connects to the coordinator,
 // and hosts the join nodes it is assigned until the run completes. It
-// returns the process exit status: 2 for a usage error, 1 for a failed
-// run. prog names the command in messages.
-func Main(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+// returns the process exit status: 0 for -h, 2 for a usage error, 1 for a
+// failed run. prog names the command in the messages it writes to stderr.
+func Main(prog string, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		connect    = fs.String("connect", "127.0.0.1:7420", "coordinator address")
 		chaos      = fs.String("chaos", "", "deterministic network fault injection on this worker's connections: a PRNG seed, or a schedule like corrupt@4096;tear@9000;dup@3")
@@ -29,26 +31,25 @@ func Main(prog string, args []string) int {
 		peerListen = fs.String("peer-listen", ":0", "data-plane listener address other workers dial; the advertised host falls back to this worker's coordinator-facing address when unspecified")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of this worker to FILE")
 	)
-	_ = fs.Parse(args) // ExitOnError: a usage error exits 2 here
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	fail := func(code int, err error) int {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return code
 	}
 	plan, err := tcpnet.ParseChaos(*chaos)
 	if err != nil {
 		return fail(2, err)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail(1, err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(1, err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := cli.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return fail(1, err)
 	}
+	defer stop()
 
 	// All connections — initial and redialed — go through the same chaos
 	// plan, so a scheduled fault fires exactly once per worker process no

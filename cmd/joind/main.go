@@ -14,5 +14,5 @@ import (
 )
 
 func main() {
-	os.Exit(worker.Main("joind", os.Args[1:]))
+	os.Exit(worker.Main("joind", os.Args[1:], os.Stderr))
 }

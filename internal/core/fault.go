@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ehjoin/internal/sim"
 )
@@ -33,6 +34,10 @@ type FaultPlan struct {
 // LAN.
 const DefaultDetectSec = 0.02
 
+// maxFaultSec bounds a crash time and a detection delay (about 73 years),
+// so that their sum in nanoseconds fits an int64.
+const maxFaultSec = math.MaxInt64 / 4e9
+
 // ApplyFaultPlan arms a simulator with the plan's crashes and schedules the
 // matching death notifications to the scheduler. Call before Execute.
 func ApplyFaultPlan(cfg Config, eng *sim.Sim, plan FaultPlan) error {
@@ -44,10 +49,15 @@ func ApplyFaultPlan(cfg Config, eng *sim.Sim, plan FaultPlan) error {
 		if f.JoinNode < 0 || f.JoinNode >= n.MaxNodes {
 			return fmt.Errorf("core: fault plan: join node %d out of range [0,%d)", f.JoinNode, n.MaxNodes)
 		}
-		if f.AtSec < 0 {
-			return fmt.Errorf("core: fault plan: negative crash time %v", f.AtSec)
+		// NaN fails every comparison, so each check is written to pass only
+		// a usable time; the bound keeps crash plus detection in int64 ns.
+		if !(f.AtSec >= 0 && f.AtSec <= maxFaultSec) {
+			return fmt.Errorf("core: fault plan: crash time %v is not in [0, %v] seconds", f.AtSec, maxFaultSec)
 		}
 		det := f.DetectSec
+		if !(det <= maxFaultSec) {
+			return fmt.Errorf("core: fault plan: detection delay %v is not at most %v seconds", det, maxFaultSec)
+		}
 		if det <= 0 {
 			det = DefaultDetectSec
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ehjoin/internal/datagen"
@@ -243,5 +244,33 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 	if _, err := RunWithFaults(cfg, FaultPlan{Faults: []Fault{{JoinNode: 0, AtSec: -1}}}); err == nil {
 		t.Error("negative crash time accepted")
+	}
+}
+
+// TestApplyFaultPlanRejectsNonFiniteTimes: NaN fails every comparison, so
+// a check written as "reject if negative" let a NaN crash time through and
+// crashed the node at int64(NaN·1e9). Each time must be refused unless it
+// is a usable one; a negative detection delay still means the default.
+func TestApplyFaultPlanRejectsNonFiniteTimes(t *testing.T) {
+	cfg := testConfig(Split)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		at, det float64
+		ok      bool
+	}{
+		{at: nan},
+		{at: inf},
+		{at: 1e300},
+		{at: 1, det: nan},
+		{at: 1, det: inf},
+		{at: 1, det: -1, ok: true},
+		{at: 1, det: math.Inf(-1), ok: true},
+		{at: 0.5, det: 0.05, ok: true},
+	} {
+		plan := FaultPlan{Faults: []Fault{{JoinNode: 0, AtSec: tc.at, DetectSec: tc.det}}}
+		err := ApplyFaultPlan(cfg, sim.New(cfg.Cost), plan)
+		if (err == nil) != tc.ok {
+			t.Errorf("crash at %v, detected after %v: error %v, want accepted=%v", tc.at, tc.det, err, tc.ok)
+		}
 	}
 }
