@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,14 +26,15 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ehjoin/cmd/internal/cli"
 	"ehjoin/cmd/internal/worker"
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/metrics"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 	"ehjoin/internal/tuple"
 )
@@ -129,23 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Check the configuration before a listener is bound or a worker
 	// spawned, so a rejected one leaves nothing waiting for the run.
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
+	if _, err := core.EncodeConfig(cfg); err != nil {
 		return fail(1, err)
 	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		return fail(1, err)
-	}
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % *workers
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		return fail(1, err)
-	}
-
 	var walF *os.File
 	if *wal != "" {
 		if walF, err = os.Create(*wal); err != nil {
@@ -153,121 +139,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer walF.Close()
 	}
+	setup := cluster.Setup{
+		Recover: *recover_ || *coordKill != "",
+		WAL:     walF,
+		Options: func(n int) []tcpnet.Option {
+			opts := []tcpnet.Option{tcpnet.WithResumeWindow(*resumeWindow)}
+			if n == 0 && crashRecs > 0 {
+				opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
+			}
+			return opts
+		},
+		Logf: func(format string, args ...any) { fmt.Fprintf(stderr, "ehjadist: "+format+"\n", args...) },
+	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fail(1, err)
 	}
-	defer l.Close() // a coordinator takes it over and closes it first
+	defer l.Close() // the cluster takes it over and closes it first
 	fmt.Fprintf(stdout, "ehjadist: coordinator on %s, waiting for %d worker(s)\n", l.Addr(), *workers)
 
-	var procs []*exec.Cmd
-	if *spawn {
-		self, err := os.Executable()
+	// drive runs the join from the spawn on; its defers stop the -kill
+	// timer, close the coordinator and reap the spawned workers (killed
+	// first unless the run succeeded) on every return.
+	drive := func() (_ *core.Report, start time.Time, err error) {
+		var procs *workerProcs
+		if *spawn {
+			if procs, err = spawnWorkers(*workers, l.Addr().String(), *chaos, *cpuProfile, stderr); err != nil {
+				return nil, start, err
+			}
+		}
+		defer func() { procs.reap(err != nil) }()
+		conns, err := accept(l, *workers, procs, stdout)
 		if err != nil {
-			return fail(1, err)
+			return nil, start, err
 		}
-		for i := 0; i < *workers; i++ {
-			args := []string{"-worker", "-connect", l.Addr().String()}
-			if *chaos != "" {
-				args = append(args, "-chaos", *chaos)
-			}
-			if *cpuProfile != "" {
-				args = append(args, "-cpuprofile", *cpuProfile+".w"+strconv.Itoa(i))
-			}
-			cmd := exec.Command(self, args...)
-			cmd.Stderr = stderr
-			if err := cmd.Start(); err != nil {
-				return fail(1, err)
-			}
-			procs = append(procs, cmd)
-		}
-	}
-
-	conns := make([]net.Conn, *workers)
-	for i := range conns {
-		c, err := l.Accept()
+		cl, err := cluster.Start(cfg, l, conns, setup)
 		if err != nil {
-			return fail(1, err)
+			return nil, start, err
 		}
-		conns[i] = c
-		fmt.Fprintf(stdout, "ehjadist: worker %d connected from %s\n", i, c.RemoteAddr())
+		defer cl.Close()
+		if killWorker >= 0 {
+			t := time.AfterFunc(killAfter, func() {
+				fmt.Fprintf(stderr, "ehjadist: killing worker %d (fault injection)\n", killWorker)
+				_ = procs.cmds[killWorker].Process.Kill()
+			})
+			defer t.Stop()
+		}
+		start = time.Now()
+		report, err := cl.Run()
+		return report, start, err
 	}
-
-	var coord *tcpnet.Coordinator
-	// baseOpts builds the option set shared by the first coordinator and
-	// a crash restart. The failure handler injects into whichever one coord
-	// holds: it runs inside that coordinator's Drain loop, on this
-	// goroutine, and a restart replaces coord only after the first's Drain
-	// has returned.
-	baseOpts := func() []tcpnet.Option {
-		opts := []tcpnet.Option{tcpnet.WithResumeWindow(*resumeWindow)}
-		if walF != nil {
-			opts = append(opts, tcpnet.WithCheckpoint(walF))
-		}
-		if *recover_ || *coordKill != "" {
-			opts = append(opts, tcpnet.WithFailureHandler(func(w int, nodes []rt.NodeID, cause error) {
-				fmt.Fprintf(stderr, "ehjadist: worker %d failed (%v); recovering %d node(s)\n",
-					w, cause, len(nodes))
-				for _, n := range nodes {
-					coord.Inject(schedID, core.NodeDeadMessage(n))
-				}
-			}))
-		}
-		return opts
-	}
-	opts := baseOpts()
-	if crashRecs > 0 {
-		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
-	}
-	// The coordinator takes the listener over: disconnected workers redial
-	// it and resume their session in place.
-	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts...)
-	if err != nil {
-		return fail(1, err)
-	}
-	if killWorker >= 0 {
-		time.AfterFunc(killAfter, func() {
-			fmt.Fprintf(stderr, "ehjadist: killing worker %d (fault injection)\n", killWorker)
-			_ = procs[killWorker].Process.Kill()
-		})
-	}
-	start := time.Now()
-	report, err := core.Execute(cfg, coord)
-	if errors.Is(err, tcpnet.ErrCoordKilled) {
-		// The supervisor path (DESIGN.md §12): the old process state is
-		// gone — only the write-ahead log and the parked workers survive.
-		// Rebind the workers' dial address, replay the log into a restored
-		// coordinator, and pick the run up at the exact phase step where
-		// the old one died. The restored coordinator keeps appending to
-		// the same log, so a second crash would replay the whole history.
-		// (rerr, not err: a := here would shadow the run's error.)
-		fmt.Fprintf(stderr, "ehjadist: coordinator died (%v); restarting from %s\n", err, *wal)
-		coord.Close()
-		l2, rerr := net.Listen("tcp", l.Addr().String())
-		if rerr != nil {
-			return fail(1, fmt.Errorf("rebinding %s: %w", l.Addr(), rerr))
-		}
-		logged, rerr := os.ReadFile(*wal)
-		if rerr != nil {
-			return fail(1, rerr)
-		}
-		snap, rerr := tcpnet.ReadSnapshot(bytes.NewReader(logged))
-		if rerr != nil {
-			return fail(1, rerr)
-		}
-		rs, rerr := core.PrepareResume(snap.CfgBlob())
-		if rerr != nil {
-			return fail(1, rerr)
-		}
-		if coord, rerr = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, baseOpts()...); rerr != nil {
-			return fail(1, fmt.Errorf("restoring from checkpoint: %w", rerr))
-		}
-		report, err = core.ResumeExecute(rs, coord)
-	}
-	coord.Close()
-	for _, p := range procs {
-		_ = p.Wait()
-	}
+	report, start, err := drive()
 	if err != nil {
 		return fail(1, err)
 	}
@@ -344,4 +266,99 @@ func parseCrashPoint(s string, wal bool) (phase int, records int64, err error) {
 		return 0, 0, fmt.Errorf("-coord-kill %q: bad record count %q", s, n)
 	}
 	return phase, records, nil
+}
+
+// workerProcs are the worker copies of this binary that ehjadist spawned.
+type workerProcs struct {
+	cmds   []*exec.Cmd
+	errs   []error  // errs[i] is worker i's exit, set before i is sent on exited
+	exited chan int // each worker's index as it exits; one send per worker
+	wg     sync.WaitGroup
+}
+
+// spawnWorkers starts n workers that dial addr, worker i with its CPU
+// profile in profile.w<i> if profile is set.
+func spawnWorkers(n int, addr, chaos, profile string, stderr io.Writer) (*workerProcs, error) {
+	self, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	p := &workerProcs{errs: make([]error, n), exited: make(chan int, n)}
+	for i := range n {
+		args := []string{"-worker", "-connect", addr}
+		if chaos != "" {
+			args = append(args, "-chaos", chaos)
+		}
+		if profile != "" {
+			args = append(args, "-cpuprofile", profile+".w"+strconv.Itoa(i))
+		}
+		cmd := exec.Command(self, args...)
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			p.reap(true)
+			return nil, err
+		}
+		p.cmds = append(p.cmds, cmd)
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.errs[i] = cmd.Wait()
+			p.exited <- i
+		}()
+	}
+	return p, nil
+}
+
+// reap waits for every spawned worker to exit, killing each first if kill
+// is set. A nil p has none.
+func (p *workerProcs) reap(kill bool) {
+	if p == nil {
+		return
+	}
+	for _, cmd := range p.cmds {
+		if kill {
+			_ = cmd.Process.Kill() // fails only for a worker that has exited
+		}
+	}
+	p.wg.Wait()
+}
+
+// accept accepts one connection per worker from l. A spawned worker that
+// exits first fails it: that worker will never connect.
+func accept(l net.Listener, n int, procs *workerProcs, stdout io.Writer) ([]net.Conn, error) {
+	accepted := make(chan net.Conn, n) // one send per Accept: never blocks
+	failed := make(chan error, 1)
+	go func() {
+		for range n {
+			c, err := l.Accept()
+			if err != nil {
+				failed <- err
+				return
+			}
+			accepted <- c
+		}
+	}()
+	var exited chan int // nil, so never ready, without spawned workers
+	if procs != nil {
+		exited = procs.exited
+	}
+	conns := make([]net.Conn, 0, n)
+	for len(conns) < n {
+		var err error
+		select {
+		case c := <-accepted:
+			fmt.Fprintf(stdout, "ehjadist: worker %d connected from %s\n", len(conns), c.RemoteAddr())
+			conns = append(conns, c)
+		case err = <-failed:
+		case i := <-exited:
+			err = fmt.Errorf("spawned worker %d exited before the run started (%v)", i, procs.errs[i])
+		}
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return nil, err
+		}
+	}
+	return conns, nil
 }

@@ -133,3 +133,18 @@ func TestRunPrintsPinnedResult(t *testing.T) {
 		}
 	}
 }
+
+// TestEarlyWorkerExitFailsTheRun: a spawned worker that exits before it
+// connects (here its CPU profile path is a directory) fails the run with
+// status 1 and a message naming it, instead of leaving the coordinator
+// waiting for a connection that never comes.
+func TestEarlyWorkerExitFailsTheRun(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "f")
+	if err := os.Mkdir(prof+".w0", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runWithin(t, 20*time.Second, strings.Fields("-workers 2 -r 20000 -s 20000 -cpuprofile "+prof))
+	if code != 1 || !strings.Contains(stderr, "ehjadist: spawned worker 0 exited before the run started") {
+		t.Errorf("exit %d, want 1 and spawned worker 0 named in stderr %q", code, stderr)
+	}
+}

@@ -11,8 +11,7 @@ import (
 	"net"
 
 	"ehjoin/cmd/internal/cli"
-	"ehjoin/internal/core"
-	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -63,25 +62,13 @@ func Main(prog string, args []string, stderr io.Writer) int {
 		}
 		return plan.Wrap(c), nil
 	}
-	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-		cfg, err := core.DecodeConfig(blob)
-		if err != nil {
-			return nil, err
-		}
-		// A host without usable local disk opts out: its nodes answer
-		// spillOrder with an empty ack and the scheduler stops asking.
-		if *noSpill {
-			cfg.SpillEnabled = false
-		}
-		return core.NewJoinActor(cfg, id)
-	}
 	opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P(*peerListen)}
 	if *chaos != "" {
 		// Peer links share the process's one chaos plan, so a scheduled
 		// fault fires once per worker whichever link it lands on.
 		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 	}
-	if err := tcpnet.RunWorker(dial, factory, opts...); err != nil {
+	if err := tcpnet.RunWorker(dial, cluster.Factory(*noSpill), opts...); err != nil {
 		return fail(1, err)
 	}
 	return 0

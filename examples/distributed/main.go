@@ -14,9 +14,9 @@ import (
 	"os"
 	"os/exec"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -45,7 +45,7 @@ func main() {
 	const workers = 3
 	cfg := config()
 
-	// The coordinator takes this listener over: workers that lose their
+	// The cluster takes this listener over: workers that lose their
 	// connection redial it, and Close closes it.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -79,25 +79,12 @@ func main() {
 		}
 	}
 
-	blob, err := core.EncodeConfig(cfg)
+	cl, err := cluster.Start(cfg, l, conns, cluster.Setup{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report, err := core.Execute(cfg, coord)
-	coord.Close()
+	report, err := cl.Run()
+	cl.Close()
 	for _, p := range procs {
 		_ = p.Wait()
 	}
@@ -125,14 +112,7 @@ func main() {
 
 func runWorker(addr string) {
 	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	factory := func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-		cfg, err := core.DecodeConfig(blob)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewJoinActor(cfg, id)
-	}
-	if err := tcpnet.RunWorker(dial, factory); err != nil {
+	if err := tcpnet.RunWorker(dial, cluster.Factory(false)); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
@@ -12,31 +13,20 @@ import (
 
 func init() { core.StartTCP = startTCP }
 
-// startTCP runs cfg's join nodes on two tcpnet.RunWorker goroutines, join
-// node i on worker i%2, each dialing the coordinator over loopback TCP and
-// the two joined by a peer link: the shipped engine, in one process.
+// startTCP runs cfg's join nodes on two tcpnet.RunWorker goroutines, each
+// dialing the coordinator over loopback TCP and the two joined by a peer
+// link, placed by cluster.Start: the shipped engine, in one process.
 func startTCP(t *testing.T, cfg core.Config, wrap func(rt.NodeID, rt.Actor) rt.Actor) (rt.Engine, func()) {
 	t.Helper()
 	const workers = 2
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dial := func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
+	build := cluster.Factory(false)
 	factory := func(b []byte, id rt.NodeID) (rt.Actor, error) {
-		c, err := core.DecodeConfig(b)
-		if err != nil {
-			return nil, err
-		}
-		a, err := core.NewJoinActor(c, id)
+		a, err := build(b, id)
 		if err != nil {
 			return nil, err
 		}
@@ -57,16 +47,12 @@ func startTCP(t *testing.T, cfg core.Config, wrap func(rt.NodeID, rt.Actor) rt.A
 			t.Fatal(err)
 		}
 	}
-	assignment := make(map[rt.NodeID]int, len(ids))
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
+	cl, err := cluster.Start(cfg, l, conns, cluster.Setup{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coord, func() {
-		coord.Close()
+	return cl.Coordinator(), func() {
+		cl.Close()
 		wg.Wait()
 	}
 }

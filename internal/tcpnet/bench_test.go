@@ -3,10 +3,9 @@ package tcpnet_test
 import (
 	"testing"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
-	rt "ehjoin/internal/runtime"
-	"ehjoin/internal/tcpnet"
 )
 
 // BenchmarkTCPJoinThroughput runs a full distributed hybrid join over real
@@ -25,28 +24,9 @@ func BenchmarkTCPJoinThroughput(b *testing.B) {
 		MatchFraction: 1.0,
 	}
 	tuples := cfg.Build.Tuples + cfg.Probe.Tuples
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-
 	for i := 0; i < b.N; i++ {
 		l, conns, wg := startWorkers(b, 2)
-		assignment := make(map[rt.NodeID]int)
-		for j, id := range ids {
-			assignment[id] = j % 2
-		}
-		coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Execute(cfg, coord)
-		coord.Close()
-		wg.Wait()
+		res, err := runCluster(b, cfg, l, conns, wg, cluster.Setup{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -53,16 +53,6 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := distConfig(core.Split)
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Workers dial sequentially so worker 0 is deterministically the
 	// chaos-wrapped connection.
 	l := listen(t)
@@ -79,22 +69,12 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 		conns[0] = plan.Wrap(conns[0])
 	}
 
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
 	// A flipped length prefix leaves the reader waiting on a body that
 	// never arrives; the heartbeat is what breaks that connection, so keep
 	// its timeout short (stalls in the plans stay well under it).
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns, append(opts,
+	report, err := runCluster(t, distConfig(core.Split), l, conns, wg, cluster.Setup{Options: every(append(opts,
 		tcpnet.WithHeartbeat(100*time.Millisecond, 3*time.Second),
-		tcpnet.WithDrainTimeout(60*time.Second))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+		tcpnet.WithDrainTimeout(60*time.Second))...)})
 	if err != nil {
 		t.Fatalf("chaos run %q: %v", plan, err)
 	}

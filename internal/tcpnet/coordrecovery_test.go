@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -29,34 +32,29 @@ type killAt struct {
 	recs  int64
 }
 
-// coordCrashRun executes cfg over nWorkers TCP workers with checkpointing
-// armed, and the first of kills installed as the coordinator's crash
-// point. Each time one fires, the harness does what a supervisor would:
-// rebind the listener on the same address, replay the log into a restored
-// coordinator armed with the next kill, and resume the run with
-// core.ResumeExecute. Returns the final report, how many kills fired, and
-// the final record count of the log. onRestore, if set, sees the killed
-// and the restored coordinator before each resumed run starts.
-func coordCrashRun(t *testing.T, cfg core.Config, nWorkers int,
-	onRestore func(killed, restored *tcpnet.Coordinator), kills ...killAt) (*core.Report, int, int64) {
-	t.Helper()
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// crashRun is a cluster with its write-ahead log on disk and the failure
+// handler armed, whose coordinator incarnation n carries kills[n] as its
+// crash point: Run restarts it from the log each time one fires, as
+// ehjadist -coord-kill does.
+type crashRun struct {
+	*cluster.Cluster
+	wal   *os.File
+	wg    *sync.WaitGroup
+	fired int // the incarnation last built: the kills that fired
+}
 
+func startCrashRun(t *testing.T, cfg core.Config, nWorkers int, kills ...killAt) *crashRun {
+	t.Helper()
+	wal, err := os.Create(filepath.Join(t.TempDir(), "coord.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wal.Close() })
 	l := listen(t)
-	addr := l.Addr().String()
-	conns, wg := startWorkerLoops(t, l, nWorkers, func(i int) {
-		// The workers dial l's address, which the restart rebinds.
+	r := &crashRun{wal: wal}
+	var conns []net.Conn
+	conns, r.wg = startWorkerLoops(t, l, nWorkers, func(i int) {
+		// The workers dial l's address, which a restart rebinds.
 		if err := tcpnet.RunWorker(dialer(l, nil), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
 			// Not fatal by itself: a worker that gives up is rung-3
 			// territory, and the result-equality check is the arbiter
@@ -64,79 +62,57 @@ func coordCrashRun(t *testing.T, cfg core.Config, nWorkers int,
 			t.Logf("worker %d exit: %v", i, err)
 		}
 	})
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % nWorkers
-	}
-
-	var wal bytes.Buffer
-	// The handler runs inside the current coordinator's Drain, and coord
-	// always names that coordinator.
-	var coord *tcpnet.Coordinator
-	handler := func(worker int, nodes []rt.NodeID, cause error) {
-		for _, n := range nodes {
-			coord.Inject(schedID, core.NodeDeadMessage(n))
-		}
-	}
-	opts := func(fired int) []tcpnet.Option {
-		o := []tcpnet.Option{
-			tcpnet.WithCheckpoint(&wal),
-			tcpnet.WithFailureHandler(handler),
-			tcpnet.WithDrainTimeout(30 * time.Second),
-			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
-		}
-		if fired < len(kills) {
-			o = append(o, tcpnet.WithCrashPoint(kills[fired].phase, kills[fired].recs))
-		}
-		return o
-	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns, opts(0)...)
+	r.Cluster, err = cluster.Start(cfg, l, conns, cluster.Setup{
+		Recover: true,
+		WAL:     wal,
+		Options: func(n int) []tcpnet.Option {
+			r.fired = n
+			o := []tcpnet.Option{
+				tcpnet.WithDrainTimeout(30 * time.Second),
+				tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
+			}
+			if n < len(kills) {
+				o = append(o, tcpnet.WithCrashPoint(kills[n].phase, kills[n].recs))
+			}
+			return o
+		},
+		Logf: t.Logf,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
 
-	got, err := core.Execute(cfg, coord)
-	fired := 0
-	for errors.Is(err, tcpnet.ErrCoordKilled) {
-		fired++
-		coord.Close()
-
-		// The restart path: same address (the workers' dial target), the
-		// log's intact prefix, fresh local actors from the logged config.
-		// (err keeps the resumed run's outcome for the loop condition, so
-		// the restart's own errors take other names.)
-		l2, lerr := net.Listen("tcp", addr)
-		if lerr != nil {
-			t.Fatalf("rebind %s: %v", addr, lerr)
-		}
-		snap, rerr := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		rs, rerr := core.PrepareResume(snap.CfgBlob())
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		killed := coord
-		coord, rerr = tcpnet.RestoreCoordinator(snap, rs.Actors(), l2, opts(fired)...)
-		if rerr != nil {
-			t.Fatalf("restore from checkpoint: %v", rerr)
-		}
-		if onRestore != nil {
-			onRestore(killed, coord)
-		}
-		got, err = core.ResumeExecute(rs, coord)
+// finish closes the cluster, waits for its workers, and returns the
+// kills that fired and the final record count of the log.
+func (r *crashRun) finish(t *testing.T) (fired int, records int64) {
+	t.Helper()
+	r.Close()
+	r.wg.Wait()
+	logged, err := os.ReadFile(r.wal.Name())
+	if err != nil {
+		t.Fatal(err)
 	}
-	coord.Close()
-	wg.Wait()
+	snap, err := tcpnet.ReadSnapshot(bytes.NewReader(logged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.fired, int64(len(snap.Records))
+}
+
+// coordCrashRun runs cfg over nWorkers TCP workers on a crashRun armed
+// with kills and returns the final report, how many kills fired, and the
+// final record count of the log.
+func coordCrashRun(t *testing.T, cfg core.Config, nWorkers int, kills ...killAt) (*core.Report, int, int64) {
+	t.Helper()
+	r := startCrashRun(t, cfg, nWorkers, kills...)
+	got, err := r.Run()
+	fired, records := r.finish(t)
 	if err != nil {
 		t.Fatalf("run failed after %d coordinator kill(s): %v", fired, err)
 	}
-	snap, err := tcpnet.ReadSnapshot(bytes.NewReader(wal.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got, fired, int64(len(snap.Records))
+	return got, fired, records
 }
 
 // checkRecovered asserts the resumed run's result is bit-identical to the
@@ -213,7 +189,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, fired, _ := coordCrashRun(t, tc.cfg, tc.workers, nil, killAt{tc.phase, tc.recs})
+			got, fired, _ := coordCrashRun(t, tc.cfg, tc.workers, killAt{tc.phase, tc.recs})
 			if fired != 1 {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
@@ -250,7 +226,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, fired, total := coordCrashRun(t, cfg, mode.workers, nil)
+			base, fired, total := coordCrashRun(t, cfg, mode.workers)
 			if fired != 0 {
 				t.Fatal("control run crashed with no crash point armed")
 			}
@@ -268,7 +244,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 				// The restored coordinator counts records from its own
 				// restart header, and has about total-recs left to write.
 				again := 2 + rng.Int63n(total-recs+1)
-				got, fired, _ := coordCrashRun(t, cfg, mode.workers, nil, killAt{-1, recs}, killAt{-1, again})
+				got, fired, _ := coordCrashRun(t, cfg, mode.workers, killAt{-1, recs}, killAt{-1, again})
 				t.Logf("trial %d: kills at record %d/%d, then %d: %d fired", trial, recs, total, again, fired)
 				if fired > 0 {
 					hits++
@@ -325,44 +301,55 @@ func TestCoordRecoveryReplayRebuildsBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Run the first coordinator to its kill, and compare the
+			// buffers between the restart and the resumed run.
+			r := startCrashRun(t, tc.cfg, tc.workers, killAt{tc.phase, tc.recs})
+			if _, err := core.Execute(tc.cfg, r.Coordinator()); !errors.Is(err, tcpnet.ErrCoordKilled) {
+				r.finish(t)
+				t.Fatalf("crash point (phase %d, record %d) never fired: %v", tc.phase, tc.recs, err)
+			}
+			killed := r.Coordinator()
+			if err := r.Restart(); err != nil {
+				r.finish(t)
+				t.Fatal(err)
+			}
+			restored := r.Coordinator()
 			compared := 0
-			got, fired, _ := coordCrashRun(t, tc.cfg, tc.workers,
-				func(killed, restored *tcpnet.Coordinator) {
-					for w := 0; w < tc.workers; w++ {
-						after, resumable, dead, err := tcpnet.RetransmitBuffer(restored, w)
-						if err != nil {
-							t.Fatalf("worker %d: restored buffer: %v", w, err)
-						}
-						if dead {
-							continue
-						}
-						before, _, _, err := tcpnet.RetransmitBuffer(killed, w)
-						if err != nil {
-							t.Fatalf("worker %d: killed buffer: %v", w, err)
-						}
-						if !resumable {
-							t.Errorf("worker %d: the replayed buffer overflowed its window", w)
-							continue
-						}
-						for seq, b := range before {
-							a, ok := after[seq]
-							switch {
-							case !ok:
-								t.Errorf("worker %d seq %d: kind %d %d→%d is missing from the restored buffer",
-									w, seq, b.Kind, b.From, b.To)
-							case a.Kind != b.Kind || a.From != b.From || a.To != b.To:
-								t.Errorf("worker %d seq %d: restored kind %d %d→%d, killed kind %d %d→%d",
-									w, seq, a.Kind, a.From, a.To, b.Kind, b.From, b.To)
-							case !bytes.Equal(a.Canon, b.Canon):
-								t.Errorf("worker %d seq %d: kind %d %d→%d carries a different message",
-									w, seq, b.Kind, b.From, b.To)
-							}
-							compared++
-						}
+			for w := 0; w < tc.workers; w++ {
+				after, resumable, dead, err := tcpnet.RetransmitBuffer(restored, w)
+				if err != nil {
+					t.Fatalf("worker %d: restored buffer: %v", w, err)
+				}
+				if dead {
+					continue
+				}
+				before, _, _, err := tcpnet.RetransmitBuffer(killed, w)
+				if err != nil {
+					t.Fatalf("worker %d: killed buffer: %v", w, err)
+				}
+				if !resumable {
+					t.Errorf("worker %d: the replayed buffer overflowed its window", w)
+					continue
+				}
+				for seq, b := range before {
+					a, ok := after[seq]
+					switch {
+					case !ok:
+						t.Errorf("worker %d seq %d: kind %d %d→%d is missing from the restored buffer",
+							w, seq, b.Kind, b.From, b.To)
+					case a.Kind != b.Kind || a.From != b.From || a.To != b.To:
+						t.Errorf("worker %d seq %d: restored kind %d %d→%d, killed kind %d %d→%d",
+							w, seq, a.Kind, a.From, a.To, b.Kind, b.From, b.To)
+					case !bytes.Equal(a.Canon, b.Canon):
+						t.Errorf("worker %d seq %d: kind %d %d→%d carries a different message",
+							w, seq, b.Kind, b.From, b.To)
 					}
-				}, killAt{tc.phase, tc.recs})
-			if fired != 1 {
-				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
+					compared++
+				}
+			}
+			got, err := r.Run()
+			if fired, _ := r.finish(t); err != nil || fired != 1 {
+				t.Fatalf("resumed run: %d restart(s), %v", fired, err)
 			}
 			t.Logf("compared %d buffered frames", compared)
 			total += compared
@@ -392,7 +379,7 @@ func TestCoordRecoveryDoubleCrash(t *testing.T) {
 	for first := int64(2); first <= 9; first++ {
 		for _, second := range []int64{4, 6, 10, 20} {
 			t.Run(fmt.Sprintf("build-%d-then-%d", first, second), func(t *testing.T) {
-				got, fired, _ := coordCrashRun(t, cfg, 2, nil, killAt{0, first}, killAt{0, second})
+				got, fired, _ := coordCrashRun(t, cfg, 2, killAt{0, first}, killAt{0, second})
 				if fired != 2 {
 					t.Fatalf("%d of the 2 kills fired", fired)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
@@ -29,14 +30,6 @@ func (k *killConn) Read(p []byte) (int, error) {
 	n, err := k.Conn.Read(p)
 	k.remaining -= int64(n)
 	return n, err
-}
-
-func joinFactory(blob []byte, id rt.NodeID) (rt.Actor, error) {
-	cfg, err := core.DecodeConfig(blob)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewJoinActor(cfg, id)
 }
 
 // deadAfterFirst returns a worker dial function for l that connects once,
@@ -78,28 +71,9 @@ func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict
 // mid-build must surface from Drain as a descriptive error naming the
 // worker — never a panic, never a bare timeout.
 func TestDisconnectMidBuildFails(t *testing.T) {
-	cfg := distConfig(core.Split)
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, conns, wg := startFaultyWorkers(t, 2, 1, 64<<10, false)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % 2
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns,
-		tcpnet.WithResumeWindow(100*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+	_, err := runCluster(t, distConfig(core.Split), l, conns, wg,
+		cluster.Setup{Options: every(tcpnet.WithResumeWindow(100 * time.Millisecond))})
 	if err == nil {
 		t.Fatal("worker death mid-build must fail the run")
 	}
@@ -230,41 +204,13 @@ func testWorkerDeathRecovers(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	l, conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	var coord *tcpnet.Coordinator
-	handler := func(worker int, nodes []rt.NodeID, cause error) {
-		t.Logf("worker %d died (%v); notifying scheduler of %d nodes", worker, cause, len(nodes))
-		for _, n := range nodes {
-			coord.Inject(schedID, core.NodeDeadMessage(n))
-		}
-	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns,
-		tcpnet.WithFailureHandler(handler),
-		tcpnet.WithResumeWindow(100*time.Millisecond),
-		tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{
+		Recover: true,
+		Options: every(tcpnet.WithResumeWindow(100*time.Millisecond),
+			tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond)),
+		Logf: t.Logf,
+	})
 	if err != nil {
 		t.Fatalf("run with worker death did not recover: %v", err)
 	}

@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/hashfn"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 	"ehjoin/internal/tuple"
 )
@@ -94,47 +94,20 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	if want.HeavyKeys == 0 {
 		t.Fatal("scenario detected no heavy keys in the simulator")
 	}
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Kill a quarter of the way through the doomed worker's initial build
 	// traffic: a fixed offset near the end of it lets detection slip past
 	// the build barrier, where a death degrades instead of recovering.
 	l, conns, wg := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % 2
-	}
-	var coord *tcpnet.Coordinator
-	handler := func(worker int, nodes []rt.NodeID, cause error) {
-		t.Logf("worker %d died (%v); notifying scheduler of %d nodes", worker, cause, len(nodes))
-		for _, n := range nodes {
-			coord.Inject(schedID, core.NodeDeadMessage(n))
-		}
-	}
 	// The kill is detected by the connection reset, not the heartbeat, so
 	// the timeout can be generous: the skewed workload's match explosion
 	// slows the surviving worker enough under -race that a 500ms silence
 	// threshold falsely declares it dead too.
-	coord, err = tcpnet.NewCoordinator(blob, assignment, l, conns,
-		tcpnet.WithFailureHandler(handler),
-		tcpnet.WithResumeWindow(100*time.Millisecond),
-		tcpnet.WithHeartbeat(50*time.Millisecond, 5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{
+		Recover: true,
+		Options: every(tcpnet.WithResumeWindow(100*time.Millisecond),
+			tcpnet.WithHeartbeat(50*time.Millisecond, 5*time.Second)),
+		Logf: t.Logf,
+	})
 	if err != nil {
 		t.Fatalf("heavy run with worker death did not recover: %v", err)
 	}

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
-	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 )
 
@@ -24,16 +24,6 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := distConfig(core.Split)
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	l := listen(t)
 	conns, wg := startWorkerLoops(t, l, 2, func(i int) {
 		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
@@ -45,18 +35,8 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		}
 	})
 
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % 2
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns,
-		tcpnet.WithDrainTimeout(60*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+	report, err := runCluster(t, distConfig(core.Split), l, conns, wg,
+		cluster.Setup{Options: every(tcpnet.WithDrainTimeout(60 * time.Second))})
 	if err != nil {
 		t.Fatalf("peer chaos run %q: %v", plan, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	rt "ehjoin/internal/runtime"
@@ -60,6 +61,10 @@ func startWorkerLoops(t testing.TB, l net.Listener, n int, run func(i int)) ([]n
 	return conns, &wg
 }
 
+// joinFactory is the worker factory every worker loop runs unless a test
+// needs another: joind's, spilling allowed.
+var joinFactory = cluster.Factory(false)
+
 // startWorkers launches n worker loops over real localhost TCP connections
 // and returns the coordinator's listener and its side of each connection.
 func startWorkers(t testing.TB, n int) (net.Listener, []net.Conn, *sync.WaitGroup) {
@@ -78,31 +83,32 @@ func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) (net.Lis
 	return l, conns, wg
 }
 
-// runDistJoin executes cfg across `workers` worker loops with join node i
-// on worker i%workers and returns the report; the result comparison is
-// the caller's.
+// runCluster runs cfg to its end on a cluster over the worker
+// connections accepted from l, then closes it and waits for the worker
+// loops.
+func runCluster(t testing.TB, cfg core.Config, l net.Listener, conns []net.Conn, wg *sync.WaitGroup, s cluster.Setup) (*core.Report, error) {
+	t.Helper()
+	cl, err := cluster.Start(cfg, l, conns, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Run()
+	cl.Close()
+	wg.Wait()
+	return got, err
+}
+
+// every gives each coordinator incarnation the same options.
+func every(opts ...tcpnet.Option) func(int) []tcpnet.Option {
+	return func(int) []tcpnet.Option { return opts }
+}
+
+// runDistJoin executes cfg across `workers` worker loops and returns the
+// report; the result comparison is the caller's.
 func runDistJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	t.Helper()
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, conns, wg := startWorkers(t, workers)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, l, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
+	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +230,31 @@ func TestDistributedSpill(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDistributedNoSpillWorkers runs the spill scenario on workers built
+// by joind -no-spill's factory: every spill order is declined, and the
+// run still lands on the simulator's result (the budget is modelled, not
+// enforced) with nothing spilled.
+func TestDistributedNoSpillWorkers(t *testing.T) {
+	cfg := distConfig(core.Split)
+	cfg.MaxNodes = 3
+	cfg.SpillEnabled = true
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, conns, wg := startWorkersWith(t, 2, cluster.Factory(true))
+	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Matches != want.Matches || got.Checksum != want.Checksum {
+		t.Errorf("no-spill result %d/%#x, want %d/%#x", got.Matches, got.Checksum, want.Matches, want.Checksum)
+	}
+	if got.SpilledPartitions != 0 || got.SpillWrittenBytes != 0 {
+		t.Errorf("no-spill workers spilled %d partition(s), %d bytes", got.SpilledPartitions, got.SpillWrittenBytes)
 	}
 }
 
