@@ -35,6 +35,7 @@ import (
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/metrics"
+	rt "ehjoin/internal/runtime"
 	"ehjoin/internal/tcpnet"
 	"ehjoin/internal/tuple"
 )
@@ -160,7 +161,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// drive runs the join from the spawn on; its defers stop the -kill
 	// timer, close the coordinator and reap the spawned workers (killed
-	// first unless the run succeeded) on every return.
+	// first unless the run succeeded) on every return. failed is the
+	// nodes that failed workers held.
+	var failed []rt.NodeID
 	drive := func() (_ *core.Report, start time.Time, err error) {
 		var procs *workerProcs
 		if *spawn {
@@ -187,6 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		start = time.Now()
 		report, err := cl.Run()
+		failed = cl.FailedNodes()
 		return report, start, err
 	}
 	report, start, err := drive()
@@ -223,6 +227,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "ehjadist: recovery rung %d: %d session resume(s), %d/%d frames retransmitted, %d checksum failure(s), %d duplicate(s) shed\n",
 			report.RecoveryRung, report.Resumes, report.RetransmittedFrames,
 			report.SessionFrames, report.ChecksumFailures, report.DuplicateFrames)
+	}
+	if report.Degraded {
+		// The report above is all there is; a script must not take it
+		// for the join's result.
+		return fail(1, fmt.Errorf("degraded run: the result may be incomplete; failed workers held join node(s) %v", failed))
 	}
 	return 0
 }

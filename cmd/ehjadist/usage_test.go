@@ -148,3 +148,18 @@ func TestEarlyWorkerExitFailsTheRun(t *testing.T) {
 		t.Errorf("exit %d, want 1 and spawned worker 0 named in stderr %q", code, stderr)
 	}
 }
+
+// TestDegradedRunExitsOne: a run that loses join nodes it cannot recover
+// exactly prints its report as before, DEGRADED line included, and then
+// fails: exit 1 and one stderr line naming the nodes the failed workers
+// held. Killing the only worker at the start loses every node.
+func TestDegradedRunExitsOne(t *testing.T) {
+	args := "-workers 1 -r 200000 -s 200000 -kill 0@0 -recover -resume-window 200ms"
+	code, stdout, stderr := runWithin(t, time.Minute, strings.Fields(args))
+	verdict := "ehjadist: degraded run: the result may be incomplete; failed workers held join node(s) [3 4 5 6 7 8 9 10]\n"
+	if code != 1 || !strings.Contains(stdout, "ehjadist: DEGRADED — result may be incomplete") ||
+		!strings.HasSuffix(stderr, verdict) || strings.Count(stderr, "degraded run") != 1 {
+		t.Errorf("ehjadist %s: exit %d, want 1, the DEGRADED line in\n%s\nand stderr ending in %q, once:\n%s",
+			args, code, stdout, verdict, stderr)
+	}
+}

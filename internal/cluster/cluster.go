@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 
 	"ehjoin/internal/core"
 	rt "ehjoin/internal/runtime"
@@ -58,6 +59,7 @@ type Cluster struct {
 	coord    *tcpnet.Coordinator
 	rs       *core.ResumeState // set by Restart: Run resumes
 	restarts int
+	failed   []rt.NodeID // the nodes of failed workers, each once, in failure order
 }
 
 // Start places join node i of cfg on worker i mod len(conns), where
@@ -147,6 +149,11 @@ func (c *Cluster) Restart() error {
 	return nil
 }
 
+// FailedNodes returns the join nodes that failed workers held, each once,
+// in failure order: those recovered exactly as well as those the run
+// degraded on. Call it after Run has returned.
+func (c *Cluster) FailedNodes() []rt.NodeID { return c.failed }
+
 // Close closes the current coordinator: its workers are told to shut
 // down and its listener closes.
 func (c *Cluster) Close() { c.coord.Close() }
@@ -163,6 +170,9 @@ func (c *Cluster) options() []tcpnet.Option {
 		opts = append(opts, tcpnet.WithFailureHandler(func(w int, nodes []rt.NodeID, cause error) {
 			c.logf("worker %d failed (%v); recovering %d node(s)", w, cause, len(nodes))
 			for _, n := range nodes {
+				if !slices.Contains(c.failed, n) {
+					c.failed = append(c.failed, n)
+				}
 				c.coord.Inject(c.sched, core.NodeDeadMessage(n))
 			}
 		}))

@@ -110,7 +110,18 @@ func (j *joinActor) updateRoute(t *hashfn.Table) {
 	}
 }
 
-// Receive implements runtime.Actor.
+// InFlightChunks is the most chunks the sources can have in flight toward
+// this node at once: each may use a window of up to MaxCreditWindow
+// (DESIGN.md §15). A tcpnet worker sizes the free list it decodes chunks
+// into as the sum over the nodes it hosts.
+func (j *joinActor) InFlightChunks() int { return j.cfg.Sources * j.cfg.MaxCreditWindow }
+
+// Receive implements runtime.Actor. The node is the last holder of every
+// chunk it receives and releases it (tuple.Chunk.Release) once the chunk
+// is stored or probed. preInit, heldProbes and pendingHeavyClones keep a
+// chunk past Receive and release it when they consume it; a retired node's
+// wholesale forward hands the chunk on unreleased (DESIGN.md §15, "the
+// last holder releases").
 func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 	switch msg := m.(type) {
 	case *joinInit:
@@ -193,6 +204,7 @@ func (j *joinActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 		env.ChargeCPU(j.cfg.Cost.ChunkOverheadNs)
 		j.insertBatch(env, msg.Chunk.Tuples)
 		j.cloneReceived += int64(len(msg.Chunk.Tuples))
+		msg.Chunk.Release()
 		j.maybeReleaseHeldProbes(env)
 	case *cloneEnd:
 		j.cloneTotal = msg.TotalTuples
@@ -364,6 +376,7 @@ func (j *joinActor) absorbHeavyClone(env rt.Env, c *tuple.Chunk) {
 	for _, t := range c.Tuples {
 		j.heavyCopyCount[t.Key]++
 	}
+	c.Release()
 }
 
 // snapshot captures the node's statistics for the scheduler's collection.
@@ -447,7 +460,8 @@ func (j *joinActor) onPurgeRange(env rt.Env, msg *purgeRange) {
 // chunk was routed under routing-table version v, and a range rebuilt after
 // a failure accepts only tuples routed at or after the rebuild's version
 // (the sources re-stream the authoritative copies). Returns nil when
-// nothing survives.
+// nothing survives. A chunk it does not return is released: the caller's
+// chunk is c or a copy of what survived.
 func (j *joinActor) filterStale(c *tuple.Chunk, v uint64) *tuple.Chunk {
 	if j.route == nil || len(j.route.Barriers) == 0 {
 		return c
@@ -463,10 +477,12 @@ func (j *joinActor) filterStale(c *tuple.Chunk, v uint64) *tuple.Chunk {
 		return c
 	}
 	j.stats.DroppedStale += int64(len(c.Tuples) - len(kept))
-	if len(kept) == 0 {
-		return nil
+	var out *tuple.Chunk
+	if len(kept) > 0 {
+		out = &tuple.Chunk{Rel: c.Rel, Layout: c.Layout, Tuples: kept}
 	}
-	return &tuple.Chunk{Rel: c.Rel, Layout: c.Layout, Tuples: kept}
+	c.Release()
+	return out
 }
 
 // onMoveTuples absorbs migrated tuples (split migration or reshuffle
@@ -483,6 +499,7 @@ func (j *joinActor) onMoveTuples(env rt.Env, c *tuple.Chunk, v uint64) {
 		j.insertOwned(env, c.Tuples)
 	}
 	j.checkOverflow(env, c.LogicalBytes())
+	c.Release()
 }
 
 // dispatchChunk routes an arriving chunk to the build or probe path.
@@ -501,6 +518,7 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 	}
 	if j.cfg.Algorithm == OutOfCore {
 		j.insertOOC(env, c.Tuples)
+		c.Release()
 		return
 	}
 	if j.retired {
@@ -508,6 +526,9 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 		// forward it wholesale to the node now receiving the range. Use
 		// the latest routing table so the chunk goes straight to the
 		// current tail instead of hopping through every retired replica.
+		// The chunk goes with it, unreleased: in-process its receiver
+		// holds it now, and a link writer that encodes it leaves it to
+		// the garbage collector (dataChunk.Release).
 		dest := j.forwardTo
 		if j.route != nil && len(c.Tuples) > 0 {
 			p := j.cfg.Space.PositionOf(c.Tuples[0].Key)
@@ -526,6 +547,7 @@ func (j *joinActor) onBuildChunk(env rt.Env, c *tuple.Chunk, v uint64) {
 		j.insertOwned(env, c.Tuples)
 	}
 	j.checkOverflow(env, c.LogicalBytes())
+	c.Release()
 }
 
 // insertBatch inserts a batch of build tuples and charges the
@@ -909,13 +931,22 @@ func (j *joinActor) onReshuffle(env rt.Env, msg *reshuffleAssign) {
 }
 
 // onProbeChunk probes every tuple of an arriving probe chunk against the
-// local table.
+// local table and releases it; a probe-phase recruit holds it until its
+// table clone is complete.
 func (j *joinActor) onProbeChunk(env rt.Env, c *tuple.Chunk) {
 	if j.awaitClone {
 		// Probe-phase recruit: the table clone has not fully arrived yet.
 		j.heldProbes = append(j.heldProbes, c)
 		return
 	}
+	j.probe(env, c)
+	c.Release()
+}
+
+// probe is onProbeChunk's work: count, divert the tuples of spilled
+// partitions to the rung (which copies them), then probe or, on a
+// pipeline stage, probe and forward the matches.
+func (j *joinActor) probe(env rt.Env, c *tuple.Chunk) {
 	j.stats.ProbeTuples += int64(len(c.Tuples))
 	if j.heavySet != nil {
 		for _, t := range c.Tuples {

@@ -178,9 +178,10 @@ func TestSourceBanksWhatTheAckGrants(t *testing.T) {
 	}
 }
 
-// TestDataChunkReleaseIsTheSourcesAlone pins "never release on the receive
-// side": only the source's original send hands its chunk back to the free
-// list; a forward of the same chunk, and chunks no free list cut, do not.
+// TestDataChunkReleaseIsTheSourcesAlone pins what a link writer releases
+// once it has encoded a chunk: the source's original send goes back to the
+// free list; a forward, which a join node handed on, and chunks no free
+// list cut, do not.
 func TestDataChunkReleaseIsTheSourcesAlone(t *testing.T) {
 	fl := tuple.NewFreeList(4)
 	cut := func() *tuple.Chunk {

@@ -277,7 +277,7 @@ func (w *worker) peerAcceptLoop(l net.Listener) {
 // inbox; the main loop decides whether to accept. Anything malformed just
 // drops the connection — the dialer retries on its own schedule.
 func (w *worker) peerAcceptHandshake(conn net.Conn) {
-	r := newWireReader(conn)
+	r := w.newReader(conn)
 	f, err := readHandshake(conn, r)
 	if err != nil {
 		_ = conn.Close()

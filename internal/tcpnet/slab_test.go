@@ -1,8 +1,9 @@
 package tcpnet
 
-// The send path's two recycling loops, pinned: retransmit slabs that the
-// session encodes into and peerAck hands back (session.go), and pooled
-// message buffers the writer goroutine releases after encoding (writeLoop).
+// The transport's recycling loops, pinned: retransmit slabs that the
+// session encodes into and peerAck hands back (session.go), pooled message
+// buffers the writer goroutine releases after encoding (writeLoop), and the
+// chunk arrays a worker's readers decode into and its actors release.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/tuple"
 	wire "ehjoin/internal/wire"
 )
 
@@ -33,6 +35,25 @@ func (m *releasableMsg) Release() { atomic.AddInt64(m.released, 1) }
 func init() {
 	wire.Register(250, func(c *wire.Codec, m *slabMsg) { wire.Blob(c, &m.Pad) })
 	wire.Register(251, func(c *wire.Codec, m *releasableMsg) { wire.Blob(c, &m.Pad) })
+	wire.Register(252, func(c *wire.Codec, m *chunkMsg) { wire.Chunk(c, &m.Chunk) })
+}
+
+// chunkMsg carries one tuple chunk.
+type chunkMsg struct{ Chunk *tuple.Chunk }
+
+func (m *chunkMsg) WireSize() int { return m.Chunk.LogicalBytes() }
+
+// sinkActor takes chunks, as a join node does: it reports how many can be
+// in flight toward it, records the array each chunk arrived in, and
+// releases the chunk.
+type sinkActor struct{ arrays map[*tuple.Tuple]int }
+
+func (a *sinkActor) InFlightChunks() int { return 2 }
+
+func (a *sinkActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
+	c := m.(*chunkMsg).Chunk
+	a.arrays[&c.Tuples[0]]++
+	c.Release()
 }
 
 // padFor returns a payload whose frame is frameBytes long on the wire.
@@ -214,5 +235,37 @@ func TestWriterReleasesEncodedMessages(t *testing.T) {
 	}
 	if r := atomic.LoadInt64(&localReleases); r != 0 {
 		t.Errorf("%d locally delivered messages were released; the receiving actor owns those", r)
+	}
+}
+
+// TestWorkerReadersDecodeThroughFreeList: a worker whose actors take chunks
+// decodes each one into an array from its free list, so chunks an actor
+// released come back. Each chunk is drained before the next is sent, so
+// every decode finds the previous chunk's array parked — except that the
+// reader may decode the first chunk before the loop has applied the
+// assignment that sizes the list, into an array of its own.
+func TestWorkerReadersDecodeThroughFreeList(t *testing.T) {
+	server, client := tcpPair(t)
+	sink := &sinkActor{arrays: make(map[*tuple.Tuple]int)}
+	done := runTestWorker(firstConn(client, nil), map[rt.NodeID]rt.Actor{1: sink})
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, testListener(t), []net.Conn{server})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		ts := make([]tuple.Tuple, 1000)
+		ts[0].Index = uint64(i)
+		c.Inject(1, &chunkMsg{&tuple.Chunk{Rel: tuple.RelS, Tuples: ts}})
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.arrays) > 2 {
+		t.Errorf("%d chunks arrived in %d different arrays, want all but the first in one", n, len(sink.arrays))
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
+	"ehjoin/internal/tuple"
 	wire "ehjoin/internal/wire"
 )
 
@@ -196,10 +198,16 @@ func (w *wireWriter) Err() error { return w.err }
 // the received-but-unparsed bytes, which the worker uses to coalesce
 // counter reports: while more input is already buffered it keeps
 // processing, and reports only when about to block.
-type wireReader struct{ *wire.EnvelopeReader }
+type wireReader struct {
+	*wire.EnvelopeReader
+	// chunks, if set, holds the free list a message's chunk decodes into
+	// (a worker's, sized at each assignment); nil or empty, every chunk
+	// gets a fresh array.
+	chunks *atomic.Pointer[tuple.FreeList]
+}
 
 func newWireReader(r io.Reader) *wireReader {
-	return &wireReader{wire.NewEnvelopeReader(r, readBufBytes, minBodyLen)}
+	return &wireReader{EnvelopeReader: wire.NewEnvelopeReader(r, readBufBytes, minBodyLen)}
 }
 
 // ReadFrame blocks for the next frame. The frame comes from framePool;
@@ -217,7 +225,11 @@ func (r *wireReader) ReadFrame() (*frame, error) {
 	f := getFrame()
 	f.Seq = binary.LittleEndian.Uint64(body)
 	f.Ack = binary.LittleEndian.Uint64(body[8:])
-	if err := wire.Decode(body[16:], f, frameFields); err != nil {
+	var chunks *tuple.FreeList
+	if r.chunks != nil {
+		chunks = r.chunks.Load()
+	}
+	if err := wire.DecodeWith(chunks, body[16:], f, frameFields); err != nil {
 		kind := f.Kind
 		putFrame(f)
 		return nil, fmt.Errorf("tcpnet: frame kind %d: %w", kind, err)

@@ -255,7 +255,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<30)) // a gigabyte claimed, nothing sent
 	reencode := func(t *testing.T, data []byte) []byte {
 		// A 4 KB reader, not the connection's 256 KB one: one per input.
-		r := &wireReader{wire.NewEnvelopeReader(bytes.NewReader(data), 4096, minBodyLen)}
+		r := &wireReader{EnvelopeReader: wire.NewEnvelopeReader(bytes.NewReader(data), 4096, minBodyLen)}
 		fr, err := r.ReadFrame()
 		if err != nil {
 			return nil

@@ -8,15 +8,26 @@ import (
 	"net"
 	"os"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	rt "ehjoin/internal/runtime"
+	"ehjoin/internal/tuple"
 )
 
 // ActorFactory constructs a worker-hosted actor for one of the node ids the
 // coordinator assigned. cfgBlob is the coordinator's opaque configuration
 // (typically decoded with core.DecodeConfig).
 type ActorFactory func(cfgBlob []byte, id rt.NodeID) (rt.Actor, error)
+
+// chunkSink is implemented by a hosted actor that receives tuple chunks:
+// InFlightChunks is the most chunks that can be in flight toward it at
+// once under the configuration it was built from. A worker's link readers
+// decode chunks into arrays from one free list, which parks as many
+// released chunks as its actors' sum.
+type chunkSink interface {
+	InFlightChunks() int
+}
 
 // The coordinator link's redial schedule: attempts, spread around the
 // backoff pace by redialDelay's jitter. A worker that loses its
@@ -108,7 +119,7 @@ func RunWorker(dial func() (net.Conn, error), factory ActorFactory, opts ...Work
 	// assignment carries the complete address book.
 	hello := getFrame()
 	hello.Kind, hello.Addr = framePeerAddr, w.p2p.addr
-	w.coord.start(conn, newWireReader(conn), hello, nil, &w.mux)
+	w.coord.start(conn, w.newReader(conn), hello, nil, &w.mux)
 	go w.peerAcceptLoop(l)
 
 	sessTick := time.NewTicker(sessionTickInterval)
@@ -157,6 +168,10 @@ type worker struct {
 	start    time.Time
 	assigned bool
 	p2p      *p2pState // the peer-to-peer data plane
+	// chunks is the free list every link reader decodes chunks into,
+	// replaced at each assignment; its actors release each chunk they
+	// consume back to it.
+	chunks atomic.Pointer[tuple.FreeList]
 
 	// assignedIDs is the sorted node-id set from the last frameAssign,
 	// hashed into the re-attach digest so a restarted coordinator can
@@ -309,6 +324,17 @@ func (w *worker) applyAssign(f *frame) error {
 		actors[rt.NodeID(id)] = a
 	}
 	w.actors = actors
+	var inFlight int
+	for _, a := range actors {
+		if s, ok := a.(chunkSink); ok {
+			inFlight += s.InFlightChunks()
+		}
+	}
+	var chunks *tuple.FreeList // nil: no actor takes chunks, so none is kept
+	if inFlight > 0 {
+		chunks = tuple.NewFreeList(inFlight)
+	}
+	w.chunks.Store(chunks)
 	// The frame is pooled; the id set must outlive it for future handshakes.
 	w.assignedIDs = append(w.assignedIDs[:0], f.IDs...)
 	w.queue = nil
@@ -316,6 +342,13 @@ func (w *worker) applyAssign(f *frame) error {
 	w.rep.Processed, w.rep.Emitted = 0, 0
 	w.assigned = true
 	return w.applyP2PAssign(f)
+}
+
+// newReader is newWireReader decoding chunks through the worker's list.
+func (w *worker) newReader(conn net.Conn) *wireReader {
+	r := newWireReader(conn)
+	r.chunks = &w.chunks
+	return r
 }
 
 // newRedialRNG seeds a redial jitter source. Wall clock alone would hand
@@ -379,9 +412,9 @@ func (w *worker) dialLoop(src int16, gen int32, stop chan struct{}, pause func(i
 		}
 		conn, err := dial()
 		if err == nil {
-			var r *wireReader
+			r := w.newReader(conn)
 			var f *frame
-			if r, f, err = dialHandshake(conn, hello, want); err == nil {
+			if f, err = dialHandshake(conn, r, hello, want); err == nil {
 				w.post(linkEvent{src: src, gen: gen, f: f, hs: &handshake{conn: conn, r: r}}, stop)
 				return
 			}
@@ -392,31 +425,30 @@ func (w *worker) dialLoop(src int16, gen int32, stop chan struct{}, pause func(i
 }
 
 // dialHandshake runs the dialing side of a handshake: write the hello
-// frames, then read one reply, which must be of a wanted kind. The
-// returned reader keeps any bytes buffered past the reply; the event loop
-// installs the connection, where the session is quiescent.
-func dialHandshake(conn net.Conn, hello []*frame, want []frameKind) (*wireReader, *frame, error) {
+// frames, then read one reply from r, which must be of a wanted kind. r
+// keeps any bytes buffered past the reply; the event loop installs the
+// connection, where the session is quiescent.
+func dialHandshake(conn net.Conn, r *wireReader, hello []*frame, want []frameKind) (*frame, error) {
 	var b []byte
 	var err error
 	for _, f := range hello {
 		if b, err = appendFrame(b, f, 0, 0); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if _, err = conn.Write(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r := newWireReader(conn)
 	f, err := readHandshake(conn, r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !slices.Contains(want, f.Kind) {
 		kind := f.Kind
 		putFrame(f)
-		return nil, nil, fmt.Errorf("tcpnet: unexpected handshake reply kind %d", kind)
+		return nil, fmt.Errorf("tcpnet: unexpected handshake reply kind %d", kind)
 	}
-	return r, f, nil
+	return f, nil
 }
 
 // spawnCoordDialer redials the coordinator on the jittered schedule with

@@ -15,8 +15,9 @@ type Chunk struct {
 	// memory and the network can charge transfer time.
 	Layout Layout
 
-	// home is the free list whose Builder cut this chunk, the only kind
-	// Release recycles; nil on every other chunk.
+	// home is the free list this chunk's array returns to on Release: the
+	// list whose Builder cut it or whose DecodeBinary filled it; nil on
+	// every other chunk.
 	home *FreeList
 }
 
@@ -26,17 +27,26 @@ func (c *Chunk) LogicalBytes() int {
 	return len(c.Tuples) * c.Layout.LogicalSize()
 }
 
-// Release hands a chunk cut by a FreeList's Builder back to that list for
-// the Builder's next cut; the caller must hold the only reference, and the
-// chunk is dead to it afterwards. Every other chunk — decoded from the wire,
-// assembled by hand around a slice of some larger array, or cut by a plain
-// NewBuilder — is left alone.
+// Release hands a chunk cut by a FreeList's Builder, or decoded by its
+// DecodeBinary, back to that list; the caller must be the chunk's last
+// holder, and the chunk is dead to it afterwards (DESIGN.md §15, "the last
+// holder releases"). Every other chunk — assembled by hand around a slice
+// of some larger array, or cut by a plain NewBuilder — is left alone.
+// Built with the chunkpoison tag, Release first overwrites the array with
+// a sentinel, so a holder that reads a chunk after releasing it breaks the
+// join's checksum instead of reading a stale copy.
 func (c *Chunk) Release() {
 	fl := c.home
 	if fl == nil {
 		return
 	}
 	c.home = nil
+	if poisonReleased {
+		ts := c.Tuples[:cap(c.Tuples)]
+		for i := range ts {
+			ts[i] = poisonTuple
+		}
+	}
 	c.Tuples = c.Tuples[:0]
 	select {
 	case fl.c <- c:
@@ -44,12 +54,19 @@ func (c *Chunk) Release() {
 	}
 }
 
+// poisonTuple is what a chunkpoison build writes over a released array.
+var poisonTuple = Tuple{Index: 0xDEADBEEFDEADBEEF, Key: 0xBADC0FFEE0DDF00D}
+
 // FreeList is a bounded stock of released chunks, safe for a releaser on
-// another goroutine than the Builders drawing from it. A transport that
+// another goroutine than the Builders or decoder drawing from it. On the
+// send side a source's Builders draw from one list: a transport that
 // serialises chunks (internal/tcpnet) releases each one after encoding it,
-// so a steady stream reuses the same few tuple arrays instead of allocating
-// one per chunk; where nothing is ever released (the simulator, the
-// goroutine engine) the list stays empty and every cut allocates.
+// and an engine that hands the chunk itself to the receiver (the
+// simulator, a transport's in-process deliveries) has the join node that
+// consumed it release it. On the receive side a worker's link readers
+// decode into arrays from one list, and its join nodes release each chunk
+// once they have stored or probed it. A steady stream so reuses the same
+// few tuple arrays instead of allocating one per chunk.
 type FreeList struct {
 	c chan *Chunk
 }
@@ -57,6 +74,28 @@ type FreeList struct {
 // NewFreeList returns a list that parks at most n released chunks.
 func NewFreeList(n int) *FreeList {
 	return &FreeList{c: make(chan *Chunk, n)}
+}
+
+// take returns a chunk homed to fl holding n zero or stale tuples: a
+// parked one when its array is long enough, a fresh one otherwise. A nil
+// fl always allocates, and homes nothing.
+func (fl *FreeList) take(n int) *Chunk {
+	var c *Chunk
+	if fl != nil {
+		select {
+		case c = <-fl.c:
+		default:
+		}
+	}
+	if c == nil {
+		c = new(Chunk)
+	}
+	ts := c.Tuples
+	if cap(ts) < n {
+		ts = make([]Tuple, n)
+	}
+	*c = Chunk{Tuples: ts[:n], home: fl}
+	return c
 }
 
 // NewBuilder is tuple.NewBuilder drawing from, and marking its chunks

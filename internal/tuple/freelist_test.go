@@ -107,3 +107,71 @@ func TestFreeListReleaseFromAnotherGoroutine(t *testing.T) {
 		t.Errorf("consumer saw index sum %d, want %d: a chunk was refilled while still being read", sum, want)
 	}
 }
+
+// TestDecodeThroughFreeListAllocatesNothing is item 14's decode row: a
+// receiver that decodes each chunk through a list and releases it once
+// consumed decodes the next one into the same header and array, so the
+// steady state allocates nothing per tuple.
+func TestDecodeThroughFreeListAllocatesNothing(t *testing.T) {
+	const chunkSize = 1000
+	in := &Chunk{Rel: RelR, Layout: DefaultLayout()}
+	for i := 0; i < chunkSize; i++ {
+		in.Tuples = append(in.Tuples, Tuple{Index: uint64(i), Key: uint64(i) * 31})
+	}
+	frame := in.AppendBinary(nil)
+	fl := NewFreeList(4)
+	var sum uint64
+	decode := func() {
+		c, _, err := fl.DecodeBinary(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += c.Tuples[chunkSize-1].Key
+		c.Release()
+	}
+	decode() // the first decode is the one allocation the stream ever makes
+	if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
+		t.Errorf("steady-state decode/release allocated %.1f times per chunk of %d tuples, want 0", allocs, chunkSize)
+	}
+	if want := uint64(chunkSize-1) * 31 * 52; sum != want {
+		t.Errorf("decoded last keys sum to %d, want %d", sum, want)
+	}
+}
+
+// TestDecodedChunkReturnsToItsList: a chunk decoded through a list is homed
+// to it, so Release parks it and the next decode reuses its array; a
+// plain DecodeBinary's chunk belongs to no list. A parked array too short
+// for the next chunk is replaced, not overrun.
+func TestDecodedChunkReturnsToItsList(t *testing.T) {
+	small := (&Chunk{Rel: RelS, Tuples: []Tuple{{1, 2}, {3, 4}}}).AppendBinary(nil)
+	large := (&Chunk{Rel: RelR, Tuples: []Tuple{{5, 6}, {7, 8}, {9, 10}}}).AppendBinary(nil)
+	fl := NewFreeList(2)
+
+	plain, _, _ := DecodeBinary(small)
+	plain.Release()
+	if len(fl.c) != 0 || len(plain.Tuples) != 2 {
+		t.Fatalf("a plain decode's release touched a list: parked %d, %d tuples left", len(fl.c), len(plain.Tuples))
+	}
+
+	first, _, _ := fl.DecodeBinary(large)
+	array := &first.Tuples[0]
+	first.Release()
+	if len(fl.c) != 1 {
+		t.Fatalf("list holds %d chunks after releasing a decoded one, want 1", len(fl.c))
+	}
+	second, _, _ := fl.DecodeBinary(small)
+	if second != first || &second.Tuples[0] != array {
+		t.Error("the released chunk's header and array were not reused by the next decode")
+	}
+	if second.Rel != RelS || !sameChunk(second, plain) {
+		t.Errorf("reused chunk decoded as %+v, want %+v", second, plain)
+	}
+	second.Release()
+	shortFirst, _, _ := fl.DecodeBinary(small)
+	shortFirst.Tuples = shortFirst.Tuples[:1:1] // a parked array shorter than the next chunk
+	shortFirst.Release()
+	third, _, _ := fl.DecodeBinary(large)
+	if len(third.Tuples) != 3 || third.Tuples[2] != (Tuple{9, 10}) {
+		t.Errorf("decode through a short parked array returned %+v", third.Tuples)
+	}
+}

@@ -14,6 +14,7 @@ type Codec struct {
 	decoding bool
 	buf      []byte // encoding: the output so far; decoding: the unread input
 	err      error
+	chunks   *tuple.FreeList // decoding: where chunk arrays come from; nil allocates
 }
 
 // Fail records err as the pass's error unless one is recorded already.
@@ -44,9 +45,16 @@ func EncodeOn[T any](c *Codec, dst []byte, v *T, fields func(*Codec, *T)) ([]byt
 // Decode parses data into v, as fields lists it. Every byte of data must
 // belong to a field: anything left over fails with ErrBadLength.
 func Decode[T any](data []byte, v *T, fields func(*Codec, *T)) error {
+	return DecodeWith(nil, data, v, fields)
+}
+
+// DecodeWith is Decode with every chunk decoded into an array drawn from,
+// and homed to, chunks (tuple.FreeList.DecodeBinary); a nil list allocates
+// each array, as Decode does.
+func DecodeWith[T any](chunks *tuple.FreeList, data []byte, v *T, fields func(*Codec, *T)) error {
 	c := codecs.Get().(*Codec)
 	defer codecs.Put(c)
-	_, err := run(c, Codec{decoding: true, buf: data}, v, fields)
+	_, err := run(c, Codec{decoding: true, buf: data, chunks: chunks}, v, fields)
 	return err
 }
 
@@ -225,12 +233,13 @@ func Opt[T any](c *Codec, p **T, fields func(*Codec, *T)) {
 	}
 }
 
-// Chunk codes a tuple chunk in its own bulk layout (tuple.AppendBinary).
+// Chunk codes a tuple chunk in its own bulk layout (tuple.AppendBinary),
+// decoding it through the pass's free list, if it has one.
 func Chunk(c *Codec, ch **tuple.Chunk) {
 	if !c.decoding {
 		c.buf = (*ch).AppendBinary(c.buf)
 	} else if c.err == nil {
-		v, n, err := tuple.DecodeBinary(c.buf)
+		v, n, err := c.chunks.DecodeBinary(c.buf)
 		if err != nil {
 			c.Fail(fmt.Errorf("wire: %v: %w", err, ErrTruncated))
 			return

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -71,7 +72,7 @@ func init() {
 }
 
 func kitFixture() *kitMsg {
-	return &kitMsg{Flag: true, Small: -3, Word: -70000, Big: 1 << 40, Ratio: 0.25,
+	return &kitMsg{Flag: true, Small: -3, Word: -70000, Big: math.MinInt, Ratio: 0.25,
 		Name: "peer 10.0.0.1:9001", Blob: []byte{1, 2, 3}, List: []uint64{7, 1 << 63},
 		IDs: []int32{5, 6}, Owners: []int32{0, 1}, Names: []string{"a", ""},
 		Inner: &binMsg{A: 1, B: 2},
@@ -200,5 +201,32 @@ func TestCheckpointHostileCountBounded(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
 		t.Errorf("rejecting the hostile count allocated %d bytes, want under 64 KB", alloc)
+	}
+}
+
+// TestDecodeWithDrawsChunksFromTheList: DecodeWith decodes a message's
+// chunk as Decode does, into an array homed to the list, so releasing it
+// lets the next decode reuse that array.
+func TestDecodeWithDrawsChunksFromTheList(t *testing.T) {
+	buf, err := AppendMessage(nil, kitFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := tuple.NewFreeList(1)
+	decode := func() *tuple.Chunk {
+		var m rt.Message
+		if err := DecodeWith(fl, buf, &m, Message); err != nil {
+			t.Fatal(err)
+		}
+		return m.(*kitMsg).Chunk
+	}
+	first, want := decode(), kitFixture().Chunk
+	if first.Rel != want.Rel || first.Layout != want.Layout || !reflect.DeepEqual(first.Tuples, want.Tuples) {
+		t.Fatalf("chunk decoded through a list as %+v, want %+v", first, want)
+	}
+	array := &first.Tuples[0]
+	first.Release()
+	if second := decode(); &second.Tuples[0] != array {
+		t.Error("the next decode did not reuse the released chunk's array")
 	}
 }
