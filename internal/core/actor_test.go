@@ -19,10 +19,13 @@ type scriptEnv struct {
 type scriptSend struct {
 	to  rt.NodeID
 	msg rt.Message
+	at  int64 // the env's clock, the CPU charged so far, at the send
 }
 
-func (e *scriptEnv) Now() int64                        { return e.now }
-func (e *scriptEnv) Send(to rt.NodeID, m rt.Message)   { e.sent = append(e.sent, scriptSend{to, m}) }
+func (e *scriptEnv) Now() int64 { return e.now }
+func (e *scriptEnv) Send(to rt.NodeID, m rt.Message) {
+	e.sent = append(e.sent, scriptSend{to, m, e.now})
+}
 func (e *scriptEnv) ChargeCPU(ns int64)                { e.now += ns }
 func (e *scriptEnv) ChargeDisk(bytes int64, read bool) {}
 

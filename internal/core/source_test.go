@@ -168,3 +168,151 @@ func TestSourceStatsReply(t *testing.T) {
 	s.Receive(env, rt.NoNode, &statsReq{})
 	one[*sourceStats](t, env.take(), rt.NoNode)
 }
+
+// pinRun delivers m to s, then every genStep and chunk credit the source
+// asks for until it is quiet, and checks that each data chunk leaves at the
+// instant charging GenNs per tuple, before generating it, gives it:
+// GenNs × the tuples generated so far, plus ChunkOverheadNs per chunk sent,
+// on top of what was charged before the run. The tuples of the run are
+// lo, lo+1, ...; generated reports how many of them exist after a Receive.
+// A full chunk that leaves in the Receive generating its last tuple was
+// cut by that tuple; any other chunk leaves after everything generated so
+// far. pinRun returns the chunks sent.
+func pinRun(t *testing.T, what string, s *sourceActor, env *scriptEnv, m rt.Message, lo int64, generated func() int64) []scriptSend {
+	t.Helper()
+	type delivery struct {
+		from rt.NodeID
+		msg  rt.Message
+	}
+	base := env.now
+	var chunks []scriptSend
+	inbox := []delivery{{rt.NoNode, m}}
+	genBefore := int64(0)
+	for len(inbox) > 0 {
+		in := inbox[0]
+		inbox = inbox[1:]
+		s.Receive(env, in.from, in.msg)
+		genAfter := generated()
+		for _, snd := range env.take() {
+			switch msg := snd.msg.(type) {
+			case *genStep:
+				inbox = append(inbox, delivery{s.id, &genStep{}})
+			case *dataChunk:
+				chunks = append(chunks, snd)
+				gen := genAfter
+				ts := msg.Chunk.Tuples
+				if last := int64(ts[len(ts)-1].Index) - lo + 1; len(ts) == s.cfg.ChunkTuples && last > genBefore {
+					gen = last
+				}
+				want := base + s.cfg.Cost.GenNs*gen + s.cfg.Cost.ChunkOverheadNs*int64(len(chunks))
+				if snd.at != want {
+					t.Fatalf("%s: chunk %d to node %d (%d tuples, last %d) left at %d ns, want %d (%d tuples generated, %d chunks)",
+						what, len(chunks), snd.to, len(ts), ts[len(ts)-1].Index, snd.at, want, gen, len(chunks))
+				}
+				inbox = append(inbox, delivery{snd.to, &chunkAck{Rel: msg.Chunk.Rel}})
+			}
+		}
+		genBefore = genAfter
+	}
+	return chunks
+}
+
+// TestSourceChargesEveryTupleBeforeItsChunkLeaves pins the virtual instant
+// at which every data chunk leaves a source, across sub-batch and burst
+// boundaries: the build phase, a replay of a lost range, and a probe phase
+// that broadcasts to replicas and routes heavy keys round-robin.
+func TestSourceChargesEveryTupleBeforeItsChunkLeaves(t *testing.T) {
+	const tuples = 6000
+	cfg, err := Config{
+		Algorithm:    Hybrid,
+		InitialNodes: 4,
+		MaxNodes:     8,
+		Sources:      1,
+		MemoryBudget: 1 << 30,
+		ChunkTuples:  300, // a burst is 600 tuples: one full sub-batch and part of another
+		Build:        datagen.Spec{Dist: datagen.Zipf, ZipfS: 1.1, Tuples: tuples, Seed: 5},
+		Probe:        datagen.Spec{Dist: datagen.Correlated, Tuples: tuples, Seed: 6},
+	}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, err := datagen.New(cfg.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := datagen.NewProbe(cfg.Probe, build, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := make([]int32, cfg.InitialNodes)
+	for i := range owners {
+		owners[i] = int32(cfg.joinID(i))
+	}
+	table, err := hashfn.NewTable(cfg.Space, owners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSource(cfg, 0, build, probe)
+	env := &scriptEnv{}
+	slice := datagen.SliceFor(tuples, 1, 0)
+	next := func() int64 { return s.next - slice.Lo }
+
+	sent := pinRun(t, "build", s, env, &startBuild{Table: table}, slice.Lo, next)
+	if len(sent) < tuples/cfg.ChunkTuples || !s.doneSent {
+		t.Fatalf("build phase sent %d chunks, done %v", len(sent), s.doneSent)
+	}
+
+	lost := table.Clone()
+	lost.ReplaceOwner(0, 0, int32(cfg.joinID(4)))
+	replay := &replayRange{Range: lost.Entries[0].Range, Table: lost}
+	sent = pinRun(t, "replay", s, env, replay, slice.Lo, func() int64 { return slice.Hi - slice.Lo })
+	if len(sent) < 2 {
+		t.Fatalf("replay sent %d chunks, want several", len(sent))
+	}
+
+	// Heavy keys: the most frequent probe keys.
+	freq := map[uint64]int{}
+	ts := make([]tuple.Tuple, tuples)
+	probe.Fill(0, ts)
+	for _, tp := range ts {
+		freq[tp.Key]++
+	}
+	var heavy []uint64
+	for k, n := range freq {
+		if n >= tuples/100 {
+			heavy = append(heavy, k)
+		}
+	}
+	if len(heavy) == 0 {
+		t.Fatal("no probe key carries 1% of the relation")
+	}
+	s.Receive(env, rt.NoNode, &heavyAssign{Keys: heavy})
+	replicated := lost.Clone()
+	replicated.AddReplica(1, int32(cfg.joinID(5)))
+	replicated.AddReplica(1, int32(cfg.joinID(6)))
+	sent = pinRun(t, "probe", s, env, &startProbe{Table: replicated}, slice.Lo, next)
+	heavyTo := map[uint64]map[rt.NodeID]bool{}
+	for _, snd := range sent {
+		for _, tp := range snd.msg.(*dataChunk).Chunk.Tuples {
+			if freq[tp.Key] >= tuples/100 {
+				if heavyTo[tp.Key] == nil {
+					heavyTo[tp.Key] = map[rt.NodeID]bool{}
+				}
+				heavyTo[tp.Key][snd.to] = true
+			}
+		}
+	}
+	spread := 0
+	for _, to := range heavyTo {
+		spread = max(spread, len(to))
+	}
+	if spread < 3 {
+		t.Errorf("heavy keys reached at most %d nodes, want round-robin over the table's", spread)
+	}
+	if s.stats.ProbeExtraCopies == 0 {
+		t.Error("no probe tuple was broadcast to a replica")
+	}
+	if !s.doneSent {
+		t.Error("probe phase never finished")
+	}
+}
