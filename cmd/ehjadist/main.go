@@ -23,10 +23,8 @@ import (
 	"math"
 	"net"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ehjoin/cmd/internal/cli"
@@ -165,16 +163,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// nodes that failed workers held.
 	var failed []rt.NodeID
 	drive := func() (_ *core.Report, start time.Time, err error) {
-		var procs *workerProcs
+		var args func(i int) []string
 		if *spawn {
-			if procs, err = spawnWorkers(*workers, l.Addr().String(), *chaos, *cpuProfile, stderr); err != nil {
-				return nil, start, err
+			args = func(i int) []string {
+				profile := *cpuProfile
+				if profile != "" {
+					profile += ".w" + strconv.Itoa(i)
+				}
+				return []string{"-worker", "-connect", l.Addr().String(), "-chaos", *chaos, "-cpuprofile", profile}
 			}
 		}
-		defer func() { procs.reap(err != nil) }()
-		conns, err := accept(l, *workers, procs, stdout)
+		ws, conns, err := cluster.Spawn(l, *workers, args, stderr)
 		if err != nil {
 			return nil, start, err
+		}
+		defer func() { ws.Reap(err != nil) }()
+		for i, c := range conns {
+			fmt.Fprintf(stdout, "ehjadist: worker %d connected from %s\n", i, c.RemoteAddr())
 		}
 		cl, err := cluster.Start(cfg, l, conns, setup)
 		if err != nil {
@@ -184,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if killWorker >= 0 {
 			t := time.AfterFunc(killAfter, func() {
 				fmt.Fprintf(stderr, "ehjadist: killing worker %d (fault injection)\n", killWorker)
-				_ = procs.cmds[killWorker].Process.Kill()
+				_ = ws.Kill(killWorker)
 			})
 			defer t.Stop()
 		}
@@ -275,99 +280,4 @@ func parseCrashPoint(s string, wal bool) (phase int, records int64, err error) {
 		return 0, 0, fmt.Errorf("-coord-kill %q: bad record count %q", s, n)
 	}
 	return phase, records, nil
-}
-
-// workerProcs are the worker copies of this binary that ehjadist spawned.
-type workerProcs struct {
-	cmds   []*exec.Cmd
-	errs   []error  // errs[i] is worker i's exit, set before i is sent on exited
-	exited chan int // each worker's index as it exits; one send per worker
-	wg     sync.WaitGroup
-}
-
-// spawnWorkers starts n workers that dial addr, worker i with its CPU
-// profile in profile.w<i> if profile is set.
-func spawnWorkers(n int, addr, chaos, profile string, stderr io.Writer) (*workerProcs, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	p := &workerProcs{errs: make([]error, n), exited: make(chan int, n)}
-	for i := range n {
-		args := []string{"-worker", "-connect", addr}
-		if chaos != "" {
-			args = append(args, "-chaos", chaos)
-		}
-		if profile != "" {
-			args = append(args, "-cpuprofile", profile+".w"+strconv.Itoa(i))
-		}
-		cmd := exec.Command(self, args...)
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			p.reap(true)
-			return nil, err
-		}
-		p.cmds = append(p.cmds, cmd)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.errs[i] = cmd.Wait()
-			p.exited <- i
-		}()
-	}
-	return p, nil
-}
-
-// reap waits for every spawned worker to exit, killing each first if kill
-// is set. A nil p has none.
-func (p *workerProcs) reap(kill bool) {
-	if p == nil {
-		return
-	}
-	for _, cmd := range p.cmds {
-		if kill {
-			_ = cmd.Process.Kill() // fails only for a worker that has exited
-		}
-	}
-	p.wg.Wait()
-}
-
-// accept accepts one connection per worker from l. A spawned worker that
-// exits first fails it: that worker will never connect.
-func accept(l net.Listener, n int, procs *workerProcs, stdout io.Writer) ([]net.Conn, error) {
-	accepted := make(chan net.Conn, n) // one send per Accept: never blocks
-	failed := make(chan error, 1)
-	go func() {
-		for range n {
-			c, err := l.Accept()
-			if err != nil {
-				failed <- err
-				return
-			}
-			accepted <- c
-		}
-	}()
-	var exited chan int // nil, so never ready, without spawned workers
-	if procs != nil {
-		exited = procs.exited
-	}
-	conns := make([]net.Conn, 0, n)
-	for len(conns) < n {
-		var err error
-		select {
-		case c := <-accepted:
-			fmt.Fprintf(stdout, "ehjadist: worker %d connected from %s\n", len(conns), c.RemoteAddr())
-			conns = append(conns, c)
-		case err = <-failed:
-		case i := <-exited:
-			err = fmt.Errorf("spawned worker %d exited before the run started (%v)", i, procs.errs[i])
-		}
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
-		}
-	}
-	return conns, nil
 }

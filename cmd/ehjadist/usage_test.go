@@ -110,25 +110,43 @@ func TestBadInputsFailInOneLine(t *testing.T) {
 // TestRunPrintsPinnedResult runs small joins on spawned workers and pins
 // the matches and checksums ehjadist printed before its flags moved to the
 // shared binder, so the seeds and specs it builds stay what they were. The
-// last run restarts its coordinator from the write-ahead log mid-build and
-// must land on the fault-free result.
+// -coord-kill rows restart the coordinator from the write-ahead log at a
+// record of the build, reshuffle and probe phase, the -kill row kills
+// spawned worker 1 while the build runs, and each must land on the
+// fault-free result. The out-of-core baseline spills as its algorithm, not
+// as a degradation rung, so it prints no spill line.
 func TestRunPrintsPinnedResult(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "coord.wal")
+	dir := t.TempDir()
+	wal := func(name string) string { return filepath.Join(dir, name+".wal") }
 	const (
-		pin50k  = "ehjadist: 50000 matches (checksum 0xf44c25bcd303e8f9) across 2 worker process(es)"
-		pinZipf = "ehjadist: 637127883 matches (checksum 0x3e3e6bfca3c2b10b) across 2 worker process(es)"
-		pin3w   = "ehjadist: 200000 matches (checksum 0x93de48db1323c810) across 3 worker process(es)"
+		pin50k   = "ehjadist: 50000 matches (checksum 0xf44c25bcd303e8f9) across 2 worker process(es)"
+		pinZipf  = "ehjadist: 637127883 matches (checksum 0x3e3e6bfca3c2b10b) across 2 worker process(es)"
+		pin2w    = "ehjadist: 200000 matches (checksum 0x93de48db1323c810) across 2 worker process(es)"
+		pin3w    = "ehjadist: 200000 matches (checksum 0x93de48db1323c810) across 3 worker process(es)"
+		pinSpill = "ehjadist: 100000 matches (checksum 0xb404a5acd428ccb9) across 2 worker process(es)"
+		spilled  = "ehjadist: spilled "
 	)
 	for _, tc := range []struct {
-		args, want, wantErr string
+		args    string
+		want    []string // in stdout
+		wantErr string   // in stderr
 	}{
-		{"-workers 2 -r 50000 -s 50000", pin50k, ""},
-		{"-r 60000 -s 60000 -dist zipf -heavy-threshold 0.01", pinZipf, ""},
-		{"-workers 3 -r 200000 -s 200000", pin3w, ""},
-		{"-workers 3 -r 200000 -s 200000 -wal " + wal + " -coord-kill 0@40", pin3w, "restarting from " + wal},
+		{"-workers 2 -r 50000 -s 50000", []string{pin50k}, ""},
+		{"-r 60000 -s 60000 -dist zipf -heavy-threshold 0.01", []string{pinZipf}, ""},
+		{"-workers 3 -r 200000 -s 200000", []string{pin3w}, ""},
+		{"-workers 2 -r 100000 -s 100000 -max 3 -budget 1048576 -spill", []string{pinSpill, spilled}, ""},
+		{"-workers 2 -alg ooc -r 100000 -s 100000 -budget 1048576", []string{pinSpill, "ehjadist: nodes 2 -> 2,"}, ""},
+		{"-workers 2 -r 200000 -s 200000 -kill 1@0 -recover -resume-window 200ms", []string{pin2w}, "ehjadist: worker 1 failed ("},
+		{"-workers 3 -r 200000 -s 200000 -wal " + wal("build") + " -coord-kill 0@40", []string{pin3w}, "restarting from " + wal("build")},
+		{"-workers 3 -r 200000 -s 200000 -wal " + wal("reshuffle") + " -coord-kill 1@10", []string{pin3w}, "restarting from " + wal("reshuffle")},
+		{"-workers 3 -r 200000 -s 200000 -wal " + wal("probe") + " -coord-kill 2@10", []string{pin3w}, "restarting from " + wal("probe")},
 	} {
 		code, stdout, stderr := runWithin(t, time.Minute, strings.Fields(tc.args))
-		if code != 0 || !strings.Contains(stdout, tc.want) || !strings.Contains(stderr, tc.wantErr) {
+		ok := code == 0 && strings.Contains(stderr, tc.wantErr)
+		for _, w := range tc.want {
+			ok = ok && strings.Contains(stdout, w)
+		}
+		if !ok {
 			t.Errorf("ehjadist %s: exit %d, want 0, %q in\n%s\nand %q in stderr %q", tc.args, code, tc.want, stdout, tc.wantErr, stderr)
 		}
 	}

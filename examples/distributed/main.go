@@ -12,15 +12,12 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/exec"
 
 	"ehjoin/internal/cluster"
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
 	"ehjoin/internal/tcpnet"
 )
-
-const workerEnv = "EHJOIN_WORKER_CONNECT"
 
 func config() core.Config {
 	return core.Config{
@@ -37,8 +34,8 @@ func config() core.Config {
 }
 
 func main() {
-	if addr := os.Getenv(workerEnv); addr != "" {
-		runWorker(addr)
+	if len(os.Args) == 3 && os.Args[1] == "-worker" {
+		runWorker(os.Args[2])
 		return
 	}
 
@@ -52,42 +49,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	self, err := os.Executable()
+	ws, conns, err := cluster.Spawn(l, workers, func(int) []string {
+		return []string{"-worker", l.Addr().String()}
+	}, os.Stderr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var procs []*exec.Cmd
-	for i := 0; i < workers; i++ {
-		cmd := exec.Command(self)
-		cmd.Env = append(os.Environ(), workerEnv+"="+l.Addr().String())
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			log.Fatal(err)
-		}
-		procs = append(procs, cmd)
-	}
-	fmt.Printf("coordinator: spawned %d worker processes (pids", workers)
-	for _, p := range procs {
-		fmt.Printf(" %d", p.Process.Pid)
-	}
-	fmt.Println(")")
-
-	conns := make([]net.Conn, workers)
-	for i := range conns {
-		if conns[i], err = l.Accept(); err != nil {
-			log.Fatal(err)
-		}
-	}
+	fmt.Printf("coordinator: %d worker processes connected\n", workers)
 
 	cl, err := cluster.Start(cfg, l, conns, cluster.Setup{})
 	if err != nil {
+		ws.Reap(true)
 		log.Fatal(err)
 	}
 	report, err := cl.Run()
 	cl.Close()
-	for _, p := range procs {
-		_ = p.Wait()
-	}
+	ws.Reap(err != nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,9 @@
 // (DESIGN.md §2): the worker's actor factory, the placement of join nodes
 // on workers, the failure handler that turns a dead worker into node
 // deaths for the scheduler, and the supervisor that restarts a killed
-// coordinator from its write-ahead log. Callers accept their own worker
+// coordinator from its write-ahead log. It also starts a run's workers
+// (Spawn, Go) and accepts their connections one worker at a time, so
+// conns[i] is worker i's and every worker has one number. Start takes the
 // connections, so a test can wrap them in chaos, a kill or a hung worker.
 package cluster
 

@@ -316,19 +316,19 @@ func (s *sourceActor) trySend(env rt.Env, dest rt.NodeID) {
 	if !ok {
 		cr = creditWindow
 	}
-	for cr > 0 && len(s.queue[dest]) > 0 {
-		q := s.queue[dest][0]
-		s.queue[dest][0] = queuedChunk{} // the queue's array must not keep a sent chunk alive
-		s.queue[dest] = s.queue[dest][1:]
+	q, sent := s.queue[dest], 0
+	for ; cr > 0 && sent < len(q); sent++ {
 		cr--
 		env.ChargeCPU(s.cfg.Cost.ChunkOverheadNs)
-		env.Send(dest, &dataChunk{Chunk: q.c, Origin: s.id, Version: q.v})
+		env.Send(dest, &dataChunk{Chunk: q[sent].c, Origin: s.id, Version: q[sent].v})
 		s.stats.ChunksSent++
 	}
 	s.credits[dest] = cr
-	if len(s.queue[dest]) == 0 {
-		delete(s.queue, dest)
-	}
+	// The rest moves to the front, so a drained queue keeps its array for
+	// the next enqueue, and the array must not keep a sent chunk alive.
+	n := copy(q, q[sent:])
+	clear(q[n:])
+	s.queue[dest] = q[:n]
 }
 
 // adoptTable replaces the routing table when the version increases and
@@ -438,8 +438,10 @@ func (s *sourceActor) maybeDone(env rt.Env) {
 	if !s.finished || s.doneSent {
 		return
 	}
-	if len(s.queue) > 0 {
-		return
+	for _, q := range s.queue {
+		if len(q) > 0 {
+			return
+		}
 	}
 	s.doneSent = true
 	env.Send(s.cfg.schedulerID(), &sourcePhaseDone{Rel: s.phase, Chunks: s.stats.ChunksSent})

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"net"
-	"sync"
 	"testing"
 
 	"ehjoin/internal/cluster"
@@ -32,20 +31,14 @@ func startTCP(t *testing.T, cfg core.Config, wrap func(rt.NodeID, rt.Actor) rt.A
 		}
 		return wrap(id, a), nil
 	}
-	// One worker at a time, so conns[i] is worker i's coordinator end.
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := range conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(dial, factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}()
-		if conns[i], err = l.Accept(); err != nil {
-			t.Fatal(err)
+	ws, conns, err := cluster.Go(l, workers, func(i int) error {
+		if err := tcpnet.RunWorker(dial, factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
+			t.Errorf("worker %d: %v", i, err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cl, err := cluster.Start(cfg, l, conns, cluster.Setup{})
 	if err != nil {
@@ -53,6 +46,6 @@ func startTCP(t *testing.T, cfg core.Config, wrap func(rt.NodeID, rt.Actor) rt.A
 	}
 	return cl.Coordinator(), func() {
 		cl.Close()
-		wg.Wait()
+		ws.Reap(false)
 	}
 }

@@ -114,7 +114,7 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 	}
 	const workers = 4
 	l := listen(b)
-	conns, wg := startWorkerLoops(b, l, workers, func(int) {
+	conns, ws := startWorkerLoops(b, l, workers, func(int) {
 		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
 		var wrap func(net.Conn) net.Conn
 		if shaped {
@@ -142,7 +142,7 @@ func runBenchPipeline(b *testing.B, mc core.MultiConfig, blob []byte, ids []rt.N
 	}
 	res, err := core.ExecuteMulti(mc, coord)
 	coord.Close()
-	wg.Wait()
+	ws.Reap(false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,8 +25,8 @@ func BenchmarkTCPJoinThroughput(b *testing.B) {
 	}
 	tuples := cfg.Build.Tuples + cfg.Probe.Tuples
 	for i := 0; i < b.N; i++ {
-		l, conns, wg := startWorkers(b, 2)
-		res, err := runCluster(b, cfg, l, conns, wg, cluster.Setup{})
+		l, conns, ws := startWorkers(b, 2)
+		res, err := runCluster(b, cfg, l, conns, ws, cluster.Setup{})
 		if err != nil {
 			b.Fatal(err)
 		}

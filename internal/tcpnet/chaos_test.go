@@ -56,7 +56,7 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 	// Workers dial sequentially so worker 0 is deterministically the
 	// chaos-wrapped connection.
 	l := listen(t)
-	conns, wg := startWorkerLoops(t, l, workers, func(i int) {
+	conns, ws := startWorkerLoops(t, l, workers, func(i int) {
 		var wrap func(net.Conn) net.Conn
 		if i == 0 && !coordSide {
 			wrap = plan.Wrap // only worker 0's end suffers, if any
@@ -72,7 +72,7 @@ func runChaosJoin(t *testing.T, spec string, coordSide bool, workers int, opts .
 	// A flipped length prefix leaves the reader waiting on a body that
 	// never arrives; the heartbeat is what breaks that connection, so keep
 	// its timeout short (stalls in the plans stay well under it).
-	report, err := runCluster(t, distConfig(core.Split), l, conns, wg, cluster.Setup{Options: every(append(opts,
+	report, err := runCluster(t, distConfig(core.Split), l, conns, ws, cluster.Setup{Options: every(append(opts,
 		tcpnet.WithHeartbeat(100*time.Millisecond, 3*time.Second),
 		tcpnet.WithDrainTimeout(60*time.Second))...)})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,7 +38,7 @@ type killAt struct {
 type crashRun struct {
 	*cluster.Cluster
 	wal   *os.File
-	wg    *sync.WaitGroup
+	ws    *cluster.Workers
 	fired int // the incarnation last built: the kills that fired
 }
 
@@ -53,7 +52,7 @@ func startCrashRun(t *testing.T, cfg core.Config, nWorkers int, kills ...killAt)
 	l := listen(t)
 	r := &crashRun{wal: wal}
 	var conns []net.Conn
-	conns, r.wg = startWorkerLoops(t, l, nWorkers, func(i int) {
+	conns, r.ws = startWorkerLoops(t, l, nWorkers, func(i int) {
 		// The workers dial l's address, which a restart rebinds.
 		if err := tcpnet.RunWorker(dialer(l, nil), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
 			// Not fatal by itself: a worker that gives up is rung-3
@@ -89,7 +88,7 @@ func startCrashRun(t *testing.T, cfg core.Config, nWorkers int, kills ...killAt)
 func (r *crashRun) finish(t *testing.T) (fired int, records int64) {
 	t.Helper()
 	r.Close()
-	r.wg.Wait()
+	r.ws.Reap(false)
 	logged, err := os.ReadFile(r.wal.Name())
 	if err != nil {
 		t.Fatal(err)

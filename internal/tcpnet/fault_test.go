@@ -51,10 +51,10 @@ func deadAfterFirst(l net.Listener, wrap func(net.Conn) net.Conn) func() (net.Co
 // that only when the run is supposed to recover and finish; on an aborting
 // run the coordinator tears the connections down with survivor writes
 // still in flight, so survivor errors are part of the failure path.
-func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict bool) (net.Listener, []net.Conn, *sync.WaitGroup) {
+func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict bool) (net.Listener, []net.Conn, *cluster.Workers) {
 	t.Helper()
 	l := listen(t)
-	conns, wg := startWorkerLoops(t, l, n, func(i int) {
+	conns, ws := startWorkerLoops(t, l, n, func(i int) {
 		if i == killWorker {
 			kill := func(c net.Conn) net.Conn { return &killConn{Conn: c, remaining: killBytes} }
 			_ = tcpnet.RunWorker(deadAfterFirst(l, kill), joinFactory, tcpnet.WithWorkerP2P("127.0.0.1:0"))
@@ -64,15 +64,15 @@ func startFaultyWorkers(t *testing.T, n, killWorker int, killBytes int64, strict
 			t.Errorf("surviving worker %d: %v", i, err)
 		}
 	})
-	return l, conns, wg
+	return l, conns, ws
 }
 
 // TestDisconnectMidBuildFails: without a failure handler, a worker dying
 // mid-build must surface from Drain as a descriptive error naming the
 // worker — never a panic, never a bare timeout.
 func TestDisconnectMidBuildFails(t *testing.T) {
-	l, conns, wg := startFaultyWorkers(t, 2, 1, 64<<10, false)
-	_, err := runCluster(t, distConfig(core.Split), l, conns, wg,
+	l, conns, ws := startFaultyWorkers(t, 2, 1, 64<<10, false)
+	_, err := runCluster(t, distConfig(core.Split), l, conns, ws,
 		cluster.Setup{Options: every(tcpnet.WithResumeWindow(100 * time.Millisecond))})
 	if err == nil {
 		t.Fatal("worker death mid-build must fail the run")
@@ -204,8 +204,8 @@ func testWorkerDeathRecovers(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
-	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{
+	l, conns, ws := startFaultyWorkers(t, workers, 1, 100<<10, true)
+	got, err := runCluster(t, cfg, l, conns, ws, cluster.Setup{
 		Recover: true,
 		Options: every(tcpnet.WithResumeWindow(100*time.Millisecond),
 			tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond)),

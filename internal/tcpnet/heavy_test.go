@@ -97,12 +97,12 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	// Kill a quarter of the way through the doomed worker's initial build
 	// traffic: a fixed offset near the end of it lets detection slip past
 	// the build barrier, where a death degrades instead of recovering.
-	l, conns, wg := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
+	l, conns, ws := startFaultyWorkers(t, 2, 1, upperHalfBuildBytes(t, cfg)/4, true)
 	// The kill is detected by the connection reset, not the heartbeat, so
 	// the timeout can be generous: the skewed workload's match explosion
 	// slows the surviving worker enough under -race that a 500ms silence
 	// threshold falsely declares it dead too.
-	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{
+	got, err := runCluster(t, cfg, l, conns, ws, cluster.Setup{
 		Recover: true,
 		Options: every(tcpnet.WithResumeWindow(100*time.Millisecond),
 			tcpnet.WithHeartbeat(50*time.Millisecond, 5*time.Second)),

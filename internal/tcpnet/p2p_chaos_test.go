@@ -25,7 +25,7 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		t.Fatal(err)
 	}
 	l := listen(t)
-	conns, wg := startWorkerLoops(t, l, 2, func(i int) {
+	conns, ws := startWorkerLoops(t, l, 2, func(i int) {
 		opts := []tcpnet.WorkerOption{tcpnet.WithWorkerP2P("127.0.0.1:0")}
 		if i == 1 {
 			opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
@@ -35,7 +35,7 @@ func runPeerChaosJoin(t *testing.T, spec string) *core.Report {
 		}
 	})
 
-	report, err := runCluster(t, distConfig(core.Split), l, conns, wg,
+	report, err := runCluster(t, distConfig(core.Split), l, conns, ws,
 		cluster.Setup{Options: every(tcpnet.WithDrainTimeout(60 * time.Second))})
 	if err != nil {
 		t.Fatalf("peer chaos run %q: %v", plan, err)

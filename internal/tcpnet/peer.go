@@ -319,15 +319,14 @@ func (w *worker) installPeerConn(ev linkEvent) {
 			ev.drop()
 			return
 		}
-		lk.sess.peerAck(f.LastSeq)
-		if !lk.sess.resumable() {
+		retrans, ok := lk.sess.resumeFrom(f.LastSeq)
+		if !ok {
 			ev.drop()
 			if w.fatal == nil {
-				w.fatal = fmt.Errorf("tcpnet: peer link to worker %d overflowed its retransmit window while disconnected", lk.idx)
+				w.fatal = fmt.Errorf("tcpnet: peer link to worker %d cannot resume: it overflowed its retransmit window while disconnected, or the peer claims a frame it was never sent", lk.idx)
 			}
 			return
 		}
-		retrans := lk.sess.unackedSince(f.LastSeq)
 		putFrame(f)
 		lk.stop = nil // the dialer exits after posting
 		w.installLink(lk, ev, nil, retrans)
@@ -341,18 +340,17 @@ func (w *worker) installPeerConn(ev linkEvent) {
 		ev.drop()
 		return
 	}
-	if !f.CanReplay || !lk.sess.resumable() {
-		ev.drop()
-		if w.fatal == nil {
-			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d is not resumable: retransmit window overflowed", lk.idx)
-		}
-		return
-	}
 	// If our end is still live, the peer noticed the failure before we
 	// did: retire our end first.
 	lk.retire()
-	lk.sess.peerAck(f.LastSeq)
-	retrans := lk.sess.unackedSince(f.LastSeq)
+	retrans, ok := lk.sess.resumeFrom(f.LastSeq)
+	if !f.CanReplay || !ok {
+		ev.drop()
+		if w.fatal == nil {
+			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d is not resumable: a retransmit window overflowed, or the peer claims a frame it was never sent", lk.idx)
+		}
+		return
+	}
 	okf := getFrame()
 	okf.Kind, okf.LastSeq = framePeerHelloOK, lk.sess.seen()
 	putFrame(f)

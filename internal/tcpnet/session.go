@@ -218,6 +218,11 @@ func (s *session) recycle(slab []byte) {
 func (s *session) peerAck(ack uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.peerAckLocked(ack)
+}
+
+// peerAckLocked is peerAck for callers that hold s.mu.
+func (s *session) peerAckLocked(ack uint64) {
 	if ack <= s.acked {
 		return
 	}
@@ -259,18 +264,27 @@ func (s *session) acceptSeq(seq uint64) (process bool, err error) {
 	}
 }
 
-// unackedSince snapshots the wire bytes of every buffered frame above the
-// peer's reported lastSeqSeen, in sequence order, for replay on resume.
-func (s *session) unackedSince(seq uint64) [][]byte {
+// resumeFrom is this side's half of a resume handshake in which the peer
+// reports lastSeq, the last reliable frame it received. If this epoch is
+// still resumable and lastSeq is a frame this side sent, it trims the
+// retransmit buffer to lastSeq and returns the wire bytes of every buffered
+// frame above it, in sequence order, for replay. Otherwise it changes
+// nothing and returns false: the window overflowed, or the peer claims a
+// frame never sent, and trimming to that claim would drop frames the peer
+// never received.
+func (s *session) resumeFrom(lastSeq uint64) (retrans [][]byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out [][]byte
+	if s.overflowed || lastSeq >= s.nextSeq {
+		return nil, false
+	}
+	s.peerAckLocked(lastSeq)
 	for _, sf := range s.buf {
-		if sf.seq > seq {
-			out = append(out, sf.data)
+		if sf.seq > lastSeq {
+			retrans = append(retrans, sf.data)
 		}
 	}
-	return out
+	return retrans, true
 }
 
 // needAck reports whether the peer has sent us reliable frames that no

@@ -27,18 +27,18 @@ func TestSessionRetransmitBuffer(t *testing.T) {
 	if len(s.buf) != 2 {
 		t.Fatalf("after ack 2: buf holds %d frames, want 2", len(s.buf))
 	}
-	if got := s.unackedSince(3); len(got) != 1 {
-		t.Fatalf("unackedSince(3): %d frames, want 1", len(got))
+	if got, ok := s.resumeFrom(3); !ok || len(got) != 1 || len(s.buf) != 1 {
+		t.Fatalf("resumeFrom(3): %d frames (ok %v) and %d buffered, want 1, 1", len(got), ok, len(s.buf))
 	}
 	// Stale and duplicate acks must be no-ops.
 	s.peerAck(1)
-	s.peerAck(2)
-	if len(s.buf) != 2 {
+	s.peerAck(3)
+	if len(s.buf) != 1 {
 		t.Fatalf("stale ack trimmed the buffer to %d frames", len(s.buf))
 	}
-	// Three more unacked sends exceed maxFrames=4: eviction makes the
+	// Four more unacked sends exceed maxFrames=4: eviction makes the
 	// epoch non-resumable, permanently.
-	for i := 4; i < 7; i++ {
+	for i := 4; i < 8; i++ {
 		if _, err := s.encode(&frame{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: i}}); err != nil {
 			t.Fatal(err)
 		}
@@ -57,6 +57,34 @@ func TestSessionRetransmitBuffer(t *testing.T) {
 	if !s.resumable() || len(s.buf) != 0 || s.framesSent() != 0 {
 		t.Fatalf("reset left state behind: resumable %v, buf %d, framesSent %d",
 			s.resumable(), len(s.buf), s.framesSent())
+	}
+}
+
+// TestSessionResumeRefusesUnsentFrame: a peer that claims to have received
+// a frame this side never sent is refused, and the buffer keeps every
+// unacked frame: trimming to the claim would drop frames the peer never
+// received. An overflowed window is refused the same way.
+func TestSessionResumeRefusesUnsentFrame(t *testing.T) {
+	s := newSession(7, 4, 1<<20)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.encode(&frame{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(3)
+	s.peerAck(1)
+	if got, ok := s.resumeFrom(4); ok || got != nil || len(s.buf) != 2 || s.ackedNow() != 1 {
+		t.Fatalf("resumeFrom(4) after 3 frames sent: ok %v, %d frames, %d buffered, acked %d; want a refusal, 2 buffered, acked 1",
+			ok, len(got), len(s.buf), s.ackedNow())
+	}
+	if got, ok := s.resumeFrom(2); !ok || len(got) != 1 || frameSeq(got[0]) != 3 {
+		t.Fatalf("resumeFrom(2): ok %v, %d frames; want frame 3 alone", ok, len(got))
+	}
+	send(5) // 6 unacked frames overflow a window of 4
+	if got, ok := s.resumeFrom(3); ok || got != nil {
+		t.Fatalf("resumeFrom(3) on an overflowed window: ok %v, %d frames; want a refusal", ok, len(got))
 	}
 }
 

@@ -67,7 +67,7 @@ func frameSeq(data []byte) uint64 { return binary.LittleEndian.Uint64(data[frame
 // TestSessionSlabRecyclingKeepsReplayBytes is ISSUE 16's slab-lifetime pin:
 // while one goroutine encodes and "writes" frames (the writer's copy into
 // its bufio) and another acknowledges them concurrently — every ack hands a
-// slab back for the next encode to overwrite — an unackedSince snapshot
+// slab back for the next encode to overwrite — a resumeFrom snapshot
 // must always hold exactly the bytes that first went on the wire. Run it
 // under -race: the writer's copy and the recycling must never touch the
 // same slab at once.
@@ -78,7 +78,11 @@ func TestSessionSlabRecyclingKeepsReplayBytes(t *testing.T) {
 
 	check := func(since uint64) {
 		t.Helper()
-		for _, data := range s.unackedSince(since) {
+		retrans, ok := s.resumeFrom(since)
+		if !ok {
+			t.Fatalf("resumeFrom(%d) refused", since)
+		}
+		for _, data := range retrans {
 			seq := frameSeq(data)
 			if want := wired[seq]; !bytes.Equal(data, want) {
 				t.Fatalf("replay of frame %d differs from what first went on the wire (%d vs %d bytes)",

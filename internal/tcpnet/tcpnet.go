@@ -800,9 +800,14 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 	//     beyond our replayed receive position (an ack outran the log);
 	//   - digest match: the worker's (session, epoch, node set) is the
 	//     one the replayed log assigns it.
-	ok = blank || (req.Epoch == sess.epochNow() && req.CanReplay && sess.resumable() &&
-		req.LastSeq >= sess.ackedNow() && req.LastSeq <= uint64(sess.framesSent()) &&
-		req.AckedSeq <= sess.seen() && req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i]))
+	// resumeFrom checks that our buffer is intact and lastSeq ≤ framesSent.
+	ok = blank || (req.Epoch == sess.epochNow() && req.CanReplay &&
+		req.LastSeq >= sess.ackedNow() && req.AckedSeq <= sess.seen() &&
+		req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i]))
+	var retrans [][]byte
+	if ok {
+		retrans, ok = sess.resumeFrom(req.LastSeq)
+	}
 	if ok {
 		// Rung 1: both retransmit buffers survived intact. Trim ours to
 		// the worker's receive position and replay only the rest; tell
@@ -811,8 +816,6 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 		// predicate carries straight across the disconnect. A blank
 		// worker is the degenerate case: position zero, so the replay is
 		// the slot's whole stream, prefixed by the assignment it missed.
-		sess.peerAck(req.LastSeq)
-		retrans := sess.unackedSince(req.LastSeq)
 		var okf *frame
 		if blank {
 			okf = c.assignFrame(i, sess.epochNow())

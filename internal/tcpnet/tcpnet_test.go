@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 
 	"ehjoin/internal/cluster"
@@ -39,26 +38,18 @@ func dialer(l net.Listener, wrap func(net.Conn) net.Conn) func() (net.Conn, erro
 	}
 }
 
-// startWorkerLoops runs run(i), a RunWorker that dials l, on a goroutine
-// per worker, one worker at a time: worker i's connection is accepted
-// before worker i+1 starts, so conns[i] is worker i's coordinator end.
-func startWorkerLoops(t testing.TB, l net.Listener, n int, run func(i int)) ([]net.Conn, *sync.WaitGroup) {
+// startWorkerLoops runs run(i), a RunWorker that dials l, as worker i of
+// cluster.Go, so conns[i] is worker i's coordinator end.
+func startWorkerLoops(t testing.TB, l net.Listener, n int, run func(i int)) ([]net.Conn, *cluster.Workers) {
 	t.Helper()
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, n)
-	for i := range conns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
-		c, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
+	ws, conns, err := cluster.Go(l, n, func(i int) error {
+		run(i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return conns, &wg
+	return conns, ws
 }
 
 // joinFactory is the worker factory every worker loop runs unless a test
@@ -67,26 +58,26 @@ var joinFactory = cluster.Factory(false)
 
 // startWorkers launches n worker loops over real localhost TCP connections
 // and returns the coordinator's listener and its side of each connection.
-func startWorkers(t testing.TB, n int) (net.Listener, []net.Conn, *sync.WaitGroup) {
+func startWorkers(t testing.TB, n int) (net.Listener, []net.Conn, *cluster.Workers) {
 	return startWorkersWith(t, n, joinFactory)
 }
 
 // startWorkersWith is startWorkers with a caller-chosen actor factory.
-func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) (net.Listener, []net.Conn, *sync.WaitGroup) {
+func startWorkersWith(t testing.TB, n int, factory tcpnet.ActorFactory) (net.Listener, []net.Conn, *cluster.Workers) {
 	t.Helper()
 	l := listen(t)
-	conns, wg := startWorkerLoops(t, l, n, func(i int) {
+	conns, ws := startWorkerLoops(t, l, n, func(i int) {
 		if err := tcpnet.RunWorker(dialer(l, nil), factory, tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
 			t.Errorf("worker %d: %v", i, err)
 		}
 	})
-	return l, conns, wg
+	return l, conns, ws
 }
 
 // runCluster runs cfg to its end on a cluster over the worker
 // connections accepted from l, then closes it and waits for the worker
 // loops.
-func runCluster(t testing.TB, cfg core.Config, l net.Listener, conns []net.Conn, wg *sync.WaitGroup, s cluster.Setup) (*core.Report, error) {
+func runCluster(t testing.TB, cfg core.Config, l net.Listener, conns []net.Conn, ws *cluster.Workers, s cluster.Setup) (*core.Report, error) {
 	t.Helper()
 	cl, err := cluster.Start(cfg, l, conns, s)
 	if err != nil {
@@ -94,7 +85,7 @@ func runCluster(t testing.TB, cfg core.Config, l net.Listener, conns []net.Conn,
 	}
 	got, err := cl.Run()
 	cl.Close()
-	wg.Wait()
+	ws.Reap(false)
 	return got, err
 }
 
@@ -107,8 +98,8 @@ func every(opts ...tcpnet.Option) func(int) []tcpnet.Option {
 // report; the result comparison is the caller's.
 func runDistJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	t.Helper()
-	l, conns, wg := startWorkers(t, workers)
-	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{})
+	l, conns, ws := startWorkers(t, workers)
+	got, err := runCluster(t, cfg, l, conns, ws, cluster.Setup{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +236,8 @@ func TestDistributedNoSpillWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, conns, wg := startWorkersWith(t, 2, cluster.Factory(true))
-	got, err := runCluster(t, cfg, l, conns, wg, cluster.Setup{})
+	l, conns, ws := startWorkersWith(t, 2, cluster.Factory(true))
+	got, err := runCluster(t, cfg, l, conns, ws, cluster.Setup{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +310,7 @@ func TestPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, conns, wg := startWorkers(t, 1)
+	l, conns, ws := startWorkers(t, 1)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
@@ -332,7 +323,7 @@ func TestPartialAssignment(t *testing.T) {
 	}
 	got, err := core.Execute(cfg, coord)
 	coord.Close()
-	wg.Wait()
+	ws.Reap(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +351,7 @@ func TestP2PPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, conns, wg := startWorkers(t, 2)
+	l, conns, ws := startWorkers(t, 2)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		if i%3 != 2 { // every third join node stays coordinator-local
@@ -373,7 +364,7 @@ func TestP2PPartialAssignment(t *testing.T) {
 	}
 	got, err := core.Execute(cfg, coord)
 	coord.Close()
-	wg.Wait()
+	ws.Reap(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +434,7 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 		return core.NewMultiJoinActor(m, id)
 	}
 	meshes(t, func(t *testing.T, workers int) {
-		l, conns, wg := startWorkersWith(t, workers, factory)
+		l, conns, ws := startWorkersWith(t, workers, factory)
 		assignment := make(map[rt.NodeID]int)
 		for i, id := range ids {
 			assignment[id] = i % workers
@@ -454,7 +445,7 @@ func TestDistributedMultiWayPipeline(t *testing.T) {
 		}
 		got, err := core.ExecuteMulti(mc, coord)
 		coord.Close()
-		wg.Wait()
+		ws.Reap(false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -509,14 +509,14 @@ func (w *worker) installCoordConn(ev linkEvent) (shutdown bool, err error) {
 		lk.start(conn, ev.hs.r, nil, nil, &w.mux)
 		return false, nil
 	}
-	sess.peerAck(f.LastSeq)
-	if !sess.resumable() {
-		// The buffer overflowed after the hello promised a replay.
+	retrans, ok := sess.resumeFrom(f.LastSeq)
+	if !ok {
+		// The buffer overflowed after the hello promised a replay, or the
+		// coordinator claims a frame this worker never sent.
 		_ = conn.Close()
 		w.spawnCoordDialer()
 		return false, nil
 	}
-	retrans := sess.unackedSince(f.LastSeq)
 	w.retransmitted += int64(len(retrans))
 	lk.start(conn, ev.hs.r, nil, retrans, &w.mux)
 	// Any report in the replay predates the disconnect and carries stale
