@@ -51,7 +51,8 @@ govulncheck:
 
 # Short fuzz sessions over the wire codecs: the message registry, the
 # checkpoint records, the chunk layout, the protocol messages and frames;
-# then the match-fold kernel against its per-pair definition.
+# then the match-fold kernel against its per-pair definition, and the
+# join-node table's operations against its map model.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeCoreMessage -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/tcpnet/
 	$(GO) test -fuzz FuzzMixRun -fuzztime $(FUZZTIME) -run '^$$' ./internal/tuple/
+	$(GO) test -fuzz FuzzTableOps -fuzztime $(FUZZTIME) -run '^$$' ./internal/hashtable/
 
 # The repository's one benchmark (bench/README.md): every workload end to
 # end over real worker processes, then traced; results in bench/out/.

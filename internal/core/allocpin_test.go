@@ -10,9 +10,9 @@ import (
 // TestSimulatorRunAllocationCeiling pins the heap bytes a small simulator
 // join allocates per tuple (ROADMAP item 14). The simulator hands each
 // chunk to its join node, which releases it once stored or probed, so the
-// sources cut their next chunks into the same arrays. The run measured
-// 36.0 bytes per tuple; without the join node's releases it allocates
-// 48.9, so the ceiling sits in between.
+// sources cut their next chunks into the same arrays. The run measures
+// 31.0 bytes per tuple; without the join node's releases it allocates
+// 43.8, so the ceiling sits in between.
 func TestSimulatorRunAllocationCeiling(t *testing.T) {
 	const ceiling = 40.0 // bytes per build or probe tuple
 	cfg := Config{

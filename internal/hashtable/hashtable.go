@@ -22,8 +22,10 @@
 // so the group's cache misses overlap instead of queueing.
 //
 // The index does not exist during the build phase (DESIGN.md "Staged
-// build, one-shot seal"). A table starts *staged*: inserts append to small
-// per-segment blocks, and everything the expanding algorithms decide from
+// build, one-shot seal"). A table starts *staged*: InsertAll appends each
+// tuple to its segment's open block, whose capacity doubles from block to
+// block up to a fixed size, so a staged tuple is never copied before the
+// seal. Everything the expanding algorithms decide from
 // — Count, Bytes, the per-position counts — and everything they move —
 // ExtractRange, ExtractMatching, ForEach, KeyCountsAt — works on the
 // blocks. The first lookup seals the table: each segment's slot arrays
@@ -52,10 +54,12 @@ const (
 	numSegs = 1 << segBits
 	fibMul  = 0x9E3779B97F4A7C15
 
-	// stageBlock is the capacity in tuples of a staging block. A segment's
-	// first block starts at stageFirst and doubles up to it, so a small
-	// table (a spill partition, a node holding a few heavy keys) stays at
-	// a few KB; beyond it a staged tuple costs 1/stageBlock allocations.
+	// stageBlock is the largest capacity in tuples of a staging block. A
+	// segment's first block holds stageFirst and each next one twice the
+	// one before, up to stageBlock, so a small table (a spill partition, a
+	// node holding a few heavy keys) stays at a few KB and no block is
+	// copied to grow; beyond the ladder a staged tuple costs 1/stageBlock
+	// allocations.
 	stageBlock = 1024
 	stageFirst = 16
 )
@@ -84,10 +88,13 @@ func tagOf(h uint64) uint8 { return tagUsed | uint8(h)&tagHash }
 // capacity is arbitrary (not a power of two): a hash is reduced to a slot
 // by multiply-high.
 type segment struct {
-	// blocks holds the tuples staged before the first lookup, in arrival
-	// order: every block but the last is full. Nil once the table is
-	// sealed.
+	// blocks and open hold the tuples staged before the first lookup, in
+	// arrival order: blocks the full staging blocks, open the block being
+	// filled. Block i has capacity min(stageFirst<<i, stageBlock) and the
+	// open block the next rung; open is nil only while nothing is staged.
+	// Both are nil once the table is sealed.
 	blocks [][]tuple.Tuple
+	open   []tuple.Tuple
 	slots  []tuple.Tuple
 	tags   []uint8
 	// runs holds, for a slot tagged tagRun, the index of its key's run in
@@ -187,47 +194,55 @@ func (sg *segment) lookup(h uint64, i int, key uint64) int {
 	}
 }
 
-// Insert adds one tuple: to its segment's staging blocks until the first
-// lookup, into the index afterwards.
-func (t *Table) Insert(tp tuple.Tuple) {
-	h := mixKey(tp.Key)
-	s := h >> (64 - segBits)
-	sg := &t.segs[s]
-	if !t.sealed {
-		sg.stage(tp)
-	} else {
-		if sg.used >= len(sg.tags)-len(sg.tags)/4 {
-			t.grow(int(s))
+// Insert adds one tuple: InsertAll for a batch of one.
+func (t *Table) Insert(tp tuple.Tuple) { t.InsertAll([]tuple.Tuple{tp}) }
+
+// InsertAll adds every tuple of a batch: to its segment's open staging
+// block until the first lookup, into the index afterwards. It is the
+// table's one insert loop; the count and bytes move once per batch.
+func (t *Table) InsertAll(ts []tuple.Tuple) {
+	sealed, space, posCount := t.sealed, t.space, t.posCount
+	for _, tp := range ts {
+		h := mixKey(tp.Key)
+		s := h >> (64 - segBits)
+		sg := &t.segs[s]
+		if !sealed {
+			if len(sg.open) == cap(sg.open) {
+				sg.addBlock()
+			}
+			sg.open = append(sg.open, tp)
+		} else {
+			if sg.used >= len(sg.tags)-len(sg.tags)/4 {
+				t.grow(int(s))
+			}
+			t.index(sg, h, tp)
 		}
-		t.index(sg, h, tp)
+		posCount[space.PositionOf(tp.Key)]++
 	}
-	t.count++
-	t.bytes += int64(t.layout.LogicalSize())
-	t.posCount[t.space.PositionOf(tp.Key)]++
+	t.count += int64(len(ts))
+	t.bytes += int64(len(ts)) * int64(t.layout.LogicalSize())
 }
 
-// stage appends tp to the segment's last staging block, starting a block
-// when that one is full.
-func (sg *segment) stage(tp tuple.Tuple) {
-	n := len(sg.blocks)
-	if n == 0 || len(sg.blocks[n-1]) == cap(sg.blocks[n-1]) {
-		sg.addBlock()
-		n = len(sg.blocks)
-	}
-	sg.blocks[n-1] = append(sg.blocks[n-1], tp)
-}
-
-// addBlock makes room for one more staged tuple: a segment's only block
-// doubles until it reaches stageBlock, then blocks are added.
+// addBlock closes the full open block and opens the next, twice its
+// capacity up to stageBlock; a segment's first block holds stageFirst.
 func (sg *segment) addBlock() {
-	switch n := len(sg.blocks); {
-	case n == 0:
-		sg.blocks = append(sg.blocks, make([]tuple.Tuple, 0, stageFirst))
-	case n == 1 && cap(sg.blocks[0]) < stageBlock:
-		sg.blocks[0] = append(make([]tuple.Tuple, 0, 2*cap(sg.blocks[0])), sg.blocks[0]...)
-	default:
-		sg.blocks = append(sg.blocks, make([]tuple.Tuple, 0, stageBlock))
+	n := stageFirst
+	if sg.open != nil {
+		sg.blocks = append(sg.blocks, sg.open)
+		n = min(2*cap(sg.open), stageBlock)
 	}
+	sg.open = make([]tuple.Tuple, 0, n)
+}
+
+// staged returns the segment's staging blocks in arrival order, the open
+// block last. The seal, extraction and the walks read staged tuples
+// through it. The append may put the open block in the spare room of
+// blocks, the slot addBlock closes it into.
+func (sg *segment) staged() [][]tuple.Tuple {
+	if sg.open == nil {
+		return sg.blocks
+	}
+	return append(sg.blocks, sg.open)
 }
 
 // seal indexes the staged tuples, one segment at a time so the arrays
@@ -241,8 +256,8 @@ func (t *Table) seal() {
 	t.sealed = true
 	for s := range t.segs {
 		sg := &t.segs[s]
-		blocks := sg.blocks
-		sg.blocks = nil
+		blocks := sg.staged()
+		sg.blocks, sg.open = nil, nil
 		n := 0
 		for _, b := range blocks {
 			n += len(b)
@@ -320,13 +335,6 @@ func (t *Table) newRun(w uint64) int32 {
 func (t *Table) freeRun(r int32) {
 	t.dups[r] = nil
 	t.freeDups = append(t.freeDups, r)
-}
-
-// InsertAll adds every tuple of a batch.
-func (t *Table) InsertAll(ts []tuple.Tuple) {
-	for _, tp := range ts {
-		t.Insert(tp)
-	}
 }
 
 // InsertChunk adds every tuple of a chunk.
@@ -604,30 +612,33 @@ func (t *Table) drop(n int64) {
 
 // extractStaged is extract on a staged segment: one sequential pass that
 // compacts the tuples that stay towards the first block, keeping arrival
-// order and the every-block-but-the-last-is-full rule, and releases the
-// blocks that emptied.
+// order. The block the last of them lands in becomes the open block, the
+// ones before it stay full, and the blocks that emptied are released.
 func (sg *segment) extractStaged(out [][]tuple.Tuple, s *sorter) {
+	blocks := sg.staged()
 	wb, wi := 0, 0 // the next tuple that stays goes to blocks[wb][wi]
-	for _, b := range sg.blocks {
+	for _, b := range blocks {
 		for _, tp := range b {
 			if d := s.of(tp); d >= 0 {
 				out[d] = append(out[d], tp)
 				continue
 			}
-			sg.blocks[wb][wi] = tp
-			if wi++; wi == cap(sg.blocks[wb]) {
+			blocks[wb][wi] = tp
+			if wi++; wi == cap(blocks[wb]) {
 				wb, wi = wb+1, 0
 			}
 		}
 	}
 	if wi > 0 {
-		sg.blocks[wb] = sg.blocks[wb][:wi]
+		blocks[wb] = blocks[wb][:wi]
 		wb++
 	}
-	for i := wb; i < len(sg.blocks); i++ {
-		sg.blocks[i] = nil
+	clear(blocks[wb:])
+	if wb == 0 {
+		sg.blocks, sg.open = blocks[:0], nil
+	} else {
+		sg.blocks, sg.open = blocks[:wb-1], blocks[wb-1]
 	}
-	sg.blocks = sg.blocks[:wb]
 }
 
 // extractIndexed is extract on a sealed segment. A slot whose tuple leaves
@@ -715,7 +726,7 @@ func (sg *segment) remove(i int) {
 func (t *Table) ForEach(fn func(tuple.Tuple)) {
 	for s := range t.segs {
 		sg := &t.segs[s]
-		for _, b := range sg.blocks {
+		for _, b := range sg.staged() {
 			for _, tp := range b {
 				fn(tp)
 			}

@@ -55,7 +55,7 @@ func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 func (t *Table) forEachKey(fn func(key uint64, n int64)) {
 	for s := range t.segs {
 		sg := &t.segs[s]
-		for _, b := range sg.blocks {
+		for _, b := range sg.staged() {
 			for _, tp := range b {
 				fn(tp.Key, 1)
 			}

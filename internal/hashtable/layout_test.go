@@ -145,9 +145,10 @@ func TestTagsSpreadWithinSegment(t *testing.T) {
 // bytes; the seal adds 17-byte slots (16 for the tuple, 1 for its tag) at
 // load ¾ and drops the blocks, so a table stays within 25 bytes per tuple
 // (4-byte tags read about 27). The allocation bound is checked at
-// 200 k tuples, where the doubling first blocks weigh more; the footprints
-// at one worker's share of the benchmark's build relation, where the
-// half-empty last blocks are under a byte per tuple.
+// 200 k tuples, where the seven small blocks of each segment's ladder
+// (16 to 1024 tuples) weigh more; the footprints at one worker's share of
+// the benchmark's build relation, where the half-empty open blocks are
+// under a byte per tuple.
 func TestUniqueKeyInsertFootprint(t *testing.T) {
 	ts := keysWhere(750_000, func(uint64) bool { return true })
 	const nAllocs = 200_000

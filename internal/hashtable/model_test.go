@@ -184,7 +184,11 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 		switch {
 		case op < 4: // insert, one by one or as a batch
 			cov.note("Insert", state)
-			ts := make([]tuple.Tuple, 1+rng.Intn(1200))
+			n := 1 + rng.Intn(1200)
+			if rng.Intn(3) == 0 {
+				n = ladderBatches[rng.Intn(len(ladderBatches))]
+			}
+			ts := make([]tuple.Tuple, n)
 			for i := range ts {
 				ts[i] = draw()
 				model[ts[i].Key] = append(model[ts[i].Key], ts[i])
@@ -295,6 +299,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 		if tbl.sealed != (state != inStaged) {
 			t.Fatalf("seed %d step %d: table sealed = %v in state %s", seed, step, tbl.sealed, state)
 		}
+		checkStaged(t, tbl)
 		if state == acrossSeal && tbl.Count() == 0 {
 			state = sealedAtBirth // nothing staged is left
 		}
@@ -483,12 +488,14 @@ func TestExtractRangesMatchesModel(t *testing.T) {
 					tp := tuple.Tuple{Index: wideIndex(uint64(i)), Key: pool[rng.Intn(len(pool))]}
 					tbl.Insert(tp)
 					model[tp.Key] = append(model[tp.Key], tp)
+					checkStaged(t, tbl)
 				}
 				rs := []hashfn.Range{{Lo: 200, Hi: 256}, {Lo: 192, Hi: 193}}
 				if kind != "untouched" {
 					rs = randRanges(rng, space, kind)
 				}
 				got := tbl.ExtractRanges(rs)
+				checkStaged(t, tbl)
 				if len(got) != len(rs) {
 					t.Fatalf("%s %s: %d results for %d ranges", state, kind, len(got), len(rs))
 				}

@@ -10,6 +10,40 @@ import (
 // One test per trap of the staged build (DESIGN.md "Staged build, one-shot
 // seal"); the footprint bounds are in layout_test.go.
 
+// checkStaged fails the test unless every segment's staging blocks keep
+// the shape the seal and extractStaged rely on: every block in blocks is
+// full, the open block is the only one that may be partial, block i has
+// capacity min(stageFirst<<i, stageBlock), the open block is nil exactly
+// when the segment stages nothing, and the staged tuples are the table's.
+func checkStaged(t *testing.T, tbl *Table) {
+	t.Helper()
+	var total int64
+	for s := range tbl.segs {
+		sg := &tbl.segs[s]
+		n := 0
+		for i, b := range sg.staged() {
+			if want := min(stageFirst<<i, stageBlock); cap(b) != want {
+				t.Fatalf("segment %d: staging block %d has capacity %d, want %d", s, i, cap(b), want)
+			}
+			if i < len(sg.blocks) && len(b) != cap(b) {
+				t.Fatalf("segment %d: block %d of %d holds %d of %d before the open block",
+					s, i, len(sg.blocks), len(b), cap(b))
+			}
+			n += len(b)
+		}
+		if (sg.open == nil) != (n == 0) {
+			t.Fatalf("segment %d stages %d tuples with open block %v", s, n, sg.open != nil)
+		}
+		total += int64(n)
+	}
+	if !tbl.sealed && total != tbl.Count() {
+		t.Fatalf("staging blocks hold %d tuples, the table counts %d", total, tbl.Count())
+	}
+	if tbl.sealed && total != 0 {
+		t.Fatalf("a sealed table still stages %d tuples", total)
+	}
+}
+
 // keysInSegment draws n distinct keys whose mixed key selects segment s.
 func keysInSegment(s uint64, n int) []uint64 {
 	rng := rand.New(rand.NewSource(5))
@@ -83,7 +117,7 @@ func TestSealSizesSlotsByKeys(t *testing.T) {
 	slotBytes := 0
 	for s := range tbl.segs {
 		sg := &tbl.segs[s]
-		if sg.blocks != nil {
+		if sg.staged() != nil {
 			t.Fatalf("segment %d kept its staging blocks across the seal", s)
 		}
 		slotBytes += len(sg.slots)*16 + len(sg.tags) + 4*len(sg.runs)
@@ -132,8 +166,9 @@ func TestUniqueKeysAllocateNoRuns(t *testing.T) {
 	}
 }
 
-// A staging block is 1024 tuples, but a segment's first block starts at 16
-// and doubles, so a table of a few hundred tuples stays at a few KB.
+// A staging block is up to 1024 tuples, but a segment's first block holds
+// 16 and each next one twice as many, so a table of a few hundred tuples
+// stays at a few KB.
 func TestSmallStagedTableStaysSmall(t *testing.T) {
 	tbl := New(testSpace, tuple.DefaultLayout())
 	rng := rand.New(rand.NewSource(4))
@@ -143,11 +178,91 @@ func TestSmallStagedTableStaysSmall(t *testing.T) {
 	}
 	held := 0
 	for s := range tbl.segs {
-		for _, b := range tbl.segs[s].blocks {
+		for _, b := range tbl.segs[s].staged() {
 			held += cap(b)
 		}
 	}
 	if held > 4*n {
 		t.Errorf("%d staged tuples hold room for %d", n, held)
+	}
+}
+
+// Insert is InsertAll on a batch of one, and the batch stays on the stack:
+// staging into an open block with room allocates nothing.
+func TestInsertAllocatesNothingIntoAnOpenBlock(t *testing.T) {
+	tbl := New(testSpace, tuple.DefaultLayout())
+	key := keysInSegment(9, 1)[0]
+	tbl.Insert(tuple.Tuple{Key: key}) // opens the segment's first block
+	if allocs := testing.AllocsPerRun(10, func() { tbl.Insert(tuple.Tuple{Key: key}) }); allocs != 0 {
+		t.Errorf("Insert into an open block with room allocates %.1f times", allocs)
+	}
+	checkStaged(t, tbl)
+}
+
+// ladderBatches are InsertAll lengths one short of, at and one past the
+// ends of the ladder's rungs in one segment: the first block (16), the
+// blocks up to 512 (1008 in all) and the first 1024-tuple block.
+var ladderBatches = []int{15, 16, 17, 1007, 1008, 1009, 1023, 1024, 1025}
+
+// Batches of ladderBatches' lengths into one segment, an extraction
+// mid-ladder and more batches after it: the blocks keep their shape, and a
+// staged table hands its tuples back in arrival order — through ForEach,
+// through extraction, and into the seal.
+func TestStagingLadderSteps(t *testing.T) {
+	keys := keysInSegment(9, 64)
+	for _, n := range ladderBatches {
+		tbl := New(testSpace, tuple.DefaultLayout())
+		var want []tuple.Tuple // the staged tuples in arrival order
+		next := 0
+		insert := func() {
+			ts := make([]tuple.Tuple, n)
+			for i := range ts {
+				ts[i] = tuple.Tuple{Index: uint64(next), Key: keys[next*7%len(keys)]}
+				next++
+			}
+			tbl.InsertAll(ts)
+			want = append(want, ts...)
+			checkStaged(t, tbl)
+		}
+		inOrder := func(what string, got, want []tuple.Tuple) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("batches of %d: %s: %d tuples, want %d", n, what, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("batches of %d: %s: tuple %d is %v, want %v", n, what, i, got[i], want[i])
+				}
+			}
+		}
+		insert()
+		insert()
+		leaves := func(tp tuple.Tuple) bool { return tp.Index%3 == 1 }
+		var gone, kept []tuple.Tuple
+		for _, tp := range want {
+			if leaves(tp) {
+				gone = append(gone, tp)
+			} else {
+				kept = append(kept, tp)
+			}
+		}
+		inOrder("extracted", tbl.ExtractMatching(leaves), gone)
+		want = kept
+		checkStaged(t, tbl)
+		insert()
+		insert()
+		var got []tuple.Tuple
+		tbl.ForEach(func(tp tuple.Tuple) { got = append(got, tp) })
+		inOrder("ForEach", got, want)
+		counts := map[uint64]int{}
+		for _, tp := range want {
+			counts[tp.Key]++
+		}
+		for k, c := range counts {
+			if got := tbl.Probe(k, nil); got != c {
+				t.Fatalf("batches of %d: Probe(%#x) = %d after the seal, want %d", n, k, got, c)
+			}
+		}
+		checkStaged(t, tbl)
 	}
 }
