@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,22 +46,14 @@ const (
 	chaosStallWrite
 )
 
-func (k chaosKind) String() string {
-	switch k {
-	case chaosCorrupt:
-		return "corrupt"
-	case chaosTear:
-		return "tear"
-	case chaosDup:
-		return "dup"
-	case chaosDropRead:
-		return "drop"
-	case chaosStallRead:
-		return "stallr"
-	default:
-		return "stallw"
-	}
-}
+// chaosNames spells each kind as the script grammar above does.
+var chaosNames = [...]string{chaosCorrupt: "corrupt", chaosTear: "tear", chaosDup: "dup",
+	chaosDropRead: "drop", chaosStallRead: "stallr", chaosStallWrite: "stallw"}
+
+func (k chaosKind) String() string { return chaosNames[k] }
+
+// stall reports whether k takes a duration (KIND@OFF:MS).
+func (k chaosKind) stall() bool { return k == chaosStallRead || k == chaosStallWrite }
 
 // chaosEvent is one scheduled fault. off is a byte offset of the wrapped
 // connection's write stream (corrupt, tear, stallw), read stream (drop,
@@ -101,18 +94,12 @@ func ParseChaos(s string) (*ChaosPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("chaos: %q: want KIND@ARG", part)
 		}
-		var ev chaosEvent
-		num := arg
-		switch kind {
-		case "corrupt":
-			ev.kind = chaosCorrupt
-		case "tear":
-			ev.kind = chaosTear
-		case "dup":
-			ev.kind = chaosDup
-		case "drop":
-			ev.kind = chaosDropRead
-		case "stallr", "stallw":
+		k := slices.Index(chaosNames[:], kind)
+		if k < 0 {
+			return nil, fmt.Errorf("chaos: unknown fault kind %q in %q", kind, part)
+		}
+		ev, num := chaosEvent{kind: chaosKind(k)}, arg
+		if ev.kind.stall() {
 			offs, ms, ok := strings.Cut(arg, ":")
 			if !ok {
 				return nil, fmt.Errorf("chaos: %q: want %s@OFF:MS", part, kind)
@@ -123,13 +110,6 @@ func ParseChaos(s string) (*ChaosPlan, error) {
 				return nil, fmt.Errorf("chaos: %q: bad stall duration %q", part, ms)
 			}
 			ev.dur = time.Duration(d) * time.Millisecond
-			if kind == "stallr" {
-				ev.kind = chaosStallRead
-			} else {
-				ev.kind = chaosStallWrite
-			}
-		default:
-			return nil, fmt.Errorf("chaos: unknown fault kind %q in %q", kind, part)
 		}
 		off, err := strconv.ParseInt(num, 10, 64)
 		if err != nil || off < 0 || (ev.kind == chaosDup && off == 0) {
@@ -183,10 +163,9 @@ func (p *ChaosPlan) String() string {
 	defer p.mu.Unlock()
 	parts := make([]string, 0, len(p.events))
 	for _, ev := range p.events {
-		switch ev.kind {
-		case chaosStallRead, chaosStallWrite:
+		if ev.kind.stall() {
 			parts = append(parts, fmt.Sprintf("%s@%d:%d", ev.kind, ev.off, ev.dur/time.Millisecond))
-		default:
+		} else {
 			parts = append(parts, fmt.Sprintf("%s@%d", ev.kind, ev.off))
 		}
 	}

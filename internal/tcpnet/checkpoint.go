@@ -273,7 +273,7 @@ func (sc *seqCover) applied() []uint64 {
 // growing across the restart; a second crash then replays the whole
 // history again.
 func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, l net.Listener, opts ...Option) (_ *Coordinator, err error) {
-	defer closeOnError(l, &err)
+	defer closeOnError(&err, l)
 	if len(snap.Records) == 0 || snap.Records[0].Kind != wire.CkptHeader {
 		return nil, errors.New("tcpnet: snapshot has no header record")
 	}

@@ -44,16 +44,7 @@ const (
 	linkDead                  // the far end was declared dead: nothing more is sent or accepted
 )
 
-func (s linkState) String() string {
-	switch s {
-	case linkDown:
-		return "down"
-	case linkLive:
-		return "live"
-	default:
-		return "dead"
-	}
-}
+func (s linkState) String() string { return [...]string{"down", "live", "dead"}[s] }
 
 // handshake is a fresh connection a dial or accept goroutine hands to the
 // event loop. r already holds any bytes read past the handshake frame. A
@@ -294,9 +285,10 @@ func (l *link) buffer(f *frame) error {
 // receive runs the session's receive gate on an event from this link's
 // reader. It returns the frame to apply; or nil and no error for an event
 // from a retired connection or a duplicate from a retransmission overlap
-// (recycled here); or the connection's read error, or a sequence gap —
-// loss the session failed to mask — for the owner to treat as a broken
-// connection. The frame's piggybacked ack trims the retransmit buffer.
+// (recycled here); or the connection's read error, a sequence gap —
+// loss the session failed to mask — or an ack for a frame never sent, for
+// the owner to treat as a broken connection. The frame's piggybacked ack
+// trims the retransmit buffer.
 func (l *link) receive(ev linkEvent) (*frame, error) {
 	if ev.gen != l.gen || l.state != linkLive {
 		if ev.f != nil {
@@ -311,7 +303,10 @@ func (l *link) receive(ev linkEvent) (*frame, error) {
 		return nil, ev.err
 	}
 	f := ev.f
-	l.sess.peerAck(f.Ack)
+	if err := l.sess.peerAck(f.Ack); err != nil {
+		putFrame(f)
+		return nil, err
+	}
 	if f.Seq > 0 {
 		ok, err := l.sess.acceptSeq(f.Seq)
 		if err != nil || !ok {

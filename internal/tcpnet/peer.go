@@ -23,14 +23,15 @@ package tcpnet
 //     broadcasts. When either end of a pair is reassigned from scratch the
 //     pair epoch changes, both ends reset the link, and the dialer
 //     re-establishes it — the peer-link equivalent of the rung-2 recovery.
-//   - A peer link whose retransmit window overflows while disconnected is
-//     unrecoverable locally: the worker exits with an error, the
-//     coordinator sees its connection drop, and the ordinary worker
-//     recovery ladder (resume → reassign → death) takes over. Escalating a
-//     link failure to a worker failure keeps exactly-once delivery without
-//     a second recovery protocol.
+//   - A peer link that cannot resume (its window overflowed while down, or
+//     a hello's verdict is reassign) is unrecoverable locally: the worker
+//     exits with an error, the coordinator sees its connection drop, and
+//     the ordinary worker recovery ladder (resume → reassign → death)
+//     takes over. Escalating a link failure to a worker failure keeps
+//     exactly-once delivery without a second recovery protocol.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -222,9 +223,7 @@ func (w *worker) linkBroken(lk *link, cause error) {
 		return
 	}
 	if !lk.sess.resumable() {
-		if w.fatal == nil {
-			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d lost with an overflowed retransmit window", lk.idx)
-		}
+		w.peerUnresumable(lk, errors.New("lost with an overflowed retransmit window"))
 		return
 	}
 	if w.p2p.self > lk.idx {
@@ -247,8 +246,8 @@ func (w *worker) spawnPeerDialer(lk *link) {
 		}
 		return conn, err
 	}
-	hello := &frame{Kind: framePeerHello, From: int32(p.self), Session: lk.sess.id,
-		Epoch: lk.sess.epochNow(), LastSeq: lk.sess.seen(), CanReplay: lk.sess.resumable()}
+	hello := lk.sess.hello(framePeerHello, nil)
+	hello.From = int32(p.self)
 	w.redial(lk, peerPause, dial, []*frame{hello}, framePeerHelloOK)
 }
 
@@ -279,16 +278,13 @@ func (w *worker) peerAcceptLoop(l net.Listener) {
 func (w *worker) peerAcceptHandshake(conn net.Conn) {
 	r := w.newReader(conn)
 	f, err := readHandshake(conn, r)
-	if err != nil {
-		_ = conn.Close()
+	ev := linkEvent{gen: -1, f: f, hs: &handshake{conn: conn, r: r}}
+	if err != nil || f.Kind != framePeerHello || f.From < 0 || f.From >= MaxWorkers {
+		ev.drop()
 		return
 	}
-	if f.Kind != framePeerHello || f.From < 0 || f.From >= MaxWorkers {
-		putFrame(f)
-		_ = conn.Close()
-		return
-	}
-	w.post(linkEvent{src: int16(f.From), gen: -1, f: f, hs: &handshake{conn: conn, r: r}}, nil)
+	ev.src = int16(f.From)
+	w.post(ev, nil)
 }
 
 // installPeerConn installs a handshake outcome on the main loop: a dialed
@@ -312,6 +308,7 @@ func (w *worker) installPeerConn(ev linkEvent) {
 		return
 	}
 	lk := p.links[src]
+	var err error
 	if f.Kind == framePeerHelloOK {
 		// Our dialer finished. Stale if the link was retired (epoch bump,
 		// teardown) since the dial started.
@@ -319,42 +316,48 @@ func (w *worker) installPeerConn(ev linkEvent) {
 			ev.drop()
 			return
 		}
-		retrans, ok := lk.sess.resumeFrom(f.LastSeq)
-		if !ok {
+		lk.stop = nil // the dialer exits after posting
+	} else {
+		// An accepted hello (dialer is always the higher index). A refused
+		// one — wrong pair identity, a stale or racing epoch — leaves our
+		// end alone; the dialer retries once both ends have converged.
+		v := refuse
+		if f.Kind == framePeerHello && src > p.self && lk.state != linkDead {
+			v, err = lk.sess.resumeVerdict(f, 0, false)
+		}
+		if v == refuse {
 			ev.drop()
-			if w.fatal == nil {
-				w.fatal = fmt.Errorf("tcpnet: peer link to worker %d cannot resume: it overflowed its retransmit window while disconnected, or the peer claims a frame it was never sent", lk.idx)
-			}
 			return
 		}
-		putFrame(f)
-		lk.stop = nil // the dialer exits after posting
-		w.installLink(lk, ev, nil, retrans)
-		return
+		// If our end is still live, the peer noticed the failure before we
+		// did: retire it first, so the replay holds its drained outbox.
+		lk.retire()
 	}
-	// An accepted hello (dialer is always the higher index).
-	if f.Kind != framePeerHello || src <= p.self || lk.state == linkDead ||
-		f.Session != lk.sess.id || f.Epoch != lk.sess.epochNow() {
-		// Wrong pair identity or a stale/racing epoch: drop the connection
-		// and let the dialer retry once both ends have converged.
+	var retrans [][]byte
+	if err == nil {
+		retrans, err = lk.sess.resumeFrom(f.LastSeq)
+	}
+	if err != nil {
 		ev.drop()
+		w.peerUnresumable(lk, err)
 		return
 	}
-	// If our end is still live, the peer noticed the failure before we
-	// did: retire our end first.
-	lk.retire()
-	retrans, ok := lk.sess.resumeFrom(f.LastSeq)
-	if !f.CanReplay || !ok {
-		ev.drop()
-		if w.fatal == nil {
-			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d is not resumable: a retransmit window overflowed, or the peer claims a frame it was never sent", lk.idx)
-		}
-		return
+	var okf *frame
+	if f.Kind == framePeerHello {
+		okf = getFrame()
+		okf.Kind, okf.LastSeq = framePeerHelloOK, lk.sess.ackable()
 	}
-	okf := getFrame()
-	okf.Kind, okf.LastSeq = framePeerHelloOK, lk.sess.seen()
 	putFrame(f)
 	w.installLink(lk, ev, okf, retrans)
+}
+
+// peerUnresumable fails the worker over a peer link that cannot resume:
+// a peer link has no reassignment rung of its own, so the coordinator's
+// recovery ladder takes over.
+func (w *worker) peerUnresumable(lk *link, reason error) {
+	if w.fatal == nil {
+		w.fatal = fmt.Errorf("tcpnet: peer link to worker %d: %w", lk.idx, reason)
+	}
 }
 
 // parkEarlyHello holds an accepted hello for applyP2PAssign. A source's

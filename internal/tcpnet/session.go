@@ -17,14 +17,15 @@ import (
 // and are kept, fully encoded, in a bounded retransmit buffer until the
 // peer's cumulative ack covers them. Every frame in either direction
 // piggybacks the sender's cumulative ack; an idle-ack timer covers the
-// case where no traffic flows to carry it. On reconnect the two sides
-// exchange (session, epoch, lastSeqSeen) and replay exactly the unacked
-// suffix — cheap rung 1 of the recovery ladder. If the retransmit window
-// overflowed, or the epochs disagree, the session is reset under a new
-// epoch and the worker is reassigned from scratch (rung 2: PR 1's purge +
-// deterministic re-stream). A worker that never reconnects inside the
-// resume window is declared dead (rung 3: scheduler recovery, degrading
-// to replica-loss accounting in the probe phase).
+// case where no traffic flows to carry it. On reconnect the accepting end
+// takes one resumeVerdict on the dialer's hello: replay exactly the
+// unacked suffix (rung 1 of the recovery ladder), or, if a window
+// overflowed or the epochs disagree, reset the session under a new epoch
+// and reassign the worker from scratch (rung 2: purge + deterministic
+// re-stream); a worker that never reconnects inside the resume window is
+// declared dead (rung 3). No position a peer reports — in a hello, a
+// resume reply or an ack — trims anything before it passes the range
+// check against [acked, framesSent].
 
 const (
 	// DefaultRetransmitFrames and DefaultRetransmitBytes bound the
@@ -214,17 +215,22 @@ func (s *session) recycle(slab []byte) {
 }
 
 // peerAck processes a cumulative ack from the peer, trimming the
-// retransmit buffer and restocking the slab free list from it.
-func (s *session) peerAck(ack uint64) {
+// retransmit buffer and restocking the slab free list from it. An ack for
+// a frame this side never sent is refused and changes nothing: trimming to
+// it would drop frames the peer never got.
+func (s *session) peerAck(ack uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.peerAckLocked(ack)
+	return s.peerAckLocked(ack)
 }
 
 // peerAckLocked is peerAck for callers that hold s.mu.
-func (s *session) peerAckLocked(ack uint64) {
+func (s *session) peerAckLocked(ack uint64) error {
+	if ack >= s.nextSeq {
+		return fmt.Errorf("tcpnet: session %#x: ack for frame %d, only %d sent", s.id, ack, s.nextSeq-1)
+	}
 	if ack <= s.acked {
-		return
+		return nil
 	}
 	s.acked = ack
 	i := 0
@@ -238,6 +244,7 @@ func (s *session) peerAckLocked(ack uint64) {
 		clear(s.buf[n:]) // acked frames must not stay reachable from the vacated tail
 		s.buf = s.buf[:n]
 	}
+	return nil
 }
 
 // acceptSeq decides the fate of a received reliable frame: process it
@@ -264,27 +271,94 @@ func (s *session) acceptSeq(seq uint64) (process bool, err error) {
 	}
 }
 
-// resumeFrom is this side's half of a resume handshake in which the peer
-// reports lastSeq, the last reliable frame it received. If this epoch is
-// still resumable and lastSeq is a frame this side sent, it trims the
-// retransmit buffer to lastSeq and returns the wire bytes of every buffered
-// frame above it, in sequence order, for replay. Otherwise it changes
-// nothing and returns false: the window overflowed, or the peer claims a
-// frame never sent, and trimming to that claim would drop frames the peer
-// never received.
-func (s *session) resumeFrom(lastSeq uint64) (retrans [][]byte, ok bool) {
+// hello builds this end's resume hello: the position and identity the far
+// end's resumeVerdict checks, with the digest of the node ids assigned
+// under them (a peer hello does not carry it).
+func (s *session) hello(kind frameKind, ids []int32) *frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.overflowed || lastSeq >= s.nextSeq {
-		return nil, false
+	return &frame{Kind: kind, Session: s.id, Epoch: s.epoch, LastSeq: s.lastSeqSeen,
+		AckedSeq: s.acked, CanReplay: !s.overflowed, Digest: assignDigest(s.id, s.epoch, ids)}
+}
+
+// A verdict is the accepting end's decision on a resume hello.
+type verdict uint8
+
+const (
+	replay   verdict = iota // rung 1: resumeFrom(hello.LastSeq), then replay the rest
+	reassign                // the hello is this session epoch's, but the epoch cannot resume exactly
+	refuse                  // the hello is not this session epoch's: drop it, change nothing
+)
+
+// resumeVerdict is the one decision on a resume hello h, by the end that
+// accepted its connection. It changes nothing; a non-replay comes with its
+// reason. digest is the assignment digest h must carry (a peer hello
+// carries none). seat is the coordinator's blank-worker seat: a worker
+// orphaned before its first assignment presents no identity at all, and
+// may take only a session that has heard from no one.
+func (s *session) resumeVerdict(h *frame, digest uint64, seat bool) (verdict, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, epoch := s.id, s.epoch
+	if seat {
+		id, epoch, digest = 0, 0, assignDigest(0, 0, nil)
 	}
-	s.peerAckLocked(lastSeq)
+	v, why := refuse, ""
+	switch {
+	case h.Session != id:
+		why = fmt.Sprintf("hello for session %#x", h.Session)
+	case h.Epoch != epoch:
+		why = fmt.Sprintf("hello for epoch %d, this end is at %d", h.Epoch, epoch)
+	case seat && s.lastSeqSeen != 0:
+		why = fmt.Sprintf("blank hello, but the seat has seen frame %d", s.lastSeqSeen)
+	case !h.CanReplay:
+		v, why = reassign, "the dialer's retransmit window overflowed"
+	case h.AckedSeq > s.lastSeqSeen:
+		v, why = reassign, fmt.Sprintf("the dialer holds an ack for frame %d, this end saw %d", h.AckedSeq, s.lastSeqSeen)
+	case h.Digest != digest:
+		v, why = reassign, "the assignment digest differs"
+	default:
+		v, why = reassign, s.replayableLocked(h.LastSeq)
+	}
+	if why == "" {
+		return replay, nil
+	}
+	return v, fmt.Errorf("tcpnet: session %#x not resumable: %s", s.id, why)
+}
+
+// replayableLocked is the range decision of every resume, or "": the
+// window is intact, and lastSeq, the last frame the peer reports, lies in
+// [acked, framesSent]. Below the ack floor the frames the peer lacks are
+// gone; above what was sent, trimming to the claim would drop frames the
+// peer never got. Callers hold s.mu.
+func (s *session) replayableLocked(lastSeq uint64) string {
+	switch {
+	case s.overflowed:
+		return "this end's retransmit window overflowed"
+	case lastSeq < s.acked:
+		return fmt.Sprintf("the peer is at frame %d, below this end's ack floor %d", lastSeq, s.acked)
+	case lastSeq >= s.nextSeq:
+		return fmt.Sprintf("the peer claims frame %d, only %d sent", lastSeq, s.nextSeq-1)
+	}
+	return ""
+}
+
+// resumeFrom is this side's half of a resume handshake in which the peer
+// reports lastSeq, the last reliable frame it received. If
+// replayableLocked accepts it, the retransmit buffer is trimmed to lastSeq
+// and the wire bytes of every frame left, in sequence order, are returned
+// for replay. Otherwise nothing changes and the error says why.
+func (s *session) resumeFrom(lastSeq uint64) (retrans [][]byte, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if why := s.replayableLocked(lastSeq); why != "" {
+		return nil, fmt.Errorf("tcpnet: session %#x not resumable: %s", s.id, why)
+	}
+	_ = s.peerAckLocked(lastSeq) // in range; the frames it leaves are all above lastSeq
 	for _, sf := range s.buf {
-		if sf.seq > lastSeq {
-			retrans = append(retrans, sf.data)
-		}
+		retrans = append(retrans, sf.data)
 	}
-	return retrans, true
+	return retrans, nil
 }
 
 // needAck reports whether the peer has sent us reliable frames that no
@@ -352,22 +426,6 @@ func (s *session) epochNow() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.epoch
-}
-
-// seen returns the cumulative receive position, exchanged in the resume
-// handshake.
-func (s *session) seen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeqSeen
-}
-
-// ackedNow returns the highest cumulative ack received from the peer —
-// the floor below which the retransmit buffer holds nothing.
-func (s *session) ackedNow() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
 }
 
 // restore installs the replayed receive position (coordinator crash

@@ -6,6 +6,7 @@ package tcpnet
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,8 +28,8 @@ func TestSessionRetransmitBuffer(t *testing.T) {
 	if len(s.buf) != 2 {
 		t.Fatalf("after ack 2: buf holds %d frames, want 2", len(s.buf))
 	}
-	if got, ok := s.resumeFrom(3); !ok || len(got) != 1 || len(s.buf) != 1 {
-		t.Fatalf("resumeFrom(3): %d frames (ok %v) and %d buffered, want 1, 1", len(got), ok, len(s.buf))
+	if got, err := s.resumeFrom(3); err != nil || len(got) != 1 || len(s.buf) != 1 {
+		t.Fatalf("resumeFrom(3): %d frames (%v) and %d buffered, want 1, 1", len(got), err, len(s.buf))
 	}
 	// Stale and duplicate acks must be no-ops.
 	s.peerAck(1)
@@ -60,31 +61,133 @@ func TestSessionRetransmitBuffer(t *testing.T) {
 	}
 }
 
-// TestSessionResumeRefusesUnsentFrame: a peer that claims to have received
-// a frame this side never sent is refused, and the buffer keeps every
-// unacked frame: trimming to the claim would drop frames the peer never
-// received. An overflowed window is refused the same way.
-func TestSessionResumeRefusesUnsentFrame(t *testing.T) {
-	s := newSession(7, 4, 1<<20)
-	send := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := s.encode(&frame{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: i}}); err != nil {
-				t.Fatal(err)
+// TestResumeVerdict is the resume decision, one row per outcome and per
+// reason. The session has sent frames 1–3 under epoch 2, the peer acked
+// frame 1, and it has seen the peer's frames 1–2. Each row runs on a fresh
+// session: the verdict must change nothing, and resumeFrom, the half every
+// resume runs to trim and replay, must agree with it on the hello's
+// position — replaying exactly the frames above it, or refusing with the
+// buffer and the ack floor untouched. Peer hellos carry no AckedSeq or
+// Digest, so those rows are the coordinator's; the seat is coordinator-only.
+func TestResumeVerdict(t *testing.T) {
+	const id, epoch = 7, 2
+	ids := []int32{3, 5}
+	digest := assignDigest(id, epoch, ids)
+	good := frame{Kind: frameCoordResume, Session: id, Epoch: epoch, LastSeq: 2, AckedSeq: 2,
+		CanReplay: true, Digest: digest}
+	blank := frame{Kind: frameCoordResume, CanReplay: true, Digest: assignDigest(0, 0, nil)}
+	with := func(f frame, edit func(*frame)) frame { edit(&f); return f }
+	type row struct {
+		name     string
+		hello    frame
+		seat     bool
+		fresh    bool // a session that has sent, acked and seen nothing (a blank seat)
+		overflow bool // the session's retransmit window has overflowed
+		want     verdict
+		why      string // in the reason
+		ranged   bool   // resumeFrom refuses the hello's position too
+		replay   []uint64
+	}
+	rows := []row{
+		{name: "replay", hello: good, want: replay, replay: []uint64{3}},
+		{name: "replay from the ack floor", hello: with(good, func(f *frame) { f.LastSeq = 1 }), want: replay, replay: []uint64{2, 3}},
+		{name: "replay nothing", hello: with(good, func(f *frame) { f.LastSeq = 3 }), want: replay, replay: nil},
+		{name: "session mismatch", hello: with(good, func(f *frame) { f.Session = id + 1 }), want: refuse, why: "session 0x8"},
+		{name: "stale epoch", hello: with(good, func(f *frame) { f.Epoch = epoch - 1 }), want: refuse, why: "epoch 1"},
+		{name: "dialer cannot replay", hello: with(good, func(f *frame) { f.CanReplay = false }), want: reassign, why: "dialer's retransmit window"},
+		{name: "window overflowed", hello: good, overflow: true, want: reassign, why: "this end's retransmit window", ranged: true},
+		{name: "lastSeq below the ack floor", hello: with(good, func(f *frame) { f.LastSeq = 0 }), want: reassign, why: "below this end's ack floor 1", ranged: true},
+		{name: "lastSeq above framesSent", hello: with(good, func(f *frame) { f.LastSeq = 4 }), want: reassign, why: "frame 4, only 3 sent", ranged: true},
+		{name: "ackedSeq above seen", hello: with(good, func(f *frame) { f.AckedSeq = 3 }), want: reassign, why: "ack for frame 3"},
+		{name: "digest mismatch", hello: with(good, func(f *frame) { f.Digest ^= 1 }), want: reassign, why: "digest"},
+		{name: "blank seat", hello: blank, seat: true, fresh: true, want: replay, replay: []uint64{1, 2, 3}},
+		{name: "blank seat already heard from", hello: blank, seat: true, want: refuse, why: "seat has seen frame 2"},
+		{name: "identity claiming a seat", hello: with(good, func(f *frame) { f.LastSeq = 0; f.AckedSeq = 0 }), seat: true, fresh: true, want: refuse, why: "session 0x7"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			window := 8
+			if r.overflow {
+				window = 2
 			}
+			s := newSession(id, window, 1<<20)
+			s.epoch = epoch
+			for i := 0; i < 3; i++ {
+				if _, err := s.encode(&frame{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: i}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !r.fresh {
+				if err := s.peerAck(1); err != nil {
+					t.Fatal(err)
+				}
+				s.lastSeqSeen = 2
+			}
+			buffered, acked := len(s.buf), s.acked
+			h := r.hello
+			v, reason := s.resumeVerdict(&h, digest, r.seat)
+			if v != r.want || (reason == nil) != (r.want == replay) {
+				t.Fatalf("verdict %d (%v), want %d", v, reason, r.want)
+			}
+			if reason != nil && !strings.Contains(reason.Error(), r.why) {
+				t.Errorf("reason %q does not name %q", reason, r.why)
+			}
+			if len(s.buf) != buffered || s.acked != acked {
+				t.Fatalf("the verdict changed the session: %d buffered (was %d), acked %d (was %d)", len(s.buf), buffered, s.acked, acked)
+			}
+			if r.want != replay && !r.ranged {
+				return // the position is fine; the verdict refused something else
+			}
+			retrans, err := s.resumeFrom(h.LastSeq)
+			if (err == nil) != (r.want == replay) {
+				t.Fatalf("resumeFrom(%d): %v; the verdict said %d", h.LastSeq, err, v)
+			}
+			if err != nil {
+				if retrans != nil || len(s.buf) != buffered || s.acked != acked {
+					t.Fatalf("refused resumeFrom(%d) changed the session: %d frames returned, %d buffered, acked %d",
+						h.LastSeq, len(retrans), len(s.buf), s.acked)
+				}
+				return
+			}
+			var seqs []uint64
+			for _, b := range retrans {
+				seqs = append(seqs, frameSeq(b))
+			}
+			if !slices.Equal(seqs, r.replay) {
+				t.Fatalf("replay %v, want %v", seqs, r.replay)
+			}
+		})
+	}
+}
+
+// TestSessionRefusesAckBeyondSent: a cumulative ack for a frame this side
+// never sent is refused and changes nothing, on the session and through a
+// link's receive gate, which breaks the connection on it as on a
+// sequence gap. Trimming to such an ack once emptied the retransmit
+// buffer of frames the peer never received.
+func TestSessionRefusesAckBeyondSent(t *testing.T) {
+	s := newSession(7, 0, 0)
+	for i := 0; i < 3; i++ {
+		if _, err := s.encode(&frame{Kind: frameMsg, To: 1, Msg: &testMsg{Seq: i}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	send(3)
-	s.peerAck(1)
-	if got, ok := s.resumeFrom(4); ok || got != nil || len(s.buf) != 2 || s.ackedNow() != 1 {
-		t.Fatalf("resumeFrom(4) after 3 frames sent: ok %v, %d frames, %d buffered, acked %d; want a refusal, 2 buffered, acked 1",
-			ok, len(got), len(s.buf), s.ackedNow())
+	err := s.peerAck(10)
+	if len(s.buf) != 3 || s.acked != 0 {
+		t.Fatalf("ack 10 with 3 frames sent left %d buffered, acked %d; want 3, 0", len(s.buf), s.acked)
 	}
-	if got, ok := s.resumeFrom(2); !ok || len(got) != 1 || frameSeq(got[0]) != 3 {
-		t.Fatalf("resumeFrom(2): ok %v, %d frames; want frame 3 alone", ok, len(got))
+	if err == nil {
+		t.Fatal("ack 10 with 3 frames sent: want an error")
 	}
-	send(5) // 6 unacked frames overflow a window of 4
-	if got, ok := s.resumeFrom(3); ok || got != nil {
-		t.Fatalf("resumeFrom(3) on an overflowed window: ok %v, %d frames; want a refusal", ok, len(got))
+	if err := s.peerAck(3); err != nil || len(s.buf) != 0 {
+		t.Fatalf("ack 3 with 3 frames sent: %v, %d buffered; want accepted, 0", err, len(s.buf))
+	}
+
+	l := &link{sess: newSession(7, 0, 0), state: linkLive}
+	f := getFrame()
+	f.Kind, f.Ack = frameAck, 1
+	if got, err := l.receive(linkEvent{gen: l.gen, f: f}); got != nil || err == nil {
+		t.Fatalf("receive of an ack for an unsent frame: %v, %v; want a broken connection", got, err)
 	}
 }
 

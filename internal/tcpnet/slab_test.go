@@ -76,11 +76,22 @@ func TestSessionSlabRecyclingKeepsReplayBytes(t *testing.T) {
 	s := newSession(9, 0, 0)
 	wired := make(map[uint64][]byte) // seq -> the bytes the writer put on the wire
 
-	check := func(since uint64) {
+	// check snapshots from the ack floor. The acker may raise the floor
+	// between the read and the snapshot; resumeFrom then refuses, changing
+	// nothing, and the snapshot is taken again from the new floor.
+	check := func() {
 		t.Helper()
-		retrans, ok := s.resumeFrom(since)
-		if !ok {
-			t.Fatalf("resumeFrom(%d) refused", since)
+		var retrans [][]byte
+		for tries := 0; ; tries++ {
+			s.mu.Lock()
+			since := s.acked
+			s.mu.Unlock()
+			var err error
+			if retrans, err = s.resumeFrom(since); err == nil {
+				break
+			} else if tries == 1000 {
+				t.Fatalf("resumeFrom(%d) refused: %v", since, err)
+			}
 		}
 		for _, data := range retrans {
 			seq := frameSeq(data)
@@ -123,7 +134,7 @@ func TestSessionSlabRecyclingKeepsReplayBytes(t *testing.T) {
 		wired[uint64(i)] = append([]byte(nil), data...) // the writer's copy into its bufio
 		sent <- uint64(i)
 		if i%97 == 0 {
-			check(s.ackedNow())
+			check()
 		}
 		s.mu.Lock()
 		recycled = recycled || len(s.free) > 0
@@ -139,8 +150,12 @@ func TestSessionSlabRecyclingKeepsReplayBytes(t *testing.T) {
 	}
 	close(sent)
 	wg.Wait()
-	check(s.ackedNow())
-	check(0) // a peer that reports an older position still gets true bytes for what is left
+	check()
+	// A peer that reports a position below the ack floor is refused: the
+	// frames it lacks are gone.
+	if retrans, err := s.resumeFrom(0); err == nil || retrans != nil {
+		t.Fatalf("resumeFrom(0) below the ack floor: %d frames, %v; want a refusal", len(retrans), err)
+	}
 	if !recycled {
 		t.Error("no slab was ever parked: the recycling path did not run")
 	}

@@ -198,8 +198,8 @@ type workerConn struct {
 	resumeDeadline time.Time // while down: give up on resume after this
 	failCause      error     // what broke the last connection
 	// restored marks a worker whose session positions came from a
-	// checkpoint replay rather than live traffic: its next resume must
-	// pass the digest cross-check, and counts as a re-attachment.
+	// checkpoint replay rather than live traffic: its next resume counts
+	// as a re-attachment.
 	restored bool
 }
 
@@ -332,17 +332,17 @@ const MaxWorkers = 128
 var ErrNoWorkers = errors.New("tcpnet: no worker connections")
 
 // NewCoordinator wires up worker connections accepted from l, the
-// listener the workers dialed. The coordinator owns l from here on: every
-// worker that loses its connection redials it, and Close closes it (an
-// error return has closed it already). assignment maps node ids to
-// indexes in conns; every unassigned
-// registered node runs locally. cfgBlob is shipped verbatim to each worker
+// listener the workers dialed. The coordinator owns l and conns from here
+// on: every worker that loses its connection redials l, and Close closes
+// it (an error return has closed it, and conns, already). assignment maps
+// node ids to indexes in conns; every unassigned registered node runs
+// locally. cfgBlob is shipped verbatim to each worker
 // (typically core.EncodeConfig output) together with its assigned node
 // ids, the peer address book, and the full node→worker map. It first reads
 // every worker's advertised data-plane listener (framePeerAddr), so each
 // assignment carries the complete address book.
 func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener, conns []net.Conn, opts ...Option) (_ *Coordinator, err error) {
-	defer closeOnError(l, &err)
+	defer closeOnError(&err, l, conns...)
 	if len(conns) == 0 {
 		return nil, ErrNoWorkers
 	}
@@ -395,11 +395,16 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, l net.Listener
 	return c, nil
 }
 
-// closeOnError closes l when *err is set: a constructor that fails hands
-// back no coordinator to own the listener it was given.
-func closeOnError(l net.Listener, err *error) {
+// closeOnError closes l and conns when *err is set: a constructor that
+// fails hands back no coordinator to own what it was given.
+func closeOnError(err *error, l net.Listener, conns ...net.Conn) {
 	if *err != nil {
 		l.Close()
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
 	}
 }
 
@@ -509,31 +514,24 @@ func (c *Coordinator) acceptLoop() {
 func (c *Coordinator) resumeHandshake(conn net.Conn) {
 	r := newWireReader(conn)
 	f, err := readHandshake(conn, r)
-	if err != nil {
-		_ = conn.Close()
-		return
-	}
-	// A blank worker re-advertises its data-plane listener ahead of
-	// the hello, mirroring the bootstrap sequence, so the coordinator can
-	// seat it in the slot its logged address book assigns that listener.
+	// A blank worker re-advertises its data-plane listener ahead of the
+	// hello, mirroring the bootstrap sequence, so the coordinator can seat
+	// it in the slot its logged address book assigns that listener. The
+	// hello's Addr carries it to applyResume; a resume hello has no
+	// address of its own.
 	peerAddr := ""
-	if f.Kind == framePeerAddr {
+	if err == nil && f.Kind == framePeerAddr {
 		peerAddr = f.Addr
 		putFrame(f)
-		if f, err = readHandshake(conn, r); err != nil {
-			_ = conn.Close()
-			return
-		}
+		f, err = readHandshake(conn, r)
 	}
-	if f.Kind != frameCoordResume {
-		putFrame(f)
-		_ = conn.Close()
+	ev := linkEvent{src: -1, f: f, hs: &handshake{conn: conn, r: r}}
+	if err != nil || f.Kind != frameCoordResume {
+		ev.drop()
 		return
 	}
-	// The hello's Addr carries the re-advertised listener (if any) to
-	// applyResume; a resume hello has no address of its own.
 	f.Addr = peerAddr
-	c.post(linkEvent{src: -1, f: f, hs: &handshake{conn: conn, r: r}}, nil)
+	c.post(ev, nil)
 }
 
 // Register implements runtime.Engine. Actors for remotely assigned ids are
@@ -737,47 +735,36 @@ func (c *Coordinator) bumpPeerEpoch(i int, epoch uint32) {
 	}
 }
 
-// applyResume decides a redialing worker's fate: resume the session from
-// the retransmit buffers (rung 1), or reassign it from scratch under a new
-// epoch (rung 2). ev carries the worker's frameCoordResume hello, with
-// Addr holding the listener a blank worker re-advertised ahead of it.
+// applyResume decides a redialing worker's fate by the session's
+// resumeVerdict: resume the session from the retransmit buffers (rung 1),
+// or reassign it from scratch under a new epoch (rung 2). The coordinator
+// owns the epochs, so a known worker's hello that cannot replay — refused
+// or not — is answered with a fresh one. ev carries the worker's
+// frameCoordResume hello, with Addr holding the listener a blank worker
+// re-advertised ahead of it.
 func (c *Coordinator) applyResume(ev linkEvent) {
 	req, conn := ev.f, ev.hs.conn
 	defer putFrame(req)
 	i, ok := c.bySession[req.Session]
 	blank := false
-	if !ok && !c.closed && req.Session == 0 && req.Epoch == 0 &&
-		req.LastSeq == 0 && req.AckedSeq == 0 && req.Digest == assignDigest(0, 0, nil) {
-		// A parked worker orphaned before its first assignment ever
-		// reached it. It has no session identity to present, but it is a
-		// blank slate, and any slot the log never heard a frame from is
-		// indistinguishable from the one it lost — so seat it in the first
-		// such slot by re-sending the assignment and replaying the slot's
-		// entire sequenced stream from the retransmit buffer. That is
-		// exact, and cheaper than the purge rung: nothing the worker held
-		// is lost, because it never held anything. Blank workers are NOT
-		// interchangeable — every peer dials the address book — so the
-		// re-advertised listener must pin the claim to the one slot whose
-		// logged address it matches.
-		for k, wk := range c.workers {
-			if wk.state == linkDown && wk.sess.seen() == 0 &&
-				wk.sess.ackedNow() == 0 && wk.sess.resumable() &&
-				req.Addr != "" && c.peerAddrs[k] == req.Addr {
-				i, ok, blank = k, true, true
-				break
-			}
-		}
+	k := slices.Index(c.peerAddrs, req.Addr)
+	if !ok && req.Addr != "" && k >= 0 && c.workers[k].state == linkDown {
+		// Perhaps a parked worker orphaned before its first assignment
+		// reached it: a blank slate, which the verdict may seat in a slot
+		// the log never heard a frame from, replaying the assignment and
+		// the slot's whole stream. That is exact, and cheaper than the
+		// purge rung. Blank workers are NOT interchangeable — every peer
+		// dials the address book — so the re-advertised listener pins the
+		// claim to the one slot whose logged address it matches.
+		i, ok, blank = k, true, true
 	}
-	if !ok || c.closed {
+	if !ok || c.closed || c.workers[i].state == linkDead {
+		// Unknown, or too late: the scheduler already recovered around
+		// this worker.
 		_ = conn.Close()
 		return
 	}
 	w := c.workers[i]
-	if w.state == linkDead {
-		// Too late: the scheduler already recovered around this worker.
-		_ = conn.Close()
-		return
-	}
 	if w.state == linkLive {
 		// The worker noticed the failure before we did; retire the old
 		// connection first, exactly as failWorker would.
@@ -787,28 +774,21 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 		}
 	}
 	sess := w.sess
-	// Rung-1 eligibility. The base conditions are the live-coordinator
-	// ones: same epoch, both retransmit buffers intact. The rest are
-	// identities on a live coordinator but do real work after a
-	// checkpoint restore, where the buffer and positions are replay
-	// regenerations:
-	//   - lastSeq ∈ [acked, framesSent]: the worker saw everything below
-	//     our buffer's floor, and nothing the replayed log does not know
-	//     about (a frame beyond the log's horizon — a torn tail —
-	//     breaks this);
-	//   - ackedSeq ≤ seen: no worker-side frame was acked and pruned
-	//     beyond our replayed receive position (an ack outran the log);
-	//   - digest match: the worker's (session, epoch, node set) is the
-	//     one the replayed log assigns it.
-	// resumeFrom checks that our buffer is intact and lastSeq ≤ framesSent.
-	ok = blank || (req.Epoch == sess.epochNow() && req.CanReplay &&
-		req.LastSeq >= sess.ackedNow() && req.AckedSeq <= sess.seen() &&
-		req.Digest == assignDigest(sess.id, req.Epoch, c.perWorker[i]))
+	// After a checkpoint restore the verdict proves the worker saw nothing
+	// the replayed log does not know (a torn tail), that no ack outran the
+	// log, and that its node set is the one the log assigns it.
+	v, reason := sess.resumeVerdict(req, assignDigest(sess.id, sess.epochNow(), c.perWorker[i]), blank)
 	var retrans [][]byte
-	if ok {
-		retrans, ok = sess.resumeFrom(req.LastSeq)
+	if v == replay {
+		retrans, reason = sess.resumeFrom(req.LastSeq)
 	}
-	if ok {
+	if reason != nil && blank {
+		_ = conn.Close() // the seat is not this blank worker's to take
+		return
+	}
+	cause, restored := w.failCause, w.restored
+	w.lastHeard, w.resumeDeadline, w.failCause, w.restored = time.Now(), time.Time{}, nil, false
+	if reason == nil {
 		// Rung 1: both retransmit buffers survived intact. Trim ours to
 		// the worker's receive position and replay only the rest; tell
 		// the worker our position so it does the same. Counters are NOT
@@ -830,11 +810,7 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 			// as a duplicate by the sequence window.
 			okf.Kind, okf.LastSeq = frameResumeOK, sess.ackable()
 		}
-		w.lastHeard = time.Now()
-		w.resumeDeadline = time.Time{}
-		w.failCause = nil
-		if w.restored {
-			w.restored = false
+		if restored {
 			c.stats.ReattachedWorkers++
 		}
 		w.start(conn, ev.hs.r, okf, retrans, &c.mux)
@@ -847,26 +823,18 @@ func (c *Coordinator) applyResume(ev linkEvent) {
 	// replayed log. Reassign the worker from scratch under a fresh epoch
 	// and let the failure handler run the join layer's purge + re-stream
 	// recovery.
-	cause := w.failCause
 	if cause == nil {
 		cause = errors.New("connection lost")
 	}
-	cause = fmt.Errorf("session %#x not resumable (epoch %d/%d, replayable %v/%v, seen %d of [%d, %d], restored %v): %w",
-		req.Session, req.Epoch, sess.epochNow(), req.CanReplay, sess.resumable(),
-		req.LastSeq, sess.ackedNow(), sess.framesSent(), w.restored, cause)
-	w.restored = false
 	epoch, ok := c.resetEpoch(i, c.peerEpochs[i]+1)
 	if !ok {
 		_ = conn.Close()
 		return
 	}
-	w.lastHeard = time.Now()
-	w.resumeDeadline = time.Time{}
-	w.failCause = nil
 	c.stats.FullReassigns++
 	w.start(conn, ev.hs.r, c.assignFrame(i, epoch), nil, &c.mux)
 	c.sendPeerLiveness(i)
-	c.notifyDeath(i, cause)
+	c.notifyDeath(i, fmt.Errorf("%w: %w", reason, cause))
 }
 
 // resetEpoch logs and starts worker i's next session epoch (rung 2): the

@@ -286,9 +286,7 @@ func (w *worker) sendOn(lk *link, f *frame) bool {
 		return false
 	}
 	if lk != w.coord && !lk.sess.resumable() {
-		if w.fatal == nil {
-			w.fatal = fmt.Errorf("tcpnet: peer link to worker %d overflowed its retransmit window while disconnected", lk.idx)
-		}
+		w.peerUnresumable(lk, errors.New("overflowed its retransmit window while disconnected"))
 		return false
 	}
 	return true
@@ -458,11 +456,7 @@ func dialHandshake(conn net.Conn, r *wireReader, hello []*frame, want []frameKin
 // installCoordConn hangs up on the resume and dials again with a fresh
 // hello.
 func (w *worker) spawnCoordDialer() {
-	sess := w.coord.sess
-	epoch := sess.epochNow()
-	hello := []*frame{{Kind: frameCoordResume, Session: sess.id, Epoch: epoch,
-		LastSeq: sess.seen(), AckedSeq: sess.ackedNow(), CanReplay: sess.resumable(),
-		Digest: assignDigest(sess.id, epoch, w.assignedIDs)}}
+	hello := []*frame{w.coord.sess.hello(frameCoordResume, w.assignedIDs)}
 	if !w.assigned {
 		// A blank worker — orphaned before its first assignment reached it —
 		// has no session identity, so the coordinator can only seat it in
@@ -500,7 +494,6 @@ func (w *worker) installCoordConn(ev linkEvent) (shutdown bool, err error) {
 		return false, fmt.Errorf("tcpnet: worker lost coordinator (%v); redial gave up: %v", w.lost, ev.err)
 	}
 	defer putFrame(f)
-	sess.peerAck(f.Ack)
 	if f.Kind == frameAssign {
 		if err := w.applyAssign(f); err != nil {
 			_ = conn.Close()
@@ -509,10 +502,13 @@ func (w *worker) installCoordConn(ev linkEvent) (shutdown bool, err error) {
 		lk.start(conn, ev.hs.r, nil, nil, &w.mux)
 		return false, nil
 	}
-	retrans, ok := sess.resumeFrom(f.LastSeq)
-	if !ok {
+	retrans, err := sess.resumeFrom(f.LastSeq) // the reply's ack only counts after this check
+	if err == nil {
+		err = sess.peerAck(f.Ack)
+	}
+	if err != nil {
 		// The buffer overflowed after the hello promised a replay, or the
-		// coordinator claims a frame this worker never sent.
+		// coordinator claims a position this worker's buffer cannot serve.
 		_ = conn.Close()
 		w.spawnCoordDialer()
 		return false, nil
