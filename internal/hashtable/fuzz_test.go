@@ -20,7 +20,9 @@ var fuzzPool = append(keysInSegment(9, 8), keysInSegment(40, 8)...)
 // after fuzzMaxOps operations, and an insert stops at fuzzMaxTuples
 // stored tuples, so every input runs in milliseconds. The seed corpus
 // (testdata/fuzz/FuzzTableOps) takes segment 9 past every rung of the
-// ladder, in batches one short of, at and one past a block's end.
+// ladder, in batches one short of, at and one past a block's end, and
+// alternates probes with inserts of stored keys and extractions, each of
+// which unseals the table the probe before it sealed.
 //
 //	0 n1 n0 m   InsertAll of n1<<8|n0 tuples (mod 4096), keys drawn from
 //	            the first 1 + m%len(fuzzPool) keys of the pool

@@ -21,17 +21,20 @@
 // hashes the group and prefetches every home slot before it resolves any,
 // so the group's cache misses overlap instead of queueing.
 //
-// The index does not exist during the build phase (DESIGN.md "Staged
-// build, one-shot seal"). A table starts *staged*: InsertAll appends each
-// tuple to its segment's open block, whose capacity doubles from block to
-// block up to a fixed size, so a staged tuple is never copied before the
-// seal. Everything the expanding algorithms decide from
-// — Count, Bytes, the per-position counts — and everything they move —
-// ExtractRange, ExtractMatching, ForEach, KeyCountsAt — works on the
-// blocks. The first lookup seals the table: each segment's slot arrays
+// A table is built, then probed, as the paper's phase barrier separates
+// the two (DESIGN.md "Staged build, one-shot seal"), and the seal is the
+// only code that builds its index. A table starts *staged*: InsertAll
+// appends each tuple to its segment's open block, whose capacity doubles
+// from block to block up to a fixed size, so a staged tuple is never
+// copied before the seal. Everything the expanding algorithms decide from
+// — Count, Bytes, the per-position counts — and everything they move or
+// read — the extractions, ForEach, KeyCountsAt, TuplesWithKey — works on
+// the blocks. The first lookup seals the table: each segment's slot arrays
 // are allocated once, sized from the tuples actually staged there, and
-// filled in arrival order. From then on inserts probe and segments grow;
-// only Reset returns a table to the staged state.
+// filled in arrival order. A sealed table is read-only: an insert or an
+// extraction first unseals it — its tuples go back on the staging blocks
+// and the index is dropped — and the next lookup seals it again, so a
+// caller that alternates inserts and lookups pays a seal per switch.
 //
 // The table accounts *logical* bytes (tuple physical fields plus the
 // declared payload size), because memory overflow — the event that drives
@@ -47,9 +50,10 @@ import (
 )
 
 const (
-	// segBits selects one of 64 independently growing segments from the
-	// top bits of the mixed key, so a growth step copies 1/64 of the
-	// table and the capacity slack of the segments averages out.
+	// segBits selects one of 64 independently sized segments from the
+	// top bits of the mixed key, so the seal fills one cache-resident
+	// segment at a time and the capacity slack of the segments averages
+	// out.
 	segBits = 6
 	numSegs = 1 << segBits
 	fibMul  = 0x9E3779B97F4A7C15
@@ -63,11 +67,6 @@ const (
 	stageBlock = 1024
 	stageFirst = 16
 )
-
-// segStartCaps are the segments' first capacities: four points evenly
-// log-spaced across one ×1.5 growth step, so the growth ladders interleave
-// instead of every segment of a uniformly filled table growing at once.
-var segStartCaps = [4]int{64, 71, 78, 87}
 
 // Tags: tagEmpty, or tagUsed | the low 6 bits of the key's mixKey, plus
 // tagRun when the slot's key also owns a duplicate run. The hash bits are
@@ -88,11 +87,11 @@ func tagOf(h uint64) uint8 { return tagUsed | uint8(h)&tagHash }
 // capacity is arbitrary (not a power of two): a hash is reduced to a slot
 // by multiply-high.
 type segment struct {
-	// blocks and open hold the tuples staged before the first lookup, in
-	// arrival order: blocks the full staging blocks, open the block being
-	// filled. Block i has capacity min(stageFirst<<i, stageBlock) and the
-	// open block the next rung; open is nil only while nothing is staged.
-	// Both are nil once the table is sealed.
+	// blocks and open hold the staged tuples, each key's in arrival
+	// order: blocks the full staging blocks, open the block being filled.
+	// Block i has capacity min(stageFirst<<i, stageBlock) and the open
+	// block the next rung; open is nil only while nothing is staged. Both
+	// are nil while the table is sealed.
 	blocks [][]tuple.Tuple
 	open   []tuple.Tuple
 	slots  []tuple.Tuple
@@ -102,9 +101,10 @@ type segment struct {
 	// segment of unique keys has none.
 	runs []int32
 	used int // occupied slots
-	// salt, derived from the capacity, re-orders the segment's slots at
-	// every growth step: tuples extracted in slot order arrive at their
-	// next table in an order unrelated to that table's own slot order.
+	// salt, derived from the capacity, re-orders the segment's slots
+	// between capacities: tuples unsealed in slot order and then extracted
+	// arrive at their next table in an order unrelated to that table's own
+	// slot order.
 	salt uint64
 }
 
@@ -113,22 +113,20 @@ type Table struct {
 	space  hashfn.Space
 	layout tuple.Layout
 	segs   [numSegs]segment
-	// sealed says the segments are indexed. It is set by the first lookup
-	// (find or ProbeAll) and cleared only by Reset; while it is false slots and tags
-	// are nil and the tuples live in the segments' staging blocks.
+	// sealed says the segments are indexed. It is set by a lookup (find or
+	// ProbeAll) and cleared by unseal and Reset; while it is false slots and
+	// tags are nil and the tuples live in the segments' staging blocks.
 	sealed bool
 	// dups holds, per duplicated key, the RunWords of the key's tuples
-	// beyond the one in its slot; freeDups lists the entries extraction
-	// has emptied.
-	dups     [][]uint64
-	freeDups []int32
-	count    int64
-	bytes    int64
+	// beyond the one in its slot.
+	dups  [][]uint64
+	count int64
+	bytes int64
 	// posCount tracks tuples per routing position, needed by the hybrid
 	// algorithm's reshuffling step and by the load-balance metrics.
 	posCount []int64
-	// steps counts the occupied slots inserts and growth stepped over;
-	// the tests that pin the hash-independence rules bound it.
+	// steps counts the occupied slots the seal stepped over; the tests
+	// that pin the hash-independence rules bound it.
 	steps int64
 }
 
@@ -197,30 +195,29 @@ func (sg *segment) lookup(h uint64, i int, key uint64) int {
 // Insert adds one tuple: InsertAll for a batch of one.
 func (t *Table) Insert(tp tuple.Tuple) { t.InsertAll([]tuple.Tuple{tp}) }
 
-// InsertAll adds every tuple of a batch: to its segment's open staging
-// block until the first lookup, into the index afterwards. It is the
-// table's one insert loop; the count and bytes move once per batch.
+// InsertAll appends every tuple of a batch to its segment's open staging
+// block, unsealing a sealed table first. It is the table's one insert
+// loop; the count and bytes move once per batch.
 func (t *Table) InsertAll(ts []tuple.Tuple) {
-	sealed, space, posCount := t.sealed, t.space, t.posCount
+	if len(ts) > 0 && t.sealed {
+		t.unseal()
+	}
+	space, posCount := t.space, t.posCount
 	for _, tp := range ts {
-		h := mixKey(tp.Key)
-		s := h >> (64 - segBits)
-		sg := &t.segs[s]
-		if !sealed {
-			if len(sg.open) == cap(sg.open) {
-				sg.addBlock()
-			}
-			sg.open = append(sg.open, tp)
-		} else {
-			if sg.used >= len(sg.tags)-len(sg.tags)/4 {
-				t.grow(int(s))
-			}
-			t.index(sg, h, tp)
-		}
+		t.segs[mixKey(tp.Key)>>(64-segBits)].stage(tp)
 		posCount[space.PositionOf(tp.Key)]++
 	}
 	t.count += int64(len(ts))
 	t.bytes += int64(len(ts)) * int64(t.layout.LogicalSize())
+}
+
+// stage appends tp to the segment's open block, opening the next block
+// first when it is full.
+func (sg *segment) stage(tp tuple.Tuple) {
+	if len(sg.open) == cap(sg.open) {
+		sg.addBlock()
+	}
+	sg.open = append(sg.open, tp)
 }
 
 // addBlock closes the full open block and opens the next, twice its
@@ -235,9 +232,9 @@ func (sg *segment) addBlock() {
 }
 
 // staged returns the segment's staging blocks in arrival order, the open
-// block last. The seal, extraction and the walks read staged tuples
-// through it. The append may put the open block in the spare room of
-// blocks, the slot addBlock closes it into.
+// block last. The seal, extraction, TuplesWithKey and the walks read
+// staged tuples through it. The append may put the open block in the
+// spare room of blocks, the slot addBlock closes it into.
 func (sg *segment) staged() [][]tuple.Tuple {
 	if sg.open == nil {
 		return sg.blocks
@@ -247,11 +244,12 @@ func (sg *segment) staged() [][]tuple.Tuple {
 
 // seal indexes the staged tuples, one segment at a time so the arrays
 // being filled stay cache-resident and a segment's blocks are garbage
-// before the next segment's arrays are allocated. A segment gets slots for
-// the tuples it staged at load ¾; the +4 keeps the empty slot find stops
-// at (capacity 3 for one tuple could fill). A segment whose tuples share
-// few keys is then re-placed at the size its keys need — duplicates live
-// in runs, not slots.
+// before the next segment's arrays are allocated. It is the only code that
+// sizes a segment or places a key. A segment gets slots for the tuples it
+// staged at load ¾; the +4 keeps the empty slot find stops at (capacity 3
+// for one tuple could fill). A segment whose tuples share few keys is then
+// re-placed at the size its keys need — duplicates live in runs, not
+// slots.
 func (t *Table) seal() {
 	t.sealed = true
 	for s := range t.segs {
@@ -286,8 +284,7 @@ func (sg *segment) alloc(n int) {
 	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
 }
 
-// index places tp, whose mixed key is h, in a segment that has a free
-// slot to spare.
+// index places tp, whose mixed key is h, in a segment being sealed.
 func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 	tag := tagOf(h)
 	for i := sg.home(h); ; {
@@ -320,35 +317,43 @@ func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 
 // newRun starts a duplicate run holding the word w and returns its index.
 func (t *Table) newRun(w uint64) int32 {
-	if n := len(t.freeDups); n > 0 {
-		r := t.freeDups[n-1]
-		t.freeDups = t.freeDups[:n-1]
-		t.dups[r] = append(t.dups[r], w)
-		return r
-	}
 	t.dups = append(t.dups, []uint64{w})
 	return int32(len(t.dups) - 1)
 }
 
-// freeRun releases an emptied duplicate run; its index is reused by the
-// next key that needs one.
-func (t *Table) freeRun(r int32) {
-	t.dups[r] = nil
-	t.freeDups = append(t.freeDups, r)
+// unseal puts a sealed table's tuples back on the segments' staging
+// blocks, slot by slot and each key's in arrival order (its slot's tuple,
+// then its run), and drops the index. Every insert into and extraction
+// from a sealed table runs it first; the next lookup seals again.
+func (t *Table) unseal() {
+	t.sealed = false
+	for s := range t.segs {
+		sg := &t.segs[s]
+		t.forEachIndexed(sg, sg.stage)
+		sg.slots, sg.tags, sg.runs, sg.used = nil, nil, nil, 0
+	}
+	t.dups = nil
+}
+
+// forEachIndexed invokes fn for every tuple a sealed segment indexes, slot
+// by slot, each key's in arrival order.
+func (t *Table) forEachIndexed(sg *segment, fn func(tuple.Tuple)) {
+	for i, g := range sg.tags {
+		if g == tagEmpty {
+			continue
+		}
+		fn(sg.slots[i])
+		if g&tagRun != 0 {
+			key := sg.slots[i].Key
+			for _, w := range t.dups[sg.runs[i]] {
+				fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
+			}
+		}
+	}
 }
 
 // InsertChunk adds every tuple of a chunk.
 func (t *Table) InsertChunk(c *tuple.Chunk) { t.InsertAll(c.Tuples) }
-
-// grow moves segment s of a sealed table to 1.5× its capacity.
-func (t *Table) grow(s int) {
-	sg := &t.segs[s]
-	n := len(sg.tags) + len(sg.tags)/2
-	if n == 0 {
-		n = segStartCaps[s%len(segStartCaps)]
-	}
-	t.rehash(sg, n)
-}
 
 // rehash moves the segment's occupied slots to fresh arrays of capacity n;
 // a segment that has runs keeps them.
@@ -590,17 +595,16 @@ func (s *sorter) of(tp tuple.Tuple) int {
 	return -1
 }
 
-// extract removes, in place and in one pass over the table, every stored
-// tuple s sends somewhere and appends each to its result in out. The caller
-// settles the position counts and calls drop.
+// extract removes, in one pass over the staging blocks, every stored
+// tuple s sends somewhere and appends each to its result in out, unsealing
+// a sealed table first. The caller settles the position counts and calls
+// drop.
 func (t *Table) extract(out [][]tuple.Tuple, s *sorter) {
+	if t.sealed {
+		t.unseal()
+	}
 	for i := range t.segs {
-		sg := &t.segs[i]
-		if t.sealed {
-			t.extractIndexed(sg, out, s)
-		} else {
-			sg.extractStaged(out, s)
-		}
+		t.segs[i].extract(out, s)
 	}
 }
 
@@ -610,11 +614,11 @@ func (t *Table) drop(n int64) {
 	t.bytes -= n * int64(t.layout.LogicalSize())
 }
 
-// extractStaged is extract on a staged segment: one sequential pass that
-// compacts the tuples that stay towards the first block, keeping arrival
+// extract is Table.extract on one segment: one sequential pass that
+// compacts the tuples that stay towards the first block, keeping their
 // order. The block the last of them lands in becomes the open block, the
 // ones before it stay full, and the blocks that emptied are released.
-func (sg *segment) extractStaged(out [][]tuple.Tuple, s *sorter) {
+func (sg *segment) extract(out [][]tuple.Tuple, s *sorter) {
 	blocks := sg.staged()
 	wb, wi := 0, 0 // the next tuple that stays goes to blocks[wb][wi]
 	for _, b := range blocks {
@@ -641,87 +645,6 @@ func (sg *segment) extractStaged(out [][]tuple.Tuple, s *sorter) {
 	}
 }
 
-// extractIndexed is extract on a sealed segment. A slot whose tuple leaves
-// takes over a member of its key's run if one stays; otherwise it is
-// deleted by backward shift, which may pull a not yet examined slot into
-// position i — so i is examined again.
-func (t *Table) extractIndexed(sg *segment, out [][]tuple.Tuple, s *sorter) {
-	for i := 0; i < len(sg.tags); {
-		g := sg.tags[i]
-		if g == tagEmpty {
-			i++
-			continue
-		}
-		key := sg.slots[i].Key
-		hasRun := g&tagRun != 0
-		var run []uint64
-		if hasRun {
-			run = t.dups[sg.runs[i]]
-			kept := run[:0]
-			for _, w := range run {
-				tp := tuple.Tuple{Index: tuple.RunIndex(w), Key: key}
-				if d := s.of(tp); d >= 0 {
-					out[d] = append(out[d], tp)
-				} else {
-					kept = append(kept, w)
-				}
-			}
-			run = kept
-		}
-		if d := s.of(sg.slots[i]); d >= 0 {
-			out[d] = append(out[d], sg.slots[i])
-			if len(run) == 0 {
-				if hasRun {
-					t.freeRun(sg.runs[i])
-				}
-				sg.remove(i)
-				continue
-			}
-			sg.slots[i].Index = tuple.RunIndex(run[len(run)-1])
-			run = run[:len(run)-1]
-		}
-		if hasRun {
-			if len(run) == 0 {
-				t.freeRun(sg.runs[i])
-				sg.tags[i] &^= tagRun
-			} else {
-				t.dups[sg.runs[i]] = run
-			}
-		}
-		i++
-	}
-}
-
-// remove deletes slot i by backward shift: every later member of the
-// probe cluster that may legally sit closer to its home moves up, so no
-// tombstone is left and lookups keep stopping at the first empty slot.
-func (sg *segment) remove(i int) {
-	for j := i; ; {
-		if j++; j == len(sg.tags) {
-			j = 0
-		}
-		if sg.tags[j] == tagEmpty {
-			break
-		}
-		// The tuple at j must stay if its home lies cyclically in (i, j].
-		k := sg.home(mixKey(sg.slots[j].Key))
-		if i <= j {
-			if i < k && k <= j {
-				continue
-			}
-		} else if i < k || k <= j {
-			continue
-		}
-		sg.slots[i], sg.tags[i] = sg.slots[j], sg.tags[j]
-		if sg.runs != nil {
-			sg.runs[i] = sg.runs[j]
-		}
-		i = j
-	}
-	sg.tags[i] = tagEmpty
-	sg.used--
-}
-
 // ForEach invokes fn for every stored tuple, in no particular order.
 func (t *Table) ForEach(fn func(tuple.Tuple)) {
 	for s := range t.segs {
@@ -731,18 +654,7 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 				fn(tp)
 			}
 		}
-		for i, g := range sg.tags {
-			if g == tagEmpty {
-				continue
-			}
-			fn(sg.slots[i])
-			if g&tagRun != 0 {
-				key := sg.slots[i].Key
-				for _, w := range t.dups[sg.runs[i]] {
-					fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
-				}
-			}
-		}
+		t.forEachIndexed(sg, fn)
 	}
 }
 
@@ -750,7 +662,7 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 func (t *Table) Reset() {
 	t.segs = [numSegs]segment{}
 	t.sealed = false
-	t.dups, t.freeDups = nil, nil
+	t.dups = nil
 	t.count = 0
 	t.bytes = 0
 	for i := range t.posCount {

@@ -74,7 +74,6 @@ func TestBytesAccounting(t *testing.T) {
 
 func TestGrowPreservesContents(t *testing.T) {
 	tbl := New(testSpace, tuple.DefaultLayout())
-	// Far beyond minBuckets*bucketLoad to force several rehashes.
 	n := 50000
 	for i := 0; i < n; i++ {
 		tbl.Insert(tuple.Tuple{Index: uint64(i), Key: uint64(i) * 0x9E3779B97F4A7C15})

@@ -30,8 +30,8 @@ func HeavyPositions(counts []int64, lo int, min int64) []int32 {
 
 // KeyCountsAt returns, sorted by key, the per-key tuple counts over the
 // stored tuples whose routing position is in positions. The walk touches
-// every slot (every tuple, on a staged table) once; callers keep positions
-// small via HeavyPositions.
+// every stored tuple once; callers keep positions small via
+// HeavyPositions.
 func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 	if len(positions) == 0 || t.count == 0 {
 		return nil, nil
@@ -41,36 +41,12 @@ func (t *Table) KeyCountsAt(positions []int32) ([]uint64, []int64) {
 		want[int(p)] = struct{}{}
 	}
 	acc := make(map[uint64]int64)
-	t.forEachKey(func(key uint64, n int64) {
-		if _, ok := want[t.space.PositionOf(key)]; ok {
-			acc[key] += n
+	t.ForEach(func(tp tuple.Tuple) {
+		if _, ok := want[t.space.PositionOf(tp.Key)]; ok {
+			acc[tp.Key]++
 		}
 	})
 	return sortedKeyCounts(acc)
-}
-
-// forEachKey invokes fn with a key and a number of its stored tuples,
-// possibly several times per key; the numbers of one key sum to its tuple
-// count. A sealed table reports each key once, a staged one tuple by tuple.
-func (t *Table) forEachKey(fn func(key uint64, n int64)) {
-	for s := range t.segs {
-		sg := &t.segs[s]
-		for _, b := range sg.staged() {
-			for _, tp := range b {
-				fn(tp.Key, 1)
-			}
-		}
-		for i, g := range sg.tags {
-			if g == tagEmpty {
-				continue
-			}
-			n := int64(1)
-			if g&tagRun != 0 {
-				n += int64(len(t.dups[sg.runs[i]]))
-			}
-			fn(sg.slots[i].Key, n)
-		}
-	}
 }
 
 // sortedKeyCounts flattens a key→count map into parallel slices sorted by
@@ -89,11 +65,23 @@ func sortedKeyCounts(acc map[uint64]int64) ([]uint64, []int64) {
 }
 
 // TuplesWithKey returns (without removing) every stored tuple whose join
-// attribute equals key: the slot's tuple, then the key's duplicate run.
-// The heavy path uses it to replicate a heavy key's build
-// tuples to the other owners of its range.
+// attribute equals key, in arrival order. The heavy path uses it to
+// replicate a heavy key's build tuples to the other owners of its range,
+// before the first probe: a staged table stays staged, and the scan reads
+// the blocks of the key's segment only. A sealed table answers from its
+// index.
 func (t *Table) TuplesWithKey(key uint64) []tuple.Tuple {
 	var out []tuple.Tuple
-	t.Probe(key, func(b tuple.Tuple) { out = append(out, b) })
+	if t.sealed {
+		t.Probe(key, func(b tuple.Tuple) { out = append(out, b) })
+		return out
+	}
+	for _, b := range t.segs[mixKey(key)>>(64-segBits)].staged() {
+		for _, tp := range b {
+			if tp.Key == key {
+				out = append(out, tp)
+			}
+		}
+	}
 	return out
 }

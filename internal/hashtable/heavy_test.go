@@ -73,22 +73,38 @@ func TestKeyCountsAtFindsHeavyKey(t *testing.T) {
 }
 
 // TestTuplesWithKeyNonDestructive checks the replication snapshot helper
-// returns every tuple of the key and leaves the table untouched.
+// returns every tuple of the key, in arrival order, and leaves the table
+// untouched: a staged table stays staged (heavy replication runs before
+// the first probe), and a sealed one answers in the same order.
 func TestTuplesWithKeyNonDestructive(t *testing.T) {
-	tbl := New(testSpace, tuple.DefaultLayout())
-	for i := uint64(0); i < 100; i++ {
-		tbl.Insert(tuple.Tuple{Index: i, Key: 77 + i%2}) // half on key 77
-	}
-	got := tbl.TuplesWithKey(77)
-	if len(got) != 50 {
-		t.Errorf("TuplesWithKey(77) = %d tuples, want 50", len(got))
-	}
-	for _, tp := range got {
-		if tp.Key != 77 {
-			t.Errorf("returned foreign tuple %+v", tp)
+	for _, sealed := range []bool{false, true} {
+		tbl := New(testSpace, tuple.DefaultLayout())
+		var want []tuple.Tuple
+		for i := uint64(0); i < 100; i++ {
+			tp := tuple.Tuple{Index: wideIndex(i), Key: 77 + i%2} // half on key 77
+			tbl.Insert(tp)
+			if tp.Key == 77 {
+				want = append(want, tp)
+			}
 		}
-	}
-	if tbl.Count() != 100 {
-		t.Error("TuplesWithKey must not remove tuples")
+		if sealed {
+			tbl.Probe(0, nil)
+		}
+		got := tbl.TuplesWithKey(77)
+		if len(got) != len(want) {
+			t.Fatalf("sealed %v: TuplesWithKey(77) = %d tuples, want %d", sealed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("sealed %v: tuple %d is %+v, want %+v (arrival order)", sealed, i, got[i], want[i])
+			}
+		}
+		if tbl.sealed != sealed {
+			t.Errorf("sealed %v: TuplesWithKey left the table sealed = %v", sealed, tbl.sealed)
+		}
+		if tbl.Count() != 100 {
+			t.Error("TuplesWithKey must not remove tuples")
+		}
+		checkStaged(t, tbl)
 	}
 }

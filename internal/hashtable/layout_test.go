@@ -12,42 +12,27 @@ import (
 )
 
 // One test per way the flat layout can go quadratic or fat (DESIGN.md
-// "Join-node table layout"). The probe-step bound is loose — a healthy
-// table filling to load ¾ and growing ×1.5 steps over four to five
-// occupied slots per insert, growth included; the failures it guards
-// against are hundreds.
-//
-// Each order is inserted into both kinds of receiver: a staged table,
-// which indexes the tuples in one go at its first lookup, and a table
-// sealed by a lookup before the first insert, which probes and grows per
-// tuple as a probe-phase insert does.
+// "Join-node table layout"). The probe-step bound is loose — the seal
+// fills a segment to load ¾ and steps over one or two occupied slots per
+// tuple; the failures it guards against are hundreds.
 
 const maxStepsPerInsert = 8
 
 var smallSpace = hashfn.Space{Bits: 8}
 
-// insertAll inserts ts into a fresh staged table and into a fresh sealed
-// one, and fails the test if indexing them did more than maxStepsPerInsert
-// linear-probing steps per tuple in either. It returns the first table,
-// sealed by now.
+// insertAll inserts ts into a fresh table and seals it, and fails the test
+// if indexing them did more than maxStepsPerInsert linear-probing steps per
+// tuple. It returns the table, sealed.
 func insertAll(t *testing.T, what string, space hashfn.Space, ts []tuple.Tuple) *hashtable.Table {
 	t.Helper()
-	var staged *hashtable.Table
-	for _, receiver := range []string{"staged", "sealed"} {
-		tbl := hashtable.New(space, tuple.DefaultLayout())
-		if receiver == "sealed" {
-			tbl.Probe(0, nil)
-		} else {
-			staged = tbl
-		}
-		tbl.InsertAll(ts)
-		tbl.Probe(0, nil) // the staged receiver indexes here
-		if steps := tbl.Steps(); steps > maxStepsPerInsert*int64(len(ts)) {
-			t.Fatalf("%s into a %s table: %d probe steps for %d inserts (%.1f per insert)",
-				what, receiver, steps, len(ts), float64(steps)/float64(len(ts)))
-		}
+	tbl := hashtable.New(space, tuple.DefaultLayout())
+	tbl.InsertAll(ts)
+	tbl.Probe(0, nil) // indexes here
+	if steps := tbl.Steps(); steps > maxStepsPerInsert*int64(len(ts)) {
+		t.Fatalf("%s: %d probe steps for %d inserts (%.1f per insert)",
+			what, steps, len(ts), float64(steps)/float64(len(ts)))
 	}
-	return staged
+	return tbl
 }
 
 // keysWhere draws n distinct-with-overwhelming-probability random keys
@@ -81,9 +66,10 @@ func TestOneRoutingRangeDoesNotCluster(t *testing.T) {
 	}))
 }
 
-// A split or reshuffle ships ExtractRange's result in returned (slot)
-// order and the receiver inserts it in that order into a smaller, growing
-// table: the order must not be the receiver's own slot order.
+// A split or reshuffle ships ExtractRange's result in returned order —
+// from a sealed table, the slot order its unseal staged — and the receiver
+// seals it in that order into smaller segments: the order must not be the
+// receiver's own slot order.
 func TestReinsertInExtractedOrderDoesNotCluster(t *testing.T) {
 	src := insertAll(t, "source", smallSpace, keysWhere(300_000, func(uint64) bool { return true }))
 	moved := src.ExtractRange(hashfn.Range{Lo: 0, Hi: smallSpace.Positions() / 2})

@@ -18,11 +18,12 @@ import (
 // a segment's end are common (asserted).
 //
 // The first lookup — the seal — lands at a random step of each
-// interleaving: before any insert, somewhere in the middle, or never, and
-// Reset returns the table to the staged state mid-run. Every non-lookup
-// operation must have run against a staged table, against a sealed table
-// still holding tuples that were staged, and against a table sealed while
-// empty (asserted).
+// interleaving: before any insert, somewhere in the middle, or never. An
+// insert or extraction returns a sealed table to the staged state (it
+// unseals), the next lookup seals it again, and Reset empties it. Every
+// non-lookup operation must have run against a staged table, against a
+// table at its first seal, against one sealed again after an unseal, and
+// against one sealed while empty (asserted).
 
 type tableModel map[uint64][]tuple.Tuple
 
@@ -81,9 +82,10 @@ func (t *Table) wrappedSlots() int {
 
 // The states a model run observes an operation in.
 const (
-	inStaged      = "staged"       // no lookup since New or Reset
-	acrossSeal    = "across-seal"  // sealed, and tuples staged before the seal are still stored
-	sealedAtBirth = "sealed-empty" // sealed while empty: every tuple took the growing path
+	inStaged      = "staged"       // no lookup since New, Reset or the last insert or extraction
+	acrossSeal    = "across-seal"  // sealed with tuples, for the first time since New or Reset
+	resealed      = "resealed"     // sealed with tuples again, after an insert or extraction unsealed it
+	sealedAtBirth = "sealed-empty" // sealed while empty
 )
 
 // modelCoverage counts the non-lookup operations by table state.
@@ -112,7 +114,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 				t.Error("no probe cluster ever wrapped a segment end; the test lost its coverage")
 			}
 			for _, op := range []string{"Insert", "ExtractMatching", "ExtractRange", "ExtractRanges", "KeyCountsAt", "ForEach", "CountsInRange", "Reset"} {
-				for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
+				for _, state := range []string{inStaged, acrossSeal, resealed, sealedAtBirth} {
 					if cov[op][state] == 0 {
 						t.Errorf("%s never ran in state %s; the test lost its coverage", op, state)
 					}
@@ -167,13 +169,25 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 		firstLookup = steps
 	}
 	state := inStaged
+	unsealed := false // an insert or extraction met a sealed table holding tuples
 	lookedUp := func() {
-		if state == inStaged {
+		switch {
+		case state != inStaged:
+		case tbl.Count() == 0:
 			state = sealedAtBirth
-			if tbl.Count() > 0 {
-				state = acrossSeal
-			}
+		case unsealed:
+			state = resealed
+		default:
+			state = acrossSeal
 		}
+	}
+	// mutated follows an insert or extraction that walked the table: a
+	// sealed table is staged again.
+	mutated := func() {
+		if state == acrossSeal || state == resealed {
+			unsealed = true
+		}
+		state = inStaged
 	}
 
 	for step := 0; step < steps; step++ {
@@ -201,6 +215,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 					tbl.Insert(tp)
 				}
 			}
+			mutated()
 		case op < 6: // probe
 			lookedUp()
 			for i := 0; i < 50; i++ {
@@ -236,14 +251,20 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 				return tp.Index%mod == rem || tp.Key&keyBit != 0 && tp.Index%7 < 5
 			}
 			sameMultiset(t, "ExtractMatching", tbl.ExtractMatching(pred), model.extract(pred))
+			mutated()
 		case op == 9 && rng.Intn(2) == 0: // extract disjoint routing ranges
 			cov.note("ExtractRanges", state)
 			rs := randRanges(rng, space, rangeKinds[rng.Intn(len(rangeKinds))])
 			got := tbl.ExtractRanges(rs)
+			moved := 0
 			for i, r := range rs {
 				sameMultiset(t, "ExtractRanges", got[i], model.extract(func(tp tuple.Tuple) bool {
 					return r.Contains(space.PositionOf(tp.Key))
 				}))
+				moved += len(got[i])
+			}
+			if moved > 0 { // ranges that hold nothing are not walked
+				mutated()
 			}
 		case op == 9: // extract a routing range
 			cov.note("ExtractRange", state)
@@ -252,6 +273,9 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 			sameMultiset(t, "ExtractRange", got, model.extract(func(tp tuple.Tuple) bool {
 				return r.Contains(space.PositionOf(tp.Key))
 			}))
+			if len(got) > 0 {
+				mutated()
+			}
 			if rng.Intn(2) == 0 { // a reshuffle bounces tuples back in returned order
 				tbl.InsertAll(got)
 				for _, tp := range got {
@@ -291,7 +315,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 			cov.note("Reset", state)
 			tbl.Reset()
 			model = tableModel{}
-			state = inStaged
+			state, unsealed = inStaged, false
 			if firstLookup < steps {
 				firstLookup = step + rng.Intn(8)
 			}
@@ -300,9 +324,6 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 			t.Fatalf("seed %d step %d: table sealed = %v in state %s", seed, step, tbl.sealed, state)
 		}
 		checkStaged(t, tbl)
-		if state == acrossSeal && tbl.Count() == 0 {
-			state = sealedAtBirth // nothing staged is left
-		}
 
 		cov.note("CountsInRange", state)
 		all := model.all()
@@ -322,64 +343,6 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 		wrapped += tbl.wrappedSlots()
 	}
 	return wrapped
-}
-
-// TestExtractFromWrappedCluster builds one probe cluster across the end of
-// a segment — every key's home is one of the segment's last two slots — and
-// deletes from it at the end, at the start and in the middle: backward
-// shift must carry the wrapped members back over the boundary, and every
-// surviving key must stay reachable from its home slot.
-func TestExtractFromWrappedCluster(t *testing.T) {
-	tbl := New(testSpace, tuple.DefaultLayout())
-	tbl.Probe(0, nil)               // seals: the inserts below take the growing path
-	tbl.Insert(tuple.Tuple{Key: 0}) // allocates the segment of key 0
-	h := mixKey(0)
-	sg := &tbl.segs[h>>(64-segBits)]
-	n := len(sg.tags)
-	tbl.ExtractMatching(func(tuple.Tuple) bool { return true })
-
-	rng := rand.New(rand.NewSource(7))
-	var keys []uint64
-	for len(keys) < 9 {
-		k := rng.Uint64()
-		if hk := mixKey(k); hk>>(64-segBits) == h>>(64-segBits) && sg.home(hk) >= n-2 {
-			keys = append(keys, k)
-			tbl.Insert(tuple.Tuple{Index: uint64(len(keys)), Key: k})
-			tbl.Insert(tuple.Tuple{Index: uint64(100 + len(keys)), Key: k}) // every key duplicated
-		}
-	}
-	if len(sg.tags) != n || tbl.wrappedSlots() < 7 {
-		t.Fatalf("setup: segment grew to %d or cluster did not wrap (%d wrapped)", len(sg.tags), tbl.wrappedSlots())
-	}
-	gone := map[uint64]bool{}
-	for _, victim := range []int{0, 8, 4, 1} {
-		k := keys[victim]
-		gone[k] = true
-		if moved := tbl.ExtractMatching(func(tp tuple.Tuple) bool { return tp.Key == k }); len(moved) != 2 {
-			t.Fatalf("extracting key %d moved %d tuples, want 2", victim, len(moved))
-		}
-		for _, k := range keys {
-			want := 2
-			if gone[k] {
-				want = 0
-			}
-			if got := tbl.Probe(k, nil); got != want {
-				t.Fatalf("after extracting %d keys: Probe(%#x) = %d, want %d", len(gone), k, got, want)
-			}
-		}
-	}
-	// Taking only the slot's own tuple promotes the run member in place.
-	if moved := tbl.ExtractMatching(func(tp tuple.Tuple) bool { return tp.Index < 100 }); len(moved) != 5 {
-		t.Fatalf("extracting the inline tuples moved %d, want 5", len(moved))
-	}
-	for _, k := range keys {
-		if !gone[k] && tbl.Probe(k, nil) != 1 {
-			t.Fatalf("key %#x lost its promoted run member", k)
-		}
-	}
-	if len(tbl.freeDups) != len(tbl.dups) {
-		t.Errorf("%d of %d duplicate runs were released", len(tbl.freeDups), len(tbl.dups))
-	}
 }
 
 // TestRoutingHashesSpreadOverSegments: keys that agree on the top bits of
@@ -459,15 +422,15 @@ func randRanges(rng *rand.Rand, space hashfn.Space, kind string) []hashfn.Range 
 }
 
 // TestExtractRangesMatchesModel checks ExtractRanges against the map model
-// for every kind of range set, on staged, sealed and across-the-seal
-// tables whose keys repeat (so sealed extraction splits duplicate runs),
-// and pins that the per-position counts are exact afterwards. The keys
+// for every kind of range set, on staged, sealed and resealed tables whose
+// keys repeat (so the unseal stages duplicate runs that extraction then
+// splits), and pins that the per-position counts are exact afterwards. The keys
 // avoid the top quarter of the space, so some ranges hold nothing: their
 // result must be nil.
 func TestExtractRangesMatchesModel(t *testing.T) {
 	space := hashfn.Space{Bits: 8}
 	layout := tuple.DefaultLayout()
-	for _, state := range []string{inStaged, acrossSeal, sealedAtBirth} {
+	for _, state := range []string{inStaged, acrossSeal, resealed} {
 		for _, kind := range append(rangeKinds, "untouched") {
 			for seed := int64(1); seed <= 6; seed++ {
 				rng := rand.New(rand.NewSource(seed))
@@ -478,17 +441,17 @@ func TestExtractRangesMatchesModel(t *testing.T) {
 					pool[i] = rng.Uint64() >> 2 // positions [0, 192)
 				}
 				const n = 3000
-				if state == sealedAtBirth {
-					tbl.Probe(0, nil)
-				}
 				for i := 0; i < n; i++ {
-					if i == n/2 && state == acrossSeal {
-						tbl.Probe(0, nil)
+					if i == n/2 && state == resealed {
+						tbl.Probe(0, nil) // the next insert unseals
 					}
 					tp := tuple.Tuple{Index: wideIndex(uint64(i)), Key: pool[rng.Intn(len(pool))]}
 					tbl.Insert(tp)
 					model[tp.Key] = append(model[tp.Key], tp)
 					checkStaged(t, tbl)
+				}
+				if state != inStaged {
+					tbl.Probe(0, nil)
 				}
 				rs := []hashfn.Range{{Lo: 200, Hi: 256}, {Lo: 192, Hi: 193}}
 				if kind != "untouched" {

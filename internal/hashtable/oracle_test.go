@@ -36,12 +36,13 @@ func sameMultiset(t *testing.T, what string, got, want []tuple.Tuple) {
 
 // TestProbeAllMatchesPerMatchFold: the kernel folds tuple.MixPair inside
 // the table, so nothing outside sees the pairs it visited. On every table
-// shape a run can be in — staged then sealed, sealed then inserted, run
-// members promoted into the slot, runs freed and reused, keys gone — and
-// run lengths 0, 1, 2, odd and ≥ 1000, its matches and XOR must equal the
-// fold over the tuples Probe(key, fn) hands out one by one. (spill.MixPair,
-// the name the benchmark's oracle uses, cannot be imported here — spill
-// imports this package; spill's own test pins it to tuple.MixPair.)
+// shape a run can be in — staged then sealed, sealed then inserted and
+// resealed, a run's first arrival extracted, runs emptied and refilled,
+// keys gone — and run lengths 0, 1, 2, odd and ≥ 1000, its matches and
+// XOR must equal the fold over the tuples Probe(key, fn) hands out one by
+// one. (spill.MixPair, the name the benchmark's oracle uses, cannot be
+// imported here — spill imports this package; spill's own test pins it to
+// tuple.MixPair.)
 func TestProbeAllMatchesPerMatchFold(t *testing.T) {
 	space := hashfn.Space{Bits: 8}
 	runLens := []int{1, 2, 3, 7, 1000, 1501}
@@ -91,13 +92,13 @@ func TestProbeAllMatchesPerMatchFold(t *testing.T) {
 	insertHalf(k, 1)
 	check(k, "staged then sealed", 3*total)
 
-	k = newTable() // sealed empty: every tuple takes the growing path
+	k = newTable() // sealed empty, unsealed by the first insert
 	check(k, "empty", 0)
 	insertHalf(k, 0)
 	insertHalf(k, 1)
 	check(k, "sealed then inserted", 3*total)
 
-	k = newTable() // runs that straddle the seal, then shrink and regrow
+	k = newTable() // runs that straddle a reseal, then shrink and regrow
 	insertHalf(k, 0)
 	check(k, "half staged", 3*evens)
 	insertHalf(k, 1)
@@ -107,19 +108,19 @@ func TestProbeAllMatchesPerMatchFold(t *testing.T) {
 	if moved := k.ExtractMatching(first); len(moved) != len(runLens) {
 		t.Fatalf("extracted %d first arrivals, want %d", len(moved), len(runLens))
 	}
-	check(k, "run members promoted", 3*(total-int64(len(runLens)))) // key 0 is gone, key 1 lost its run
+	check(k, "first arrivals extracted", 3*(total-int64(len(runLens)))) // key 0 is gone, key 1 lost its run
 
 	tail := func(tp tuple.Tuple) bool { return tp.Index&(1<<32-1) > 1 }
 	k.ExtractMatching(tail)
-	check(k, "runs freed", 3*int64(len(runLens)-1)) // one tuple left of every key but key 0
+	check(k, "runs emptied", 3*int64(len(runLens)-1)) // one tuple left of every key but key 0
 
 	gone := space.PositionOf(key(4))
 	k.ExtractRange(hashfn.Range{Lo: gone, Hi: gone + 1})
 	if k.Probe(key(4), nil) != 0 {
 		t.Fatal("key 4 survived ExtractRange of its position")
 	}
-	insertHalf(k, 0) // freed run indexes are handed out again
-	check(k, "runs reused", 3*(evens+int64(len(runLens)-2)))
+	insertHalf(k, 0)
+	check(k, "runs refilled", 3*(evens+int64(len(runLens)-2)))
 }
 
 // TestProbeAllGroupBoundaries: ProbeAll hashes and prefetches a group of

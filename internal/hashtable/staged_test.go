@@ -11,7 +11,7 @@ import (
 // seal"); the footprint bounds are in layout_test.go.
 
 // checkStaged fails the test unless every segment's staging blocks keep
-// the shape the seal and extractStaged rely on: every block in blocks is
+// the shape the seal and extraction rely on: every block in blocks is
 // full, the open block is the only one that may be partial, block i has
 // capacity min(stageFirst<<i, stageBlock), the open block is nil exactly
 // when the segment stages nothing, and the staged tuples are the table's.
@@ -57,33 +57,27 @@ func keysInSegment(s uint64, n int) []uint64 {
 }
 
 // A sealed segment must keep an empty slot: sized n + n/3 + 2, a one-tuple
-// segment has capacity 3, fills before it grows, and the lookup of an
-// absent key never terminates.
+// segment has capacity 3 and fills, and the lookup of an absent key never
+// terminates. Each insert below unseals the table and the next lookup
+// reseals it, so the segment is sized afresh for 1, 2, … 40 keys.
 func TestSealedSegmentKeepsAnEmptySlot(t *testing.T) {
-	for _, staged := range []int{1, 2} {
-		keys := keysInSegment(9, 40)
-		tbl := New(testSpace, tuple.DefaultLayout())
-		for i, k := range keys[:staged] {
-			tbl.Insert(tuple.Tuple{Index: uint64(i), Key: k})
-		}
-		// Every further key lands in the same, sealed segment: it must grow
-		// before it fills, whatever capacity the seal gave it.
-		for i, k := range keys[staged:] {
-			for _, absent := range keys[staged+i:] {
-				if n := tbl.Probe(absent, nil); n != 0 {
-					t.Fatalf("%d staged: absent key probes %d tuples", staged, n)
-				}
-			}
-			tbl.Insert(tuple.Tuple{Index: uint64(staged + i), Key: k})
-			sg := &tbl.segs[9]
-			if sg.used >= len(sg.tags) {
-				t.Fatalf("%d staged: segment full at %d of %d slots", staged, sg.used, len(sg.tags))
+	keys := keysInSegment(9, 40)
+	tbl := New(testSpace, tuple.DefaultLayout())
+	for i, k := range keys {
+		tbl.Insert(tuple.Tuple{Index: uint64(i), Key: k})
+		for _, absent := range keys[i+1:] {
+			if n := tbl.Probe(absent, nil); n != 0 {
+				t.Fatalf("%d keys: absent key probes %d tuples", i+1, n)
 			}
 		}
-		for _, k := range keys {
-			if n := tbl.Probe(k, nil); n != 1 {
-				t.Fatalf("%d staged: stored key probes %d tuples", staged, n)
-			}
+		tbl.Probe(0, nil) // seals after the last insert too
+		if sg := &tbl.segs[9]; sg.used >= len(sg.tags) {
+			t.Fatalf("%d keys: segment full at %d of %d slots", i+1, sg.used, len(sg.tags))
+		}
+	}
+	for _, k := range keys {
+		if n := tbl.Probe(k, nil); n != 1 {
+			t.Fatalf("stored key probes %d tuples", n)
 		}
 	}
 }
@@ -129,7 +123,8 @@ func TestSealSizesSlotsByKeys(t *testing.T) {
 
 // A segment's runs array is allocated at its first duplicate: a sealed
 // table of unique keys has none, and one duplicate — staged before the
-// seal or inserted after it — allocates runs in its own segment only.
+// seal, or inserted after it and resealed — allocates runs in its own
+// segment only.
 func TestUniqueKeysAllocateNoRuns(t *testing.T) {
 	for _, dupAfterSeal := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(6))
