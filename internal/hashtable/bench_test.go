@@ -181,9 +181,11 @@ func BenchmarkStage(b *testing.B) {
 }
 
 // BenchmarkSeal times the one-shot seal of a staged table, in ns per
-// staged tuple: 750 000 random keys (BenchmarkProbeUnique's table) staged
-// off the clock, then indexed by the first lookup. The seal runs one
-// segment at a time, so a segment being filled is cache-resident.
+// staged tuple, and reports the bytes it allocates per staged tuple
+// (TestSealReusesStagingBlocks bounds them): 750 000 random keys
+// (BenchmarkProbeUnique's table) staged off the clock, then indexed by the
+// first lookup. The seal runs one segment at a time, so a segment being
+// filled is cache-resident.
 func BenchmarkSeal(b *testing.B) {
 	const keys = 750_000
 	rng := rand.New(rand.NewSource(1))
@@ -191,15 +193,23 @@ func BenchmarkSeal(b *testing.B) {
 	for i := range ts {
 		ts[i] = tuple.Tuple{Index: uint64(i), Key: rng.Uint64()}
 	}
+	var alloc uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tab := New(hashfn.DefaultSpace(), tuple.DefaultLayout())
 		tab.InsertAll(ts)
 		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		tab.seal()
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		alloc += after.TotalAlloc - before.TotalAlloc
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/tuple")
+	b.ReportMetric(float64(alloc)/float64(b.N*keys), "B/tuple")
 }
 
 // BenchmarkExtractRanges is one member's side of a hybrid reshuffle: a

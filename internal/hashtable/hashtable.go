@@ -29,9 +29,10 @@
 // copied before the seal. Everything the expanding algorithms decide from
 // — Count, Bytes, the per-position counts — and everything they move or
 // read — the extractions, ForEach, KeyCountsAt, TuplesWithKey — works on
-// the blocks. The first lookup seals the table: each segment's slot arrays
-// are allocated once, sized from the tuples actually staged there, and
-// filled in arrival order. A sealed table is read-only: an insert or an
+// the blocks. The first lookup seals the table: each segment's slots are
+// sized once, from the tuples staged there, and filled in arrival order,
+// on pages that are mostly staging blocks already indexed, so a sealed
+// table holds its tuples once. A sealed table is read-only: an insert or an
 // extraction first unseals it — its tuples go back on the staging blocks
 // and the index is dropped — and the next lookup seals it again, so a
 // caller that alternates inserts and lookups pays a seal per switch.
@@ -94,8 +95,10 @@ type segment struct {
 	// are nil while the table is sealed.
 	blocks [][]tuple.Tuple
 	open   []tuple.Tuple
-	slots  []tuple.Tuple
-	tags   []uint8
+	// pages hold the slots: slot i is pages[i/stageBlock][i%stageBlock],
+	// and every page but the last is full. An empty slot holds stale data.
+	pages [][]tuple.Tuple
+	tags  []uint8
 	// runs holds, for a slot tagged tagRun, the index of its key's run in
 	// Table.dups. It is allocated at the segment's first duplicate, so a
 	// segment of unique keys has none.
@@ -114,9 +117,10 @@ type Table struct {
 	layout tuple.Layout
 	segs   [numSegs]segment
 	// sealed says the segments are indexed. It is set by a lookup (find or
-	// ProbeAll) and cleared by unseal and Reset; while it is false slots and
+	// ProbeAll) and cleared by unseal and Reset; while it is false pages and
 	// tags are nil and the tuples live in the segments' staging blocks.
 	sealed bool
+	spare  [][]tuple.Tuple // during a seal, blocks of stageBlock tuples it is done with
 	// dups holds, per duplicated key, the RunWords of the key's tuples
 	// beyond the one in its slot.
 	dups  [][]uint64
@@ -159,6 +163,11 @@ func (sg *segment) home(h uint64) int {
 	return int(hi)
 }
 
+// slot returns the address of slot i.
+func (sg *segment) slot(i int) *tuple.Tuple {
+	return &sg.pages[uint(i)/stageBlock][uint(i)%stageBlock]
+}
+
 // find returns the segment of key and the slot holding it, or -1. Every
 // single-key lookup goes through it, so it is where a staged table is
 // sealed; ProbeAll seals once and runs the same lookup per group.
@@ -171,24 +180,32 @@ func (t *Table) find(key uint64) (*segment, int) {
 	if sg.used == 0 {
 		return sg, -1
 	}
-	return sg, sg.lookup(h, sg.home(h), key)
+	i, _ := sg.lookup(h, sg.home(h), nil, key)
+	return sg, i
 }
 
 // lookup returns the slot of a non-empty segment holding key, whose mixed
-// key is h and home slot i, or -1. It is the package's one probe loop.
-func (sg *segment) lookup(h uint64, i int, key uint64) int {
+// key is h, and its address, or -1 and nil. It starts at the home slot i,
+// at address p if p is not nil. It is the package's one probe loop.
+func (sg *segment) lookup(h uint64, i int, p *tuple.Tuple, key uint64) (int, *tuple.Tuple) {
 	tag := tagOf(h)
 	for {
 		g := sg.tags[i]
 		if g == tagEmpty {
-			return -1
+			return -1, nil
 		}
-		if g&^tagRun == tag && sg.slots[i].Key == key {
-			return i
+		if g&^tagRun == tag {
+			if p == nil {
+				p = sg.slot(i)
+			}
+			if p.Key == key {
+				return i, p
+			}
 		}
 		if i++; i == len(sg.tags) {
 			i = 0
 		}
+		p = nil
 	}
 }
 
@@ -242,14 +259,14 @@ func (sg *segment) staged() [][]tuple.Tuple {
 	return append(sg.blocks, sg.open)
 }
 
-// seal indexes the staged tuples, one segment at a time so the arrays
-// being filled stay cache-resident and a segment's blocks are garbage
-// before the next segment's arrays are allocated. It is the only code that
-// sizes a segment or places a key. A segment gets slots for the tuples it
-// staged at load ¾; the +4 keeps the empty slot find stops at (capacity 3
-// for one tuple could fill). A segment whose tuples share few keys is then
-// re-placed at the size its keys need — duplicates live in runs, not
-// slots.
+// seal indexes the staged tuples, one segment at a time so the pages
+// being filled stay cache-resident. It is the only code that sizes a
+// segment or places a key. A segment gets slots for the tuples it staged
+// at load ¾; the +4 keeps the empty slot find stops at (capacity 3 for one
+// tuple could fill). Each staging block of stageBlock tuples goes on the
+// spare list once indexed: the next segments take their pages from it,
+// still in cache. A segment whose tuples share few keys is then re-placed
+// at the size its keys need — duplicates live in runs, not slots.
 func (t *Table) seal() {
 	t.sealed = true
 	for s := range t.segs {
@@ -263,22 +280,33 @@ func (t *Table) seal() {
 		if n == 0 {
 			continue
 		}
-		sg.alloc(n + n/3 + 4)
+		t.alloc(sg, n+n/3+4)
 		for _, b := range blocks {
 			for _, tp := range b {
 				t.index(sg, mixKey(tp.Key), tp)
+			}
+			if cap(b) == stageBlock {
+				t.spare = append(t.spare, b)
 			}
 		}
 		if sg.used < len(sg.tags)/2 {
 			t.rehash(sg, sg.used+sg.used/3+4)
 		}
 	}
+	t.spare = nil
 }
 
-// alloc gives the segment empty arrays of capacity n and no runs; used is
-// the caller's.
-func (sg *segment) alloc(n int) {
-	sg.slots = make([]tuple.Tuple, n)
+// alloc gives the segment n empty slots and no runs; used is the
+// caller's. A full page is a spare block while there is one.
+func (t *Table) alloc(sg *segment, n int) {
+	sg.pages = make([][]tuple.Tuple, (n+stageBlock-1)/stageBlock)
+	for k := range sg.pages {
+		if m := len(t.spare) - 1; m >= 0 && n-k*stageBlock >= stageBlock {
+			sg.pages[k], t.spare = poison(t.spare[m][:stageBlock]), t.spare[:m]
+		} else {
+			sg.pages[k] = make([]tuple.Tuple, min(n-k*stageBlock, stageBlock))
+		}
+	}
 	sg.tags = make([]uint8, n)
 	sg.runs = nil
 	sg.salt = uint64(n) * 0xD6E8FEB86659FD93
@@ -290,12 +318,12 @@ func (t *Table) index(sg *segment, h uint64, tp tuple.Tuple) {
 	for i := sg.home(h); ; {
 		g := sg.tags[i]
 		if g == tagEmpty {
-			sg.slots[i] = tp
+			*sg.slot(i) = tp
 			sg.tags[i] = tag
 			sg.used++
 			return
 		}
-		if g&^tagRun == tag && sg.slots[i].Key == tp.Key {
+		if g&^tagRun == tag && sg.slot(i).Key == tp.Key {
 			w := tuple.RunWord(tp.Index)
 			if g&tagRun == 0 {
 				if sg.runs == nil {
@@ -330,7 +358,7 @@ func (t *Table) unseal() {
 	for s := range t.segs {
 		sg := &t.segs[s]
 		t.forEachIndexed(sg, sg.stage)
-		sg.slots, sg.tags, sg.runs, sg.used = nil, nil, nil, 0
+		sg.pages, sg.tags, sg.runs, sg.used = nil, nil, nil, 0
 	}
 	t.dups = nil
 }
@@ -342,9 +370,9 @@ func (t *Table) forEachIndexed(sg *segment, fn func(tuple.Tuple)) {
 		if g == tagEmpty {
 			continue
 		}
-		fn(sg.slots[i])
+		fn(*sg.slot(i))
 		if g&tagRun != 0 {
-			key := sg.slots[i].Key
+			key := sg.slot(i).Key
 			for _, w := range t.dups[sg.runs[i]] {
 				fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
 			}
@@ -355,31 +383,33 @@ func (t *Table) forEachIndexed(sg *segment, fn func(tuple.Tuple)) {
 // InsertChunk adds every tuple of a chunk.
 func (t *Table) InsertChunk(c *tuple.Chunk) { t.InsertAll(c.Tuples) }
 
-// rehash moves the segment's occupied slots to fresh arrays of capacity n;
-// a segment that has runs keeps them.
+// rehash moves the segment's occupied slots to n new slots, and its old
+// pages to the spare list; a segment that has runs keeps them.
 func (t *Table) rehash(sg *segment, n int) {
-	oldSlots, oldTags, oldRuns := sg.slots, sg.tags, sg.runs
-	sg.alloc(n)
-	if oldRuns != nil {
+	old := *sg
+	t.alloc(sg, n)
+	if old.runs != nil {
 		sg.runs = make([]int32, n)
 	}
-	for j, g := range oldTags {
+	for j, g := range old.tags {
 		if g == tagEmpty {
 			continue
 		}
-		i := sg.home(mixKey(oldSlots[j].Key))
+		tp := *old.slot(j)
+		i := sg.home(mixKey(tp.Key))
 		for sg.tags[i] != tagEmpty {
 			t.steps++
 			if i++; i == n {
 				i = 0
 			}
 		}
-		sg.slots[i] = oldSlots[j]
+		*sg.slot(i) = tp
 		sg.tags[i] = g
 		if g&tagRun != 0 {
-			sg.runs[i] = oldRuns[j]
+			sg.runs[i] = old.runs[j]
 		}
 	}
+	t.spare = append(t.spare, old.pages[:len(old.tags)/stageBlock]...)
 }
 
 // Probe invokes fn for every stored tuple whose join attribute equals key
@@ -394,7 +424,7 @@ func (t *Table) Probe(key uint64, fn func(build tuple.Tuple)) int {
 		run = t.dups[sg.runs[i]]
 	}
 	if fn != nil {
-		fn(sg.slots[i])
+		fn(*sg.slot(i))
 		for _, w := range run {
 			fn(tuple.Tuple{Index: tuple.RunIndex(w), Key: key})
 		}
@@ -419,8 +449,8 @@ const probeGroup = 16
 // probeAll is ProbeAll with the run fold as a parameter, so a benchmark
 // can time the table's loop over the pure-Go fold on any CPU. Each group
 // takes two passes: the first hashes every tuple and prefetches its home
-// slot, the second resolves each with lookup, by which time the group's
-// misses have been in flight together.
+// slot, the second resolves each with lookup from that slot's address, by
+// which time the group's misses have been in flight together.
 func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64) (matches int64, xor uint64) {
 	if len(ts) > 0 && !t.sealed {
 		t.seal()
@@ -428,6 +458,7 @@ func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64)
 	var (
 		hs    [probeGroup]uint64
 		homes [probeGroup]int // -1: the key's segment is empty
+		at    [probeGroup]*tuple.Tuple
 		ps    [probeGroup]*tuple.Tuple
 	)
 	for len(ts) > 0 {
@@ -442,7 +473,8 @@ func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64)
 				continue
 			}
 			homes[j] = sg.home(h)
-			ps[n] = &sg.slots[homes[j]]
+			at[j] = sg.slot(homes[j])
+			ps[n] = at[j]
 			n++
 		}
 		prefetchSlots(ps[:n])
@@ -451,12 +483,12 @@ func (t *Table) probeAll(ts []tuple.Tuple, mixRun func([]uint64, uint64) uint64)
 				continue
 			}
 			sg := &t.segs[hs[j]>>(64-segBits)]
-			i := sg.lookup(hs[j], homes[j], g[j].Key)
+			i, p := sg.lookup(hs[j], homes[j], at[j], g[j].Key)
 			if i < 0 {
 				continue
 			}
 			matches++
-			xor ^= tuple.MixPair(sg.slots[i].Index, g[j].Index)
+			xor ^= tuple.MixPair(p.Index, g[j].Index)
 			if sg.tags[i]&tagRun != 0 {
 				run := t.dups[sg.runs[i]]
 				matches += int64(len(run))
@@ -660,12 +692,6 @@ func (t *Table) ForEach(fn func(tuple.Tuple)) {
 
 // Reset empties the table and returns it to the staged state.
 func (t *Table) Reset() {
-	t.segs = [numSegs]segment{}
-	t.sealed = false
-	t.dups = nil
-	t.count = 0
-	t.bytes = 0
-	for i := range t.posCount {
-		t.posCount[i] = 0
-	}
+	clear(t.posCount)
+	*t = Table{space: t.space, layout: t.layout, posCount: t.posCount}
 }

@@ -128,9 +128,10 @@ func TestTagsSpreadWithinSegment(t *testing.T) {
 }
 
 // Staging a tuple allocates 1/1024 of a block and holds the tuple's 16
-// bytes; the seal adds 17-byte slots (16 for the tuple, 1 for its tag) at
-// load ¾ and drops the blocks, so a table stays within 25 bytes per tuple
-// (4-byte tags read about 27). The allocation bound is checked at
+// bytes; the seal lays 17-byte slots (16 for the tuple on a page, 1 for
+// its tag) at load ¾, most pages being staging blocks it has indexed, and
+// drops the rest of the blocks, so a table stays within 25 bytes per tuple
+// (22.8 measured; 4-byte tags read about 27). The allocation bound is checked at
 // 200 k tuples, where the seven small blocks of each segment's ladder
 // (16 to 1024 tuples) weigh more; the footprints at one worker's share of
 // the benchmark's build relation, where the half-empty open blocks are

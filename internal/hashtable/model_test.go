@@ -72,7 +72,7 @@ func (t *Table) wrappedSlots() int {
 	for s := range t.segs {
 		sg := &t.segs[s]
 		for i, g := range sg.tags {
-			if g != tagEmpty && sg.home(mixKey(sg.slots[i].Key)) > i {
+			if g != tagEmpty && sg.home(mixKey(sg.slot(i).Key)) > i {
 				n++
 			}
 		}
@@ -324,6 +324,7 @@ func runTableModel(t *testing.T, seed int64, poolSize int, cov modelCoverage) (w
 			t.Fatalf("seed %d step %d: table sealed = %v in state %s", seed, step, tbl.sealed, state)
 		}
 		checkStaged(t, tbl)
+		checkSealed(t, tbl)
 
 		cov.note("CountsInRange", state)
 		all := model.all()

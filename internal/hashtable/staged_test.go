@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ehjoin/internal/tuple"
@@ -41,6 +42,39 @@ func checkStaged(t *testing.T, tbl *Table) {
 	}
 	if tbl.sealed && total != 0 {
 		t.Fatalf("a sealed table still stages %d tuples", total)
+	}
+}
+
+// checkSealed fails the test unless every segment of a sealed table keeps
+// the page shape slot relies on — every page but the segment's last holds
+// stageBlock slots, the last holds 1 to stageBlock, and the pages cover
+// exactly len(tags) slots — and the seal has dropped its spare list. A
+// staged table has no pages and no tags.
+func checkSealed(t *testing.T, tbl *Table) {
+	t.Helper()
+	if tbl.spare != nil {
+		t.Fatalf("the table keeps %d spare blocks after the seal", len(tbl.spare))
+	}
+	for s := range tbl.segs {
+		sg := &tbl.segs[s]
+		if !tbl.sealed {
+			if sg.pages != nil || sg.tags != nil {
+				t.Fatalf("segment %d of a staged table has %d pages and %d tags", s, len(sg.pages), len(sg.tags))
+			}
+			continue
+		}
+		n := 0
+		for k, p := range sg.pages {
+			last := k == len(sg.pages)-1
+			if !last && len(p) != stageBlock || len(p) == 0 || len(p) > stageBlock {
+				t.Fatalf("segment %d: page %d of %d holds %d slots, stageBlock is %d",
+					s, k, len(sg.pages), len(p), stageBlock)
+			}
+			n += len(p)
+		}
+		if n != len(sg.tags) {
+			t.Fatalf("segment %d: %d pages cover %d slots, the segment has %d", s, len(sg.pages), n, len(sg.tags))
+		}
 	}
 }
 
@@ -84,7 +118,9 @@ func TestSealedSegmentKeepsAnEmptySlot(t *testing.T) {
 
 // The seal sizes a segment's slots by its keys, not its tuples: duplicates
 // live in runs, and a 16-byte slot plus its tag byte per duplicate would
-// be 3.4 MB here. The runs array counts 4 bytes per slot.
+// be 3.4 MB here. A page counts its capacity, so a spare block kept as a
+// short segment's page would count in full; the runs array counts 4 bytes
+// per slot.
 func TestSealSizesSlotsByKeys(t *testing.T) {
 	const tuples, keys = 200_000, 200
 	rng := rand.New(rand.NewSource(2))
@@ -97,7 +133,7 @@ func TestSealSizesSlotsByKeys(t *testing.T) {
 		tbl.Insert(tuple.Tuple{Index: uint64(i), Key: pool[rng.Intn(keys)]})
 	}
 	for s := range tbl.segs {
-		if tbl.segs[s].slots != nil {
+		if tbl.segs[s].pages != nil {
 			t.Fatalf("segment %d is indexed before the first lookup", s)
 		}
 	}
@@ -114,7 +150,10 @@ func TestSealSizesSlotsByKeys(t *testing.T) {
 		if sg.staged() != nil {
 			t.Fatalf("segment %d kept its staging blocks across the seal", s)
 		}
-		slotBytes += len(sg.slots)*16 + len(sg.tags) + 4*len(sg.runs)
+		for _, p := range sg.pages {
+			slotBytes += cap(p) * 16
+		}
+		slotBytes += len(sg.tags) + 4*len(sg.runs)
 	}
 	if slotBytes > 64<<10 {
 		t.Errorf("slot arrays take %d bytes for %d keys, want <= 64 KB", slotBytes, keys)
@@ -260,4 +299,134 @@ func TestStagingLadderSteps(t *testing.T) {
 		}
 		checkStaged(t, tbl)
 	}
+}
+
+// The seal takes a segment's full pages from the staging blocks of the
+// segments it indexed before, so it allocates each segment's tags, its
+// short last page and the full pages it needs beyond the blocks the
+// previous segment freed: 8.2 bytes per staged tuple here, against 24.7
+// when every page is new (DESIGN.md §14 item 2). The bound does not depend
+// on the host: it reads the bytes allocated, not the heap's size.
+func TestSealReusesStagingBlocks(t *testing.T) {
+	const keys, chunk = 200_000, 1_000
+	rng := rand.New(rand.NewSource(1))
+	ts := make([]tuple.Tuple, keys)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Index: uint64(i), Key: rng.Uint64()}
+	}
+	tbl := New(testSpace, tuple.DefaultLayout())
+	for c := 0; c < keys; c += chunk {
+		tbl.InsertAll(ts[c : c+chunk])
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl.seal()
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / keys
+	t.Logf("the seal allocated %.1f bytes per staged tuple", perTuple)
+	if perTuple > 10 {
+		t.Errorf("the seal allocated %.1f bytes per staged tuple, want <= 10", perTuple)
+	}
+	checkSealed(t, tbl)
+	if m, _ := tbl.ProbeAll(ts); m != keys {
+		t.Fatalf("the sealed table matches %d of %d stored keys", m, keys)
+	}
+}
+
+// A probe cluster that runs from the end of one page into the next, and one
+// that wraps from the segment's last page to slot 0, hand back the same
+// tuples through every reader, also after an unseal and a reseal. The
+// segment holds 1000 tuples, so it has 1337 slots on two pages; two keys
+// share home slot stageBlock-1, two the last slot, and one of each pair
+// has a duplicate, so a run hangs off a slot on each side of a boundary.
+func TestProbeClusterCrossesPage(t *testing.T) {
+	const seg, n = 9, 1000
+	cands := keysInSegment(seg, 40_000)
+	// The slot count and salt follow from the tuple count alone: a table
+	// of n tuples in the segment shows them.
+	shape := New(testSpace, tuple.DefaultLayout())
+	for i, k := range cands[:n] {
+		shape.Insert(tuple.Tuple{Index: uint64(i), Key: k})
+	}
+	shape.Probe(0, nil)
+	ref := &shape.segs[seg]
+	slots := len(ref.tags)
+	if slots <= stageBlock {
+		t.Fatalf("%d tuples get %d slots, not more than one page", n, slots)
+	}
+	var cross, wrap, rest []uint64
+	for _, k := range cands {
+		switch h := ref.home(mixKey(k)); {
+		case h == stageBlock-1 && len(cross) < 2:
+			cross = append(cross, k)
+		case h == slots-1 && len(wrap) < 2:
+			wrap = append(wrap, k)
+		default:
+			rest = append(rest, k)
+		}
+	}
+	if len(cross) < 2 || len(wrap) < 2 {
+		t.Fatalf("found %d keys homed at slot %d and %d at slot %d", len(cross), stageBlock-1, len(wrap), slots-1)
+	}
+	keys := append(append(append([]uint64{}, cross...), cross[1]), wrap...)
+	keys = append(keys, wrap[1])
+	keys = append(keys, rest[:n-len(keys)]...)
+	rand.New(rand.NewSource(7)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+	tbl := New(testSpace, tuple.DefaultLayout())
+	model := tableModel{}
+	for i, k := range keys {
+		tp := tuple.Tuple{Index: wideIndex(uint64(i)), Key: k}
+		tbl.Insert(tp)
+		model[k] = append(model[k], tp)
+	}
+	check := func(when string) {
+		t.Helper()
+		tbl.Probe(0, nil) // seals
+		checkSealed(t, tbl)
+		sg := &tbl.segs[seg]
+		if len(sg.tags) != slots {
+			t.Fatalf("%s: the segment has %d slots, want %d", when, len(sg.tags), slots)
+		}
+		slotOf := func(k uint64) int {
+			_, i := tbl.find(k)
+			return i
+		}
+		if max(slotOf(cross[0]), slotOf(cross[1])) < stageBlock {
+			t.Fatalf("%s: the cluster at slot %d stays on page 0", when, stageBlock-1)
+		}
+		if min(slotOf(wrap[0]), slotOf(wrap[1])) >= slots-1 {
+			t.Fatalf("%s: the cluster at slot %d does not wrap", when, slots-1)
+		}
+		for _, k := range append(cross, wrap...) {
+			var got []tuple.Tuple
+			if c := tbl.Probe(k, func(b tuple.Tuple) { got = append(got, b) }); c != len(model[k]) {
+				t.Fatalf("%s: Probe(%#x) = %d, model %d", when, k, c, len(model[k]))
+			}
+			sameMultiset(t, when+": Probe", got, model[k])
+			sameMultiset(t, when+": TuplesWithKey", tbl.TuplesWithKey(k), model[k])
+		}
+		probes := make([]tuple.Tuple, 0, 2*n)
+		var wantMatches int64
+		var wantXor uint64
+		for i, k := range append(keys, keysInSegment(seg+1, n)...) { // stored keys, then misses
+			probes = append(probes, tuple.Tuple{Index: uint64(i), Key: k})
+			for _, b := range model[k] {
+				wantMatches++
+				wantXor ^= tuple.MixPair(b.Index, uint64(i))
+			}
+		}
+		if m, x := tbl.ProbeAll(probes); m != wantMatches || x != wantXor {
+			t.Fatalf("%s: ProbeAll = %d/%#x, model %d/%#x", when, m, x, wantMatches, wantXor)
+		}
+		var all []tuple.Tuple
+		tbl.ForEach(func(tp tuple.Tuple) { all = append(all, tp) })
+		sameMultiset(t, when+": ForEach", all, model.all())
+	}
+	check("first seal")
+	if got := tbl.ExtractMatching(func(tuple.Tuple) bool { return false }); len(got) != 0 || tbl.sealed {
+		t.Fatalf("an extraction of nothing returned %d tuples and left the table sealed = %v", len(got), tbl.sealed)
+	}
+	check("resealed")
 }
